@@ -8,11 +8,14 @@
 // Gate against a committed BENCH_<n>.json (exit 1 on statistically
 // significant regression beyond the margin):
 //
-//	phi-perf -baseline BENCH_7.json -check -samples 6 -sample-time 60ms
+//	phi-perf -baseline BENCH_13.json -check -samples 6 -sample-time 60ms
 //
-// Assemble the committed artifact from recorded runs:
+// Assemble the committed artifact from recorded runs. The baseline is
+// recorded the way the gate measures, several fresh processes at the gate's
+// sample settings, and their samples are pooled per case (make
+// perf-baseline):
 //
-//	phi-perf -assemble BENCH_7.json -issue 7 -before before.json -after after.json
+//	phi-perf -assemble BENCH_13.json -issue 13 -before before.json -after rec-1.json,rec-2.json,rec-3.json
 //
 // Measure the sweep service path instead (cold submission vs exact cache
 // hit vs partial-overlap hit, through the real HTTP handler with
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"strings"
 	"time"
 
 	"phirel/internal/perf"
@@ -46,7 +50,7 @@ func main() {
 		serveN     = flag.Int("serve-n", 24, "serve: per-cell trial count of the cold sweep; the partial request doubles it")
 		assemble   = flag.String("assemble", "", "write a BENCH file assembled from -before/-after instead of measuring")
 		beforePath = flag.String("before", "", "pre-optimization run JSON for -assemble")
-		afterPath  = flag.String("after", "", "baseline run JSON for -assemble")
+		afterPath  = flag.String("after", "", "baseline run JSON for -assemble; a comma-separated list pools the recordings' samples per case")
 		issue      = flag.Int("issue", 0, "issue number recorded by -assemble")
 		notes      = flag.String("notes", "", "notes recorded by -assemble")
 	)
@@ -121,11 +125,19 @@ func runAssemble(out, beforePath, afterPath string, issue int, notes string) err
 	if afterPath == "" {
 		return fmt.Errorf("-assemble requires -after")
 	}
-	af, err := perf.ReadFile(afterPath)
+	var recs []*perf.Run
+	for _, p := range strings.Split(afterPath, ",") {
+		af, err := perf.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		recs = append(recs, af.Baseline)
+	}
+	pooled, err := perf.Pool(recs)
 	if err != nil {
 		return err
 	}
-	f := perf.File{Schema: 1, Issue: issue, Notes: notes, Baseline: af.Baseline}
+	f := perf.File{Schema: 1, Issue: issue, Notes: notes, Baseline: pooled}
 	if beforePath != "" {
 		bf, err := perf.ReadFile(beforePath)
 		if err != nil {

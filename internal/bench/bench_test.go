@@ -56,7 +56,7 @@ func (t *toy) Run(ctx *Ctx) {
 		if it == t.crashAtTick {
 			panic("forced crash")
 		}
-		ParallelFor(t.workers, t.out.Len(), func(w, start, end int) {
+		ctx.ParallelFor(t.workers, t.out.Len(), func(w, start, end int) {
 			for i := start; i < end; i++ {
 				sum := 0.0
 				bound := t.n.Load()
@@ -237,61 +237,120 @@ func TestCompareExactNaN(t *testing.T) {
 }
 
 func TestParallelForCoverage(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{0, 1, 2, 3, 7, 16} {
 		n := 100
-		var hits atomic.Int64
-		seen := make([]atomic.Bool, n)
-		ParallelFor(workers, n, func(w, start, end int) {
+		seen := make([]bool, n)
+		nextLane, nextStart := 0, 0
+		newCtx(-1, nil, 0).ParallelFor(workers, n, func(w, start, end int) {
+			if w != nextLane || start != nextStart {
+				t.Errorf("workers=%d: lane %d [%d,%d) ran out of order", workers, w, start, end)
+			}
+			nextLane, nextStart = w+1, end
 			for i := start; i < end; i++ {
-				if seen[i].Swap(true) {
+				if seen[i] {
 					t.Errorf("index %d visited twice", i)
 				}
-				hits.Add(1)
+				seen[i] = true
 			}
 		})
-		if hits.Load() != int64(n) {
-			t.Fatalf("workers=%d visited %d of %d", workers, hits.Load(), n)
+		if nextStart != n {
+			t.Fatalf("workers=%d covered [0,%d) of %d", workers, nextStart, n)
 		}
 	}
 }
 
 func TestParallelForEmpty(t *testing.T) {
 	called := false
-	ParallelFor(4, 0, func(w, s, e int) { called = true })
+	newCtx(-1, nil, 0).ParallelFor(4, 0, func(w, s, e int) { called = true })
 	if called {
 		t.Fatal("body called for n=0")
 	}
 }
 
 func TestParallelForMoreWorkersThanWork(t *testing.T) {
-	var hits atomic.Int64
-	ParallelFor(64, 3, func(w, s, e int) { hits.Add(int64(e - s)) })
-	if hits.Load() != 3 {
-		t.Fatalf("visited %d of 3", hits.Load())
+	var chunks [][2]int
+	newCtx(-1, nil, 0).ParallelFor(64, 3, func(w, s, e int) { chunks = append(chunks, [2]int{s, e}) })
+	if len(chunks) != 3 || chunks[0] != [2]int{0, 1} || chunks[2] != [2]int{2, 3} {
+		t.Fatalf("chunks %v, want one index per lane", chunks)
 	}
 }
 
+// recoverFrom runs f and returns what it panicked with.
+func recoverFrom(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
 func TestParallelForPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		cp, ok := r.(capturedPanic)
-		if !ok {
-			t.Fatalf("recovered %T, want capturedPanic", r)
+	for _, workers := range []int{1, 4} {
+		r := recoverFrom(func() {
+			newCtx(-1, nil, 0).ParallelFor(workers, 100, func(w, start, end int) {
+				if start == 0 {
+					panic("boom")
+				}
+			})
+		})
+		if r != "boom" {
+			t.Fatalf("workers=%d: recovered %v, want boom", workers, r)
 		}
-		if cp.val != "boom" {
-			t.Fatalf("panic value %v", cp.val)
-		}
-	}()
-	ParallelFor(4, 100, func(w, start, end int) {
-		if start == 0 {
-			panic("boom")
-		}
+	}
+}
+
+// The lowest panicking lane wins, and the lanes after it still run and
+// have their work flushed: a lane order leaking into PanicMsg or Work would
+// break artifact byte-identity.
+func TestParallelForLowestLanePanicWins(t *testing.T) {
+	ctx := newCtx(-1, nil, 0)
+	ctx.Work(5)
+	var ran []int
+	r := recoverFrom(func() {
+		ctx.ParallelFor(4, 100, func(w, start, end int) {
+			ran = append(ran, w)
+			ctx.WorkLane(w, int64(10*(w+1)))
+			if w == 0 || w == 2 {
+				panic(w)
+			}
+		})
 	})
-	t.Fatal("panic did not propagate")
+	if r != 0 {
+		t.Fatalf("recovered %v, want lane 0's value", r)
+	}
+	if len(ran) != 4 {
+		t.Fatalf("lanes run: %v, want all four", ran)
+	}
+	if ctx.WorkDone() != 5+10+20+30+40 {
+		t.Fatalf("WorkDone = %d after a panicking section, want 105", ctx.WorkDone())
+	}
+}
+
+// Each lane's WorkLane check sees only the work before the section plus its
+// own, so four lanes of 30 pass a budget of 100 one by one; the flushed total
+// must still trip the watchdog when the section ends.
+func TestParallelForCrossLaneWatchdog(t *testing.T) {
+	ctx := newCtx(-1, nil, 100)
+	lanes := 0
+	r := recoverFrom(func() {
+		ctx.ParallelFor(4, 4, func(w, start, end int) {
+			ctx.WorkLane(w, 30)
+			lanes++
+		})
+	})
+	if _, ok := r.(watchdogFired); !ok || lanes != 4 {
+		t.Fatalf("recovered %v after %d lanes, want the watchdog after 4", r, lanes)
+	}
+	// A single lane over the budget trips at its own reserve.
+	ctx = newCtx(-1, nil, 100)
+	r = recoverFrom(func() {
+		ctx.ParallelFor(2, 2, func(w, start, end int) { ctx.WorkLane(w, int64(60+50*w)) })
+	})
+	if _, ok := r.(watchdogFired); !ok || ctx.WorkDone() != 60+110 {
+		t.Fatalf("recovered %v with WorkDone %d, want the watchdog with 170", r, ctx.WorkDone())
+	}
 }
 
 func TestCtxWatchdog(t *testing.T) {
-	ctx := newCtx(-1, nil, 100, nil)
+	ctx := newCtx(-1, nil, 100)
 	ctx.Work(99)
 	defer func() {
 		if _, ok := recover().(watchdogFired); !ok {
@@ -302,7 +361,7 @@ func TestCtxWatchdog(t *testing.T) {
 }
 
 func TestCtxUnlimitedBudget(t *testing.T) {
-	ctx := newCtx(-1, nil, 0, nil)
+	ctx := newCtx(-1, nil, 0)
 	ctx.Work(1 << 50) // must not panic
 	if ctx.WorkDone() != 1<<50 {
 		t.Fatal("work accounting")

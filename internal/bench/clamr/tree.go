@@ -141,9 +141,8 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 	ctx.Tick()
 
 	// Neighbour resolution, parallel over cells. The live cell count is read
-	// once here, on the orchestrator: ncell is armable, and concurrent Loads
-	// from worker lanes would race the deferred-corruption countdown, making
-	// which lane observes the corrupted count scheduling-dependent.
+	// once here, before the lanes: ncell is armable and a pending corruption
+	// counts Loads, so where it is read is part of every CLAMR record.
 	live := c.ncell.Load()
 	// Nothing armed ⇒ nothing fires mid-phase; plain neighbour loop with
 	// identical queries and section-final cursor state.

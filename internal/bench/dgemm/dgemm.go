@@ -41,11 +41,23 @@ func DefaultConfig() Config { return Config{N: 96, Block: 16, Workers: 4} }
 // indices through these cells, so corrupting one skips work, repeats work,
 // overwrites other tiles, walks out of bounds (DUE-crash) or spins into the
 // watchdog (DUE-hang).
-type worker struct {
-	iStart, iEnd, iCur *state.Int
-	jStart, jEnd, jCur *state.Int
-	kStart, kEnd, kCur *state.Int
-}
+type worker [nCells]*state.Int
+
+// Indices into worker (and tileLoads), in registration order.
+const (
+	iStart = iota
+	iEnd
+	iCur
+	jStart
+	jEnd
+	jCur
+	kStart
+	kEnd
+	kCur
+	nCells
+)
+
+var cellNames = [nCells]string{"iStart", "iEnd", "iCur", "jStart", "jEnd", "jCur", "kStart", "kEnd", "kCur"}
 
 // DGEMM implements bench.Benchmark.
 type DGEMM struct {
@@ -53,9 +65,9 @@ type DGEMM struct {
 	reg     *state.Registry
 	a, b, c *state.F64s
 	a0, b0  []float64 // pristine inputs for Reset
-	// bt shadows B transposed so the fast path's k-loop streams both
+	// bt shadows B transposed so the plain loop's k-loop streams both
 	// operands sequentially. Refreshed from B each section (B may have been
-	// corrupted at the preceding tick); never read by the cell-driven path.
+	// corrupted at the preceding tick); never read by the cell-driven loop.
 	bt      []float64
 	workers []worker
 }
@@ -81,15 +93,11 @@ func New(cfg Config, seed uint64) *DGEMM {
 	d.reg.Global().Register(d.a, d.b, d.c)
 	d.workers = make([]worker, cfg.Workers)
 	for w := range d.workers {
-		wk := &d.workers[w]
-		mk := func(v string) *state.Int {
+		for i, v := range cellNames {
 			c := state.NewInt(fmt.Sprintf("w%d.%s", w, v), "control", 0)
 			d.reg.Global().Register(c)
-			return c
+			d.workers[w][i] = c
 		}
-		wk.iStart, wk.iEnd, wk.iCur = mk("iStart"), mk("iEnd"), mk("iCur")
-		wk.jStart, wk.jEnd, wk.jCur = mk("jStart"), mk("jEnd"), mk("jCur")
-		wk.kStart, wk.kEnd, wk.kCur = mk("kStart"), mk("kEnd"), mk("kCur")
 	}
 	return d
 }
@@ -116,8 +124,7 @@ func (d *DGEMM) Reset() {
 		d.c.Data[i] = 0
 	}
 	for w := range d.workers {
-		wk := &d.workers[w]
-		for _, c := range []*state.Int{wk.iStart, wk.iEnd, wk.iCur, wk.jStart, wk.jEnd, wk.jCur, wk.kStart, wk.kEnd, wk.kCur} {
+		for _, c := range d.workers[w] {
 			c.Store(0)
 		}
 	}
@@ -130,20 +137,13 @@ func (d *DGEMM) Run(ctx *bench.Ctx) {
 	n, bs := d.cfg.N, d.cfg.Block
 	for ib := 0; ib < n; ib += bs {
 		ctx.Tick()
-		// With no deferred corruption pending nothing can fire mid-section
-		// (arming happens only at quiescent ticks), so every cell Load
-		// returns exactly what was last Stored and the tiles may run the
-		// plain fast path. Checked per section, on the orchestrator.
-		fast := !d.reg.AnyArmed()
-		if fast {
-			// Refresh the transposed shadow of B: the tick above may have
-			// corrupted B in place (buffer faults are immediate).
-			bd := d.b.Data
-			for k := 0; k < n; k++ {
-				row := bd[k*n : k*n+n]
-				for j, v := range row {
-					d.bt[j*n+k] = v
-				}
+		// Refresh the transposed shadow of B: the tick above may have
+		// corrupted B in place (buffer faults are immediate).
+		bd := d.b.Data
+		for k := 0; k < n; k++ {
+			row := bd[k*n : k*n+n]
+			for j, v := range row {
+				d.bt[j*n+k] = v
 			}
 		}
 		// Parallelise over the column blocks of this row block; each worker
@@ -151,28 +151,44 @@ func (d *DGEMM) Run(ctx *bench.Ctx) {
 		nCols := (n + bs - 1) / bs
 		ctx.ParallelFor(d.cfg.Workers, nCols, func(w, startCol, endCol int) {
 			for jb := startCol * bs; jb < endCol*bs && jb < n; jb += bs {
-				d.tile(ctx, w, fast, ib, jb, min(ib+bs, n), min(jb+bs, n))
+				d.tile(ctx, w, ib, jb, min(ib+bs, n), min(jb+bs, n))
 			}
 		})
 	}
 }
 
+// tileLoads is how many Loads the cell-driven loops of tile perform on each
+// of a worker's cells for uncorrupted spans I×J×K: each bound is read once by
+// the span check and once per entry (start) or per test (end) of its loop,
+// each cursor once per test and once per body.
+func tileLoads(I, J, K int64) [nCells]int64 {
+	return [nCells]int64{
+		iStart: 2, iEnd: I + 2, iCur: 2*I + 1,
+		jStart: I + 1, jEnd: I*(J+1) + 1, jCur: I * (2*J + 1),
+		kStart: I*J + 1, kEnd: I*J*(K+1) + 1, kCur: I * J * (2*K + 1),
+	}
+}
+
 // tile computes C[i0:i1, j0:j1] += A[i0:i1, :]·B[:, j0:j1] with every loop
-// driven by corruptible control cells. When fast is set (no corruption
-// pending anywhere) the cell-driven loops are replaced by plain ones with
-// identical arithmetic, work accounting, and section-final cell state.
-func (d *DGEMM) tile(ctx *bench.Ctx, w int, fast bool, i0, j0, i1, j1 int) {
+// driven by corruptible control cells. When no corruption pending on this
+// lane's cells can fire within the tile, its loads are debited from the
+// countdowns and the cell-driven loops are replaced by plain ones with
+// identical arithmetic, work accounting, and final cell state: an armed,
+// unfired cell reads as what was last stored, so the corruption later fires
+// on the same load with the same value as if every load had been performed.
+func (d *DGEMM) tile(ctx *bench.Ctx, w int, i0, j0, i1, j1 int) {
 	wk := &d.workers[w]
 	n := d.cfg.N
 	a, b, c := d.a.Data, d.b.Data, d.c.Data
-	wk.iStart.Store(i0)
-	wk.iEnd.Store(i1)
-	wk.jStart.Store(j0)
-	wk.jEnd.Store(j1)
-	wk.kStart.Store(0)
-	wk.kEnd.Store(n)
+	wk[iStart].Store(i0)
+	wk[iEnd].Store(i1)
+	wk[jStart].Store(j0)
+	wk[jEnd].Store(j1)
+	wk[kStart].Store(0)
+	wk[kEnd].Store(n)
 
-	if fast {
+	loads := tileLoads(int64(i1-i0), int64(j1-j0), int64(n))
+	if state.DebitLoads(wk[:], loads[:]) {
 		ctx.WorkLane(w, int64(i1-i0)*int64(j1-j0)*int64(n)+1)
 		for i := i0; i < i1; i++ {
 			ar := a[i*n : i*n+n]
@@ -189,15 +205,15 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, fast bool, i0, j0, i1, j1 int) {
 			}
 		}
 		// Leave the cursors exactly as the cell-driven loops would.
-		wk.iCur.Store(i1)
-		wk.jCur.Store(j1)
-		wk.kCur.Store(n)
+		wk[iCur].Store(i1)
+		wk[jCur].Store(j1)
+		wk[kCur].Store(n)
 		return
 	}
 
-	iSpan := int64(wk.iEnd.Load() - wk.iStart.Load())
-	jSpan := int64(wk.jEnd.Load() - wk.jStart.Load())
-	kSpan := int64(wk.kEnd.Load() - wk.kStart.Load())
+	iSpan := int64(wk[iEnd].Load() - wk[iStart].Load())
+	jSpan := int64(wk[jEnd].Load() - wk[jStart].Load())
+	kSpan := int64(wk[kEnd].Load() - wk[kStart].Load())
 	if iSpan < 0 || jSpan < 0 || kSpan < 0 {
 		// A corrupted bound can invert a range; the real code would simply
 		// not enter the loop.
@@ -205,13 +221,13 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, fast bool, i0, j0, i1, j1 int) {
 	}
 	ctx.WorkLane(w, iSpan*jSpan*kSpan+1)
 
-	for wk.iCur.Store(wk.iStart.Load()); wk.iCur.Load() < wk.iEnd.Load(); wk.iCur.Add(1) {
-		i := wk.iCur.Load()
-		for wk.jCur.Store(wk.jStart.Load()); wk.jCur.Load() < wk.jEnd.Load(); wk.jCur.Add(1) {
-			j := wk.jCur.Load()
+	for wk[iCur].Store(wk[iStart].Load()); wk[iCur].Load() < wk[iEnd].Load(); wk[iCur].Add(1) {
+		i := wk[iCur].Load()
+		for wk[jCur].Store(wk[jStart].Load()); wk[jCur].Load() < wk[jEnd].Load(); wk[jCur].Add(1) {
+			j := wk[jCur].Load()
 			sum := 0.0
-			for wk.kCur.Store(wk.kStart.Load()); wk.kCur.Load() < wk.kEnd.Load(); wk.kCur.Add(1) {
-				k := wk.kCur.Load()
+			for wk[kCur].Store(wk[kStart].Load()); wk[kCur].Load() < wk[kEnd].Load(); wk[kCur].Add(1) {
+				k := wk[kCur].Load()
 				sum += a[i*n+k] * b[k*n+j]
 			}
 			// Corrupted cursors wandering outside this worker's tile would

@@ -135,7 +135,7 @@ func TestDGEMMControlCorruptionHangs(t *testing.T) {
 	// with golden output.
 	rng := stats.NewRNG(9)
 	res := r.RunInjected(1, func() {
-		d.workers[0].kEnd.Arm(100, fault.Random, rng)
+		d.workers[0][kEnd].Arm(100, fault.Random, rng)
 	})
 	if res.Status == bench.Completed && bench.CompareExact(r.Golden, res.Output) {
 		t.Skip("random corruption happened to be benign for this seed")
@@ -149,7 +149,7 @@ func TestDGEMMControlZeroKEndTruncatesOutput(t *testing.T) {
 	var def *state.Deferred
 	res := r.RunInjected(0, func() {
 		// Zeroing kCur mid-loop restarts a dot product: SDC, not crash.
-		def = d.workers[0].kCur.Arm(30, fault.Zero, rng)
+		def = d.workers[0][kCur].Arm(30, fault.Zero, rng)
 	})
 	if !def.Fired {
 		t.Fatal("armed corruption never fired in a hot loop cell")

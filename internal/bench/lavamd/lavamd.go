@@ -174,9 +174,9 @@ func (l *LavaMD) Run(ctx *bench.Ctx) {
 	for row := 0; row < rows; row++ {
 		ctx.Tick()
 		ctx.Work(int64(rowBoxes)*int64(ppb)*27*int64(ppb) + 1)
-		// One orchestrator read of the (armable) potential parameter per row:
-		// concurrent Loads from worker lanes would race the deferred-corruption
-		// countdown and make the observed value scheduling-dependent.
+		// One read of the (armable) potential parameter per row, before the
+		// lanes: a pending corruption counts Loads, so where this cell is
+		// read is part of every LavaMD record.
 		a2 := l.a2.Load()
 		// Nothing armed ⇒ nothing fires mid-section; plain box loop with
 		// identical per-box calls and section-final cursor state.
@@ -208,7 +208,7 @@ func (l *LavaMD) Run(ctx *bench.Ctx) {
 
 // box accumulates forces for every particle of home box b against all
 // particles of its neighbour boxes (Rodinia's kernel formula). a2 is the
-// potential parameter read once per row on the orchestrator.
+// potential parameter read once per row, before the lanes.
 func (l *LavaMD) box(b, ppb int, a2 float64) {
 	rv, qv, fv, nn := l.rv.Data, l.qv.Data, l.fv.Data, l.nn.Data
 	for p := 0; p < ppb; p++ {

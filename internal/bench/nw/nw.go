@@ -68,9 +68,17 @@ type Config struct {
 func DefaultConfig() Config { return Config{N: 160, Penalty: 10, Workers: 4} }
 
 // worker holds per-thread control cells for the anti-diagonal sweep.
-type worker struct {
-	cStart, cEnd, cCur *state.Int
-}
+type worker [nCells]*state.Int
+
+// Indices into worker (and chunk's load counts), in registration order.
+const (
+	cStart = iota
+	cEnd
+	cCur
+	nCells
+)
+
+var cellNames = [nCells]string{"cStart", "cEnd", "cCur"}
 
 // NW implements bench.Benchmark.
 type NW struct {
@@ -120,13 +128,11 @@ func New(cfg Config, seed uint64) *NW {
 	w.reg.Global().Register(w.item, w.ref, w.penalty, w.diagCur)
 	w.workers = make([]worker, cfg.Workers)
 	for i := range w.workers {
-		wk := &w.workers[i]
-		mk := func(v string) *state.Int {
+		for k, v := range cellNames {
 			c := state.NewInt(fmt.Sprintf("w%d.%s", i, v), "control", 0)
 			w.reg.Global().Register(c)
-			return c
+			w.workers[i][k] = c
 		}
-		wk.cStart, wk.cEnd, wk.cCur = mk("cStart"), mk("cEnd"), mk("cCur")
 	}
 	w.trace = make([]int8, 2*n+1)
 	return w
@@ -155,10 +161,9 @@ func (w *NW) Reset() {
 	w.penalty.Store(w.cfg.Penalty)
 	w.diagCur.Store(0)
 	for i := range w.workers {
-		wk := &w.workers[i]
-		wk.cStart.Store(0)
-		wk.cEnd.Store(0)
-		wk.cCur.Store(0)
+		for _, c := range w.workers[i] {
+			c.Store(0)
+		}
 	}
 }
 
@@ -200,9 +205,6 @@ func (w *NW) Run(ctx *bench.Ctx) {
 		}
 		ctx.Work(int64(count) + 1)
 		pen := int32(w.penalty.Load())
-		// Nothing armed ⇒ nothing fires mid-diagonal; the cursor cells may
-		// run as plain loops (identical scores, identical final cell state).
-		fast := !w.reg.AnyArmed()
 		fastSpan := func(start, end int) {
 			for c := start; c < end; c++ {
 				i := lo + c
@@ -224,8 +226,8 @@ func (w *NW) Run(ctx *bench.Ctx) {
 		// start/end are uncorruptible chunk bounds: a wandering cursor
 		// aborts instead of racing another worker's cells.
 		update := func(wk *worker, start, end int) {
-			for ; wk.cCur.Load() < wk.cEnd.Load(); wk.cCur.Add(1) {
-				c := wk.cCur.Load()
+			for ; wk[cCur].Load() < wk[cEnd].Load(); wk[cCur].Add(1) {
+				c := wk[cCur].Load()
 				if c < start || c >= end {
 					panic(fmt.Sprintf("nw: cell cursor %d outside chunk [%d,%d)", c, start, end))
 				}
@@ -248,29 +250,33 @@ func (w *NW) Run(ctx *bench.Ctx) {
 				item[idx] = best
 			}
 		}
-		if count < 32 {
-			wk := &w.workers[0]
-			wk.cStart.Store(0)
-			wk.cEnd.Store(count)
-			wk.cCur.Store(0)
-			if fast {
-				fastSpan(0, count)
-				wk.cCur.Store(count)
-			} else {
-				update(wk, 0, count)
+		// chunk runs cells [start,end) of the diagonal on one worker. update
+		// would Load cEnd once per test and cCur once per test and per body,
+		// after startLoads Loads of cStart; when no corruption pending on
+		// this worker's cursors can fire within them they are debited and
+		// the chunk runs as a plain loop (identical scores, identical final
+		// cell state).
+		chunk := func(wk *worker, start, end int, startLoads int64) {
+			wk[cStart].Store(start)
+			wk[cEnd].Store(end)
+			span := int64(end - start)
+			if state.DebitLoads(wk[:], []int64{cStart: startLoads, cEnd: span + 1, cCur: 2*span + 1}) {
+				fastSpan(start, end)
+				wk[cCur].Store(end)
+				return
 			}
+			cur := start
+			if startLoads > 0 {
+				cur = wk[cStart].Load()
+			}
+			wk[cCur].Store(cur)
+			update(wk, start, end)
+		}
+		if count < 32 {
+			chunk(&w.workers[0], 0, count, 0)
 		} else {
 			ctx.ParallelFor(w.cfg.Workers, count, func(wi, start, end int) {
-				wk := &w.workers[wi]
-				wk.cStart.Store(start)
-				wk.cEnd.Store(end)
-				wk.cCur.Store(wk.cStart.Load())
-				if fast {
-					fastSpan(start, end)
-					wk.cCur.Store(end)
-					return
-				}
-				update(wk, start, end)
+				chunk(&w.workers[wi], start, end, 1)
 			})
 		}
 	}

@@ -172,7 +172,7 @@ func TestNWCellCursorCorruptionCrashes(t *testing.T) {
 	crashed := false
 	for trial := 0; trial < 30 && !crashed; trial++ {
 		res := r.RunInjected(20+trial, func() {
-			w.workers[0].cCur.Arm(trial, fault.Random, rng.Split())
+			w.workers[0][cCur].Arm(trial, fault.Random, rng.Split())
 		})
 		if res.Status == bench.Crashed {
 			crashed = true

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"phirel/internal/state"
 )
@@ -103,11 +102,6 @@ type Runner struct {
 	budgetFactor float64
 	budgetWork   int64
 
-	// p holds the persistent ParallelFor lane goroutines shared by every
-	// run of this runner (see pool). Created lazily; Close releases it, and
-	// a runtime cleanup releases it for runners that are simply dropped.
-	p *pool
-
 	// outBuf is the reused output buffer handed to OutputInto benchmarks on
 	// injected runs (see RunInjected's aliasing note).
 	outBuf []float64
@@ -117,12 +111,7 @@ type Runner struct {
 // error if the pristine benchmark crashes or produces an empty output,
 // which would indicate a broken workload rather than a fault effect.
 func NewRunner(b Benchmark) (*Runner, error) {
-	r := &Runner{B: b, BudgetFactor: 4, p: &pool{}}
-	// Runners are routinely dropped without Close (campaign workers, tests);
-	// the cleanup stops the lane goroutines once the runner is unreachable.
-	// The pool itself is not referenced by its lane goroutines' closures
-	// beyond the channels, so this does not keep the runner alive.
-	runtime.AddCleanup(r, func(p *pool) { p.close() }, r.p)
+	r := &Runner{B: b, BudgetFactor: 4}
 	res := r.run(-1, nil, 0, false)
 	if res.Status != Completed {
 		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
@@ -139,13 +128,9 @@ func NewRunner(b Benchmark) (*Runner, error) {
 	return r, nil
 }
 
-// Close stops the runner's persistent worker lanes. The runner must not be
-// used afterwards. Optional: dropping the runner releases them too.
-func (r *Runner) Close() {
-	if r.p != nil {
-		r.p.close()
-	}
-}
+// Close is a no-op kept for callers written when runners owned lane
+// goroutines: a runner holds nothing that outlives it.
+func (r *Runner) Close() {}
 
 // Budget returns the watchdog budget for injected runs. The value is
 // memoized and recomputed only when BudgetFactor or GoldenWork changes.
@@ -195,7 +180,7 @@ func (r *Runner) RunInjected(tick int, inject func()) RawResult {
 
 func (r *Runner) run(tick int, inject func(), budget int64, reuse bool) (res RawResult) {
 	r.B.Reset()
-	ctx := newCtx(tick, inject, budget, r.p)
+	ctx := newCtx(tick, inject, budget)
 	defer func() {
 		res.Ticks = ctx.Ticks()
 		res.Work = ctx.WorkDone()
@@ -204,9 +189,6 @@ func (r *Runner) run(tick int, inject func(), budget int64, reuse bool) (res Raw
 			// A mid-run abort may leave phase frames pushed; drop them so
 			// the registry is sane for the next run.
 			r.B.Registry().PopAll()
-			if cp, ok := rec.(capturedPanic); ok {
-				rec = cp.val
-			}
 			if wf, ok := rec.(watchdogFired); ok {
 				res.Status = Hung
 				res.PanicMsg = wf.String()

@@ -13,7 +13,7 @@ import (
 	"phirel/internal/state"
 )
 
-// The hot-path optimizations (reseeded per-trial RNGs, the pooled
+// The hot-path optimizations (reseeded per-trial RNGs, the in-order
 // ParallelFor, lane-batched Work accounting, reused output scratch and the
 // unarmed kernel fast paths) all promise the same thing: campaign artifacts
 // stay byte-identical to the pre-optimization engine, for any worker count.

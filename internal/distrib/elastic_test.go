@@ -338,9 +338,12 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			return ctx.Err()
 		}
 		// Shard 0: synthetic steady progress while the real slice computes.
-		stop := make(chan struct{})
-		defer close(stop)
+		// The supervisor flushes stderr once the launcher returns, so the
+		// reporter must have stopped writing to it by then.
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		defer func() { close(stop); <-stopped }()
 		go func() {
+			defer close(stopped)
 			for i := 1; ; i++ {
 				select {
 				case <-stop:

@@ -21,6 +21,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -220,6 +221,12 @@ func Run[R, A any](ctx context.Context, cfg Config[R, A]) (*Result[R, A], error)
 				if n := done.Add(1); cfg.Progress != nil && (n%stride == 0 || n == int64(cfg.N)) {
 					report(n)
 				}
+				// A trial never blocks, so without this a worker holds its
+				// P until the runtime preempts it and the collector's mark
+				// worker waits out whole cells for a time slice: mark phases
+				// stretch from under 1 ms to 10-20 ms and what is allocated
+				// meanwhile stays live, so peak heap differs run to run.
+				runtime.Gosched()
 			}
 		}(w)
 	}

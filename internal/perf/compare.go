@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -81,6 +82,40 @@ func FormatDeltas(deltas []Delta) string {
 			d.Name, d.OldNs, d.NewNs, d.Ratio, d.P, verdict)
 	}
 	return b.String()
+}
+
+// Pool folds recordings of the same suite into one run whose every case
+// carries all the recordings' samples. Each recording is a process of its
+// own, so the pooled samples span what differs from one process to the next
+// (where the scheduler first places it, the state of the machine that
+// minute) as well as what differs within one; that is the spread the gate's
+// own fresh process is drawn from. Cases are matched by name and keep the
+// first recording's order; a case a recording lacks is an error.
+func Pool(runs []*Run) (*Run, error) {
+	out := *runs[0]
+	out.Entries = append([]Entry(nil), runs[0].Entries...)
+	out.Samples = 0
+	for _, r := range runs {
+		out.Samples += r.Samples
+	}
+	for i := range out.Entries {
+		e := &out.Entries[i]
+		e.SamplesNs, e.AllocsPerTrial, e.BytesPerTrial = nil, 0, 0
+		for _, r := range runs {
+			j := slices.IndexFunc(r.Entries, func(x Entry) bool { return x.Name == e.Name })
+			if j < 0 || len(r.Entries) != len(out.Entries) {
+				return nil, fmt.Errorf("perf: recording %q does not hold the same cases (%s)", r.Label, e.Name)
+			}
+			e.SamplesNs = append(e.SamplesNs, r.Entries[j].SamplesNs...)
+			e.AllocsPerTrial += r.Entries[j].AllocsPerTrial / float64(len(runs))
+			e.BytesPerTrial += r.Entries[j].BytesPerTrial / float64(len(runs))
+		}
+		e.NsPerTrial = median(e.SamplesNs)
+		if e.NsPerTrial > 0 {
+			e.TrialsPerSec = 1e9 / e.NsPerTrial
+		}
+	}
+	return &out, nil
 }
 
 // File is the committed BENCH_<n>.json artifact: the protected baseline,

@@ -89,6 +89,33 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 }
 
+// TestPool: the pooled run carries every recording's samples per case, its
+// median is over all of them, and recordings of different suites are refused.
+func TestPool(t *testing.T) {
+	mk := func(ns ...float64) *Run {
+		return &Run{Samples: len(ns), Entries: []Entry{
+			{Name: "a", SamplesNs: ns, NsPerTrial: median(ns), AllocsPerTrial: ns[0]},
+			{Name: "b", SamplesNs: []float64{1}},
+		}}
+	}
+	cold, warm := mk(40, 39, 20), mk(20, 21, 19)
+	got, err := Pool([]*Run{cold, warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := got.Entries[0]
+	if len(a.SamplesNs) != 6 || a.NsPerTrial != 20.5 || a.AllocsPerTrial != 30 || got.Samples != 6 {
+		t.Errorf("pooled case: %+v (run samples %d), want 6 samples with median 20.5 and mean allocs 30", a, got.Samples)
+	}
+	if len(cold.Entries[0].SamplesNs) != 3 {
+		t.Error("Pool changed a recording it was given")
+	}
+	other := &Run{Entries: []Entry{{Name: "a", SamplesNs: []float64{1}}, {Name: "c", SamplesNs: []float64{1}}}}
+	if _, err := Pool([]*Run{cold, other}); err == nil {
+		t.Error("pooled recordings of different suites")
+	}
+}
+
 func TestMeasureSmoke(t *testing.T) {
 	calls := 0
 	cases := []Case{{

@@ -302,6 +302,13 @@ func (s *Server) status(e *entry) Status {
 	}
 	js := e.job.Status()
 	st.State, st.Done, st.Total = string(js.State), js.Done, js.Total
+	if js.State.Terminal() {
+		// The job has ended but finalize has not yet frozen the artifact (or
+		// the error), stored it and indexed it. Terminal states are
+		// finalize's to publish: a client told "done" must find the result
+		// servable and the artifact mountable as a prefix.
+		st.State = string(distrib.JobRunning)
+	}
 	st.TrialsResumed, st.TrialsStolen = js.TrialsResumed, js.TrialsStolen
 	return st
 }

@@ -577,3 +577,45 @@ func TestServeLoadSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestServeDoneOnlyAfterFinalize stalls finalize behind a finished job: the
+// job is terminal but the artifact is not yet frozen, stored and indexed, so
+// the status must still read "running" and the result 409; once finalize has
+// run, "done" and the result arrive together.
+func TestServeDoneOnlyAfterFinalize(t *testing.T) {
+	sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: &worker{}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	srv := New(sched)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	spec := testSpec(17)
+	job, err := sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e := &entry{hash: spec.CanonicalHash(), job: job, done: make(chan struct{})}
+	srv.mu.Lock()
+	srv.sweeps[e.hash] = e
+	srv.mu.Unlock()
+
+	if st := getStatus(t, ts, e.hash); st.State != "running" || st.Done != st.Total {
+		t.Errorf("finished job before finalize reads %q %d/%d, want running with every cell done", st.State, st.Done, st.Total)
+	}
+	if code, _, _ := getBody(t, ts, "/v1/sweeps/"+e.hash+"/result"); code != http.StatusConflict {
+		t.Errorf("result before finalize: %d, want 409", code)
+	}
+	srv.finalize(e)
+	if st := getStatus(t, ts, e.hash); st.State != "done" {
+		t.Errorf("after finalize the sweep reads %q, want done", st.State)
+	}
+	if code, _, _ := getBody(t, ts, "/v1/sweeps/"+e.hash+"/result"); code != http.StatusOK {
+		t.Errorf("result after finalize: %d, want 200", code)
+	}
+}

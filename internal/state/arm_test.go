@@ -1,6 +1,7 @@
 package state
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -144,5 +145,101 @@ func TestF64ArmFires(t *testing.T) {
 	}
 	if def.Report.Kind != KindF64 || def.Report.BitsChanged != 1 {
 		t.Fatalf("report: %+v", def.Report)
+	}
+}
+
+// firesOn arms a cell and performs loads one by one (storing an
+// ordinal-dependent value before each, as a running loop would) until the
+// corruption fires; it returns the firing load's ordinal and the report.
+func firesOn(seed uint64, delay int, m fault.Model) (int, Report) {
+	c := NewInt("i", "control", 0)
+	def := c.Arm(delay, m, stats.NewRNG(seed))
+	for n := 1; ; n++ {
+		c.Store(n * 7)
+		c.Load()
+		if def.Fired {
+			return n, def.Report
+		}
+	}
+}
+
+// Debited blocks of loads must leave the corruption firing on the same load
+// ordinal with the same report as when every load is performed, for any
+// interleaving of performed loads, accepted debits and refused debits.
+func TestDebitLoadsKeepsFiringOrdinal(t *testing.T) {
+	r := stats.NewRNG(42)
+	for trial := 0; trial < 500; trial++ {
+		delay, m, seed := r.Intn(3000), fault.Models[r.Intn(len(fault.Models))], r.Uint64()
+		wantN, wantRep := firesOn(seed, delay, m)
+		if wantN != delay+1 {
+			t.Fatalf("reference fired on load %d with delay %d", wantN, delay)
+		}
+
+		c := NewInt("i", "control", 0)
+		bystander := NewInt("j", "control", 0)
+		def := c.Arm(delay, m, stats.NewRNG(seed))
+		by := bystander.Arm(1000, fault.Zero, stats.NewRNG(1))
+		cells := []*Int{bystander, c}
+		n, byLoads := 0, int64(0) // loads performed or debited so far
+		for !def.Fired {
+			if r.Bernoulli(0.5) {
+				n++
+				c.Store(n * 7)
+				c.Load()
+				continue
+			}
+			block := int64(r.Intn(200))
+			left := int64(delay + 1 - n)
+			ok := DebitLoads(cells, []int64{1, block})
+			if ok != (block < left) {
+				t.Fatalf("delay %d after %d loads: debit of %d accepted=%v with %d loads left", delay, n, block, ok, left)
+			}
+			if ok {
+				n += int(block)
+				byLoads++
+			}
+		}
+		if n != wantN || !reflect.DeepEqual(def.Report, wantRep) {
+			t.Fatalf("delay %d: fired on load %d with %+v, want load %d with %+v", delay, n, def.Report, wantN, wantRep)
+		}
+		// The bystander was debited once per accepted block and never by a
+		// refused one: it fires after exactly the loads it has left.
+		for ; byLoads < 1000; byLoads++ {
+			bystander.Load()
+			if by.Fired {
+				t.Fatalf("bystander fired after %d of 1001 loads: a refused debit was applied", byLoads+1)
+			}
+		}
+		if bystander.Load(); !by.Fired {
+			t.Fatal("bystander did not fire on its 1001st load: an accepted debit was lost")
+		}
+	}
+}
+
+func TestDebitLoadsEdges(t *testing.T) {
+	c := NewInt("i", "control", 9)
+	if !DebitLoads([]*Int{c}, []int64{1 << 40}) {
+		t.Fatal("debit on an unarmed cell refused")
+	}
+	def := c.Arm(4, fault.Zero, stats.NewRNG(1)) // fires on the 5th load
+	if DebitLoads([]*Int{c}, []int64{5}) {
+		t.Fatal("debit of exactly the remaining loads accepted: the fire is on the last of them")
+	}
+	if !DebitLoads([]*Int{c}, []int64{4}) || def.Fired {
+		t.Fatal("debit of all but the firing load refused, or fired")
+	}
+	if c.Load(); !def.Fired {
+		t.Fatal("load after the debit did not fire")
+	}
+	// The seam refuses any debit while armed, and only while armed.
+	c.Arm(100, fault.Zero, stats.NewRNG(1))
+	refuseDebit = true
+	defer func() { refuseDebit = false }()
+	if DebitLoads([]*Int{c}, []int64{1}) {
+		t.Fatal("seam set: debit on an armed cell accepted")
+	}
+	c.Disarm()
+	if !DebitLoads([]*Int{c}, []int64{1}) {
+		t.Fatal("seam set: debit on an unarmed cell refused")
 	}
 }

@@ -12,10 +12,10 @@ import (
 // interrupts a program at an arbitrary instruction, where loop-control
 // variables are live mid-iteration; the quiescent-tick harness reproduces
 // that by *arming* a scalar cell at the tick and firing the corruption after
-// a sampled number of subsequent Loads, inside whichever worker performs
-// that load. Fired and Report are written once by the firing goroutine
-// before the run's workers join, so the orchestrator may read them after the
-// run completes.
+// a sampled number of subsequent Loads, inside whichever lane performs that
+// load. A run's lanes execute in order on the goroutine that called Run, so
+// Fired and Report are written once on that goroutine and the orchestrator
+// reads them after Run returns.
 type Deferred struct {
 	Fired  bool
 	Report Report
@@ -40,8 +40,35 @@ type Armable interface {
 	Disarm()
 	// Armed reports whether a deferred corruption is pending. Kernels use
 	// it (via Registry.AnyArmed, at quiescent points only) to run plain
-	// unarmed fast paths that skip the countdown-driving Loads.
+	// unarmed fast paths that skip the countdown-driving Loads; DebitLoads
+	// is the per-lane form that also keeps the countdown exact.
 	Armed() bool
+}
+
+// refuseDebit is a test seam: when set, DebitLoads refuses whenever a cell is
+// armed, so every armed lane takes its kernel's cell-driven loop.
+var refuseDebit bool
+
+// DebitLoads accounts for Loads the caller is about to skip: n[i] is how many
+// times the code being skipped would Load cells[i]. A pending corruption fires
+// on exactly the load that takes its countdown to zero, so when every armed
+// cell has more than n[i] loads left none of them would fire: the counts are
+// subtracted and DebitLoads returns true, leaving each countdown where the
+// skipped loads would have left it. Otherwise nothing changes and it returns
+// false, and the caller must perform the loads. The cells must be private to
+// the calling lane.
+func DebitLoads(cells []*Int, n []int64) bool {
+	for i, c := range cells {
+		if d := c.pend.Load(); d != nil && (refuseDebit || d.count.Load() <= n[i]) {
+			return false
+		}
+	}
+	for i, c := range cells {
+		if d := c.pend.Load(); d != nil {
+			d.count.Add(-n[i])
+		}
+	}
+	return true
 }
 
 // Int is a corruptible scalar integer variable (loop bounds, indices,
@@ -49,8 +76,8 @@ type Armable interface {
 // architecturally meaningful: a flipped bound really changes how far a loop
 // runs, which is how control-variable faults become hangs, overwrites and
 // out-of-range panics — the DUE mechanisms the paper attributes to control
-// variables. Loads and stores are atomic so armed corruptions may fire
-// inside worker goroutines without data races.
+// variables. A run touches its cells from one goroutine; the atomics are
+// left over from concurrent lanes (ROADMAP item 3).
 type Int struct {
 	name   string
 	region Region

@@ -134,9 +134,11 @@ func (g *Registry) PopAll() { g.frames = g.frames[:1] }
 // site. Benchmarks call it from Reset so a corruption armed in an aborted
 // run cannot leak into the next one.
 func (g *Registry) DisarmAll() {
-	for _, s := range g.Live() {
-		if a, ok := s.(Armable); ok {
-			a.Disarm()
+	for _, f := range g.frames {
+		for _, s := range f.sites {
+			if a, ok := s.(Armable); ok {
+				a.Disarm()
+			}
 		}
 	}
 }
