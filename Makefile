@@ -23,14 +23,15 @@ test:
 # Race-checks the concurrent machinery: the shared streaming engine, both
 # campaign classes built on it, and the fleet orchestrator. The -run
 # filter selects the concurrency-exercising tests (worker determinism,
-# cancellation, stream delivery, progress, pool scheduling, the straggler
-# watchdog and checkpoint-resume/preemption supervision) and -short scales
+# cancellation, stream delivery, progress, pool scheduling, the run-scoped
+# runner free list, the straggler watchdog and checkpoint-resume/preemption
+# supervision) and -short scales
 # their fixtures down: race-instrumented Monte-Carlo runs cost ~100x, and
 # the statistical-power campaigns add nothing to race coverage (plain
 # `make test` still runs everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Serve|Monitor|Tee|Incremental|Watchdog|Preempt' \
-		./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Serve|Monitor|Tee|Incremental|Watchdog|Preempt|Runners' \
+		./internal/bench/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/distrib/... ./internal/serve/... ./internal/monitor/...
 
 # Runs every figure/ablation benchmark exactly once — a smoke test that the
@@ -212,17 +213,24 @@ worker-bin:
 
 # Byte-diffs a phi-fleet fan-out against an existing monolithic sweep.json.
 # The CI fleet-demo job downloads sweep.json from the sweep job instead of
-# recomputing it; `make fleet-demo` produces it locally first.
+# recomputing it; `make fleet-demo` produces it locally first. The second
+# fan-out checkpoints every FLEET_CKPT_EVERY trials, so the chunked path —
+# exec'd workers running every chunk of a shard on one runner list — is
+# byte-diffed too.
 FLEET_SHARDS ?= 3
+FLEET_CKPT_EVERY ?= 50
 fleet-check:
-	rm -rf sweep-fleet.json sweep-cli-merged.json fleet-work
+	rm -rf sweep-fleet.json sweep-fleet-ckpt.json sweep-cli-merged.json fleet-work fleet-work-ckpt
 	$(MAKE) worker-bin
 	$(GO) run ./cmd/phi-fleet -shards $(FLEET_SHARDS) $(SWEEP_FLAGS) \
 		-worker-cmd bin/phi-bench -dir fleet-work -retries 1 -quiet -out sweep-fleet.json
 	cmp sweep.json sweep-fleet.json
 	$(GO) run ./cmd/phi-merge -out sweep-cli-merged.json 'fleet-work/sweep-shard-*.json'
 	cmp sweep.json sweep-cli-merged.json
-	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out and the phi-merge CLI refold are byte-identical to the monolithic sweep"
+	$(GO) run ./cmd/phi-fleet -shards $(FLEET_SHARDS) $(SWEEP_FLAGS) -checkpoint-every $(FLEET_CKPT_EVERY) \
+		-worker-cmd bin/phi-bench -dir fleet-work-ckpt -retries 1 -quiet -out sweep-fleet-ckpt.json
+	cmp sweep.json sweep-fleet-ckpt.json
+	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials) and the phi-merge CLI refold are byte-identical to the monolithic sweep"
 
 # 3-way local fan-out through the phi-fleet driver, byte-diffed against the
 # monolithic quick-sweep artifact — the full local form of the CI

@@ -50,6 +50,12 @@ type Config struct {
 	// for reordering). The engine closes the channel when the campaign
 	// returns. Works independently of KeepRecords.
 	Stream chan<- Record
+	// Runners, when non-nil, is the run-scoped free list the campaign
+	// borrows its golden-run runners from — the same list, and the same
+	// runners, the injection cells of the sweep run use. Nil builds a
+	// runner per worker and drops it at the end. Execution detail: results
+	// do not depend on it.
+	Runners *bench.Runners
 }
 
 // Record is one accelerated run's log entry (the public beam log format).
@@ -202,7 +208,9 @@ func Run(cfg Config) (*Result, error) {
 // partial tallies are internally consistent. Run i always uses the RNG
 // stream derived from (cfg.Seed ^ beamSeedSalt, i), so completed results
 // are bit-identical for any worker count and the stream family matches the
-// pre-unification beam mixer.
+// pre-unification beam mixer. Each worker runs on a golden-run runner
+// borrowed from cfg.Runners (built fresh when that is nil) and returned on
+// every path out.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	fail := func(err error) (*Result, error) {
 		if cfg.Stream != nil {
@@ -230,6 +238,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return fail(err)
 	}
 
+	// Every worker's runner comes from cfg.Runners and goes back on every
+	// exit, including a NewWorker error and cancellation.
+	loan := cfg.Runners.Loan(cfg.Benchmark, cfg.BenchSeed)
+	defer loan.Return()
 	eres, err := engine.Run(ctx, engine.Config[Record, *shard]{
 		N:           cfg.Runs,
 		Offset:      cfg.Offset,
@@ -239,16 +251,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		Progress:    cfg.Progress,
 		Stream:      cfg.Stream,
 		NewWorker: func(int) (engine.Experiment[Record], error) {
-			b, werr := bench.New(cfg.Benchmark, cfg.BenchSeed)
-			if werr != nil {
-				return nil, werr
-			}
-			runner, werr := bench.NewRunner(b)
+			runner, werr := loan.Get()
 			if werr != nil {
 				return nil, werr
 			}
 			return func(i int, rng *stats.RNG) Record {
-				return oneRun(i, cfg.Benchmark, b, runner, dev, profile, rng)
+				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng)
 			}, nil
 		},
 		NewShard: func(int) *shard { return &shard{byPattern: map[analysis.Pattern]int{}} },
@@ -292,7 +300,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // oneRun executes one accelerated run: sample a raw fault, filter it
 // through protection, and — only when it reaches architecture — actually
 // execute the workload with the corruption applied at a uniform tick.
-func oneRun(seq int, name string, b bench.Benchmark, runner *bench.Runner,
+func oneRun(seq int, name string, runner *bench.Runner,
 	dev *phi.Device, profile phi.Profile, rng *stats.RNG) Record {
 
 	rec := Record{Seq: seq, Benchmark: name}
@@ -315,7 +323,7 @@ func oneRun(seq int, name string, b bench.Benchmark, runner *bench.Runner,
 	tick := rng.Intn(runner.TotalTicks)
 	rec.Tick = tick
 	res := runner.RunInjected(tick, func() {
-		rec.Detail = applyEffect(b, dev, effect, rng)
+		rec.Detail = applyEffect(runner.B, dev, effect, rng)
 	})
 	switch res.Status {
 	case bench.Crashed:

@@ -9,6 +9,10 @@
 // where fault injection fires, and Ctx.Work inside loops, which implements a
 // deterministic watchdog — the analog of CAROL-FI's kill-after-timeout, but
 // reproducible across machines.
+//
+// A Runner is a benchmark instance with its golden run done. Runners is
+// the free list a sweep run keeps them in, so that its cells — of both
+// campaign classes, across checkpoint chunks — share golden runs.
 package bench
 
 import (
@@ -128,6 +132,15 @@ func Register(name string, c Constructor) {
 		panic(fmt.Sprintf("bench: duplicate benchmark %q", name))
 	}
 	constructors[name] = c
+}
+
+// Unregister removes the benchmark registered under name. It is for tests
+// that register a counting or failing benchmark and must not leave it in
+// Names — the default grid of every sweep — for the tests that follow.
+func Unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(constructors, name)
 }
 
 // New builds a registered benchmark.

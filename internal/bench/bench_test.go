@@ -370,6 +370,7 @@ func TestCtxUnlimitedBudget(t *testing.T) {
 
 func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("dup-test", func(seed uint64) Benchmark { return newToy() })
+	defer Unregister("dup-test")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate Register did not panic")
@@ -391,6 +392,10 @@ func TestHas(t *testing.T) {
 	}
 	if Has("no-such-benchmark") {
 		t.Fatal("Has accepted unknown name")
+	}
+	Unregister("has-test")
+	if Has("has-test") {
+		t.Fatal("Has found an unregistered benchmark")
 	}
 }
 

@@ -91,16 +91,13 @@ type Runner struct {
 	Golden     Output
 	TotalTicks int
 	GoldenWork int64
-	// BudgetFactor scales the golden work into the watchdog budget
-	// (default 4: generous enough that legitimate perturbed runs finish,
-	// tight enough that corrupted loop bounds trip it quickly).
-	BudgetFactor float64
 
-	// budget memoizes Budget() for the (BudgetFactor, GoldenWork) pair it
-	// was computed from, so RunInjected does no float math per trial.
-	budget       int64
-	budgetFactor float64
-	budgetWork   int64
+	// budget is the watchdog budget of an injected run, fixed by the golden
+	// run: a runner outlives the cell that built it, so nothing a cell could
+	// set may reach the next cell's watchdog.
+	budget int64
+	// key is the free-list key the runner was built for (see Runners).
+	key runnerKey
 
 	// outBuf is the reused output buffer handed to OutputInto benchmarks on
 	// injected runs (see RunInjected's aliasing note).
@@ -111,7 +108,7 @@ type Runner struct {
 // error if the pristine benchmark crashes or produces an empty output,
 // which would indicate a broken workload rather than a fault effect.
 func NewRunner(b Benchmark) (*Runner, error) {
-	r := &Runner{B: b, BudgetFactor: 4}
+	r := &Runner{B: b}
 	res := r.run(-1, nil, 0, false)
 	if res.Status != Completed {
 		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
@@ -125,6 +122,7 @@ func NewRunner(b Benchmark) (*Runner, error) {
 	r.Golden = res.Output.Clone()
 	r.TotalTicks = res.Ticks
 	r.GoldenWork = res.Work
+	r.budget = budgetFactor*res.Work + 1024
 	return r, nil
 }
 
@@ -132,15 +130,13 @@ func NewRunner(b Benchmark) (*Runner, error) {
 // goroutines: a runner holds nothing that outlives it.
 func (r *Runner) Close() {}
 
-// Budget returns the watchdog budget for injected runs. The value is
-// memoized and recomputed only when BudgetFactor or GoldenWork changes.
-func (r *Runner) Budget() int64 {
-	if r.budgetFactor != r.BudgetFactor || r.budgetWork != r.GoldenWork || r.budget == 0 {
-		r.budgetFactor, r.budgetWork = r.BudgetFactor, r.GoldenWork
-		r.budget = int64(r.BudgetFactor*float64(r.GoldenWork)) + 1024
-	}
-	return r.budget
-}
+// budgetFactor scales the golden work into the watchdog budget: generous
+// enough that legitimate perturbed runs finish, tight enough that corrupted
+// loop bounds trip it quickly.
+const budgetFactor = 4
+
+// Budget returns the watchdog budget for injected runs.
+func (r *Runner) Budget() int64 { return r.budget }
 
 // Window maps an injection tick to a time-window index in
 // [0, B.Windows()) — the x-axis of Figure 6.
@@ -175,7 +171,7 @@ func (r *Runner) RunGolden() RawResult { return r.run(-1, nil, 0, false) }
 // buffer owned by the runner that the next RunInjected call overwrites;
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
-	return r.run(tick, inject, r.Budget(), true)
+	return r.run(tick, inject, r.budget, true)
 }
 
 func (r *Runner) run(tick int, inject func(), budget int64, reuse bool) (res RawResult) {

@@ -100,6 +100,12 @@ type CampaignConfig struct {
 	// closes the channel when the campaign returns, so a channel serves
 	// exactly one campaign. Works independently of KeepRecords.
 	Stream chan<- InjectionRecord
+	// Runners, when non-nil, is the run-scoped free list the campaign
+	// borrows its golden-run runners from and returns them to, so the cells
+	// of one sweep run share golden runs. Nil builds a runner per worker
+	// and drops it at the end. Execution detail: results do not depend on
+	// it.
+	Runners *bench.Runners
 }
 
 // CampaignResult aggregates a campaign.
@@ -178,7 +184,10 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // partition sums to the number of injections that completed). Determinism
 // is keyed by injection index: experiment i always uses the RNG stream
 // derived from (cfg.Seed, i) and the fault model cfg.Models[i%len], so
-// completed results are bit-identical for any worker count.
+// completed results are bit-identical for any worker count. Each worker
+// injects on a golden-run runner borrowed from cfg.Runners (built fresh
+// when that is nil); all of them are back in the list when the call
+// returns, on every path.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
 	// The engine owns closing cfg.Stream, but validation errors raised
 	// before the engine starts must still release stream consumers.
@@ -196,13 +205,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 		models = fault.Models
 	}
 
-	// Probe instance for metadata (and to fail fast on a bad name); worker
-	// 0 reuses it instead of building a fresh injector.
-	probe, err := NewInjector(cfg.Benchmark, cfg.BenchSeed, cfg.Policy)
+	// Every runner comes from cfg.Runners and goes back on every exit. The
+	// first is borrowed here, before the engine starts, because the shards
+	// need the window count and a bad name should fail before a pool spins
+	// up; worker 0 runs on it.
+	loan := cfg.Runners.Loan(cfg.Benchmark, cfg.BenchSeed)
+	defer loan.Return()
+	first, err := loan.Get()
 	if err != nil {
 		return fail(err)
 	}
-	windows := probe.Bench.Windows()
+	windows := first.B.Windows()
 
 	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *shard]{
 		N:           cfg.N,
@@ -213,13 +226,14 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 		Progress:    cfg.Progress,
 		Stream:      cfg.Stream,
 		NewWorker: func(w int) (engine.Experiment[InjectionRecord], error) {
-			inj := probe
+			r := first
 			if w != 0 {
 				var werr error
-				if inj, werr = NewInjector(cfg.Benchmark, cfg.BenchSeed, cfg.Policy); werr != nil {
+				if r, werr = loan.Get(); werr != nil {
 					return nil, werr
 				}
 			}
+			inj := newInjector(r, cfg.Policy)
 			return func(i int, rng *stats.RNG) InjectionRecord {
 				rec := inj.InjectOne(models[i%len(models)], rng)
 				rec.Seq = i

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"phirel/internal/bench"
@@ -368,5 +369,76 @@ func TestCampaignAllBenchmarks(t *testing.T) {
 				t.Fatalf("total %d", res.Outcomes.Total())
 			}
 		})
+	}
+}
+
+type crashingBench struct{ bench.Benchmark }
+
+func (crashingBench) Run(*bench.Ctx) { panic("golden run crashes on purpose") }
+
+// TestCampaignReturnsRunners: every runner a campaign borrows is back in the
+// list when the campaign returns, whichever way it leaves, and the Stream is
+// closed on each of those paths.
+func TestCampaignReturnsRunners(t *testing.T) {
+	const workers = 3
+	// "flaky-DGEMM" is DGEMM, except that the failAt-th construction of a
+	// case returns a benchmark whose golden run crashes.
+	var builds, failAt atomic.Int64
+	bench.Register("flaky-DGEMM", func(seed uint64) bench.Benchmark {
+		b, err := bench.New("DGEMM", seed)
+		if err != nil {
+			panic(err)
+		}
+		if builds.Add(1) == failAt.Load() {
+			return crashingBench{b}
+		}
+		return b
+	})
+	t.Cleanup(func() { bench.Unregister("flaky-DGEMM") })
+	for _, tc := range []struct {
+		name     string
+		n        int
+		failAt   int64 // which construction crashes its golden run
+		cancelAt int   // cancel once this many trials are done
+		wantErr  bool
+		wantIdle int
+	}{
+		{name: "completed", n: 30, wantIdle: workers},
+		{name: "invalid N", n: 0, wantErr: true, wantIdle: 0},
+		{name: "first runner fails", n: 30, failAt: 1, wantErr: true, wantIdle: 0},
+		{name: "a worker's runner fails", n: 30, failAt: 2, wantErr: true, wantIdle: workers - 1},
+		{name: "cancelled", n: 4000, cancelAt: 20, wantErr: true, wantIdle: workers},
+	} {
+		rs := bench.NewRunners()
+		for i := 0; i < workers+1; i++ { // one more than is taken, so Put keeps them
+			rs.Expect("flaky-DGEMM", 1)
+		}
+		builds.Store(0)
+		failAt.Store(tc.failAt)
+		ctx, cancel := context.WithCancel(context.Background())
+		ch := make(chan InjectionRecord, 32)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for range ch {
+			}
+		}()
+		_, err := RunCampaignContext(ctx, CampaignConfig{
+			Benchmark: "flaky-DGEMM", N: tc.n, Seed: 5, BenchSeed: 1, Workers: workers,
+			Stream: ch, Runners: rs,
+			Progress: func(done, total int) {
+				if tc.cancelAt > 0 && done >= tc.cancelAt {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		<-drained // the campaign closed the stream
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		if got := rs.Idle(); got != tc.wantIdle {
+			t.Errorf("%s: %d runners back in the list, want %d", tc.name, got, tc.wantIdle)
+		}
 	}
 }

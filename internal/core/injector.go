@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"phirel/internal/analysis"
 	"phirel/internal/bench"
 	"phirel/internal/fault"
@@ -17,9 +15,15 @@ import (
 // the dead-variable masking CAROL-FI also observes.
 const DefaultArmDelayMax = 1024
 
-// Injector runs injection experiments against one benchmark instance.
-// It is not safe for concurrent use; campaigns shard across injectors.
+// Injector is one cell's view of a golden-run runner: the victim-selection
+// policy and the arming bound the cell injects under, over a runner that
+// may be borrowed from a bench.Runners list and serve other cells before
+// and after. The runner carries nothing from one cell to the next — every
+// run starts with Reset, and an aborted one pops its phase frames — so the
+// view is all a cell owns. It is not safe for concurrent use; campaigns
+// take one runner per worker.
 type Injector struct {
+	// Bench is Runner.B, the benchmark instance the runner drives.
 	Bench  bench.Benchmark
 	Runner *bench.Runner
 	// Policy selects victims among live sites (zero value: frame-then-variable).
@@ -28,18 +32,21 @@ type Injector struct {
 	ArmDelayMax int
 }
 
-// NewInjector constructs the benchmark, performs its golden run and returns
-// a ready injector.
+// NewInjector is the standalone form: it builds the benchmark, performs its
+// golden run and returns an injector over that runner, which nobody else
+// holds. Campaigns borrow theirs from CampaignConfig.Runners instead.
 func NewInjector(benchmark string, benchSeed uint64, policy state.Policy) (*Injector, error) {
-	b, err := bench.New(benchmark, benchSeed)
+	var standalone *bench.Runners // the nil list: Get builds, Put drops
+	r, err := standalone.Get(benchmark, benchSeed)
 	if err != nil {
 		return nil, err
 	}
-	r, err := bench.NewRunner(b)
-	if err != nil {
-		return nil, fmt.Errorf("core: golden run failed: %w", err)
-	}
-	return &Injector{Bench: b, Runner: r, Policy: policy, ArmDelayMax: DefaultArmDelayMax}, nil
+	return newInjector(r, policy), nil
+}
+
+// newInjector views r under policy.
+func newInjector(r *bench.Runner, policy state.Policy) *Injector {
+	return &Injector{Bench: r.B, Runner: r, Policy: policy, ArmDelayMax: DefaultArmDelayMax}
 }
 
 // InjectOne performs a single experiment with the given fault model, using

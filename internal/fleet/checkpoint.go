@@ -215,22 +215,25 @@ func LoadCheckpoint(path string, spec Sweep, plan ShardPlan) (*SweepResult, Shar
 type Checkpoint struct {
 	// Out is the checkpoint artifact path (written atomically after every
 	// chunk except the last; readable by ReadShardFile). Empty disables
-	// checkpoint writes.
+	// checkpoint writes, and with them chunking.
 	Out string
-	// Every is the checkpoint cadence in trials: the remaining work is cut
-	// into ceil(span/Every) chunks, span being the larger of the plan's
-	// injection and beam extents, and a checkpoint lands between chunks.
-	// <= 0 disables chunking.
+	// Every is the checkpoint cadence in trials: the work left after any
+	// resume is cut into ceil(span/Every) chunks, span being the larger of
+	// its injection and beam extents, and a checkpoint lands between chunks.
+	// <= 0 disables chunking. Chunks cost their trials only: all of them
+	// run on one runner list, so golden runs do not multiply with them.
 	Every int
 	// Resume, when non-empty, names a checkpoint to resume from. A missing,
 	// corrupt, truncated or plan-mismatched checkpoint is logged and
 	// ignored — the run degrades to the full plan, it never fails or
 	// poisons the result.
 	Resume string
-	// Logf, when non-nil, receives resume/degradation diagnostics.
+	// Logf, when non-nil, receives resume and degradation diagnostics and
+	// one line for every checkpoint write that fails.
 	Logf func(format string, args ...any)
 	// OnCheckpoint, when non-nil, is called after each checkpoint artifact
-	// has landed, with the plan prefix the artifact covers.
+	// has landed, with the plan prefix the artifact covers. It is not
+	// called for a write that failed.
 	OnCheckpoint func(covered ShardPlan)
 }
 
@@ -239,9 +242,11 @@ type Checkpoint struct {
 // written atomically to ck.Out, so a killed worker leaves behind a valid
 // artifact covering the contiguous trial prefix it completed. With
 // ck.Resume set the run first subtracts a previous attempt's checkpoint and
-// computes only the remainder. The returned result is bit-identical —
-// struct and JSON — to an uninterrupted RunPlan of the same plan: chunking,
-// checkpointing and resuming are pure execution detail.
+// computes only the remainder. A checkpoint write that fails is logged and
+// the run goes on: it costs resumability, not correctness. The returned
+// result is bit-identical — struct and JSON — to an uninterrupted RunPlan
+// of the same plan: chunking, checkpointing and resuming are pure execution
+// detail.
 func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Checkpoint) (*SweepResult, error) {
 	if err := s.CheckPlan(plan); err != nil {
 		return nil, err
@@ -278,14 +283,23 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 	if ck.Out != "" && ck.Every > 0 && span > ck.Every {
 		chunks = (span + ck.Every - 1) / ck.Every
 	}
-	progress := s.Progress
-	for c := 0; c < chunks; c++ {
-		chunkPlan := ShardPlan{
+	// One runner list serves every chunk: the demand of all of them is
+	// declared before the first runs, so a runner built in chunk 0 is still
+	// there for the last, and the shard performs at most Workers golden runs
+	// per benchmark however finely it checkpoints.
+	chunkPlans := make([]*ShardPlan, chunks)
+	for c := range chunkPlans {
+		chunkPlans[c] = &ShardPlan{
 			Index:     plan.Index,
 			Count:     plan.Count,
 			Injection: work.Injection.Split(c, chunks),
 			Beam:      work.Beam.Split(c, chunks),
 		}
+	}
+	rs := s.newRunners(chunkPlans...)
+	defer rs.Close()
+	progress := s.Progress
+	for c, chunkPlan := range chunkPlans {
 		s2 := s
 		if progress != nil && chunks > 1 {
 			// Progress must read as one continuous run, not restart per
@@ -295,7 +309,7 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 				progress(cc*total+done, chunks*total)
 			}
 		}
-		res, err := s2.run(ctx, &chunkPlan)
+		res, err := s2.runCells(ctx, chunkPlan, rs)
 		if err != nil {
 			return nil, err
 		}

@@ -508,3 +508,68 @@ func TestCheckpointResumeProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPlanCheckpointedWriteFailure: a checkpoint that cannot be written
+// costs resumability, not correctness. Under a path whose parent is a
+// regular file the temp file cannot be created; at a path that is a
+// directory the temp file lands and the rename fails. Either way the run
+// completes with RunPlan's bytes, each failure is logged, no checkpoint is
+// announced and no temp file is left behind.
+func TestRunPlanCheckpointedWriteFailure(t *testing.T) {
+	s := ckptSweep()
+	plan := mustPlan(t, s, 0, 1)
+	monoJSON := artifactJSON(t, mustRunPlan(t, s, plan))
+
+	for name, block := range map[string]func(dir string) (ckPath string){
+		"parent is a file": func(dir string) string {
+			blocker := filepath.Join(dir, "blocker")
+			if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return filepath.Join(blocker, "ck.json")
+		},
+		"path is a directory": func(dir string) string {
+			blocker := filepath.Join(dir, "blocker")
+			if err := os.Mkdir(blocker, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return blocker
+		},
+	} {
+		dir := t.TempDir()
+		ckPath := block(dir)
+		var failures, announced int
+		res, err := s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
+			Out:   ckPath,
+			Every: 1,
+			Logf: func(format string, _ ...any) {
+				if strings.Contains(format, "checkpoint write failed") {
+					failures++
+				}
+			},
+			OnCheckpoint: func(ShardPlan) { announced++ },
+		})
+		if err != nil {
+			t.Fatalf("%s: a failing checkpoint write failed the run: %v", name, err)
+		}
+		if !bytes.Equal(monoJSON, artifactJSON(t, res)) {
+			t.Fatalf("%s: artifact differs from RunPlan's after failed checkpoint writes", name)
+		}
+		if failures != 3 { // span 4, cadence 1 → 4 chunks, a write after each but the last
+			t.Fatalf("%s: %d failed writes logged, want 3", name, failures)
+		}
+		if announced != 0 {
+			t.Fatalf("%s: OnCheckpoint called %d times for checkpoints that never landed", name, announced)
+		}
+		if _, err := os.Stat(ckPath + ".tmp"); err == nil {
+			t.Fatalf("%s: temp file left behind", name)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "blocker" {
+			t.Fatalf("%s: the failed writes left something behind: %v", name, entries)
+		}
+	}
+}

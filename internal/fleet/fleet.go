@@ -232,15 +232,57 @@ func (s Sweep) BeamCells() []BeamCellSpec {
 // mixed sweep saturates the pool regardless of the grid mix. Cell results
 // land in grid order regardless of completion order, so equal specs produce
 // byte-identical SweepResults. On error or cancellation the whole pool
-// drains and the first error (or ctx.Err()) is returned.
+// drains and the first error (or ctx.Err()) is returned. Cells borrow their
+// golden-run runners from a list the call owns (see newRunners), so the run
+// performs at most Workers golden runs per benchmark.
 func (s Sweep) Run(ctx context.Context) (*SweepResult, error) {
 	return s.run(ctx, nil)
 }
 
 // run executes the sweep, restricted to plan's per-cell trial ranges when
-// plan is non-nil (the RunShard path; nil means every cell runs in full).
-// A cell whose range is empty completes immediately with a nil Result.
+// plan is non-nil (the RunShard path; nil means every cell runs in full),
+// on a runner list of its own.
 func (s Sweep) run(ctx context.Context, plan *ShardPlan) (*SweepResult, error) {
+	rs := s.newRunners(plan)
+	defer rs.Close()
+	return s.runCells(ctx, plan, rs)
+}
+
+// testHookRunners, when set by a test, sees every runner list a run creates.
+var testHookRunners func(*bench.Runners)
+
+// newRunners returns the runner list of one run: the owner of every
+// golden-run runner the run's cells borrow, with the demand of each plan
+// the run will execute declared — per (benchmark, BenchSeed), one Get for
+// every cell whose trial range in that plan is not empty. Injection and
+// beam cells of one benchmark ask under the same key and so share runners.
+// The list lives as long as the call that created it, which must Close it.
+func (s Sweep) newRunners(plans ...*ShardPlan) *bench.Runners {
+	ns := s.normalized()
+	rs := bench.NewRunners()
+	cells, beamCells := ns.Cells(), ns.BeamCells()
+	for _, plan := range plans {
+		if plan == nil || !plan.Injection.Empty() {
+			for _, c := range cells {
+				rs.Expect(c.Benchmark, ns.BenchSeed)
+			}
+		}
+		if plan == nil || !plan.Beam.Empty() {
+			for _, c := range beamCells {
+				rs.Expect(c.Benchmark, ns.BenchSeed)
+			}
+		}
+	}
+	if testHookRunners != nil {
+		testHookRunners(rs)
+	}
+	return rs
+}
+
+// runCells executes one plan's slice of the grid (nil: every cell in full)
+// with runners borrowed from rs. A cell whose range is empty completes
+// immediately with a nil Result.
+func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners) (*SweepResult, error) {
 	ns := s.normalized()
 	if ns.N <= 0 && ns.BeamRuns <= 0 {
 		return nil, fmt.Errorf("fleet: sweep needs N > 0 or BeamRuns > 0")
@@ -342,6 +384,7 @@ func (s Sweep) run(ctx context.Context, plan *ShardPlan) (*SweepResult, error) {
 				Seed:      c.Seed,
 				BenchSeed: ns.BenchSeed,
 				Workers:   1,
+				Runners:   rs,
 			}
 			// The observer drains a per-cell stream; the engine closes it
 			// when the campaign returns, and the drain is waited out so
@@ -386,6 +429,7 @@ func (s Sweep) run(ctx context.Context, plan *ShardPlan) (*SweepResult, error) {
 				Workers:    1,
 				Device:     dev,
 				DisableECC: c.DisableECC,
+				Runners:    rs,
 			}
 			var drained chan struct{}
 			if ns.ObserveBeam != nil {
