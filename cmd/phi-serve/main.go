@@ -48,6 +48,15 @@ import (
 	"phirel/internal/serve"
 )
 
+// A client gets readHeaderTimeout to send its request headers, and an idle
+// keep-alive connection is closed after idleTimeout, so neither a stalled
+// nor a forgotten connection holds a goroutine and a descriptor for good.
+// No whole-request or write timeout: /events streams for a sweep's lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var fleetFlags cli.FleetFlags
 	fleetFlags.Register(flag.CommandLine)
@@ -116,7 +125,10 @@ func main() {
 	serveOpts = append(serveOpts, serve.WithLogf(logf))
 	srv := serve.New(sched, serveOpts...)
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr: *addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {

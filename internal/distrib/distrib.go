@@ -104,8 +104,8 @@ func (t Task) ShardArg() string { return fmt.Sprintf("%d/%d", t.Shard+1, t.Count
 const SpecFileName = "sweep-spec.json"
 
 // PartialPath is the canonical partial artifact path for shard k (0-based)
-// of count in dir — the same sweep-shard-k-of-K.json convention the
-// Makefile's shard target uses.
+// of count in dir: sweep-shard-k-of-K.json, the names phi-merge's glob
+// (make fleet-check) picks up from a kept fan-out directory.
 func PartialPath(dir string, k, count int) string {
 	return filepath.Join(dir, fmt.Sprintf("sweep-shard-%d-of-%d.json", k+1, count))
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
 )
 
 // Checkpoint/resume at trial-range granularity. A checkpoint is an ordinary
@@ -83,76 +82,26 @@ func resumeRange(kind string, full, done TrialRange) (TrialRange, error) {
 // dimension plan itself leaves empty folds to nil-Result cells, exactly as
 // an uninterrupted empty-range run records them.
 func MergeShardPartials(plan ShardPlan, parts ...*SweepResult) (*SweepResult, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("fleet: no shard partials to fold for shard %s", plan)
-	}
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("fleet: shard partial %d is nil", i)
+	ps, err := sortedPartials(parts, func(a, b *ShardPlan) bool {
+		if a.Injection.Offset != b.Injection.Offset {
+			return a.Injection.Offset < b.Injection.Offset
 		}
-		if p.Shard == nil {
-			return nil, fmt.Errorf("fleet: partial %d is not a shard partial (already merged or monolithic)", i)
-		}
-		if p.Shard.Index != plan.Index || p.Shard.Count != plan.Count {
-			return nil, fmt.Errorf("fleet: partial %d is for shard %s, want shard %s", i, p.Shard, plan)
-		}
-	}
-	ps := append([]*SweepResult(nil), parts...)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Shard.Injection.Offset != ps[j].Shard.Injection.Offset {
-			return ps[i].Shard.Injection.Offset < ps[j].Shard.Injection.Offset
-		}
-		return ps[i].Shard.Beam.Offset < ps[j].Shard.Beam.Offset
+		return a.Beam.Offset < b.Beam.Offset
 	})
-
-	spec := ps[0].Spec
-	spec.Progress = nil
-	spec.Workers = 0
-	injNext := plan.Injection.Offset
-	beamNext := plan.Beam.Offset
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range ps {
-		sp := p.Spec
-		sp.Progress = nil
-		sp.Workers = 0
-		if !reflect.DeepEqual(spec, sp) {
-			return nil, fmt.Errorf("fleet: partial %+v ran a different sweep spec (grid, seeds or trial counts)", p.Shard)
-		}
-		if r := p.Shard.Injection; !r.Empty() {
-			if r.Offset != injNext {
-				return nil, fmt.Errorf("fleet: partial injection range %+v does not continue at trial %d — the parts must tile the plan's %+v exactly",
-					r, injNext, plan.Injection)
-			}
-			injNext = r.End()
-		} else if r.N < 0 {
-			return nil, fmt.Errorf("fleet: partial injection range %+v has negative length", r)
-		}
-		if r := p.Shard.Beam; !r.Empty() {
-			if r.Offset != beamNext {
-				return nil, fmt.Errorf("fleet: partial beam range %+v does not continue at run %d — the parts must tile the plan's %+v exactly",
-					r, beamNext, plan.Beam)
-			}
-			beamNext = r.End()
-		} else if r.N < 0 {
-			return nil, fmt.Errorf("fleet: partial beam range %+v has negative length", r)
+		if p.Shard.Index != plan.Index || p.Shard.Count != plan.Count {
+			return nil, fmt.Errorf("fleet: partial %+v + %+v is for shard %s, want shard %s", p.Shard.Injection, p.Shard.Beam, p.Shard, plan)
 		}
 	}
-	if injNext != plan.Injection.End() || beamNext != plan.Beam.End() {
-		return nil, fmt.Errorf("fleet: the parts cover injection trials up to %d and beam runs up to %d, the plan needs %d and %d",
-			injNext, beamNext, plan.Injection.End(), plan.Beam.End())
-	}
-
-	grid := spec.Cells()
-	beamGrid := spec.BeamCells()
-	cells, err := mergeCells(ps, grid, plan.Injection.Empty())
+	out, err := foldTiling(ps, plan, false)
 	if err != nil {
 		return nil, err
 	}
-	beamCells, err := mergeBeamCells(ps, beamGrid, plan.Beam.Empty())
-	if err != nil {
-		return nil, err
-	}
-	tag := plan
-	return &SweepResult{Spec: ps[0].Spec, Cells: cells, BeamCells: beamCells, Shard: &tag}, nil
+	out.Shard = &plan
+	return out, nil
 }
 
 // LoadCheckpoint reads a checkpoint artifact and validates it against the
@@ -170,13 +119,8 @@ func LoadCheckpoint(path string, spec Sweep, plan ShardPlan) (*SweepResult, Shar
 	if err != nil {
 		return nil, ShardPlan{}, err
 	}
-	want := spec.normalized()
-	want.Progress = nil
-	want.Workers = 0
-	got := ck.Spec
-	got.Progress = nil
-	got.Workers = 0
-	if !reflect.DeepEqual(want, got) {
+	want := spec.normalized().identity()
+	if !reflect.DeepEqual(want, ck.Spec.identity()) {
 		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s was written for a different sweep spec", path)
 	}
 	rest, err := ResumePlan(plan, *ck.Shard)

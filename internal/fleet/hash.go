@@ -34,10 +34,17 @@ import (
 // the registered grid changes — its results change too. Fully explicit
 // specs hash the same forever.
 func (s Sweep) CanonicalHash() string {
-	c := s.normalized()
-	c.Workers = 0
-	c.Progress = nil
-	return hashSpec(c)
+	return hashSpec(s.normalized().identity())
+}
+
+// identity returns s without the execution details that are no part of a
+// result's identity: the pool size and the progress callback. Two
+// normalised specs describe the same sweep exactly when their identities
+// are deeply equal.
+func (s Sweep) identity() Sweep {
+	s.Workers = 0
+	s.Progress = nil
+	return s
 }
 
 // CanonicalHashBase returns the sweep's range-normalized identity: the
@@ -58,9 +65,7 @@ func (s Sweep) CanonicalHash() string {
 // a contract locked by golden-vector tests: the base hash is the overlap
 // index key of the sweep service's artifact cache.
 func (s Sweep) CanonicalHashBase() string {
-	c := s.normalized()
-	c.Workers = 0
-	c.Progress = nil
+	c := s.normalized().identity()
 	c.N = 0
 	c.BeamRuns = 0
 	return hashSpec(c)

@@ -163,41 +163,26 @@ func (s Sweep) PlanWithPrefix(injCovered, beamCovered, fresh int) ([]ShardPlan, 
 // (SliceResult) with freshly computed suffix ranges (RunPlan). Parts are
 // folded in shard order, so callers may pass them in any order.
 func MergeSweepResults(parts ...*SweepResult) (*SweepResult, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("fleet: no sweep partials to merge")
+	ps, err := sortedPartials(parts, func(a, b *ShardPlan) bool { return a.Index < b.Index })
+	if err != nil {
+		return nil, err
 	}
 	// Keyed on (index, count): a repeated partial is a duplicate, but two
 	// partials sharing an index across different split widths are
 	// incompatible sweeps, which the shard-count check below diagnoses
 	// accurately.
 	seen := map[[2]int]bool{}
-	for i, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("fleet: sweep partial %d is nil", i)
-		}
-		if p.Shard == nil {
-			return nil, fmt.Errorf("fleet: sweep %d is not a shard partial (already merged or monolithic)", i)
-		}
+	for _, p := range ps {
 		key := [2]int{p.Shard.Index, p.Shard.Count}
 		if seen[key] {
 			return nil, fmt.Errorf("fleet: shard %s appears more than once in the merge set — was a partial repeated?", p.Shard)
 		}
 		seen[key] = true
 	}
-	ps := append([]*SweepResult(nil), parts...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Shard.Index < ps[j].Shard.Index })
-
 	count := ps[0].Shard.Count
 	if len(ps) != count {
 		return nil, fmt.Errorf("fleet: got %d shard partials, want %d", len(ps), count)
 	}
-	// Workers and Progress are execution details, not part of a result's
-	// identity (the engine's worker-independence contract), so shards run
-	// on heterogeneous machines with different pool sizes still merge.
-	spec := ps[0].Spec
-	spec.Progress = nil
-	spec.Workers = 0
-	injNext, beamNext := 0, 0
 	for i, p := range ps {
 		if p.Shard.Count != count {
 			return nil, fmt.Errorf("fleet: shard %s split %d ways, others %d", p.Shard, p.Shard.Count, count)
@@ -205,114 +190,130 @@ func MergeSweepResults(parts ...*SweepResult) (*SweepResult, error) {
 		if p.Shard.Index != i {
 			return nil, fmt.Errorf("fleet: shard %d/%d is missing from the merge set", i+1, count)
 		}
-		sp := p.Spec
-		sp.Progress = nil
-		sp.Workers = 0
-		if !reflect.DeepEqual(spec, sp) {
-			return nil, fmt.Errorf("fleet: shard %s ran a different sweep spec (grid, seeds or trial counts)", p.Shard)
-		}
-		if p.Shard.Injection.N < 0 || p.Shard.Injection.Offset != injNext {
-			return nil, fmt.Errorf("fleet: shard %s injection range %+v does not continue at trial %d — the plans must tile [0, %d) exactly",
-				p.Shard, p.Shard.Injection, injNext, spec.N)
-		}
-		if p.Shard.Beam.N < 0 || p.Shard.Beam.Offset != beamNext {
-			return nil, fmt.Errorf("fleet: shard %s beam range %+v does not continue at run %d — the plans must tile [0, %d) exactly",
-				p.Shard, p.Shard.Beam, beamNext, spec.BeamRuns)
-		}
-		injNext = p.Shard.Injection.End()
-		beamNext = p.Shard.Beam.End()
 	}
-	if injNext != spec.N || beamNext != spec.BeamRuns {
-		return nil, fmt.Errorf("fleet: the %d plans cover %d injection and %d beam trials, want %d and %d",
-			count, injNext, beamNext, spec.N, spec.BeamRuns)
-	}
-
-	grid := spec.Cells()
-	beamGrid := spec.BeamCells()
-	out := &SweepResult{Spec: ps[0].Spec}
-	cells, err := mergeCells(ps, grid, false)
-	if err != nil {
-		return nil, err
-	}
-	beamCells, err := mergeBeamCells(ps, beamGrid, false)
-	if err != nil {
-		return nil, err
-	}
-	out.Cells = cells
-	out.BeamCells = beamCells
-	return out, nil
+	whole := ShardPlan{Injection: TrialRange{N: ps[0].Spec.N}, Beam: TrialRange{N: ps[0].Spec.BeamRuns}}
+	return foldTiling(ps, whole, true)
 }
 
-// mergeCells folds every injection cell's per-part results into one
-// CampaignResult per cell, validating that each part carries the grid's
-// exact cell specs. With allowEmpty a cell with no results in any part
-// folds to a nil Result (what an empty-range shard records); without it
-// that is an error — a whole-sweep merge must account for every trial.
-func mergeCells(ps []*SweepResult, grid []CellSpec, allowEmpty bool) ([]CellResult, error) {
+// sortedPartials returns parts ordered by less over their shard tags,
+// refusing an empty list and any part that is nil or carries no tag.
+func sortedPartials(parts []*SweepResult, less func(a, b *ShardPlan) bool) ([]*SweepResult, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("fleet: no partials to merge")
+	}
+	for i, p := range parts {
+		if p == nil {
+			return nil, fmt.Errorf("fleet: partial %d is nil", i)
+		}
+		if p.Shard == nil {
+			return nil, fmt.Errorf("fleet: part %d is not a shard partial (already merged or monolithic)", i)
+		}
+	}
+	ps := append([]*SweepResult(nil), parts...)
+	sort.Slice(ps, func(i, j int) bool { return less(ps[i].Shard, ps[j].Shard) })
+	return ps, nil
+}
+
+// foldTiling is the one fold behind MergeSweepResults and
+// MergeShardPartials: the parts, in the order given, must record one spec
+// (Workers and Progress are execution details, not part of a result's
+// identity, so shards run with different pool sizes still merge) and their
+// ranges must tile span's two ranges exactly — contiguous from its offsets,
+// no gaps, no overlaps, ending at its ends. Every cell then folds by
+// Clone+Merge in that order; a dimension span leaves empty folds to
+// nil-Result cells, as an empty-range run records them. With positional set
+// the order is authoritative (parts keyed by shard index), so an empty range
+// must also sit where the previous part ended; without it the parts are
+// keyed by offset and an empty range has no position to check. The result
+// carries the first part's spec and no shard tag.
+func foldTiling(ps []*SweepResult, span ShardPlan, positional bool) (*SweepResult, error) {
+	spec := ps[0].Spec.identity()
+	dims := [2]string{"injection", "beam"}
+	want := [2]TrialRange{span.Injection, span.Beam}
+	next := [2]int{want[0].Offset, want[1].Offset}
+	for _, p := range ps {
+		if !reflect.DeepEqual(spec, p.Spec.identity()) {
+			return nil, fmt.Errorf("fleet: shard %s ran a different sweep spec (grid, seeds or trial counts)", p.Shard)
+		}
+		for d, r := range [2]TrialRange{p.Shard.Injection, p.Shard.Beam} {
+			switch {
+			case r.N < 0:
+				return nil, fmt.Errorf("fleet: shard %s %s range %+v has negative length", p.Shard, dims[d], r)
+			case r.Empty() && !positional:
+			case r.Offset != next[d]:
+				return nil, fmt.Errorf("fleet: shard %s %s range %+v does not continue at trial %d — the parts must tile %+v exactly",
+					p.Shard, dims[d], r, next[d], want[d])
+			default:
+				next[d] = r.End()
+			}
+		}
+	}
+	if next[0] != want[0].End() || next[1] != want[1].End() {
+		return nil, fmt.Errorf("fleet: the %d parts cover injection trials up to %d and beam runs up to %d, want %d and %d",
+			len(ps), next[0], next[1], want[0].End(), want[1].End())
+	}
+	cells, err := foldCells(ps, dims[0], spec.Cells(), want[0].Empty(),
+		func(p *SweepResult) []CellResult { return p.Cells },
+		func(c CellSpec, r *core.CampaignResult) CellResult { return CellResult{CellSpec: c, Result: r} })
+	if err != nil {
+		return nil, err
+	}
+	beamCells, err := foldCells(ps, dims[1], spec.BeamCells(), want[1].Empty(),
+		func(p *SweepResult) []BeamCellResult { return p.BeamCells },
+		func(c BeamCellSpec, r *beam.Result) BeamCellResult { return BeamCellResult{BeamCellSpec: c, Result: r} })
+	if err != nil {
+		return nil, err
+	}
+	return &SweepResult{Spec: ps[0].Spec, Cells: cells, BeamCells: beamCells}, nil
+}
+
+// tally is the Clone+Merge algebra core.CampaignResult and beam.Result
+// share; both are pointers, so the zero value is "no result".
+type tally[R any] interface {
+	comparable
+	Clone() R
+	Merge(R) error
+}
+
+func (c CellResult) split() (CellSpec, *core.CampaignResult) { return c.CellSpec, c.Result }
+func (c BeamCellResult) split() (BeamCellSpec, *beam.Result) { return c.BeamCellSpec, c.Result }
+
+// foldCells folds one grid's per-part results into one result per cell,
+// validating that each part carries the grid's exact cell specs. With
+// allowEmpty a cell with no results in any part folds to a nil result (what
+// an empty-range shard records); without it that is an error — the parts
+// must account for every trial.
+func foldCells[C interface{ split() (S, R) }, S comparable, R tally[R]](ps []*SweepResult, kind string, grid []S, allowEmpty bool, cellsOf func(*SweepResult) []C, join func(S, R) C) ([]C, error) {
 	if len(grid) == 0 {
 		return nil, nil
 	}
-	out := make([]CellResult, len(grid))
+	var none R
+	out := make([]C, len(grid))
 	for i, c := range grid {
-		var acc *core.CampaignResult
+		acc := none
 		for _, p := range ps {
-			if len(p.Cells) != len(grid) {
-				return nil, fmt.Errorf("fleet: shard %s has %d injection cells, grid has %d", p.Shard, len(p.Cells), len(grid))
+			cells := cellsOf(p)
+			if len(cells) != len(grid) {
+				return nil, fmt.Errorf("fleet: shard %s has %d %s cells, grid has %d", p.Shard, len(cells), kind, len(grid))
 			}
-			if p.Cells[i].CellSpec != c {
-				return nil, fmt.Errorf("fleet: shard %s cell %d is %+v, grid says %+v", p.Shard, i, p.Cells[i].CellSpec, c)
+			got, r := cells[i].split()
+			if got != c {
+				return nil, fmt.Errorf("fleet: shard %s %s cell %d is %+v, grid says %+v", p.Shard, kind, i, got, c)
 			}
-			r := p.Cells[i].Result
-			if r == nil {
-				continue
-			}
-			if acc == nil {
+			switch {
+			case r == none:
+			case acc == none:
 				acc = r.Clone()
-				continue
-			}
-			if err := acc.Merge(r); err != nil {
-				return nil, fmt.Errorf("fleet: cell %s/%s/%s: %w", c.Benchmark, c.Model, c.Policy, err)
-			}
-		}
-		if acc == nil && !allowEmpty {
-			return nil, fmt.Errorf("fleet: cell %s/%s/%s has no results in any shard", c.Benchmark, c.Model, c.Policy)
-		}
-		out[i] = CellResult{CellSpec: c, Result: acc}
-	}
-	return out, nil
-}
-
-// mergeBeamCells is mergeCells for the beam grid.
-func mergeBeamCells(ps []*SweepResult, beamGrid []BeamCellSpec, allowEmpty bool) ([]BeamCellResult, error) {
-	if len(beamGrid) == 0 {
-		return nil, nil
-	}
-	out := make([]BeamCellResult, len(beamGrid))
-	for j, c := range beamGrid {
-		var acc *beam.Result
-		for _, p := range ps {
-			if len(p.BeamCells) != len(beamGrid) {
-				return nil, fmt.Errorf("fleet: shard %s has %d beam cells, grid has %d", p.Shard, len(p.BeamCells), len(beamGrid))
-			}
-			if p.BeamCells[j].BeamCellSpec != c {
-				return nil, fmt.Errorf("fleet: shard %s beam cell %d is %+v, grid says %+v", p.Shard, j, p.BeamCells[j].BeamCellSpec, c)
-			}
-			r := p.BeamCells[j].Result
-			if r == nil {
-				continue
-			}
-			if acc == nil {
-				acc = r.Clone()
-				continue
-			}
-			if err := acc.Merge(r); err != nil {
-				return nil, fmt.Errorf("fleet: beam cell %s/%s/ecc=%v: %w", c.Benchmark, c.Device, !c.DisableECC, err)
+			default:
+				if err := acc.Merge(r); err != nil {
+					return nil, fmt.Errorf("fleet: %s cell %+v: %w", kind, c, err)
+				}
 			}
 		}
-		if acc == nil && !allowEmpty {
-			return nil, fmt.Errorf("fleet: beam cell %s/%s/ecc=%v has no results in any shard", c.Benchmark, c.Device, !c.DisableECC)
+		if acc == none && !allowEmpty {
+			return nil, fmt.Errorf("fleet: %s cell %+v has no results in any part", kind, c)
 		}
-		out[j] = BeamCellResult{BeamCellSpec: c, Result: acc}
+		out[i] = join(c, acc)
 	}
 	return out, nil
 }

@@ -42,8 +42,8 @@
 //	    submitted (partial:true when it is an overlap job computing only
 //	    the ranges a cached prefix is missing); 200 + Status JSON when
 //	    the request coalesced onto an in-flight job or hit the artifact
-//	    cache. 400 for a body that is not a spec, 422 for a spec the
-//	    scheduler cannot plan.
+//	    cache. 400 for a body that is not a spec, 413 for a body over
+//	    1 MiB, 422 for a spec the scheduler cannot plan.
 //	    A sweep that previously failed or was cancelled is resubmitted.
 //	GET /v1/sweeps
 //	    200 + JSON array of Status, in first-submission order.
@@ -321,15 +321,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSpecBytes bounds the body of POST /v1/sweeps. A canonical spec is
+// under 2 KB; the bound only keeps a client from making the service read
+// without end.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit is POST /v1/sweeps: parse the canonical spec, resolve its
 // content address, and either join what already exists (in-flight job or
 // cached artifact), plan a partial-overlap job around the best base-equal
 // cached prefix, or submit a cold job. The sweeps map is the singleflight:
 // the hash's first submitter creates the entry, everyone else finds it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := fleet.ReadSpec(r.Body)
+	spec, err := fleet.ReadSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	hash := spec.CanonicalHash()

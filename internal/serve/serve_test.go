@@ -467,6 +467,44 @@ func TestServeErrorPaths(t *testing.T) {
 	waitState(t, ts, st2.ID, "done")
 }
 
+// TestServeSubmitBodyBound: POST /v1/sweeps reads at most maxSpecBytes. A
+// body one byte over is refused with 413 and, like any unparseable body,
+// leaves no entry and no submission behind; the same spec at exactly the
+// bound is then admitted.
+func TestServeSubmitBodyBound(t *testing.T) {
+	ts := newTestServer(t, &worker{})
+	text, err := testSpec(23).SpecString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leading whitespace keeps the body a valid spec, so only its length
+	// can be what the service objects to; the spec's own trailing newline
+	// goes, because the decoder stops at the closing brace.
+	spec := strings.TrimSpace(text)
+	post := func(size int) int {
+		t.Helper()
+		body := strings.Repeat(" ", size-len(spec)) + spec
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(maxSpecBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of %d bytes: %d, want 413", maxSpecBytes+1, code)
+	}
+	if st := getStats(t, ts); st.Submissions != 0 {
+		t.Fatalf("oversized POST counted as %d submissions, want 0", st.Submissions)
+	}
+	if _, _, list := getBody(t, ts, "/v1/sweeps"); strings.TrimSpace(string(list)) != "[]" {
+		t.Fatalf("oversized POST left an entry behind: %s", list)
+	}
+	if code := post(maxSpecBytes); code != http.StatusAccepted {
+		t.Fatalf("POST of exactly %d bytes: %d, want 202", maxSpecBytes, code)
+	}
+}
+
 // TestServeFailedSweep: a permanently failing sweep reports 502 from the
 // result endpoint and is retried by resubmission.
 func TestServeFailedSweep(t *testing.T) {
