@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,73 @@ func TestCompareLengthMismatch(t *testing.T) {
 	ms := Compare(out2d([]float64{1, 2}, 2, 1), out2d([]float64{1}, 1, 1))
 	if len(ms) != 1 || ms[0].Index != -1 {
 		t.Fatalf("sentinel mismatch expected, got %v", ms)
+	}
+}
+
+// compareAppending is Compare as it was before it counted first: one loop
+// appending through slice doubling. It is the reference of
+// TestCompareAllocatesOnce.
+func compareAppending(golden, got bench.Output) []Mismatch {
+	if len(golden.Vals) != len(got.Vals) {
+		return []Mismatch{{Index: -1, Got: float64(len(got.Vals)), Want: float64(len(golden.Vals))}}
+	}
+	var out []Mismatch
+	for i, want := range golden.Vals {
+		g := got.Vals[i]
+		if g == want {
+			continue
+		}
+		if g != g && want != want { // both NaN
+			continue
+		}
+		x, y, z := golden.Shape.Coord(i)
+		out = append(out, Mismatch{Index: i, X: x, Y: y, Z: z, Got: g, Want: want})
+	}
+	return out
+}
+
+// TestCompareAllocatesOnce: the counting Compare returns what the appending
+// one did — nil included, and NaNs by their bits, which DeepEqual alone
+// would call unequal — and allocates at most once, nothing on a clean
+// output.
+func TestCompareAllocatesOnce(t *testing.T) {
+	nan := math.NaN()
+	const n = 96
+	golden := make([]float64, n*n)
+	full := make([]float64, n*n)
+	for i := range golden {
+		golden[i] = float64(i)
+		full[i] = float64(i) + 0.5
+	}
+	sparse := append([]float64(nil), golden...)
+	sparse[0], sparse[n*n/2], sparse[n*n-1] = -1, nan, math.Inf(1)
+	for _, tc := range []struct {
+		name        string
+		golden, got bench.Output
+		allocs      float64
+	}{
+		{"empty", out2d(nil, 0, 0), out2d(nil, 0, 0), 0},
+		{"clean", out2d(golden, n, n), out2d(append([]float64(nil), golden...), n, n), 0},
+		{"NaN pairs", out2d([]float64{nan, nan, 1, nan}, 4, 1), out2d([]float64{nan, 2, nan, nan}, 4, 1), 1},
+		{"length mismatch", out2d(golden, n, n), out2d(golden[:n], n, 1), 1},
+		{"sparse", out2d(golden, n, n), out2d(sparse, n, n), 1},
+		{"full matrix", out2d(golden, n, n), out2d(full, n, n), 1},
+	} {
+		got, want := Compare(tc.golden, tc.got), compareAppending(tc.golden, tc.got)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%s: %d mismatches (nil: %v), the appending loop found %d (nil: %v)", tc.name, len(got), got == nil, len(want), want == nil)
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			gotBits, wantBits := [2]uint64{math.Float64bits(g.Got), math.Float64bits(g.Want)}, [2]uint64{math.Float64bits(w.Got), math.Float64bits(w.Want)}
+			g.Got, g.Want, w.Got, w.Want = 0, 0, 0, 0
+			if !reflect.DeepEqual(g, w) || gotBits != wantBits {
+				t.Fatalf("%s: mismatch %d is %+v, the appending loop found %+v", tc.name, i, got[i], want[i])
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { Compare(tc.golden, tc.got) }); a > tc.allocs {
+			t.Errorf("%s: %v allocations per Compare, want at most %v", tc.name, a, tc.allocs)
+		}
 	}
 }
 

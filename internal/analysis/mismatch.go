@@ -34,25 +34,37 @@ func (m Mismatch) RelErr() float64 {
 	return math.Abs(m.Got-m.Want) / denom
 }
 
+// differs reports whether got is a mismatch against want: any difference
+// of value, except that NaN matches NaN.
+func differs(got, want float64) bool {
+	return got != want && !(got != got && want != want)
+}
+
 // Compare returns the mismatching elements of got against golden. Outputs
 // of different lengths (a truncated run) are reported as a single sentinel
 // mismatch at index -1 so callers still classify the run as an SDC.
-// Matching NaNs (both NaN) are not mismatches.
+// Matching NaNs (both NaN) are not mismatches. A first pass counts, so a
+// clean output returns nil without allocating and a corrupted one allocates
+// its mismatches once, at their exact size.
 func Compare(golden, got bench.Output) []Mismatch {
 	if len(golden.Vals) != len(got.Vals) {
 		return []Mismatch{{Index: -1, Got: float64(len(got.Vals)), Want: float64(len(golden.Vals))}}
 	}
-	var out []Mismatch
+	n := 0
 	for i, want := range golden.Vals {
-		g := got.Vals[i]
-		if g == want {
-			continue
+		if differs(got.Vals[i], want) {
+			n++
 		}
-		if g != g && want != want { // both NaN
-			continue
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Mismatch, 0, n)
+	for i, want := range golden.Vals {
+		if g := got.Vals[i]; differs(g, want) {
+			x, y, z := golden.Shape.Coord(i)
+			out = append(out, Mismatch{Index: i, X: x, Y: y, Z: z, Got: g, Want: want})
 		}
-		x, y, z := golden.Shape.Coord(i)
-		out = append(out, Mismatch{Index: i, X: x, Y: y, Z: z, Got: g, Want: want})
 	}
 	return out
 }

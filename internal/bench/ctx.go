@@ -23,6 +23,9 @@ type Ctx struct {
 	injectAt int
 	inject   func()
 	injected bool
+	// probe, when set, sees every tick where the inject callback would:
+	// the horizon's profiling run records the quiescent state through it.
+	probe func(tick int)
 
 	work   int64
 	budget int64 // 0 = unlimited (golden runs)
@@ -43,6 +46,9 @@ func newCtx(injectAt int, inject func(), budget int64) *Ctx {
 // quiescent — the analog of CAROL-FI interrupting the program and running
 // the flip-script.
 func (c *Ctx) Tick() {
+	if c.probe != nil {
+		c.probe(c.tick)
+	}
 	if c.tick == c.injectAt && c.inject != nil && !c.injected {
 		c.injected = true
 		c.inject()

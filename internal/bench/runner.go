@@ -102,6 +102,10 @@ type Runner struct {
 	// outBuf is the reused output buffer handed to OutputInto benchmarks on
 	// injected runs (see RunInjected's aliasing note).
 	outBuf []float64
+
+	// hz is built by the first Victim call and stays with the runner, so it
+	// travels through a Runners list with it.
+	hz *horizon
 }
 
 // NewRunner builds a runner and performs the golden run. It returns an
@@ -109,7 +113,7 @@ type Runner struct {
 // which would indicate a broken workload rather than a fault effect.
 func NewRunner(b Benchmark) (*Runner, error) {
 	r := &Runner{B: b}
-	res := r.run(-1, nil, 0, false)
+	res := r.run(newCtx(-1, nil, 0), false)
 	if res.Status != Completed {
 		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
 	}
@@ -161,7 +165,7 @@ func (r *Runner) WindowBounds(w int) (lo, hi int) {
 
 // RunGolden re-executes the pristine benchmark (used by tests to check
 // determinism). Its output is freshly allocated, never reused.
-func (r *Runner) RunGolden() RawResult { return r.run(-1, nil, 0, false) }
+func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false) }
 
 // RunInjected executes one run with the inject callback fired at the given
 // tick. The callback runs with the benchmark quiescent and typically
@@ -171,12 +175,11 @@ func (r *Runner) RunGolden() RawResult { return r.run(-1, nil, 0, false) }
 // buffer owned by the runner that the next RunInjected call overwrites;
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
-	return r.run(tick, inject, r.budget, true)
+	return r.run(newCtx(tick, inject, r.budget), true)
 }
 
-func (r *Runner) run(tick int, inject func(), budget int64, reuse bool) (res RawResult) {
+func (r *Runner) run(ctx *Ctx, reuse bool) (res RawResult) {
 	r.B.Reset()
-	ctx := newCtx(tick, inject, budget)
 	defer func() {
 		res.Ticks = ctx.Ticks()
 		res.Work = ctx.WorkDone()

@@ -30,6 +30,10 @@ type Injector struct {
 	Policy state.Policy
 	// ArmDelayMax bounds scalar arming delays (default DefaultArmDelayMax).
 	ArmDelayMax int
+
+	// forceRun is the differential tests' seam: every trial is run, the
+	// decided ones included, so their records can be compared.
+	forceRun bool
 }
 
 // NewInjector is the standalone form: it builds the benchmark, performs its
@@ -50,7 +54,19 @@ func newInjector(r *bench.Runner, policy state.Policy) *Injector {
 }
 
 // InjectOne performs a single experiment with the given fault model, using
-// rng for every random choice (interrupt tick, victim, bits, arm delay).
+// rng for every random choice. The trial is planned, decided, and only then
+// run. The plan is drawn up front, in the order every published record
+// depends on: the interrupt tick, the victim (picked by the runner's horizon
+// from the frame stack live at that tick, with the registry's own pick
+// function), and for a scalar victim the arm delay (Bernoulli(0.75), then
+// Intn(max)) and the corruption's own stream (Split). A buffer victim draws
+// its element and bits when the run applies the plan, after all of those.
+//
+// The decision: when no site is live at the tick, or the scalar victim has
+// no more than delay loads left in the run, nothing is ever corrupted, the
+// run would be the golden run over again, and the record is complete without
+// it: fired false, Masked. Every other trial runs, and an armed cell is
+// then sure to fire.
 func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 	tick := rng.Intn(in.Runner.TotalTicks)
 	rec := InjectionRecord{
@@ -59,21 +75,20 @@ func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 		Policy:    in.Policy.String(),
 		Tick:      tick,
 		Window:    in.Runner.Window(tick),
+		Elem:      -1,
+		Outcome:   bench.Masked.String(),
+		Pattern:   analysis.PatternNone.String(),
 	}
+	victim, ok := in.Runner.Victim(tick, rng, in.Policy)
 	var (
-		rep      state.Report
-		deferred *state.Deferred
-		fired    bool
+		delay  int
+		armRNG *stats.RNG
 	)
-	res := in.Runner.RunInjected(tick, func() {
-		site := in.Bench.Registry().Pick(rng, in.Policy)
-		if site == nil {
-			return
-		}
-		rec.Site = site.Name()
-		rec.Region = site.Region()
-		rec.Kind = site.Kind().String()
-		if a, ok := site.(state.Armable); ok {
+	if ok {
+		rec.Site = victim.Name
+		rec.Region = victim.Region
+		rec.Kind = victim.Kind.String()
+		if victim.Armable {
 			max := in.ArmDelayMax
 			if max <= 0 {
 				max = DefaultArmDelayMax
@@ -82,44 +97,51 @@ func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 			// next use (live window), the rest uniformly across its next
 			// `max` uses; cold variables whose remaining uses run out stay
 			// uncorrupted — the dead-variable masking of the real tool.
-			delay := 0
 			if rng.Bernoulli(0.75) {
 				delay = rng.Intn(max)
 			}
-			deferred = a.Arm(delay, m, rng.Split())
+			armRNG = rng.Split()
+		}
+	}
+	if !in.forceRun && (!ok || victim.Armable && delay >= victim.LoadsLeft) {
+		return rec
+	}
+
+	var (
+		rep      state.Report
+		deferred *state.Deferred
+	)
+	res := in.Runner.RunInjected(tick, func() {
+		if !ok {
+			return
+		}
+		site := in.Runner.Site(victim)
+		if victim.Armable {
+			deferred = site.(state.Armable).Arm(delay, m, armRNG)
 		} else {
 			rep = site.Corrupt(rng, m)
-			fired = true
+			rec.Fired = true
 		}
 	})
 	if deferred != nil && deferred.Fired {
 		rep = deferred.Report
-		fired = true
+		rec.Fired = true
 	}
-	rec.Fired = fired
-	if fired {
+	if rec.Fired {
 		rec.Elem = rep.Elem
 		rec.BitsChanged = rep.BitsChanged
 		rec.Before = rep.Before
 		rec.After = rep.After
-	} else {
-		rec.Elem = -1
 	}
 	rec.PanicMsg = res.PanicMsg
 
 	switch res.Status {
 	case bench.Crashed:
 		rec.Outcome = bench.DUECrash.String()
-		rec.Pattern = analysis.PatternNone.String()
 	case bench.Hung:
 		rec.Outcome = bench.DUEHang.String()
-		rec.Pattern = analysis.PatternNone.String()
 	default:
-		ms := analysis.Compare(in.Runner.Golden, res.Output)
-		if len(ms) == 0 {
-			rec.Outcome = bench.Masked.String()
-			rec.Pattern = analysis.PatternNone.String()
-		} else {
+		if ms := analysis.Compare(in.Runner.Golden, res.Output); len(ms) > 0 {
 			rec.Outcome = bench.SDC.String()
 			rec.Pattern = analysis.Classify(ms, in.Runner.Golden.Shape).String()
 			rec.MaxRelErr = analysis.FiniteRelErr(analysis.MaxRelErr(ms))

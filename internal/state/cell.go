@@ -38,11 +38,47 @@ type Armable interface {
 	Arm(delay int, m fault.Model, r *stats.RNG) *Deferred
 	// Disarm cancels any pending corruption (called by Reset).
 	Disarm()
-	// Armed reports whether a deferred corruption is pending. Kernels use
-	// it (via Registry.AnyArmed, at quiescent points only) to run plain
-	// unarmed fast paths that skip the countdown-driving Loads; DebitLoads
-	// is the per-lane form that also keeps the countdown exact.
+	// Armed reports whether a deferred corruption is pending. An injected
+	// trial arms one cell, at its tick, and only when the cell has more
+	// loads left than the delay (the runner's horizon decides the others
+	// without running them), so in a campaign a cell is armed only from
+	// its tick to the load that fires it. Armed-to-the-end runs are left
+	// to the tests that force them and the ledger's bench.<b>.armed_ms.
 	Armed() bool
+	// LoadsToFire returns how many more Loads the pending corruption needs,
+	// firing on the last of them, or 0 when nothing is pending. Skipped
+	// loads accepted by DebitLoads count as performed, so the difference of
+	// two readings is the number of loads the kernel made in between.
+	LoadsToFire() int64
+}
+
+// armSlot is the pending-corruption slot every scalar cell embeds; it
+// carries the part of Armable that does not depend on the value's type.
+type armSlot struct {
+	pend atomic.Pointer[deferred]
+}
+
+// Arm implements Armable.
+func (s *armSlot) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
+	out := &Deferred{}
+	d := &deferred{model: m, rng: r, out: out}
+	d.count.Store(int64(delay) + 1)
+	s.pend.Store(d)
+	return out
+}
+
+// Disarm implements Armable.
+func (s *armSlot) Disarm() { s.pend.Store(nil) }
+
+// Armed implements Armable.
+func (s *armSlot) Armed() bool { return s.pend.Load() != nil }
+
+// LoadsToFire implements Armable.
+func (s *armSlot) LoadsToFire() int64 {
+	if d := s.pend.Load(); d != nil {
+		return d.count.Load()
+	}
+	return 0
 }
 
 // refuseDebit is a test seam: when set, DebitLoads refuses whenever a cell is
@@ -82,7 +118,7 @@ type Int struct {
 	name   string
 	region Region
 	bits   atomic.Int64
-	pend   atomic.Pointer[deferred]
+	armSlot
 }
 
 // NewInt creates a named integer cell with an initial value.
@@ -126,21 +162,6 @@ func (c *Int) Corrupt(r *stats.RNG, m fault.Model) Report {
 	return Report{Site: c.name, Region: c.region, Kind: KindI64, Elem: -1, Corruption: cor}
 }
 
-// Arm implements Armable.
-func (c *Int) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
-	out := &Deferred{}
-	d := &deferred{model: m, rng: r, out: out}
-	d.count.Store(int64(delay) + 1)
-	c.pend.Store(d)
-	return out
-}
-
-// Disarm implements Armable.
-func (c *Int) Disarm() { c.pend.Store(nil) }
-
-// Armed implements Armable.
-func (c *Int) Armed() bool { return c.pend.Load() != nil }
-
 func (c *Int) fire(d *deferred) {
 	if d.count.Add(-1) != 0 {
 		return
@@ -160,7 +181,7 @@ type F64 struct {
 	name   string
 	region Region
 	bits   atomic.Uint64
-	pend   atomic.Pointer[deferred]
+	armSlot
 }
 
 // NewF64 creates a named float64 cell.
@@ -200,21 +221,6 @@ func (c *F64) Corrupt(r *stats.RNG, m fault.Model) Report {
 	return Report{Site: c.name, Region: c.region, Kind: KindF64, Elem: -1, Corruption: cor}
 }
 
-// Arm implements Armable.
-func (c *F64) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
-	out := &Deferred{}
-	d := &deferred{model: m, rng: r, out: out}
-	d.count.Store(int64(delay) + 1)
-	c.pend.Store(d)
-	return out
-}
-
-// Disarm implements Armable.
-func (c *F64) Disarm() { c.pend.Store(nil) }
-
-// Armed implements Armable.
-func (c *F64) Armed() bool { return c.pend.Load() != nil }
-
 func (c *F64) fire(d *deferred) {
 	if d.count.Add(-1) != 0 {
 		return
@@ -233,7 +239,7 @@ type F32 struct {
 	name   string
 	region Region
 	bits   atomic.Uint32
-	pend   atomic.Pointer[deferred]
+	armSlot
 }
 
 // NewF32 creates a named float32 cell.
@@ -272,21 +278,6 @@ func (c *F32) Corrupt(r *stats.RNG, m fault.Model) Report {
 	c.bits.Store(math.Float32bits(nv))
 	return Report{Site: c.name, Region: c.region, Kind: KindF32, Elem: -1, Corruption: cor}
 }
-
-// Arm implements Armable.
-func (c *F32) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
-	out := &Deferred{}
-	d := &deferred{model: m, rng: r, out: out}
-	d.count.Store(int64(delay) + 1)
-	c.pend.Store(d)
-	return out
-}
-
-// Disarm implements Armable.
-func (c *F32) Disarm() { c.pend.Store(nil) }
-
-// Armed implements Armable.
-func (c *F32) Armed() bool { return c.pend.Load() != nil }
 
 func (c *F32) fire(d *deferred) {
 	if d.count.Add(-1) != 0 {

@@ -52,6 +52,10 @@ func kernelRecords(name string) ([]core.InjectionRecord, []beam.Record, error) {
 // construction rather than by frozen snapshot: with the seam set, every lane
 // owning an armed cell performs all its loads in the cell-driven loop, and
 // every record must equal the one from the normal run that debits them.
+// Only the trials that fire reach a kernel here: InjectOne decides the
+// never-firing ones from the runner's horizon without running them, so the
+// runs in which a cell stays armed to the end are TestHorizonBoundary's (and
+// the beam records', whose arming consults no horizon).
 func TestDebitMatchesPerformedLoads(t *testing.T) {
 	type out struct {
 		inj  []core.InjectionRecord
@@ -142,5 +146,60 @@ func TestDebitMatchesPerformedLoadsPerCell(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHorizonBoundary holds the runner's loads-left table to the kernels
+// one load at a time, below the injector: every armable cell of every
+// kernel, armed at seeded ticks with one load less than the table says it
+// has left, must fire, and armed with exactly that many must not, in a run
+// that completes with the golden output — whether the loads before are
+// debited or performed. An entry off by one in either direction fails one
+// of the two. These are also the runs in which a cell stays armed to the
+// end, which campaign trials no longer contain.
+func TestHorizonBoundary(t *testing.T) {
+	defer state.SetRefuseDebit(false)
+	for _, name := range bench.Names() {
+		b, err := bench.New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := bench.NewRunner(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := stats.NewRNG(11)
+		cells, fires := 0, 0
+		for _, tick := range []int{0, r.Intn(run.TotalTicks), r.Intn(run.TotalTicks), run.TotalTicks - 1} {
+			for _, v := range run.LiveAt(tick) {
+				if !v.Armable {
+					continue
+				}
+				cells++
+				for _, refuse := range []bool{false, true} {
+					state.SetRefuseDebit(refuse)
+					arm := func(delay int) (bench.RawResult, *state.Deferred) {
+						var def *state.Deferred
+						res := run.RunInjected(tick, func() {
+							def = run.Site(v).(state.Armable).Arm(delay, fault.Random, stats.NewRNG(uint64(tick)))
+						})
+						return res, def
+					}
+					if v.LoadsLeft > 0 {
+						fires++
+						if _, def := arm(v.LoadsLeft - 1); !def.Fired {
+							t.Fatalf("%s %s at tick %d (debits refused: %v): %d loads left, but a delay of %d never fired",
+								name, v.Name, tick, refuse, v.LoadsLeft, v.LoadsLeft-1)
+						}
+					}
+					res, def := arm(v.LoadsLeft)
+					if def.Fired || res.Status != bench.Completed || !bench.CompareExact(run.Golden, res.Output) {
+						t.Fatalf("%s %s at tick %d (debits refused: %v): %d loads left, but a delay of %d fired (%v) or changed the run (%s %s)",
+							name, v.Name, tick, refuse, v.LoadsLeft, v.LoadsLeft, def.Fired, res.Status, res.PanicMsg)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d (cell, tick) pairs hold on both sides, %d with loads left", name, cells, fires/2)
 	}
 }

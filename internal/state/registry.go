@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"phirel/internal/fault"
 	"phirel/internal/stats"
 )
 
@@ -144,9 +143,12 @@ func (g *Registry) DisarmAll() {
 }
 
 // AnyArmed reports whether any live site has a pending deferred corruption.
-// Orchestrator-only, at quiescent points: kernels call it between sections
-// to decide whether the unarmed fast path is safe (nothing can fire, so
-// skipping countdown-driving Loads is unobservable).
+// Orchestrator-only, at quiescent points: HotSpot, LavaMD and CLAMR call it
+// between sections to decide whether the plain loop is safe (nothing can
+// fire, so skipping countdown-driving Loads is unobservable). In a campaign
+// it is true only from a trial's tick until its cell fires, at most
+// ArmDelayMax loads of that cell later; a cell that stays armed to the end
+// of a run is a trial the horizon decided without running.
 func (g *Registry) AnyArmed() bool {
 	for _, f := range g.frames {
 		for _, s := range f.sites {
@@ -185,54 +187,68 @@ func (g *Registry) RegionBytes() map[Region]int {
 	return out
 }
 
+// Frames returns the live frame stack, global first (shared slice; callers
+// must not mutate). A position in it — frame index, site index — is what
+// PickIn returns.
+func (g *Registry) Frames() []*Frame { return g.frames }
+
 // Pick selects a live site under the given policy. It returns nil when no
 // sites are live (the injector records such attempts as no-ops).
 func (g *Registry) Pick(r *stats.RNG, policy Policy) Site {
-	switch policy {
-	case ByFrameThenVariable:
-		var nonEmpty []*Frame
-		for _, f := range g.frames {
-			if len(f.sites) > 0 {
-				nonEmpty = append(nonEmpty, f)
+	f, s := PickIn(g.frames, r, policy)
+	if f < 0 {
+		return nil
+	}
+	return g.frames[f].sites[s]
+}
+
+// PickIn is the one victim selection: it picks among the sites of a frame
+// stack, global first, under the given policy and returns the position of
+// the pick as (frame index, site index), or (-1, -1) when the stack holds
+// no site. The stack is a registry's live one or a recorded description of
+// it; only the sites' order and SizeBytes are consulted.
+func PickIn(frames []*Frame, r *stats.RNG, policy Policy) (frame, site int) {
+	var weights []float64 // ByBytes: every site's footprint, in stack order
+	nonEmpty, total, bytes := 0, 0, 0.0
+	for _, f := range frames {
+		if len(f.sites) > 0 {
+			nonEmpty++
+		}
+		total += len(f.sites)
+		if policy == ByBytes {
+			for _, s := range f.sites {
+				weights = append(weights, float64(s.SizeBytes()))
+				bytes += float64(s.SizeBytes())
 			}
 		}
-		if len(nonEmpty) == 0 {
-			return nil
+	}
+	if total == 0 {
+		return -1, -1
+	}
+	var i int // the pick, as an index over the concatenated frames
+	switch {
+	case policy == ByFrameThenVariable:
+		k := r.Intn(nonEmpty)
+		for fi, f := range frames {
+			if len(f.sites) > 0 {
+				if k == 0 {
+					return fi, r.Intn(len(f.sites))
+				}
+				k--
+			}
 		}
-		f := nonEmpty[r.Intn(len(nonEmpty))]
-		return f.sites[r.Intn(len(f.sites))]
-	case ByVariable:
-		live := g.Live()
-		if len(live) == 0 {
-			return nil
-		}
-		return live[r.Intn(len(live))]
-	case ByBytes:
-		live := g.Live()
-		if len(live) == 0 {
-			return nil
-		}
-		weights := make([]float64, len(live))
-		total := 0.0
-		for i, s := range live {
-			weights[i] = float64(s.SizeBytes())
-			total += weights[i]
-		}
-		if total <= 0 {
-			return live[r.Intn(len(live))]
-		}
-		return live[r.PickWeighted(weights)]
+	case policy == ByVariable, policy == ByBytes && bytes <= 0:
+		i = r.Intn(total)
+	case policy == ByBytes:
+		i = r.PickWeighted(weights)
 	default:
 		panic(fmt.Sprintf("state: invalid policy %d", int(policy)))
 	}
-}
-
-// Inject picks a live site and corrupts it with the model, returning the
-// report and true, or a zero report and false when nothing is live.
-func (g *Registry) Inject(r *stats.RNG, policy Policy, m fault.Model) (Report, bool) {
-	s := g.Pick(r, policy)
-	if s == nil {
-		return Report{}, false
+	for fi, f := range frames {
+		if i < len(f.sites) {
+			return fi, i
+		}
+		i -= len(f.sites)
 	}
-	return s.Corrupt(r, m), true
+	panic("state: pick index out of range")
 }

@@ -285,20 +285,6 @@ func TestRegistryPickEmpty(t *testing.T) {
 			t.Fatalf("policy %v picked from empty registry", p)
 		}
 	}
-	if _, ok := g.Inject(r, ByBytes, fault.Single); ok {
-		t.Fatal("Inject succeeded on empty registry")
-	}
-}
-
-func TestRegistryInject(t *testing.T) {
-	g := NewRegistry()
-	c := NewInt("n", "control", 1000)
-	g.Global().Register(c)
-	r := stats.NewRNG(10)
-	rep, ok := g.Inject(r, ByVariable, fault.Zero)
-	if !ok || rep.Site != "n" || c.Load() != 0 {
-		t.Fatalf("inject: %+v ok=%v v=%d", rep, ok, c.Load())
-	}
 }
 
 func TestRegionBytes(t *testing.T) {
