@@ -24,17 +24,17 @@ test:
 	$(GO) test ./...
 
 # Race-checks the concurrent machinery in two legs. The campaign packages
-# (the runner free list, the shared streaming engine, both campaign classes
-# built on it, the fleet orchestrator and the monitor) run the
-# concurrency-exercising tests the -run filter selects: worker determinism,
-# cancellation, stream delivery, progress, pool scheduling, the section
-# watchdog. Race-instrumented Monte-Carlo runs cost ~100x, and their
+# (the runner free list and what a key's runners share — resume points and
+# horizon — the shared streaming engine, both campaign classes built on it,
+# the fleet orchestrator and the monitor) run the concurrency-exercising
+# tests the -run filter selects: worker determinism, cancellation, stream
+# delivery, progress, pool scheduling, the section watchdog, resumed runs. Race-instrumented Monte-Carlo runs cost ~100x, and their
 # statistical-power campaigns add nothing to race coverage. serve and
 # distrib run whole: their lifecycle bugs have hidden in tests no keyword
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Decided' \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Decided|Resume' \
 		./internal/bench/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...

@@ -257,8 +257,11 @@ func (c *CLAMR) Reset() {
 
 // Run implements bench.Benchmark: four ticks per step (sort, tree, physics,
 // remesh).
-func (c *CLAMR) Run(ctx *bench.Ctx) {
-	for c.stepCur.Store(0); c.stepCur.Load() < c.stepEnd.Load(); c.stepCur.Add(1) {
+func (c *CLAMR) Run(ctx *bench.Ctx) { c.steps(ctx, 0) }
+
+// steps runs the time steps from step on.
+func (c *CLAMR) steps(ctx *bench.Ctx, step int) {
+	for c.stepCur.Store(step); c.stepCur.Load() < c.stepEnd.Load(); c.stepCur.Add(1) {
 		n := c.ncell.Load()
 		if n <= 0 || n > c.cap {
 			panic(fmt.Sprintf("clamr: corrupted cell count %d", n))

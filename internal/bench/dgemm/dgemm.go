@@ -133,9 +133,38 @@ func (d *DGEMM) Reset() {
 // Run implements bench.Benchmark. The row-block loop is the tick axis: one
 // tick per block row, so injections land uniformly over execution time and
 // window attribution is meaningful.
-func (d *DGEMM) Run(ctx *bench.Ctx) {
+func (d *DGEMM) Run(ctx *bench.Ctx) { d.rowBlocks(ctx, 0) }
+
+// SavePoint implements bench.Resumable. Every row block is a resume point
+// and none stores anything: a block row of C is written by its own
+// iteration only, so C at a tick is a prefix of the golden output over
+// zeros, and the cursors are where the previous block row's last tiles left
+// them. bt is refreshed after every tick and is no part of the state.
+func (d *DGEMM) SavePoint(int) (*bench.Snapshot, bool) { return nil, true }
+
+// Resume implements bench.Resumable.
+func (d *DGEMM) Resume(ctx *bench.Ctx, tick int, _ *bench.Snapshot, golden bench.Output) {
 	n, bs := d.cfg.N, d.cfg.Block
-	for ib := 0; ib < n; ib += bs {
+	i1 := tick * bs // the block rows above are done
+	copy(d.c.Data[:i1*n], golden.Vals)
+	ctx.ParallelFor(d.cfg.Workers, (n+bs-1)/bs, func(w, _, endCol int) {
+		j0 := (endCol - 1) * bs // the lane's last tile of the block row above
+		j1 := min(j0+bs, n)
+		for c, v := range [nCells]int{
+			iStart: i1 - bs, iEnd: i1, iCur: i1,
+			jStart: j0, jEnd: j1, jCur: j1,
+			kStart: 0, kEnd: n, kCur: n,
+		} {
+			d.workers[w][c].Store(v)
+		}
+	})
+	d.rowBlocks(ctx, i1)
+}
+
+// rowBlocks runs the block rows from row ib on.
+func (d *DGEMM) rowBlocks(ctx *bench.Ctx, ib int) {
+	n, bs := d.cfg.N, d.cfg.Block
+	for ; ib < n; ib += bs {
 		ctx.Tick()
 		// Refresh the transposed shadow of B: the tick above may have
 		// corrupted B in place (buffer faults are immediate).

@@ -6,8 +6,27 @@ import (
 	"phirel/internal/state"
 )
 
-// Profiled reports whether the runner has built its horizon.
-func (r *Runner) Profiled() bool { return r.hz != nil }
+// Profiled reports whether the runner's key has built its horizon.
+func (r *Runner) Profiled() bool { return r.sh.hz != nil }
+
+// SetForceReset switches the resume seam: while set, every injected run
+// starts at Reset, as all of them did before kernels saved resume points.
+func SetForceReset(v bool) { forceReset = v }
+
+// ResumePoint returns the tick RunInjected(tick, …) starts its run at.
+func (r *Runner) ResumePoint(tick int) int { return r.sh.resume.at(tick).tick }
+
+// ResumePoints returns how many points the runner may resume at, Reset
+// excluded, and the bytes their snapshots hold.
+func (r *Runner) ResumePoints() (points, bytes int) {
+	points = len(r.sh.resume.points) - 1
+	for _, p := range r.sh.resume.points[1:] {
+		if s := p.snap; s != nil {
+			bytes += 4*len(s.F32) + 8*len(s.F64) + 4*len(s.Int)
+		}
+	}
+	return points, bytes
+}
 
 // HorizonBytes is the memory the runner's horizon keeps live: the two
 // per-tick tables, the distinct stacks and, once each, the frames they

@@ -59,8 +59,9 @@ type Victim struct {
 
 // Victim picks the site an injection at tick corrupts, drawing from rng
 // exactly as Registry.Pick would inside the run, and returns false when no
-// site is live there. The first call on a runner profiles it (one more
-// golden run); runners that never inject never pay for that.
+// site is live there. The first call on any runner of a key profiles it (one
+// more golden run) for all of them; keys that never inject never pay for
+// that.
 func (r *Runner) Victim(tick int, rng *stats.RNG, policy state.Policy) (Victim, bool) {
 	h := r.horizon()
 	f, s := state.PickIn(h.stacks[h.stackAt[tick]], rng, policy)
@@ -85,10 +86,8 @@ func (r *Runner) LiveAt(tick int) []Victim {
 }
 
 func (r *Runner) horizon() *horizon {
-	if r.hz == nil {
-		r.hz = r.profile()
-	}
-	return r.hz
+	r.sh.hzOnce.Do(func() { r.sh.hz = r.profile() })
+	return r.sh.hz
 }
 
 func (h *horizon) victim(tick, f, s int) Victim {
@@ -190,7 +189,7 @@ func (r *Runner) profile() *horizon {
 		h.stackAt = append(h.stackAt, int32(at))
 		used = append(used, loads())
 	}
-	res := r.run(ctx, true)
+	res := r.run(ctx, true, point{})
 	if res.Status != Completed || res.Ticks != r.TotalTicks || res.Work != r.GoldenWork || !CompareExact(r.Golden, res.Output) {
 		panic(fmt.Sprintf("bench: the profiling run of %s is not its golden run: %s %s, %d ticks, work %d",
 			r.B.Name(), res.Status, res.PanicMsg, res.Ticks, res.Work))

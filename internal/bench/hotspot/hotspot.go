@@ -147,48 +147,91 @@ func (h *HotSpot) Reset() {
 }
 
 // Run implements bench.Benchmark. One tick per sweep.
-func (h *HotSpot) Run(ctx *bench.Ctx) {
-	rows, cols := h.cfg.Rows, h.cfg.Cols
-	src, dst := h.tA, h.tB
-	for h.iterCur.Store(0); h.iterCur.Load() < h.iterEnd.Load(); h.iterCur.Add(1) {
+func (h *HotSpot) Run(ctx *bench.Ctx) { h.sweeps(ctx, 0) }
+
+// resumeStride is the distance between resume points, in sweeps: 15 points
+// of one 16 KB grid each, and a run resumed at a uniform tick repeats 7.5
+// golden sweeps on average plus the one Resume makes, 3.3 % of the 256.
+const resumeStride = 16
+
+// SavePoint implements bench.Resumable. At every resumeStride-th sweep it
+// keeps the grid the sweep before read, which the buffer that is not final
+// still holds. The other grid, every cursor and final follow from it by
+// making that sweep again; power and the constants are pristine inputs.
+func (h *HotSpot) SavePoint(tick int) (*bench.Snapshot, bool) {
+	if tick%resumeStride != 0 {
+		return nil, false
+	}
+	_, prev := h.buffers(tick)
+	return &bench.Snapshot{F32: append([]float32(nil), prev.Data...)}, true
+}
+
+// Resume implements bench.Resumable: sweep tick-1 is made again from the
+// grid it read, uncounted — ctx already reads the work done before sweep
+// tick — which leaves both grids and the row cursors as that sweep left
+// them in the golden run.
+func (h *HotSpot) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, _ bench.Output) {
+	src, dst := h.buffers(tick - 1)
+	copy(src.Data, s.F32)
+	h.sweep(ctx, src, dst)
+	h.sweeps(ctx, tick)
+}
+
+// buffers returns the grid sweep it reads and the one it writes.
+func (h *HotSpot) buffers(it int) (src, dst *state.F32s) {
+	if it%2 == 0 {
+		return h.tA, h.tB
+	}
+	return h.tB, h.tA
+}
+
+// sweeps runs the sweeps from sweep it on.
+func (h *HotSpot) sweeps(ctx *bench.Ctx, it int) {
+	src, dst := h.buffers(it)
+	for h.iterCur.Store(it); h.iterCur.Load() < h.iterEnd.Load(); h.iterCur.Add(1) {
 		// Publish the live grid before the tick so injections (which fire
 		// inside Tick) corrupt state that the coming sweep actually reads.
 		h.final = src
 		ctx.Tick()
-		ctx.Work(int64(rows)*int64(cols) + 1)
-		// Reload constants from their (corruptible) memory homes once per
-		// sweep, as the real kernel's register reloads would.
-		cx, cy, cz, cp, amb := h.cx.Load(), h.cy.Load(), h.cz.Load(), h.cp.Load(), h.amb.Load()
-		s, d, p := src.Data, dst.Data, h.power.Data
-		// Nothing armed ⇒ nothing can fire mid-sweep (arming is
-		// tick-quiescent), so the row cursors may run as plain loops with
-		// identical sweeps and section-final cell state.
-		fast := !h.reg.AnyArmed()
-		ctx.ParallelFor(h.cfg.Workers, rows, func(w, r0, r1 int) {
-			wk := &h.workers[w]
-			wk.rStart.Store(r0)
-			wk.rEnd.Store(r1)
-			if fast {
-				for r := r0; r < r1; r++ {
-					h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
-				}
-				wk.rCur.Store(r1)
-				return
-			}
-			for wk.rCur.Store(wk.rStart.Load()); wk.rCur.Load() < wk.rEnd.Load(); wk.rCur.Add(1) {
-				r := wk.rCur.Load()
-				// A corrupted cursor leaving this worker's chunk would stomp
-				// rows another thread owns; abort like the real run would
-				// (r0/r1 are uncorruptible locals, keeping writes disjoint).
-				if r < r0 || r >= r1 {
-					panic(fmt.Sprintf("hotspot: row %d outside chunk [%d,%d)", r, r0, r1))
-				}
-				h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
-			}
-		})
+		ctx.Work(int64(h.cfg.Rows)*int64(h.cfg.Cols) + 1)
+		h.sweep(ctx, src, dst)
 		src, dst = dst, src
 	}
 	h.final = src
+}
+
+// sweep updates every row of dst from src.
+func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.F32s) {
+	// Reload constants from their (corruptible) memory homes once per
+	// sweep, as the real kernel's register reloads would.
+	cx, cy, cz, cp, amb := h.cx.Load(), h.cy.Load(), h.cz.Load(), h.cp.Load(), h.amb.Load()
+	s, d, p := src.Data, dst.Data, h.power.Data
+	// Nothing armed ⇒ nothing can fire mid-sweep (arming is
+	// tick-quiescent), so the row cursors may run as plain loops with
+	// identical sweeps and section-final cell state.
+	fast := !h.reg.AnyArmed()
+	ctx.ParallelFor(h.cfg.Workers, h.cfg.Rows, func(w, r0, r1 int) {
+		wk := &h.workers[w]
+		wk.rStart.Store(r0)
+		wk.rEnd.Store(r1)
+		if fast {
+			for r := r0; r < r1; r++ {
+				h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
+			}
+			wk.rCur.Store(r1)
+			return
+		}
+		for wk.rCur.Store(wk.rStart.Load()); wk.rCur.Load() < wk.rEnd.Load(); wk.rCur.Add(1) {
+			r := wk.rCur.Load()
+			// A corrupted cursor leaving this worker's chunk would stomp
+			// rows another thread owns; abort like the real run would
+			// (r0/r1 are uncorruptible locals, keeping writes disjoint).
+			if r < r0 || r >= r1 {
+				panic(fmt.Sprintf("hotspot: row %d outside chunk [%d,%d)", r, r0, r1))
+			}
+			h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
+		}
+	})
 }
 
 // sweepRow applies one stencil update to row r; shared by the cell-driven

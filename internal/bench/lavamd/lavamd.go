@@ -164,14 +164,37 @@ func (l *LavaMD) Reset() {
 }
 
 // Run implements bench.Benchmark: one tick per row of boxes (NB² ticks).
-func (l *LavaMD) Run(ctx *bench.Ctx) {
+func (l *LavaMD) Run(ctx *bench.Ctx) { l.rows(ctx, 0) }
+
+// SavePoint implements bench.Resumable. Every row of boxes is a resume
+// point and none stores anything: a box's forces are written by its own row
+// only, so fv at a tick is a prefix of the golden output over zeros, and the
+// cursors are where the row before left them.
+func (l *LavaMD) SavePoint(int) (*bench.Snapshot, bool) { return nil, true }
+
+// Resume implements bench.Resumable.
+func (l *LavaMD) Resume(ctx *bench.Ctx, tick int, _ *bench.Snapshot, golden bench.Output) {
+	rowBoxes := l.cfg.NB
+	done := tick * rowBoxes // boxes of the rows before
+	copy(l.fv.Data[:4*l.cfg.PPB*done], golden.Vals)
+	ctx.ParallelFor(l.cfg.Workers, rowBoxes, func(w, start, end int) {
+		wk := &l.workers[w]
+		wk.bStart.Store(done - rowBoxes + start)
+		wk.bEnd.Store(done - rowBoxes + end)
+		wk.bCur.Store(done - rowBoxes + end)
+	})
+	l.rows(ctx, tick)
+}
+
+// rows runs the rows of boxes from row on.
+func (l *LavaMD) rows(ctx *bench.Ctx, row int) {
 	nb, ppb := l.cfg.NB, l.cfg.PPB
 	rowBoxes := nb
 	rows := l.boxesEnd.Load() / rowBoxes
 	if rows < 0 || rows > nb*nb*4 {
 		panic(fmt.Sprintf("lavamd: corrupted box count %d", rows*rowBoxes))
 	}
-	for row := 0; row < rows; row++ {
+	for ; row < rows; row++ {
 		ctx.Tick()
 		ctx.Work(int64(rowBoxes)*int64(ppb)*27*int64(ppb) + 1)
 		// One read of the (armable) potential parameter per row, before the

@@ -130,9 +130,52 @@ func (l *LUD) Reset() {
 }
 
 // Run implements bench.Benchmark: three ticks per block step.
-func (l *LUD) Run(ctx *bench.Ctx) {
+func (l *LUD) Run(ctx *bench.Ctx) { l.steps(ctx, 0) }
+
+// SavePoint implements bench.Resumable. Every block step is a resume point.
+// Block rows and columns before the step hold the packed L\U output already,
+// so a point keeps the trailing submatrix only (127 KB over the eleven
+// points, against 36 KB for every whole matrix), and with it the block
+// cursors, which lanes that had no tile in the last phases carry over from
+// earlier ones. diaTmp is rewritten before its frame registers it.
+func (l *LUD) SavePoint(tick int) (*bench.Snapshot, bool) {
+	if tick%3 != 0 {
+		return nil, false
+	}
+	n, off := l.cfg.N, tick/3*l.cfg.Block
+	s := &bench.Snapshot{F32: make([]float32, 0, (n-off)*(n-off))}
+	for i := off; i < n; i++ {
+		s.F32 = append(s.F32, l.a.Data[i*n+off:(i+1)*n]...)
+	}
+	for w := range l.workers {
+		wk := &l.workers[w]
+		s.Int = append(s.Int, int32(wk.bStart.Load()), int32(wk.bEnd.Load()), int32(wk.bCur.Load()))
+	}
+	return s, true
+}
+
+// Resume implements bench.Resumable.
+func (l *LUD) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, golden bench.Output) {
+	n, off := l.cfg.N, tick/3*l.cfg.Block
+	for i, v := range golden.Vals {
+		l.a.Data[i] = float32(v) // Output widened it; narrowing is exact
+	}
+	for i := off; i < n; i++ {
+		copy(l.a.Data[i*n+off:(i+1)*n], s.F32[(i-off)*(n-off):])
+	}
+	for w := range l.workers {
+		wk := &l.workers[w]
+		wk.bStart.Store(int(s.Int[3*w]))
+		wk.bEnd.Store(int(s.Int[3*w+1]))
+		wk.bCur.Store(int(s.Int[3*w+2]))
+	}
+	l.steps(ctx, tick/3)
+}
+
+// steps runs the block steps from step k on.
+func (l *LUD) steps(ctx *bench.Ctx, k int) {
 	bs := l.bsCell.Load()
-	for l.kCur.Store(0); l.kCur.Load() < l.nbCell.Load(); l.kCur.Add(1) {
+	for l.kCur.Store(k); l.kCur.Load() < l.nbCell.Load(); l.kCur.Add(1) {
 		k := l.kCur.Load()
 		n := l.nCell.Load()
 		nb := l.nbCell.Load()

@@ -103,17 +103,34 @@ type Runner struct {
 	// injected runs (see RunInjected's aliasing note).
 	outBuf []float64
 
-	// hz is built by the first Victim call and stays with the runner, so it
-	// travels through a Runners list with it.
-	hz *horizon
+	// sh is what the runner shares with the others of its key: the resume
+	// points RunInjected may start a run at, and the horizon the first
+	// Victim call on any of them builds.
+	sh *shared
 }
 
 // NewRunner builds a runner and performs the golden run. It returns an
 // error if the pristine benchmark crashes or produces an empty output,
 // which would indicate a broken workload rather than a fault effect.
-func NewRunner(b Benchmark) (*Runner, error) {
-	r := &Runner{B: b}
-	res := r.run(newCtx(-1, nil, 0), false)
+func NewRunner(b Benchmark) (*Runner, error) { return newRunner(b, &shared{}) }
+
+// newRunner is NewRunner for a runner of sh's key. Unless the key already
+// has its resume points, the golden run saves them as it passes.
+func newRunner(b Benchmark, sh *shared) (*Runner, error) {
+	r := &Runner{B: b, sh: sh}
+	ctx := newCtx(-1, nil, 0)
+	points := []point{{}}
+	if k, ok := b.(Resumable); ok && !sh.hasResumeSet() {
+		ctx.probe = func(tick int) {
+			if tick == 0 {
+				return // Reset is the point there
+			}
+			if s, ok := k.SavePoint(tick); ok {
+				points = append(points, point{tick, ctx.work, s})
+			}
+		}
+	}
+	res := r.run(ctx, false, point{})
 	if res.Status != Completed {
 		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
 	}
@@ -127,6 +144,7 @@ func NewRunner(b Benchmark) (*Runner, error) {
 	r.TotalTicks = res.Ticks
 	r.GoldenWork = res.Work
 	r.budget = budgetFactor*res.Work + 1024
+	sh.adoptResumeSet(b.Name(), &resumeSet{points, res.Ticks, res.Work, r.Golden})
 	return r, nil
 }
 
@@ -165,20 +183,25 @@ func (r *Runner) WindowBounds(w int) (lo, hi int) {
 
 // RunGolden re-executes the pristine benchmark (used by tests to check
 // determinism). Its output is freshly allocated, never reused.
-func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false) }
+func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false, point{}) }
 
 // RunInjected executes one run with the inject callback fired at the given
 // tick. The callback runs with the benchmark quiescent and typically
-// corrupts one registry site.
+// corrupts one registry site. Up to the tick the run is the golden run, so
+// it starts at the last resume point the kernel saved at or before the tick
+// and executes only the ticks from there; a tick outside the golden run's
+// never fires and its run is a whole one, from Reset.
 //
 // For benchmarks implementing OutputInto, the result's Output aliases a
 // buffer owned by the runner that the next RunInjected call overwrites;
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
-	return r.run(newCtx(tick, inject, r.budget), true)
+	return r.run(newCtx(tick, inject, r.budget), true, r.sh.resume.at(tick))
 }
 
-func (r *Runner) run(ctx *Ctx, reuse bool) (res RawResult) {
+// run executes the benchmark from a resume point to the end; the zero point
+// is Reset, a whole run.
+func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 	r.B.Reset()
 	defer func() {
 		res.Ticks = ctx.Ticks()
@@ -205,7 +228,12 @@ func (r *Runner) run(ctx *Ctx, reuse bool) (res RawResult) {
 			res.Output = r.B.Output()
 		}
 	}()
-	r.B.Run(ctx)
+	if from.tick == 0 {
+		r.B.Run(ctx)
+	} else {
+		ctx.tick, ctx.work = from.tick, from.work
+		r.B.(Resumable).Resume(ctx, from.tick, from.snap, r.Golden)
+	}
 	return
 }
 

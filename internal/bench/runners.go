@@ -9,7 +9,9 @@ import "sync"
 // what already makes the N trials of one cell independent, so the first
 // trial of the next cell finds the runner as a fresh one would be. A run
 // that owns a list therefore performs one golden run per key and pool
-// worker, not one per cell.
+// worker, not one per cell. What a key's runners only read — the resume
+// points and the horizon — is built once per key and handed to all of them,
+// so two pool workers on one key profile it once and hold one snapshot set.
 //
 // Retention follows demand, not a size: the owner declares with Expect how
 // many times each key will still be asked for, Get counts that down, and
@@ -35,6 +37,7 @@ type runnerKey struct {
 type runnerSlot struct {
 	demand int
 	idle   []*Runner
+	sh     *shared
 }
 
 // NewRunners returns an empty list.
@@ -49,7 +52,7 @@ func (rs *Runners) Expect(benchmark string, benchSeed uint64) {
 	defer rs.mu.Unlock()
 	s := rs.slots[k]
 	if s == nil {
-		s = &runnerSlot{}
+		s = &runnerSlot{sh: &shared{}}
 		rs.slots[k] = s
 	}
 	s.demand++
@@ -60,10 +63,12 @@ func (rs *Runners) Expect(benchmark string, benchSeed uint64) {
 // itself until it Puts it back.
 func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 	k := runnerKey{benchmark, benchSeed}
+	var sh *shared
 	if rs != nil {
 		rs.mu.Lock()
 		var r *Runner
 		if s := rs.slots[k]; s != nil {
+			sh = s.sh
 			if n := len(s.idle); n > 0 {
 				r, s.idle = s.idle[n-1], s.idle[:n-1]
 			}
@@ -84,7 +89,10 @@ func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := NewRunner(b)
+	if sh == nil {
+		sh = &shared{} // a key nobody declared: the runner's alone
+	}
+	r, err := newRunner(b, sh)
 	if err != nil {
 		return nil, err
 	}

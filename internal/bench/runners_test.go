@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"phirel/internal/state"
+	"phirel/internal/stats"
 )
 
 // registerCountedToy registers the toy under "counted-toy" for the length
@@ -155,5 +158,75 @@ func TestRunnersConcurrentLoans(t *testing.T) {
 	}
 	if rs.Idle() != 0 {
 		t.Fatalf("idle = %d after the declared demand was served, want 0", rs.Idle())
+	}
+}
+
+// runCountedToy counts the kernel runs of its toy: golden and profiling.
+type runCountedToy struct {
+	*toy
+	runs *atomic.Int64
+}
+
+func (c runCountedToy) Run(ctx *Ctx) {
+	c.runs.Add(1)
+	c.toy.Run(ctx)
+}
+
+// TestRunnersConcurrentFirstUse: two pool workers that miss a key at the
+// same time each build a runner, golden runs side by side, but what runners
+// only read is the key's: both ask for a victim at once, the key is profiled
+// once, and both hold the same horizon and the same resume points.
+func TestRunnersConcurrentFirstUse(t *testing.T) {
+	var runs atomic.Int64
+	Register("run-counted-toy", func(uint64) Benchmark { return runCountedToy{newToy(), &runs} })
+	t.Cleanup(func() { Unregister("run-counted-toy") })
+
+	rs := NewRunners()
+	const workers = 2
+	for i := 0; i < workers; i++ {
+		rs.Expect("run-counted-toy", 1)
+	}
+	var (
+		got   [workers]*Runner
+		start = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			r, err := rs.Get("run-counted-toy", 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = r
+			if _, ok := r.Victim(3, stats.NewRNG(uint64(i)), state.ByVariable); !ok {
+				t.Error("no victim at a tick with live sites")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got[0] == got[1] {
+		t.Fatal("two holders share a runner")
+	}
+	if n := runs.Load(); n != workers+1 {
+		t.Errorf("%d kernel runs for %d golden runs and the key's first use, want %d", n, workers, workers+1)
+	}
+	if got[0].sh != got[1].sh || got[0].horizon() != got[1].horizon() {
+		t.Error("two runners of one key hold their own horizon or resume points")
+	}
+	// A runner built outside a list shares with nobody.
+	alone, err := (*Runners)(nil).Get("run-counted-toy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.horizon() == got[0].horizon() || runs.Load() != workers+3 {
+		t.Errorf("a standalone runner took the list's horizon, or %d kernel runs are not its golden and profiling run more", runs.Load())
 	}
 }

@@ -160,3 +160,31 @@ func TestClassAndResultStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestArrheniusClosedForm holds ArrheniusFactor to the closed form of the
+// reliability literature it cites (SNIPPETS.md snippet 1: E_a = 0.379 eV,
+// T_ref = 300 K), AF = exp(E_a/k_B · (1/T_ref − 1/T)), with k_B derived here
+// from the SI's exact constants instead of taken from the package.
+func TestArrheniusClosedForm(t *testing.T) {
+	const (
+		ea     = 0.379           // eV
+		tRef   = 300.0           // K
+		kJoule = 1.380649e-23    // J/K, exact since the 2019 SI
+		charge = 1.602176634e-19 // C, exact: one eV in joules
+	)
+	kB := kJoule / charge // eV/K
+	for _, temp := range []float64{250, 300, 330, 358.15, 400} {
+		want := math.Exp(ea / kB * (1/tRef - 1/temp))
+		got := ArrheniusFactor(temp, tRef, ea)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("AF(%g K) = %.12g, the closed form gives %.12g", temp, got, want)
+		}
+		if dev := NewKNC3120A().AccelerationFactor(temp); math.Abs(dev-want) > 1e-9*want {
+			t.Errorf("KNC3120A at %g K accelerates by %.12g, the closed form gives %.12g", temp, dev, want)
+		}
+	}
+	// The figure the monitor documentation quotes for 330 K.
+	if af := ArrheniusFactor(330, tRef, ea); math.Abs(af-3.79) > 0.005 {
+		t.Errorf("AF(330 K) = %.4f, want 3.79", af)
+	}
+}
