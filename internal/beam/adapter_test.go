@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"strings"
 	"testing"
 
 	"phirel/internal/bench"
@@ -9,8 +10,17 @@ import (
 	"phirel/internal/stats"
 )
 
-// Effects applied to a quiescent benchmark must produce a self-consistent
-// description and leave the benchmark runnable.
+// strikeAt plans a strike of effect e at tick and runs it, the decided ones
+// included, returning the record's Detail and the run's result.
+func strikeAt(runner *bench.Runner, dev *phi.Device, e Effect, tick int, rng *stats.RNG) (string, bench.RawResult) {
+	s := planStrike(runner, e, tick, rng)
+	detail := s.detail
+	res := runner.RunInjected(tick, func() { detail = s.apply(runner, dev, rng) })
+	return detail, res
+}
+
+// Every effect planned on a quiescent benchmark must find a target, produce
+// a self-consistent description and leave the benchmark runnable.
 func TestApplyEffectAllKinds(t *testing.T) {
 	b, err := bench.New("DGEMM", 1)
 	if err != nil {
@@ -23,14 +33,14 @@ func TestApplyEffectAllKinds(t *testing.T) {
 	dev := phi.NewKNC3120A()
 	rng := stats.NewRNG(9)
 	for _, e := range []Effect{EffectSingle, EffectVectorLanes, EffectCacheLine, EffectThreadTile, EffectControl} {
-		detail := ""
-		res := runner.RunInjected(2, func() {
-			detail = applyEffect(b, dev, e, rng)
-		})
-		if detail == "" || detail == "data:none-live" || detail == "control:none-live" {
+		// Any terminal status is legal; the harness must survive.
+		detail, _ := strikeAt(runner, dev, e, 2, rng)
+		if detail == "" || strings.HasSuffix(detail, ":none-live") {
 			t.Fatalf("effect %v found no target: %q", e, detail)
 		}
-		_ = res // any terminal status is legal; the harness must survive
+		if want := e.String() + ":"; e != EffectControl && !strings.HasPrefix(detail, want) {
+			t.Fatalf("effect %v described as %q", e, detail)
+		}
 	}
 	// And a clean run afterwards still matches golden.
 	clean := runner.RunGolden()
@@ -40,27 +50,17 @@ func TestApplyEffectAllKinds(t *testing.T) {
 }
 
 // Vector-lane bursts must touch exactly VectorBits worth of consecutive
-// elements when the chosen buffer is large enough.
+// elements when the chosen buffer is large enough: 512-bit lanes over f64
+// are 8 elements. Corrupted inputs propagate, so the corruption description
+// ([start+count]) is checked rather than the mismatches.
 func TestVectorLanesBurstWidth(t *testing.T) {
 	b, _ := bench.New("DGEMM", 1)
 	runner, _ := bench.NewRunner(b)
 	dev := phi.NewKNC3120A()
 	rng := stats.NewRNG(11)
-	res := runner.RunInjected(0, func() {
-		applyEffect(b, dev, EffectVectorLanes, rng)
-	})
-	if res.Status != bench.Completed {
-		t.Skipf("run ended %v; cannot inspect output", res.Status)
-	}
-	// 512-bit lanes over f64 = 8 elements; corrupted inputs propagate, so
-	// check the corruption description instead of counting mismatches.
-	// (The detail string encodes [start+count].)
-	res2 := runner.RunInjected(0, func() {
-		d := applyEffect(b, dev, EffectVectorLanes, rng)
-		want := "+8]"
-		if len(d) < len(want) || d[len(d)-len(want):] != want {
-			t.Fatalf("vector burst detail %q does not end with %q", d, want)
+	for _, tick := range []int{0, 2} {
+		if d, _ := strikeAt(runner, dev, EffectVectorLanes, tick, rng); !strings.HasSuffix(d, "+8]") {
+			t.Fatalf("vector burst detail %q at tick %d does not end with %q", d, tick, "+8]")
 		}
-	})
-	_ = res2
+	}
 }

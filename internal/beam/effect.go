@@ -81,123 +81,131 @@ func effectFor(c phi.Class, r *stats.RNG) Effect {
 	}
 }
 
-// elemBuffer is the subset of state.Site implemented by all array buffers.
-type elemBuffer interface {
-	state.Site
-	Len() int
+// strike is a planned beam strike: the victim picked from the horizon's
+// description of the stack live at the tick, and for a control strike the
+// whole arming. A data strike draws its burst when applied, on the site the
+// live registry resolves, as an injected buffer corruption does.
+type strike struct {
+	effect Effect
+	victim bench.Victim
+	hit    bool   // something of the effect's kind was live at the tick
+	detail string // the record's Detail, for every strike but a data hit
+
+	delay  int // a control strike's arming
+	model  fault.Model
+	armRNG *stats.RNG
 }
 
-// elemCorruptor matches buffers that can corrupt a chosen element.
+// planStrike picks the victim of effect e at tick with the draws, and in the
+// order, a strike landing on the live registry there would take: a control
+// strike picks uniformly among the armable cells, then draws its model,
+// delay and corruption stream; a data strike picks among the non-empty
+// buffers weighted by footprint (a physical fault lands in a uniformly
+// random occupied bit). The live order is the registry's, global first.
+func planStrike(r *bench.Runner, e Effect, tick int, rng *stats.RNG) strike {
+	control := e == EffectControl
+	s := strike{effect: e, detail: "data:none-live"}
+	if control {
+		s.detail = "control:none-live"
+	}
+	live := r.LiveAt(tick)
+	victims := live[:0]
+	var weights []float64
+	for _, v := range live {
+		if control && v.Armable || !control && !v.Armable && v.Bytes > 0 {
+			victims = append(victims, v)
+			weights = append(weights, float64(v.Bytes))
+		}
+	}
+	switch {
+	case len(victims) == 0:
+		return s
+	case !control:
+		s.victim, s.hit = victims[rng.PickWeighted(weights)], true
+		return s
+	}
+	s.victim, s.hit = victims[rng.Intn(len(victims))], true
+	s.detail = "control:" + s.victim.Name
+	s.model = fault.Single
+	if rng.Bernoulli(0.3) {
+		s.model = fault.Random
+	}
+	s.delay = rng.Intn(64)
+	s.armRNG = rng.Split()
+	return s
+}
+
+// decided reports whether the strike's run is the golden run over again:
+// nothing of its kind was live, or its cell is not loaded delay more times.
+func (s strike) decided() bool {
+	return !s.hit || s.effect == EffectControl && s.delay >= s.victim.LoadsLeft
+}
+
+// elemCorruptor matches the buffers a data strike lands on.
 type elemCorruptor interface {
-	elemBuffer
+	state.Site
+	Len() int
 	CorruptElem(r *stats.RNG, m fault.Model, i int) state.Report
 }
 
-// liveBuffers returns the currently visible array sites, for byte-weighted
-// targeting (a physical fault lands in a uniformly random occupied bit).
-func liveBuffers(b bench.Benchmark) []elemCorruptor {
-	var out []elemCorruptor
-	for _, s := range b.Registry().Live() {
-		if ec, ok := s.(elemCorruptor); ok && ec.Len() > 0 {
-			out = append(out, ec)
-		}
+// apply corrupts the live state as the strike planned, from the inject
+// callback of the run at its tick, and returns the record's Detail.
+func (s strike) apply(r *bench.Runner, dev *phi.Device, rng *stats.RNG) string {
+	if !s.hit {
+		return s.detail
 	}
-	return out
-}
-
-// liveScalars returns the currently visible armable scalar sites.
-func liveScalars(b bench.Benchmark) []state.Armable {
-	var out []state.Armable
-	for _, s := range b.Registry().Live() {
-		if a, ok := s.(state.Armable); ok {
-			out = append(out, a)
-		}
+	site := r.Site(s.victim)
+	if s.effect == EffectControl {
+		site.(state.Armable).Arm(s.delay, s.model, s.armRNG)
+		return s.detail
 	}
-	return out
-}
-
-// pickBuffer selects a buffer weighted by footprint.
-func pickBuffer(bufs []elemCorruptor, r *stats.RNG) elemCorruptor {
-	if len(bufs) == 0 {
-		return nil
-	}
-	weights := make([]float64, len(bufs))
-	for i, b := range bufs {
-		weights[i] = float64(b.SizeBytes())
-	}
-	return bufs[r.PickWeighted(weights)]
-}
-
-// applyEffect corrupts the benchmark's state according to the effect. It
-// returns a short description for the run log.
-func applyEffect(b bench.Benchmark, dev *phi.Device, e Effect, r *stats.RNG) string {
-	switch e {
-	case EffectControl:
-		scalars := liveScalars(b)
-		if len(scalars) == 0 {
-			return "control:none-live"
-		}
-		victim := scalars[r.Intn(len(scalars))]
-		m := fault.Single
-		if r.Bernoulli(0.3) {
+	buf := site.(elemCorruptor)
+	elemBytes := buf.Kind().Bytes()
+	var n int
+	var m fault.Model
+	switch s.effect {
+	case EffectSingle:
+		n = 1
+		switch x := rng.Float64(); {
+		case x < 0.6:
+			m = fault.Single
+		case x < 0.8:
+			m = fault.Double
+		default:
 			m = fault.Random
 		}
-		victim.Arm(r.Intn(64), m, r.Split())
-		return "control:" + victim.Name()
-
-	default:
-		bufs := liveBuffers(b)
-		buf := pickBuffer(bufs, r)
-		if buf == nil {
-			return "data:none-live"
-		}
-		elemBytes := buf.Kind().Bytes()
-		var n int
-		var m fault.Model
-		switch e {
-		case EffectSingle:
+	case EffectVectorLanes:
+		n = dev.VectorBits / (8 * elemBytes)
+		m = fault.Single
+	case EffectCacheLine:
+		// A corrupted transfer lane flips one bit per element across
+		// the line; occasionally a whole word is garbage.
+		n = 64 / elemBytes
+		m = fault.Single
+		if rng.Bernoulli(0.2) {
 			n = 1
-			switch x := r.Float64(); {
-			case x < 0.6:
-				m = fault.Single
-			case x < 0.8:
-				m = fault.Double
-			default:
-				m = fault.Random
-			}
-		case EffectVectorLanes:
-			n = dev.VectorBits / (8 * elemBytes)
+			m = fault.Random
+		}
+	case EffectThreadTile:
+		// A mis-scheduled thread either stops early (its chunk keeps
+		// stale/zero data) or retires a burst of single-bit-damaged
+		// results; it does not emit uniformly random words.
+		n = 16 + rng.Intn(113) // 16..128 elements of a thread's chunk
+		if rng.Bernoulli(0.6) {
+			m = fault.Zero
+		} else {
 			m = fault.Single
-		case EffectCacheLine:
-			// A corrupted transfer lane flips one bit per element across
-			// the line; occasionally a whole word is garbage.
-			n = 64 / elemBytes
-			m = fault.Single
-			if r.Bernoulli(0.2) {
-				n = 1
-				m = fault.Random
-			}
-		case EffectThreadTile:
-			// A mis-scheduled thread either stops early (its chunk keeps
-			// stale/zero data) or retires a burst of single-bit-damaged
-			// results; it does not emit uniformly random words.
-			n = 16 + r.Intn(113) // 16..128 elements of a thread's chunk
-			if r.Bernoulli(0.6) {
-				m = fault.Zero
-			} else {
-				m = fault.Single
-			}
 		}
-		if n < 1 {
-			n = 1
-		}
-		if n > buf.Len() {
-			n = buf.Len()
-		}
-		start := r.Intn(buf.Len() - n + 1)
-		for i := 0; i < n; i++ {
-			buf.CorruptElem(r, m, start+i)
-		}
-		return fmt.Sprintf("%s:%s[%d+%d]", e, buf.Name(), start, n)
 	}
+	if n < 1 {
+		n = 1
+	}
+	if n > buf.Len() {
+		n = buf.Len()
+	}
+	start := rng.Intn(buf.Len() - n + 1)
+	for i := 0; i < n; i++ {
+		buf.CorruptElem(rng, m, start+i)
+	}
+	return fmt.Sprintf("%s:%s[%d+%d]", s.effect, buf.Name(), start, n)
 }

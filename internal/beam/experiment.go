@@ -56,6 +56,10 @@ type Config struct {
 	// runner per worker and drops it at the end. Execution detail: results
 	// do not depend on it.
 	Runners *bench.Runners
+
+	// forceRun is the differential tests' seam: every strike is run, the
+	// decided ones included, so their records can be compared.
+	forceRun bool
 }
 
 // Record is one accelerated run's log entry (the public beam log format).
@@ -226,12 +230,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		dev = phi.NewKNC3120A()
 	}
 	if cfg.DisableECC {
-		noECC := *dev
-		noECC.Resources = append([]phi.Resource(nil), dev.Resources...)
-		for i := range noECC.Resources {
-			noECC.Resources[i].ECC = phi.NoECC
-		}
-		dev = &noECC
+		dev = withoutECC(dev)
 	}
 	profile, err := phi.ProfileFor(cfg.Benchmark)
 	if err != nil {
@@ -256,7 +255,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, werr
 			}
 			return func(i int, rng *stats.RNG) Record {
-				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng)
+				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng, cfg.forceRun)
 			}, nil
 		},
 		NewShard: func(int) *shard { return &shard{byPattern: map[analysis.Pattern]int{}} },
@@ -297,53 +296,49 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, err
 }
 
-// oneRun executes one accelerated run: sample a raw fault, filter it
-// through protection, and — only when it reaches architecture — actually
-// execute the workload with the corruption applied at a uniform tick.
-func oneRun(seq int, name string, runner *bench.Runner,
-	dev *phi.Device, profile phi.Profile, rng *stats.RNG) Record {
+// withoutECC is dev with SECDED removed from every resource.
+func withoutECC(dev *phi.Device) *phi.Device {
+	noECC := *dev
+	noECC.Resources = append([]phi.Resource(nil), dev.Resources...)
+	for i := range noECC.Resources {
+		noECC.Resources[i].ECC = phi.NoECC
+	}
+	return &noECC
+}
 
-	rec := Record{Seq: seq, Benchmark: name}
+// oneRun executes one accelerated run: sample a raw fault, filter it
+// through protection, and — only when it reaches architecture — plan the
+// strike at a uniform tick and execute the workload with it applied, unless
+// the plan shows the run would be the golden run over again. forceRun runs
+// those too.
+func oneRun(seq int, name string, runner *bench.Runner,
+	dev *phi.Device, profile phi.Profile, rng *stats.RNG, forceRun bool) Record {
+
+	rec := Record{Seq: seq, Benchmark: name, Outcome: bench.Masked.String(), Pattern: analysis.PatternNone.String()}
 	f := dev.SampleFault(rng, profile)
 	rec.Resource = f.Resource.Name
 	rec.HWResult = f.Result.String()
 	switch f.Result {
 	case phi.Corrected:
-		rec.Outcome = bench.Masked.String()
-		rec.Pattern = analysis.PatternNone.String()
 		return rec
 	case phi.DetectedMCA:
 		rec.Outcome = bench.DUEMCA.String()
-		rec.Pattern = analysis.PatternNone.String()
 		return rec
 	}
 
 	effect := effectFor(f.Resource.Class, rng)
 	rec.Effect = effect.String()
-	tick := rng.Intn(runner.TotalTicks)
-	rec.Tick = tick
-	res := runner.RunInjected(tick, func() {
-		rec.Detail = applyEffect(runner.B, dev, effect, rng)
-	})
-	switch res.Status {
-	case bench.Crashed:
-		rec.Outcome = bench.DUECrash.String()
-		rec.Pattern = analysis.PatternNone.String()
-	case bench.Hung:
-		rec.Outcome = bench.DUEHang.String()
-		rec.Pattern = analysis.PatternNone.String()
-	default:
-		ms := analysis.Compare(runner.Golden, res.Output)
-		if len(ms) == 0 {
-			rec.Outcome = bench.Masked.String()
-			rec.Pattern = analysis.PatternNone.String()
-		} else {
-			rec.Outcome = bench.SDC.String()
-			rec.Pattern = analysis.Classify(ms, runner.Golden.Shape).String()
-			rec.MaxRelErr = analysis.FiniteRelErr(analysis.MaxRelErr(ms))
-			rec.Corrupted = len(ms)
-		}
+	rec.Tick = rng.Intn(runner.TotalTicks)
+	s := planStrike(runner, effect, rec.Tick, rng)
+	rec.Detail = s.detail
+	if !forceRun && s.decided() {
+		return rec
 	}
+	res := runner.RunInjected(rec.Tick, func() {
+		rec.Detail = s.apply(runner, dev, rng)
+	})
+	o, p, relErr, n := core.ClassifyRun(runner.Golden, res)
+	rec.Outcome, rec.Pattern, rec.MaxRelErr, rec.Corrupted = o.String(), p.String(), relErr, n
 	return rec
 }
 

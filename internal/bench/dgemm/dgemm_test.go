@@ -228,7 +228,9 @@ func TestDGEMMInjectionSitePickAndRun(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		tick := rng.Intn(r.TotalTicks)
 		res := r.RunInjected(tick, func() {
-			site := d.Registry().Pick(rng, state.ByBytes)
+			frames := d.Registry().Frames()
+			f, i := state.PickIn(frames, rng, state.ByBytes)
+			site := frames[f].Sites()[i]
 			if a, ok := site.(state.Armable); ok {
 				a.Arm(rng.Intn(512), fault.Models[trial%4], rng.Split())
 			} else {

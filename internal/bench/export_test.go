@@ -9,6 +9,14 @@ import (
 // Profiled reports whether the runner's key has built its horizon.
 func (r *Runner) Profiled() bool { return r.sh.hz != nil }
 
+// Horizon identifies the horizon the runner's key holds, nil before one is
+// built.
+func (r *Runner) Horizon() any { return r.sh.hz }
+
+// SharesKey reports whether two runners hold the same resume points and
+// horizon.
+func (r *Runner) SharesKey(o *Runner) bool { return r.sh == o.sh }
+
 // SetForceReset switches the resume seam: while set, every injected run
 // starts at Reset, as all of them did before kernels saved resume points.
 func SetForceReset(v bool) { forceReset = v }

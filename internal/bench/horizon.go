@@ -50,6 +50,7 @@ type Victim struct {
 	Name         string
 	Region       state.Region
 	Kind         state.Kind
+	Bytes        int // the site's footprint at the tick
 	// Armable reports a scalar cell, and LoadsLeft is then how many Loads
 	// the golden run performs on it after the tick: armed there with a
 	// delay below LoadsLeft it fires, at or above it never does.
@@ -58,10 +59,11 @@ type Victim struct {
 }
 
 // Victim picks the site an injection at tick corrupts, drawing from rng
-// exactly as Registry.Pick would inside the run, and returns false when no
-// site is live there. The first call on any runner of a key profiles it (one
-// more golden run) for all of them; keys that never inject never pay for
-// that.
+// exactly as state.PickIn over the live registry would inside the run, and
+// returns false when no site is live there. The first call to Victim or
+// LiveAt on any runner of a key — an injection trial or a beam strike,
+// whichever comes first — profiles it (one more golden run) for all of them,
+// so plans are made outside a run.
 func (r *Runner) Victim(tick int, rng *stats.RNG, policy state.Policy) (Victim, bool) {
 	h := r.horizon()
 	f, s := state.PickIn(h.stacks[h.stackAt[tick]], rng, policy)
@@ -71,8 +73,9 @@ func (r *Runner) Victim(tick int, rng *stats.RNG, policy state.Policy) (Victim, 
 	return h.victim(tick, f, s), true
 }
 
-// LiveAt returns every site live at tick, in stack order, as the victim a
-// pick of it would be: the liveness table an analytical model of the
+// LiveAt returns every site live at tick, in stack order (global frame
+// first), as the victim a pick of it would be: the liveness table beam
+// strikes are planned on, and the one an analytical model of either
 // campaign starts from.
 func (r *Runner) LiveAt(tick int) []Victim {
 	h := r.horizon()
@@ -92,7 +95,7 @@ func (r *Runner) horizon() *horizon {
 
 func (h *horizon) victim(tick, f, s int) Victim {
 	sh := h.stacks[h.stackAt[tick]][f].Sites()[s].(*shadow)
-	v := Victim{Frame: f, Index: s, Name: sh.name, Region: sh.region, Kind: sh.kind}
+	v := Victim{Frame: f, Index: s, Name: sh.name, Region: sh.region, Kind: sh.kind, Bytes: sh.bytes}
 	if sh.col >= 0 {
 		v.Armable, v.LoadsLeft = true, int(h.left[tick*h.cells+int(sh.col)])
 	}

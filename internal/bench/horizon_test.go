@@ -32,39 +32,55 @@ func TestHorizonStaysSmall(t *testing.T) {
 	}
 }
 
-// TestHorizonBuiltByInjectionOnly: the horizon is built by the first
-// injected trial on a runner, not with the runner, so a beam cell borrowing
-// the same runner from the list neither builds nor finds one until an
-// injection cell has been there — and then it stays with the runner.
-func TestHorizonBuiltByInjectionOnly(t *testing.T) {
-	rs := bench.NewRunners()
-	for i := 0; i < 6; i++ {
-		rs.Expect("NW", 1)
+// TestHorizonBuiltByFirstStrikeOrTrial: a key builds one horizon, whichever
+// cell kind asks first. A beam cell and an injection cell on one list, in
+// either order, leave the key profiled by the first of them, once: the
+// second cell's runners hold the horizon the first built, and every runner
+// of the key holds the same shared state.
+func TestHorizonBuiltByFirstStrikeOrTrial(t *testing.T) {
+	beamCell := func(rs *bench.Runners) error {
+		_, err := beam.Run(beam.Config{Benchmark: "NW", Runs: 50, Seed: 3, BenchSeed: 1, Workers: 2, DisableECC: true, Runners: rs})
+		return err
 	}
-	profiled := func() bool {
-		t.Helper()
-		r, err := rs.Get("NW", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rs.Put(r)
-		return r.Profiled()
+	injectionCell := func(rs *bench.Runners) error {
+		_, err := core.RunCampaign(core.CampaignConfig{Benchmark: "NW", N: 5, Seed: 3, BenchSeed: 1, Workers: 2, Runners: rs})
+		return err
 	}
-	beamCell := func() {
-		t.Helper()
-		if _, err := beam.Run(beam.Config{Benchmark: "NW", Runs: 50, Seed: 3, BenchSeed: 1, Workers: 1, DisableECC: true, Runners: rs}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	beamCell()
-	if rs.Idle() != 1 || profiled() {
-		t.Fatalf("after a beam cell the list holds %d runners, profiled: %v; want one, not profiled", rs.Idle(), profiled())
-	}
-	if _, err := core.RunCampaign(core.CampaignConfig{Benchmark: "NW", N: 5, Seed: 3, BenchSeed: 1, Workers: 1, Runners: rs}); err != nil {
-		t.Fatal(err)
-	}
-	beamCell()
-	if rs.Idle() != 1 || !profiled() {
-		t.Fatalf("after an injection cell the list holds %d runners, profiled: %v; want the same one, profiled", rs.Idle(), profiled())
+	for _, order := range []struct {
+		name          string
+		first, second func(*bench.Runners) error
+	}{{"beam first", beamCell, injectionCell}, {"injection first", injectionCell, beamCell}} {
+		t.Run(order.name, func(t *testing.T) {
+			rs := bench.NewRunners()
+			for i := 0; i < 10; i++ {
+				rs.Expect("NW", 1) // more than the test asks for: the key stays declared
+			}
+			get := func() *bench.Runner {
+				t.Helper()
+				r, err := rs.Get("NW", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			if err := order.first(rs); err != nil {
+				t.Fatal(err)
+			}
+			r := get()
+			hz := r.Horizon()
+			rs.Put(r)
+			if !r.Profiled() {
+				t.Fatal("the first cell left its key unprofiled")
+			}
+			if err := order.second(rs); err != nil {
+				t.Fatal(err)
+			}
+			a, b := get(), get()
+			defer rs.Put(a)
+			defer rs.Put(b)
+			if a.Horizon() != hz || b.Horizon() != hz || !a.SharesKey(b) {
+				t.Fatal("the second cell profiled the key again, or two runners of one key hold their own state")
+			}
+		})
 	}
 }

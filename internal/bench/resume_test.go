@@ -148,7 +148,9 @@ func TestResumeMatchesReset(t *testing.T) {
 					rng := stats.NewRNG(seed)
 					res := r.RunInjected(tick, func() {
 						at = tickState{w.ctx.Ticks(), w.ctx.WorkDone(), liveState(t, w.Registry())}
-						site := w.Registry().Pick(rng, state.ByFrameThenVariable)
+						frames := w.Registry().Frames()
+						f, i := state.PickIn(frames, rng, state.ByFrameThenVariable)
+						site := frames[f].Sites()[i]
 						if a, ok := site.(state.Armable); ok {
 							a.Arm(rng.Intn(64), m, rng.Split())
 						} else {

@@ -105,7 +105,7 @@ type Runner struct {
 
 	// sh is what the runner shares with the others of its key: the resume
 	// points RunInjected may start a run at, and the horizon the first
-	// Victim call on any of them builds.
+	// Victim or LiveAt call on any of them builds.
 	sh *shared
 }
 

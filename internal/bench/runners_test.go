@@ -174,59 +174,73 @@ func (c runCountedToy) Run(ctx *Ctx) {
 
 // TestRunnersConcurrentFirstUse: two pool workers that miss a key at the
 // same time each build a runner, golden runs side by side, but what runners
-// only read is the key's: both ask for a victim at once, the key is profiled
-// once, and both hold the same horizon and the same resume points.
+// only read is the key's: both ask for the horizon at once — as an injection
+// trial (Victim) or as a beam strike (LiveAt) — the key is profiled once,
+// and both hold the same horizon and the same resume points.
 func TestRunnersConcurrentFirstUse(t *testing.T) {
-	var runs atomic.Int64
-	Register("run-counted-toy", func(uint64) Benchmark { return runCountedToy{newToy(), &runs} })
-	t.Cleanup(func() { Unregister("run-counted-toy") })
+	for _, leg := range []struct {
+		name string
+		ask  func(r *Runner, i int) bool
+	}{
+		{"injection", func(r *Runner, i int) bool {
+			_, ok := r.Victim(3, stats.NewRNG(uint64(i)), state.ByVariable)
+			return ok
+		}},
+		{"beam", func(r *Runner, _ int) bool { return len(r.LiveAt(3)) > 0 }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			var runs atomic.Int64
+			Register("run-counted-toy", func(uint64) Benchmark { return runCountedToy{newToy(), &runs} })
+			t.Cleanup(func() { Unregister("run-counted-toy") })
 
-	rs := NewRunners()
-	const workers = 2
-	for i := 0; i < workers; i++ {
-		rs.Expect("run-counted-toy", 1)
-	}
-	var (
-		got   [workers]*Runner
-		start = make(chan struct{})
-		wg    sync.WaitGroup
-	)
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			r, err := rs.Get("run-counted-toy", 1)
-			if err != nil {
-				t.Error(err)
+			rs := NewRunners()
+			const workers = 2
+			for i := 0; i < workers; i++ {
+				rs.Expect("run-counted-toy", 1)
+			}
+			var (
+				got   [workers]*Runner
+				start = make(chan struct{})
+				wg    sync.WaitGroup
+			)
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					r, err := rs.Get("run-counted-toy", 1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[i] = r
+					if !leg.ask(r, i) {
+						t.Error("nothing live at a tick with live sites")
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			got[i] = r
-			if _, ok := r.Victim(3, stats.NewRNG(uint64(i)), state.ByVariable); !ok {
-				t.Error("no victim at a tick with live sites")
+			if got[0] == got[1] {
+				t.Fatal("two holders share a runner")
 			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if got[0] == got[1] {
-		t.Fatal("two holders share a runner")
-	}
-	if n := runs.Load(); n != workers+1 {
-		t.Errorf("%d kernel runs for %d golden runs and the key's first use, want %d", n, workers, workers+1)
-	}
-	if got[0].sh != got[1].sh || got[0].horizon() != got[1].horizon() {
-		t.Error("two runners of one key hold their own horizon or resume points")
-	}
-	// A runner built outside a list shares with nobody.
-	alone, err := (*Runners)(nil).Get("run-counted-toy", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alone.horizon() == got[0].horizon() || runs.Load() != workers+3 {
-		t.Errorf("a standalone runner took the list's horizon, or %d kernel runs are not its golden and profiling run more", runs.Load())
+			if n := runs.Load(); n != workers+1 {
+				t.Errorf("%d kernel runs for %d golden runs and the key's first use, want %d", n, workers, workers+1)
+			}
+			if got[0].sh != got[1].sh || got[0].horizon() != got[1].horizon() {
+				t.Error("two runners of one key hold their own horizon or resume points")
+			}
+			// A runner built outside a list shares with nobody.
+			alone, err := (*Runners)(nil).Get("run-counted-toy", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone.horizon() == got[0].horizon() || runs.Load() != workers+3 {
+				t.Errorf("a standalone runner took the list's horizon, or %d kernel runs are not its golden and profiling run more", runs.Load())
+			}
+		})
 	}
 }

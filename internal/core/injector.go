@@ -57,10 +57,11 @@ func newInjector(r *bench.Runner, policy state.Policy) *Injector {
 // rng for every random choice. The trial is planned, decided, and only then
 // run. The plan is drawn up front, in the order every published record
 // depends on: the interrupt tick, the victim (picked by the runner's horizon
-// from the frame stack live at that tick, with the registry's own pick
-// function), and for a scalar victim the arm delay (Bernoulli(0.75), then
-// Intn(max)) and the corruption's own stream (Split). A buffer victim draws
-// its element and bits when the run applies the plan, after all of those.
+// from the frame stack live at that tick with state.PickIn), and for a
+// scalar victim the arm delay (Bernoulli(0.75), then Intn(max)) and the
+// corruption's own stream (Split). A buffer victim draws its element and
+// bits when the run applies the plan, after all of those. Beam strikes are
+// planned and decided the same way (internal/beam).
 //
 // The decision: when no site is live at the tick, or the scalar victim has
 // no more than delay loads left in the run, nothing is ever corrupted, the
@@ -135,18 +136,26 @@ func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 	}
 	rec.PanicMsg = res.PanicMsg
 
+	o, p, relErr, n := ClassifyRun(in.Runner.Golden, res)
+	rec.Outcome, rec.Pattern, rec.MaxRelErr, rec.CorruptedElems = o.String(), p.String(), relErr, n
+	return rec
+}
+
+// ClassifyRun is the one classification of a finished run, for injected
+// trials and beam strikes alike: a crash or a watchdog hang is a DUE, a
+// completed run whose output differs from golden in any bit is an SDC with
+// its spatial pattern, worst finite relative error and corrupted element
+// count, and any other run is Masked.
+func ClassifyRun(golden bench.Output, res bench.RawResult) (o bench.Outcome, p analysis.Pattern, maxRelErr float64, corrupted int) {
 	switch res.Status {
 	case bench.Crashed:
-		rec.Outcome = bench.DUECrash.String()
+		return bench.DUECrash, analysis.PatternNone, 0, 0
 	case bench.Hung:
-		rec.Outcome = bench.DUEHang.String()
-	default:
-		if ms := analysis.Compare(in.Runner.Golden, res.Output); len(ms) > 0 {
-			rec.Outcome = bench.SDC.String()
-			rec.Pattern = analysis.Classify(ms, in.Runner.Golden.Shape).String()
-			rec.MaxRelErr = analysis.FiniteRelErr(analysis.MaxRelErr(ms))
-			rec.CorruptedElems = len(ms)
-		}
+		return bench.DUEHang, analysis.PatternNone, 0, 0
 	}
-	return rec
+	ms := analysis.Compare(golden, res.Output)
+	if len(ms) == 0 {
+		return bench.Masked, analysis.PatternNone, 0, 0
+	}
+	return bench.SDC, analysis.Classify(ms, golden.Shape), analysis.FiniteRelErr(analysis.MaxRelErr(ms)), len(ms)
 }

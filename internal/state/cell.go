@@ -113,7 +113,7 @@ func DebitLoads(cells []*Int, n []int64) bool {
 // runs, which is how control-variable faults become hangs, overwrites and
 // out-of-range panics — the DUE mechanisms the paper attributes to control
 // variables. A run touches its cells from one goroutine; the atomics are
-// left over from concurrent lanes (ROADMAP item 3).
+// left over from concurrent lanes (ROADMAP item 5).
 type Int struct {
 	name   string
 	region Region

@@ -192,16 +192,6 @@ func (g *Registry) RegionBytes() map[Region]int {
 // PickIn returns.
 func (g *Registry) Frames() []*Frame { return g.frames }
 
-// Pick selects a live site under the given policy. It returns nil when no
-// sites are live (the injector records such attempts as no-ops).
-func (g *Registry) Pick(r *stats.RNG, policy Policy) Site {
-	f, s := PickIn(g.frames, r, policy)
-	if f < 0 {
-		return nil
-	}
-	return g.frames[f].sites[s]
-}
-
 // PickIn is the one victim selection: it picks among the sites of a frame
 // stack, global first, under the given policy and returns the position of
 // the pick as (frame index, site index), or (-1, -1) when the stack holds

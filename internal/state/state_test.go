@@ -218,6 +218,15 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	g.Global().Register(NewInt("n", "control", 2))
 }
 
+// pick is PickIn over the registry's live stack, as the site it names.
+func pick(g *Registry, r *stats.RNG, p Policy) Site {
+	f, s := PickIn(g.Frames(), r, p)
+	if f < 0 {
+		return nil
+	}
+	return g.Frames()[f].Sites()[s]
+}
+
 func TestRegistryPickByBytesWeighting(t *testing.T) {
 	g := NewRegistry()
 	big := NewF64s("big", "matrix", Dims1(1000)) // 8000 bytes
@@ -227,7 +236,7 @@ func TestRegistryPickByBytesWeighting(t *testing.T) {
 	bigHits := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if g.Pick(r, ByBytes) == Site(big) {
+		if pick(g, r, ByBytes) == Site(big) {
 			bigHits++
 		}
 	}
@@ -246,7 +255,7 @@ func TestRegistryPickByVariableUniform(t *testing.T) {
 	smallHits := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if g.Pick(r, ByVariable) == Site(small) {
+		if pick(g, r, ByVariable) == Site(small) {
 			smallHits++
 		}
 	}
@@ -266,7 +275,7 @@ func TestRegistryPickByFrame(t *testing.T) {
 	leafHits := 0
 	const n = 6000
 	for i := 0; i < n; i++ {
-		if g.Pick(r, ByFrameThenVariable) == Site(leaf) {
+		if pick(g, r, ByFrameThenVariable) == Site(leaf) {
 			leafHits++
 		}
 	}
@@ -281,7 +290,7 @@ func TestRegistryPickEmpty(t *testing.T) {
 	g := NewRegistry()
 	r := stats.NewRNG(9)
 	for _, p := range []Policy{ByBytes, ByVariable, ByFrameThenVariable} {
-		if g.Pick(r, p) != nil {
+		if pick(g, r, p) != nil {
 			t.Fatalf("policy %v picked from empty registry", p)
 		}
 	}

@@ -84,30 +84,6 @@ func NormalInterval(k, n int, confidence float64) Interval {
 	return Interval{lo, hi}
 }
 
-// PoissonInterval returns an approximate confidence interval for the rate of
-// a Poisson process observed to produce k events, using the Anscombe
-// variance-stabilising square-root transform. Good to a few percent for
-// k >= 4, which is the regime FIT estimates live in (the paper collects
-// >100 events per benchmark).
-func PoissonInterval(k int, confidence float64) Interval {
-	z := zFor(confidence)
-	if k < 0 {
-		k = 0
-	}
-	s := math.Sqrt(float64(k) + 3.0/8.0)
-	lo := s - z/2
-	hi := s + z/2
-	loV := lo*lo - 3.0/8.0
-	hiV := hi*hi - 3.0/8.0
-	if lo < 0 || loV < 0 {
-		loV = 0
-	}
-	if k == 0 {
-		loV = 0
-	}
-	return Interval{loV, hiV}
-}
-
 // Proportion bundles an estimated rate with its Wilson CI; it is the unit in
 // which PVF and outcome shares are reported.
 type Proportion struct {

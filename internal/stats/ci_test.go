@@ -81,29 +81,6 @@ func TestNormalIntervalMatchesHand(t *testing.T) {
 	}
 }
 
-func TestPoissonIntervalCoversK(t *testing.T) {
-	for _, k := range []int{4, 10, 100, 1000} {
-		iv := PoissonInterval(k, 0.95)
-		if !iv.Contains(float64(k)) {
-			t.Errorf("Poisson CI for k=%d %v does not contain k", k, iv)
-		}
-		// Rough agreement with k ± 1.96*sqrt(k).
-		if math.Abs(iv.Lo-(float64(k)-1.96*math.Sqrt(float64(k)))) > 3+0.05*float64(k) {
-			t.Errorf("Poisson CI lo for k=%d looks off: %v", k, iv)
-		}
-	}
-}
-
-func TestPoissonIntervalZero(t *testing.T) {
-	iv := PoissonInterval(0, 0.95)
-	if iv.Lo != 0 {
-		t.Fatalf("Poisson CI for 0 events must start at 0, got %v", iv)
-	}
-	if iv.Hi <= 0 {
-		t.Fatalf("Poisson CI for 0 events must have positive upper bound, got %v", iv)
-	}
-}
-
 func TestProportion(t *testing.T) {
 	p := NewProportion(25, 100)
 	if p.P != 0.25 {
