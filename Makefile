@@ -28,14 +28,15 @@ test:
 # horizon — the shared streaming engine, both campaign classes built on it,
 # the fleet orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
-# delivery, progress, pool scheduling, the section watchdog, resumed runs,
-# planned beam strikes. Race-instrumented Monte-Carlo runs cost ~100x, and their
-# statistical-power campaigns add nothing to race coverage. serve and
+# delivery, progress, pool scheduling, the section watchdog, resumed and
+# converged runs, planned beam strikes. Race-instrumented Monte-Carlo runs
+# cost ~100x, and their statistical-power campaigns add nothing to race
+# coverage. serve and
 # distrib run whole: their lifecycle bugs have hidden in tests no keyword
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Decided|Resume|Strike' \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Decided|Resume|Converge|Strike' \
 		./internal/bench/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...

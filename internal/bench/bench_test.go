@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"phirel/internal/fault"
 	"phirel/internal/state"
+	"phirel/internal/stats"
 )
 
 // toy is a minimal benchmark for harness tests: it sums 1..n into each
@@ -214,6 +217,114 @@ func TestInjectionFiresExactlyOnce(t *testing.T) {
 	res := r.RunInjected(0, func() { atomic.AddInt32(&fires, 1) })
 	if res.Status != Completed || fires != 1 {
 		t.Fatalf("fires = %d, status %v", fires, res.Status)
+	}
+}
+
+// ctoy is a convergent toy: every tick pays 1+pad units of work, clears pad
+// and rewrites every output slot, so a corrupted slot is masked by the next
+// tick and a corrupted pad only costs work. Every other tick is a resume
+// point, and the check records where it was asked.
+type ctoy struct {
+	reg   *state.Registry
+	pad   *state.Int
+	out   *state.F64s
+	asked []int
+}
+
+func newCtoy() *ctoy {
+	c := &ctoy{reg: state.NewRegistry(), pad: state.NewInt("pad", "control", 0), out: state.NewF64s("out", "matrix", state.Dims1(4))}
+	c.reg.Global().Register(c.pad, c.out)
+	return c
+}
+
+func (c *ctoy) Name() string              { return "ctoy" }
+func (c *ctoy) Class() Class              { return Algebraic }
+func (c *ctoy) Windows() int              { return 4 }
+func (c *ctoy) Registry() *state.Registry { return c.reg }
+func (c *ctoy) Output() Output            { return c.OutputInto(nil) }
+
+func (c *ctoy) Reset() {
+	c.reg.PopAll()
+	c.reg.DisarmAll()
+	c.pad.Store(0)
+	clear(c.out.Data)
+}
+
+func (c *ctoy) Run(ctx *Ctx) { c.ticks(ctx, 0) }
+
+func (c *ctoy) ticks(ctx *Ctx, it int) {
+	for ; it < 8; it++ {
+		ctx.Tick()
+		ctx.Work(1 + int64(c.pad.Load()))
+		c.pad.Store(0)
+		for i := range c.out.Data {
+			c.out.Data[i] = float64(it)
+		}
+	}
+}
+
+func (c *ctoy) OutputInto(dst []float64) Output {
+	dst = GrowVals(dst, len(c.out.Data))
+	copy(dst, c.out.Data)
+	return Output{Vals: dst, Shape: c.out.Shape}
+}
+
+func (c *ctoy) SavePoint(tick int) (*Snapshot, bool) { return nil, tick%2 == 0 }
+
+func (c *ctoy) Resume(ctx *Ctx, tick int, _ *Snapshot, _ Output) {
+	for i := range c.out.Data {
+		c.out.Data[i] = float64(tick - 1)
+	}
+	c.ticks(ctx, tick)
+}
+
+// Converged: pad is read before it is written, the output rewritten.
+func (c *ctoy) Converged(tick int, _ *Snapshot, _ Output) bool {
+	c.asked = append(c.asked, tick)
+	return c.pad.Load() == 0
+}
+
+// TestRunInjectedStopsWhereItConverges: a run is asked about once, at the
+// first point past its tick where its fault has fired and its work counter
+// reads the golden run's, and one that has converged returns the golden
+// run's result in a buffer of its own. A run whose corruption only cost work,
+// or whose armed cell fires past the first point, is never asked, and every
+// run ends as its full suffix does under the seam.
+func TestRunInjectedStopsWhereItConverges(t *testing.T) {
+	c := newCtoy()
+	r, err := NewRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what   string
+		inject func()
+		asked  []int
+	}{
+		{"an overwritten output slot", func() { c.out.Data[1] = 99 }, []int{4}},
+		{"a padded tick", func() { c.pad.Store(5) }, nil},
+		{"a pad armed to fire past the first point", func() { c.pad.Arm(1, fault.Single, stats.NewRNG(1)) }, nil},
+	} {
+		run := func(fullSuffix bool) RawResult {
+			forceSuffix = fullSuffix
+			defer func() { forceSuffix = false }()
+			c.asked = nil
+			return r.RunInjected(3, tc.inject)
+		}
+		want := run(true)
+		want.Output = want.Output.Clone()
+		got := run(false)
+		if !slices.Equal(c.asked, tc.asked) || got.Status != want.Status || got.Ticks != want.Ticks || got.Work != want.Work ||
+			!got.Injected || !CompareExact(want.Output, got.Output) {
+			t.Errorf("%s: asked at %v, want %v; got %+v, want %+v", tc.what, c.asked, tc.asked, got, want)
+		}
+		if converged := tc.asked != nil; converged != (got.Work == r.GoldenWork) {
+			t.Errorf("%s: work %d, golden %d", tc.what, got.Work, r.GoldenWork)
+		}
+		got.Output.Vals[0] = -1
+		if r.Golden.Vals[0] == -1 {
+			t.Fatalf("%s: the result aliases the golden output", tc.what)
+		}
 	}
 }
 

@@ -59,6 +59,10 @@ func DefaultConfig() Config {
 		RefineThresh: 0.4, CoarsenThresh: 0.08}
 }
 
+// The simulation constants: time step, gravity and the Lax-Friedrichs
+// dissipation speed.
+const dt0, grav0, lambda0 = 0.04, 9.8, 12.0
+
 // worker holds per-thread control cells.
 type worker struct {
 	cStart, cEnd, cCur *state.Int
@@ -136,9 +140,9 @@ func New(cfg Config, seed uint64) *CLAMR {
 	c.ncell = state.NewInt("ncell", "control", 0)
 	c.stepCur = state.NewInt("stepCur", "control", 0)
 	c.stepEnd = state.NewInt("stepEnd", "control", cfg.Steps)
-	c.dt = state.NewF64("dt", "constant", 0.04)
-	c.grav = state.NewF64("grav", "constant", 9.8)
-	c.lam = state.NewF64("lambda", "constant", 12.0)
+	c.dt = state.NewF64("dt", "constant", dt0)
+	c.grav = state.NewF64("grav", "constant", grav0)
+	c.lam = state.NewF64("lambda", "constant", lambda0)
 	c.reg.Global().Register(c.ncell, c.stepCur, c.stepEnd, c.dt, c.grav, c.lam)
 	c.workers = make([]worker, cfg.Workers)
 	for w := range c.workers {
@@ -244,9 +248,9 @@ func (c *CLAMR) Reset() {
 	c.ncell.Store(n)
 	c.stepCur.Store(0)
 	c.stepEnd.Store(c.cfg.Steps)
-	c.dt.Store(0.04)
-	c.grav.Store(9.8)
-	c.lam.Store(12.0)
+	c.dt.Store(dt0)
+	c.grav.Store(grav0)
+	c.lam.Store(lambda0)
 	for w := range c.workers {
 		wk := &c.workers[w]
 		wk.cStart.Store(0)

@@ -118,3 +118,55 @@ func (c *CLAMR) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, _ bench.Outp
 	}
 	c.steps(ctx, tick/4)
 }
+
+// Converged implements bench.Convergent. A time step reads, before it writes
+// them, the first ncell entries of the cell coordinates, levels and H/U/V,
+// and the control and constant cells; the output samples the same prefixes.
+// Those are compared with the point's snapshot and with Reset's values; the
+// rest is left out because every step writes it before reading it: the
+// arrays' tails past ncell (remesh writes a cell before the mesh grows onto
+// it), the neighbour indices (tree phase), Hnext/Unext/Vnext (physics), the
+// quadtree (tree phase), the sort and remesh scratch, and the workers'
+// cursors (every section stores them first). Comparing those too finds
+// only half the runs that have rejoined the golden run.
+func (c *CLAMR) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
+	ints, floats := s.Int, s.F64
+	n := c.ncell.Load()
+	if n != int(ints[len(ints)-1-3*len(c.workers)]) || c.stepCur.Load() != tick/4 || c.stepEnd.Load() != c.cfg.Steps ||
+		c.dt.Load() != dt0 || c.grav.Load() != grav0 || c.lam.Load() != lambda0 {
+		return false
+	}
+	arrays, fill := c.resumeInts()
+	for k, a := range arrays[:3] { // cellI, cellJ, cellLevel
+		m := int(ints[0])
+		saved := ints[1 : 1+m]
+		ints = ints[1+m:]
+		for i, v := range a[:n] {
+			want := fill[k]
+			if i < m {
+				want = int(saved[i])
+			}
+			if v != want {
+				return false
+			}
+		}
+	}
+	for range arrays[3:] {
+		ints = ints[1+ints[0]:]
+	}
+	for _, a := range c.resumeFloats()[:3] { // H, U, V
+		m := int(ints[0])
+		ints = ints[1:]
+		for i, v := range a[:n] {
+			var want uint64
+			if i < m {
+				want = math.Float64bits(floats[i])
+			}
+			if math.Float64bits(v) != want {
+				return false
+			}
+		}
+		floats = floats[m:]
+	}
+	return true
+}

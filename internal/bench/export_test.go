@@ -21,6 +21,11 @@ func (r *Runner) SharesKey(o *Runner) bool { return r.sh == o.sh }
 // starts at Reset, as all of them did before kernels saved resume points.
 func SetForceReset(v bool) { forceReset = v }
 
+// SetForceSuffix switches the convergence seam: while set, every injected
+// run executes its suffix to the end, as all of them did before kernels
+// could tell a run had rejoined the golden run.
+func SetForceSuffix(v bool) { forceSuffix = v }
+
 // ResumePoint returns the tick RunInjected(tick, …) starts its run at.
 func (r *Runner) ResumePoint(tick int) int { return r.sh.resume.at(tick).tick }
 

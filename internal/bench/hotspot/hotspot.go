@@ -20,6 +20,7 @@ package hotspot
 
 import (
 	"fmt"
+	"math"
 
 	"phirel/internal/bench"
 	"phirel/internal/state"
@@ -41,6 +42,10 @@ type Config struct {
 // not injection magnitude — dominates the relative-error distribution, as
 // on the real device where a run spans thousands of sweeps.
 func DefaultConfig() Config { return Config{Rows: 64, Cols: 64, Iters: 256, Workers: 4} }
+
+// The simulation constants. Stable diffusion coefficients: centre weight
+// 1-2cx-2cy-cz = 0.47.
+const cx0, cy0, cz0, cp0, amb0 float32 = 0.12, 0.12, 0.05, 0.30, 80.0
 
 // worker holds per-thread loop control cells.
 type worker struct {
@@ -86,12 +91,11 @@ func New(cfg Config, seed uint64) *HotSpot {
 		h.t0[i] = 80 + 10*float32(r.Float64())       // ambient-ish start
 		h.p0[i] = float32(r.Float64() * r.Float64()) // skewed power map
 	}
-	// Stable diffusion coefficients: centre weight 1-2cx-2cy-cz = 0.47.
-	h.cx = state.NewF32("cx", "constant", 0.12)
-	h.cy = state.NewF32("cy", "constant", 0.12)
-	h.cz = state.NewF32("cz", "constant", 0.05)
-	h.cp = state.NewF32("cp", "constant", 0.30)
-	h.amb = state.NewF32("amb", "constant", 80.0)
+	h.cx = state.NewF32("cx", "constant", cx0)
+	h.cy = state.NewF32("cy", "constant", cy0)
+	h.cz = state.NewF32("cz", "constant", cz0)
+	h.cp = state.NewF32("cp", "constant", cp0)
+	h.amb = state.NewF32("amb", "constant", amb0)
 	h.iterCur = state.NewInt("iterCur", "control", 0)
 	h.iterEnd = state.NewInt("iterEnd", "control", cfg.Iters)
 	h.reg.Global().Register(h.tA, h.tB, h.power,
@@ -130,11 +134,11 @@ func (h *HotSpot) Reset() {
 		h.tB.Data[i] = 0
 	}
 	copy(h.power.Data, h.p0)
-	h.cx.Store(0.12)
-	h.cy.Store(0.12)
-	h.cz.Store(0.05)
-	h.cp.Store(0.30)
-	h.amb.Store(80.0)
+	h.cx.Store(cx0)
+	h.cy.Store(cy0)
+	h.cz.Store(cz0)
+	h.cp.Store(cp0)
+	h.amb.Store(amb0)
 	h.iterCur.Store(0)
 	h.iterEnd.Store(h.cfg.Iters)
 	for w := range h.workers {
@@ -177,6 +181,40 @@ func (h *HotSpot) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, _ bench.Ou
 	h.sweeps(ctx, tick)
 }
 
+// Converged implements bench.Convergent. The sweeps from tick on read the
+// grid final points to, the power map, the five constants and the two
+// iteration cells; the golden run's grid there is not kept, but it is the
+// sweep of the snapshot's, which is made again a row at a time to compare.
+// Left out: the other grid and the workers' cursors, which every sweep
+// writes before it reads them.
+func (h *HotSpot) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
+	src, _ := h.buffers(tick)
+	if h.final != src || h.iterCur.Load() != tick || h.iterEnd.Load() != h.cfg.Iters ||
+		h.cx.Load() != cx0 || h.cy.Load() != cy0 || h.cz.Load() != cz0 || h.cp.Load() != cp0 || h.amb.Load() != amb0 ||
+		!sameBits(h.power.Data, h.p0) {
+		return false
+	}
+	cols := h.cfg.Cols
+	row := make([]float32, cols)
+	for r := 0; r < h.cfg.Rows; r++ {
+		h.sweepRow(s.F32, row, h.p0, r, cx0, cy0, cz0, cp0, amb0)
+		if !sameBits(row, src.Data[r*cols:]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether a holds b's leading values, bit for bit.
+func sameBits(a, b []float32) bool {
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // buffers returns the grid sweep it reads and the one it writes.
 func (h *HotSpot) buffers(it int) (src, dst *state.F32s) {
 	if it%2 == 0 {
@@ -216,7 +254,7 @@ func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.F32s) {
 		wk.rEnd.Store(r1)
 		if fast {
 			for r := r0; r < r1; r++ {
-				h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
+				h.sweepRow(s, d[r*h.cfg.Cols:], p, r, cx, cy, cz, cp, amb)
 			}
 			wk.rCur.Store(r1)
 			return
@@ -229,16 +267,17 @@ func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.F32s) {
 			if r < r0 || r >= r1 {
 				panic(fmt.Sprintf("hotspot: row %d outside chunk [%d,%d)", r, r0, r1))
 			}
-			h.sweepRow(s, d, p, r, cx, cy, cz, cp, amb)
+			h.sweepRow(s, d[r*h.cfg.Cols:], p, r, cx, cy, cz, cp, amb)
 		}
 	})
 }
 
-// sweepRow applies one stencil update to row r; shared by the cell-driven
-// and fast row loops so their arithmetic cannot drift apart. The boundary
-// columns (whose east/west clamp to the cell itself) are peeled off so the
-// interior loop runs branch-free over row-local slices.
-func (h *HotSpot) sweepRow(s, d, p []float32, r int, cx, cy, cz, cp, amb float32) {
+// sweepRow applies one stencil update to row r of s, writing it to the row
+// dr; shared by the cell-driven and fast row loops and the convergence
+// check, so their arithmetic cannot drift apart. The boundary columns
+// (whose east/west clamp to the cell itself) are peeled off so the interior
+// loop runs branch-free over row-local slices.
+func (h *HotSpot) sweepRow(s, dr, p []float32, r int, cx, cy, cz, cp, amb float32) {
 	rows, cols := h.cfg.Rows, h.cfg.Cols
 	up, down := r-1, r+1
 	if up < 0 {
@@ -249,7 +288,7 @@ func (h *HotSpot) sweepRow(s, d, p []float32, r int, cx, cy, cz, cp, amb float32
 	}
 	base := r * cols
 	sr := s[base : base+cols]
-	dr := d[base : base+cols]
+	dr = dr[:cols]
 	pr := p[base : base+cols]
 	nr := s[up*cols : up*cols+cols]
 	so := s[down*cols : down*cols+cols]

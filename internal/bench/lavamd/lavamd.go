@@ -14,6 +14,7 @@ package lavamd
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"phirel/internal/bench"
 	"phirel/internal/state"
@@ -184,6 +185,34 @@ func (l *LavaMD) Resume(ctx *bench.Ctx, tick int, _ *bench.Snapshot, golden benc
 		wk.bCur.Store(done - rowBoxes + end)
 	})
 	l.rows(ctx, tick)
+}
+
+// Converged implements bench.Convergent. The rows from tick on read a2, the
+// neighbour lists of their own boxes and the particles of those boxes'
+// neighbours, which lie at most one plane and one row of boxes back; those
+// must be Reset's, and the forces of the rows before, which the rest never
+// writes, the golden output's. Left out: the forces from the tick on and
+// the workers' cursors, which each row writes before it reads them, the
+// inputs no later row reads, and boxesEnd, which is read once, before
+// tick 0.
+func (l *LavaMD) Converged(tick int, _ *bench.Snapshot, golden bench.Output) bool {
+	nb, ppb := l.cfg.NB, l.cfg.PPB
+	done := tick * nb                     // boxes of the rows before
+	first := max(0, (tick-nb-1)*nb) * ppb // the first particle a later row reads
+	return l.a2.Load() == 2*l.cfg.Alpha*l.cfg.Alpha &&
+		sameBits(l.fv.Data[:4*ppb*done], golden.Vals) &&
+		slices.Equal(l.nn.Data[27*done:], l.nn0[27*done:]) &&
+		sameBits(l.rv.Data[3*first:], l.rv0[3*first:]) && sameBits(l.qv.Data[first:], l.qv0[first:])
+}
+
+// sameBits reports whether a holds b's leading values, bit for bit.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rows runs the rows of boxes from row on.

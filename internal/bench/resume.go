@@ -40,6 +40,21 @@ type Resumable interface {
 	Resume(ctx *Ctx, tick int, s *Snapshot, golden Output)
 }
 
+// Convergent is implemented by resumable kernels that can tell when an
+// injected run has rejoined the golden run. A fault CAROL-FI sees masked
+// often stops mattering long before the run ends; from a resume point where
+// the run reads what the golden run read there, the rest is the golden run.
+type Convergent interface {
+	// Converged is called at most once per run, at a resume point's tick of
+	// a run whose fault has fired, with nothing live armed and the tick and
+	// work counters reading the golden run's at that point; s and golden
+	// are what Resume would get there. It reports whether everything the
+	// rest of the run reads before writing it — and every part of the
+	// output the rest never writes — equals the golden run's at the point,
+	// and changes nothing.
+	Converged(tick int, s *Snapshot, golden Output) bool
+}
+
 // point is one place a run can start: the golden run's counters on reaching
 // tick, and the kernel's snapshot. The zero point is Reset.
 type point struct {
@@ -59,8 +74,9 @@ type resumeSet struct {
 	golden Output
 }
 
-// forceReset is the differential tests' seam: every run starts at Reset.
-var forceReset bool
+// forceReset and forceSuffix are the differential tests' seams: every run
+// starts at Reset, and every run executes its suffix to the end.
+var forceReset, forceSuffix bool
 
 // at returns the greatest point at or before tick. A tick the golden run
 // never reaches injects nothing, and its run is a whole one.

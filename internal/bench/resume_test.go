@@ -18,13 +18,14 @@ import (
 
 // watched runs a kernel and keeps the context of its current run, so a test
 // can read the supervisor's counters where an injection fires and count the
-// ticks a run executed. It forwards the kernel's resume points; a kernel
-// without any stays without.
+// ticks a run executed. It forwards the kernel's resume points and its
+// convergence check; a kernel without them stays without.
 type watched struct {
 	bench.Benchmark
-	ctx      *bench.Ctx
-	started  int // the tick the last run started at
-	executed int // ticks executed by the runs so far
+	ctx       *bench.Ctx
+	started   int // the tick the last run started at
+	executed  int // ticks executed by the runs so far
+	converged int // the tick the last run stopped at as converged, or -1
 }
 
 func (w *watched) Run(ctx *bench.Ctx) {
@@ -44,8 +45,19 @@ func (w *watched) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, golden ben
 	w.Benchmark.(bench.Resumable).Resume(ctx, tick, s, golden)
 }
 
+func (w *watched) Converged(tick int, s *bench.Snapshot, golden bench.Output) bool {
+	k, ok := w.Benchmark.(bench.Convergent)
+	if !ok || !k.Converged(tick, s, golden) {
+		return false
+	}
+	w.converged = tick
+	return true
+}
+
+// watch starts counting a run; the count ends where the run does, a
+// converged run's at the point it stopped at.
 func (w *watched) watch(ctx *bench.Ctx) func() {
-	w.ctx, w.started = ctx, ctx.Ticks()
+	w.ctx, w.started, w.converged = ctx, ctx.Ticks(), -1
 	return func() { w.executed += ctx.Ticks() - w.started }
 }
 
@@ -55,7 +67,7 @@ func newWatched(t *testing.T, name string) (*watched, *bench.Runner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &watched{Benchmark: b}
+	w := &watched{Benchmark: b, converged: -1}
 	r, err := bench.NewRunner(w)
 	if err != nil {
 		t.Fatal(err)
@@ -148,14 +160,7 @@ func TestResumeMatchesReset(t *testing.T) {
 					rng := stats.NewRNG(seed)
 					res := r.RunInjected(tick, func() {
 						at = tickState{w.ctx.Ticks(), w.ctx.WorkDone(), liveState(t, w.Registry())}
-						frames := w.Registry().Frames()
-						f, i := state.PickIn(frames, rng, state.ByFrameThenVariable)
-						site := frames[f].Sites()[i]
-						if a, ok := site.(state.Armable); ok {
-							a.Arm(rng.Intn(64), m, rng.Split())
-						} else {
-							site.Corrupt(rng, m)
-						}
+						corrupt(w.Registry(), rng, m)
 					})
 					return at, endOf(res)
 				}
@@ -181,6 +186,65 @@ func TestResumeMatchesReset(t *testing.T) {
 	t.Logf("suffixes compared: %d completed, %d crashed, %d hung", outcomes[bench.Completed], outcomes[bench.Crashed], outcomes[bench.Hung])
 	if !testing.Short() && (outcomes[bench.Crashed] == 0 || outcomes[bench.Hung] == 0) {
 		t.Errorf("the corrupted suffixes hold %d crashes and %d hangs, want some of each", outcomes[bench.Crashed], outcomes[bench.Hung])
+	}
+}
+
+// corrupt picks a live site of reg as a by-frame campaign does and corrupts
+// it as one would: a buffer element at once, a scalar armed with a delay.
+func corrupt(reg *state.Registry, rng *stats.RNG, m fault.Model) {
+	frames := reg.Frames()
+	f, i := state.PickIn(frames, rng, state.ByFrameThenVariable)
+	site := frames[f].Sites()[i]
+	if a, ok := site.(state.Armable); ok {
+		a.Arm(rng.Intn(64), m, rng.Split())
+	} else {
+		site.Corrupt(rng, m)
+	}
+}
+
+// TestConvergedMatchesSuffix is the byte identity of converged runs, by
+// construction: for every kernel that can tell a run has rejoined the golden
+// run, seeded corruptions drawn as TestResumeMatchesReset draws them, at
+// uniform ticks, must end in the same RawResult — status, panic message,
+// ticks, work and output bits — whether the run stops where it converges
+// or, under the seam, executes its suffix to the end. Runs the check refuses
+// are compared too: asking must change nothing.
+func TestConvergedMatchesSuffix(t *testing.T) {
+	trials := 2000
+	if testing.Short() {
+		trials = 100
+	}
+	for _, name := range bench.Names() {
+		w, r := newWatched(t, name)
+		if _, ok := w.Benchmark.(bench.Convergent); !ok {
+			continue
+		}
+		converged := 0
+		for i := 0; i < trials; i++ {
+			m := fault.Models[i%len(fault.Models)]
+			run := func(fullSuffix bool) (int, endState) {
+				bench.SetForceSuffix(fullSuffix)
+				defer bench.SetForceSuffix(false)
+				rng := stats.NewRNG(stats.Mix64(0xc0, uint64(i)))
+				tick := rng.Intn(r.TotalTicks)
+				res := r.RunInjected(tick, func() { corrupt(w.Registry(), rng, m) })
+				return tick, endOf(res)
+			}
+			_, want := run(true)
+			tick, got := run(false)
+			if w.converged >= 0 {
+				converged++
+			}
+			if !reflect.DeepEqual(got, want) {
+				got.Output, want.Output = nil, nil
+				t.Fatalf("%s trial %d, tick %d %s: converged at %d, the run ends differently than its full suffix (outputs aside):\n converged %+v\n suffix    %+v",
+					name, i, tick, m, w.converged, got, want)
+			}
+		}
+		t.Logf("%-8s %d of %d corrupted runs converged", name, converged, trials)
+		if converged == 0 || converged == trials {
+			t.Errorf("%s: %d of %d runs converged, want some and not all", name, converged, trials)
+		}
 	}
 }
 
@@ -263,13 +327,25 @@ func TestSnapshotsStaySmall(t *testing.T) {
 // (the arm whose faults reach the kernels), must be the same whether runs
 // start at their resume points or, under the seam, at Reset.
 func TestResumeRecordsMatchReset(t *testing.T) {
+	recordsMatch(t, bench.SetForceReset, "resumed", "reset")
+}
+
+// TestConvergedRecordsMatchSuffix is the same identity for the runs that
+// stop where they converge, against their full suffixes under the seam.
+func TestConvergedRecordsMatchSuffix(t *testing.T) {
+	recordsMatch(t, bench.SetForceSuffix, "converged", "suffix")
+}
+
+// recordsMatch fails t unless the campaigns of every kernel publish the same
+// records with the seam set (want) and not (got).
+func recordsMatch(t *testing.T, seam func(bool), got, want string) {
 	trials, runs := 20, 150
 	if testing.Short() {
 		trials, runs = 1, 20
 	}
-	records := func(name string, fromReset bool) (inj []core.InjectionRecord, beams []beam.Record) {
-		bench.SetForceReset(fromReset)
-		defer bench.SetForceReset(false)
+	records := func(name string, seamed bool) (inj []core.InjectionRecord, beams []beam.Record) {
+		seam(seamed)
+		defer seam(false)
 		in, err := core.NewInjector(name, 1, state.ByFrameThenVariable)
 		if err != nil {
 			t.Fatal(err)
@@ -302,16 +378,16 @@ func TestResumeRecordsMatchReset(t *testing.T) {
 		gotInj, gotBeam := records(name, false)
 		for i := range wantInj {
 			if !reflect.DeepEqual(gotInj[i], wantInj[i]) {
-				t.Fatalf("%s injection %d:\n resumed %+v\n reset   %+v", name, i, gotInj[i], wantInj[i])
+				t.Fatalf("%s injection %d:\n %-9s %+v\n %-9s %+v", name, i, got, gotInj[i], want, wantInj[i])
 			}
 		}
 		for i := range wantBeam {
 			if !reflect.DeepEqual(gotBeam[i], wantBeam[i]) {
-				t.Fatalf("%s beam run %d:\n resumed %+v\n reset   %+v", name, i, gotBeam[i], wantBeam[i])
+				t.Fatalf("%s beam run %d:\n %-9s %+v\n %-9s %+v", name, i, got, gotBeam[i], want, wantBeam[i])
 			}
 		}
 		if len(gotInj) != len(wantInj) || len(gotBeam) != len(wantBeam) {
-			t.Fatalf("%s: %d and %d records resumed, %d and %d from Reset", name, len(gotInj), len(gotBeam), len(wantInj), len(wantBeam))
+			t.Fatalf("%s: %d and %d records %s, %d and %d %s", name, len(gotInj), len(gotBeam), got, len(wantInj), len(wantBeam), want)
 		}
 	}
 }
@@ -368,10 +444,62 @@ func TestResumeExecutedTicks(t *testing.T) {
 	}
 }
 
-// TestWholeRunsStartAtReset: the golden re-run, the profiling run and an
-// injected run whose tick the golden run never reaches (it cannot fire) are
-// whole runs from Reset — the ledger's golden and armed-to-the-end timings
-// measure those — and a tick-0 injection starts there too.
+// TestConvergedTicksSkipped counts what stopping where a run converges
+// saves, exactly: over a seeded campaign per kernel, every trial that stops
+// early must stop at a resume point past its tick and be Masked, and the
+// ticks the campaign executes must be those it executes under the seam, which
+// runs every suffix to its end, less the ticks from each stop to the end of
+// the run. The log gives the converged share of the trials that ran and the
+// executed ticks with and without the exit.
+func TestConvergedTicksSkipped(t *testing.T) {
+	trials := 500
+	if testing.Short() {
+		trials = 40
+	}
+	for _, name := range bench.Names() {
+		w, r := newWatched(t, name)
+		in := &core.Injector{Bench: w, Runner: r}
+		r.LiveAt(0) // profile now: what is counted below is trials
+		campaign := func(fullSuffix bool) (ran, converged, executed, skipped int) {
+			bench.SetForceSuffix(fullSuffix)
+			defer bench.SetForceSuffix(false)
+			w.executed = 0
+			for i := 0; i < trials; i++ {
+				rec := in.InjectOne(fault.Models[i%len(fault.Models)], stats.NewRNG(stats.Mix64(0xe1, uint64(i))))
+				if !rec.Fired {
+					continue
+				}
+				ran++
+				if at := w.converged; at >= 0 {
+					if at <= rec.Tick || r.ResumePoint(at) != at || rec.Outcome != bench.Masked.String() {
+						t.Fatalf("%s trial %d at tick %d stopped at tick %d as %s", name, i, rec.Tick, at, rec.Outcome)
+					}
+					converged++
+					skipped += r.TotalTicks - at
+				}
+			}
+			return ran, converged, w.executed, skipped
+		}
+		ranFull, none, full, _ := campaign(true)
+		ran, converged, executed, skipped := campaign(false)
+		t.Logf("%-8s %3d of %d trials ran, %3d converged (%4.1f %%): %6d ticks executed of %6d, %4.1f %% skipped",
+			name, ran, trials, converged, 100*float64(converged)/float64(ran), executed, full, 100*float64(skipped)/float64(full))
+		if none != 0 || ran != ranFull || executed != full-skipped {
+			t.Errorf("%s: %d trials, %d converged, executed %d ticks; under the seam %d trials, %d converged, %d ticks; %d ticks past the stops",
+				name, ran, converged, executed, ranFull, none, full, skipped)
+		}
+		if _, ok := w.Benchmark.(bench.Convergent); ok && converged == 0 {
+			t.Errorf("%s can tell a run has converged, yet none of %d did", name, ran)
+		}
+	}
+}
+
+// TestWholeRunsStartAtReset: the golden re-run, the profiling run, an
+// injected run whose tick the golden run never reaches (it cannot fire) and
+// one with every live scalar armed never to fire are whole runs from Reset,
+// which never stop where they converge — the ledger's golden and
+// armed-to-the-end timings measure those — and a tick-0 injection starts
+// there too; a no-op one stops at the first point a convergent kernel has.
 func TestWholeRunsStartAtReset(t *testing.T) {
 	for _, name := range bench.Names() {
 		w, r := newWatched(t, name)
@@ -379,8 +507,9 @@ func TestWholeRunsStartAtReset(t *testing.T) {
 			t.Helper()
 			w.executed = 0
 			run()
-			if w.started != 0 || w.executed != r.TotalTicks {
-				t.Errorf("%s: %s started at tick %d and executed %d ticks, want all %d from Reset", name, what, w.started, w.executed, r.TotalTicks)
+			if w.started != 0 || w.executed != r.TotalTicks || w.converged >= 0 {
+				t.Errorf("%s: %s started at tick %d and executed %d ticks, stopping at %d; want all %d from Reset",
+					name, what, w.started, w.executed, w.converged, r.TotalTicks)
 			}
 		}
 		whole("the golden re-run", func() { r.RunGolden() })
@@ -393,10 +522,23 @@ func TestWholeRunsStartAtReset(t *testing.T) {
 				}
 			})
 		}
+		armAll := func() {
+			for _, s := range w.Registry().Live() {
+				if a, ok := s.(state.Armable); ok {
+					a.Arm(math.MaxInt32, fault.Single, nil)
+				}
+			}
+		}
+		whole("a run with every live scalar armed never to fire", func() { r.RunInjected(0, armAll) })
+		first := 1 // the first resume point past tick 0
+		for first < r.TotalTicks && r.ResumePoint(first) != first {
+			first++
+		}
 		fired := false
-		whole("a run injected at tick 0", func() { r.RunInjected(0, func() { fired = true }) })
-		if !fired {
-			t.Errorf("%s: an injection at tick 0 did not fire", name)
+		res := r.RunInjected(0, func() { fired = true })
+		_, convergent := w.Benchmark.(bench.Convergent)
+		if !fired || w.started != 0 || convergent != (w.converged == first) || !bench.CompareExact(r.Golden, res.Output) {
+			t.Errorf("%s: a no-op injection at tick 0 fired %v, started at tick %d and stopped at %d: %+v", name, fired, w.started, w.converged, res)
 		}
 	}
 }

@@ -2,8 +2,7 @@ package bench
 
 import (
 	"fmt"
-
-	"phirel/internal/state"
+	"sort"
 )
 
 // Outcome is the end-to-end classification of one run, shared vocabulary of
@@ -192,11 +191,49 @@ func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false,
 // and executes only the ticks from there; a tick outside the golden run's
 // never fires and its run is a whole one, from Reset.
 //
+// After its fault has fired, a run of a Convergent kernel may stop early:
+// at the first resume point past the tick where nothing is armed and the
+// work counter reads the golden run's, the kernel is asked whether the run
+// has rejoined the golden run, and if it has, the run returns the golden
+// run's result — Completed, its ticks, its work and its output — without
+// executing the rest.
+//
 // For benchmarks implementing OutputInto, the result's Output aliases a
 // buffer owned by the runner that the next RunInjected call overwrites;
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
-	return r.run(newCtx(tick, inject, r.budget), true, r.sh.resume.at(tick))
+	ctx := newCtx(tick, inject, r.budget)
+	if k, ok := r.B.(Convergent); ok && !forceSuffix {
+		ctx.probe = r.convergence(ctx, k, tick)
+	}
+	return r.run(ctx, true, r.sh.resume.at(tick))
+}
+
+// rejoined is the sentinel panic value a run that has rejoined the golden
+// run stops with; the Runner returns the golden run's result for it.
+type rejoined struct{}
+
+// convergence is the probe of a run injected at tick: it asks k once, at the
+// first resume point past the tick where the fault has fired, nothing live is
+// armed and the work counter reads the golden run's there, and stops the run
+// if k says it has converged. A point where the counters differ is not one
+// the run can rejoin at, and one where a cell is still armed would see the
+// fault fire later.
+func (r *Runner) convergence(ctx *Ctx, k Convergent, tick int) func(int) {
+	pts := r.sh.resume.points
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].tick > tick })
+	return func(t int) {
+		for i < len(pts) && pts[i].tick < t {
+			i++
+		}
+		if i == len(pts) || pts[i].tick != t || !ctx.injected || ctx.work != pts[i].work || r.B.Registry().AnyArmed() {
+			return
+		}
+		ctx.probe = nil
+		if k.Converged(t, pts[i].snap, r.Golden) {
+			panic(rejoined{})
+		}
+	}
 }
 
 // run executes the benchmark from a resume point to the end; the zero point
@@ -207,21 +244,32 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 		res.Ticks = ctx.Ticks()
 		res.Work = ctx.WorkDone()
 		res.Injected = ctx.Injected()
+		oi, into := r.B.(OutputInto)
+		into = into && reuse
 		if rec := recover(); rec != nil {
-			// A mid-run abort may leave phase frames pushed; drop them so
-			// the registry is sane for the next run.
+			// A run that aborts or stops where it converges may leave
+			// phase frames pushed; drop them so the registry is sane for
+			// the next run.
 			r.B.Registry().PopAll()
-			if wf, ok := rec.(watchdogFired); ok {
-				res.Status = Hung
-				res.PanicMsg = wf.String()
-				return
+			switch rec := rec.(type) {
+			case rejoined:
+				res.Status, res.Ticks, res.Work = Completed, r.TotalTicks, r.GoldenWork
+				if into {
+					r.outBuf = append(r.outBuf[:0], r.Golden.Vals...)
+					res.Output = r.Golden
+					res.Output.Vals = r.outBuf
+				} else {
+					res.Output = r.Golden.Clone()
+				}
+			case watchdogFired:
+				res.Status, res.PanicMsg = Hung, rec.String()
+			default:
+				res.Status, res.PanicMsg = Crashed, fmt.Sprint(rec)
 			}
-			res.Status = Crashed
-			res.PanicMsg = fmt.Sprint(rec)
 			return
 		}
 		res.Status = Completed
-		if oi, ok := r.B.(OutputInto); ok && reuse {
+		if into {
 			res.Output = oi.OutputInto(r.outBuf)
 			r.outBuf = res.Output.Vals
 		} else {
@@ -253,7 +301,3 @@ func CompareExact(golden, got Output) bool {
 	}
 	return true
 }
-
-// OutputShape is a convenience accessor used by analysis when only the
-// shape matters.
-func OutputShape(o Output) state.Dims { return o.Shape }
