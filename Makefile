@@ -24,8 +24,10 @@ test:
 	$(GO) test ./...
 
 # Race-checks the concurrent machinery in two legs. The campaign packages
-# (the runner free list and what a key's runners share — resume points and
-# horizon — the shared streaming engine, both campaign classes built on it,
+# (the runner free list and its one kernel run per key, whose golden run,
+# resume points and horizon every runner of the key adopts under a
+# sync.Once — the Runners tests — the shared streaming engine, both
+# campaign classes built on it,
 # the fleet orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
 # delivery, progress, pool scheduling, the section watchdog, resumed and

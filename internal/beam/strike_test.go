@@ -109,7 +109,6 @@ func countDecided(t *testing.T, name string, dev *phi.Device, seed uint64, runs 
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.LiveAt(0) // the profiling run, before anything is counted
 	reached, control, decided := 0, 0, 0
 	for i := 0; i < runs; i++ {
 		rng := stats.NewRNG(stats.Mix64(seed^beamSeedSalt, uint64(i)))
@@ -244,7 +243,6 @@ func TestStrikePlanMatchesLiveRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runner.LiveAt(0) // profile now: a first plan inside a run would run the kernel there
 			for tick := 0; tick < runner.TotalTicks; tick += step {
 				runner.RunInjected(tick, func() {
 					for _, e := range []Effect{EffectSingle, EffectControl} {

@@ -103,7 +103,7 @@ type Benchmark interface {
 	Registry() *state.Registry
 	// Reset restores pristine inputs and working state so the next Run
 	// starts from identical conditions. It must also discard any frames a
-	// previous aborted run left pushed.
+	// previous aborted run left pushed and disarm every cell.
 	Reset()
 	// Run executes the workload under the supervisor context. It must call
 	// ctx.Tick at instrumentation points and ctx.Work inside loops whose

@@ -46,6 +46,7 @@ func (t *toy) Registry() *state.Registry { return t.reg }
 
 func (t *toy) Reset() {
 	t.reg.PopAll()
+	t.reg.DisarmAll()
 	t.n.Store(50)
 	t.base.Store(0)
 	for i := range t.out.Data {

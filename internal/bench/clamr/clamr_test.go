@@ -60,7 +60,7 @@ func TestCLAMRWavePropagates(t *testing.T) {
 func TestCLAMRMeshRefinesAtFront(t *testing.T) {
 	c := small()
 	r, _ := bench.NewRunner(c)
-	_ = r
+	r.RunGolden() // the runner's construction ends with Reset
 	// After the golden run the mesh must hold more cells than the uniform
 	// level-1 start (refinement happened) and fewer than capacity.
 	n := c.NumCells()

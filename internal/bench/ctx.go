@@ -24,7 +24,8 @@ type Ctx struct {
 	inject   func()
 	injected bool
 	// probe, when set, sees every tick where the inject callback would:
-	// the horizon's profiling run records the quiescent state through it.
+	// a key's one kernel run records the quiescent state through it, and an
+	// injected run looks for the point where it has converged.
 	probe func(tick int)
 
 	work   int64

@@ -10,7 +10,7 @@ import (
 	"phirel/internal/stats"
 )
 
-// horizon is what one profiled golden run tells a runner about every tick:
+// horizon is what the key's one kernel run tells its runners about every tick:
 // the frame stack a victim is picked from there, and how many Loads each
 // armable cell still has coming. A cell armed with a delay of at least that
 // many loads never fires and its run is the golden run over again — the
@@ -60,12 +60,10 @@ type Victim struct {
 
 // Victim picks the site an injection at tick corrupts, drawing from rng
 // exactly as state.PickIn over the live registry would inside the run, and
-// returns false when no site is live there. The first call to Victim or
-// LiveAt on any runner of a key — an injection trial or a beam strike,
-// whichever comes first — profiles it (one more golden run) for all of them,
-// so plans are made outside a run.
+// returns false when no site is live there. It reads the horizon the key's
+// one kernel run recorded, so plans are made outside a run.
 func (r *Runner) Victim(tick int, rng *stats.RNG, policy state.Policy) (Victim, bool) {
-	h := r.horizon()
+	h := r.sh.hz
 	f, s := state.PickIn(h.stacks[h.stackAt[tick]], rng, policy)
 	if f < 0 {
 		return Victim{}, false
@@ -78,7 +76,7 @@ func (r *Runner) Victim(tick int, rng *stats.RNG, policy state.Policy) (Victim, 
 // strikes are planned on, and the one an analytical model of either
 // campaign starts from.
 func (r *Runner) LiveAt(tick int) []Victim {
-	h := r.horizon()
+	h := r.sh.hz
 	var out []Victim
 	for f, frame := range h.stacks[h.stackAt[tick]] {
 		for s := range frame.Sites() {
@@ -86,11 +84,6 @@ func (r *Runner) LiveAt(tick int) []Victim {
 		}
 	}
 	return out
-}
-
-func (r *Runner) horizon() *horizon {
-	r.sh.hzOnce.Do(func() { r.sh.hz = r.profile() })
-	return r.sh.hz
 }
 
 func (h *horizon) victim(tick, f, s int) Victim {
@@ -115,26 +108,30 @@ func (r *Runner) Site(v Victim) state.Site {
 
 // neverFires is an arming delay no run's load count reaches. It also bounds
 // what the int32 table can hold: a cell loaded more often than this fires in
-// the profiling run, which then fails its checks.
+// the key's run, which then fails.
 const neverFires = math.MaxInt32
 
-// profile performs the golden run once more with every armable cell armed,
-// from the tick it is first live at, by a corruption that never fires: the
-// countdowns then count the cell's loads, performed or debited. It panics
-// unless that run is the golden run to the tick, the unit of work and the
-// output value, and leaves nothing armed.
-func (r *Runner) profile() *horizon {
-	h := &horizon{stackAt: make([]int32, 0, r.TotalTicks)}
+// build performs the key's one kernel run and fills r.sh with what it finds.
+// The run starts at Reset with every armable cell armed, from the tick it is
+// first live at, by a corruption that never fires: the countdowns then count
+// the cell's loads, performed or debited, and the run is the golden run —
+// its output, ticks and work are the key's (TestRunnersOnePassIsGolden holds
+// them to a run with nothing armed). A probe at every tick records the
+// horizon and saves the kernel's resume points. The run ends with Reset, so
+// nothing is left armed.
+func (r *Runner) build() error {
+	h := &horizon{}
 	var (
-		cells   []state.Armable                    // by column
-		used    = make([][]int32, 0, r.TotalTicks) // per tick, per column known by then: loads since arming
-		shadows []*state.Frame                     // the distinct frames
+		cells   []state.Armable // by column
+		spent   []int64         // by column: loads SavePoint made, not the kernel
+		used    [][]int32       // per tick, per column known by then: loads since arming
+		shadows []*state.Frame  // the distinct frames
 		stack   []*state.Frame
 	)
 	loads := func() []int32 {
 		row := make([]int32, len(cells))
 		for c, a := range cells {
-			n := neverFires + 1 - a.LoadsToFire()
+			n := neverFires + 1 - a.LoadsToFire() - spent[c]
 			if n > math.MaxInt32 {
 				panic(fmt.Sprintf("bench: %s loads %s more often than its horizon can count", r.B.Name(), a.Name()))
 			}
@@ -158,14 +155,31 @@ func (r *Runner) profile() *horizon {
 		}
 		return true
 	}
+	k, resumable := r.B.(Resumable)
+	r.sh.points = []point{{}}
 	ctx := newCtx(-1, nil, 0)
-	ctx.probe = func(int) {
+	ctx.probe = func(tick int) {
+		if resumable && tick > 0 { // Reset is the point at tick 0
+			// The cursors SavePoint Loads count against their countdowns;
+			// those loads are not the kernel's, so they are taken out.
+			for c, a := range cells {
+				spent[c] += a.LoadsToFire()
+			}
+			s, ok := k.SavePoint(tick)
+			for c, a := range cells {
+				spent[c] -= a.LoadsToFire()
+			}
+			if ok {
+				r.sh.points = append(r.sh.points, point{tick, ctx.work, s})
+			}
+		}
 		stack = stack[:0]
 		for _, f := range r.B.Registry().Frames() {
 			for _, s := range f.Sites() {
 				// Every cell seen so far is armed, so one that is not is new.
 				if a, ok := s.(state.Armable); ok && !a.Armed() {
 					cells = append(cells, a)
+					spent = append(spent, 0)
 					a.Arm(neverFires, fault.Single, nil)
 				}
 			}
@@ -192,10 +206,16 @@ func (r *Runner) profile() *horizon {
 		h.stackAt = append(h.stackAt, int32(at))
 		used = append(used, loads())
 	}
-	res := r.run(ctx, true, point{})
-	if res.Status != Completed || res.Ticks != r.TotalTicks || res.Work != r.GoldenWork || !CompareExact(r.Golden, res.Output) {
-		panic(fmt.Sprintf("bench: the profiling run of %s is not its golden run: %s %s, %d ticks, work %d",
-			r.B.Name(), res.Status, res.PanicMsg, res.Ticks, res.Work))
+	defer r.B.Reset()
+	res := r.run(ctx, false, point{})
+	if res.Status != Completed {
+		return fmt.Errorf("bench: golden run of %s did not complete: %s %s", r.B.Name(), res.Status, res.PanicMsg)
+	}
+	if len(res.Output.Vals) == 0 {
+		return fmt.Errorf("bench: golden run of %s produced empty output", r.B.Name())
+	}
+	if res.Ticks == 0 {
+		return fmt.Errorf("bench: %s never called Tick; time-window attribution impossible", r.B.Name())
 	}
 	end := loads()
 	h.cells = len(cells)
@@ -205,6 +225,6 @@ func (r *Runner) profile() *horizon {
 			h.left[t*h.cells+c] = end[c] - n
 		}
 	}
-	r.B.Reset()
-	return h
+	r.sh.golden, r.sh.ticks, r.sh.work, r.sh.hz = res.Output.Clone(), res.Ticks, res.Work, h
+	return nil
 }

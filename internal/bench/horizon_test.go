@@ -1,12 +1,11 @@
 package bench_test
 
 import (
+	"reflect"
 	"testing"
 
-	"phirel/internal/beam"
 	"phirel/internal/bench"
 	_ "phirel/internal/bench/all"
-	"phirel/internal/core"
 )
 
 // TestHorizonStaysSmall: a runner keeps its horizon for as long as it lives,
@@ -32,55 +31,54 @@ func TestHorizonStaysSmall(t *testing.T) {
 	}
 }
 
-// TestHorizonBuiltByFirstStrikeOrTrial: a key builds one horizon, whichever
-// cell kind asks first. A beam cell and an injection cell on one list, in
-// either order, leave the key profiled by the first of them, once: the
-// second cell's runners hold the horizon the first built, and every runner
-// of the key holds the same shared state.
-func TestHorizonBuiltByFirstStrikeOrTrial(t *testing.T) {
-	beamCell := func(rs *bench.Runners) error {
-		_, err := beam.Run(beam.Config{Benchmark: "NW", Runs: 50, Seed: 3, BenchSeed: 1, Workers: 2, DisableECC: true, Runners: rs})
-		return err
-	}
-	injectionCell := func(rs *bench.Runners) error {
-		_, err := core.RunCampaign(core.CampaignConfig{Benchmark: "NW", N: 5, Seed: 3, BenchSeed: 1, Workers: 2, Runners: rs})
-		return err
-	}
-	for _, order := range []struct {
-		name          string
-		first, second func(*bench.Runners) error
-	}{{"beam first", beamCell, injectionCell}, {"injection first", injectionCell, beamCell}} {
-		t.Run(order.name, func(t *testing.T) {
-			rs := bench.NewRunners()
-			for i := 0; i < 10; i++ {
-				rs.Expect("NW", 1) // more than the test asks for: the key stays declared
+// TestRunnersOnePassIsGolden: a key's one kernel run has every cell armed,
+// and is still its golden run. For every kernel at three input seeds, the
+// Golden, TotalTicks and GoldenWork NewRunner takes from that run must equal
+// a run with nothing armed bit for bit, nothing may be left armed after it,
+// and the horizon it records while saving resume points — whose SavePoint
+// may Load the cells it counts — must be the one a run that saves none
+// records.
+func TestRunnersOnePassIsGolden(t *testing.T) {
+	for _, name := range bench.Names() {
+		for _, seed := range []uint64{1, 3, 7} {
+			b, err := bench.New(name, seed)
+			if err != nil {
+				t.Fatal(err)
 			}
-			get := func() *bench.Runner {
-				t.Helper()
-				r, err := rs.Get("NW", 1)
-				if err != nil {
-					t.Fatal(err)
+			r, err := bench.NewRunner(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Registry().AnyArmed() {
+				t.Errorf("%s seed %d: a cell is left armed after the runner's construction", name, seed)
+			}
+			built := endOf(bench.RawResult{Ticks: r.TotalTicks, Work: r.GoldenWork, Output: r.Golden})
+			if got := endOf(r.RunGolden()); !reflect.DeepEqual(got, built) {
+				t.Errorf("%s seed %d: a run with nothing armed is not the construction's golden run: %d ticks, work %d, want %d, %d (outputs equal: %v)",
+					name, seed, got.Ticks, got.Work, built.Ticks, built.Work, reflect.DeepEqual(got.Output, built.Output))
+			}
+			if _, ok := b.(bench.Resumable); !ok {
+				continue
+			}
+			plainB, err := bench.New(name, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := bench.NewRunner(struct{ bench.Benchmark }{plainB}) // no SavePoint to call
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tick := 0; tick < r.TotalTicks; tick++ {
+				got, want := r.LiveAt(tick), plain.LiveAt(tick)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d tick %d: %d live sites saving resume points, %d without", name, seed, tick, len(got), len(want))
 				}
-				return r
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s seed %d tick %d: saving resume points changed the horizon:\n saving  %+v\n without %+v", name, seed, tick, got[i], want[i])
+					}
+				}
 			}
-			if err := order.first(rs); err != nil {
-				t.Fatal(err)
-			}
-			r := get()
-			hz := r.Horizon()
-			rs.Put(r)
-			if !r.Profiled() {
-				t.Fatal("the first cell left its key unprofiled")
-			}
-			if err := order.second(rs); err != nil {
-				t.Fatal(err)
-			}
-			a, b := get(), get()
-			defer rs.Put(a)
-			defer rs.Put(b)
-			if a.Horizon() != hz || b.Horizon() != hz || !a.SharesKey(b) {
-				t.Fatal("the second cell profiled the key again, or two runners of one key hold their own state")
-			}
-		})
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -63,64 +62,34 @@ type point struct {
 	snap *Snapshot
 }
 
-// resumeSet is the resume points of one (benchmark, seed), captured by one
-// runner's golden run and read by every runner of the key. ticks, work and
-// golden are what that run ended with: a runner adopting the set must have
-// ended its own golden run with the same.
-type resumeSet struct {
-	points []point // by tick; points[0] is Reset
-	ticks  int
-	work   int64
-	golden Output
-}
-
 // forceReset and forceSuffix are the differential tests' seams: every run
 // starts at Reset, and every run executes its suffix to the end.
 var forceReset, forceSuffix bool
 
-// at returns the greatest point at or before tick. A tick the golden run
-// never reaches injects nothing, and its run is a whole one.
-func (s *resumeSet) at(tick int) point {
-	if tick < 0 || tick >= s.ticks || forceReset {
-		return s.points[0]
-	}
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].tick > tick })
-	return s.points[i-1]
-}
-
-// shared is what the runners of one key have in common: the resume points
-// and the horizon. Both are built once, by whichever runner gets there
-// first, and only read afterwards; Runner.Site resolves a horizon's victims
-// in the runner's own registry, and Resume copies out of the snapshots. The
-// Runners list keeps one per slot; a runner built outside a list has its
-// own.
+// shared is what the runners of one key have in common, all of it found by
+// the key's one kernel run (Runner.build): the golden run's output, ticks
+// and work, the resume points and the horizon — or the error the run ended
+// in. The first runner of the key performs that run under once, and nothing
+// changes afterwards, so every runner reads it unlocked; Runner.Site
+// resolves the horizon's victims in the runner's own registry, and Resume
+// copies out of the snapshots. The Runners list keeps one per slot; a runner
+// built outside a list has its own.
 type shared struct {
-	mu     sync.Mutex
-	resume *resumeSet
-
-	hzOnce sync.Once
+	once   sync.Once
+	err    error
+	golden Output
+	ticks  int
+	work   int64
+	points []point // by tick; points[0] is Reset
 	hz     *horizon
 }
 
-func (sh *shared) hasResumeSet() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.resume != nil
-}
-
-// adoptResumeSet makes mine the key's resume set if it has none yet, and
-// otherwise holds mine's golden run to the one the key's set was saved in.
-// Every runner of the key comes through here before it runs anything else,
-// and the set never changes afterwards, so they read sh.resume unlocked.
-func (sh *shared) adoptResumeSet(name string, mine *resumeSet) {
-	sh.mu.Lock()
-	if sh.resume == nil {
-		sh.resume = mine
+// at returns the greatest point at or before tick. A tick the golden run
+// never reaches injects nothing, and its run is a whole one.
+func (sh *shared) at(tick int) point {
+	if tick < 0 || tick >= sh.ticks || forceReset {
+		return sh.points[0]
 	}
-	s := sh.resume
-	sh.mu.Unlock()
-	if s.ticks != mine.ticks || s.work != mine.work || !CompareExact(s.golden, mine.golden) {
-		panic(fmt.Sprintf("bench: the golden run of %s (%d ticks, work %d) is not the one its resume points were saved in (%d ticks, work %d)",
-			name, mine.ticks, mine.work, s.ticks, s.work))
-	}
+	i := sort.Search(len(sh.points), func(i int) bool { return sh.points[i].tick > tick })
+	return sh.points[i-1]
 }

@@ -407,7 +407,6 @@ func TestResumeExecutedTicks(t *testing.T) {
 	for _, name := range bench.Names() {
 		w, r := newWatched(t, name)
 		in := &core.Injector{Bench: w, Runner: r}
-		r.LiveAt(0) // profile now: what is counted below is trials
 		campaign := func(fromReset bool) (ran, executed, skipped int) {
 			bench.SetForceReset(fromReset)
 			defer bench.SetForceReset(false)
@@ -459,7 +458,6 @@ func TestConvergedTicksSkipped(t *testing.T) {
 	for _, name := range bench.Names() {
 		w, r := newWatched(t, name)
 		in := &core.Injector{Bench: w, Runner: r}
-		r.LiveAt(0) // profile now: what is counted below is trials
 		campaign := func(fullSuffix bool) (ran, converged, executed, skipped int) {
 			bench.SetForceSuffix(fullSuffix)
 			defer bench.SetForceSuffix(false)
@@ -494,26 +492,31 @@ func TestConvergedTicksSkipped(t *testing.T) {
 	}
 }
 
-// TestWholeRunsStartAtReset: the golden re-run, the profiling run, an
-// injected run whose tick the golden run never reaches (it cannot fire) and
-// one with every live scalar armed never to fire are whole runs from Reset,
-// which never stop where they converge — the ledger's golden and
-// armed-to-the-end timings measure those — and a tick-0 injection starts
-// there too; a no-op one stops at the first point a convergent kernel has.
+// TestWholeRunsStartAtReset: the run that constructs a runner, the golden
+// re-run, an injected run whose tick the golden run never reaches (it cannot
+// fire) and one with every live scalar armed never to fire are whole runs
+// from Reset, which never stop where they converge — the ledger's set-up,
+// golden and armed-to-the-end timings measure those — and a tick-0 injection
+// starts there too; a no-op one stops at the first point a convergent kernel
+// has.
 func TestWholeRunsStartAtReset(t *testing.T) {
 	for _, name := range bench.Names() {
 		w, r := newWatched(t, name)
-		whole := func(what string, run func()) {
+		isWhole := func(what string) {
 			t.Helper()
-			w.executed = 0
-			run()
 			if w.started != 0 || w.executed != r.TotalTicks || w.converged >= 0 {
 				t.Errorf("%s: %s started at tick %d and executed %d ticks, stopping at %d; want all %d from Reset",
 					name, what, w.started, w.executed, w.converged, r.TotalTicks)
 			}
 		}
+		isWhole("the construction's run")
+		whole := func(what string, run func()) {
+			t.Helper()
+			w.executed = 0
+			run()
+			isWhole(what)
+		}
 		whole("the golden re-run", func() { r.RunGolden() })
-		whole("the profiling run", func() { r.LiveAt(0) })
 		for _, tick := range []int{-1, r.TotalTicks, r.TotalTicks + 7} {
 			whole(fmt.Sprintf("a run injected at tick %d", tick), func() {
 				res := r.RunInjected(tick, func() { t.Errorf("%s: an injection at tick %d fired", name, tick) })

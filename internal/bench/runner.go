@@ -81,9 +81,9 @@ type RawResult struct {
 	Output   Output // valid only when Status == Completed
 }
 
-// Runner supervises repeated runs of one benchmark instance: it performs the
-// golden run once (establishing the reference output, the tick count used
-// for time-window attribution, and the work budget), then executes injected
+// Runner supervises repeated runs of one benchmark instance: it holds its
+// key's golden run (the reference output, the tick count used for
+// time-window attribution, and the work budget), then executes injected
 // runs.
 type Runner struct {
 	B          Benchmark
@@ -102,9 +102,9 @@ type Runner struct {
 	// injected runs (see RunInjected's aliasing note).
 	outBuf []float64
 
-	// sh is what the runner shares with the others of its key: the resume
-	// points RunInjected may start a run at, and the horizon the first
-	// Victim or LiveAt call on any of them builds.
+	// sh is what the runner shares with the others of its key: the golden
+	// run, the resume points RunInjected may start a run at, and the
+	// horizon Victim and LiveAt read.
 	sh *shared
 }
 
@@ -113,37 +113,17 @@ type Runner struct {
 // which would indicate a broken workload rather than a fault effect.
 func NewRunner(b Benchmark) (*Runner, error) { return newRunner(b, &shared{}) }
 
-// newRunner is NewRunner for a runner of sh's key. Unless the key already
-// has its resume points, the golden run saves them as it passes.
+// newRunner is NewRunner for a runner of sh's key. The key's first runner
+// performs its one kernel run (build); every other one waits for that run
+// and adopts what it found, its error included, without running.
 func newRunner(b Benchmark, sh *shared) (*Runner, error) {
 	r := &Runner{B: b, sh: sh}
-	ctx := newCtx(-1, nil, 0)
-	points := []point{{}}
-	if k, ok := b.(Resumable); ok && !sh.hasResumeSet() {
-		ctx.probe = func(tick int) {
-			if tick == 0 {
-				return // Reset is the point there
-			}
-			if s, ok := k.SavePoint(tick); ok {
-				points = append(points, point{tick, ctx.work, s})
-			}
-		}
+	sh.once.Do(func() { sh.err = r.build() })
+	if sh.err != nil {
+		return nil, sh.err
 	}
-	res := r.run(ctx, false, point{})
-	if res.Status != Completed {
-		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
-	}
-	if len(res.Output.Vals) == 0 {
-		return nil, fmt.Errorf("bench: golden run of %s produced empty output", b.Name())
-	}
-	if res.Ticks == 0 {
-		return nil, fmt.Errorf("bench: %s never called Tick; time-window attribution impossible", b.Name())
-	}
-	r.Golden = res.Output.Clone()
-	r.TotalTicks = res.Ticks
-	r.GoldenWork = res.Work
-	r.budget = budgetFactor*res.Work + 1024
-	sh.adoptResumeSet(b.Name(), &resumeSet{points, res.Ticks, res.Work, r.Golden})
+	r.Golden, r.TotalTicks, r.GoldenWork = sh.golden, sh.ticks, sh.work
+	r.budget = budgetFactor*sh.work + 1024
 	return r, nil
 }
 
@@ -206,7 +186,7 @@ func (r *Runner) RunInjected(tick int, inject func()) RawResult {
 	if k, ok := r.B.(Convergent); ok && !forceSuffix {
 		ctx.probe = r.convergence(ctx, k, tick)
 	}
-	return r.run(ctx, true, r.sh.resume.at(tick))
+	return r.run(ctx, true, r.sh.at(tick))
 }
 
 // rejoined is the sentinel panic value a run that has rejoined the golden
@@ -220,7 +200,7 @@ type rejoined struct{}
 // the run can rejoin at, and one where a cell is still armed would see the
 // fault fire later.
 func (r *Runner) convergence(ctx *Ctx, k Convergent, tick int) func(int) {
-	pts := r.sh.resume.points
+	pts := r.sh.points
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].tick > tick })
 	return func(t int) {
 		for i < len(pts) && pts[i].tick < t {

@@ -3,15 +3,15 @@ package bench
 import "sync"
 
 // Runners is the free list of one sweep run's golden-run runners, keyed by
-// (benchmark, benchSeed). Building a runner costs a benchmark construction
-// and a golden run, and a runner is good for any number of cells: every
-// run starts with Reset and an aborted run pops its phase frames, which is
-// what already makes the N trials of one cell independent, so the first
-// trial of the next cell finds the runner as a fresh one would be. A run
-// that owns a list therefore performs one golden run per key and pool
-// worker, not one per cell. What a key's runners only read — the resume
-// points and the horizon — is built once per key and handed to all of them,
-// so two pool workers on one key profile it once and hold one snapshot set.
+// (benchmark, benchSeed). A key's first runner costs a benchmark
+// construction and the key's one kernel run, which finds everything its
+// runners only read: the golden run, the resume points and the horizon.
+// Every later runner of the key costs a construction and adopts them. A
+// runner is good for any number of cells: every run starts with Reset and
+// an aborted run pops its phase frames, which is what already makes the N
+// trials of one cell independent, so the first trial of the next cell finds
+// the runner as a fresh one would be. A run that owns a list therefore
+// performs one kernel run per key, not one per cell or pool worker.
 //
 // Retention follows demand, not a size: the owner declares with Expect how
 // many times each key will still be asked for, Get counts that down, and
@@ -58,12 +58,11 @@ func (rs *Runners) Expect(benchmark string, benchSeed uint64) {
 	s.demand++
 }
 
-// Get hands out an idle runner of the key, or builds the benchmark and
-// performs its golden run when none is idle. The caller has the runner to
-// itself until it Puts it back.
+// Get hands out an idle runner of the key, or builds one when none is idle.
+// The caller has the runner to itself until it Puts it back.
 func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 	k := runnerKey{benchmark, benchSeed}
-	var sh *shared
+	sh := &shared{} // a key nobody declared: the runner's alone
 	if rs != nil {
 		rs.mu.Lock()
 		var r *Runner
@@ -83,14 +82,9 @@ func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 			return r, nil
 		}
 	}
-	// The golden run happens outside the lock, so pool workers that miss at
-	// the same time build side by side.
 	b, err := New(benchmark, benchSeed)
 	if err != nil {
 		return nil, err
-	}
-	if sh == nil {
-		sh = &shared{} // a key nobody declared: the runner's alone
 	}
 	r, err := newRunner(b, sh)
 	if err != nil {

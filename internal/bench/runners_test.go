@@ -161,7 +161,7 @@ func TestRunnersConcurrentLoans(t *testing.T) {
 	}
 }
 
-// runCountedToy counts the kernel runs of its toy: golden and profiling.
+// runCountedToy counts the kernel runs of its toy.
 type runCountedToy struct {
 	*toy
 	runs *atomic.Int64
@@ -173,10 +173,11 @@ func (c runCountedToy) Run(ctx *Ctx) {
 }
 
 // TestRunnersConcurrentFirstUse: two pool workers that miss a key at the
-// same time each build a runner, golden runs side by side, but what runners
-// only read is the key's: both ask for the horizon at once — as an injection
-// trial (Victim) or as a beam strike (LiveAt) — the key is profiled once,
-// and both hold the same horizon and the same resume points.
+// same time each build a runner, but the key runs its kernel once: one
+// performs the run, the other waits for it and adopts its golden run, resume
+// points and horizon. Both then plan at once — as an injection trial
+// (Victim) or as a beam strike (LiveAt) — without running anything more. A
+// standalone runner makes its own one run and shares with nobody.
 func TestRunnersConcurrentFirstUse(t *testing.T) {
 	for _, leg := range []struct {
 		name string
@@ -227,19 +228,19 @@ func TestRunnersConcurrentFirstUse(t *testing.T) {
 			if got[0] == got[1] {
 				t.Fatal("two holders share a runner")
 			}
-			if n := runs.Load(); n != workers+1 {
-				t.Errorf("%d kernel runs for %d golden runs and the key's first use, want %d", n, workers, workers+1)
+			if n := runs.Load(); n != 1 {
+				t.Errorf("%d kernel runs for %d runners of one key, want 1", n, workers)
 			}
-			if got[0].sh != got[1].sh || got[0].horizon() != got[1].horizon() {
-				t.Error("two runners of one key hold their own horizon or resume points")
+			a, b := got[0], got[1]
+			if a.sh != b.sh || a.B == b.B || a.TotalTicks != b.TotalTicks || a.GoldenWork != b.GoldenWork || a.budget != b.budget || !CompareExact(a.Golden, b.Golden) {
+				t.Error("two runners of one key hold their own key state or differ in what they adopted")
 			}
-			// A runner built outside a list shares with nobody.
 			alone, err := (*Runners)(nil).Get("run-counted-toy", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if alone.horizon() == got[0].horizon() || runs.Load() != workers+3 {
-				t.Errorf("a standalone runner took the list's horizon, or %d kernel runs are not its golden and profiling run more", runs.Load())
+			if alone.sh == a.sh || runs.Load() != 2 {
+				t.Errorf("a standalone runner took the list's key state, or %d kernel runs are not its one run more", runs.Load())
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -372,25 +373,33 @@ func TestCampaignAllBenchmarks(t *testing.T) {
 	}
 }
 
-type crashingBench struct{ bench.Benchmark }
+// crashingBench counts its runs, each of which crashes.
+type crashingBench struct {
+	bench.Benchmark
+	runs *atomic.Int64
+}
 
-func (crashingBench) Run(*bench.Ctx) { panic("golden run crashes on purpose") }
+func (c crashingBench) Run(*bench.Ctx) {
+	c.runs.Add(1)
+	panic("golden run crashes on purpose")
+}
 
 // TestCampaignReturnsRunners: every runner a campaign borrows is back in the
 // list when the campaign returns, whichever way it leaves, and the Stream is
-// closed on each of those paths.
+// closed on each of those paths. A key whose one kernel run fails fails
+// every Get of it with that run's error, and runs nothing more.
 func TestCampaignReturnsRunners(t *testing.T) {
 	const workers = 3
 	// "flaky-DGEMM" is DGEMM, except that the failAt-th construction of a
 	// case returns a benchmark whose golden run crashes.
-	var builds, failAt atomic.Int64
+	var builds, failAt, crashes atomic.Int64
 	bench.Register("flaky-DGEMM", func(seed uint64) bench.Benchmark {
 		b, err := bench.New("DGEMM", seed)
 		if err != nil {
 			panic(err)
 		}
 		if builds.Add(1) == failAt.Load() {
-			return crashingBench{b}
+			return crashingBench{b, &crashes}
 		}
 		return b
 	})
@@ -405,8 +414,7 @@ func TestCampaignReturnsRunners(t *testing.T) {
 	}{
 		{name: "completed", n: 30, wantIdle: workers},
 		{name: "invalid N", n: 0, wantErr: true, wantIdle: 0},
-		{name: "first runner fails", n: 30, failAt: 1, wantErr: true, wantIdle: 0},
-		{name: "a worker's runner fails", n: 30, failAt: 2, wantErr: true, wantIdle: workers - 1},
+		{name: "the key's one run fails", n: 30, failAt: 1, wantErr: true, wantIdle: 0},
 		{name: "cancelled", n: 4000, cancelAt: 20, wantErr: true, wantIdle: workers},
 	} {
 		rs := bench.NewRunners()
@@ -414,6 +422,7 @@ func TestCampaignReturnsRunners(t *testing.T) {
 			rs.Expect("flaky-DGEMM", 1)
 		}
 		builds.Store(0)
+		crashes.Store(0)
 		failAt.Store(tc.failAt)
 		ctx, cancel := context.WithCancel(context.Background())
 		ch := make(chan InjectionRecord, 32)
@@ -436,6 +445,16 @@ func TestCampaignReturnsRunners(t *testing.T) {
 		<-drained // the campaign closed the stream
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		// The other workers of the key, whose benchmarks would run fine, get
+		// the same error without running.
+		for i := 0; tc.failAt > 0 && i < workers; i++ {
+			if _, gerr := rs.Get("flaky-DGEMM", 1); !errors.Is(gerr, err) {
+				t.Errorf("%s: Get %d returned %v, want the key's error %v", tc.name, i, gerr, err)
+			}
+		}
+		if tc.failAt > 0 && crashes.Load() != 1 {
+			t.Errorf("%s: the key ran its failing kernel %d times, want 1", tc.name, crashes.Load())
 		}
 		if got := rs.Idle(); got != tc.wantIdle {
 			t.Errorf("%s: %d runners back in the list, want %d", tc.name, got, tc.wantIdle)

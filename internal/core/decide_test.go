@@ -23,7 +23,7 @@ func (c countedRuns) Run(ctx *bench.Ctx) {
 }
 
 // countedInjector is NewInjector over a run-counting benchmark; the count
-// starts after the golden run.
+// starts after the runner's construction.
 func countedInjector(t *testing.T, name string) (*Injector, *int) {
 	t.Helper()
 	b, err := bench.New(name, 1)
@@ -44,8 +44,8 @@ func countedInjector(t *testing.T, name string) (*Injector, *int) {
 // record of each must equal the one InjectOne produces on its own, where a
 // trial that cannot fire is decided from the table. Both sides are counted
 // in kernel runs: the forced side runs every trial, the other exactly its
-// fired ones — a trial that runs always fires — and each side pays one
-// profiling run, once.
+// fired ones — a trial that runs always fires — and nothing else: the
+// horizon comes with the runner.
 func TestDecidedMatchesForcedRun(t *testing.T) {
 	trials := 12
 	if testing.Short() {
@@ -78,11 +78,11 @@ func TestDecidedMatchesForcedRun(t *testing.T) {
 					}
 				}
 			}
-			if *forcedRuns != 1+total {
-				t.Errorf("the forced side ran its kernel %d times for %d trials, want one profiling run more", *forcedRuns, total)
+			if *forcedRuns != total {
+				t.Errorf("the forced side ran its kernel %d times for %d trials", *forcedRuns, total)
 			}
-			if *decidedRuns != 1+fired {
-				t.Errorf("%d kernel runs for %d fired trials of %d, want one profiling run more", *decidedRuns, fired, total)
+			if *decidedRuns != fired {
+				t.Errorf("%d kernel runs for %d fired trials of %d", *decidedRuns, fired, total)
 			}
 			if fired == total {
 				t.Errorf("all %d trials fired: no trial was decided without running", total)

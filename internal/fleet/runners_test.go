@@ -18,27 +18,43 @@ type brokenBench struct{ bench.Benchmark }
 
 func (brokenBench) Run(*bench.Ctx) { panic("broken on purpose") }
 
+// goldenCounted counts its kernel's golden runs: the runs that inject
+// nothing. Every trial that runs the kernel injects.
+type goldenCounted struct {
+	bench.Benchmark
+	runs *atomic.Int64
+}
+
+func (g goldenCounted) Run(ctx *bench.Ctx) {
+	defer func() {
+		if !ctx.Injected() {
+			g.runs.Add(1)
+		}
+	}()
+	g.Benchmark.Run(ctx)
+}
+
 // registerCounted registers, for the length of the test, DGEMM and NW again
-// under names whose constructor counts its calls — a count of benchmark
-// constructions, and so of golden runs, taken outside the runner list — and
-// one benchmark whose golden run crashes.
-func registerCounted(t *testing.T) *atomic.Int64 {
-	var built atomic.Int64
+// under names whose golden runs are counted, by name, and one benchmark
+// whose golden run crashes.
+func registerCounted(t *testing.T) map[string]*atomic.Int64 {
+	golden := map[string]*atomic.Int64{}
 	for name, real := range map[string]string{"counted-DGEMM": "DGEMM", "counted-NW": "NW", "counted-broken": "DGEMM"} {
+		runs := new(atomic.Int64)
+		golden[name] = runs
 		bench.Register(name, func(seed uint64) bench.Benchmark {
-			built.Add(1)
 			b, err := bench.New(real, seed)
 			if err != nil {
 				panic(err)
 			}
 			if name == "counted-broken" {
-				return brokenBench{b}
+				b = brokenBench{b}
 			}
-			return b
+			return goldenCounted{b, runs}
 		})
 		t.Cleanup(func() { bench.Unregister(name) })
 	}
-	return &built
+	return golden
 }
 
 // captureRunners collects every runner list the sweeps of this test create.
@@ -63,26 +79,35 @@ func countedSweep() Sweep {
 	}
 }
 
-// TestRunnersGoldenRunCount: a run builds at most Workers runners per
-// distinct (benchmark, benchSeed) however many cells and checkpoint chunks
-// it has, on one list per run, and that list is empty when the run returns —
-// finished, killed or resumed.
+// TestRunnersGoldenRunCount: a run makes exactly one kernel run per
+// distinct (benchmark, benchSeed), however many cells, pool workers and
+// checkpoint chunks it has, on one list per run, and that list is empty when
+// the run returns — finished, killed or resumed. A key whose one run fails
+// fails the run after that one run.
 func TestRunnersGoldenRunCount(t *testing.T) {
-	built := registerCounted(t)
+	golden := registerCounted(t)
 	lists := captureRunners(t)
 	s := countedSweep()
 	plan := mustPlan(t, s, 0, 1)
-	const bound = 4 * 2 // Workers × distinct keys; the grid has 16 cells
 	dir := t.TempDir()
+	counts := func() map[string]int64 {
+		m := map[string]int64{}
+		for name, n := range golden {
+			m[name] = n.Load()
+		}
+		return m
+	}
 
-	// run executes f and checks the construction bound, that f's sweep ran
-	// on exactly one list and that the list is empty afterwards.
-	run := func(label string, f func() (*SweepResult, error)) (*SweepResult, error) {
+	// run executes f and checks that it ran each key's kernel once, that its
+	// sweep ran on exactly one list and that the list is empty afterwards.
+	run := func(label string, f func() (*SweepResult, error), keys ...string) (*SweepResult, error) {
 		t.Helper()
-		before, listsBefore := built.Load(), len(*lists)
+		before, listsBefore := counts(), len(*lists)
 		res, err := f()
-		if n := built.Load() - before; n > bound || n == 0 {
-			t.Errorf("%s: built %d runners, want 1..%d", label, n, bound)
+		for _, key := range keys {
+			if n := golden[key].Load() - before[key]; n != 1 {
+				t.Errorf("%s: %d golden runs of %s on a pool of %d, want 1", label, n, key, s.Workers)
+			}
 		}
 		if n := len(*lists) - listsBefore; n != 1 {
 			t.Fatalf("%s: the run created %d runner lists, want 1", label, n)
@@ -93,7 +118,8 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 		return res, err
 	}
 
-	mono, err := run("RunPlan", func() (*SweepResult, error) { return s.RunPlan(context.Background(), plan) })
+	keys := []string{"counted-DGEMM", "counted-NW"}
+	mono, err := run("RunPlan", func() (*SweepResult, error) { return s.RunPlan(context.Background(), plan) }, keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +130,7 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 			return s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
 				Out: filepath.Join(dir, "ck-"+label+".json"), Every: every,
 			})
-		})
+		}, keys...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +151,12 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 				cancel()
 			}
 		}})
-	}); err == nil {
+	}, keys...); err == nil {
 		t.Fatal("killed run reported success")
 	}
 	res, err := run("resumed run", func() (*SweepResult, error) {
 		return s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{Out: ckPath, Every: 1, Resume: ckPath})
-	})
+	}, keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +164,11 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 		t.Fatal("resumed artifact differs from RunPlan's")
 	}
 
-	// A cell whose golden run fails ends the run; nothing stays behind.
+	// A cell whose golden run fails ends the run; the other cells of its
+	// key take the error without running, and nothing stays behind.
 	broken := s
 	broken.Benchmarks = []string{"counted-DGEMM", "counted-broken"}
-	if _, err := run("failed cell", func() (*SweepResult, error) { return broken.Run(context.Background()) }); err == nil || !strings.Contains(err.Error(), "counted-broken") {
+	if _, err := run("failed cell", func() (*SweepResult, error) { return broken.Run(context.Background()) }, "counted-broken"); err == nil || !strings.Contains(err.Error(), "counted-broken") {
 		t.Fatalf("a sweep with a broken benchmark returned %v", err)
 	}
 }
