@@ -16,9 +16,9 @@ import (
 // cell so tests can force hangs, crashes, and SDCs.
 type toy struct {
 	reg     *state.Registry
-	n       *state.Int
-	base    *state.Int // base output index; corrupting it causes worker OOB
-	out     *state.F64s
+	n       *state.Cell[int]
+	base    *state.Cell[int] // base output index; corrupting it causes worker OOB
+	out     *state.Buf[float64]
 	iters   int
 	workers int
 	// hooks for tests
@@ -32,9 +32,9 @@ func newToy() *toy {
 		workers:     2,
 		crashAtTick: -1,
 	}
-	t.n = state.NewInt("n", "control", 50)
-	t.base = state.NewInt("base", "control", 0)
-	t.out = state.NewF64s("out", "matrix", state.Dims2(4, 4))
+	t.n = state.NewCell("n", "control", 50)
+	t.base = state.NewCell("base", "control", 0)
+	t.out = state.NewBuf[float64]("out", "matrix", state.Dims2(4, 4))
 	t.reg.Global().Register(t.n, t.base, t.out)
 	return t
 }
@@ -227,13 +227,13 @@ func TestInjectionFiresExactlyOnce(t *testing.T) {
 // point, and the check records where it was asked.
 type ctoy struct {
 	reg   *state.Registry
-	pad   *state.Int
-	out   *state.F64s
+	pad   *state.Cell[int]
+	out   *state.Buf[float64]
 	asked []int
 }
 
 func newCtoy() *ctoy {
-	c := &ctoy{reg: state.NewRegistry(), pad: state.NewInt("pad", "control", 0), out: state.NewF64s("out", "matrix", state.Dims1(4))}
+	c := &ctoy{reg: state.NewRegistry(), pad: state.NewCell("pad", "control", 0), out: state.NewBuf[float64]("out", "matrix", state.Dims1(4))}
 	c.reg.Global().Register(c.pad, c.out)
 	return c
 }

@@ -65,7 +65,7 @@ const dt0, grav0, lambda0 = 0.04, 9.8, 12.0
 
 // worker holds per-thread control cells.
 type worker struct {
-	cStart, cEnd, cCur *state.Int
+	cStart, cEnd, cCur *state.Cell[int]
 }
 
 // CLAMR implements bench.Benchmark.
@@ -76,15 +76,15 @@ type CLAMR struct {
 	cap  int // maximum cell count (full fine grid)
 
 	// Cell arrays (structure of arrays), capacity-sized; ncell is live.
-	ci, cj, clev       *state.Ints // region "mesh.other"
-	h, u, v            *state.F64s // region "mesh.other"
-	h2, u2, v2         *state.F64s // next-step scratch, region "mesh.other"
-	nbE, nbW, nbN, nbS *state.Ints // neighbour indices, region "mesh.other"
+	ci, cj, clev       *state.Buf[int]     // region "mesh.other"
+	h, u, v            *state.Buf[float64] // region "mesh.other"
+	h2, u2, v2         *state.Buf[float64] // next-step scratch, region "mesh.other"
+	nbE, nbW, nbN, nbS *state.Buf[int]     // neighbour indices, region "mesh.other"
 
-	ncell            *state.Int // region "control"
-	stepCur, stepEnd *state.Int // region "control"
+	ncell            *state.Cell[int] // region "control"
+	stepCur, stepEnd *state.Cell[int] // region "control"
 
-	dt, grav, lam *state.F64 // region "constant"
+	dt, grav, lam *state.Cell[float64] // region "constant"
 
 	workers []worker
 
@@ -122,13 +122,13 @@ func New(cfg Config, seed uint64) *CLAMR {
 	c := &CLAMR{cfg: cfg, reg: state.NewRegistry()}
 	c.fine = cfg.Base << cfg.MaxLevel
 	c.cap = c.fine * c.fine
-	mkInts := func(name string) *state.Ints {
-		b := state.NewInts(name, "mesh.other", state.Dims1(c.cap))
+	mkInts := func(name string) *state.Buf[int] {
+		b := state.NewBuf[int](name, "mesh.other", state.Dims1(c.cap))
 		c.reg.Global().Register(b)
 		return b
 	}
-	mkF64 := func(name string) *state.F64s {
-		b := state.NewF64s(name, "mesh.other", state.Dims1(c.cap))
+	mkF64 := func(name string) *state.Buf[float64] {
+		b := state.NewBuf[float64](name, "mesh.other", state.Dims1(c.cap))
 		c.reg.Global().Register(b)
 		return b
 	}
@@ -137,18 +137,18 @@ func New(cfg Config, seed uint64) *CLAMR {
 	c.h2, c.u2, c.v2 = mkF64("Hnext"), mkF64("Unext"), mkF64("Vnext")
 	c.nbE, c.nbW = mkInts("nbEast"), mkInts("nbWest")
 	c.nbN, c.nbS = mkInts("nbNorth"), mkInts("nbSouth")
-	c.ncell = state.NewInt("ncell", "control", 0)
-	c.stepCur = state.NewInt("stepCur", "control", 0)
-	c.stepEnd = state.NewInt("stepEnd", "control", cfg.Steps)
-	c.dt = state.NewF64("dt", "constant", dt0)
-	c.grav = state.NewF64("grav", "constant", grav0)
-	c.lam = state.NewF64("lambda", "constant", lambda0)
+	c.ncell = state.NewCell("ncell", "control", 0)
+	c.stepCur = state.NewCell("stepCur", "control", 0)
+	c.stepEnd = state.NewCell("stepEnd", "control", cfg.Steps)
+	c.dt = state.NewCell[float64]("dt", "constant", dt0)
+	c.grav = state.NewCell[float64]("grav", "constant", grav0)
+	c.lam = state.NewCell[float64]("lambda", "constant", lambda0)
 	c.reg.Global().Register(c.ncell, c.stepCur, c.stepEnd, c.dt, c.grav, c.lam)
 	c.workers = make([]worker, cfg.Workers)
 	for w := range c.workers {
 		wk := &c.workers[w]
-		mk := func(vn string) *state.Int {
-			cell := state.NewInt(fmt.Sprintf("w%d.%s", w, vn), "control", 0)
+		mk := func(vn string) *state.Cell[int] {
+			cell := state.NewCell(fmt.Sprintf("w%d.%s", w, vn), "control", 0)
 			c.reg.Global().Register(cell)
 			return cell
 		}
@@ -216,7 +216,7 @@ func (c *CLAMR) Reset() {
 		c.ci.Data[i], c.cj.Data[i], c.clev.Data[i] = 0, 0, 0
 		c.h.Data[i], c.u.Data[i], c.v.Data[i] = 0, 0, 0
 	}
-	zero := func(b *state.Ints) {
+	zero := func(b *state.Buf[int]) {
 		for i := range b.Data {
 			b.Data[i] = -1
 		}
@@ -325,7 +325,7 @@ func (c *CLAMR) Mass() float64 {
 }
 
 // H exposes the height field for beam tests.
-func (c *CLAMR) H() *state.F64s { return c.h }
+func (c *CLAMR) H() *state.Buf[float64] { return c.h }
 
 func init() {
 	bench.Register("CLAMR", func(seed uint64) bench.Benchmark {

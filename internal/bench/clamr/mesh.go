@@ -43,10 +43,10 @@ func (c *CLAMR) coverage(idx int) int {
 // injections during this tick land in the paper's mesh.sort region.
 func (c *CLAMR) sortPhase(ctx *bench.Ctx, n int) {
 	frame := c.reg.Push("sort")
-	keys := state.WrapInts("sortKeys", "mesh.sort", c.sortK[:n], state.Dims1(n))
-	perm := state.WrapInts("sortPerm", "mesh.sort", c.sortP[:n], state.Dims1(n))
-	scratchK := state.WrapInts("sortScratchKeys", "mesh.sort", c.sortSK[:n], state.Dims1(n))
-	scratchP := state.WrapInts("sortScratchPerm", "mesh.sort", c.sortSP[:n], state.Dims1(n))
+	keys := state.WrapBuf("sortKeys", "mesh.sort", c.sortK[:n], state.Dims1(n))
+	perm := state.WrapBuf("sortPerm", "mesh.sort", c.sortP[:n], state.Dims1(n))
+	scratchK := state.WrapBuf("sortScratchKeys", "mesh.sort", c.sortSK[:n], state.Dims1(n))
+	scratchP := state.WrapBuf("sortScratchPerm", "mesh.sort", c.sortSP[:n], state.Dims1(n))
 	frame.Register(keys, perm, scratchK, scratchP)
 	for i := 0; i < n; i++ {
 		scratchK.Data[i] = 0

@@ -126,11 +126,11 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 		q.keys[i] = c.key(i)
 	}
 	frame.Register(
-		state.WrapInts("qtLo", "mesh.tree", q.lo, state.Dims1(len(q.lo))),
-		state.WrapInts("qtSize", "mesh.tree", q.size, state.Dims1(len(q.size))),
-		state.WrapInts("qtChild", "mesh.tree", q.child, state.Dims1(len(q.child))),
-		state.WrapInts("qtCell", "mesh.tree", q.cell, state.Dims1(len(q.cell))),
-		state.WrapInts("qtKeys", "mesh.tree", q.keys, state.Dims1(len(q.keys))),
+		state.WrapBuf("qtLo", "mesh.tree", q.lo, state.Dims1(len(q.lo))),
+		state.WrapBuf("qtSize", "mesh.tree", q.size, state.Dims1(len(q.size))),
+		state.WrapBuf("qtChild", "mesh.tree", q.child, state.Dims1(len(q.child))),
+		state.WrapBuf("qtCell", "mesh.tree", q.cell, state.Dims1(len(q.cell))),
+		state.WrapBuf("qtKeys", "mesh.tree", q.keys, state.Dims1(len(q.keys))),
 	)
 	ctx.Work(int64(n)*30 + 1)
 	domain := c.fine * c.fine

@@ -41,7 +41,7 @@ func DefaultConfig() Config { return Config{N: 96, Block: 16, Workers: 4} }
 // indices through these cells, so corrupting one skips work, repeats work,
 // overwrites other tiles, walks out of bounds (DUE-crash) or spins into the
 // watchdog (DUE-hang).
-type worker [nCells]*state.Int
+type worker [nCells]*state.Cell[int]
 
 // Indices into worker (and tileLoads), in registration order.
 const (
@@ -63,7 +63,7 @@ var cellNames = [nCells]string{"iStart", "iEnd", "iCur", "jStart", "jEnd", "jCur
 type DGEMM struct {
 	cfg     Config
 	reg     *state.Registry
-	a, b, c *state.F64s
+	a, b, c *state.Buf[float64]
 	a0, b0  []float64 // pristine inputs for Reset
 	// bt shadows B transposed so the plain loop's k-loop streams both
 	// operands sequentially. Refreshed from B each section (B may have been
@@ -79,9 +79,9 @@ func New(cfg Config, seed uint64) *DGEMM {
 	}
 	d := &DGEMM{cfg: cfg, reg: state.NewRegistry()}
 	shape := state.Dims2(cfg.N, cfg.N)
-	d.a = state.NewF64s("A", "matrix", shape)
-	d.b = state.NewF64s("B", "matrix", shape)
-	d.c = state.NewF64s("C", "matrix", shape)
+	d.a = state.NewBuf[float64]("A", "matrix", shape)
+	d.b = state.NewBuf[float64]("B", "matrix", shape)
+	d.c = state.NewBuf[float64]("C", "matrix", shape)
 	r := stats.NewRNG(seed)
 	for i := range d.a.Data {
 		d.a.Data[i] = 2*r.Float64() - 1
@@ -94,7 +94,7 @@ func New(cfg Config, seed uint64) *DGEMM {
 	d.workers = make([]worker, cfg.Workers)
 	for w := range d.workers {
 		for i, v := range cellNames {
-			c := state.NewInt(fmt.Sprintf("w%d.%s", w, v), "control", 0)
+			c := state.NewCell(fmt.Sprintf("w%d.%s", w, v), "control", 0)
 			d.reg.Global().Register(c)
 			d.workers[w][i] = c
 		}
@@ -281,13 +281,13 @@ func (d *DGEMM) OutputInto(dst []float64) bench.Output {
 }
 
 // A exposes the input matrix for mitigation tests (ABFT wraps DGEMM).
-func (d *DGEMM) A() *state.F64s { return d.a }
+func (d *DGEMM) A() *state.Buf[float64] { return d.a }
 
 // B exposes the input matrix for mitigation tests.
-func (d *DGEMM) B() *state.F64s { return d.b }
+func (d *DGEMM) B() *state.Buf[float64] { return d.b }
 
 // C exposes the output matrix for mitigation tests.
-func (d *DGEMM) C() *state.F64s { return d.c }
+func (d *DGEMM) C() *state.Buf[float64] { return d.c }
 
 // Size returns the matrix dimension.
 func (d *DGEMM) Size() int { return d.cfg.N }

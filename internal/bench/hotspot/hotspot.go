@@ -49,29 +49,29 @@ const cx0, cy0, cz0, cp0, amb0 float32 = 0.12, 0.12, 0.05, 0.30, 80.0
 
 // worker holds per-thread loop control cells.
 type worker struct {
-	rStart, rEnd, rCur *state.Int
+	rStart, rEnd, rCur *state.Cell[int]
 }
 
 // HotSpot implements bench.Benchmark.
 type HotSpot struct {
 	cfg   Config
 	reg   *state.Registry
-	tA    *state.F32s // ping
-	tB    *state.F32s // pong
-	power *state.F32s
+	tA    *state.Buf[float32] // ping
+	tB    *state.Buf[float32] // pong
+	power *state.Buf[float32]
 	t0    []float32 // pristine initial temperature
 	p0    []float32 // pristine power map
 
 	// Simulation constants (region "constant"). The real kernel keeps these
 	// in registers; their memory copies are reloaded every sweep, which is
 	// when an armed corruption fires.
-	cx, cy, cz, cp, amb *state.F32
+	cx, cy, cz, cp, amb *state.Cell[float32]
 
 	// Global control cells.
-	iterCur, iterEnd *state.Int
+	iterCur, iterEnd *state.Cell[int]
 
 	workers []worker
-	final   *state.F32s // buffer holding the last completed sweep
+	final   *state.Buf[float32] // buffer holding the last completed sweep
 }
 
 // New builds a HotSpot instance with deterministic inputs.
@@ -81,9 +81,9 @@ func New(cfg Config, seed uint64) *HotSpot {
 	}
 	h := &HotSpot{cfg: cfg, reg: state.NewRegistry()}
 	shape := state.Dims2(cfg.Cols, cfg.Rows)
-	h.tA = state.NewF32s("temp0", "matrix", shape)
-	h.tB = state.NewF32s("temp1", "matrix", shape)
-	h.power = state.NewF32s("power", "matrix", shape)
+	h.tA = state.NewBuf[float32]("temp0", "matrix", shape)
+	h.tB = state.NewBuf[float32]("temp1", "matrix", shape)
+	h.power = state.NewBuf[float32]("power", "matrix", shape)
 	r := stats.NewRNG(seed)
 	h.t0 = make([]float32, shape.Len())
 	h.p0 = make([]float32, shape.Len())
@@ -91,20 +91,20 @@ func New(cfg Config, seed uint64) *HotSpot {
 		h.t0[i] = 80 + 10*float32(r.Float64())       // ambient-ish start
 		h.p0[i] = float32(r.Float64() * r.Float64()) // skewed power map
 	}
-	h.cx = state.NewF32("cx", "constant", cx0)
-	h.cy = state.NewF32("cy", "constant", cy0)
-	h.cz = state.NewF32("cz", "constant", cz0)
-	h.cp = state.NewF32("cp", "constant", cp0)
-	h.amb = state.NewF32("amb", "constant", amb0)
-	h.iterCur = state.NewInt("iterCur", "control", 0)
-	h.iterEnd = state.NewInt("iterEnd", "control", cfg.Iters)
+	h.cx = state.NewCell[float32]("cx", "constant", cx0)
+	h.cy = state.NewCell[float32]("cy", "constant", cy0)
+	h.cz = state.NewCell[float32]("cz", "constant", cz0)
+	h.cp = state.NewCell[float32]("cp", "constant", cp0)
+	h.amb = state.NewCell[float32]("amb", "constant", amb0)
+	h.iterCur = state.NewCell("iterCur", "control", 0)
+	h.iterEnd = state.NewCell("iterEnd", "control", cfg.Iters)
 	h.reg.Global().Register(h.tA, h.tB, h.power,
 		h.cx, h.cy, h.cz, h.cp, h.amb, h.iterCur, h.iterEnd)
 	h.workers = make([]worker, cfg.Workers)
 	for w := range h.workers {
 		wk := &h.workers[w]
-		mk := func(v string) *state.Int {
-			c := state.NewInt(fmt.Sprintf("w%d.%s", w, v), "control", 0)
+		mk := func(v string) *state.Cell[int] {
+			c := state.NewCell(fmt.Sprintf("w%d.%s", w, v), "control", 0)
 			h.reg.Global().Register(c)
 			return c
 		}
@@ -216,7 +216,7 @@ func sameBits(a, b []float32) bool {
 }
 
 // buffers returns the grid sweep it reads and the one it writes.
-func (h *HotSpot) buffers(it int) (src, dst *state.F32s) {
+func (h *HotSpot) buffers(it int) (src, dst *state.Buf[float32]) {
 	if it%2 == 0 {
 		return h.tA, h.tB
 	}
@@ -239,7 +239,7 @@ func (h *HotSpot) sweeps(ctx *bench.Ctx, it int) {
 }
 
 // sweep updates every row of dst from src.
-func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.F32s) {
+func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.Buf[float32]) {
 	// Reload constants from their (corruptible) memory homes once per
 	// sweep, as the real kernel's register reloads would.
 	cx, cy, cz, cp, amb := h.cx.Load(), h.cy.Load(), h.cz.Load(), h.cp.Load(), h.amb.Load()
@@ -328,7 +328,7 @@ func (h *HotSpot) OutputInto(dst []float64) bench.Output {
 
 // Temps exposes the live temperature grid: during a run, the buffer the
 // current sweep reads from; afterwards, the buffer holding the result.
-func (h *HotSpot) Temps() *state.F32s {
+func (h *HotSpot) Temps() *state.Buf[float32] {
 	if h.final != nil {
 		return h.final
 	}
@@ -337,8 +337,8 @@ func (h *HotSpot) Temps() *state.F32s {
 
 // Constants returns the constant cells (used by the selective-hardening
 // example to protect exactly the region the campaign flags).
-func (h *HotSpot) Constants() []*state.F32 {
-	return []*state.F32{h.cx, h.cy, h.cz, h.cp, h.amb}
+func (h *HotSpot) Constants() []*state.Cell[float32] {
+	return []*state.Cell[float32]{h.cx, h.cy, h.cz, h.cp, h.amb}
 }
 
 func init() {

@@ -38,7 +38,7 @@ func DefaultConfig() Config { return Config{NB: 4, PPB: 12, Alpha: 0.5, Workers:
 
 // worker holds per-thread control cells.
 type worker struct {
-	bStart, bEnd, bCur *state.Int
+	bStart, bEnd, bCur *state.Cell[int]
 }
 
 // LavaMD implements bench.Benchmark.
@@ -46,17 +46,17 @@ type LavaMD struct {
 	cfg Config
 	reg *state.Registry
 
-	rv *state.F64s // particle positions x,y,z — region "distance"
-	qv *state.F64s // particle charges — region "charge"
-	fv *state.F64s // output forces v,x,y,z — region "output"
-	nn *state.Ints // box neighbour list — region "box"
+	rv *state.Buf[float64] // particle positions x,y,z — region "distance"
+	qv *state.Buf[float64] // particle charges — region "charge"
+	fv *state.Buf[float64] // output forces v,x,y,z — region "output"
+	nn *state.Buf[int]     // box neighbour list — region "box"
 
 	rv0 []float64
 	qv0 []float64
 	nn0 []int
 
-	a2       *state.F64 // interaction constant — region "constant"
-	boxesEnd *state.Int // region "control"
+	a2       *state.Cell[float64] // interaction constant — region "constant"
+	boxesEnd *state.Cell[int]     // region "control"
 
 	workers []worker
 }
@@ -72,9 +72,9 @@ func New(cfg Config, seed uint64) *LavaMD {
 	l := &LavaMD{cfg: cfg, reg: state.NewRegistry()}
 	nb, ppb := cfg.NB, cfg.PPB
 	n := nb * nb * nb * ppb
-	l.rv = state.NewF64s("rv", "distance", state.Dims1(3*n))
-	l.qv = state.NewF64s("qv", "charge", state.Dims1(n))
-	l.fv = state.NewF64s("fv", "output", state.Dims3(4*ppb*nb, nb, nb))
+	l.rv = state.NewBuf[float64]("rv", "distance", state.Dims1(3*n))
+	l.qv = state.NewBuf[float64]("qv", "charge", state.Dims1(n))
+	l.fv = state.NewBuf[float64]("fv", "output", state.Dims3(4*ppb*nb, nb, nb))
 	r := stats.NewRNG(seed)
 	for bz := 0; bz < nb; bz++ {
 		for by := 0; by < nb; by++ {
@@ -92,7 +92,7 @@ func New(cfg Config, seed uint64) *LavaMD {
 	}
 	// Precomputed neighbour list: up to 27 box indices per box, -1 padded
 	// at clamped grid edges (as Rodinia's box_cpu neighbour records).
-	l.nn = state.NewInts("boxnn", "box", state.Dims1(27*l.boxCount()))
+	l.nn = state.NewBuf[int]("boxnn", "box", state.Dims1(27*l.boxCount()))
 	for b := 0; b < l.boxCount(); b++ {
 		bx := b % nb
 		by := (b / nb) % nb
@@ -115,14 +115,14 @@ func New(cfg Config, seed uint64) *LavaMD {
 	l.rv0 = append([]float64(nil), l.rv.Data...)
 	l.qv0 = append([]float64(nil), l.qv.Data...)
 	l.nn0 = append([]int(nil), l.nn.Data...)
-	l.a2 = state.NewF64("a2", "constant", 2*cfg.Alpha*cfg.Alpha)
-	l.boxesEnd = state.NewInt("boxesEnd", "control", l.boxCount())
+	l.a2 = state.NewCell[float64]("a2", "constant", 2*cfg.Alpha*cfg.Alpha)
+	l.boxesEnd = state.NewCell("boxesEnd", "control", l.boxCount())
 	l.reg.Global().Register(l.rv, l.qv, l.fv, l.nn, l.a2, l.boxesEnd)
 	l.workers = make([]worker, cfg.Workers)
 	for w := range l.workers {
 		wk := &l.workers[w]
-		mk := func(v string) *state.Int {
-			c := state.NewInt(fmt.Sprintf("w%d.%s", w, v), "control", 0)
+		mk := func(v string) *state.Cell[int] {
+			c := state.NewCell(fmt.Sprintf("w%d.%s", w, v), "control", 0)
 			l.reg.Global().Register(c)
 			return c
 		}
@@ -306,16 +306,16 @@ func (l *LavaMD) OutputInto(dst []float64) bench.Output {
 }
 
 // Positions exposes the distance array for beam tests.
-func (l *LavaMD) Positions() *state.F64s { return l.rv }
+func (l *LavaMD) Positions() *state.Buf[float64] { return l.rv }
 
 // Charges exposes the charge array for beam tests.
-func (l *LavaMD) Charges() *state.F64s { return l.qv }
+func (l *LavaMD) Charges() *state.Buf[float64] { return l.qv }
 
 // Forces exposes the output array for beam tests.
-func (l *LavaMD) Forces() *state.F64s { return l.fv }
+func (l *LavaMD) Forces() *state.Buf[float64] { return l.fv }
 
 // Neighbours exposes the box neighbour list.
-func (l *LavaMD) Neighbours() *state.Ints { return l.nn }
+func (l *LavaMD) Neighbours() *state.Buf[int] { return l.nn }
 
 func init() {
 	bench.Register("LavaMD", func(seed uint64) bench.Benchmark {

@@ -39,26 +39,26 @@ func DefaultConfig() Config { return Config{N: 96, Block: 8, Workers: 4} }
 
 // worker holds per-thread block-cursor control cells.
 type worker struct {
-	bStart, bEnd, bCur *state.Int
+	bStart, bEnd, bCur *state.Cell[int]
 }
 
 // LUD implements bench.Benchmark.
 type LUD struct {
 	cfg Config
 	reg *state.Registry
-	a   *state.F32s
+	a   *state.Buf[float32]
 	a0  []float32
 
 	// Global control cells: matrix size, block size, block count, and the
 	// current step. Index arithmetic at phase level reads these, so
 	// corrupting them walks the kernels out of bounds or onto wrong tiles.
-	nCell, bsCell, nbCell, kCur *state.Int
+	nCell, bsCell, nbCell, kCur *state.Cell[int]
 
 	// diaTmp is the perimeter phase's diagonal-block temporary, allocated
 	// once and fully overwritten before each frame registration, so the
-	// per-step state.NewF32s churn disappears without changing what an
+	// per-step allocation churn disappears without changing what an
 	// injection at the perimeter tick can observe.
-	diaTmp *state.F32s
+	diaTmp *state.Buf[float32]
 
 	workers []worker
 }
@@ -70,7 +70,7 @@ func New(cfg Config, seed uint64) *LUD {
 		panic(fmt.Sprintf("lud: bad config %+v", cfg))
 	}
 	l := &LUD{cfg: cfg, reg: state.NewRegistry()}
-	l.a = state.NewF32s("A", "matrix", state.Dims2(cfg.N, cfg.N))
+	l.a = state.NewBuf[float32]("A", "matrix", state.Dims2(cfg.N, cfg.N))
 	r := stats.NewRNG(seed)
 	n := cfg.N
 	l.a0 = make([]float32, n*n)
@@ -81,17 +81,17 @@ func New(cfg Config, seed uint64) *LUD {
 		l.a0[i*n+i] += float32(n) // diagonal dominance
 	}
 	copy(l.a.Data, l.a0)
-	l.nCell = state.NewInt("n", "control", cfg.N)
-	l.bsCell = state.NewInt("bs", "control", cfg.Block)
-	l.nbCell = state.NewInt("nb", "control", cfg.N/cfg.Block)
-	l.kCur = state.NewInt("kCur", "control", 0)
-	l.diaTmp = state.NewF32s("diaTmp", "temp", state.Dims2(cfg.Block, cfg.Block))
+	l.nCell = state.NewCell("n", "control", cfg.N)
+	l.bsCell = state.NewCell("bs", "control", cfg.Block)
+	l.nbCell = state.NewCell("nb", "control", cfg.N/cfg.Block)
+	l.kCur = state.NewCell("kCur", "control", 0)
+	l.diaTmp = state.NewBuf[float32]("diaTmp", "temp", state.Dims2(cfg.Block, cfg.Block))
 	l.reg.Global().Register(l.a, l.nCell, l.bsCell, l.nbCell, l.kCur)
 	l.workers = make([]worker, cfg.Workers)
 	for w := range l.workers {
 		wk := &l.workers[w]
-		mk := func(v string) *state.Int {
-			c := state.NewInt(fmt.Sprintf("w%d.%s", w, v), "control", 0)
+		mk := func(v string) *state.Cell[int] {
+			c := state.NewCell(fmt.Sprintf("w%d.%s", w, v), "control", 0)
 			l.reg.Global().Register(c)
 			return c
 		}
@@ -270,7 +270,7 @@ func (l *LUD) diagonal(off, bs, n int) {
 }
 
 // rowPanel computes U(k,j) = L(k,k)⁻¹·A(k,j) using the dia temporary.
-func (l *LUD) rowPanel(dia *state.F32s, k, j, bs, n int) {
+func (l *LUD) rowPanel(dia *state.Buf[float32], k, j, bs, n int) {
 	a := l.a.Data
 	r0, c0 := k*bs, j*bs
 	for kk := 0; kk < bs; kk++ {
@@ -284,7 +284,7 @@ func (l *LUD) rowPanel(dia *state.F32s, k, j, bs, n int) {
 }
 
 // colPanel computes L(i,k) = A(i,k)·U(k,k)⁻¹ using the dia temporary.
-func (l *LUD) colPanel(dia *state.F32s, k, i, bs, n int) {
+func (l *LUD) colPanel(dia *state.Buf[float32], k, i, bs, n int) {
 	a := l.a.Data
 	r0, c0 := i*bs, k*bs
 	for kk := 0; kk < bs; kk++ {
@@ -326,7 +326,7 @@ func (l *LUD) OutputInto(dst []float64) bench.Output {
 }
 
 // Matrix exposes the in-place matrix for mitigation and beam tests.
-func (l *LUD) Matrix() *state.F32s { return l.a }
+func (l *LUD) Matrix() *state.Buf[float32] { return l.a }
 
 // Pristine returns a copy of the original input matrix (for residual
 // verification in tests).

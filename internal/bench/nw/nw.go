@@ -68,7 +68,7 @@ type Config struct {
 func DefaultConfig() Config { return Config{N: 160, Penalty: 10, Workers: 4} }
 
 // worker holds per-thread control cells for the anti-diagonal sweep.
-type worker [nCells]*state.Int
+type worker [nCells]*state.Cell[int]
 
 // Indices into worker (and chunk's load counts), in registration order.
 const (
@@ -84,12 +84,12 @@ var cellNames = [nCells]string{"cStart", "cEnd", "cCur"}
 type NW struct {
 	cfg  Config
 	reg  *state.Registry
-	item *state.I32s // DP matrix (N+1)×(N+1), region "matrix"
-	ref  *state.I32s // similarity matrix, region "matrix"
+	item *state.Buf[int32] // DP matrix (N+1)×(N+1), region "matrix"
+	ref  *state.Buf[int32] // similarity matrix, region "matrix"
 	ref0 []int32
 
-	penalty *state.Int // region "constant"
-	diagCur *state.Int // region "control"
+	penalty *state.Cell[int] // region "constant"
+	diagCur *state.Cell[int] // region "control"
 
 	seqA, seqB []int32 // fixed input sequences (embedded in ref)
 	workers    []worker
@@ -114,8 +114,8 @@ func New(cfg Config, seed uint64) *NW {
 		w.seqB[i] = int32(r.Intn(alphabet))
 	}
 	shape := state.Dims2(n+1, n+1)
-	w.item = state.NewI32s("itemsets", "matrix", shape)
-	w.ref = state.NewI32s("reference", "matrix", shape)
+	w.item = state.NewBuf[int32]("itemsets", "matrix", shape)
+	w.ref = state.NewBuf[int32]("reference", "matrix", shape)
 	w.ref0 = make([]int32, shape.Len())
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= n; j++ {
@@ -123,13 +123,13 @@ func New(cfg Config, seed uint64) *NW {
 		}
 	}
 	copy(w.ref.Data, w.ref0)
-	w.penalty = state.NewInt("penalty", "constant", cfg.Penalty)
-	w.diagCur = state.NewInt("diagCur", "control", 0)
+	w.penalty = state.NewCell("penalty", "constant", cfg.Penalty)
+	w.diagCur = state.NewCell("diagCur", "control", 0)
 	w.reg.Global().Register(w.item, w.ref, w.penalty, w.diagCur)
 	w.workers = make([]worker, cfg.Workers)
 	for i := range w.workers {
 		for k, v := range cellNames {
-			c := state.NewInt(fmt.Sprintf("w%d.%s", i, v), "control", 0)
+			c := state.NewCell(fmt.Sprintf("w%d.%s", i, v), "control", 0)
 			w.reg.Global().Register(c)
 			w.workers[i][k] = c
 		}
@@ -354,10 +354,10 @@ func (w *NW) OutputInto(dst []float64) bench.Output {
 }
 
 // Itemsets exposes the DP matrix for beam tests.
-func (w *NW) Itemsets() *state.I32s { return w.item }
+func (w *NW) Itemsets() *state.Buf[int32] { return w.item }
 
 // Reference exposes the similarity matrix for beam tests.
-func (w *NW) Reference() *state.I32s { return w.ref }
+func (w *NW) Reference() *state.Buf[int32] { return w.ref }
 
 // Score returns the final alignment score (bottom-right corner).
 func (w *NW) Score() int32 { return w.item.Data[len(w.item.Data)-1] }

@@ -90,19 +90,19 @@ func liveState(t *testing.T, reg *state.Registry) []siteState {
 		for _, s := range f.Sites() {
 			var v any
 			switch s := s.(type) {
-			case *state.Int:
+			case *state.Cell[int]:
 				v = s.Load()
-			case *state.F64:
+			case *state.Cell[float64]:
 				v = s.Load()
-			case *state.F32:
+			case *state.Cell[float32]:
 				v = s.Load()
-			case *state.F64s:
+			case *state.Buf[float64]:
 				v = append([]float64(nil), s.Data...)
-			case *state.F32s:
+			case *state.Buf[float32]:
 				v = append([]float32(nil), s.Data...)
-			case *state.I32s:
+			case *state.Buf[int32]:
 				v = append([]int32(nil), s.Data...)
-			case *state.Ints:
+			case *state.Buf[int]:
 				v = append([]int(nil), s.Data...)
 			default:
 				t.Fatalf("site %s has a type this test cannot read: %T", s.Name(), s)

@@ -7,207 +7,60 @@ import (
 	"phirel/internal/stats"
 )
 
-// F64s is a corruptible float64 array with a logical shape. Benchmarks
-// operate on Data directly (it is hot-loop state); the injector corrupts
-// elements through the Site interface.
-type F64s struct {
+// Buf is a corruptible array with a logical shape: matrices and particle
+// fields (Buf[float64], Buf[float32]: the paper's HotSpot and LUD use single
+// precision), DP tables (Buf[int32]) and index vectors (Buf[int]: CLAMR's
+// sort keys and tree links). Benchmarks operate on Data directly (it is
+// hot-loop state); the injector corrupts elements through the Site interface.
+type Buf[T Elem] struct {
 	name   string
 	region Region
-	Data   []float64
+	Data   []T
 	Shape  Dims
 }
 
-// NewF64s allocates a named float64 buffer of the given shape.
-func NewF64s(name string, region Region, shape Dims) *F64s {
-	return &F64s{name: name, region: region, Data: make([]float64, shape.Len()), Shape: shape}
+// NewBuf allocates a named buffer of the given shape.
+func NewBuf[T Elem](name string, region Region, shape Dims) *Buf[T] {
+	return &Buf[T]{name: name, region: region, Data: make([]T, shape.Len()), Shape: shape}
 }
 
-// WrapF64s registers an existing slice as a buffer site; len(data) must
-// equal shape.Len().
-func WrapF64s(name string, region Region, data []float64, shape Dims) *F64s {
+// WrapBuf registers an existing slice as a buffer site; len(data) must equal
+// shape.Len().
+func WrapBuf[T Elem](name string, region Region, data []T, shape Dims) *Buf[T] {
 	if len(data) != shape.Len() {
 		panic(fmt.Sprintf("state: %s: data length %d != shape %v", name, len(data), shape))
 	}
-	return &F64s{name: name, region: region, Data: data, Shape: shape}
+	return &Buf[T]{name: name, region: region, Data: data, Shape: shape}
 }
 
 // Name implements Site.
-func (b *F64s) Name() string { return b.name }
+func (b *Buf[T]) Name() string { return b.name }
 
 // Region implements Site.
-func (b *F64s) Region() Region { return b.region }
+func (b *Buf[T]) Region() Region { return b.region }
 
 // Kind implements Site.
-func (b *F64s) Kind() Kind { return KindF64 }
+func (b *Buf[T]) Kind() Kind { return kindOf[T]() }
 
 // SizeBytes implements Site.
-func (b *F64s) SizeBytes() int { return 8 * len(b.Data) }
+func (b *Buf[T]) SizeBytes() int { return b.Kind().Bytes() * len(b.Data) }
 
 // Len returns the element count.
-func (b *F64s) Len() int { return len(b.Data) }
+func (b *Buf[T]) Len() int { return len(b.Data) }
 
 // At returns element (x,y,z).
-func (b *F64s) At(x, y, z int) float64 { return b.Data[b.Shape.Index(x, y, z)] }
+func (b *Buf[T]) At(x, y, z int) T { return b.Data[b.Shape.Index(x, y, z)] }
 
 // Set stores element (x,y,z).
-func (b *F64s) Set(x, y, z int, v float64) { b.Data[b.Shape.Index(x, y, z)] = v }
+func (b *Buf[T]) Set(x, y, z int, v T) { b.Data[b.Shape.Index(x, y, z)] = v }
 
 // Corrupt implements Site: one uniformly chosen element.
-func (b *F64s) Corrupt(r *stats.RNG, m fault.Model) Report {
-	i := r.Intn(len(b.Data))
-	return b.CorruptElem(r, m, i)
+func (b *Buf[T]) Corrupt(r *stats.RNG, m fault.Model) Report {
+	return b.CorruptElem(r, m, r.Intn(len(b.Data)))
 }
 
 // CorruptElem corrupts a specific element (used by the beam adapter for
 // vector-lane and cache-line bursts).
-func (b *F64s) CorruptElem(r *stats.RNG, m fault.Model, i int) Report {
-	nv, cor := fault.CorruptFloat64(r, m, b.Data[i])
-	b.Data[i] = nv
-	return Report{Site: b.name, Region: b.region, Kind: KindF64, Elem: i, Corruption: cor}
-}
-
-// F32s is a corruptible float32 array (the paper's HotSpot and LUD use
-// single precision).
-type F32s struct {
-	name   string
-	region Region
-	Data   []float32
-	Shape  Dims
-}
-
-// NewF32s allocates a named float32 buffer of the given shape.
-func NewF32s(name string, region Region, shape Dims) *F32s {
-	return &F32s{name: name, region: region, Data: make([]float32, shape.Len()), Shape: shape}
-}
-
-// Name implements Site.
-func (b *F32s) Name() string { return b.name }
-
-// Region implements Site.
-func (b *F32s) Region() Region { return b.region }
-
-// Kind implements Site.
-func (b *F32s) Kind() Kind { return KindF32 }
-
-// SizeBytes implements Site.
-func (b *F32s) SizeBytes() int { return 4 * len(b.Data) }
-
-// Len returns the element count.
-func (b *F32s) Len() int { return len(b.Data) }
-
-// At returns element (x,y,z).
-func (b *F32s) At(x, y, z int) float32 { return b.Data[b.Shape.Index(x, y, z)] }
-
-// Set stores element (x,y,z).
-func (b *F32s) Set(x, y, z int, v float32) { b.Data[b.Shape.Index(x, y, z)] = v }
-
-// Corrupt implements Site.
-func (b *F32s) Corrupt(r *stats.RNG, m fault.Model) Report {
-	i := r.Intn(len(b.Data))
-	return b.CorruptElem(r, m, i)
-}
-
-// CorruptElem corrupts a specific element.
-func (b *F32s) CorruptElem(r *stats.RNG, m fault.Model, i int) Report {
-	nv, cor := fault.CorruptFloat32(r, m, b.Data[i])
-	b.Data[i] = nv
-	return Report{Site: b.name, Region: b.region, Kind: KindF32, Elem: i, Corruption: cor}
-}
-
-// I32s is a corruptible int32 array (NW's DP and reference matrices).
-type I32s struct {
-	name   string
-	region Region
-	Data   []int32
-	Shape  Dims
-}
-
-// NewI32s allocates a named int32 buffer of the given shape.
-func NewI32s(name string, region Region, shape Dims) *I32s {
-	return &I32s{name: name, region: region, Data: make([]int32, shape.Len()), Shape: shape}
-}
-
-// Name implements Site.
-func (b *I32s) Name() string { return b.name }
-
-// Region implements Site.
-func (b *I32s) Region() Region { return b.region }
-
-// Kind implements Site.
-func (b *I32s) Kind() Kind { return KindI32 }
-
-// SizeBytes implements Site.
-func (b *I32s) SizeBytes() int { return 4 * len(b.Data) }
-
-// Len returns the element count.
-func (b *I32s) Len() int { return len(b.Data) }
-
-// At returns element (x,y,z).
-func (b *I32s) At(x, y, z int) int32 { return b.Data[b.Shape.Index(x, y, z)] }
-
-// Set stores element (x,y,z).
-func (b *I32s) Set(x, y, z int, v int32) { b.Data[b.Shape.Index(x, y, z)] = v }
-
-// Corrupt implements Site.
-func (b *I32s) Corrupt(r *stats.RNG, m fault.Model) Report {
-	i := r.Intn(len(b.Data))
-	return b.CorruptElem(r, m, i)
-}
-
-// CorruptElem corrupts a specific element.
-func (b *I32s) CorruptElem(r *stats.RNG, m fault.Model, i int) Report {
-	nv, cor := fault.CorruptInt32(r, m, b.Data[i])
-	b.Data[i] = nv
-	return Report{Site: b.name, Region: b.region, Kind: KindI32, Elem: i, Corruption: cor}
-}
-
-// Ints is a corruptible int array for index vectors (CLAMR's space-filling
-// sort keys, k-d tree child links). Element corruption uses the full 64-bit
-// two's-complement pattern.
-type Ints struct {
-	name   string
-	region Region
-	Data   []int
-	Shape  Dims
-}
-
-// NewInts allocates a named int buffer of the given shape.
-func NewInts(name string, region Region, shape Dims) *Ints {
-	return &Ints{name: name, region: region, Data: make([]int, shape.Len()), Shape: shape}
-}
-
-// WrapInts registers an existing slice as a buffer site.
-func WrapInts(name string, region Region, data []int, shape Dims) *Ints {
-	if len(data) != shape.Len() {
-		panic(fmt.Sprintf("state: %s: data length %d != shape %v", name, len(data), shape))
-	}
-	return &Ints{name: name, region: region, Data: data, Shape: shape}
-}
-
-// Name implements Site.
-func (b *Ints) Name() string { return b.name }
-
-// Region implements Site.
-func (b *Ints) Region() Region { return b.region }
-
-// Kind implements Site.
-func (b *Ints) Kind() Kind { return KindI64 }
-
-// SizeBytes implements Site.
-func (b *Ints) SizeBytes() int { return 8 * len(b.Data) }
-
-// Len returns the element count.
-func (b *Ints) Len() int { return len(b.Data) }
-
-// Corrupt implements Site.
-func (b *Ints) Corrupt(r *stats.RNG, m fault.Model) Report {
-	i := r.Intn(len(b.Data))
-	return b.CorruptElem(r, m, i)
-}
-
-// CorruptElem corrupts a specific element.
-func (b *Ints) CorruptElem(r *stats.RNG, m fault.Model, i int) Report {
-	nv, cor := fault.CorruptInt64(r, m, int64(b.Data[i]))
-	b.Data[i] = int(nv)
-	return Report{Site: b.name, Region: b.region, Kind: KindI64, Elem: i, Corruption: cor}
+func (b *Buf[T]) CorruptElem(r *stats.RNG, m fault.Model, i int) Report {
+	return Report{Site: b.name, Region: b.region, Kind: b.Kind(), Elem: i, Corruption: corrupt(r, m, &b.Data[i])}
 }

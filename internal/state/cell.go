@@ -1,12 +1,51 @@
 package state
 
 import (
-	"math"
-	"sync/atomic"
-
 	"phirel/internal/fault"
 	"phirel/internal/stats"
 )
+
+// Elem is the element type of a cell or buffer: the four machine
+// representations a Kind names. The types are exact (no ~) because corrupt
+// and kindOf map each one to its fault call and Kind by a type switch.
+type Elem interface {
+	int | int32 | float32 | float64
+}
+
+// kindOf returns the Kind of T. Switching on a typed nil pointer boxes
+// nothing.
+func kindOf[T Elem]() Kind {
+	switch any((*T)(nil)).(type) {
+	case *float64:
+		return KindF64
+	case *float32:
+		return KindF32
+	case *int:
+		return KindI64
+	default:
+		return KindI32
+	}
+}
+
+// corrupt applies m to *p through the fault call for T's bit width: int
+// corrupts all 64 bits of its two's-complement pattern, floats their
+// IEEE-754 bits.
+func corrupt[T Elem](r *stats.RNG, m fault.Model, p *T) fault.Corruption {
+	var c fault.Corruption
+	switch p := any(p).(type) {
+	case *float64:
+		*p, c = fault.CorruptFloat64(r, m, *p)
+	case *float32:
+		*p, c = fault.CorruptFloat32(r, m, *p)
+	case *int:
+		var v int64
+		v, c = fault.CorruptInt64(r, m, int64(*p))
+		*p = int(v)
+	case *int32:
+		*p, c = fault.CorruptInt32(r, m, *p)
+	}
+	return c
+}
 
 // Deferred is the result slot of an armed (deferred) corruption. CAROL-FI
 // interrupts a program at an arbitrary instruction, where loop-control
@@ -23,7 +62,7 @@ type Deferred struct {
 
 // deferred is the internal pending-corruption record attached to a cell.
 type deferred struct {
-	count atomic.Int64 // loads remaining until fire (fires at exactly 0)
+	count int64 // loads remaining until fire (fires at exactly 0)
 	model fault.Model
 	rng   *stats.RNG
 	out   *Deferred
@@ -52,33 +91,92 @@ type Armable interface {
 	LoadsToFire() int64
 }
 
-// armSlot is the pending-corruption slot every scalar cell embeds; it
-// carries the part of Armable that does not depend on the value's type.
-type armSlot struct {
-	pend atomic.Pointer[deferred]
+// Cell is a corruptible scalar variable: a loop bound, index or counter
+// (Cell[int]) or a simulation constant (Cell[float64], Cell[float32]).
+// Benchmarks must go through Load/Store for corruption to be architecturally
+// meaningful: a flipped bound really changes how far a loop runs, which is
+// how control-variable faults become hangs, overwrites and out-of-range
+// panics — the DUE mechanisms the paper attributes to control variables.
+//
+// A cell belongs to one benchmark instance, and a run of it never leaves the
+// goroutine that called Runner.run, so a cell is never touched by two
+// goroutines at once and its fields are plain.
+type Cell[T Elem] struct {
+	name   string
+	region Region
+	v      T
+	pend   *deferred
+}
+
+// NewCell creates a named cell with an initial value.
+func NewCell[T Elem](name string, region Region, v T) *Cell[T] {
+	return &Cell[T]{name: name, region: region, v: v}
+}
+
+// Load returns the current value, firing a pending corruption if its delay
+// has elapsed.
+func (c *Cell[T]) Load() T {
+	if c.pend != nil {
+		c.fire()
+	}
+	return c.v
+}
+
+// Store replaces the value.
+func (c *Cell[T]) Store(v T) { c.v = v }
+
+// Add increments the value and returns the result.
+func (c *Cell[T]) Add(d T) T {
+	c.v += d
+	return c.v
+}
+
+// Name implements Site.
+func (c *Cell[T]) Name() string { return c.name }
+
+// Region implements Site.
+func (c *Cell[T]) Region() Region { return c.region }
+
+// Kind implements Site.
+func (c *Cell[T]) Kind() Kind { return kindOf[T]() }
+
+// SizeBytes implements Site.
+func (c *Cell[T]) SizeBytes() int { return c.Kind().Bytes() }
+
+// Corrupt implements Site (immediate, quiescent corruption).
+func (c *Cell[T]) Corrupt(r *stats.RNG, m fault.Model) Report {
+	return Report{Site: c.name, Region: c.region, Kind: c.Kind(), Elem: -1, Corruption: corrupt(r, m, &c.v)}
 }
 
 // Arm implements Armable.
-func (s *armSlot) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
+func (c *Cell[T]) Arm(delay int, m fault.Model, r *stats.RNG) *Deferred {
 	out := &Deferred{}
-	d := &deferred{model: m, rng: r, out: out}
-	d.count.Store(int64(delay) + 1)
-	s.pend.Store(d)
+	c.pend = &deferred{count: int64(delay) + 1, model: m, rng: r, out: out}
 	return out
 }
 
 // Disarm implements Armable.
-func (s *armSlot) Disarm() { s.pend.Store(nil) }
+func (c *Cell[T]) Disarm() { c.pend = nil }
 
 // Armed implements Armable.
-func (s *armSlot) Armed() bool { return s.pend.Load() != nil }
+func (c *Cell[T]) Armed() bool { return c.pend != nil }
 
 // LoadsToFire implements Armable.
-func (s *armSlot) LoadsToFire() int64 {
-	if d := s.pend.Load(); d != nil {
-		return d.count.Load()
+func (c *Cell[T]) LoadsToFire() int64 {
+	if c.pend != nil {
+		return c.pend.count
 	}
 	return 0
+}
+
+func (c *Cell[T]) fire() {
+	d := c.pend
+	if d.count--; d.count != 0 {
+		return
+	}
+	c.pend = nil
+	d.out.Report = c.Corrupt(d.rng, d.model)
+	d.out.Fired = true
 }
 
 // refuseDebit is a test seam: when set, DebitLoads refuses whenever a cell is
@@ -91,203 +189,17 @@ var refuseDebit bool
 // cell has more than n[i] loads left none of them would fire: the counts are
 // subtracted and DebitLoads returns true, leaving each countdown where the
 // skipped loads would have left it. Otherwise nothing changes and it returns
-// false, and the caller must perform the loads. The cells must be private to
-// the calling lane.
-func DebitLoads(cells []*Int, n []int64) bool {
+// false, and the caller must perform the loads.
+func DebitLoads(cells []*Cell[int], n []int64) bool {
 	for i, c := range cells {
-		if d := c.pend.Load(); d != nil && (refuseDebit || d.count.Load() <= n[i]) {
+		if d := c.pend; d != nil && (refuseDebit || d.count <= n[i]) {
 			return false
 		}
 	}
 	for i, c := range cells {
-		if d := c.pend.Load(); d != nil {
-			d.count.Add(-n[i])
+		if d := c.pend; d != nil {
+			d.count -= n[i]
 		}
 	}
 	return true
-}
-
-// Int is a corruptible scalar integer variable (loop bounds, indices,
-// counters). Benchmarks must go through Load/Store for corruption to be
-// architecturally meaningful: a flipped bound really changes how far a loop
-// runs, which is how control-variable faults become hangs, overwrites and
-// out-of-range panics — the DUE mechanisms the paper attributes to control
-// variables. A run touches its cells from one goroutine; the atomics are
-// left over from concurrent lanes (ROADMAP item 5).
-type Int struct {
-	name   string
-	region Region
-	bits   atomic.Int64
-	armSlot
-}
-
-// NewInt creates a named integer cell with an initial value.
-func NewInt(name string, region Region, v int) *Int {
-	c := &Int{name: name, region: region}
-	c.bits.Store(int64(v))
-	return c
-}
-
-// Load returns the current value, firing a pending corruption if its delay
-// has elapsed.
-func (c *Int) Load() int {
-	if d := c.pend.Load(); d != nil {
-		c.fire(d)
-	}
-	return int(c.bits.Load())
-}
-
-// Store replaces the value.
-func (c *Int) Store(v int) { c.bits.Store(int64(v)) }
-
-// Add increments the value and returns the result.
-func (c *Int) Add(d int) int { return int(c.bits.Add(int64(d))) }
-
-// Name implements Site.
-func (c *Int) Name() string { return c.name }
-
-// Region implements Site.
-func (c *Int) Region() Region { return c.region }
-
-// Kind implements Site.
-func (c *Int) Kind() Kind { return KindI64 }
-
-// SizeBytes implements Site.
-func (c *Int) SizeBytes() int { return 8 }
-
-// Corrupt implements Site (immediate, quiescent corruption).
-func (c *Int) Corrupt(r *stats.RNG, m fault.Model) Report {
-	nv, cor := fault.CorruptInt64(r, m, c.bits.Load())
-	c.bits.Store(nv)
-	return Report{Site: c.name, Region: c.region, Kind: KindI64, Elem: -1, Corruption: cor}
-}
-
-func (c *Int) fire(d *deferred) {
-	if d.count.Add(-1) != 0 {
-		return
-	}
-	if !c.pend.CompareAndSwap(d, nil) {
-		return
-	}
-	nv, cor := fault.CorruptInt64(d.rng, d.model, c.bits.Load())
-	c.bits.Store(nv)
-	d.out.Report = Report{Site: c.name, Region: c.region, Kind: KindI64, Elem: -1, Corruption: cor}
-	d.out.Fired = true
-}
-
-// F64 is a corruptible scalar float64 variable (simulation constants,
-// accumulators) with the same atomic/armable semantics as Int.
-type F64 struct {
-	name   string
-	region Region
-	bits   atomic.Uint64
-	armSlot
-}
-
-// NewF64 creates a named float64 cell.
-func NewF64(name string, region Region, v float64) *F64 {
-	c := &F64{name: name, region: region}
-	c.bits.Store(math.Float64bits(v))
-	return c
-}
-
-// Load returns the current value, firing a pending corruption if due.
-func (c *F64) Load() float64 {
-	if d := c.pend.Load(); d != nil {
-		c.fire(d)
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
-// Store replaces the value.
-func (c *F64) Store(v float64) { c.bits.Store(math.Float64bits(v)) }
-
-// Name implements Site.
-func (c *F64) Name() string { return c.name }
-
-// Region implements Site.
-func (c *F64) Region() Region { return c.region }
-
-// Kind implements Site.
-func (c *F64) Kind() Kind { return KindF64 }
-
-// SizeBytes implements Site.
-func (c *F64) SizeBytes() int { return 8 }
-
-// Corrupt implements Site.
-func (c *F64) Corrupt(r *stats.RNG, m fault.Model) Report {
-	nv, cor := fault.CorruptFloat64(r, m, math.Float64frombits(c.bits.Load()))
-	c.bits.Store(math.Float64bits(nv))
-	return Report{Site: c.name, Region: c.region, Kind: KindF64, Elem: -1, Corruption: cor}
-}
-
-func (c *F64) fire(d *deferred) {
-	if d.count.Add(-1) != 0 {
-		return
-	}
-	if !c.pend.CompareAndSwap(d, nil) {
-		return
-	}
-	nv, cor := fault.CorruptFloat64(d.rng, d.model, math.Float64frombits(c.bits.Load()))
-	c.bits.Store(math.Float64bits(nv))
-	d.out.Report = Report{Site: c.name, Region: c.region, Kind: KindF64, Elem: -1, Corruption: cor}
-	d.out.Fired = true
-}
-
-// F32 is a corruptible scalar float32 variable.
-type F32 struct {
-	name   string
-	region Region
-	bits   atomic.Uint32
-	armSlot
-}
-
-// NewF32 creates a named float32 cell.
-func NewF32(name string, region Region, v float32) *F32 {
-	c := &F32{name: name, region: region}
-	c.bits.Store(math.Float32bits(v))
-	return c
-}
-
-// Load returns the current value, firing a pending corruption if due.
-func (c *F32) Load() float32 {
-	if d := c.pend.Load(); d != nil {
-		c.fire(d)
-	}
-	return math.Float32frombits(c.bits.Load())
-}
-
-// Store replaces the value.
-func (c *F32) Store(v float32) { c.bits.Store(math.Float32bits(v)) }
-
-// Name implements Site.
-func (c *F32) Name() string { return c.name }
-
-// Region implements Site.
-func (c *F32) Region() Region { return c.region }
-
-// Kind implements Site.
-func (c *F32) Kind() Kind { return KindF32 }
-
-// SizeBytes implements Site.
-func (c *F32) SizeBytes() int { return 4 }
-
-// Corrupt implements Site.
-func (c *F32) Corrupt(r *stats.RNG, m fault.Model) Report {
-	nv, cor := fault.CorruptFloat32(r, m, math.Float32frombits(c.bits.Load()))
-	c.bits.Store(math.Float32bits(nv))
-	return Report{Site: c.name, Region: c.region, Kind: KindF32, Elem: -1, Corruption: cor}
-}
-
-func (c *F32) fire(d *deferred) {
-	if d.count.Add(-1) != 0 {
-		return
-	}
-	if !c.pend.CompareAndSwap(d, nil) {
-		return
-	}
-	nv, cor := fault.CorruptFloat32(d.rng, d.model, math.Float32frombits(c.bits.Load()))
-	c.bits.Store(math.Float32bits(nv))
-	d.out.Report = Report{Site: c.name, Region: c.region, Kind: KindF32, Elem: -1, Corruption: cor}
-	d.out.Fired = true
 }

@@ -1,19 +1,23 @@
 // Package state is the memory substrate that makes phirel benchmarks
 // injectable: every program variable that a fault may corrupt lives in a
-// Cell (scalars: loop bounds, constants, counters) or a Buffer (arrays:
+// Cell (scalars: loop bounds, constants, counters) or a Buf (arrays:
 // matrices, particle fields, DP tables), and registers itself in a Registry
 // of injection sites grouped into frames.
 //
-// The Registry plays the role GDB's frame/variable walk plays for CAROL-FI:
-// at the moment of injection the injector asks the registry for the set of
-// live variables, picks one according to a selection policy, and applies a
-// fault model to its bits. Frames are pushed and popped as benchmark phases
-// enter and exit, so the set of visible variables changes over execution
-// time exactly as the call stack does in the real tool.
+// The Registry plays the role GDB's frame/variable walk plays for CAROL-FI.
+// Frames are pushed and popped as benchmark phases enter and exit, so the
+// set of visible variables changes over execution time exactly as the call
+// stack does in the real tool. The one kernel run a benchmark key makes
+// records that stack per tick (the runner's horizon). A trial's victim is
+// picked before its run starts, by PickIn under a selection policy over the
+// recorded stack of its tick (bench.Runner.Victim), and resolved into this
+// Registry's live site at that tick (bench.Runner.Site), where the fault
+// model is applied to its bits or armed.
 //
-// Nothing in this package is safe for concurrent mutation; the harness
-// guarantees that corruption and registry changes happen only at quiescent
-// instrumentation points, with no benchmark workers running.
+// Nothing in this package is safe for concurrent use: a benchmark instance,
+// its cells and its registry belong to the one goroutine running it, and
+// corruption and registry changes happen only at quiescent instrumentation
+// points.
 package state
 
 import (

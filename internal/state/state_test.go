@@ -53,8 +53,92 @@ func TestKindBytes(t *testing.T) {
 	}
 }
 
+// corruptInt is fault.CorruptInt64 over int, the call Cell[int] and Buf[int]
+// must match.
+func corruptInt(r *stats.RNG, m fault.Model, v int) (int, fault.Corruption) {
+	nv, c := fault.CorruptInt64(r, m, int64(v))
+	return int(nv), c
+}
+
+// sameValue reports whether a and b are equal or both NaN.
+func sameValue[T Elem](a, b T) bool { return a == b || a != a && b != b }
+
+// cellCase checks Cell[T]'s Load/Store/Add and metadata, and that, under
+// every fault model and several seeds, Corrupt and a fired Arm report
+// exactly what call reports on an RNG of the same seed and leave the value
+// it returns.
+func cellCase[T Elem](v T, kind Kind, width int, call func(*stats.RNG, fault.Model, T) (T, fault.Corruption)) func(*testing.T) {
+	return func(t *testing.T) {
+		c := NewCell("c", "control", v)
+		if c.Load() != v || c.Add(v) != v+v || c.Load() != v+v {
+			t.Fatal("Load/Add")
+		}
+		if c.Name() != "c" || c.Region() != "control" || c.Kind() != kind || c.SizeBytes() != width {
+			t.Fatalf("metadata: %q %q %v %d", c.Name(), c.Region(), c.Kind(), c.SizeBytes())
+		}
+		for _, m := range fault.Models {
+			for seed := uint64(1); seed <= 8; seed++ {
+				wantV, cor := call(stats.NewRNG(seed), m, v)
+				want := Report{Site: "c", Region: "control", Kind: kind, Elem: -1, Corruption: cor}
+				c.Store(v)
+				if rep := c.Corrupt(stats.NewRNG(seed), m); rep != want || !sameValue(c.Load(), wantV) {
+					t.Fatalf("%v seed %d: Corrupt gave %+v and %v, the fault call %+v and %v", m, seed, rep, c.Load(), want, wantV)
+				}
+				c.Store(v)
+				d := c.Arm(1, m, stats.NewRNG(seed))
+				if c.Load() != v || d.Fired {
+					t.Fatalf("%v seed %d: fired on the first load at delay 1", m, seed)
+				}
+				if got := c.Load(); !d.Fired || d.Report != want || !sameValue(got, wantV) {
+					t.Fatalf("%v seed %d: Arm fired %v with %+v and %v, the fault call %+v and %v", m, seed, d.Fired, d.Report, got, want, wantV)
+				}
+			}
+		}
+	}
+}
+
+// bufCase checks Buf[T]'s metadata, and that, under every fault model and
+// several seeds, Corrupt and CorruptElem report exactly what call reports on
+// an RNG of the same seed (Corrupt after drawing the element from it),
+// leave the value it returns in that element and touch no other.
+func bufCase[T Elem](v T, kind Kind, width int, call func(*stats.RNG, fault.Model, T) (T, fault.Corruption)) func(*testing.T) {
+	return func(t *testing.T) {
+		b := NewBuf[T]("b", "matrix", Dims2(3, 2))
+		if b.Name() != "b" || b.Region() != "matrix" || b.Kind() != kind || b.SizeBytes() != 6*width || b.Len() != 6 {
+			t.Fatalf("metadata: %q %q %v %d %d", b.Name(), b.Region(), b.Kind(), b.SizeBytes(), b.Len())
+		}
+		check := func(op string, m fault.Model, rep Report, r *stats.RNG, elem int) {
+			t.Helper()
+			wantV, cor := call(r, m, v)
+			want := Report{Site: "b", Region: "matrix", Kind: kind, Elem: elem, Corruption: cor}
+			if rep != want || !sameValue(b.Data[elem], wantV) {
+				t.Fatalf("%s %v: gave %+v and %v, the fault call %+v and %v", op, m, rep, b.Data[elem], want, wantV)
+			}
+			for i, x := range b.Data {
+				if i != elem && x != v {
+					t.Fatalf("%s %v: element %d collaterally changed", op, m, i)
+				}
+			}
+		}
+		for _, m := range fault.Models {
+			for seed := uint64(1); seed <= 8; seed++ {
+				for i := range b.Data {
+					b.Data[i] = v
+				}
+				rep := b.Corrupt(stats.NewRNG(seed), m)
+				r := stats.NewRNG(seed)
+				check("Corrupt", m, rep, r, r.Intn(b.Len()))
+				b.Data[rep.Elem] = v
+				check("CorruptElem", m, b.CorruptElem(stats.NewRNG(seed), m, 4), stats.NewRNG(seed), 4)
+			}
+		}
+	}
+}
+
+// TestIntCell checks Cell[int]'s Load/Store/Add and metadata, and that its
+// Corrupt and a fired Arm match fault.CorruptInt64.
 func TestIntCell(t *testing.T) {
-	c := NewInt("i", "control", 5)
+	c := NewCell("i", "control", 5)
 	if c.Load() != 5 {
 		t.Fatal("load")
 	}
@@ -68,11 +152,12 @@ func TestIntCell(t *testing.T) {
 	if c.Name() != "i" || c.Region() != "control" || c.SizeBytes() != 8 || c.Kind() != KindI64 {
 		t.Fatal("metadata")
 	}
+	cellCase(100, KindI64, 8, corruptInt)(t)
 }
 
 func TestIntCellCorrupt(t *testing.T) {
 	r := stats.NewRNG(1)
-	c := NewInt("i", "control", 100)
+	c := NewCell("i", "control", 100)
 	rep := c.Corrupt(r, fault.Zero)
 	if c.Load() != 0 {
 		t.Fatalf("Zero left %d", c.Load())
@@ -87,9 +172,11 @@ func TestIntCellCorrupt(t *testing.T) {
 	}
 }
 
+// TestF64F32Cells checks the float cells by hand, then holds Cell[float64]
+// and Cell[float32] to their element type's fault call.
 func TestF64F32Cells(t *testing.T) {
 	r := stats.NewRNG(2)
-	f := NewF64("amb", "constant", 80.0)
+	f := NewCell[float64]("amb", "constant", 80.0)
 	if f.Load() != 80 {
 		t.Fatal("f64 load")
 	}
@@ -98,7 +185,7 @@ func TestF64F32Cells(t *testing.T) {
 	if f.Load() != 0 || !rep.Changed() {
 		t.Fatal("f64 zero corrupt")
 	}
-	g := NewF32("step", "constant", 0.5)
+	g := NewCell[float32]("step", "constant", 0.5)
 	g.Corrupt(r, fault.Single)
 	if g.Load() == 0.5 {
 		t.Fatal("f32 single corrupt no-op")
@@ -106,11 +193,16 @@ func TestF64F32Cells(t *testing.T) {
 	if g.Kind() != KindF32 || g.SizeBytes() != 4 {
 		t.Fatal("f32 metadata")
 	}
+	t.Run("Cell[float64]", cellCase(80.0, KindF64, 8, fault.CorruptFloat64))
+	t.Run("Cell[float32]", cellCase(0.5, KindF32, 4, fault.CorruptFloat32))
 }
 
+// TestBuffersCorruptElem checks CorruptElem by hand, then holds the four Buf
+// instantiations the kernels use to their element type's fault call, which
+// pins the type switch that maps each to its Kind and corruption.
 func TestBuffersCorruptElem(t *testing.T) {
 	r := stats.NewRNG(3)
-	b := NewF64s("A", "matrix", Dims2(4, 4))
+	b := NewBuf[float64]("A", "matrix", Dims2(4, 4))
 	for i := range b.Data {
 		b.Data[i] = 1
 	}
@@ -123,20 +215,24 @@ func TestBuffersCorruptElem(t *testing.T) {
 			t.Fatalf("element %d collaterally changed", i)
 		}
 	}
+	t.Run("Buf[float64]", bufCase(1.5, KindF64, 8, fault.CorruptFloat64))
+	t.Run("Buf[float32]", bufCase(1.5, KindF32, 4, fault.CorruptFloat32))
+	t.Run("Buf[int32]", bufCase(-7, KindI32, 4, fault.CorruptInt32))
+	t.Run("Buf[int]", bufCase(42, KindI64, 8, corruptInt))
 }
 
 func TestBufferAtSet(t *testing.T) {
-	b := NewF64s("A", "matrix", Dims2(3, 2))
+	b := NewBuf[float64]("A", "matrix", Dims2(3, 2))
 	b.Set(2, 1, 0, 9)
 	if b.At(2, 1, 0) != 9 || b.Data[1*3+2] != 9 {
 		t.Fatal("At/Set row-major mapping wrong")
 	}
-	f := NewF32s("B", "matrix", Dims2(3, 2))
+	f := NewBuf[float32]("B", "matrix", Dims2(3, 2))
 	f.Set(0, 1, 0, 2)
 	if f.At(0, 1, 0) != 2 {
 		t.Fatal("f32 At/Set")
 	}
-	i32 := NewI32s("C", "matrix", Dims2(3, 2))
+	i32 := NewBuf[int32]("C", "matrix", Dims2(3, 2))
 	i32.Set(1, 0, 0, -4)
 	if i32.At(1, 0, 0) != -4 {
 		t.Fatal("i32 At/Set")
@@ -146,15 +242,15 @@ func TestBufferAtSet(t *testing.T) {
 func TestWrapValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WrapF64s accepted mismatched shape")
+			t.Fatal("WrapBuf accepted a mismatched shape")
 		}
 	}()
-	WrapF64s("x", "matrix", make([]float64, 3), Dims2(2, 2))
+	WrapBuf("x", "matrix", make([]float64, 3), Dims2(2, 2))
 }
 
 func TestWrapIntsShared(t *testing.T) {
 	data := []int{1, 2, 3}
-	b := WrapInts("idx", "mesh.sort", data, Dims1(3))
+	b := WrapBuf("idx", "mesh.sort", data, Dims1(3))
 	r := stats.NewRNG(4)
 	b.CorruptElem(r, fault.Zero, 1)
 	if data[1] != 0 {
@@ -167,7 +263,7 @@ func TestWrapIntsShared(t *testing.T) {
 
 func TestBufferCorruptUniform(t *testing.T) {
 	r := stats.NewRNG(5)
-	b := NewI32s("M", "matrix", Dims1(16))
+	b := NewBuf[int32]("M", "matrix", Dims1(16))
 	hits := make([]int, 16)
 	for i := 0; i < 4000; i++ {
 		rep := b.Corrupt(r, fault.Single)
@@ -183,12 +279,12 @@ func TestBufferCorruptUniform(t *testing.T) {
 
 func TestRegistryFrames(t *testing.T) {
 	g := NewRegistry()
-	g.Global().Register(NewInt("n", "control", 10))
+	g.Global().Register(NewCell("n", "control", 10))
 	if g.Depth() != 1 || len(g.Live()) != 1 {
 		t.Fatal("global frame")
 	}
 	f := g.Push("kernel")
-	f.Register(NewF64("acc", "control", 0))
+	f.Register(NewCell[float64]("acc", "control", 0))
 	if g.Depth() != 2 || len(g.Live()) != 2 {
 		t.Fatal("pushed frame not visible")
 	}
@@ -209,13 +305,13 @@ func TestRegistryPopGlobalPanics(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	g := NewRegistry()
-	g.Global().Register(NewInt("n", "control", 1))
+	g.Global().Register(NewCell("n", "control", 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate site name")
 		}
 	}()
-	g.Global().Register(NewInt("n", "control", 2))
+	g.Global().Register(NewCell("n", "control", 2))
 }
 
 // pick is PickIn over the registry's live stack, as the site it names.
@@ -229,8 +325,8 @@ func pick(g *Registry, r *stats.RNG, p Policy) Site {
 
 func TestRegistryPickByBytesWeighting(t *testing.T) {
 	g := NewRegistry()
-	big := NewF64s("big", "matrix", Dims1(1000)) // 8000 bytes
-	small := NewInt("i", "control", 0)           // 8 bytes
+	big := NewBuf[float64]("big", "matrix", Dims1(1000)) // 8000 bytes
+	small := NewCell("i", "control", 0)                  // 8 bytes
 	g.Global().Register(big, small)
 	r := stats.NewRNG(6)
 	bigHits := 0
@@ -248,8 +344,8 @@ func TestRegistryPickByBytesWeighting(t *testing.T) {
 
 func TestRegistryPickByVariableUniform(t *testing.T) {
 	g := NewRegistry()
-	big := NewF64s("big", "matrix", Dims1(1000))
-	small := NewInt("i", "control", 0)
+	big := NewBuf[float64]("big", "matrix", Dims1(1000))
+	small := NewCell("i", "control", 0)
 	g.Global().Register(big, small)
 	r := stats.NewRNG(7)
 	smallHits := 0
@@ -267,9 +363,9 @@ func TestRegistryPickByVariableUniform(t *testing.T) {
 
 func TestRegistryPickByFrame(t *testing.T) {
 	g := NewRegistry()
-	g.Global().Register(NewInt("a", "control", 0), NewInt("b", "control", 0), NewInt("c", "control", 0))
+	g.Global().Register(NewCell("a", "control", 0), NewCell("b", "control", 0), NewCell("c", "control", 0))
 	f := g.Push("leaf")
-	leaf := NewInt("z", "control", 0)
+	leaf := NewCell("z", "control", 0)
 	f.Register(leaf)
 	r := stats.NewRNG(8)
 	leafHits := 0
@@ -299,9 +395,9 @@ func TestRegistryPickEmpty(t *testing.T) {
 func TestRegionBytes(t *testing.T) {
 	g := NewRegistry()
 	g.Global().Register(
-		NewF64s("A", "matrix", Dims1(10)),
-		NewF64s("B", "matrix", Dims1(10)),
-		NewInt("i", "control", 0),
+		NewBuf[float64]("A", "matrix", Dims1(10)),
+		NewBuf[float64]("B", "matrix", Dims1(10)),
+		NewCell("i", "control", 0),
 	)
 	rb := g.RegionBytes()
 	if rb["matrix"] != 160 || rb["control"] != 8 {
