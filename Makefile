@@ -160,12 +160,17 @@ fuzz:
 # followed by the same question at 2N must be admitted as a partial that
 # computes exactly the missing N trials and folds to the monolithic bytes,
 # and the LRU size bound must evict atomically (evicted ids 404).
+# The lifecycle legs follow: a sweep reads done only after its seal has
+# stored and indexed the artifact, at the service and at the scheduler, and
+# a straggler stolen mid-run (or closed mid-steal) re-splits through the
+# same worker path and still merges to the monolithic bytes.
 # -count=3 defeats the test cache, so CI always exercises the live path, and
 # repeats every scenario: the service's last lifecycle bug showed only in
 # some runs.
 serve-check:
-	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction' \
+	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal' \
 		./internal/serve/
+	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal' ./internal/distrib/
 
 # Five of the seven cmd/ packages have no test of their own, and nothing
 # else runs carol-fi or phi-beam. This builds every binary into bin/ and

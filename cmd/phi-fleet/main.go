@@ -24,9 +24,9 @@
 // With -checkpoint-every N every worker periodically lands a valid partial
 // covering its completed trial prefix, and a relaunched worker resumes
 // from it instead of recomputing from trial zero. Adding -steal-interval
-// arms the straggler watchdog: shards lagging the fleet's median progress
-// rate are cancelled at a checkpoint boundary and their remaining trials
-// re-split across idle slots. Both leave the merged artifact byte-identical
+// arms the straggler watchdog: shards below half the fleet's median
+// progress rate are cancelled at a checkpoint boundary and their remaining
+// trials re-split two ways across idle slots. Both leave the merged artifact byte-identical
 // to the uninterrupted run.
 package main
 

@@ -24,8 +24,6 @@ type FleetFlags struct {
 	MaxConcurrent   int
 	CheckpointEvery int
 	StealInterval   time.Duration
-	StealFactor     float64
-	StealWays       int
 }
 
 // Register installs the supervision flags on fs with distrib.Defaults as
@@ -39,8 +37,6 @@ func (f *FleetFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.MaxConcurrent, "max-concurrent", d.MaxConcurrent, "max shards in flight at once (0 = no cap; one shared budget across jobs)")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", d.CheckpointEvery, "shard checkpoint cadence in trials: relaunched shards resume instead of recomputing (0 = off)")
 	fs.DurationVar(&f.StealInterval, "steal-interval", d.StealInterval, "straggler watchdog period: lagging shards are cancelled at a checkpoint and re-split (0 = off; needs -checkpoint-every)")
-	fs.Float64Var(&f.StealFactor, "steal-factor", d.StealFactor, "lag threshold: a shard is a straggler below this fraction of the fleet's median progress rate")
-	fs.IntVar(&f.StealWays, "steal-ways", d.StealWays, "how many sub-shards a stolen straggler's remainder is re-split into")
 }
 
 // Options assembles the validated distrib.Options the flags describe,
@@ -56,8 +52,6 @@ func (f *FleetFlags) Options(launcher distrib.Launcher, dir string) (distrib.Opt
 		MaxConcurrent:   f.MaxConcurrent,
 		CheckpointEvery: f.CheckpointEvery,
 		StealInterval:   f.StealInterval,
-		StealFactor:     f.StealFactor,
-		StealWays:       f.StealWays,
 	}
 	if err := opts.Validate(); err != nil {
 		return distrib.Options{}, err

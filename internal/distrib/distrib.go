@@ -23,6 +23,8 @@
 //     timed-out or corrupt-output workers, a progress mux folding every
 //     worker's structured JSONL stderr events into fan-out-wide samples,
 //     and per-shard stderr tails surfaced when a shard fails permanently.
+//     Every worker of a job, primary or child of a stolen straggler, takes
+//     one path (jobRun.run); a job reads done only after its seal ran.
 //
 // # The Launcher contract
 //

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -225,7 +226,7 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec)
+	job, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,9 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 // stalls is cancelled by the watchdog and its remainder re-split across
 // fresh sub-workers. The checkpointed prefix is never recomputed (zero lost
 // trials), the sub-plans tile the remainder exactly, TrialsStolen counts
-// precisely the re-split work, and the merge stays byte-identical.
+// precisely the re-split work, the merge stays byte-identical, and a job
+// whose finishing workers all report honest final events reads done =
+// total although the straggler's own tally stopped short.
 func TestSchedulerStealsStraggler(t *testing.T) {
 	spec := testSweep()
 	_, monoJSON := monoArtifact(t, spec)
@@ -302,8 +305,9 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		enc := json.NewEncoder(stderr)
 		if task.Plan != nil {
-			// Re-split sub-worker: compute exactly the handed plan.
+			// Re-split child: compute exactly the handed plan.
 			mu.Lock()
 			subPlans = append(subPlans, *task.Plan)
 			mu.Unlock()
@@ -311,9 +315,10 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			cells := len(spec.Cells()) + len(spec.BeamCells())
+			enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: cells, Total: cells})
 			return res.WriteFile(task.OutPath)
 		}
-		enc := json.NewEncoder(stderr)
 		if task.Shard == 1 {
 			plan, err := spec.Plan(task.Shard, task.Count)
 			if err != nil {
@@ -341,7 +346,8 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		// The supervisor flushes stderr once the launcher returns, so the
 		// reporter must have stopped writing to it by then.
 		stop, stopped := make(chan struct{}), make(chan struct{})
-		defer func() { close(stop); <-stopped }()
+		halt := sync.OnceFunc(func() { close(stop); <-stopped })
+		defer halt()
 		go func() {
 			defer close(stopped)
 			for i := 1; ; i++ {
@@ -366,6 +372,8 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			return fmt.Errorf("shard 0 gave up waiting for the steal")
 		}
+		halt()
+		enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: 1000, Total: 1000})
 		return res.WriteFile(task.OutPath)
 	})
 
@@ -373,15 +381,13 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		Shards: shards, Launcher: launcher, Dir: t.TempDir(),
 		CheckpointEvery: 2,
 		StealInterval:   50 * time.Millisecond,
-		StealFactor:     0.5,
-		StealWays:       2,
 		Logf:            logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec)
+	job, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,6 +418,9 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 	if st.TrialsStolen != wantStolen {
 		t.Fatalf("TrialsStolen = %d, want %d (the remainder past the checkpoint)", st.TrialsStolen, wantStolen)
 	}
+	if st.Done != st.Total {
+		t.Fatalf("job done after a steal reads Done=%d Total=%d", st.Done, st.Total)
+	}
 
 	// Zero lost trials: the sub-plans tile the remainder exactly — nothing
 	// from the checkpointed prefix recomputed, nothing doubled, nothing
@@ -437,5 +446,121 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 	}
 	if !strings.Contains(logs.joined(), "re-split complete") {
 		t.Fatalf("re-split never completed:\n%s", logs.joined())
+	}
+}
+
+// TestShardRunStateMachine: the one CAS point between a shard's own
+// goroutine and the watchdog — the first claim owns the outcome, every
+// later claim is refused, and only a steal cancels the shard.
+func TestShardRunStateMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		steps     []string // "finish" or "steal", in order
+		want      []bool
+		cancelled bool
+	}{
+		{"finish then steal", []string{"finish", "steal"}, []bool{true, false}, false},
+		{"steal then finish", []string{"steal", "finish"}, []bool{true, false}, true},
+		{"double steal", []string{"steal", "steal"}, []bool{true, false}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sr := newShardRun(context.Background(), Task{}, 0, nil)
+			defer sr.cancel()
+			for i, step := range tc.steps {
+				claim := sr.finish
+				if step == "steal" {
+					claim = sr.steal
+				}
+				if got := claim(); got != tc.want[i] {
+					t.Fatalf("claim %d (%s) = %v, want %v", i+1, step, got, tc.want[i])
+				}
+			}
+			if got := sr.ctx.Err() != nil; got != tc.cancelled {
+				t.Fatalf("shard context cancelled = %v, want %v", got, tc.cancelled)
+			}
+		})
+	}
+}
+
+// TestSchedulerCloseDuringSteal: Close lands while a stolen straggler's
+// children are one running, one queued behind the two-slot budget. Close
+// returns in bounded time, the job reads cancelled, and nothing is refolded
+// into the straggler's partial.
+func TestSchedulerCloseDuringSteal(t *testing.T) {
+	const shards = 2
+	childStarted := make(chan struct{}, stealWays)
+	launcher := LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
+		spec, err := fleet.ReadSpecFile(task.SpecPath)
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(stderr)
+		switch {
+		case task.Plan != nil: // re-split child: hold its slot until cancelled
+			childStarted <- struct{}{}
+		case task.Shard == 1: // straggler: bank half its plan, report once, stall
+			plan, err := spec.Plan(task.Shard, task.Count)
+			if err != nil {
+				return err
+			}
+			part, err := spec.RunPlan(ctx, fleet.ShardPlan{
+				Index: plan.Index, Count: plan.Count,
+				Injection: plan.Injection.Split(0, 2), Beam: plan.Beam.Split(0, 2),
+			})
+			if err != nil {
+				return err
+			}
+			if err := part.WriteFileAtomic(task.CheckpointPath); err != nil {
+				return err
+			}
+			enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: 1, Total: 100})
+		default: // healthy shard: steady progress, never finishes
+			for i := 1; ctx.Err() == nil; i++ {
+				enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: i, Total: 1000})
+				select {
+				case <-ctx.Done():
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	sched, err := NewScheduler(Options{
+		Shards: shards, Launcher: launcher, Dir: t.TempDir(), MaxConcurrent: 2,
+		CheckpointEvery: 2, StealInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := sched.Submit(testSweep(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-childStarted:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the straggler was never stolen and re-split")
+	}
+	select {
+	case <-childStarted:
+		t.Fatal("both children run although the healthy shard holds one of two slots")
+	case <-time.After(50 * time.Millisecond):
+	}
+	closed := make(chan struct{})
+	go func() {
+		sched.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return during a steal")
+	}
+	if st := job.Status(); st.State != JobCancelled {
+		t.Fatalf("job closed during a steal reads %s, want cancelled", st.State)
+	}
+	if _, err := os.Stat(PartialPath(job.Dir(), 1, shards)); !os.IsNotExist(err) {
+		t.Fatalf("re-split children were refolded into the straggler's partial after Close (stat: %v)", err)
 	}
 }

@@ -49,7 +49,7 @@ func ExampleScheduler_Submit() {
 		Models:     []fault.Model{fault.Single},
 		N:          8,
 		Seed:       11, BenchSeed: 1, Workers: 1,
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -44,18 +44,12 @@ type Options struct {
 	CheckpointEvery int
 	// StealInterval, when > 0, arms the straggler watchdog: every
 	// StealInterval the scheduler compares per-shard progress rates, and a
-	// shard lagging the fleet median (see StealFactor) is cancelled at a
-	// checkpoint boundary and its remaining trials re-split across idle
-	// slots. Requires CheckpointEvery > 0 — stealing without checkpoints
-	// would forfeit the straggler's completed trials. 0 disables stealing.
+	// shard lagging below half the fleet median is cancelled at a
+	// checkpoint boundary and its remaining trials re-split two ways across
+	// idle slots. Requires CheckpointEvery > 0 — stealing without
+	// checkpoints would forfeit the straggler's completed trials. 0
+	// disables stealing.
 	StealInterval time.Duration
-	// StealFactor is the lag threshold: a shard is a straggler when its
-	// fractional progress rate falls below StealFactor times the fleet
-	// median. Must be in (0, 1]; Defaults sets 0.5.
-	StealFactor float64
-	// StealWays is how many sub-shards a stolen straggler's remainder is
-	// re-split into. Must be >= 2; Defaults sets 2.
-	StealWays int
 	// Progress, when non-nil, receives aggregated job-wide samples as
 	// workers report. Calls are serialised. Under a Scheduler every job
 	// feeds the same hook; per-job streams come from Job.Subscribe.
@@ -72,11 +66,9 @@ type Options struct {
 // fields with no sensible default, and Validate requires them.
 func Defaults() Options {
 	return Options{
-		Shards:      3,
-		Retries:     1,
-		Backoff:     time.Second,
-		StealFactor: 0.5,
-		StealWays:   2,
+		Shards:  3,
+		Retries: 1,
+		Backoff: time.Second,
 	}
 }
 
@@ -105,16 +97,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("distrib: negative checkpoint cadence %d", o.CheckpointEvery)
 	case o.StealInterval < 0:
 		return fmt.Errorf("distrib: negative steal interval %s", o.StealInterval)
-	}
-	if o.StealInterval > 0 {
-		switch {
-		case o.CheckpointEvery <= 0:
-			return errors.New("distrib: straggler stealing needs CheckpointEvery > 0 — cancelling an uncheckpointed shard would forfeit its completed trials")
-		case o.StealFactor <= 0 || o.StealFactor > 1:
-			return fmt.Errorf("distrib: steal factor %v outside (0, 1]", o.StealFactor)
-		case o.StealWays < 2:
-			return fmt.Errorf("distrib: re-splitting a straggler needs at least 2 ways, got %d", o.StealWays)
-		}
+	case o.StealInterval > 0 && o.CheckpointEvery <= 0:
+		return errors.New("distrib: straggler stealing needs CheckpointEvery > 0 — cancelling an uncheckpointed shard would forfeit its completed trials")
 	}
 	return nil
 }

@@ -100,7 +100,7 @@ func TestSchedulerSubmitWithPrefix(t *testing.T) {
 	}
 	defer sched.Close()
 
-	job, err := sched.SubmitWithPrefix(req, cached)
+	job, err := sched.SubmitWithPrefix(req, cached, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestSchedulerSubmitWithPrefix(t *testing.T) {
 
 	// A full-coverage cached artifact has nothing to compute and must be
 	// refused — that request is the exact-hit path, not a prefix job.
-	if _, err := sched.SubmitWithPrefix(req, mono); err == nil {
+	if _, err := sched.SubmitWithPrefix(req, mono, nil); err == nil {
 		t.Fatal("SubmitWithPrefix accepted a fully-covering cached artifact")
 	}
 	// A base mismatch is refused before anything launches.
 	other := req
 	other.Seed++
-	if _, err := sched.SubmitWithPrefix(other, cached); err == nil {
+	if _, err := sched.SubmitWithPrefix(other, cached, nil); err == nil {
 		t.Fatal("SubmitWithPrefix accepted a base-mismatched cached artifact")
 	}
 }
@@ -170,7 +170,7 @@ func TestValidatePartialPlanMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.SubmitWithPrefix(req, cached)
+	job, err := sched.SubmitWithPrefix(req, cached, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

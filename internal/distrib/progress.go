@@ -63,8 +63,8 @@ type muxShard struct {
 // Samples are emitted with the lock held, so sink calls are serialised —
 // the same contract fleet.Sweep.Progress gives. Mux keys may be sparse: a
 // prefix-cached fan-out launches workers 1..S of an (S+1)-way plan (shard 0
-// being the cached partial that never runs), and re-split straggler
-// sub-workers report under synthetic keys >= the shard count.
+// being the cached partial that never runs), and the children of a
+// re-split straggler report under keys >= the shard count.
 type progressMux struct {
 	mu     sync.Mutex
 	shards map[int]muxShard
@@ -75,11 +75,10 @@ type progressMux struct {
 	// observe, when non-nil, taps every report — the straggler watchdog's
 	// feed. Set before workers launch; called outside the mux lock.
 	observe func(shard, done, total int)
-	// onResumed and onStolen, when non-nil, receive trial counts salvaged
-	// by checkpoint resume and straggler re-splitting (the job's
-	// trialsResumed/trialsStolen counters). Set before workers launch.
+	// onResumed, when non-nil, receives trial counts salvaged by
+	// checkpoint resume (the job's trialsResumed counter). Set before
+	// workers launch.
 	onResumed func(trials int)
-	onStolen  func(trials int)
 }
 
 func newProgressMux(workers, cellsPerShard int, sink func(Progress)) *progressMux {
@@ -98,21 +97,39 @@ func (m *progressMux) report(shard, done, total int) {
 	}
 	m.mu.Lock()
 	m.shards[shard] = muxShard{done: done, total: total}
-	if m.sink != nil {
-		sumDone, sumTotal := 0, 0
-		for _, sh := range m.shards {
-			sumDone += sh.done
-			sumTotal += sh.total
-		}
-		if missing := m.expect - len(m.shards); missing > 0 {
-			sumTotal += missing * m.cells
-		}
-		m.sink(Progress{Shard: shard, Done: sumDone, Total: sumTotal})
-	}
+	m.emitLocked(shard)
 	m.mu.Unlock()
 	if m.observe != nil {
 		m.observe(shard, done, total)
 	}
+}
+
+// close freezes a stolen shard's tally at what it reported done: its
+// worker will report nothing more, and the re-split children's own reports
+// carry the remainder, so a job finished after a steal reads done = total.
+func (m *progressMux) close(shard int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sh := m.shards[shard]
+	sh.total = sh.done
+	m.shards[shard] = sh
+	m.emitLocked(shard)
+}
+
+// emitLocked sends the aggregate sample after shard's tally changed.
+func (m *progressMux) emitLocked(shard int) {
+	if m.sink == nil {
+		return
+	}
+	sumDone, sumTotal := 0, 0
+	for _, sh := range m.shards {
+		sumDone += sh.done
+		sumTotal += sh.total
+	}
+	if missing := m.expect - len(m.shards); missing > 0 {
+		sumTotal += missing * m.cells
+	}
+	m.sink(Progress{Shard: shard, Done: sumDone, Total: sumTotal})
 }
 
 // reset zeroes a shard's tally when its worker is relaunched, so aggregate
@@ -132,13 +149,6 @@ func (m *progressMux) reset(shard int) {
 func (m *progressMux) addResumed(trials int) {
 	if m.onResumed != nil && trials > 0 {
 		m.onResumed(trials)
-	}
-}
-
-// addStolen credits trials re-split off a cancelled straggler.
-func (m *progressMux) addStolen(trials int) {
-	if m.onStolen != nil && trials > 0 {
-		m.onStolen(trials)
 	}
 }
 

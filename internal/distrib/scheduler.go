@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,6 +63,7 @@ type Job struct {
 	id     string
 	dir    string
 	cancel context.CancelFunc
+	seal   func(*Job, *fleet.SweepResult) error
 
 	resumed atomic.Int64
 	stolen  atomic.Int64
@@ -99,10 +101,9 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// addResumed and addStolen accumulate the job's elastic-execution counters
+// addResumed accumulates the job's checkpoint-resume counter
 // (cell-weighted trials; see JobStatus). Safe from any goroutine.
 func (j *Job) addResumed(n int) { j.resumed.Add(int64(n)) }
-func (j *Job) addStolen(n int)  { j.stolen.Add(int64(n)) }
 
 // Cancel stops the job: queued shards never launch, running workers are
 // killed. Sibling jobs are untouched — each job supervises its shards
@@ -255,13 +256,15 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 
 // Submit queues spec as a new job in its own subdirectory of Options.Dir
 // and returns immediately; the job runs as budget slots free up. The spec
-// must plan cleanly at the scheduler's shard width.
-func (s *Scheduler) Submit(spec fleet.Sweep) (*Job, error) {
+// must plan cleanly at the scheduler's shard width. seal, when non-nil, is
+// the job's last step: it runs on the merged result before the job reads
+// done, and an error from it ends the job failed.
+func (s *Scheduler) Submit(spec fleet.Sweep, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	id, dir, err := s.newJobDir()
 	if err != nil {
 		return nil, err
 	}
-	return s.submit(spec, id, dir, id+": ")
+	return s.submit(spec, id, dir, id+": ", seal)
 }
 
 // SubmitWithPrefix queues spec as a job whose shard 0 is already answered:
@@ -270,8 +273,8 @@ func (s *Scheduler) Submit(spec fleet.Sweep) (*Job, error) {
 // only the missing trial ranges fan out as explicit-plan workers (the
 // scheduler's full shard width splits the remainder). The merged result is
 // byte-identical to a monolithic run of spec; the job's progress Total
-// counts only the fresh cells actually computed.
-func (s *Scheduler) SubmitWithPrefix(spec fleet.Sweep, cached *fleet.SweepResult) (*Job, error) {
+// counts only the fresh cells actually computed. seal is Submit's.
+func (s *Scheduler) SubmitWithPrefix(spec fleet.Sweep, cached *fleet.SweepResult, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	id, dir, err := s.newJobDir()
 	if err != nil {
 		return nil, err
@@ -280,7 +283,7 @@ func (s *Scheduler) SubmitWithPrefix(spec fleet.Sweep, cached *fleet.SweepResult
 	if err != nil {
 		return nil, err
 	}
-	return s.start(spec, id, dir, id+": ", tasks, paths)
+	return s.start(spec, id, dir, id+": ", tasks, paths, seal)
 }
 
 // newJobDir mints the next job id and creates its working directory.
@@ -303,7 +306,7 @@ func (s *Scheduler) newJobDir() (string, string, error) {
 // submit plans the job in dir and starts it. logPrefix decorates Logf
 // lines so interleaved jobs stay attributable; Run passes "" to keep the
 // one-shot log format unchanged.
-func (s *Scheduler) submit(spec fleet.Sweep, id, dir, logPrefix string) (*Job, error) {
+func (s *Scheduler) submit(spec fleet.Sweep, id, dir, logPrefix string, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	tasks, err := Plan(dir, spec, s.opts.Shards)
 	if err != nil {
 		return nil, err
@@ -312,19 +315,20 @@ func (s *Scheduler) submit(spec fleet.Sweep, id, dir, logPrefix string) (*Job, e
 	for i, t := range tasks {
 		paths[i] = t.OutPath
 	}
-	return s.start(spec, id, dir, logPrefix, tasks, paths)
+	return s.start(spec, id, dir, logPrefix, tasks, paths, seal)
 }
 
 // start registers the planned job and launches its supervisor. mergePaths
 // are every partial of the fan-out in merge order — the tasks' outputs
 // plus any pre-written cached partial.
-func (s *Scheduler) start(spec fleet.Sweep, id, dir, logPrefix string, tasks []Task, mergePaths []string) (*Job, error) {
+func (s *Scheduler) start(spec fleet.Sweep, id, dir, logPrefix string, tasks []Task, mergePaths []string, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	cellsPerShard := len(spec.Cells()) + len(spec.BeamCells())
 	jctx, jcancel := context.WithCancel(s.ctx)
 	job := &Job{
 		id:       id,
 		dir:      dir,
 		cancel:   jcancel,
+		seal:     seal,
 		state:    JobQueued,
 		total:    cellsPerShard * len(tasks),
 		subs:     map[int]chan Progress{},
@@ -342,25 +346,36 @@ func (s *Scheduler) start(spec fleet.Sweep, id, dir, logPrefix string, tasks []T
 	// Tickets are enqueued here, in shard order, while still serialised
 	// with other Submits: the shared budget is strictly FIFO across jobs,
 	// so under a 1-slot budget job N+1 can never overtake job N.
-	tickets := make([]*ticket, len(tasks))
-	for k := range tickets {
-		tickets[k] = s.budget.enqueue()
+	runs := make([]*shardRun, len(tasks))
+	for k, t := range tasks {
+		runs[k] = newShardRun(jctx, t, t.Shard, s.budget.enqueue())
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.runJob(jctx, job, spec, tasks, tickets, logPrefix, mergePaths)
+	go s.runJob(jctx, job, spec, runs, logPrefix, mergePaths)
 	return job, nil
 }
 
-// shardRun tracks one primary shard's lifecycle under the steal protocol.
-// The state machine is a single CAS point: the supervising goroutine
-// claims running→finished when the shard concludes on its own, the
-// watchdog claims running→stolen to take it over, and whoever loses the
-// race abandons the outcome — a shard's result is owned by exactly one
-// side, never both.
+// The straggler watchdog's two constants: a shard is lagging when its
+// fractional progress rate falls below stealFactor times the fleet median,
+// and a stolen shard's remainder is re-split stealWays ways.
+const (
+	stealFactor = 0.5
+	stealWays   = 2
+)
+
+// shardRun is one worker of a job — a primary shard or a re-split child —
+// with its budget ticket and its lifecycle under the steal protocol. The
+// state machine is a single CAS point: the shard's own goroutine claims
+// running→finished when the shard concludes, the watchdog claims
+// running→stolen to take it over, and whoever loses abandons the outcome —
+// a shard's result is owned by exactly one side, never both.
 type shardRun struct {
 	task   Task
+	key    int // progress-mux identity
+	tk     *ticket
+	ctx    context.Context
 	cancel context.CancelFunc
 	state  atomic.Int32
 }
@@ -371,152 +386,85 @@ const (
 	shardStolen
 )
 
-// runJob supervises one job's fan-out to a terminal state.
-func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, tasks []Task, tickets []*ticket, logPrefix string, mergePaths []string) {
-	defer s.wg.Done()
-	opts := s.opts
-	if logPrefix != "" && opts.Logf != nil {
-		inner := opts.Logf
-		opts.Logf = func(format string, args ...any) {
-			inner(logPrefix+format, args...)
-		}
+func newShardRun(parent context.Context, t Task, key int, tk *ticket) *shardRun {
+	ctx, cancel := context.WithCancel(parent)
+	return &shardRun{task: t, key: key, tk: tk, ctx: ctx, cancel: cancel}
+}
+
+// finish is the shard's own claim on its outcome.
+func (sr *shardRun) finish() bool { return sr.state.CompareAndSwap(shardRunning, shardFinished) }
+
+// steal is the watchdog's claim: on success the shard is cancelled at its
+// checkpoint boundary, and its own goroutine re-splits the remainder.
+func (sr *shardRun) steal() bool {
+	if !sr.state.CompareAndSwap(shardRunning, shardStolen) {
+		return false
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	sr.cancel()
+	return true
+}
+
+// jobRun is one job's supervision state, shared by every worker of its
+// fan-out.
+type jobRun struct {
+	s    *Scheduler
+	jctx context.Context
+	job  *Job
+	opts Options // Logf never nil
+	mux  *progressMux
+	wd   *watchdog // nil when stealing is off
+}
+
+// runJob supervises one job's fan-out to a terminal state.
+func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, runs []*shardRun, logPrefix string, mergePaths []string) {
+	defer s.wg.Done()
+	r := &jobRun{s: s, jctx: jctx, job: job, opts: s.opts}
+	if logf := s.opts.Logf; logf != nil {
+		r.opts.Logf = func(format string, args ...any) { logf(logPrefix+format, args...) }
+	} else {
+		r.opts.Logf = func(string, ...any) {}
 	}
 	sink := job.emit
-	if opts.Progress != nil {
-		outer := opts.Progress
+	if outer := r.opts.Progress; outer != nil {
 		sink = func(p Progress) {
 			job.emit(p)
 			outer(p)
 		}
 	}
-	if opts.CheckpointEvery > 0 {
+	if r.opts.CheckpointEvery > 0 {
 		// Elastic mode: every shard checkpoints next to its partial. The
 		// .ckpt suffix keeps checkpoints out of the sweep-shard-*.json
 		// globs that fleet-check and phi-merge fold.
-		for i := range tasks {
-			tasks[i].CheckpointPath = tasks[i].OutPath + ".ckpt"
-			tasks[i].CheckpointEvery = opts.CheckpointEvery
+		for _, sr := range runs {
+			sr.task.CheckpointPath = sr.task.OutPath + ".ckpt"
+			sr.task.CheckpointEvery = r.opts.CheckpointEvery
 		}
 	}
-	cellsPerShard := len(spec.Cells()) + len(spec.BeamCells())
-	mux := newProgressMux(len(tasks), cellsPerShard, sink)
-	mux.onResumed = job.addResumed
-	mux.onStolen = job.addStolen
-
-	var wd *watchdog
-	if opts.StealInterval > 0 && len(tasks) > 1 {
-		wd = newWatchdog(opts.StealFactor, opts.StealInterval)
-		mux.observe = func(key, done, total int) {
-			wd.observe(key, done, total, time.Now())
+	r.mux = newProgressMux(len(runs), len(spec.Cells())+len(spec.BeamCells()), sink)
+	r.mux.onResumed = job.addResumed
+	if r.opts.StealInterval > 0 && len(runs) > 1 {
+		r.wd = newWatchdog(stealFactor, r.opts.StealInterval)
+		r.mux.observe = func(key, done, total int) {
+			r.wd.observe(key, done, total, time.Now())
 		}
-	}
-
-	var wg sync.WaitGroup
-	failures := make([]*shardError, len(tasks))
-	runs := map[int]*shardRun{}
-	for i, t := range tasks {
-		sctx, scancel := context.WithCancel(jctx)
-		sr := &shardRun{task: t, cancel: scancel}
-		runs[t.Shard] = sr
-		if wd != nil {
-			wd.watch(t.Shard)
+		for _, sr := range runs {
+			r.wd.watch(sr.key)
 		}
-		wg.Add(1)
-		go func(i int, sr *shardRun, tk *ticket) {
-			defer wg.Done()
-			defer sr.cancel()
-			if s.budget.wait(sctx, tk) != nil {
-				return // job (or scheduler) cancelled while queued
-			}
-			defer s.budget.release()
-			job.markRunning()
-			ferr := superviseShard(sctx, sr.task, opts, mux, sr.task.Shard)
-			if sr.state.CompareAndSwap(shardRunning, shardFinished) {
-				if wd != nil {
-					wd.exclude(sr.task.Shard)
-				}
-				failures[i] = ferr
-			}
-			// A lost CAS means the watchdog stole this shard mid-run; the
-			// re-split owns its outcome now.
-		}(i, sr, tickets[i])
+		wctx, stopWatch := context.WithCancel(jctx)
+		watched := make(chan struct{})
+		go func() { defer close(watched); r.watch(wctx, runs) }()
+		defer func() { stopWatch(); <-watched }()
 	}
 
-	// The watchdog ticker: on every interval, cancel each lagging shard at
-	// its checkpoint boundary and re-split the remainder across idle slots.
-	// Each shard is stolen at most once (exclude), and the steal goroutines
-	// are awaited after the primaries so the merge below sees every
-	// re-folded partial.
-	var stealWG sync.WaitGroup
-	var stealMu sync.Mutex
-	var stealFailures []*shardError
-	stolenCount := 0
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	if wd != nil {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			ticker := time.NewTicker(opts.StealInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopWatch:
-					return
-				case <-jctx.Done():
-					return
-				case <-ticker.C:
-				}
-				for _, key := range wd.lagging(time.Now()) {
-					sr := runs[key]
-					if sr == nil || !sr.state.CompareAndSwap(shardRunning, shardStolen) {
-						continue
-					}
-					wd.exclude(key)
-					logf("shard %s: lagging the fleet median — cancelling at checkpoint and re-splitting", sr.task.ShardArg())
-					stealMu.Lock()
-					idx := stolenCount
-					stolenCount++
-					stealMu.Unlock()
-					sr.cancel()
-					stealWG.Add(1)
-					go func(sr *shardRun, idx int) {
-						defer stealWG.Done()
-						if serr := s.resplitShard(jctx, sr.task, opts, mux, idx); serr != nil {
-							stealMu.Lock()
-							stealFailures = append(stealFailures, serr)
-							stealMu.Unlock()
-						}
-					}(sr, idx)
-				}
-			}
-		}()
-	}
-
-	wg.Wait()
-	if wd != nil {
-		close(stopWatch)
-		watchWG.Wait()
-	}
-	stealWG.Wait()
-
-	var msgs []string
-	for _, f := range failures {
-		if f != nil {
-			msgs = append(msgs, f.Error())
-		}
-	}
-	for _, f := range stealFailures {
-		msgs = append(msgs, f.Error())
-	}
+	failures := r.runAll(runs)
 	switch {
-	case len(msgs) > 0:
+	case len(failures) > 0:
+		msgs := make([]string, len(failures))
+		for i, f := range failures {
+			msgs[i] = f.Error()
+		}
 		job.finish(JobFailed, nil, fmt.Errorf("distrib: %d of %d shards failed permanently:\n%s",
-			len(msgs), len(tasks), strings.Join(msgs, "\n")))
+			len(msgs), len(runs), strings.Join(msgs, "\n")))
 	case jctx.Err() != nil:
 		job.finish(JobCancelled, nil, context.Canceled)
 	default:
@@ -525,111 +473,137 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, tas
 			job.finish(JobFailed, nil, fmt.Errorf("distrib: folding shard partials: %w", err))
 			return
 		}
+		if job.seal != nil {
+			if err := job.seal(job, merged); err != nil {
+				job.finish(JobFailed, nil, fmt.Errorf("distrib: sealing the merged result: %w", err))
+				return
+			}
+		}
 		job.finish(JobDone, merged, nil)
 	}
 }
 
-// resplitShard finishes a stolen straggler: its newest valid checkpoint
-// banks the prefix (losing zero completed trials), the remainder is split
-// Options.StealWays ways across fresh explicit-plan sub-workers drawing on
-// the shared budget, and the folded result lands atomically at the
-// straggler's own partial path — so the job's merge is byte-identical to
-// the shard having run uninterrupted. Sub-worker partials use a .steal-*
-// suffix (outside the sweep-shard-*.json merge globs) and report progress
-// under synthetic mux keys above the primary shard indices.
-func (s *Scheduler) resplitShard(jctx context.Context, t Task, opts Options, mux *progressMux, stolenIdx int) *shardError {
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+// watch is the watchdog ticker: on every interval it claims each lagging
+// primary as stolen, which cancels the shard; each shard is stolen at most
+// once (exclude).
+func (r *jobRun) watch(ctx context.Context, runs []*shardRun) {
+	byKey := make(map[int]*shardRun, len(runs))
+	for _, sr := range runs {
+		byKey[sr.key] = sr
 	}
-	spec, err := fleet.ReadSpecFile(t.SpecPath)
+	ticker := time.NewTicker(r.opts.StealInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		for _, key := range r.wd.lagging(time.Now()) {
+			r.wd.exclude(key)
+			byKey[key].steal()
+		}
+	}
+}
+
+// runAll runs every shard on its own goroutine and returns the permanent
+// failures in shard order once all of them have concluded.
+func (r *jobRun) runAll(runs []*shardRun) []*shardError {
+	errs := make([]*shardError, len(runs))
+	var wg sync.WaitGroup
+	for i, sr := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = r.run(sr)
+		}()
+	}
+	wg.Wait()
+	return slices.DeleteFunc(errs, func(e *shardError) bool { return e == nil })
+}
+
+// run is the one path every worker of a job takes, primary or re-split
+// child: wait for its ticket, mark the job running, supervise the shard
+// through its attempts, release the slot. A shard the watchdog stole
+// mid-run then re-splits its remainder on this goroutine.
+func (r *jobRun) run(sr *shardRun) *shardError {
+	defer sr.cancel()
+	if r.s.budget.wait(sr.ctx, sr.tk) != nil {
+		return nil // job (or scheduler) cancelled while queued
+	}
+	r.job.markRunning()
+	ferr := superviseShard(sr.ctx, sr.task, r.opts, r.mux, sr.key)
+	r.s.budget.release()
+	if sr.finish() {
+		if r.wd != nil {
+			r.wd.exclude(sr.key)
+		}
+		return ferr
+	}
+	return r.resplit(sr)
+}
+
+// resplit finishes a stolen straggler: its newest valid checkpoint banks
+// the prefix (losing zero completed trials), the remainder is split
+// stealWays ways across child workers drawing on the shared budget, and the
+// folded result lands atomically at the straggler's own partial path — so
+// the job's merge is byte-identical to the shard having run uninterrupted.
+// A checkpoint that already covers the whole plan leaves no children and
+// folds alone. Child partials use a .steal-* suffix (outside the
+// sweep-shard-*.json merge globs) and report progress under the keys
+// Count + Shard*stealWays + w, unique because a shard is stolen at most
+// once.
+func (r *jobRun) resplit(sr *shardRun) *shardError {
+	t := sr.task
+	// The straggler reports nothing more: close its tally at what it did,
+	// so the children's reports carry the rest of the job's progress.
+	r.mux.close(sr.key)
+	r.opts.Logf("shard %s: lagging the fleet median — cancelled at checkpoint, re-splitting", t.ShardArg())
+	spec, plan, work, ckpt, err := readCheckpoint(t)
 	if err != nil {
 		return &shardError{task: t, err: fmt.Errorf("re-split: %w", err)}
 	}
-	var plan fleet.ShardPlan
-	if t.Plan != nil {
-		plan = *t.Plan
-	} else if plan, err = spec.Plan(t.Shard, t.Count); err != nil {
-		return &shardError{task: t, err: fmt.Errorf("re-split: %w", err)}
-	}
-	var ckpt *fleet.SweepResult
-	work := plan
-	if t.CheckpointPath != "" {
-		if ck, rest, err := fleet.LoadCheckpoint(t.CheckpointPath, spec, plan); err == nil {
-			ckpt, work = ck, rest
-		}
-	}
-	stolen := work.Injection.N*len(spec.Cells()) + work.Beam.N*len(spec.BeamCells())
-	mux.addStolen(stolen)
-	if work.Injection.Empty() && work.Beam.Empty() {
-		// The checkpoint already covers the whole plan: fold it alone.
-		full, err := fleet.MergeShardPartials(plan, ckpt)
-		if err != nil {
-			return &shardError{task: t, err: fmt.Errorf("re-split fold: %w", err)}
-		}
-		if err := full.WriteFileAtomic(t.OutPath); err != nil {
-			return &shardError{task: t, err: err}
-		}
-		os.Remove(t.CheckpointPath)
-		return nil
-	}
-	ways := opts.StealWays
-	logf("shard %s: re-splitting %d remaining trials %d ways", t.ShardArg(), stolen, ways)
-	var subTasks []Task
-	var keys []int
-	for w := 0; w < ways; w++ {
+	stolen := cellTrials(spec, work)
+	r.job.stolen.Add(int64(stolen))
+	var children []*shardRun
+	for w := 0; w < stealWays; w++ {
 		sub := fleet.ShardPlan{
 			Index:     plan.Index,
 			Count:     plan.Count,
-			Injection: work.Injection.Split(w, ways),
-			Beam:      work.Beam.Split(w, ways),
+			Injection: work.Injection.Split(w, stealWays),
+			Beam:      work.Beam.Split(w, stealWays),
 		}
 		if sub.Injection.Empty() && sub.Beam.Empty() {
 			continue
 		}
-		sp := sub
-		out := fmt.Sprintf("%s.steal-%d-of-%d", t.OutPath, w+1, ways)
-		subTasks = append(subTasks, Task{
+		out := fmt.Sprintf("%s.steal-%d-of-%d", t.OutPath, w+1, stealWays)
+		children = append(children, newShardRun(r.jctx, Task{
 			Shard: t.Shard, Count: t.Count,
 			SpecPath:        t.SpecPath,
 			OutPath:         out,
-			Plan:            &sp,
+			Plan:            &sub,
 			CheckpointPath:  out + ".ckpt",
 			CheckpointEvery: t.CheckpointEvery,
-		})
-		keys = append(keys, t.Count+stolenIdx*ways+w)
+		}, t.Count+t.Shard*stealWays+w, r.s.budget.enqueue()))
 	}
-	var wg sync.WaitGroup
-	subErrs := make([]*shardError, len(subTasks))
-	for i := range subTasks {
-		tk := s.budget.enqueue()
-		wg.Add(1)
-		go func(i int, tk *ticket) {
-			defer wg.Done()
-			if s.budget.wait(jctx, tk) != nil {
-				return
-			}
-			defer s.budget.release()
-			subErrs[i] = superviseShard(jctx, subTasks[i], opts, mux, keys[i])
-		}(i, tk)
+	if len(children) > 0 {
+		r.opts.Logf("shard %s: re-splitting %d remaining trials %d ways", t.ShardArg(), stolen, stealWays)
 	}
-	wg.Wait()
-	if jctx.Err() != nil {
+	errs := r.runAll(children)
+	if r.jctx.Err() != nil {
 		return nil // job cancelled; not this shard's failure
 	}
-	for _, e := range subErrs {
-		if e != nil {
-			return e
-		}
+	if len(errs) > 0 {
+		return errs[0]
 	}
-	parts := make([]*fleet.SweepResult, 0, len(subTasks)+1)
+	parts := make([]*fleet.SweepResult, 0, len(children)+1)
 	if ckpt != nil {
 		parts = append(parts, ckpt)
 	}
-	for _, st := range subTasks {
-		p, err := fleet.ReadShardFile(st.OutPath)
+	for _, c := range children {
+		p, err := fleet.ReadShardFile(c.task.OutPath)
 		if err != nil {
-			return &shardError{task: t, err: fmt.Errorf("re-split sub-partial: %w", err)}
+			return &shardError{task: t, err: fmt.Errorf("re-split child partial: %w", err)}
 		}
 		parts = append(parts, p)
 	}
@@ -640,12 +614,12 @@ func (s *Scheduler) resplitShard(jctx context.Context, t Task, opts Options, mux
 	if err := full.WriteFileAtomic(t.OutPath); err != nil {
 		return &shardError{task: t, err: err}
 	}
-	for _, st := range subTasks {
-		os.Remove(st.OutPath)
-		os.Remove(st.CheckpointPath)
+	for _, c := range children {
+		os.Remove(c.task.OutPath)
+		os.Remove(c.task.CheckpointPath)
 	}
 	os.Remove(t.CheckpointPath)
-	logf("shard %s: re-split complete, partial refolded (%s)", t.ShardArg(), t.OutPath)
+	r.opts.Logf("shard %s: re-split complete, partial refolded (%s)", t.ShardArg(), t.OutPath)
 	return nil
 }
 

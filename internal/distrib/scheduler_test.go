@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestSchedulerFIFOUnderOneSlot(t *testing.T) {
 
 	jobs := make([]*Job, 3)
 	for i := range jobs {
-		if jobs[i], err = sched.Submit(spec); err != nil {
+		if jobs[i], err = sched.Submit(spec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,14 +118,14 @@ func TestSchedulerCancelIsolation(t *testing.T) {
 	}
 	defer sched.Close()
 
-	victim, err := sched.Submit(spec)
+	victim, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if victim.ID() != "job-1" {
 		t.Fatalf("first submission got id %s", victim.ID())
 	}
-	sibling, err := sched.Submit(spec)
+	sibling, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +175,18 @@ func TestSchedulerCancelQueuedJobFreesNothing(t *testing.T) {
 	}
 	defer sched.Close()
 
-	holder, err := sched.Submit(spec)
+	holder, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := <-started; got != filepath.Base(holder.Dir()) {
 		t.Fatalf("first slot went to %s", got)
 	}
-	queued, err := sched.Submit(spec)
+	queued, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := sched.Submit(spec)
+	last, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestSchedulerSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec)
+	job, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestSchedulerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := sched.Submit(spec)
+	job, err := sched.Submit(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestSchedulerClose(t *testing.T) {
 	if st := job.Status(); st.State != JobCancelled {
 		t.Fatalf("job state after Close: %s", st.State)
 	}
-	if _, err := sched.Submit(spec); err == nil {
+	if _, err := sched.Submit(spec, nil); err == nil {
 		t.Fatal("closed scheduler accepted a submission")
 	}
 }
@@ -300,6 +301,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Retries = -1 },
 		func(o *Options) { o.Backoff = -time.Millisecond },
 		func(o *Options) { o.MaxConcurrent = -2 },
+		func(o *Options) { o.StealInterval = time.Second }, // without CheckpointEvery
 	}
 	for i, mutate := range bad {
 		o := valid
@@ -307,5 +309,55 @@ func TestOptionsValidate(t *testing.T) {
 		if err := o.Validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, o)
 		}
+	}
+}
+
+// TestSchedulerSeal: a job reads done only after its seal returns — Done
+// stays open and Result reports the job unfinished while the seal blocks,
+// and the sealed result is the job's result — and a seal error ends the job
+// failed.
+func TestSchedulerSeal(t *testing.T) {
+	spec := schedSweep()
+	sched, err := NewScheduler(Options{Shards: 2, Launcher: LauncherFunc(inProcWorker), Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	merged, release := make(chan *fleet.SweepResult, 1), make(chan struct{})
+	job, err := sched.Submit(spec, func(_ *Job, res *fleet.SweepResult) error {
+		merged <- res
+		<-release
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := <-merged
+	select {
+	case <-job.Done():
+		t.Fatal("job done while its seal blocks")
+	default:
+	}
+	if st := job.Status(); st.State != JobRunning {
+		t.Fatalf("job reads %s while its seal blocks, want running", st.State)
+	}
+	if _, err := job.Result(); err == nil || !strings.Contains(err.Error(), "not finished") {
+		t.Fatalf("Result while the seal blocks: %v, want not finished", err)
+	}
+	close(release)
+	if res, err := job.Wait(context.Background()); err != nil || res != sealed {
+		t.Fatalf("Wait after the seal: %p, %v; want the sealed result %p", res, err, sealed)
+	}
+
+	refused := errors.New("seal refused")
+	failed, err := sched.Submit(spec, func(*Job, *fleet.SweepResult) error { return refused })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failed.Wait(context.Background()); !errors.Is(err, refused) {
+		t.Fatalf("job whose seal failed returned %v, want the seal's error", err)
+	}
+	if st := failed.Status(); st.State != JobFailed {
+		t.Fatalf("job whose seal failed reads %s, want failed", st.State)
 	}
 }

@@ -48,7 +48,7 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 		return nil, err
 	}
 	defer sched.Close()
-	job, err := sched.submit(spec, "job-1", opts.Dir, "")
+	job, err := sched.submit(spec, "job-1", opts.Dir, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,8 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 // its partial landed and validated; non-nil is a permanent failure. A
 // shard aborted because the whole job was cancelled is not a failure. key
 // is the task's progress-mux identity — the shard index for primary
-// workers, a synthetic key for re-split straggler sub-workers.
+// workers, a key past the primaries for a re-split straggler's children.
+// opts.Logf must be non-nil.
 //
 // When the task checkpoints (CheckpointPath set), every relaunch first
 // looks for a valid checkpoint from the failed attempt: if one covers a
@@ -77,9 +78,6 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux, key int) *shardError {
 	tail := &tailBuffer{max: tailBytes}
 	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if t.CheckpointPath != "" {
 		// A checkpoint left by an earlier fan-out in the same directory
 		// must not masquerade as this run's progress.
@@ -126,28 +124,45 @@ func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux,
 	}
 }
 
-// resumableTrials loads and validates the task's checkpoint against its
-// plan and reports how many cell-weighted trials it banks (injection
-// trials × injection cells + beam runs × beam cells — the unit the
-// trialsResumed/trialsStolen counters use); ok is false when there is
-// nothing valid to resume and the attempt recomputes from zero.
+// resumableTrials reports how many cell-weighted trials the task's valid
+// checkpoint banks; ok is false when there is nothing valid to resume and
+// the attempt recomputes from zero.
 func resumableTrials(t Task) (int, bool) {
-	spec, err := fleet.ReadSpecFile(t.SpecPath)
-	if err != nil {
+	spec, _, _, ck, err := readCheckpoint(t)
+	if err != nil || ck == nil {
 		return 0, false
 	}
-	var plan fleet.ShardPlan
+	salvaged := cellTrials(spec, *ck.Shard)
+	return salvaged, salvaged > 0
+}
+
+// readCheckpoint reads the task's spec and plan and loads its checkpoint
+// against them: ck is the banked partial and rest the plan past it, or ck
+// is nil and rest the whole plan when no valid checkpoint is on disk. err
+// reports only a spec or plan that cannot be read.
+func readCheckpoint(t Task) (spec fleet.Sweep, plan, rest fleet.ShardPlan, ck *fleet.SweepResult, err error) {
+	if spec, err = fleet.ReadSpecFile(t.SpecPath); err != nil {
+		return
+	}
 	if t.Plan != nil {
 		plan = *t.Plan
 	} else if plan, err = spec.Plan(t.Shard, t.Count); err != nil {
-		return 0, false
+		return
 	}
-	ck, _, err := fleet.LoadCheckpoint(t.CheckpointPath, spec, plan)
-	if err != nil {
-		return 0, false
+	rest = plan
+	if t.CheckpointPath != "" {
+		if c, r, lerr := fleet.LoadCheckpoint(t.CheckpointPath, spec, plan); lerr == nil {
+			ck, rest = c, r
+		}
 	}
-	salvaged := ck.Shard.Injection.N*len(spec.Cells()) + ck.Shard.Beam.N*len(spec.BeamCells())
-	return salvaged, salvaged > 0
+	return
+}
+
+// cellTrials counts a plan's cell-weighted trials: injection trials ×
+// injection cells + beam runs × beam cells, the unit of the trialsResumed
+// and trialsStolen counters.
+func cellTrials(spec fleet.Sweep, p fleet.ShardPlan) int {
+	return p.Injection.N*len(spec.Cells()) + p.Beam.N*len(spec.BeamCells())
 }
 
 // launchOnce runs one attempt: stale-partial removal, launch under the

@@ -34,7 +34,7 @@ func newWatchdog(factor float64, minObserve time.Duration) *watchdog {
 }
 
 // watch registers a shard as subject to straggler detection. Reports for
-// unwatched keys (re-split sub-workers, cached prefix shards) are ignored.
+// unwatched keys (re-split children, cached prefix shards) are ignored.
 func (w *watchdog) watch(key int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -127,9 +127,8 @@ func (s *Server) bestOverlap(spec fleet.Sweep) *cacheInfo {
 // exceeds cacheMaxBytes, the least-recently-used artifact is removed —
 // file, index entry, and resident sweep entry together, so a later GET for
 // the evicted id 404s cleanly instead of serving memory the disk no longer
-// backs. Entries still being finalized are never victims (they are not in
-// the index yet); an entry whose in-memory sweep is non-terminal is
-// skipped as a belt-and-braces guard. Callers hold s.mu.
+// backs. An entry whose job has not ended — one its seal is storing right
+// now — is never a victim. Callers hold s.mu.
 func (s *Server) evictLocked() {
 	if s.cacheMaxBytes <= 0 {
 		return
@@ -144,7 +143,7 @@ func (s *Server) evictLocked() {
 		}
 		var victim *cacheInfo
 		for hash, info := range s.index {
-			if e, ok := s.sweeps[hash]; ok && !e.terminal() {
+			if e, ok := s.sweeps[hash]; ok && !e.jobStatus().State.Terminal() {
 				continue
 			}
 			if victim == nil || info.lastUsed < victim.lastUsed {

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net/http"
 	"path/filepath"
 	"sort"
 
+	"phirel/internal/distrib"
 	"phirel/internal/fleet"
 	"phirel/internal/monitor"
 )
@@ -27,7 +25,7 @@ func (s *Server) monitorSnapshot(e *entry) (monitor.Snapshot, int, error) {
 	if err != nil {
 		return monitor.Snapshot{}, 0, err
 	}
-	if e.terminal() && e.err == nil {
+	if e.jobStatus().State == distrib.JobDone {
 		m.ObserveSweep(e.result)
 		return m.Snapshot(), 0, nil
 	}
@@ -58,15 +56,8 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	if e.terminal() {
-		switch {
-		case errors.Is(e.err, context.Canceled):
-			http.Error(w, fmt.Sprintf("sweep %s was cancelled", e.hash), http.StatusGone)
-			return
-		case e.err != nil:
-			http.Error(w, e.err.Error(), http.StatusBadGateway)
-			return
-		}
+	if writeEnded(w, e, e.jobStatus()) {
+		return
 	}
 	snap, _, err := s.monitorSnapshot(e)
 	if err != nil {

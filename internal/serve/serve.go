@@ -9,7 +9,9 @@
 // served from cache with zero compute, byte-identical to the first.
 // Identical concurrent submissions coalesce onto one in-flight job
 // (singleflight), so a thundering herd asking one question costs one
-// campaign.
+// campaign. The job is a sweep's one state record: its seal freezes,
+// stores and indexes the artifact before the job reads done, so a sweep
+// reported done is always servable.
 //
 // # Partial-overlap reuse
 //
@@ -83,7 +85,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -153,9 +154,10 @@ func linksFor(id string) Links {
 }
 
 // entry is one sweep the server knows about: an in-flight job, a finished
-// one, or an artifact resurrected from the cache. Terminal fields
-// (artifact, result, err) are written exactly once before done closes;
-// readers observe them only through done, so no lock guards them.
+// one, or an artifact resurrected from the cache. It holds request facts
+// only; the sweep's state is its job's. artifact and result are written
+// once, by the job's seal before the job reads done, and read only after
+// jobStatus reports done, so no lock guards them.
 type entry struct {
 	hash   string
 	cached bool         // artifact came from the cache, no compute here
@@ -169,19 +171,17 @@ type entry struct {
 	cacheTrials int
 	freshTrials int
 
-	done     chan struct{}
 	artifact []byte // exact WriteJSON bytes of the merged result
 	result   *fleet.SweepResult
-	err      error
 }
 
-func (e *entry) terminal() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
+// jobStatus is the entry's lifecycle position: a cache hit is done on
+// arrival, and a job's is the job's own.
+func (e *entry) jobStatus() distrib.JobStatus {
+	if e.job == nil {
+		return distrib.JobStatus{State: distrib.JobDone}
 	}
+	return e.job.Status()
 }
 
 // Server is the sweeps-as-a-service HTTP layer over one Scheduler.
@@ -278,39 +278,14 @@ func (s *Server) Handler() http.Handler {
 
 // status snapshots an entry. coalesced decorates POST responses only.
 func (s *Server) status(e *entry) Status {
-	st := Status{
-		ID: e.hash, Cached: e.cached, Links: linksFor(e.hash),
+	js := e.jobStatus()
+	return Status{
+		ID: e.hash, State: string(js.State), Cached: e.cached, Links: linksFor(e.hash),
 		Partial: e.partial, Prefix: e.prefix,
 		TrialsFromCache: e.cacheTrials, TrialsComputed: e.freshTrials,
+		TrialsResumed: js.TrialsResumed, TrialsStolen: js.TrialsStolen,
+		Done: js.Done, Total: js.Total, Error: js.Err,
 	}
-	if e.terminal() {
-		switch {
-		case errors.Is(e.err, context.Canceled):
-			st.State = string(distrib.JobCancelled)
-		case e.err != nil:
-			st.State = string(distrib.JobFailed)
-			st.Error = e.err.Error()
-		default:
-			st.State = string(distrib.JobDone)
-		}
-		if e.job != nil {
-			js := e.job.Status()
-			st.Done, st.Total = js.Done, js.Total
-			st.TrialsResumed, st.TrialsStolen = js.TrialsResumed, js.TrialsStolen
-		}
-		return st
-	}
-	js := e.job.Status()
-	st.State, st.Done, st.Total = string(js.State), js.Done, js.Total
-	if js.State.Terminal() {
-		// The job has ended but finalize has not yet frozen the artifact (or
-		// the error), stored it and indexed it. Terminal states are
-		// finalize's to publish: a client told "done" must find the result
-		// servable and the artifact mountable as a prefix.
-		st.State = string(distrib.JobRunning)
-	}
-	st.TrialsResumed, st.TrialsStolen = js.TrialsResumed, js.TrialsStolen
-	return st
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -358,19 +333,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.sweeps[hash]; ok {
 		// A failed or cancelled sweep is not an answer; resubmitting it is
 		// the retry path. Anything else coalesces.
-		if !e.terminal() || e.err == nil {
-			if e.terminal() {
+		st := s.status(e)
+		if state := distrib.JobState(st.State); state == distrib.JobDone || !state.Terminal() {
+			if state == distrib.JobDone {
 				s.stats.FullHits++
 				s.stats.TrialsFromCache += int64(reqTrials)
 				s.touch(hash)
+				st.Cached = true // no compute was spent on this request
 			} else {
 				s.stats.Coalesced++
+				st.Coalesced = true
 			}
 			s.mu.Unlock()
-			st := s.status(e)
-			st.Coalesced = !e.terminal()
-			if st.State == string(distrib.JobDone) {
-				st.Cached = true // no compute was spent on this request
+			if st.Cached {
 				admit("full", "", reqTrials, 0)
 			} else {
 				admit("coalesced", "", 0, 0)
@@ -389,11 +364,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if artifact, res, ok := s.loadCached(hash); ok {
-		e := &entry{
-			hash: hash, cached: true, cacheTrials: reqTrials,
-			done: make(chan struct{}), artifact: artifact, result: res,
-		}
-		close(e.done)
+		e := &entry{hash: hash, cached: true, cacheTrials: reqTrials, artifact: artifact, result: res}
 		s.sweeps[hash] = e
 		s.order = append(s.order, hash)
 		s.stats.FullHits++
@@ -421,7 +392,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			delete(s.index, best.hash)
 			continue
 		}
-		job, err := s.sched.SubmitWithPrefix(spec, cachedRes)
+		e := &entry{
+			hash: hash, partial: true, prefix: best.hash,
+			cacheTrials: best.trials(), freshTrials: reqTrials - best.trials(),
+		}
+		job, err := s.sched.SubmitWithPrefix(spec, cachedRes, s.seal(e))
 		if err != nil {
 			// The planner refused what the index predicted (e.g. a stale
 			// artifact rewritten mid-flight); recompute instead.
@@ -429,11 +404,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		s.touch(best.hash)
-		e := &entry{
-			hash: hash, job: job, done: make(chan struct{}),
-			partial: true, prefix: best.hash,
-			cacheTrials: best.trials(), freshTrials: reqTrials - best.trials(),
-		}
+		e.job = job
 		s.sweeps[hash] = e
 		s.order = append(s.order, hash)
 		s.stats.PartialHits++
@@ -442,59 +413,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.logf("serve: sweep %.12s submitted as %s — partial overlap on %.12s (%d trials cached, %d to compute)",
 			hash, job.ID(), best.hash, e.cacheTrials, e.freshTrials)
 		admit("partial", best.hash, e.cacheTrials, e.freshTrials)
-		go s.finalize(e)
 		writeJSON(w, http.StatusAccepted, s.status(e))
 		return
 	}
 
-	job, err := s.sched.Submit(spec)
+	e := &entry{hash: hash, freshTrials: reqTrials}
+	job, err := s.sched.Submit(spec, s.seal(e))
 	if err != nil {
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	e := &entry{hash: hash, job: job, done: make(chan struct{}), freshTrials: reqTrials}
+	e.job = job
 	s.sweeps[hash] = e
 	s.order = append(s.order, hash)
 	s.stats.Misses++
 	s.mu.Unlock()
 	s.logf("serve: sweep %.12s submitted as %s (%d shards)", hash, job.ID(), s.sched.Options().Shards)
 	admit("miss", "", 0, reqTrials)
-	go s.finalize(e)
 	writeJSON(w, http.StatusAccepted, s.status(e))
 }
 
-// finalize waits a submitted job out, freezes its artifact bytes, and
-// fills the persistent cache — after which every request for this hash is
-// served from memory or disk, byte-identical, forever.
-func (s *Server) finalize(e *entry) {
-	res, err := e.job.Wait(context.Background())
-	if err != nil {
-		e.err = err
-		close(e.done)
-		s.logf("serve: sweep %.12s finished: %v", e.hash, err)
-		return
+// seal is e's job's last step before it reads done: it freezes the merged
+// artifact's bytes, fills the persistent cache and overlap index, and
+// credits the stats — so a client told "done" finds the result servable
+// and the artifact mountable as a prefix, byte-identical forever.
+func (s *Server) seal(e *entry) func(*distrib.Job, *fleet.SweepResult) error {
+	return func(job *distrib.Job, res *fleet.SweepResult) error {
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			return err
+		}
+		e.artifact, e.result = buf.Bytes(), res
+		s.storeCached(e.hash, e.artifact, res)
+		js := job.Status()
+		s.mu.Lock()
+		// Fresh compute is counted when it actually lands, so failed jobs
+		// never inflate the savings ledger. Elastic salvage totals come from
+		// the job's own counters at the same moment, for the same reason.
+		s.stats.TrialsComputed += int64(e.freshTrials)
+		s.stats.TrialsResumed += js.TrialsResumed
+		s.stats.TrialsStolen += js.TrialsStolen
+		s.mu.Unlock()
+		s.logf("serve: sweep %.12s done (%d bytes)", e.hash, len(e.artifact))
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		e.err = err
-		close(e.done)
-		return
-	}
-	e.artifact = buf.Bytes()
-	e.result = res
-	s.storeCached(e.hash, e.artifact, res)
-	s.mu.Lock()
-	// Fresh compute is counted when it actually lands, so failed jobs
-	// never inflate the savings ledger. Elastic salvage totals come from
-	// the job's own counters at the same moment, for the same reason.
-	s.stats.TrialsComputed += int64(e.freshTrials)
-	js := e.job.Status()
-	s.stats.TrialsResumed += js.TrialsResumed
-	s.stats.TrialsStolen += js.TrialsStolen
-	s.mu.Unlock()
-	close(e.done)
-	s.logf("serve: sweep %.12s done (%d bytes)", e.hash, len(e.artifact))
 }
 
 // cachePath is the content-addressed artifact file for hash.
@@ -567,11 +530,7 @@ func (s *Server) lookup(r *http.Request) (*entry, bool) {
 	e, ok := s.sweeps[id]
 	if !ok {
 		if artifact, res, hit := s.loadCached(id); hit {
-			e = &entry{
-				hash: id, cached: true, cacheTrials: specTrials(res.Spec),
-				done: make(chan struct{}), artifact: artifact, result: res,
-			}
-			close(e.done)
+			e = &entry{hash: id, cached: true, cacheTrials: specTrials(res.Spec), artifact: artifact, result: res}
 			s.sweeps[id] = e
 			s.order = append(s.order, id)
 			ok = true
@@ -624,20 +583,27 @@ func (s *Server) resultEntry(w http.ResponseWriter, r *http.Request) (*entry, bo
 		http.NotFound(w, r)
 		return nil, false
 	}
-	if !e.terminal() {
-		st := s.status(e)
-		http.Error(w, fmt.Sprintf("sweep %s is %s (%d/%d cells)", e.hash, st.State, st.Done, st.Total), http.StatusConflict)
-		return nil, false
+	switch js := e.jobStatus(); {
+	case js.State == distrib.JobDone:
+		return e, true
+	case !writeEnded(w, e, js):
+		http.Error(w, fmt.Sprintf("sweep %s is %s (%d/%d cells)", e.hash, js.State, js.Done, js.Total), http.StatusConflict)
 	}
-	switch {
-	case errors.Is(e.err, context.Canceled):
+	return nil, false
+}
+
+// writeEnded answers for a sweep that ended without an artifact — 410
+// cancelled, 502 failed — and reports whether it did.
+func writeEnded(w http.ResponseWriter, e *entry, js distrib.JobStatus) bool {
+	switch js.State {
+	case distrib.JobCancelled:
 		http.Error(w, fmt.Sprintf("sweep %s was cancelled", e.hash), http.StatusGone)
-		return nil, false
-	case e.err != nil:
-		http.Error(w, e.err.Error(), http.StatusBadGateway)
-		return nil, false
+	case distrib.JobFailed:
+		http.Error(w, js.Err, http.StatusBadGateway)
+	default:
+		return false
 	}
-	return e, true
+	return true
 }
 
 // handleResult serves the merged artifact — the exact bytes the first
@@ -750,11 +716,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Opening snapshot, so a subscriber joining mid-run sees the current
 	// position before the next worker report arrives.
-	if !e.terminal() {
-		st := s.status(e)
+	if st := s.status(e); !distrib.JobState(st.State).Terminal() {
 		sse("progress", progressEvent(distrib.Progress{Done: st.Done, Total: st.Total}))
 		monitorFrame(false)
 	}
+	// The subscription closes when the job ends, after its seal.
 	for ch != nil {
 		select {
 		case p, open := <-ch:
@@ -766,18 +732,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			monitorFrame(false)
 		case <-r.Context().Done():
 			return
-		case <-e.done:
-			ch = nil
 		}
 	}
-	// The job is terminal; make sure finalize has frozen the artifact.
-	select {
-	case <-e.done:
-	case <-r.Context().Done():
-		return
-	}
-	if e.err == nil {
+	st := s.status(e)
+	if st.State == string(distrib.JobDone) {
 		monitorFrame(true)
 	}
-	sse("done", s.status(e))
+	sse("done", st)
 }

@@ -616,44 +616,56 @@ func TestServeLoadSmoke(t *testing.T) {
 	}
 }
 
-// TestServeDoneOnlyAfterFinalize stalls finalize behind a finished job: the
-// job is terminal but the artifact is not yet frozen, stored and indexed, so
-// the status must still read "running" and the result 409; once finalize has
-// run, "done" and the result arrive together.
-func TestServeDoneOnlyAfterFinalize(t *testing.T) {
+// TestServeDoneOnlyAfterSeal blocks the seal after the merge: the job has
+// every cell done but its artifact is not yet frozen, stored and indexed,
+// so the status must still read "running" and the result 409; once the seal
+// returns, "done", the result and the overlap index entry arrive together.
+func TestServeDoneOnlyAfterSeal(t *testing.T) {
 	sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: &worker{}, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sched.Close)
-	srv := New(sched)
+	srv := New(sched, WithCacheDir(t.TempDir()))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
 	spec := testSpec(17)
-	job, err := sched.Submit(spec)
+	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
+	merged, release := make(chan struct{}), make(chan struct{})
+	seal := srv.seal(e)
+	job, err := sched.Submit(spec, func(j *distrib.Job, res *fleet.SweepResult) error {
+		close(merged)
+		<-release
+		return seal(j, res)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := job.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	e := &entry{hash: spec.CanonicalHash(), job: job, done: make(chan struct{})}
+	e.job = job
 	srv.mu.Lock()
 	srv.sweeps[e.hash] = e
 	srv.mu.Unlock()
 
+	<-merged
 	if st := getStatus(t, ts, e.hash); st.State != "running" || st.Done != st.Total {
-		t.Errorf("finished job before finalize reads %q %d/%d, want running with every cell done", st.State, st.Done, st.Total)
+		t.Errorf("merged job before its seal reads %q %d/%d, want running with every cell done", st.State, st.Done, st.Total)
 	}
 	if code, _, _ := getBody(t, ts, "/v1/sweeps/"+e.hash+"/result"); code != http.StatusConflict {
-		t.Errorf("result before finalize: %d, want 409", code)
+		t.Errorf("result before the seal: %d, want 409", code)
 	}
-	srv.finalize(e)
+	close(release)
+	<-job.Done()
 	if st := getStatus(t, ts, e.hash); st.State != "done" {
-		t.Errorf("after finalize the sweep reads %q, want done", st.State)
+		t.Errorf("after the seal the sweep reads %q, want done", st.State)
 	}
 	if code, _, _ := getBody(t, ts, "/v1/sweeps/"+e.hash+"/result"); code != http.StatusOK {
-		t.Errorf("result after finalize: %d, want 200", code)
+		t.Errorf("result after the seal: %d, want 200", code)
+	}
+	srv.mu.Lock()
+	_, indexed := srv.index[e.hash]
+	srv.mu.Unlock()
+	if !indexed {
+		t.Error("a done sweep is missing from the overlap index")
 	}
 }
