@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs-check sweep bench-smoke benchmark-smoke cli-smoke \
+.PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke cli-smoke \
 	worker-bin fleet-check fleet-demo nightly-sweep \
 	nightly-trend cover fuzz serve-check ci
 
@@ -15,7 +15,7 @@ GO ?= go
 # has just written. Speed is not gated here: a shared box cannot hold a
 # timing still for long enough (see README, Performance); benchmark-smoke
 # gates that the benchmark still builds, runs and checks its outputs.
-ci: fmt vet docs-check build test benchmark-smoke race cover serve-check fleet-demo cli-smoke
+ci: fmt vet fusion-check docs-check build test benchmark-smoke race cover serve-check fleet-demo cli-smoke
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,24 @@ benchmark-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# Fails (listing the sites) if the compiler fuses a float multiply and add
+# (FMADD, FMSUB and their negated forms) in the packages below on any of
+# the architectures that have such instructions: a fused op rounds once
+# where amd64 rounds twice, so those builds would give other bytes. amd64
+# fuses nothing, so this cross-compiles. -a rebuilds what the cache would
+# skip (a cached build prints no assembly); -l keeps other packages'
+# inlined code out of the listing.
+FUSION_ARCHS ?= arm64 ppc64le s390x riscv64
+FUSION_PKGS ?= ./internal/bench/dgemm/
+fusion-check:
+	@fail=0; for arch in $(FUSION_ARCHS); do \
+		asm=$$(GOARCH=$$arch $(GO) build -a -gcflags='-S -l' -o /dev/null $(FUSION_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+		echo "$$asm" | grep -q 'TEXT' || { echo "fusion-check: GOARCH=$$arch printed no assembly"; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\sF[A-Z]*M(ADD|SUB)[A-Z]*\s'); \
+		if [ -n "$$fused" ]; then echo "fusion-check: GOARCH=$$arch fuses float ops:"; echo "$$fused"; fail=1; fi; \
+	done; \
+	[ $$fail -eq 0 ] && echo "fusion-check: no fused float op in $(FUSION_PKGS) on $(FUSION_ARCHS)"; exit $$fail
 
 # Fails (listing offenders) if any file is not gofmt-clean.
 fmt:

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -221,20 +222,23 @@ func TestInjectionFiresExactlyOnce(t *testing.T) {
 	}
 }
 
-// ctoy is a convergent toy: every tick pays 1+pad units of work, clears pad
-// and rewrites every output slot, so a corrupted slot is masked by the next
-// tick and a corrupted pad only costs work. Every other tick is a resume
-// point, and the check records where it was asked.
+// ctoy is a convergent toy in the shape of the kernels that write their
+// output once, slot by slot: tick it pays 1+pad units of work, clears pad and
+// writes slot it from input it, so a corrupted finished slot stays an SDC, a
+// corrupted input matters until its tick has read it and a corrupted pad only
+// costs work. Every other tick is a resume point, and the check records
+// where it was asked.
 type ctoy struct {
-	reg   *state.Registry
-	pad   *state.Cell[int]
-	out   *state.Buf[float64]
-	asked []int
+	reg     *state.Registry
+	pad     *state.Cell[int]
+	in, out *state.Buf[float64]
+	asked   []int
 }
 
 func newCtoy() *ctoy {
-	c := &ctoy{reg: state.NewRegistry(), pad: state.NewCell("pad", "control", 0), out: state.NewBuf[float64]("out", "matrix", state.Dims1(4))}
-	c.reg.Global().Register(c.pad, c.out)
+	c := &ctoy{reg: state.NewRegistry(), pad: state.NewCell("pad", "control", 0),
+		in: state.NewBuf[float64]("in", "matrix", state.Dims1(8)), out: state.NewBuf[float64]("out", "matrix", state.Dims1(8))}
+	c.reg.Global().Register(c.pad, c.in, c.out)
 	return c
 }
 
@@ -248,6 +252,7 @@ func (c *ctoy) Reset() {
 	c.reg.PopAll()
 	c.reg.DisarmAll()
 	c.pad.Store(0)
+	clear(c.in.Data)
 	clear(c.out.Data)
 }
 
@@ -258,9 +263,7 @@ func (c *ctoy) ticks(ctx *Ctx, it int) {
 		ctx.Tick()
 		ctx.Work(1 + int64(c.pad.Load()))
 		c.pad.Store(0)
-		for i := range c.out.Data {
-			c.out.Data[i] = float64(it)
-		}
+		c.out.Data[it] = float64(it) + c.in.Data[it]
 	}
 }
 
@@ -272,25 +275,25 @@ func (c *ctoy) OutputInto(dst []float64) Output {
 
 func (c *ctoy) SavePoint(tick int) (*Snapshot, bool) { return nil, tick%2 == 0 }
 
-func (c *ctoy) Resume(ctx *Ctx, tick int, _ *Snapshot, _ Output) {
-	for i := range c.out.Data {
-		c.out.Data[i] = float64(tick - 1)
-	}
+func (c *ctoy) Resume(ctx *Ctx, tick int, _ *Snapshot, golden Output) {
+	copy(c.out.Data[:tick], golden.Vals)
 	c.ticks(ctx, tick)
 }
 
-// Converged: pad is read before it is written, the output rewritten.
-func (c *ctoy) Converged(tick int, _ *Snapshot, _ Output) bool {
+// Converged: pad and the inputs from the tick on are read before they are
+// written; the slots before the tick are never written again.
+func (c *ctoy) Converged(tick int, _ *Snapshot, _ Output) (kept int, ok bool) {
 	c.asked = append(c.asked, tick)
-	return c.pad.Load() == 0
+	return tick, c.pad.Load() == 0 && !slices.ContainsFunc(c.in.Data[tick:], func(v float64) bool { return v != 0 })
 }
 
-// TestRunInjectedStopsWhereItConverges: a run is asked about once, at the
-// first point past its tick where its fault has fired and its work counter
-// reads the golden run's, and one that has converged returns the golden
-// run's result in a buffer of its own. A run whose corruption only cost work,
-// or whose armed cell fires past the first point, is never asked, and every
-// run ends as its full suffix does under the seam.
+// TestRunInjectedStopsWhereItConverges: a run is asked at every point past
+// its tick where its fault has fired and its work counter reads the golden
+// run's, until it has converged, and one that has converged returns the
+// slots the kernel keeps as the run left them — a corrupted one an SDC —
+// and the golden run's after them, in a buffer of its own. A run whose
+// corruption only cost work, or whose armed cell fires past the first point,
+// is never asked, and every run ends as its full suffix does under the seam.
 func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 	c := newCtoy()
 	r, err := NewRunner(c)
@@ -301,10 +304,14 @@ func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 		what   string
 		inject func()
 		asked  []int
+		want   []float64 // the output, nil for the golden one
 	}{
-		{"an overwritten output slot", func() { c.out.Data[1] = 99 }, []int{4}},
-		{"a padded tick", func() { c.pad.Store(5) }, nil},
-		{"a pad armed to fire past the first point", func() { c.pad.Arm(1, fault.Single, stats.NewRNG(1)) }, nil},
+		{"an overwritten finished slot", func() { c.out.Data[1] = 99 }, []int{4}, []float64{0, 99, 2, 3, 4, 5, 6, 7}},
+		{"an input read past the first point", func() { c.in.Data[5] = 0.5 }, []int{4, 6}, []float64{0, 1, 2, 3, 4, 5.5, 6, 7}},
+		{"an input the tick reads", func() { c.in.Data[3] = 0.5 }, []int{4}, []float64{0, 1, 2, 3.5, 4, 5, 6, 7}},
+		{"an input no tick reads again", func() { c.in.Data[0] = 0.5 }, []int{4}, nil},
+		{"a padded tick", func() { c.pad.Store(5) }, nil, nil},
+		{"a pad armed to fire past the first point", func() { c.pad.Arm(1, fault.Single, stats.NewRNG(1)) }, nil, nil},
 	} {
 		run := func(fullSuffix bool) RawResult {
 			forceSuffix = fullSuffix
@@ -319,13 +326,43 @@ func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 			!got.Injected || !CompareExact(want.Output, got.Output) {
 			t.Errorf("%s: asked at %v, want %v; got %+v, want %+v", tc.what, c.asked, tc.asked, got, want)
 		}
+		if tc.want == nil {
+			tc.want = r.Golden.Vals
+		}
+		if !slices.Equal(got.Output.Vals, tc.want) {
+			t.Errorf("%s: output %v, want %v", tc.what, got.Output.Vals, tc.want)
+		}
 		if converged := tc.asked != nil; converged != (got.Work == r.GoldenWork) {
 			t.Errorf("%s: work %d, golden %d", tc.what, got.Work, r.GoldenWork)
 		}
-		got.Output.Vals[0] = -1
-		if r.Golden.Vals[0] == -1 {
+		got.Output.Vals[0], got.Output.Vals[7] = -1, -1
+		if r.Golden.Vals[0] == -1 || r.Golden.Vals[7] == -1 {
 			t.Fatalf("%s: the result aliases the golden output", tc.what)
 		}
+	}
+}
+
+// TestSameBits: the convergence checks' compare tells every bit apart —
+// the sign of zero and a NaN's payload — and reads only b's leading values.
+func TestSameBits(t *testing.T) {
+	nan, other := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for _, tc := range []struct {
+		a, b []float64
+		want bool
+	}{
+		{nil, []float64{1}, true},
+		{[]float64{1, 2}, []float64{1, 2, 3}, true},
+		{[]float64{1, 2}, []float64{1, 3}, false},
+		{[]float64{0}, []float64{math.Copysign(0, -1)}, false},
+		{[]float64{nan}, []float64{nan}, true},
+		{[]float64{nan}, []float64{other}, false},
+	} {
+		if got := SameBits(tc.a, tc.b); got != tc.want {
+			t.Errorf("SameBits(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+	if SameBits([]float32{1, 2}, []float32{1, 2.5}) || !SameBits([]float32{1, 2}, []float32{1, 2}) {
+		t.Error("SameBits on float32 values does not tell 2 from 2.5")
 	}
 }
 

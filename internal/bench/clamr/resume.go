@@ -128,13 +128,14 @@ func (c *CLAMR) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, _ bench.Outp
 // it), the neighbour indices (tree phase), Hnext/Unext/Vnext (physics), the
 // quadtree (tree phase), the sort and remesh scratch, and the workers'
 // cursors (every section stores them first). Comparing those too finds
-// only half the runs that have rejoined the golden run.
-func (c *CLAMR) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
+// only half the runs that have rejoined the golden run. The rest writes the
+// whole output, so none of it is kept.
+func (c *CLAMR) Converged(tick int, s *bench.Snapshot, _ bench.Output) (kept int, ok bool) {
 	ints, floats := s.Int, s.F64
 	n := c.ncell.Load()
 	if n != int(ints[len(ints)-1-3*len(c.workers)]) || c.stepCur.Load() != tick/4 || c.stepEnd.Load() != c.cfg.Steps ||
 		c.dt.Load() != dt0 || c.grav.Load() != grav0 || c.lam.Load() != lambda0 {
-		return false
+		return 0, false
 	}
 	arrays, fill := c.resumeInts()
 	for k, a := range arrays[:3] { // cellI, cellJ, cellLevel
@@ -147,7 +148,7 @@ func (c *CLAMR) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
 				want = int(saved[i])
 			}
 			if v != want {
-				return false
+				return 0, false
 			}
 		}
 	}
@@ -163,10 +164,10 @@ func (c *CLAMR) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
 				want = math.Float64bits(floats[i])
 			}
 			if math.Float64bits(v) != want {
-				return false
+				return 0, false
 			}
 		}
 		floats = floats[m:]
 	}
-	return true
+	return 0, true
 }

@@ -15,6 +15,7 @@ package dgemm
 
 import (
 	"fmt"
+	"math"
 
 	"phirel/internal/bench"
 	"phirel/internal/state"
@@ -161,6 +162,26 @@ func (d *DGEMM) Resume(ctx *bench.Ctx, tick int, _ *bench.Snapshot, golden bench
 	d.rowBlocks(ctx, i1)
 }
 
+// Converged implements bench.Convergent. The block rows from tick on read
+// their own rows of A, which must be Reset's, and of C, which must be +0 as
+// Reset left them, and all of B. The rows of C before the tick, which the
+// rest never writes, are kept as they are. Left out: A's rows before the
+// tick, which no later block row reads, bt, which every tick refreshes
+// before reading it, and the workers' cells, whose bounds and cursors every
+// tile stores before it reads them.
+func (d *DGEMM) Converged(tick int, _ *bench.Snapshot, _ bench.Output) (kept int, ok bool) {
+	i0 := tick * d.cfg.Block * d.cfg.N
+	if !bench.SameBits(d.b.Data, d.b0) || !bench.SameBits(d.a.Data[i0:], d.a0[i0:]) {
+		return i0, false
+	}
+	for _, v := range d.c.Data[i0:] {
+		if math.Float64bits(v) != 0 {
+			return i0, false
+		}
+	}
+	return i0, true
+}
+
 // rowBlocks runs the block rows from row ib on.
 func (d *DGEMM) rowBlocks(ctx *bench.Ctx, ib int) {
 	n, bs := d.cfg.N, d.cfg.Block
@@ -222,13 +243,32 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, i0, j0, i1, j1 int) {
 		for i := i0; i < i1; i++ {
 			ar := a[i*n : i*n+n]
 			cr := c[i*n : i*n+n]
-			for j := j0; j < j1; j++ {
-				// Identical multiply/add sequence to the cell-driven loop —
-				// only the access pattern differs (bt streams B's column).
-				btj := d.bt[j*n : j*n+n]
+			// The cell-driven loop's multiplies and adds, each sum in the
+			// same k order, for four columns per pass: the four add chains
+			// overlap and every value keeps its bits. bt streams B's
+			// columns. float64(x*y) rounds each product before its add, as
+			// the language requires of an explicit conversion, so no
+			// architecture fuses the two (make fusion-check).
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				b0, b1, b2, b3 := d.bt[j*n:][:n], d.bt[(j+1)*n:][:n], d.bt[(j+2)*n:][:n], d.bt[(j+3)*n:][:n]
+				var s0, s1, s2, s3 float64
+				for k, x := range ar {
+					s0 += float64(x * b0[k])
+					s1 += float64(x * b1[k])
+					s2 += float64(x * b2[k])
+					s3 += float64(x * b3[k])
+				}
+				cr[j] += s0
+				cr[j+1] += s1
+				cr[j+2] += s2
+				cr[j+3] += s3
+			}
+			for ; j < j1; j++ {
+				bj := d.bt[j*n:][:n]
 				sum := 0.0
-				for k := 0; k < n; k++ {
-					sum += ar[k] * btj[k]
+				for k, x := range ar {
+					sum += float64(x * bj[k])
 				}
 				cr[j] += sum
 			}
@@ -257,7 +297,7 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, i0, j0, i1, j1 int) {
 			sum := 0.0
 			for wk[kCur].Store(wk[kStart].Load()); wk[kCur].Load() < wk[kEnd].Load(); wk[kCur].Add(1) {
 				k := wk[kCur].Load()
-				sum += a[i*n+k] * b[k*n+j]
+				sum += float64(a[i*n+k] * b[k*n+j]) // rounded: never fused
 			}
 			// Corrupted cursors wandering outside this worker's tile would
 			// stomp another thread's output; abort at the boundary (the
@@ -296,11 +336,4 @@ func init() {
 	bench.Register("DGEMM", func(seed uint64) bench.Benchmark {
 		return New(DefaultConfig(), seed)
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

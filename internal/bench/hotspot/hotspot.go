@@ -20,7 +20,6 @@ package hotspot
 
 import (
 	"fmt"
-	"math"
 
 	"phirel/internal/bench"
 	"phirel/internal/state"
@@ -72,6 +71,7 @@ type HotSpot struct {
 
 	workers []worker
 	final   *state.Buf[float32] // buffer holding the last completed sweep
+	row     []float32           // Converged's scratch row
 }
 
 // New builds a HotSpot instance with deterministic inputs.
@@ -87,6 +87,7 @@ func New(cfg Config, seed uint64) *HotSpot {
 	r := stats.NewRNG(seed)
 	h.t0 = make([]float32, shape.Len())
 	h.p0 = make([]float32, shape.Len())
+	h.row = make([]float32, cfg.Cols)
 	for i := range h.t0 {
 		h.t0[i] = 80 + 10*float32(r.Float64())       // ambient-ish start
 		h.p0[i] = float32(r.Float64() * r.Float64()) // skewed power map
@@ -186,33 +187,23 @@ func (h *HotSpot) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, _ bench.Ou
 // iteration cells; the golden run's grid there is not kept, but it is the
 // sweep of the snapshot's, which is made again a row at a time to compare.
 // Left out: the other grid and the workers' cursors, which every sweep
-// writes before it reads them.
-func (h *HotSpot) Converged(tick int, s *bench.Snapshot, _ bench.Output) bool {
+// writes before it reads them. The rest writes the whole output, so none of
+// it is kept.
+func (h *HotSpot) Converged(tick int, s *bench.Snapshot, _ bench.Output) (kept int, ok bool) {
 	src, _ := h.buffers(tick)
 	if h.final != src || h.iterCur.Load() != tick || h.iterEnd.Load() != h.cfg.Iters ||
 		h.cx.Load() != cx0 || h.cy.Load() != cy0 || h.cz.Load() != cz0 || h.cp.Load() != cp0 || h.amb.Load() != amb0 ||
-		!sameBits(h.power.Data, h.p0) {
-		return false
+		!bench.SameBits(h.power.Data, h.p0) {
+		return 0, false
 	}
 	cols := h.cfg.Cols
-	row := make([]float32, cols)
 	for r := 0; r < h.cfg.Rows; r++ {
-		h.sweepRow(s.F32, row, h.p0, r, cx0, cy0, cz0, cp0, amb0)
-		if !sameBits(row, src.Data[r*cols:]) {
-			return false
+		h.sweepRow(s.F32, h.row, h.p0, r, cx0, cy0, cz0, cp0, amb0)
+		if !bench.SameBits(h.row, src.Data[r*cols:]) {
+			return 0, false
 		}
 	}
-	return true
-}
-
-// sameBits reports whether a holds b's leading values, bit for bit.
-func sameBits(a, b []float32) bool {
-	for i, v := range a {
-		if math.Float32bits(v) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	return 0, true
 }
 
 // buffers returns the grid sweep it reads and the one it writes.

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Snapshot is what a kernel keeps of one resume point: the part of its
@@ -43,15 +45,32 @@ type Resumable interface {
 // injected run has rejoined the golden run. A fault CAROL-FI sees masked
 // often stops mattering long before the run ends; from a resume point where
 // the run reads what the golden run read there, the rest is the golden run.
+// A fault in output the rest never writes again stays where it is: the run
+// keeps that output and takes the rest from the golden run.
 type Convergent interface {
-	// Converged is called at most once per run, at a resume point's tick of
-	// a run whose fault has fired, with nothing live armed and the tick and
-	// work counters reading the golden run's at that point; s and golden
-	// are what Resume would get there. It reports whether everything the
-	// rest of the run reads before writing it — and every part of the
-	// output the rest never writes — equals the golden run's at the point,
-	// and changes nothing.
-	Converged(tick int, s *Snapshot, golden Output) bool
+	// Converged is called at the resume points' ticks of a run whose fault
+	// has fired, with nothing live armed and the tick and work counters
+	// reading the golden run's at that point, until it reports ok; s and
+	// golden are what Resume would get there. It reports whether everything
+	// the rest of the run reads before writing it equals the golden run's
+	// at the point, and kept, the length of the output prefix the rest
+	// never writes: the run's output is then the live output's first kept
+	// values and the golden output's after them, so a kernel keeps none
+	// unless its live output has the golden output's length. It changes
+	// nothing.
+	Converged(tick int, s *Snapshot, golden Output) (kept int, ok bool)
+}
+
+// SameBits reports whether a holds b's leading values bit for bit, NaN
+// payloads and the sign of zero included: the compare a Converged check
+// makes against Reset's values or a snapshot. It compares the two as bytes,
+// which the runtime does many values at a time.
+func SameBits[T float32 | float64](a, b []T) bool {
+	if len(a) == 0 {
+		return true
+	}
+	n := len(a) * int(unsafe.Sizeof(a[0]))
+	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), n), unsafe.Slice((*byte)(unsafe.Pointer(&b[:len(a)][0])), n))
 }
 
 // point is one place a run can start: the golden run's counters on reaching

@@ -45,13 +45,15 @@ func (w *watched) Resume(ctx *bench.Ctx, tick int, s *bench.Snapshot, golden ben
 	w.Benchmark.(bench.Resumable).Resume(ctx, tick, s, golden)
 }
 
-func (w *watched) Converged(tick int, s *bench.Snapshot, golden bench.Output) bool {
-	k, ok := w.Benchmark.(bench.Convergent)
-	if !ok || !k.Converged(tick, s, golden) {
-		return false
+func (w *watched) Converged(tick int, s *bench.Snapshot, golden bench.Output) (kept int, ok bool) {
+	k, convergent := w.Benchmark.(bench.Convergent)
+	if !convergent {
+		return 0, false
 	}
-	w.converged = tick
-	return true
+	if kept, ok = k.Converged(tick, s, golden); ok {
+		w.converged = tick
+	}
+	return kept, ok
 }
 
 // watch starts counting a run; the count ends where the run does, a
@@ -445,7 +447,8 @@ func TestResumeExecutedTicks(t *testing.T) {
 
 // TestConvergedTicksSkipped counts what stopping where a run converges
 // saves, exactly: over a seeded campaign per kernel, every trial that stops
-// early must stop at a resume point past its tick and be Masked, and the
+// early must stop at a resume point past its tick and complete — Masked, or
+// an SDC its fault wrote into output the rest never writes — and the
 // ticks the campaign executes must be those it executes under the seam, which
 // runs every suffix to its end, less the ticks from each stop to the end of
 // the run. The log gives the converged share of the trials that ran and the
@@ -469,7 +472,7 @@ func TestConvergedTicksSkipped(t *testing.T) {
 				}
 				ran++
 				if at := w.converged; at >= 0 {
-					if at <= rec.Tick || r.ResumePoint(at) != at || rec.Outcome != bench.Masked.String() {
+					if at <= rec.Tick || r.ResumePoint(at) != at || (rec.Outcome != bench.Masked.String() && rec.Outcome != bench.SDC.String()) {
 						t.Fatalf("%s trial %d at tick %d stopped at tick %d as %s", name, i, rec.Tick, at, rec.Outcome)
 					}
 					converged++

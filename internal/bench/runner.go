@@ -172,11 +172,12 @@ func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false,
 // never fires and its run is a whole one, from Reset.
 //
 // After its fault has fired, a run of a Convergent kernel may stop early:
-// at the first resume point past the tick where nothing is armed and the
-// work counter reads the golden run's, the kernel is asked whether the run
-// has rejoined the golden run, and if it has, the run returns the golden
-// run's result — Completed, its ticks, its work and its output — without
-// executing the rest.
+// at every resume point past the tick where nothing is armed and the work
+// counter reads the golden run's, the kernel is asked whether the rest of
+// the run is the golden run's, and at the first that it is, the run
+// returns Completed with the golden run's ticks and work and, as output,
+// the prefix the kernel keeps of its live output followed by the golden
+// output, without executing the rest.
 //
 // For benchmarks implementing OutputInto, the result's Output aliases a
 // buffer owned by the runner that the next RunInjected call overwrites;
@@ -189,16 +190,17 @@ func (r *Runner) RunInjected(tick int, inject func()) RawResult {
 	return r.run(ctx, true, r.sh.at(tick))
 }
 
-// rejoined is the sentinel panic value a run that has rejoined the golden
-// run stops with; the Runner returns the golden run's result for it.
-type rejoined struct{}
+// rejoined is the sentinel panic value a run whose rest is the golden run
+// stops with; the Runner keeps the live output's first kept values and
+// takes the rest from the golden run's.
+type rejoined struct{ kept int }
 
-// convergence is the probe of a run injected at tick: it asks k once, at the
-// first resume point past the tick where the fault has fired, nothing live is
+// convergence is the probe of a run injected at tick: it asks k at every
+// resume point past the tick where the fault has fired, nothing live is
 // armed and the work counter reads the golden run's there, and stops the run
-// if k says it has converged. A point where the counters differ is not one
-// the run can rejoin at, and one where a cell is still armed would see the
-// fault fire later.
+// at the first that k says has converged. A point where the counters differ
+// is not one the run can rejoin at, and one where a cell is still armed
+// would see the fault fire later.
 func (r *Runner) convergence(ctx *Ctx, k Convergent, tick int) func(int) {
 	pts := r.sh.points
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].tick > tick })
@@ -209,9 +211,8 @@ func (r *Runner) convergence(ctx *Ctx, k Convergent, tick int) func(int) {
 		if i == len(pts) || pts[i].tick != t || !ctx.injected || ctx.work != pts[i].work || r.B.Registry().AnyArmed() {
 			return
 		}
-		ctx.probe = nil
-		if k.Converged(t, pts[i].snap, r.Golden) {
-			panic(rejoined{})
+		if kept, ok := k.Converged(t, pts[i].snap, r.Golden); ok {
+			panic(rejoined{kept})
 		}
 	}
 }
@@ -224,8 +225,6 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 		res.Ticks = ctx.Ticks()
 		res.Work = ctx.WorkDone()
 		res.Injected = ctx.Injected()
-		oi, into := r.B.(OutputInto)
-		into = into && reuse
 		if rec := recover(); rec != nil {
 			// A run that aborts or stops where it converges may leave
 			// phase frames pushed; drop them so the registry is sane for
@@ -234,13 +233,7 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 			switch rec := rec.(type) {
 			case rejoined:
 				res.Status, res.Ticks, res.Work = Completed, r.TotalTicks, r.GoldenWork
-				if into {
-					r.outBuf = append(r.outBuf[:0], r.Golden.Vals...)
-					res.Output = r.Golden
-					res.Output.Vals = r.outBuf
-				} else {
-					res.Output = r.Golden.Clone()
-				}
+				res.Output = r.output(reuse, rec.kept)
 			case watchdogFired:
 				res.Status, res.PanicMsg = Hung, rec.String()
 			default:
@@ -249,12 +242,7 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 			return
 		}
 		res.Status = Completed
-		if into {
-			res.Output = oi.OutputInto(r.outBuf)
-			r.outBuf = res.Output.Vals
-		} else {
-			res.Output = r.B.Output()
-		}
+		res.Output = r.output(reuse, -1)
 	}()
 	if from.tick == 0 {
 		r.B.Run(ctx)
@@ -263,6 +251,34 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 		r.B.(Resumable).Resume(ctx, from.tick, from.snap, r.Golden)
 	}
 	return
+}
+
+// output returns the run's output: the kernel's live output, or, of a run
+// that stopped where it converged, its first kept values and the golden
+// output's after them (kept < 0 keeps the whole live output). With reuse,
+// an OutputInto benchmark's output goes into the runner's buffer.
+func (r *Runner) output(reuse bool, kept int) Output {
+	oi, into := r.B.(OutputInto)
+	into = into && reuse
+	var out Output
+	switch {
+	case kept == 0 && into:
+		out = r.Golden
+		out.Vals = append(r.outBuf[:0], r.Golden.Vals...)
+	case kept == 0:
+		out = r.Golden.Clone()
+	case into:
+		out = oi.OutputInto(r.outBuf)
+	default:
+		out = r.B.Output()
+	}
+	if kept > 0 {
+		copy(out.Vals[kept:], r.Golden.Vals[kept:])
+	}
+	if into {
+		r.outBuf = out.Vals
+	}
+	return out
 }
 
 // CompareExact reports whether two outputs are bitwise identical (NaN
