@@ -26,9 +26,10 @@ test:
 # Race-checks the concurrent machinery in two legs. The campaign packages
 # (the runner free list and its one kernel run per key, whose golden run,
 # resume points and horizon every runner of the key adopts under a
-# sync.Once — the Runners tests — the shared streaming engine, both
-# campaign classes built on it,
-# the fleet orchestrator and the monitor) run the concurrency-exercising
+# sync.Once — the Runners tests — and the process's resident key states,
+# which lists of one key used at once share — the Resident tests — the
+# shared streaming engine, both campaign classes built on it, the fleet
+# orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
 # delivery, progress, pool scheduling, the section watchdog, resumed and
 # converged runs, planned beam strikes. In internal/state the Debit tests
@@ -40,7 +41,7 @@ test:
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Decided|Resume|Converge|Strike|Debit' \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Decided|Resume|Converge|Strike|Debit' \
 		./internal/state/ ./internal/bench/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
@@ -82,7 +83,7 @@ vet:
 # skip (a cached build prints no assembly); -l keeps other packages'
 # inlined code out of the listing.
 FUSION_ARCHS ?= arm64 ppc64le s390x riscv64
-FUSION_PKGS ?= ./internal/bench/dgemm/
+FUSION_PKGS ?= ./internal/bench/dgemm/ ./internal/stats/
 fusion-check:
 	@fail=0; for arch in $(FUSION_ARCHS); do \
 		asm=$$(GOARCH=$$arch $(GO) build -a -gcflags='-S -l' -o /dev/null $(FUSION_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
@@ -181,12 +182,14 @@ fuzz:
 # The lifecycle legs follow: a sweep reads done only after its seal has
 # stored and indexed the artifact, at the service and at the scheduler, and
 # a straggler stolen mid-run (or closed mid-steal) re-splits through the
-# same worker path and still merges to the monolithic bytes.
+# same worker path and still merges to the monolithic bytes. A cold request
+# whose keys the process has already built makes no kernel run and still
+# serves the monolithic bytes.
 # -count=3 defeats the test cache, so CI always exercises the live path, and
 # repeats every scenario: the service's last lifecycle bug showed only in
 # some runs.
 serve-check:
-	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal' \
+	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal|TestServeResidentKeys' \
 		./internal/serve/
 	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal' ./internal/distrib/
 

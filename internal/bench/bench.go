@@ -124,7 +124,9 @@ var (
 
 // Register makes a benchmark available by name; called from each workload
 // package's init (database/sql-driver style). Registering a duplicate name
-// panics.
+// panics. Register and Unregister drop the name's resident key states (see
+// Runners), so a name registered again never adopts the golden run of the
+// kernel it named before.
 func Register(name string, c Constructor) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -132,6 +134,7 @@ func Register(name string, c Constructor) {
 		panic(fmt.Sprintf("bench: duplicate benchmark %q", name))
 	}
 	constructors[name] = c
+	forgetName(name)
 }
 
 // Unregister removes the benchmark registered under name. It is for tests
@@ -141,6 +144,7 @@ func Unregister(name string) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	delete(constructors, name)
+	forgetName(name)
 }
 
 // New builds a registered benchmark.

@@ -50,3 +50,11 @@ func (r *Runner) HorizonBytes() int {
 	}
 	return n
 }
+
+// ForgetKeys empties the process's resident key states, so the next list to
+// declare a key makes the key's kernel run again.
+func ForgetKeys() {
+	resident.mu.Lock()
+	resident.keys = nil
+	resident.mu.Unlock()
+}

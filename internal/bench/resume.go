@@ -91,8 +91,9 @@ var forceReset, forceSuffix bool
 // in. The first runner of the key performs that run under once, and nothing
 // changes afterwards, so every runner reads it unlocked; Runner.Site
 // resolves the horizon's victims in the runner's own registry, and Resume
-// copies out of the snapshots. The Runners list keeps one per slot; a runner
-// built outside a list has its own.
+// copies out of the snapshots. The process keeps the last residentKeys
+// keys' (see Runners) and a list's slot holds its key's; a runner built
+// outside a list has its own.
 type shared struct {
 	once   sync.Once
 	err    error

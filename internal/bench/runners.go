@@ -1,28 +1,36 @@
 package bench
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Runners is the free list of one sweep run's golden-run runners, keyed by
-// (benchmark, benchSeed). A key's first runner costs a benchmark
-// construction and the key's one kernel run, which finds everything its
-// runners only read: the golden run, the resume points and the horizon.
-// Every later runner of the key costs a construction and adopts them. A
-// runner is good for any number of cells: every run starts with Reset and
-// an aborted run pops its phase frames, which is what already makes the N
-// trials of one cell independent, so the first trial of the next cell finds
-// the runner as a fresh one would be. A run that owns a list therefore
-// performs one kernel run per key, not one per cell or pool worker.
+// (benchmark, benchSeed). A key's runners share one key state: the golden
+// run, the resume points and the horizon, all found by the key's one kernel
+// run. That state is resident: the process keeps it for the last
+// residentKeys keys any list declared, least recently used out first, so
+// the key's one kernel run happens once per process, and every later list
+// of the key — the next run, shard, checkpoint chunk or service request —
+// adopts it without running. A key's first runner in a list costs a
+// benchmark construction, plus the kernel run when the key is not
+// resident; every later one costs a construction. A runner is good for any
+// number of cells: every run starts with Reset and an aborted run pops its
+// phase frames, which is what already makes the N trials of one cell
+// independent, so the first trial of the next cell finds the runner as a
+// fresh one would be.
 //
-// Retention follows demand, not a size: the owner declares with Expect how
-// many times each key will still be asked for, Get counts that down, and
-// the key's idle runners are dropped when it reaches zero. A runner holds
-// its benchmark's whole working set (146 KB for HotSpot, 580 KB for
-// DGEMM), and a grid enumerated benchmark by benchmark is done with a key
-// long before the run ends; keeping all of them until then read +27-31 %
-// peak RSS on a 24-cell sweep.
+// Retention of runners follows demand, not a size: the owner declares with
+// Expect how many times each key will still be asked for, Get counts that
+// down, and the key's idle runners are dropped when it reaches zero. A
+// runner holds its benchmark's whole working set (146 KB for HotSpot,
+// 580 KB for DGEMM), and a grid enumerated benchmark by benchmark is done
+// with a key long before the run ends; keeping all of them until then read
+// +27-31 % peak RSS on a 24-cell sweep.
 //
 // A nil *Runners is the list of a standalone campaign: Get builds a fresh
-// runner and Put drops it. A key nobody declared behaves the same way.
+// runner, with a kernel run of its own, and Put drops it. A key nobody
+// declared behaves the same way.
 type Runners struct {
 	mu    sync.Mutex
 	slots map[runnerKey]*runnerSlot
@@ -40,6 +48,58 @@ type runnerSlot struct {
 	sh     *shared
 }
 
+// residentKeys bounds the resident key states: two bench seeds of the
+// six-kernel suite. A key state is its golden output, snapshots and horizon
+// (CLAMR's, the largest, ≈0.6 MB), not a benchmark instance.
+const residentKeys = 12
+
+// resident is the process's key states, least recently declared first. A
+// key whose one kernel run failed is dropped from it (forget), so the next
+// list to declare the key builds it again, and Register and Unregister drop
+// a name's keys (forgetName), so a name never adopts another kernel's run.
+var resident struct {
+	mu   sync.Mutex
+	keys []residentKey
+}
+
+type residentKey struct {
+	k  runnerKey
+	sh *shared
+}
+
+// residentShared returns k's key state, making it the most recently used,
+// or a fresh one, which evicts the least recently used when the set is full.
+func residentShared(k runnerKey) *shared {
+	resident.mu.Lock()
+	defer resident.mu.Unlock()
+	e := residentKey{k, nil}
+	if i := slices.IndexFunc(resident.keys, func(e residentKey) bool { return e.k == k }); i >= 0 {
+		e.sh = resident.keys[i].sh
+		resident.keys = slices.Delete(resident.keys, i, i+1)
+	} else {
+		e.sh = &shared{}
+		if len(resident.keys) == residentKeys {
+			resident.keys = slices.Delete(resident.keys, 0, 1)
+		}
+	}
+	resident.keys = append(resident.keys, e)
+	return e.sh
+}
+
+// forget drops k's key state if it is still sh.
+func forget(k runnerKey, sh *shared) {
+	resident.mu.Lock()
+	resident.keys = slices.DeleteFunc(resident.keys, func(e residentKey) bool { return e.k == k && e.sh == sh })
+	resident.mu.Unlock()
+}
+
+// forgetName drops every key state of the benchmark name.
+func forgetName(name string) {
+	resident.mu.Lock()
+	resident.keys = slices.DeleteFunc(resident.keys, func(e residentKey) bool { return e.k.name == name })
+	resident.mu.Unlock()
+}
+
 // NewRunners returns an empty list.
 func NewRunners() *Runners {
 	return &Runners{slots: map[runnerKey]*runnerSlot{}}
@@ -52,7 +112,7 @@ func (rs *Runners) Expect(benchmark string, benchSeed uint64) {
 	defer rs.mu.Unlock()
 	s := rs.slots[k]
 	if s == nil {
-		s = &runnerSlot{sh: &shared{}}
+		s = &runnerSlot{sh: residentShared(k)}
 		rs.slots[k] = s
 	}
 	s.demand++
@@ -88,6 +148,7 @@ func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 	}
 	r, err := newRunner(b, sh)
 	if err != nil {
+		forget(k, sh) // a failed key state is not kept: the next list runs the key again
 		return nil, err
 	}
 	r.key = k

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,9 +192,8 @@ func TestRunnersConcurrentFirstUse(t *testing.T) {
 		{"beam", func(r *Runner, _ int) bool { return len(r.LiveAt(3)) > 0 }},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			var runs atomic.Int64
-			Register("run-counted-toy", func(uint64) Benchmark { return runCountedToy{newToy(), &runs} })
-			t.Cleanup(func() { Unregister("run-counted-toy") })
+			ForgetKeys()
+			runs := registerRunCountedToy(t, "run-counted-toy", 0)
 
 			rs := NewRunners()
 			const workers = 2
@@ -243,5 +244,173 @@ func TestRunnersConcurrentFirstUse(t *testing.T) {
 				t.Errorf("a standalone runner took the list's key state, or %d kernel runs are not its one run more", runs.Load())
 			}
 		})
+	}
+}
+
+// registerRunCountedToy registers the toy under name for the length of the
+// test, counting its kernel runs; the run numbered failRun (from 1) panics.
+func registerRunCountedToy(t *testing.T, name string, failRun int64) *atomic.Int64 {
+	var runs atomic.Int64
+	Register(name, func(uint64) Benchmark { return failingToy{runCountedToy{newToy(), &runs}, failRun} })
+	t.Cleanup(func() { Unregister(name) })
+	return &runs
+}
+
+type failingToy struct {
+	runCountedToy
+	failRun int64
+}
+
+func (f failingToy) Run(ctx *Ctx) {
+	f.runCountedToy.Run(ctx)
+	if f.runs.Load() == f.failRun {
+		panic("failing on purpose")
+	}
+}
+
+// useKey is one run of a key: a list of its own that declares the key
+// once, takes its runner and closes.
+func useKey(t *testing.T, name string, seed uint64) (*Runner, error) {
+	t.Helper()
+	rs := NewRunners()
+	defer rs.Close()
+	rs.Expect(name, seed)
+	return rs.Get(name, seed)
+}
+
+// TestResidentKeysOneRunPerProcess: the lists of one key, used one after
+// the other or at once, make the key's one kernel run between them and
+// share its state; a standalone runner still makes its own.
+func TestResidentKeysOneRunPerProcess(t *testing.T) {
+	ForgetKeys()
+	runs := registerRunCountedToy(t, "resident-toy", 0)
+
+	a, err := useKey(t, "resident-toy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := useKey(t, "resident-toy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 1 || a.sh != b.sh {
+		t.Fatalf("two lists used one after the other made %d kernel runs (want 1) or hold their own key state", n)
+	}
+
+	// Two lists that declare a key before either takes a runner, and take
+	// them at once.
+	lists := [2]*Runners{NewRunners(), NewRunners()}
+	for _, rs := range lists {
+		rs.Expect("resident-toy", 2)
+		defer rs.Close()
+	}
+	var (
+		got [2]*Runner
+		wg  sync.WaitGroup
+	)
+	for i, rs := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := rs.Get("resident-toy", 2)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if n := runs.Load(); n != 2 || got[0].sh != got[1].sh || got[0].sh == a.sh {
+		t.Fatalf("two lists used at once made %d kernel runs in all (want 2), or share the wrong key state", n)
+	}
+
+	alone, err := (*Runners)(nil).Get("resident-toy", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.sh == a.sh || runs.Load() != 3 {
+		t.Fatalf("a standalone runner adopted the resident key state, or %d kernel runs are not its one run more", runs.Load())
+	}
+}
+
+// TestResidentKeysEvictLeastRecentlyUsed: the set holds residentKeys keys.
+// The next distinct key evicts the one used least recently, which its next
+// use builds again, and a use keeps a key.
+func TestResidentKeysEvictLeastRecentlyUsed(t *testing.T) {
+	ForgetKeys()
+	runs := registerRunCountedToy(t, "resident-toy", 0)
+	use := func(seed uint64, wantRuns int64) {
+		t.Helper()
+		before := runs.Load()
+		if _, err := useKey(t, "resident-toy", seed); err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.Load() - before; n != wantRuns {
+			t.Fatalf("key %d made %d kernel runs, want %d", seed, n, wantRuns)
+		}
+	}
+	for seed := uint64(1); seed <= residentKeys; seed++ {
+		use(seed, 1)
+	}
+	use(1, 0)              // key 1 is now the most recently used, key 2 the least
+	use(residentKeys+1, 1) // evicts key 2
+	use(1, 0)
+	use(2, 1) // built again; evicts key 3
+	use(residentKeys+1, 0)
+	use(3, 1)
+}
+
+// TestResidentKeysFailedBuildNotKept: a key whose one kernel run fails
+// gives its error to every runner of the list that made the run, without
+// running again, and is not kept: the next list builds the key again.
+func TestResidentKeysFailedBuildNotKept(t *testing.T) {
+	ForgetKeys()
+	runs := registerRunCountedToy(t, "resident-toy", 1)
+	rs := NewRunners()
+	rs.Expect("resident-toy", 1)
+	rs.Expect("resident-toy", 1)
+	_, err := rs.Get("resident-toy", 1)
+	if err == nil {
+		t.Fatal("a key whose kernel run panics built a runner")
+	}
+	if _, again := rs.Get("resident-toy", 1); !errors.Is(again, err) || runs.Load() != 1 {
+		t.Fatalf("the list's second Get returned %v after %d kernel runs, want the key's error after 1", again, runs.Load())
+	}
+	rs.Close()
+	if _, err := useKey(t, "resident-toy", 1); err != nil || runs.Load() != 2 {
+		t.Fatalf("the next list got %v after %d kernel runs, want a runner built by a second run", err, runs.Load())
+	}
+}
+
+// TestResidentKeysUnregisterDrops: Unregister drops a name's keys, and
+// only its, so a kernel registered again under the name makes its own run.
+func TestResidentKeysUnregisterDrops(t *testing.T) {
+	ForgetKeys()
+	runs := registerRunCountedToy(t, "resident-toy", 0)
+	other := registerRunCountedToy(t, "resident-other", 0)
+	for _, name := range []string{"resident-toy", "resident-other"} {
+		if _, err := useKey(t, name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Unregister("resident-toy")
+	resident.mu.Lock()
+	var names []string
+	for _, e := range resident.keys {
+		names = append(names, e.k.name)
+	}
+	resident.mu.Unlock()
+	if !slices.Equal(names, []string{"resident-other"}) {
+		t.Fatalf("after Unregister the resident keys are of %v, want resident-other's alone", names)
+	}
+	again := registerRunCountedToy(t, "resident-toy", 0)
+	if _, err := useKey(t, "resident-toy", 1); err != nil || runs.Load() != 1 || again.Load() != 1 {
+		t.Fatalf("the re-registered kernel got %v after %d+%d kernel runs, want its own one", err, runs.Load(), again.Load())
+	}
+	if _, err := useKey(t, "resident-other", 1); err != nil || other.Load() != 1 {
+		t.Fatalf("a key of another name was dropped: %d kernel runs, want 1", other.Load())
 	}
 }

@@ -393,7 +393,7 @@ func TestCampaignReturnsRunners(t *testing.T) {
 	// "flaky-DGEMM" is DGEMM, except that the failAt-th construction of a
 	// case returns a benchmark whose golden run crashes.
 	var builds, failAt, crashes atomic.Int64
-	bench.Register("flaky-DGEMM", func(seed uint64) bench.Benchmark {
+	flaky := func(seed uint64) bench.Benchmark {
 		b, err := bench.New("DGEMM", seed)
 		if err != nil {
 			panic(err)
@@ -402,7 +402,7 @@ func TestCampaignReturnsRunners(t *testing.T) {
 			return crashingBench{b, &crashes}
 		}
 		return b
-	})
+	}
 	t.Cleanup(func() { bench.Unregister("flaky-DGEMM") })
 	for _, tc := range []struct {
 		name     string
@@ -417,6 +417,10 @@ func TestCampaignReturnsRunners(t *testing.T) {
 		{name: "the key's one run fails", n: 30, failAt: 1, wantErr: true, wantIdle: 0},
 		{name: "cancelled", n: 4000, cancelAt: 20, wantErr: true, wantIdle: workers},
 	} {
+		// Registering drops the name's resident key, so every case starts
+		// from an empty set and its first Get makes the key's one run.
+		bench.Unregister("flaky-DGEMM")
+		bench.Register("flaky-DGEMM", flaky)
 		rs := bench.NewRunners()
 		for i := 0; i < workers+1; i++ { // one more than is taken, so Put keeps them
 			rs.Expect("flaky-DGEMM", 1)

@@ -233,8 +233,8 @@ func (s Sweep) BeamCells() []BeamCellSpec {
 // land in grid order regardless of completion order, so equal specs produce
 // byte-identical SweepResults. On error or cancellation the whole pool
 // drains and the first error (or ctx.Err()) is returned. Cells borrow their
-// golden-run runners from a list the call owns (see newRunners), so the run
-// performs at most Workers golden runs per benchmark.
+// golden-run runners from a list the call owns (see newRunners); a key the
+// process has built before costs the run no kernel run (see bench.Runners).
 func (s Sweep) Run(ctx context.Context) (*SweepResult, error) {
 	return s.run(ctx, nil)
 }

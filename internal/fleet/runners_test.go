@@ -36,13 +36,16 @@ func (g goldenCounted) Run(ctx *bench.Ctx) {
 
 // registerCounted registers, for the length of the test, DGEMM and NW again
 // under names whose golden runs are counted, by name, and one benchmark
-// whose golden run crashes.
-func registerCounted(t *testing.T) map[string]*atomic.Int64 {
-	golden := map[string]*atomic.Int64{}
+// whose golden run crashes. Registering drops a name's resident keys, so the
+// names start from an empty set; forget registers them again, which empties
+// it again.
+func registerCounted(t *testing.T) (golden map[string]*atomic.Int64, forget func()) {
+	golden = map[string]*atomic.Int64{}
+	constructors := map[string]bench.Constructor{}
 	for name, real := range map[string]string{"counted-DGEMM": "DGEMM", "counted-NW": "NW", "counted-broken": "DGEMM"} {
 		runs := new(atomic.Int64)
 		golden[name] = runs
-		bench.Register(name, func(seed uint64) bench.Benchmark {
+		constructors[name] = func(seed uint64) bench.Benchmark {
 			b, err := bench.New(real, seed)
 			if err != nil {
 				panic(err)
@@ -51,10 +54,17 @@ func registerCounted(t *testing.T) map[string]*atomic.Int64 {
 				b = brokenBench{b}
 			}
 			return goldenCounted{b, runs}
-		})
+		}
+		bench.Register(name, constructors[name])
 		t.Cleanup(func() { bench.Unregister(name) })
 	}
-	return golden
+	forget = func() {
+		for name, c := range constructors {
+			bench.Unregister(name)
+			bench.Register(name, c)
+		}
+	}
+	return golden, forget
 }
 
 // captureRunners collects every runner list the sweeps of this test create.
@@ -79,13 +89,16 @@ func countedSweep() Sweep {
 	}
 }
 
-// TestRunnersGoldenRunCount: a run makes exactly one kernel run per
+// TestRunnersGoldenRunCount: a process makes exactly one kernel run per
 // distinct (benchmark, benchSeed), however many cells, pool workers and
-// checkpoint chunks it has, on one list per run, and that list is empty when
-// the run returns — finished, killed or resumed. A key whose one run fails
-// fails the run after that one run.
+// checkpoint chunks its runs have: the first run of a key makes it, and a
+// later run in the same process — the same plan again, or a checkpointed
+// run resumed — makes none. Every run has one list, which is empty when the
+// run returns — finished, killed or resumed. A key whose one run fails
+// fails the run after that one run, and the next run of the key runs it
+// again.
 func TestRunnersGoldenRunCount(t *testing.T) {
-	golden := registerCounted(t)
+	golden, forget := registerCounted(t)
 	lists := captureRunners(t)
 	s := countedSweep()
 	plan := mustPlan(t, s, 0, 1)
@@ -98,15 +111,16 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 		return m
 	}
 
-	// run executes f and checks that it ran each key's kernel once, that its
-	// sweep ran on exactly one list and that the list is empty afterwards.
-	run := func(label string, f func() (*SweepResult, error), keys ...string) (*SweepResult, error) {
+	// run executes f and checks that it ran each key's kernel want times,
+	// that its sweep ran on exactly one list and that the list is empty
+	// afterwards.
+	run := func(label string, want int64, f func() (*SweepResult, error), keys ...string) (*SweepResult, error) {
 		t.Helper()
 		before, listsBefore := counts(), len(*lists)
 		res, err := f()
 		for _, key := range keys {
-			if n := golden[key].Load() - before[key]; n != 1 {
-				t.Errorf("%s: %d golden runs of %s on a pool of %d, want 1", label, n, key, s.Workers)
+			if n := golden[key].Load() - before[key]; n != want {
+				t.Errorf("%s: %d golden runs of %s on a pool of %d, want %d", label, n, key, s.Workers, want)
 			}
 		}
 		if n := len(*lists) - listsBefore; n != 1 {
@@ -119,14 +133,23 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 	}
 
 	keys := []string{"counted-DGEMM", "counted-NW"}
-	mono, err := run("RunPlan", func() (*SweepResult, error) { return s.RunPlan(context.Background(), plan) }, keys...)
+	runPlan := func() (*SweepResult, error) { return s.RunPlan(context.Background(), plan) }
+	mono, err := run("RunPlan", 1, runPlan, keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	monoJSON := artifactJSON(t, mono)
+	again, err := run("RunPlan again", 0, runPlan, keys...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(monoJSON, artifactJSON(t, again)) {
+		t.Fatal("a run on resident keys differs from the run that built them")
+	}
 
 	for label, every := range map[string]int{"1 chunk": s.N, "8 chunks": 1} {
-		res, err := run("RunPlanCheckpointed, "+label, func() (*SweepResult, error) {
+		forget()
+		res, err := run("RunPlanCheckpointed, "+label, 1, func() (*SweepResult, error) {
 			return s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
 				Out: filepath.Join(dir, "ck-"+label+".json"), Every: every,
 			})
@@ -139,13 +162,15 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 		}
 	}
 
-	// Killed after the third of seven checkpoints, then resumed: each
-	// process is one run with one list.
+	// Killed after the third of seven checkpoints, then resumed in the same
+	// process: each is one run with one list, and the resumed one adopts
+	// the keys the killed one built.
+	forget()
 	ckPath := filepath.Join(dir, "ck-kill.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	landed := 0
-	if _, err := run("killed run", func() (*SweepResult, error) {
+	if _, err := run("killed run", 1, func() (*SweepResult, error) {
 		return s.RunPlanCheckpointed(ctx, plan, Checkpoint{Out: ckPath, Every: 1, OnCheckpoint: func(ShardPlan) {
 			if landed++; landed == 3 {
 				cancel()
@@ -154,7 +179,7 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 	}, keys...); err == nil {
 		t.Fatal("killed run reported success")
 	}
-	res, err := run("resumed run", func() (*SweepResult, error) {
+	res, err := run("resumed run", 0, func() (*SweepResult, error) {
 		return s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{Out: ckPath, Every: 1, Resume: ckPath})
 	}, keys...)
 	if err != nil {
@@ -165,11 +190,14 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 	}
 
 	// A cell whose golden run fails ends the run; the other cells of its
-	// key take the error without running, and nothing stays behind.
+	// key take the error without running, and nothing stays behind — not
+	// even the failed key, which the next run runs again.
 	broken := s
 	broken.Benchmarks = []string{"counted-DGEMM", "counted-broken"}
-	if _, err := run("failed cell", func() (*SweepResult, error) { return broken.Run(context.Background()) }, "counted-broken"); err == nil || !strings.Contains(err.Error(), "counted-broken") {
-		t.Fatalf("a sweep with a broken benchmark returned %v", err)
+	for _, label := range []string{"failed cell", "failed cell again"} {
+		if _, err := run(label, 1, func() (*SweepResult, error) { return broken.Run(context.Background()) }, "counted-broken"); err == nil || !strings.Contains(err.Error(), "counted-broken") {
+			t.Fatalf("%s: a sweep with a broken benchmark returned %v", label, err)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"phirel/internal/bench"
 	_ "phirel/internal/bench/all"
 	"phirel/internal/distrib"
 	"phirel/internal/fault"
@@ -235,6 +236,79 @@ func TestServeCacheHitByteIdentical(t *testing.T) {
 	_, _, again := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result")
 	if !bytes.Equal(first, again) {
 		t.Fatal("cache hit served different bytes than the fresh run")
+	}
+}
+
+// goldenCounted counts its kernel's golden runs: the runs that inject
+// nothing. Every trial that runs the kernel injects.
+type goldenCounted struct {
+	bench.Benchmark
+	runs *atomic.Int64
+}
+
+func (g goldenCounted) Run(ctx *bench.Ctx) {
+	defer func() {
+		if !ctx.Injected() {
+			g.runs.Add(1)
+		}
+	}()
+	g.Benchmark.Run(ctx)
+}
+
+// TestServeResidentKeys: a cold request whose keys the process has already
+// built — here by a monolithic run of another spec over the same kernels and
+// bench seed — makes no kernel run of its own in either shard, only its
+// trials, and its artifact is byte-identical to a monolithic run.
+func TestServeResidentKeys(t *testing.T) {
+	var golden atomic.Int64
+	for name, real := range map[string]string{"resident-DGEMM": "DGEMM", "resident-NW": "NW"} {
+		// Registering drops the name's resident keys: the test starts cold.
+		bench.Register(name, func(seed uint64) bench.Benchmark {
+			b, err := bench.New(real, seed)
+			if err != nil {
+				panic(err)
+			}
+			return goldenCounted{b, &golden}
+		})
+		t.Cleanup(func() { bench.Unregister(name) })
+	}
+	spec := func(seed uint64) fleet.Sweep {
+		s := testSpec(seed)
+		s.Benchmarks = []string{"resident-DGEMM", "resident-NW"}
+		return s
+	}
+	if _, err := spec(1).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := golden.Load(); n != 2 {
+		t.Fatalf("the run that built the keys made %d kernel runs, want 2", n)
+	}
+
+	wk := &worker{}
+	ts := newTestServer(t, wk)
+	cold := spec(2)
+	code, st := postSpec(t, ts, cold)
+	if code != http.StatusAccepted || st.Cached || st.Partial {
+		t.Fatalf("POST: %d %+v, want a cold request", code, st)
+	}
+	waitState(t, ts, st.ID, "done")
+	if n := wk.execs.Load(); n != testShards {
+		t.Fatalf("the request executed %d shards, want %d", n, testShards)
+	}
+	if n := golden.Load() - 2; n != 0 {
+		t.Fatalf("a cold request on resident keys made %d kernel runs, want 0", n)
+	}
+	_, _, served := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result")
+	mono, err := cold.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var monoJSON bytes.Buffer
+	if err := mono.WriteJSON(&monoJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, monoJSON.Bytes()) {
+		t.Fatal("the artifact served on resident keys differs from a monolithic run")
 	}
 }
 

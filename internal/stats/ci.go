@@ -51,7 +51,7 @@ func WilsonInterval(k, n int, confidence float64) Interval {
 	nf := float64(n)
 	denom := 1 + z*z/nf
 	center := (p + z*z/(2*nf)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
+	half := float64(z / denom * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)))
 	lo := center - half
 	hi := center + half
 	// At the extremes the exact Wilson bounds are 0 and 1; floating-point
@@ -73,7 +73,7 @@ func NormalInterval(k, n int, confidence float64) Interval {
 	}
 	z := zFor(confidence)
 	p := float64(k) / float64(n)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
+	half := float64(z * math.Sqrt(p*(1-p)/float64(n)))
 	lo, hi := p-half, p+half
 	if lo < 0 {
 		lo = 0

@@ -4,7 +4,10 @@
 // binomial/normal confidence intervals for FIT and PVF estimates.
 //
 // Everything is deterministic given a seed, which is what makes campaign
-// results (and therefore the regenerated paper figures) reproducible.
+// results (and therefore the regenerated paper figures) reproducible. That
+// holds on every GOARCH: each product that feeds a sum is rounded
+// explicitly, float64(x*y), so no compiler fuses it into a multiply-add that
+// rounds once (make fusion-check).
 package stats
 
 import "math"
@@ -141,7 +144,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -177,7 +180,7 @@ func (r *RNG) Poisson(mean float64) int {
 			k++
 		}
 	default:
-		v := mean + math.Sqrt(mean)*r.NormFloat64() + 0.5
+		v := mean + float64(math.Sqrt(mean)*r.NormFloat64()) + 0.5
 		if v < 0 {
 			return 0
 		}

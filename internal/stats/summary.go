@@ -29,7 +29,7 @@ func (s *Summary) Add(x float64) {
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.m2 += float64(delta * (x - s.mean))
 }
 
 // N returns the number of observations.
@@ -151,7 +151,7 @@ func (h *Histogram) Merge(o *Histogram) error {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
+	return h.Lo + float64((float64(i)+0.5)*w)
 }
 
 // CDFAt returns the empirical fraction of observations <= x (underflow
@@ -163,7 +163,7 @@ func (h *Histogram) CDFAt(x float64) float64 {
 	c := h.Under
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	for i, n := range h.Counts {
-		upper := h.Lo + float64(i+1)*w
+		upper := h.Lo + float64(float64(i+1)*w)
 		if upper <= x {
 			c += n
 		} else {
@@ -187,13 +187,13 @@ func Quantile(values []float64, q float64) float64 {
 	if q >= 1 {
 		return v[len(v)-1]
 	}
-	pos := q * float64(len(v)-1)
+	pos := float64(q * float64(len(v)-1))
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= len(v) {
 		return v[len(v)-1]
 	}
-	return v[i]*(1-frac) + v[i+1]*frac
+	return float64(v[i]*(1-frac)) + float64(v[i+1]*frac)
 }
 
 // ExceedanceFraction returns the fraction of values strictly greater than
