@@ -32,7 +32,8 @@ test:
 # orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
 # delivery, progress, pool scheduling, the section watchdog, resumed and
-# converged runs, planned beam strikes. In internal/state the Debit tests
+# converged runs, planned beam strikes, and HotSpot's row against its Go
+# reference (the Sweep keyword). In internal/state the Debit tests
 # run all six kernels' campaigns on parallel goroutines, which shows that no
 # cell (plain fields, no atomics) is shared between concurrent runs.
 # Race-instrumented Monte-Carlo runs cost ~100x, and their
@@ -42,7 +43,7 @@ test:
 # everything at full size).
 race:
 	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Decided|Resume|Converge|Strike|Debit' \
-		./internal/state/ ./internal/bench/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
+		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
 
@@ -83,7 +84,7 @@ vet:
 # skip (a cached build prints no assembly); -l keeps other packages'
 # inlined code out of the listing.
 FUSION_ARCHS ?= arm64 ppc64le s390x riscv64
-FUSION_PKGS ?= ./internal/bench/dgemm/ ./internal/stats/
+FUSION_PKGS ?= ./internal/bench/dgemm/ ./internal/bench/hotspot/ ./internal/stats/
 fusion-check:
 	@fail=0; for arch in $(FUSION_ARCHS); do \
 		asm=$$(GOARCH=$$arch $(GO) build -a -gcflags='-S -l' -o /dev/null $(FUSION_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \

@@ -16,6 +16,16 @@
 // while spreading to neighbours, so errors are wide but strongly attenuated
 // — the mechanism behind the paper's Figure 3, where a 0.5 % tolerance
 // removes most of HotSpot's SDC FIT.
+//
+// The row update is written twice. On amd64 an SSE2 kernel
+// (stencil_amd64.s) updates four columns per instruction; each packed op is
+// the Go row's scalar op on the same operands in the same order, and a lane
+// of ADDPS or MULPS rounds as ADDSS or MULSS does, so every column gets the
+// Go row's bits, NaN payloads included. SSE2 is amd64's baseline: nothing
+// is chosen at run time. The Go row, stencilRowGo, is the only path on
+// every other architecture and the reference the kernel is tested against;
+// it rounds each product explicitly, so no target fuses a multiply and an
+// add: every architecture rounds the same operations in the same order.
 package hotspot
 
 import (
@@ -89,8 +99,8 @@ func New(cfg Config, seed uint64) *HotSpot {
 	h.p0 = make([]float32, shape.Len())
 	h.row = make([]float32, cfg.Cols)
 	for i := range h.t0 {
-		h.t0[i] = 80 + 10*float32(r.Float64())       // ambient-ish start
-		h.p0[i] = float32(r.Float64() * r.Float64()) // skewed power map
+		h.t0[i] = 80 + float32(10*float32(r.Float64())) // ambient-ish start, never fused
+		h.p0[i] = float32(r.Float64() * r.Float64())    // skewed power map
 	}
 	h.cx = state.NewCell[float32]("cx", "constant", cx0)
 	h.cy = state.NewCell[float32]("cy", "constant", cy0)
@@ -265,9 +275,9 @@ func (h *HotSpot) sweep(ctx *bench.Ctx, src, dst *state.Buf[float32]) {
 
 // sweepRow applies one stencil update to row r of s, writing it to the row
 // dr; shared by the cell-driven and fast row loops and the convergence
-// check, so their arithmetic cannot drift apart. The boundary columns
-// (whose east/west clamp to the cell itself) are peeled off so the interior
-// loop runs branch-free over row-local slices.
+// check, so their arithmetic cannot drift apart. It slices out the row, the
+// rows above and below (clamped at the grid's edges) and the row's power,
+// and hands the whole row to stencilRow.
 func (h *HotSpot) sweepRow(s, dr, p []float32, r int, cx, cy, cz, cp, amb float32) {
 	rows, cols := h.cfg.Rows, h.cfg.Cols
 	up, down := r-1, r+1
@@ -278,31 +288,27 @@ func (h *HotSpot) sweepRow(s, dr, p []float32, r int, cx, cy, cz, cp, amb float3
 		down = rows - 1
 	}
 	base := r * cols
-	sr := s[base : base+cols]
-	dr = dr[:cols]
-	pr := p[base : base+cols]
-	nr := s[up*cols : up*cols+cols]
-	so := s[down*cols : down*cols+cols]
-	t := sr[0] // west clamps to the cell itself
-	dr[0] = t +
-		cx*(sr[1]+sr[0]-2*t) +
-		cy*(nr[0]+so[0]-2*t) +
-		cz*(amb-t) +
-		cp*pr[0]
-	for c := 1; c < cols-1; c++ {
-		t = sr[c]
-		dr[c] = t +
-			cx*(sr[c+1]+sr[c-1]-2*t) +
-			cy*(nr[c]+so[c]-2*t) +
-			cz*(amb-t) +
-			cp*pr[c]
+	stencilRow(dr[:cols], s[base:base+cols], s[up*cols:up*cols+cols], s[down*cols:down*cols+cols],
+		p[base:base+cols], cx, cy, cz, cp, amb)
+}
+
+// stencilRowGo writes to d the stencil update of the row s from its north
+// and south rows n and so and its power p; the east and west neighbours of
+// the edge columns clamp to the cell itself. It is the only row on other
+// architectures and the reference the amd64 kernel is tested against.
+// float32(…) rounds each product before its sum, which stops the compiler
+// fusing a multiply and an add where the target has such an instruction;
+// the amd64 compiler fuses nothing, so there they change nothing.
+func stencilRowGo(d, s, n, so, p []float32, cx, cy, cz, cp, amb float32) {
+	last := len(s) - 1
+	for c, t := range s {
+		e, w := s[min(c+1, last)], s[max(c-1, 0)]
+		d[c] = t +
+			float32(cx*(e+w-float32(2*t))) +
+			float32(cy*(n[c]+so[c]-float32(2*t))) +
+			float32(cz*(amb-t)) +
+			float32(cp*p[c])
 	}
-	t = sr[cols-1] // east clamps to the cell itself
-	dr[cols-1] = t +
-		cx*(sr[cols-1]+sr[cols-2]-2*t) +
-		cy*(nr[cols-1]+so[cols-1]-2*t) +
-		cz*(amb-t) +
-		cp*pr[cols-1]
 }
 
 // Output implements bench.Benchmark.
