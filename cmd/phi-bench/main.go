@@ -15,7 +15,7 @@
 //	          [-beam-runs 6000] [-beam-devices KNC3120A] [-beam-ecc-ablation]
 //	          [-shard k/K] [-out sweep.json] [-monitor-jsonl mon.jsonl]
 //	phi-bench -spec spec.json [-shard k/K | -plan k/K:injOff+injN:beamOff+beamN]
-//	          [-progress-jsonl] [-out -] [-frame-out]
+//	          [-progress-jsonl] [-out -]
 //	          [-checkpoint-out ck.json -checkpoint-every 1000] [-resume-from ck.json]
 //
 // With -shard k/K (1-based) the sweep runs only the k-th of K deterministic
@@ -30,10 +30,8 @@
 // cmd/phi-fleet drives. -progress-jsonl switches stderr progress to
 // machine-readable JSONL events (one internal/distrib.Event per line), and
 // -out - streams the artifact to stdout (suppressing the per-cell tables),
-// so a remote worker needs no filesystem handshake at all. -frame-out wraps
-// the stdout artifact in distrib's base64 sentinel frame, which survives
-// transports that merge stdout and stderr into one line stream — the
-// Kubernetes pod log the phi-fleet -k8s launcher reads partials back from.
+// so a remote worker (over ssh, or in a pod started by kubectl run) needs
+// no filesystem handshake at all.
 //
 // -checkpoint-out with -checkpoint-every N makes a shard worker elastic: a
 // valid shard-partial artifact covering the contiguous trial prefix
@@ -44,7 +42,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -75,7 +72,6 @@ func main() {
 		out       = flag.String("out", "", "sweep: write SweepResult JSON here ('-' = stdout, suppressing tables)")
 		specArg   = flag.String("spec", "", "sweep: read the whole sweep spec from this fleet spec JSON file ('-' = stdin) instead of the grid flags; implies -sweep")
 		progJSONL = flag.Bool("progress-jsonl", false, "sweep: emit machine-readable JSONL progress events on stderr (the phi-fleet protocol)")
-		frameOut  = flag.Bool("frame-out", false, "sweep: with -out -, wrap the artifact in the base64 sentinel frame that survives stream-merging transports (Kubernetes pod logs)")
 
 		ckOut    = flag.String("checkpoint-out", "", "sweep: land a valid shard-partial checkpoint here (tmp+rename) every -checkpoint-every trials; needs -shard or -plan")
 		ckEvery  = flag.Int("checkpoint-every", 0, "sweep: checkpoint cadence in trials (0 = no periodic checkpoints)")
@@ -98,8 +94,7 @@ func main() {
 		runSweep(sweepOpts{
 			grid: &grid, mon: &mon, out: *out,
 			shard: *shardArg, plan: *planArg, spec: *specArg, progressJSONL: *progJSONL,
-			frameOut: *frameOut,
-			ckOut:    *ckOut, ckEvery: *ckEvery, ckResume: *ckResume,
+			ckOut: *ckOut, ckEvery: *ckEvery, ckResume: *ckResume,
 		})
 		return
 	}
@@ -141,7 +136,6 @@ type sweepOpts struct {
 	plan          string
 	spec          string
 	progressJSONL bool
-	frameOut      bool
 	ckOut         string
 	ckEvery       int
 	ckResume      string
@@ -263,19 +257,6 @@ func runSweep(o sweepOpts) {
 	switch o.out {
 	case "":
 	case "-":
-		if o.frameOut {
-			// A pod log merges stdout and stderr, so a bare artifact could
-			// interleave with diagnostics; the sentinel frame keeps it
-			// reconstructible from the merged stream (distrib.WriteFramed).
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
-				fatal(err)
-			}
-			if err := distrib.WriteFramed(os.Stdout, buf.Bytes()); err != nil {
-				fatal(err)
-			}
-			break
-		}
 		if err := res.WriteJSON(os.Stdout); err != nil {
 			fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Command phi-fleet is the distributed fan-out driver for fleet sweeps: it
 // splits a sweep K ways along the shard seam, launches K phi-bench shard
-// workers (local subprocesses by default, remote hosts with -ssh),
+// workers (local subprocesses by default, remote hosts with -ssh, pods
+// with -k8s),
 // supervises them — per-attempt timeouts, bounded retry with backoff for
 // crashed workers, aggregated JSONL progress — and folds the validated
 // partials into one merged artifact, byte-identical to a monolithic
@@ -11,15 +12,16 @@
 //
 //	phi-fleet -shards 10 -n 10000 -beam-runs 10000 -beam-ecc-ablation -out sweep.json
 //	phi-fleet -shards 3 -spec spec.json -worker-cmd "bin/phi-bench" -out sweep.json
-//	phi-fleet -shards 8 -ssh node1,node2,node3 -ssh-bin /opt/phirel/phi-bench -out sweep.json
+//	phi-fleet -shards 8 -ssh node1,node2,node3 -remote-bin /opt/phirel/phi-bench -out sweep.json
 //	phi-fleet -shards 16 -k8s -k8s-image ghcr.io/you/phirel:latest -k8s-namespace phirel -out sweep.json
 //	phi-fleet -shards 8 -checkpoint-every 2000 -steal-interval 30s -out sweep.json
 //
 // The grid flags mirror phi-bench -sweep exactly, so swapping one command
-// for the other changes nothing about the resulting artifact. Workers are
-// resolved in this order: -k8s (one Kubernetes Job per shard, via kubectl),
-// -ssh (remote), -worker-cmd (explicit local command), a phi-bench binary
-// next to the phi-fleet executable, phi-bench from PATH.
+// for the other changes nothing about the resulting artifact. At most one
+// worker transport may be named: -k8s (one pod per shard attempt, via
+// kubectl run), -ssh (remote hosts) or -worker-cmd (explicit local
+// command); with none, a phi-bench binary next to the phi-fleet executable
+// runs, else phi-bench from PATH.
 //
 // With -checkpoint-every N every worker periodically lands a valid partial
 // covering its completed trial prefix, and a relaunched worker resumes
@@ -32,12 +34,10 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"phirel/internal/cli"
@@ -47,8 +47,6 @@ import (
 func main() {
 	var grid cli.SweepFlags
 	grid.Register(flag.CommandLine, "")
-	var k8s cli.K8sFlags
-	k8s.Register(flag.CommandLine)
 	var fleetFlags cli.FleetFlags
 	fleetFlags.Register(flag.CommandLine)
 	var worker cli.WorkerFlags
@@ -67,6 +65,11 @@ func main() {
 		fatal(err)
 	}
 
+	launch, err := worker.Launcher("phi-fleet")
+	if err != nil {
+		fatal(err)
+	}
+
 	workdir := *dir
 	ownDir := workdir == ""
 	if ownDir {
@@ -77,19 +80,6 @@ func main() {
 		fatal(err)
 	}
 
-	// Job names must be unique per fan-out even when runs share a
-	// namespace: the temp workdir's basename is random, but an explicit
-	// -dir need not be and pids recycle across machines and containers, so
-	// a random suffix is mixed in too (name truncation keeps the tail).
-	var salt [3]byte
-	rand.Read(salt[:])
-	launch, err := k8s.Launcher(fmt.Sprintf("%s-%x", filepath.Base(workdir), salt))
-	if err != nil {
-		fatal(err)
-	}
-	if launch == nil {
-		launch = worker.Launcher()
-	}
 	opts, err := fleetFlags.Options(launch, workdir)
 	if err != nil {
 		fatal(err)

@@ -17,7 +17,7 @@
 //	phi-serve -addr :8421 -cache-dir serve-cache -shards 4
 //	phi-serve -cache-max-bytes 1073741824 -admission-log admissions.jsonl
 //	phi-serve -addr :8421 -worker-cmd bin/phi-bench -max-concurrent 8
-//	phi-serve -ssh node1,node2 -ssh-bin /opt/phirel/phi-bench
+//	phi-serve -ssh node1,node2 -remote-bin /opt/phirel/phi-bench
 //	phi-serve -k8s -k8s-image ghcr.io/you/phirel:latest
 //
 //	curl -d @spec.json localhost:8421/v1/sweeps
@@ -33,14 +33,12 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"phirel/internal/cli"
@@ -62,8 +60,6 @@ func main() {
 	fleetFlags.Register(flag.CommandLine)
 	var worker cli.WorkerFlags
 	worker.Register(flag.CommandLine)
-	var k8s cli.K8sFlags
-	k8s.Register(flag.CommandLine)
 	var (
 		addr          = flag.String("addr", ":8421", "listen address")
 		cacheDir      = flag.String("cache-dir", "serve-cache", "persistent content-addressed artifact cache directory ('' = in-memory only)")
@@ -74,9 +70,13 @@ func main() {
 	)
 	flag.Parse()
 
+	launch, err := worker.Launcher("phi-serve")
+	if err != nil {
+		fatal(err)
+	}
+
 	workdir := *dir
 	ownDir := workdir == ""
-	var err error
 	if ownDir {
 		if workdir, err = os.MkdirTemp("", "phi-serve-*"); err != nil {
 			fatal(err)
@@ -85,17 +85,6 @@ func main() {
 		fatal(err)
 	}
 
-	// Job names must be unique per service instance even when instances
-	// share a k8s namespace (same salting scheme as phi-fleet).
-	var salt [3]byte
-	rand.Read(salt[:])
-	launch, err := k8s.Launcher(fmt.Sprintf("%s-%x", filepath.Base(workdir), salt))
-	if err != nil {
-		fatal(err)
-	}
-	if launch == nil {
-		launch = worker.Launcher()
-	}
 	opts, err := fleetFlags.Options(launch, workdir)
 	if err != nil {
 		fatal(err)

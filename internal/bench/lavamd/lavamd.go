@@ -249,7 +249,10 @@ func (l *LavaMD) rows(ctx *bench.Ctx, row int) {
 
 // box accumulates forces for every particle of home box b against all
 // particles of its neighbour boxes (Rodinia's kernel formula). a2 is the
-// potential parameter read once per row, before the lanes.
+// potential parameter read once per row, before the lanes. float64(…)
+// rounds each product before its sum, so no target fuses the two into one
+// multiply-add that rounds once (make fusion-check); on amd64 the
+// conversions change nothing.
 func (l *LavaMD) box(b, ppb int, a2 float64) {
 	rv, qv, fv, nn := l.rv.Data, l.qv.Data, l.fv.Data, l.nn.Data
 	for p := 0; p < ppb; p++ {
@@ -266,14 +269,14 @@ func (l *LavaMD) box(b, ppb int, a2 float64) {
 				dx := xi - rv[3*j]
 				dy := yi - rv[3*j+1]
 				dz := zi - rv[3*j+2]
-				r2 := dx*dx + dy*dy + dz*dz
+				r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 				u2 := a2 * r2
 				vij := math.Exp(-u2)
 				fs := 2 * a2 * vij
-				fvV += qv[j] * vij
-				fvX += qv[j] * fs * dx
-				fvY += qv[j] * fs * dy
-				fvZ += qv[j] * fs * dz
+				fvV += float64(qv[j] * vij)
+				fvX += float64(qv[j] * fs * dx)
+				fvY += float64(qv[j] * fs * dy)
+				fvZ += float64(qv[j] * fs * dz)
 			}
 		}
 		fv[4*i+0] = fvV

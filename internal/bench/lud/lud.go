@@ -254,7 +254,10 @@ func (l *LUD) checkStep(k, n, bs, nb int) {
 	}
 }
 
-// diagonal factors the bs×bs block at (off,off) in place.
+// diagonal factors the bs×bs block at (off,off) in place. Here and in the
+// panel and internal updates, float32(…) rounds each product before its
+// subtraction, so no target fuses the two into one multiply-subtract that
+// rounds once (make fusion-check); on amd64 the conversions change nothing.
 func (l *LUD) diagonal(off, bs, n int) {
 	a := l.a.Data
 	for kk := 0; kk < bs; kk++ {
@@ -263,7 +266,7 @@ func (l *LUD) diagonal(off, bs, n int) {
 			a[(off+i)*n+off+kk] /= piv
 			lik := a[(off+i)*n+off+kk]
 			for j := kk + 1; j < bs; j++ {
-				a[(off+i)*n+off+j] -= lik * a[(off+kk)*n+off+j]
+				a[(off+i)*n+off+j] -= float32(lik * a[(off+kk)*n+off+j])
 			}
 		}
 	}
@@ -277,7 +280,7 @@ func (l *LUD) rowPanel(dia *state.Buf[float32], k, j, bs, n int) {
 		for i := kk + 1; i < bs; i++ {
 			lik := dia.At(kk, i, 0)
 			for c := 0; c < bs; c++ {
-				a[(r0+i)*n+c0+c] -= lik * a[(r0+kk)*n+c0+c]
+				a[(r0+i)*n+c0+c] -= float32(lik * a[(r0+kk)*n+c0+c])
 			}
 		}
 	}
@@ -293,7 +296,7 @@ func (l *LUD) colPanel(dia *state.Buf[float32], k, i, bs, n int) {
 			a[(r0+r)*n+c0+kk] /= ukk
 			lrk := a[(r0+r)*n+c0+kk]
 			for c := kk + 1; c < bs; c++ {
-				a[(r0+r)*n+c0+c] -= lrk * dia.At(c, kk, 0)
+				a[(r0+r)*n+c0+c] -= float32(lrk * dia.At(c, kk, 0))
 			}
 		}
 	}
@@ -307,7 +310,7 @@ func (l *LUD) internal(k, bi, bj, bs, n int) {
 		for kk := 0; kk < bs; kk++ {
 			lik := a[(li0+i)*n+k*bs+kk]
 			for j := 0; j < bs; j++ {
-				a[(li0+i)*n+bj*bs+j] -= lik * a[(u0+kk)*n+bj*bs+j]
+				a[(li0+i)*n+bj*bs+j] -= float32(lik * a[(u0+kk)*n+bj*bs+j])
 			}
 		}
 	}

@@ -5,20 +5,17 @@
 // flags, their defaults, and how they assemble into a fleet.Sweep live
 // here once, making the mirror contract structural instead of two copies
 // kept in sync by discipline (and by the CI byte-diff that would catch the
-// drift late). It also carries phi-fleet's launcher-transport flag
-// surfaces (K8sFlags), so flag-to-layer wiring stays testable outside a
-// main package.
+// drift late). It also carries the fleet tools' supervision and
+// worker-transport flag surfaces (FleetFlags, WorkerFlags), so
+// flag-to-layer wiring stays testable outside a main package.
 package cli
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"phirel/internal/bench/all"
-	"phirel/internal/distrib"
 	"phirel/internal/fault"
 	"phirel/internal/fleet"
 	"phirel/internal/state"
@@ -90,51 +87,6 @@ func (f *SweepFlags) LoadSweep(specPath string, stdin io.Reader, workersSet bool
 		s.Workers = f.Workers
 	}
 	return s, nil
-}
-
-// K8sFlags holds phi-fleet's Kubernetes launcher flag values — the flag
-// surface for fanning shards out as cluster Jobs. It lives here beside
-// SweepFlags so every flag the fleet tools expose has one definition and
-// one tested wiring into the layer it drives.
-type K8sFlags struct {
-	Enabled   bool
-	Namespace string
-	Image     string
-	JobTTL    time.Duration
-	Bin       string
-	Kubectl   string
-}
-
-// Register installs the Kubernetes launcher flags on fs.
-func (f *K8sFlags) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&f.Enabled, "k8s", false, "launch each shard as a Kubernetes Job (requires -k8s-image; talks to the cluster via kubectl)")
-	fs.StringVar(&f.Namespace, "k8s-namespace", "default", "namespace the shard Jobs and spec ConfigMaps are created in")
-	fs.StringVar(&f.Image, "k8s-image", "", "container image holding phi-bench for -k8s shard Jobs")
-	fs.DurationVar(&f.JobTTL, "k8s-job-ttl", time.Hour, "ttlSecondsAfterFinished for shard Jobs: the cluster-side GC backstop if the supervisor dies before its own cleanup (0 = never expire)")
-	fs.StringVar(&f.Bin, "k8s-bin", "phi-bench", "phi-bench executable inside the -k8s-image")
-	fs.StringVar(&f.Kubectl, "kubectl", "kubectl", "kubectl command for -k8s, space-separated (room for --context etc.)")
-}
-
-// Launcher assembles the distrib.K8sLauncher the flags describe, tagged
-// with runName so concurrent fan-outs sharing a namespace never collide on
-// Job names. It returns (nil, nil) when -k8s is off — the caller falls
-// through to its other worker transports — and an error on an incoherent
-// flag set.
-func (f *K8sFlags) Launcher(runName string) (distrib.Launcher, error) {
-	if !f.Enabled {
-		return nil, nil
-	}
-	if f.Image == "" {
-		return nil, fmt.Errorf("cli: -k8s needs -k8s-image (the container image holding phi-bench)")
-	}
-	return distrib.K8sLauncher{
-		Namespace: f.Namespace,
-		Image:     f.Image,
-		Bin:       f.Bin,
-		JobTTL:    f.JobTTL,
-		RunName:   runName,
-		Kubectl:   strings.Fields(f.Kubectl),
-	}, nil
 }
 
 // Names resolves -bench into the benchmark list.

@@ -5,10 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"phirel/internal/bench/all"
-	"phirel/internal/distrib"
 	"phirel/internal/fault"
 	"phirel/internal/state"
 )
@@ -103,50 +101,6 @@ func TestLoadSweepSpecAndWorkersOverride(t *testing.T) {
 	s, err = f.LoadSweep("", nil, true)
 	if err != nil || s.Workers != 16 || !reflect.DeepEqual(s.Benchmarks, all.Suite) {
 		t.Fatalf("flag-built sweep off: %+v, %v", s, err)
-	}
-}
-
-func TestK8sFlagsLauncherWiring(t *testing.T) {
-	parse := func(args ...string) *K8sFlags {
-		t.Helper()
-		var f K8sFlags
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f.Register(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return &f
-	}
-	// -k8s off: no launcher, no error — the caller falls through to the
-	// exec/ssh transports.
-	l, err := parse().Launcher("run")
-	if l != nil || err != nil {
-		t.Fatalf("disabled k8s produced %v, %v", l, err)
-	}
-	// -k8s without an image is an incoherent flag set, caught before any
-	// cluster traffic.
-	if _, err := parse("-k8s").Launcher("run"); err == nil || !strings.Contains(err.Error(), "-k8s-image") {
-		t.Fatalf("imageless -k8s: %v, want a -k8s-image error", err)
-	}
-	l, err = parse("-k8s", "-k8s-image", "ghcr.io/x/phirel:1", "-k8s-namespace", "phirel",
-		"-k8s-job-ttl", "30m", "-k8s-bin", "/opt/phi-bench", "-kubectl", "kubectl --context lab").Launcher("fleet-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k8s, ok := l.(distrib.K8sLauncher)
-	if !ok {
-		t.Fatalf("launcher is %T, want distrib.K8sLauncher", l)
-	}
-	want := distrib.K8sLauncher{
-		Namespace: "phirel",
-		Image:     "ghcr.io/x/phirel:1",
-		Bin:       "/opt/phi-bench",
-		JobTTL:    30 * time.Minute,
-		RunName:   "fleet-7",
-		Kubectl:   []string{"kubectl", "--context", "lab"},
-	}
-	if !reflect.DeepEqual(k8s, want) {
-		t.Fatalf("launcher wired as %+v, want %+v", k8s, want)
 	}
 }
 

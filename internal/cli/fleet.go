@@ -1,7 +1,10 @@
 package cli
 
 import (
+	"crypto/rand"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,38 +63,78 @@ func (f *FleetFlags) Options(launcher distrib.Launcher, dir string) (distrib.Opt
 }
 
 // WorkerFlags is the worker-transport flag surface shared by cmd/phi-fleet
-// and cmd/phi-serve: how shard workers are launched when the Kubernetes
-// transport is not in play.
+// and cmd/phi-serve: how shard workers are launched — a local subprocess,
+// a session on an ssh host, or a Kubernetes pod started with kubectl run.
 type WorkerFlags struct {
 	WorkerCmd string
 	SSHHosts  string
-	SSHBin    string
+	K8s       bool
+	Namespace string
+	Image     string
+	Kubectl   string
+	RemoteBin string
 }
 
 // Register installs the worker-transport flags on fs.
 func (f *WorkerFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.WorkerCmd, "worker-cmd", "", "local worker command, space-separated (default: phi-bench next to this executable, else from PATH)")
 	fs.StringVar(&f.SSHHosts, "ssh", "", "comma-separated ssh hosts; shards round-robin over them instead of running locally")
-	fs.StringVar(&f.SSHBin, "ssh-bin", "phi-bench", "phi-bench executable on the remote hosts")
+	fs.BoolVar(&f.K8s, "k8s", false, "run each shard attempt in its own Kubernetes pod via kubectl run (requires -k8s-image)")
+	fs.StringVar(&f.Namespace, "k8s-namespace", "default", "namespace the -k8s worker pods run in")
+	fs.StringVar(&f.Image, "k8s-image", "", "container image holding phi-bench for -k8s pods")
+	fs.StringVar(&f.Kubectl, "kubectl", "kubectl", "kubectl command for -k8s, space-separated (room for --context etc.)")
+	fs.StringVar(&f.RemoteBin, "remote-bin", "phi-bench", "phi-bench executable on the -ssh hosts or in the -k8s-image")
 }
 
-// Launcher picks the worker transport the flags describe: ssh hosts when
-// given, else a local subprocess of the explicit -worker-cmd, else a
-// phi-bench discovered next to the calling executable or on PATH.
-func (f *WorkerFlags) Launcher() distrib.Launcher {
-	if f.SSHHosts != "" {
-		return distrib.SSHLauncher{Hosts: strings.Split(f.SSHHosts, ","), Bin: f.SSHBin}
+// Launcher builds the worker transport the flags name: -k8s pods, -ssh
+// hosts, the explicit -worker-cmd, else a phi-bench next to the calling
+// executable or on PATH. A flag set naming two transports is an error, as
+// is an empty -ssh host. Pod names start with runName plus a random
+// suffix, so concurrent fan-outs sharing a namespace never collide.
+func (f *WorkerFlags) Launcher(runName string) (distrib.Launcher, error) {
+	named := 0
+	for _, set := range []bool{f.K8s, f.SSHHosts != "", f.WorkerCmd != ""} {
+		if set {
+			named++
+		}
 	}
-	if f.WorkerCmd != "" {
-		return distrib.ExecLauncher{Command: strings.Fields(f.WorkerCmd)}
+	if named > 1 {
+		return nil, errors.New("cli: -k8s, -ssh and -worker-cmd each pick the worker transport; give at most one")
+	}
+	switch {
+	case f.K8s:
+		if f.Image == "" {
+			return nil, errors.New("cli: -k8s needs -k8s-image (the container image holding phi-bench)")
+		}
+		var salt [3]byte
+		rand.Read(salt[:])
+		return distrib.RemoteLauncher{
+			Via: distrib.Kubectl{
+				Command:   strings.Fields(f.Kubectl),
+				Namespace: f.Namespace,
+				Image:     f.Image,
+				RunName:   fmt.Sprintf("%s-%x", runName, salt),
+			},
+			Bin: f.RemoteBin,
+		}, nil
+	case f.SSHHosts != "":
+		hosts := strings.Split(f.SSHHosts, ",")
+		for i, h := range hosts {
+			if hosts[i] = strings.TrimSpace(h); hosts[i] == "" {
+				return nil, fmt.Errorf("cli: -ssh %q names an empty host", f.SSHHosts)
+			}
+		}
+		return distrib.RemoteLauncher{Via: distrib.SSH{Hosts: hosts}, Bin: f.RemoteBin}, nil
+	case f.WorkerCmd != "":
+		return distrib.ExecLauncher{Command: strings.Fields(f.WorkerCmd)}, nil
 	}
 	if exe, err := os.Executable(); err == nil {
 		sibling := filepath.Join(filepath.Dir(exe), "phi-bench")
 		if info, err := os.Stat(sibling); err == nil && !info.IsDir() {
-			return distrib.ExecLauncher{Command: []string{sibling}}
+			return distrib.ExecLauncher{Command: []string{sibling}}, nil
 		}
 	}
-	return distrib.ExecLauncher{Command: []string{"phi-bench"}}
+	return distrib.ExecLauncher{Command: []string{"phi-bench"}}, nil
 }
 
 // OpenInput resolves the "-" input convention every phirel tool follows

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -38,7 +39,11 @@ func TestFleetFlagsDefaultsMatchScheduler(t *testing.T) {
 func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	f, w := parseFleet(t, "-shards", "5", "-timeout", "90s", "-retries", "2",
 		"-backoff", "3s", "-max-concurrent", "4", "-worker-cmd", "bin/phi-bench -quiet")
-	opts, err := f.Options(w.Launcher(), t.TempDir())
+	launch, err := w.Launcher("run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := f.Options(launch, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	// Validation runs inside assembly: an incoherent flag set never
 	// reaches a scheduler.
 	bad, _ := parseFleet(t, "-shards", "0")
-	if _, err := bad.Options(w.Launcher(), t.TempDir()); err == nil {
+	if _, err := bad.Options(launch, t.TempDir()); err == nil {
 		t.Fatal("shards=0 assembled into Options without error")
 	}
 	if _, err := f.Options(nil, t.TempDir()); err == nil {
@@ -61,14 +66,73 @@ func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	}
 }
 
-func TestWorkerFlagsSSHWinsOverExec(t *testing.T) {
-	_, w := parseFleet(t, "-ssh", "a,b", "-ssh-bin", "/opt/phi-bench", "-worker-cmd", "ignored")
-	ssh, ok := w.Launcher().(distrib.SSHLauncher)
-	if !ok {
-		t.Fatalf("launcher %T, want SSHLauncher", w.Launcher())
+// TestWorkerFlagsLauncherWiring: -ssh and -k8s each build the one remote
+// launcher with their transport, -remote-bin and the transport's knobs.
+func TestWorkerFlagsLauncherWiring(t *testing.T) {
+	launcher := func(args ...string) distrib.RemoteLauncher {
+		t.Helper()
+		_, w := parseFleet(t, args...)
+		l, err := w.Launcher("fleet-7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, ok := l.(distrib.RemoteLauncher)
+		if !ok {
+			t.Fatalf("launcher is %T, want distrib.RemoteLauncher", l)
+		}
+		return remote
 	}
-	if !reflect.DeepEqual(ssh.Hosts, []string{"a", "b"}) || ssh.Bin != "/opt/phi-bench" {
-		t.Fatalf("ssh launcher %+v", ssh)
+	ssh := launcher("-ssh", "a, b", "-remote-bin", "/opt/phi-bench")
+	want := distrib.RemoteLauncher{Via: distrib.SSH{Hosts: []string{"a", "b"}}, Bin: "/opt/phi-bench"}
+	if !reflect.DeepEqual(ssh, want) {
+		t.Fatalf("ssh launcher wired as %+v, want %+v", ssh, want)
+	}
+
+	k8s := launcher("-k8s", "-k8s-image", "ghcr.io/x/phirel:1", "-k8s-namespace", "phirel",
+		"-remote-bin", "/opt/phi-bench", "-kubectl", "kubectl --context lab")
+	kubectl, ok := k8s.Via.(distrib.Kubectl)
+	if !ok {
+		t.Fatalf("-k8s transport is %T, want distrib.Kubectl", k8s.Via)
+	}
+	// The run name is salted per launcher, so concurrent fan-outs from
+	// equally named directories still get distinct pod names.
+	if !regexp.MustCompile(`^fleet-7-[0-9a-f]{6}$`).MatchString(kubectl.RunName) {
+		t.Fatalf("pod run name %q, want fleet-7 plus a 6-hex salt", kubectl.RunName)
+	}
+	kubectl.RunName = ""
+	wantK := distrib.Kubectl{Command: []string{"kubectl", "--context", "lab"}, Namespace: "phirel", Image: "ghcr.io/x/phirel:1"}
+	if !reflect.DeepEqual(kubectl, wantK) || k8s.Bin != "/opt/phi-bench" {
+		t.Fatalf("kubectl launcher wired as %+v (bin %q), want %+v", kubectl, k8s.Bin, wantK)
+	}
+
+	// No transport flag: a local subprocess.
+	_, w := parseFleet(t)
+	if l, err := w.Launcher("run"); err != nil {
+		t.Fatal(err)
+	} else if _, ok := l.(distrib.ExecLauncher); !ok {
+		t.Fatalf("default launcher is %T, want distrib.ExecLauncher", l)
+	}
+}
+
+// TestWorkerFlagsRejectIncoherentTransports: a flag set naming two
+// transports, an empty -ssh host, or -k8s without an image is an error,
+// not a silent choice.
+func TestWorkerFlagsRejectIncoherentTransports(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k8s", "-k8s-image", "img", "-ssh", "a"}, "at most one"},
+		{[]string{"-ssh", "a,b", "-worker-cmd", "bin/phi-bench"}, "at most one"},
+		{[]string{"-k8s", "-k8s-image", "img", "-worker-cmd", "bin/phi-bench"}, "at most one"},
+		{[]string{"-ssh", "a,,b"}, "empty host"},
+		{[]string{"-ssh", "a, "}, "empty host"},
+		{[]string{"-k8s"}, "-k8s-image"},
+	} {
+		_, w := parseFleet(t, tc.args...)
+		if l, err := w.Launcher("run"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%q: launcher %v, error %v; want an error naming %q", tc.args, l, err, tc.want)
+		}
 	}
 }
 

@@ -3,26 +3,31 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"phirel/internal/fleet"
 )
 
 // The launcher conformance suite: one behavioural table executed against
-// every Launcher backend — Exec (real subprocesses), SSH (the test binary
-// standing in for ssh, spec over stdin, partial over stdout) and K8s (the
-// scripted fake cluster). Every current and future backend must satisfy the
-// same contract the supervisor is built on:
+// every Launcher backend — Exec (real subprocesses), SSH and Kubectl (the
+// test binary standing in for ssh and for kubectl, spec over stdin,
+// partial over stdout) and Func (an in-process LauncherFunc, the leg the
+// race job runs). Every current and future backend must satisfy the same
+// contract the supervisor is built on:
 //
 //   - a K-way fan-out merges byte-identical to the monolithic sweep and its
 //     aggregated progress stream converges (bit-identical K-way merge);
 //   - a worker that dies on its first attempt is relaunched within the
 //     retry budget and the merge still holds (retry/backoff rotation —
-//     each backend's rotation specifics, ssh host round-robin and k8s
-//     fresh-per-attempt Job names, are locked by their own unit tests);
+//     each transport's rotation specifics, ssh host round-robin and
+//     per-attempt pod names, are locked by their own unit tests);
 //   - a worker that hangs is killed by the per-attempt timeout and the
 //     failure reads as a timeout, within bounded wall clock (timeout→kill);
 //   - a permanently failing fan-out names every failed shard, carries each
@@ -54,14 +59,73 @@ type confFixture struct {
 	name string
 	// subprocess fixtures exec real worker processes; they are skipped in
 	// -short (the race job) because a child process is invisible to the
-	// parent's race detector — the in-process k8s fixture keeps the table
+	// parent's race detector — the in-process Func fixture keeps the table
 	// race-covered.
 	subprocess bool
 	// failureNeedle is the backend's native failure evidence that must
 	// appear in a permanent-failure error: real exit codes for process
-	// backends, the Job failure condition for k8s.
+	// backends, the worker's own error for Func.
 	failureNeedle string
 	launcher      func(t *testing.T, mode confMode) Launcher
+}
+
+// setWorkerEnv sets mode's failure knobs in the test process environment,
+// which the subprocess fixtures' workers inherit.
+func setWorkerEnv(t *testing.T, mode confMode) {
+	t.Setenv("PHIREL_FAKE_WORKER", "1")
+	switch mode {
+	case confCrashOnce:
+		t.Setenv("PHIREL_FAKE_FAIL_ONCE_DIR", t.TempDir())
+	case confHangShard0:
+		t.Setenv("PHIREL_FAKE_HANG", "0")
+	case confAlwaysCrash:
+		t.Setenv("PHIREL_FAKE_FAIL_ALWAYS", "1")
+	case confCorruptOnce:
+		t.Setenv("PHIREL_FAKE_CORRUPT_ONCE_DIR", t.TempDir())
+	}
+}
+
+// errFuncCrash is the Func fixture's worker failure.
+var errFuncCrash = errors.New("in-process worker crashed")
+
+// funcWorker is the Func fixture's worker: the body the subprocess
+// workers run, in-process, with mode's failure injected by shard and
+// attempt.
+func funcWorker(mode confMode) LauncherFunc {
+	return func(ctx context.Context, task Task, stderr io.Writer) error {
+		first := task.Attempt == 0
+		switch {
+		case mode == confAlwaysCrash:
+			fmt.Fprintf(stderr, "boom-from-shard-%d\n", task.Shard)
+			return errFuncCrash
+		case mode == confCrashOnce && first:
+			fmt.Fprintf(stderr, "synthetic crash on shard %d\n", task.Shard)
+			return errFuncCrash
+		case mode == confCorruptOnce && first:
+			return os.WriteFile(task.OutPath, []byte(`{"spec"`), 0o644)
+		case mode == confHangShard0 && task.Shard == 0:
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		spec, err := fleet.ReadSpecFile(task.SpecPath)
+		if err != nil {
+			return err
+		}
+		rctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		var onCheckpoint func(fleet.ShardPlan)
+		if mode == confPreempt && first {
+			onCheckpoint = func(fleet.ShardPlan) {
+				fmt.Fprintf(stderr, "shard %d preempted after first checkpoint\n", task.Shard)
+				cancel()
+			}
+		}
+		res, err := runWorker(rctx, spec, task, stderr, onCheckpoint)
+		if err != nil {
+			return err
+		}
+		return res.WriteFile(task.OutPath)
+	}
 }
 
 func conformanceFixtures() []confFixture {
@@ -71,18 +135,8 @@ func conformanceFixtures() []confFixture {
 			subprocess:    true,
 			failureNeedle: "exit status 3",
 			launcher: func(t *testing.T, mode confMode) Launcher {
-				env := workerEnv()
-				switch mode {
-				case confCrashOnce:
-					env = workerEnv("PHIREL_FAKE_FAIL_ONCE_DIR=" + t.TempDir())
-				case confHangShard0:
-					env = workerEnv("PHIREL_FAKE_HANG=0")
-				case confAlwaysCrash:
-					env = workerEnv("PHIREL_FAKE_FAIL_ALWAYS=1")
-				case confCorruptOnce:
-					env = workerEnv("PHIREL_FAKE_CORRUPT_ONCE_DIR=" + t.TempDir())
-				}
-				return ExecLauncher{Command: []string{os.Args[0]}, Env: env}
+				setWorkerEnv(t, mode)
+				return ExecLauncher{Command: []string{os.Args[0]}}
 			},
 		},
 		{
@@ -90,59 +144,35 @@ func conformanceFixtures() []confFixture {
 			subprocess:    true,
 			failureNeedle: "exit status 3",
 			launcher: func(t *testing.T, mode confMode) Launcher {
-				// The ssh transport inherits the test process environment,
-				// so the failure knobs go through t.Setenv.
-				t.Setenv("PHIREL_FAKE_WORKER", "1")
-				switch mode {
-				case confCrashOnce:
-					t.Setenv("PHIREL_FAKE_FAIL_ONCE_DIR", t.TempDir())
-				case confHangShard0:
-					t.Setenv("PHIREL_FAKE_HANG", "0")
-				case confAlwaysCrash:
-					t.Setenv("PHIREL_FAKE_FAIL_ALWAYS", "1")
-				case confCorruptOnce:
-					t.Setenv("PHIREL_FAKE_CORRUPT_ONCE_DIR", t.TempDir())
-				}
-				return SSHLauncher{
-					Hosts: []string{"nodeA", "nodeB"},
-					Bin:   "phi-bench",
-					SSH:   []string{os.Args[0]},
+				setWorkerEnv(t, mode)
+				return RemoteLauncher{
+					Via: SSH{Hosts: []string{"nodeA", "nodeB"}, Command: []string{os.Args[0]}},
+					Bin: "phi-bench",
 				}
 			},
 		},
 		{
-			name:          "K8s",
-			failureNeedle: "CrashLoopBackOff",
+			name:          "Kubectl",
+			subprocess:    true,
+			failureNeedle: "exit status 3",
 			launcher: func(t *testing.T, mode confMode) Launcher {
-				script := func(shard, attempt int) podMode {
-					switch mode {
-					case confCrashOnce:
-						if attempt == 0 {
-							return podCrashLoop
-						}
-					case confHangShard0:
-						if shard == 0 {
-							return podHang
-						}
-					case confAlwaysCrash:
-						return podCrashLoop
-					case confCorruptOnce:
-						if attempt == 0 {
-							return podCorrupt
-						}
-					case confPreempt:
-						if attempt == 0 {
-							return podPreempt
-						}
-					}
-					return podSucceed
+				setWorkerEnv(t, mode)
+				return RemoteLauncher{
+					Via: Kubectl{
+						Command:   []string{os.Args[0]},
+						Namespace: "phirel-conf",
+						Image:     "ghcr.io/phirel/phi-bench:test",
+						RunName:   "conf",
+					},
+					Bin: "phi-bench",
 				}
-				return K8sLauncher{
-					Namespace: "phirel-conf",
-					Image:     "ghcr.io/phirel/phi-bench:test",
-					RunName:   "conf",
-					client:    newFakeKube(script),
-				}
+			},
+		},
+		{
+			name:          "Func",
+			failureNeedle: errFuncCrash.Error(),
+			launcher: func(t *testing.T, mode confMode) Launcher {
+				return funcWorker(mode)
 			},
 		},
 	}
@@ -295,7 +325,7 @@ func TestLauncherConformanceSweep(t *testing.T) {
 				// Every shard is killed right after its first checkpoint
 				// lands; the relaunch must mount that checkpoint and compute
 				// exactly the remainder. The knobs ride the test process
-				// environment, which all three fixtures inherit — set them
+				// environment, which every fixture inherits — set them
 				// before the fixture captures its worker env.
 				trialsDir := t.TempDir()
 				t.Setenv("PHIREL_FAKE_TRIALS_LOG_DIR", trialsDir)

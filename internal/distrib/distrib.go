@@ -11,13 +11,11 @@
 //   - Plan writes the shared sweep spec file and lays out the K shard
 //     tasks (one canonical partial path per shard).
 //   - Launcher runs one shard worker to completion. ExecLauncher execs a
-//     local phi-bench subprocess; SSHLauncher drives a remote phi-bench
-//     over ssh with the spec streamed in over stdin and the partial
-//     streamed back over stdout (no shared filesystem needed);
-//     K8sLauncher runs each shard as one Kubernetes Job (spec in via
-//     ConfigMap, partial back through the pod log in the WriteFramed
-//     stdout protocol); LauncherFunc adapts an in-process function for
-//     tests.
+//     local phi-bench subprocess; RemoteLauncher runs phi-bench elsewhere
+//     with the spec streamed in over stdin and the partial streamed back
+//     over stdout (no shared filesystem needed), through an ssh session
+//     (SSH) or a pod started by kubectl run (Kubectl); LauncherFunc
+//     adapts an in-process function.
 //   - Run supervises the fan-out: a bounded launch pool, a per-attempt
 //     timeout, bounded retry with exponential backoff for crashed,
 //     timed-out or corrupt-output workers, a progress mux folding every
@@ -30,24 +28,26 @@
 //
 // Every backend — current and future — must satisfy the same behavioural
 // contract, enforced by the launcher conformance suite
-// (conformance_test.go), which executes one shared table against the Exec,
-// SSH and (fake-cluster) K8s launchers:
+// (conformance_test.go), which executes one shared table against the Exec
+// launcher, the remote launcher over SSH and over Kubectl (the test binary
+// standing in for ssh and kubectl), and an in-process LauncherFunc:
 //
 //   - Blocking launch: Launch returns only once the worker is finished,
 //     with the shard's validated-parseable partial at task.OutPath on
 //     success. A K-way fan-out must merge byte-identical to the monolithic
 //     run, and worker progress must reach the supervisor's mux.
 //   - Kill on cancellation: when ctx ends (the per-attempt timeout), the
-//     backend must actually stop the worker — kill the process, delete the
-//     Job — and return ctx.Err() so the failure reads as a timeout.
+//     backend must actually stop the worker — kill the process, interrupt
+//     the ssh or kubectl client — and return ctx.Err() so the failure
+//     reads as a timeout.
 //   - Retries are the supervisor's: a failed attempt returns an error and
-//     nothing else relaunches workers (k8s Jobs are created with
-//     backoffLimit 0). Backends rotate what they can per attempt — ssh
-//     rotates hosts, k8s mints fresh per-attempt resource names — so the
-//     retry budget routes around infrastructure, never collides with it.
+//     nothing else relaunches workers (pods run with --restart=Never).
+//     Backends rotate what they can per attempt — ssh rotates hosts,
+//     kubectl names a fresh pod per attempt — so the retry budget routes
+//     around infrastructure, never collides with it.
 //   - Diagnostics on stderr: everything a worker says flows to the stderr
 //     writer, so permanent failures surface each shard's tail alongside
-//     the backend's native failure evidence (exit codes, Job conditions).
+//     the backend's native failure evidence (exit codes).
 //   - No trusted exits: a clean exit with a missing, truncated or
 //     mislabelled partial is a failed attempt; the supervisor revalidates
 //     every artifact.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,8 +20,10 @@ import (
 // TestMain doubles as the shard-worker executable: when re-exec'd with
 // PHIREL_FAKE_WORKER=1, the test binary speaks the phi-bench worker
 // protocol (spec in, -shard k/K, JSONL progress on stderr, partial out) —
-// so the exec and ssh launchers are exercised through real subprocesses,
-// pipes, exit codes and kills without building cmd/phi-bench first.
+// so the exec and remote launchers are exercised through real
+// subprocesses, pipes, exit codes and kills without building
+// cmd/phi-bench first. Standing in for ssh or kubectl, it skips the
+// transport's own argv.
 func TestMain(m *testing.M) {
 	if os.Getenv("PHIREL_FAKE_WORKER") == "1" {
 		os.Exit(fakeWorker())
@@ -50,17 +54,20 @@ func TestMain(m *testing.M) {
 //	  recomputes exactly the remainder.
 func fakeWorker() int {
 	args := os.Args[1:]
-	// An ssh transport invokes "<fake-ssh> [ssh opts] host bin <worker
-	// flags>": skip everything before the first flag, which covers both
-	// direct exec and the emulated remote command line.
+	// A remote transport puts its own argv first: kubectl's ends in "--",
+	// ssh's in the host. Skip through "--" when there is one, then every
+	// word before the first flag (the host, the worker binary).
+	if i := slices.Index(args, "--"); i >= 0 {
+		args = args[i+1:]
+	}
 	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		args = args[1:]
 	}
-	var specArg, shardArg, outArg, planArg, ckOut, resumeFrom string
-	var ckEvery int
+	var task Task
+	var specArg, shardArg, planArg string
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
-		case "-sweep", "-progress-jsonl", "-frame-out":
+		case "-sweep", "-progress-jsonl":
 		case "-spec":
 			i++
 			specArg = args[i]
@@ -72,38 +79,37 @@ func fakeWorker() int {
 			planArg = args[i]
 		case "-out":
 			i++
-			outArg = args[i]
+			task.OutPath = args[i]
 		case "-checkpoint-out":
 			i++
-			ckOut = args[i]
+			task.CheckpointPath = args[i]
 		case "-checkpoint-every":
 			i++
-			ckEvery, _ = strconv.Atoi(args[i])
+			task.CheckpointEvery, _ = strconv.Atoi(args[i])
 		case "-resume-from":
 			i++
-			resumeFrom = args[i]
+			task.ResumeFrom = args[i]
 		default:
 			fmt.Fprintf(os.Stderr, "fake worker: unexpected arg %q\n", args[i])
 			return 2
 		}
 	}
-	var k, count int
-	var explicitPlan *fleet.ShardPlan
 	if planArg != "" {
 		p, err := ParsePlanArg(planArg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fake worker: bad -plan %q: %v\n", planArg, err)
 			return 2
 		}
-		explicitPlan = &p
-		k, count = p.Index, p.Count
+		task.Plan = &p
+		task.Shard, task.Count = p.Index, p.Count
 	} else {
-		if _, err := fmt.Sscanf(shardArg, "%d/%d", &k, &count); err != nil {
+		if _, err := fmt.Sscanf(shardArg, "%d/%d", &task.Shard, &task.Count); err != nil {
 			fmt.Fprintf(os.Stderr, "fake worker: bad -shard %q\n", shardArg)
 			return 2
 		}
-		k--
+		task.Shard--
 	}
+	k, outArg := task.Shard, task.OutPath
 
 	if os.Getenv("PHIREL_FAKE_FAIL_ALWAYS") == "1" {
 		fmt.Fprintf(os.Stderr, "boom-from-shard-%d\n", k)
@@ -122,7 +128,7 @@ func fakeWorker() int {
 		if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
 			os.WriteFile(marker, nil, 0o644)
 			// "Success" with a truncated artifact — on stdout for the
-			// streaming (ssh) transport, at the -out path for exec.
+			// streaming (remote) transports, at the -out path for exec.
 			if outArg == "-" {
 				fmt.Print(`{"spec"`)
 			} else {
@@ -150,40 +156,18 @@ func fakeWorker() int {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
 	}
-	enc := json.NewEncoder(os.Stderr)
-	spec.Progress = func(done, total int) {
-		enc.Encode(Event{Event: EventName, Shard: k, Count: count, Done: done, Total: total})
-	}
-	var res *fleet.SweepResult
-	if explicitPlan != nil || ckOut != "" || resumeFrom != "" {
-		plan := fleet.ShardPlan{}
-		if explicitPlan != nil {
-			plan = *explicitPlan
-		} else if plan, err = spec.Plan(k, count); err != nil {
-			fmt.Fprintln(os.Stderr, "fake worker:", err)
-			return 1
-		}
-		logWorkerTrials(spec, plan, resumeFrom, k)
-		ck := fleet.Checkpoint{
-			Out: ckOut, Every: ckEvery, Resume: resumeFrom,
-			Logf: func(format string, a ...any) {
-				fmt.Fprintf(os.Stderr, "fake worker: "+format+"\n", a...)
-			},
-		}
-		if dir := os.Getenv("PHIREL_FAKE_DIE_AFTER_CKPT_DIR"); dir != "" && ckOut != "" {
-			marker := filepath.Join(dir, fmt.Sprintf("died-%d", k))
-			if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
-				ck.OnCheckpoint = func(fleet.ShardPlan) {
-					os.WriteFile(marker, nil, 0o644)
-					fmt.Fprintf(os.Stderr, "synthetic preemption of shard %d after first checkpoint\n", k)
-					os.Exit(3)
-				}
+	var onCheckpoint func(fleet.ShardPlan)
+	if dir := os.Getenv("PHIREL_FAKE_DIE_AFTER_CKPT_DIR"); dir != "" && task.CheckpointPath != "" {
+		marker := filepath.Join(dir, fmt.Sprintf("died-%d", k))
+		if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
+			onCheckpoint = func(fleet.ShardPlan) {
+				os.WriteFile(marker, nil, 0o644)
+				fmt.Fprintf(os.Stderr, "synthetic preemption of shard %d after first checkpoint\n", k)
+				os.Exit(3)
 			}
 		}
-		res, err = spec.RunPlanCheckpointed(context.Background(), plan, ck)
-	} else {
-		res, err = spec.RunShard(context.Background(), k, count)
 	}
+	res, err := runWorker(context.Background(), spec, task, os.Stderr, onCheckpoint)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
@@ -200,6 +184,37 @@ func fakeWorker() int {
 	return 0
 }
 
+// runWorker is the worker body the subprocess and in-process test workers
+// share, as phi-bench -sweep runs it: JSONL progress events to stderr, and
+// the task's slice of spec, checkpointed when the task asks (onCheckpoint,
+// when set, fires after each checkpoint lands).
+func runWorker(ctx context.Context, spec fleet.Sweep, task Task, stderr io.Writer, onCheckpoint func(fleet.ShardPlan)) (*fleet.SweepResult, error) {
+	enc := json.NewEncoder(stderr)
+	spec.Progress = func(done, total int) {
+		enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: done, Total: total})
+	}
+	if task.Plan == nil && task.CheckpointPath == "" && task.ResumeFrom == "" {
+		return spec.RunShard(ctx, task.Shard, task.Count)
+	}
+	var plan fleet.ShardPlan
+	if task.Plan != nil {
+		plan = *task.Plan
+	} else {
+		var err error
+		if plan, err = spec.Plan(task.Shard, task.Count); err != nil {
+			return nil, err
+		}
+	}
+	logWorkerTrials(spec, plan, task.ResumeFrom, task.Shard)
+	return spec.RunPlanCheckpointed(ctx, plan, fleet.Checkpoint{
+		Out: task.CheckpointPath, Every: task.CheckpointEvery, Resume: task.ResumeFrom,
+		OnCheckpoint: onCheckpoint,
+		Logf: func(format string, a ...any) {
+			fmt.Fprintf(stderr, "fake worker: "+format+"\n", a...)
+		},
+	})
+}
+
 // workerTrials is one attempt's accounting line in the
 // PHIREL_FAKE_TRIALS_LOG_DIR log: the trials the attempt salvaged from a
 // resume checkpoint and the trials it set out to compute, per dimension.
@@ -214,7 +229,6 @@ type workerTrials struct {
 // logWorkerTrials appends this attempt's resumed/computed split to the
 // shard's trials log. Resumed counts come from the same LoadCheckpoint the
 // run itself performs, so the log records what the attempt actually did.
-// Shared by the subprocess fakeWorker and the in-process fake k8s pod.
 func logWorkerTrials(spec fleet.Sweep, plan fleet.ShardPlan, resumeFrom string, k int) {
 	dir := os.Getenv("PHIREL_FAKE_TRIALS_LOG_DIR")
 	if dir == "" {
@@ -258,41 +272,13 @@ func readWorkerTrials(t *testing.T, dir string, k int) []workerTrials {
 	return out
 }
 
-func workerEnv(extra ...string) []string {
-	return append(append(os.Environ(), "PHIREL_FAKE_WORKER=1"), extra...)
-}
-
 // skipInShort gates the subprocess tests out of the -short race job: a
 // worker in its own process is invisible to the parent's race detector, so
 // re-running race-instrumented sweeps in children costs minutes and adds
-// nothing the in-process LauncherFunc tests don't already cover.
+// nothing the conformance suite's in-process Func leg does not cover.
 func skipInShort(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("subprocess launches add no race coverage; in-process supervisor tests cover these paths")
-	}
-}
-
-// The full fan-out behaviours of the exec and ssh launchers — bit-identical
-// merges, crash retries through real exit codes, timeout kills of real
-// processes, corrupt-output revalidation, stderr tails — are exercised by
-// the launcher conformance suite (conformance_test.go), which runs the one
-// behavioural table against every backend. This file keeps the worker
-// protocol emulation (TestMain/fakeWorker) and the launcher-specific
-// mechanics the table does not cover.
-
-// TestSSHLauncherHostRotation: retries must not be pinned to a possibly
-// dead host — the attempt number rotates the round-robin so the retry
-// budget can route around a host-level failure.
-func TestSSHLauncherHostRotation(t *testing.T) {
-	l := SSHLauncher{Hosts: []string{"a", "b", "c"}}
-	if got := l.host(Task{Shard: 1, Attempt: 0}); got != "b" {
-		t.Fatalf("shard 1 attempt 0 on %q, want b", got)
-	}
-	if got := l.host(Task{Shard: 1, Attempt: 1}); got != "c" {
-		t.Fatalf("shard 1 attempt 1 on %q, want c (rotated off the failing host)", got)
-	}
-	if got := l.host(Task{Shard: 4, Attempt: 2}); got != "a" {
-		t.Fatalf("shard 4 attempt 2 on %q, want a", got)
 	}
 }

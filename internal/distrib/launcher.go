@@ -2,10 +2,13 @@ package distrib
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
+	"strings"
 	"time"
 )
 
@@ -30,7 +33,7 @@ func (f LauncherFunc) Launch(ctx context.Context, task Task, stderr io.Writer) e
 
 // WorkerArgs returns the phi-bench argument list that runs task. With
 // streamIO the spec is read from stdin and the partial written to stdout
-// ("-" on both flags) — the transport SSHLauncher uses so no file ever
+// ("-" on both flags) — the transport RemoteLauncher uses so no file ever
 // needs to cross machines out of band. An explicit-plan task rides the
 // -plan flag (shell-safe, see FormatPlanArg) instead of -shard.
 func WorkerArgs(task Task, streamIO bool) []string {
@@ -105,41 +108,41 @@ func (l ExecLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) e
 	return nil
 }
 
-// SSHLauncher launches shard workers on remote hosts over ssh with no
-// shared filesystem: the spec streams to the remote worker's stdin, the
-// partial artifact streams back on stdout and is written to task.OutPath
-// locally, and stderr carries progress and diagnostics like any other
-// launcher. Shards round-robin over Hosts, rotated by attempt number, so
-// a retry lands on a different host and the retry budget routes around a
-// dead machine instead of burning out against it.
-type SSHLauncher struct {
-	// Hosts are ssh destinations (host or user@host).
-	Hosts []string
-	// Bin is the phi-bench executable on the remote host (default
-	// "phi-bench", resolved by the remote shell's PATH).
+// RemoteLauncher launches shard workers on other machines with no shared
+// filesystem: the spec streams to the worker's stdin, the partial artifact
+// streams back on its stdout and is written to task.OutPath locally, and
+// stderr carries progress and diagnostics like any other launcher's. The
+// transports — an ssh session (SSH) or a fresh pod (Kubectl) — differ only
+// in the argv placed before Bin and the worker flags.
+type RemoteLauncher struct {
+	// Via builds each attempt's argv prefix: SSH or Kubectl.
+	Via Transport
+	// Bin is the phi-bench executable where the worker runs (default
+	// "phi-bench", resolved by the remote PATH).
 	Bin string
-	// SSH is the ssh argv prefix (default {"ssh", "-o", "BatchMode=yes"}).
-	SSH []string
 }
 
-// host picks task's destination: round-robin by shard, rotated by attempt.
-func (l SSHLauncher) host(task Task) string {
-	return l.Hosts[(task.Shard+task.Attempt)%len(l.Hosts)]
+// Transport is what RemoteLauncher runs a worker through.
+type Transport interface {
+	// Prefix returns the argv placed before the worker command for task's
+	// attempt, and where the worker runs (a host or a pod) for errors.
+	Prefix(ctx context.Context, task Task) (argv []string, where string, err error)
 }
 
-// Launch runs task's worker on its round-robin host.
-func (l SSHLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) error {
-	if len(l.Hosts) == 0 {
-		return fmt.Errorf("distrib: SSHLauncher has no hosts")
+// Launch runs task's worker through l.Via. Cancelling ctx interrupts the
+// transport rather than killing it, so ssh can close its session and
+// kubectl can delete its --rm pod; waitDelay later kills what is left.
+func (l RemoteLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) error {
+	if l.Via == nil {
+		return errors.New("distrib: RemoteLauncher has no transport")
 	}
-	host := l.host(task)
+	prefix, where, err := l.Via.Prefix(ctx, task)
+	if err != nil {
+		return err
+	}
 	bin := l.Bin
 	if bin == "" {
 		bin = "phi-bench"
-	}
-	ssh := l.SSH
-	if len(ssh) == 0 {
-		ssh = []string{"ssh", "-o", "BatchMode=yes"}
 	}
 	spec, err := os.Open(task.SpecPath)
 	if err != nil {
@@ -154,9 +157,9 @@ func (l SSHLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) er
 	if err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
-	args := append(append([]string(nil), ssh[1:]...), host, bin)
-	args = append(args, WorkerArgs(task, true)...)
-	cmd := exec.CommandContext(ctx, ssh[0], args...)
+	args := append(append(append([]string(nil), prefix[1:]...), bin), WorkerArgs(task, true)...)
+	cmd := exec.CommandContext(ctx, prefix[0], args...)
+	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
 	cmd.Stdin = spec
 	cmd.Stdout = out
 	cmd.Stderr = stderr
@@ -170,10 +173,119 @@ func (l SSHLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) er
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		return fmt.Errorf("distrib: ssh worker on %s (shard %s): %w", host, task.ShardArg(), runErr)
+		return fmt.Errorf("distrib: worker on %s (shard %s): %w", where, task.ShardArg(), runErr)
 	}
 	if err := os.Rename(tmp, task.OutPath); err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil
+}
+
+// SSH runs workers on remote hosts over ssh. Shards round-robin over
+// Hosts, rotated by attempt number, so a retry lands on a different host
+// and the retry budget routes around a dead machine instead of burning out
+// against it.
+type SSH struct {
+	// Hosts are ssh destinations (host or user@host).
+	Hosts []string
+	// Command is the ssh argv prefix (default {"ssh", "-o", "BatchMode=yes"}).
+	Command []string
+}
+
+// host picks task's destination: round-robin by shard, rotated by attempt.
+func (s SSH) host(task Task) string {
+	return s.Hosts[(task.Shard+task.Attempt)%len(s.Hosts)]
+}
+
+// Prefix returns the ssh argv ending in task's host.
+func (s SSH) Prefix(_ context.Context, task Task) ([]string, string, error) {
+	if len(s.Hosts) == 0 {
+		return nil, "", errors.New("distrib: ssh transport has no hosts")
+	}
+	argv := s.Command
+	if len(argv) == 0 {
+		argv = []string{"ssh", "-o", "BatchMode=yes"}
+	}
+	host := s.host(task)
+	return append(append([]string(nil), argv...), host), host, nil
+}
+
+// Kubectl runs each worker attempt in a fresh pod. Run without a TTY,
+// `kubectl run -i --rm --restart=Never` hands the container its stdin and
+// keeps its stdout and stderr apart, which is all RemoteLauncher needs;
+// --quiet keeps kubectl's own messages off stdout. The pod is named per
+// attempt, so a retry never collides with what a failed attempt left
+// behind, and the attempt's deadline rides into the pod as
+// activeDeadlineSeconds, so the cluster kills a hung worker even if this
+// supervisor dies before it can.
+type Kubectl struct {
+	// Command is the kubectl argv prefix (default {"kubectl"}) — the place
+	// for {"kubectl", "--context", "lab"} or a full path.
+	Command []string
+	// Namespace the pods run in (default "default").
+	Namespace string
+	// Image is the container image holding phi-bench (required).
+	Image string
+	// RunName prefixes the pod names (default "phirel"); concurrent
+	// fan-outs sharing a namespace need distinct RunNames.
+	RunName string
+}
+
+// Prefix returns the kubectl run argv for task's attempt, ending in "--".
+func (k Kubectl) Prefix(ctx context.Context, task Task) ([]string, string, error) {
+	if k.Image == "" {
+		return nil, "", errors.New("distrib: kubectl transport has no image")
+	}
+	argv := k.Command
+	if len(argv) == 0 {
+		argv = []string{"kubectl"}
+	}
+	ns := k.Namespace
+	if ns == "" {
+		ns = "default"
+	}
+	pod := podName(k.RunName, task)
+	argv = append(append([]string(nil), argv...), "run", "-i", "--rm", "--quiet", "--restart=Never",
+		"--namespace", ns, "--image", k.Image)
+	if dl, ok := ctx.Deadline(); ok {
+		if secs := int(math.Ceil(time.Until(dl).Seconds())); secs > 0 {
+			argv = append(argv, "--overrides",
+				fmt.Sprintf(`{"apiVersion":"v1","spec":{"activeDeadlineSeconds":%d}}`, secs))
+		}
+	}
+	return append(argv, pod, "--command", "--"), pod, nil
+}
+
+// podName builds the DNS-1123 pod name for one task attempt. The attempt
+// number is part of the name, so a retry never collides with a pod the
+// failed attempt left behind.
+func podName(run string, task Task) string {
+	suffix := fmt.Sprintf("-shard-%d-of-%d-r%d", task.Shard+1, task.Count, task.Attempt)
+	return sanitizeDNS1123(run, 63-len(suffix)) + suffix
+}
+
+// sanitizeDNS1123 coerces s into a DNS-1123 label fragment of at most max
+// chars: lowercase alphanumerics and dashes, no leading/trailing dash,
+// "phirel" when nothing survives. Over-long names keep their TAIL — the
+// uniqueness callers mix in (temp-dir randomness, pid) lives at the end,
+// and truncating it away would let concurrent fan-outs collide.
+func sanitizeDNS1123(s string, max int) string {
+	var b strings.Builder
+	for _, r := range strings.ToLower(s) {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
+			b.WriteRune(r)
+		default:
+			b.WriteRune('-')
+		}
+	}
+	out := b.String()
+	if max > 0 && len(out) > max {
+		out = out[len(out)-max:]
+	}
+	out = strings.Trim(out, "-")
+	if out == "" {
+		return "phirel"
+	}
+	return out
 }

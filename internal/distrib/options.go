@@ -16,8 +16,8 @@ type Options struct {
 	// workers every submitted sweep is split across.
 	Shards int
 	// Launcher starts shard workers (required): ExecLauncher for local
-	// subprocesses, SSHLauncher for remote hosts, K8sLauncher for cluster
-	// Jobs, LauncherFunc for in-process workers.
+	// subprocesses, RemoteLauncher for ssh hosts or Kubernetes pods,
+	// LauncherFunc for in-process workers.
 	Launcher Launcher
 	// Dir is the working directory (required; the caller owns creation and
 	// cleanup). Run lays the shared spec file and shard partials directly

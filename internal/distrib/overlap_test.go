@@ -21,7 +21,7 @@ func TestPlanArgRoundTrip(t *testing.T) {
 	}
 	for _, p := range plans {
 		arg := FormatPlanArg(p)
-		// SSHLauncher hands argv to a remote shell unquoted; the wire form
+		// The ssh transport hands argv to a remote shell unquoted; the wire form
 		// must never contain shell metacharacters or whitespace.
 		if strings.ContainsAny(arg, " \t\"'$&|;<>(){}[]*?\\`") {
 			t.Errorf("plan arg %q is not shell-safe", arg)

@@ -16,7 +16,7 @@ import (
 // The format is "k/K:injOff+injN:beamOff+beamN" with a 1-based k, e.g.
 // "2/3:600+600:0+0" — shard 2 of 3 running injection trials [600, 1200)
 // and no beam runs. It is deliberately shell-safe (digits, '/', ':', '+'
-// only): SSHLauncher passes worker argv through a remote shell, so the
+// only): the ssh transport passes worker argv through a remote shell, so the
 // plan argument must survive unquoted where JSON would be mangled.
 
 // FormatPlanArg renders plan in the -plan wire form.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	_ "phirel/internal/bench/all"
@@ -51,13 +52,13 @@ func FuzzReadSpec(f *testing.F) {
 		_ = s.Cells()
 		_ = s.BeamCells()
 		_, _ = s.Plan(0, 3)
-		// …and must survive the ConfigMap round-trip losslessly: a spec we
+		// …and must survive the string round-trip losslessly: a spec we
 		// accept, re-ship to a worker and re-parse has to be the same spec.
 		str, err := s.SpecString()
 		if err != nil {
 			t.Fatalf("accepted spec failed to re-encode: %v", err)
 		}
-		back, err := ReadSpecString(str)
+		back, err := ReadSpec(strings.NewReader(str))
 		if err != nil {
 			t.Fatalf("re-encoded spec failed to re-parse: %v\nspec: %s", err, str)
 		}

@@ -53,24 +53,17 @@ func ReadSpec(r io.Reader) (Sweep, error) {
 	return s, nil
 }
 
-// SpecString returns the spec as a string payload — exactly the bytes
-// WriteSpec produces — for transports whose values are strings rather than
-// files, the motivating case being a Kubernetes ConfigMap entry mounted
-// into a shard worker pod. ReadSpecString is its inverse; the round-trip is
-// lossless because the spec encoding is UTF-8 JSON.
+// SpecString returns the spec as a string — exactly the bytes WriteSpec
+// produces — for callers that want the spec as a value rather than a
+// stream, such as an HTTP request body. ReadSpec over a strings.Reader is
+// its inverse; the round-trip is lossless because the spec encoding is
+// UTF-8 JSON.
 func (s Sweep) SpecString() (string, error) {
 	var b strings.Builder
 	if err := s.WriteSpec(&b); err != nil {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-// ReadSpecString parses a sweep spec from a string payload written by
-// SpecString (or any WriteSpec output), with the same strictness as
-// ReadSpec: unknown fields and truncation fail loudly.
-func ReadSpecString(data string) (Sweep, error) {
-	return ReadSpec(strings.NewReader(data))
 }
 
 // ReadSpecFile reads a sweep spec from path.

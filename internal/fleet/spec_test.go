@@ -29,23 +29,22 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecConfigMapRoundTrip: the string form a Kubernetes ConfigMap value
-// carries must round-trip the spec losslessly — same struct, same derived
-// grid, and byte-identical to the file form, so a ConfigMap-mounted worker
-// reads exactly the file a local shard worker would.
-func TestSpecConfigMapRoundTrip(t *testing.T) {
+// TestSpecStringRoundTrip: the string form of a spec must round-trip it
+// losslessly — same struct, same derived grid — and be byte-identical to
+// the file form, so a spec sent as a string is exactly the file a shard
+// worker reads.
+func TestSpecStringRoundTrip(t *testing.T) {
 	spec := beamSweep()
 	data, err := spec.SpecString()
 	if err != nil {
 		t.Fatal(err)
 	}
-	configMap := map[string]string{"sweep-spec.json": data} // the k8s transport's shape
-	back, err := ReadSpecString(configMap["sweep-spec.json"])
+	back, err := ReadSpec(strings.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec, back) {
-		t.Fatalf("spec changed across the ConfigMap round-trip:\nwrote %+v\nread  %+v", spec, back)
+		t.Fatalf("spec changed across the string round-trip:\nwrote %+v\nread  %+v", spec, back)
 	}
 	if !reflect.DeepEqual(spec.Cells(), back.Cells()) || !reflect.DeepEqual(spec.BeamCells(), back.BeamCells()) {
 		t.Fatal("round-tripped spec derives a different grid")
@@ -59,10 +58,10 @@ func TestSpecConfigMapRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if data != string(fileBytes) {
-		t.Fatal("SpecString diverges from the WriteSpecFile bytes; the two transports would ship different specs")
+		t.Fatal("SpecString diverges from the WriteSpecFile bytes")
 	}
-	if _, err := ReadSpecString(`{"nope": 1}`); err == nil {
-		t.Fatal("ReadSpecString accepted an unknown field")
+	if _, err := ReadSpec(strings.NewReader(`{"nope": 1}`)); err == nil {
+		t.Fatal("ReadSpec accepted an unknown field")
 	}
 }
 
