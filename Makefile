@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke cli-smoke \
-	worker-bin fleet-check fleet-demo nightly-sweep \
+	worker-bin fleet-check fleet-demo host-check nightly-sweep \
 	nightly-trend cover fuzz serve-check ci
 
 # The exact PR-gating sequence CI runs, as one local command. cover re-runs
@@ -15,7 +15,7 @@ GO ?= go
 # has just written. Speed is not gated here: a shared box cannot hold a
 # timing still for long enough (see README, Performance); benchmark-smoke
 # gates that the benchmark still builds, runs and checks its outputs.
-ci: fmt vet fusion-check docs-check build test benchmark-smoke race cover serve-check fleet-demo cli-smoke
+ci: fmt vet fusion-check docs-check build test benchmark-smoke race cover serve-check fleet-demo cli-smoke host-check
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,8 @@ test:
 # orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
 # delivery, progress, pool scheduling, the section watchdog, resumed and
-# converged runs, planned beam strikes, and HotSpot's row against its Go
-# reference (the Sweep keyword). In internal/state the Debit tests
+# converged runs, planned beam strikes, and HotSpot's row and LavaMD's box
+# against their Go references (the Sweep and BoxMatches keywords). In internal/state the Debit tests
 # run all six kernels' campaigns on parallel goroutines, which shows that no
 # cell (plain fields, no atomics) is shared between concurrent runs.
 # Race-instrumented Monte-Carlo runs cost ~100x, and their
@@ -42,8 +42,8 @@ test:
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Decided|Resume|Converge|Strike|Debit' \
-		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Decided|Resume|Converge|Strike|Debit|BoxMatches' \
+		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
 
@@ -240,6 +240,25 @@ fleet-check:
 		-worker-cmd bin/phi-bench -dir fleet-work-ckpt -retries 1 -quiet -out sweep-fleet-ckpt.json
 	cmp sweep.json sweep-fleet-ckpt.json
 	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials) and the phi-merge CLI refold are byte-identical to the monolithic sweep"
+
+# The same bytes with the CPU features Go picks code paths by turned off:
+# the golden and kernel-equality tests, the quick sweep byte-diffed against
+# a default run, and a fan-out whose workers all run with every feature off
+# byte-diffed against it too. This is the cross-host check one amd64 box can
+# run; other GOARCHes rest on fusion-check and the TestNoHostLibm gate.
+host-check: worker-bin
+	rm -rf sweep-host-*.json host-check-work
+	bin/phi-bench -sweep $(SWEEP_FLAGS) -out sweep-host-default.json
+	@set -e; for d in cpu.all=off cpu.fma=off; do \
+		echo "host-check: GODEBUG=$$d"; \
+		GODEBUG=$$d $(GO) test -count=1 ./internal/core/ ./internal/beam/ ./internal/bench/... -run 'OptGolden|MatchesGo'; \
+		GODEBUG=$$d bin/phi-bench -sweep $(SWEEP_FLAGS) -out sweep-host-$$d.json; \
+		cmp sweep-host-default.json sweep-host-$$d.json; \
+	done
+	$(GO) run ./cmd/phi-fleet -shards $(FLEET_SHARDS) $(SWEEP_FLAGS) \
+		-worker-cmd "env GODEBUG=cpu.all=off bin/phi-bench" -dir host-check-work -retries 1 -quiet -out sweep-host-fleet.json
+	cmp sweep-host-default.json sweep-host-fleet.json
+	@echo "host-check: goldens, kernels, sweep and fan-out hold their bytes under GODEBUG=cpu.all=off and cpu.fma=off"
 
 # 3-way local fan-out through the phi-fleet driver, byte-diffed against the
 # monolithic quick-sweep artifact — the full local form of the CI

@@ -13,7 +13,6 @@ package lavamd
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"phirel/internal/bench"
@@ -247,18 +246,19 @@ func (l *LavaMD) rows(ctx *bench.Ctx, row int) {
 	}
 }
 
-// box accumulates forces for every particle of home box b against all
-// particles of its neighbour boxes (Rodinia's kernel formula). a2 is the
-// potential parameter read once per row, before the lanes. float64(…)
-// rounds each product before its sum, so no target fuses the two into one
-// multiply-add that rounds once (make fusion-check); on amd64 the
-// conversions change nothing.
-func (l *LavaMD) box(b, ppb int, a2 float64) {
+// boxGo accumulates forces for particles from to ppb−1 of home box b
+// against all particles of its neighbour boxes (Rodinia's kernel formula),
+// one particle after the other, each pair in neighbour order. box, which
+// every path of rows calls, is boxGo everywhere but amd64, where the SSE2
+// pair loop computes two particles at once and is held to boxGo's bits
+// (TestBoxMatchesGo). a2 is the potential parameter read once per row,
+// before the lanes.
+func (l *LavaMD) boxGo(b, from, ppb int, a2 float64) {
 	rv, qv, fv, nn := l.rv.Data, l.qv.Data, l.fv.Data, l.nn.Data
-	for p := 0; p < ppb; p++ {
+	for p := from; p < ppb; p++ {
 		i := b*ppb + p
 		xi, yi, zi := rv[3*i], rv[3*i+1], rv[3*i+2]
-		var fvV, fvX, fvY, fvZ float64
+		var f [4]float64 // fvV, fvX, fvY, fvZ
 		for k := 0; k < 27; k++ {
 			nbIdx := nn[27*b+k]
 			if nbIdx < 0 {
@@ -266,24 +266,35 @@ func (l *LavaMD) box(b, ppb int, a2 float64) {
 			}
 			for q := 0; q < ppb; q++ {
 				j := nbIdx*ppb + q
-				dx := xi - rv[3*j]
-				dy := yi - rv[3*j+1]
-				dz := zi - rv[3*j+2]
-				r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
-				u2 := a2 * r2
-				vij := math.Exp(-u2)
-				fs := 2 * a2 * vij
-				fvV += float64(qv[j] * vij)
-				fvX += float64(qv[j] * fs * dx)
-				fvY += float64(qv[j] * fs * dy)
-				fvZ += float64(qv[j] * fs * dz)
+				interact(&f, xi, yi, zi, rv[3*j], rv[3*j+1], rv[3*j+2], qv[j], a2)
 			}
 		}
-		fv[4*i+0] = fvV
-		fv[4*i+1] = fvX
-		fv[4*i+2] = fvY
-		fv[4*i+3] = fvZ
+		copy(fv[4*i:4*i+4], f[:])
 	}
+}
+
+// interact adds to f, the potential and force of the particle at (xi, yi,
+// zi), the contribution of a particle at (xj, yj, zj) with charge qj.
+// float64(…) rounds each product before its sum, so no target fuses the two
+// into one multiply-add that rounds once (make fusion-check); on amd64 the
+// conversions change nothing. The exp is stats.Exp, whose bits are the same
+// on every host. It is never inlined, so every pair the Go code computes,
+// in boxGo and in amd64's box alike, runs the same instructions: which of
+// two NaNs an add returns depends on the registers the compiler chose.
+//
+//go:noinline
+func interact(f *[4]float64, xi, yi, zi, xj, yj, zj, qj, a2 float64) {
+	dx := xi - xj
+	dy := yi - yj
+	dz := zi - zj
+	r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+	u2 := a2 * r2
+	vij := stats.Exp(-u2)
+	fs := 2 * a2 * vij
+	f[0] += float64(qj * vij)
+	f[1] += float64(qj * fs * dx)
+	f[2] += float64(qj * fs * dy)
+	f[3] += float64(qj * fs * dz)
 }
 
 // Output implements bench.Benchmark: per-particle force 4-vectors with the

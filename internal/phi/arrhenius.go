@@ -1,6 +1,6 @@
 package phi
 
-import "math"
+import "phirel/internal/stats"
 
 // BoltzmannEV is the Boltzmann constant in electron-volts per kelvin, the
 // unit activation energies are quoted in.
@@ -28,7 +28,7 @@ func ArrheniusFactor(tempK, refTempK, activationEnergyEV float64) float64 {
 	if tempK <= 0 || refTempK <= 0 {
 		return 1
 	}
-	return math.Exp(activationEnergyEV / BoltzmannEV * (1/refTempK - 1/tempK))
+	return stats.Exp(activationEnergyEV / BoltzmannEV * (1/refTempK - 1/tempK))
 }
 
 // AccelerationFactor returns the device's Arrhenius acceleration factor at

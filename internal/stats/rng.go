@@ -1,13 +1,15 @@
 // Package stats provides the deterministic random-number generation and
 // statistical machinery used by every Monte-Carlo campaign in phirel:
-// splittable xoshiro256** streams, streaming summaries, histograms, and
-// binomial/normal confidence intervals for FIT and PVF estimates.
+// splittable xoshiro256** streams, streaming summaries, histograms,
+// binomial/normal confidence intervals for FIT and PVF estimates, and the
+// exp and log the campaigns compute with.
 //
 // Everything is deterministic given a seed, which is what makes campaign
 // results (and therefore the regenerated paper figures) reproducible. That
-// holds on every GOARCH: each product that feeds a sum is rounded
+// holds on every GOARCH and CPU: each product that feeds a sum is rounded
 // explicitly, float64(x*y), so no compiler fuses it into a multiply-add that
-// rounds once (make fusion-check).
+// rounds once (make fusion-check), and Exp and Log are the repository's own,
+// not the host's (TestNoHostLibm).
 package stats
 
 import "math"
@@ -146,7 +148,7 @@ func (r *RNG) NormFloat64() float64 {
 		v := 2*r.Float64() - 1
 		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u * math.Sqrt(-2*Log(s)/s)
 		}
 	}
 }
@@ -156,7 +158,7 @@ func (r *RNG) ExpFloat64() float64 {
 	for {
 		u := r.Float64()
 		if u > 0 {
-			return -math.Log(u)
+			return -Log(u)
 		}
 	}
 }
@@ -169,7 +171,7 @@ func (r *RNG) Poisson(mean float64) int {
 	case mean <= 0:
 		return 0
 	case mean < 30:
-		limit := math.Exp(-mean)
+		limit := Exp(-mean)
 		k := 0
 		p := 1.0
 		for {
