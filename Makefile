@@ -225,11 +225,13 @@ worker-bin:
 # recomputing it; `make fleet-demo` produces it locally first. The second
 # fan-out checkpoints every FLEET_CKPT_EVERY trials, so the chunked path —
 # exec'd workers running every chunk of a shard on one runner list — is
-# byte-diffed too.
+# byte-diffed too. The supervisor sends its workers only -plan, so the last
+# leg runs README's hand-sharded flow: one `phi-bench -shard k/K` per shard,
+# folded with phi-merge.
 FLEET_SHARDS ?= 3
 FLEET_CKPT_EVERY ?= 50
 fleet-check:
-	rm -rf sweep-fleet.json sweep-fleet-ckpt.json sweep-cli-merged.json fleet-work fleet-work-ckpt
+	rm -rf sweep-fleet.json sweep-fleet-ckpt.json sweep-cli-merged.json sweep-hand-merged.json fleet-work fleet-work-ckpt fleet-work-hand
 	$(MAKE) worker-bin
 	$(GO) run ./cmd/phi-fleet -shards $(FLEET_SHARDS) $(SWEEP_FLAGS) \
 		-worker-cmd bin/phi-bench -dir fleet-work -retries 1 -quiet -out sweep-fleet.json
@@ -239,7 +241,13 @@ fleet-check:
 	$(GO) run ./cmd/phi-fleet -shards $(FLEET_SHARDS) $(SWEEP_FLAGS) -checkpoint-every $(FLEET_CKPT_EVERY) \
 		-worker-cmd bin/phi-bench -dir fleet-work-ckpt -retries 1 -quiet -out sweep-fleet-ckpt.json
 	cmp sweep.json sweep-fleet-ckpt.json
-	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials) and the phi-merge CLI refold are byte-identical to the monolithic sweep"
+	mkdir fleet-work-hand
+	@set -e; for k in $$(seq 1 $(FLEET_SHARDS)); do \
+		bin/phi-bench -sweep $(SWEEP_FLAGS) -shard $$k/$(FLEET_SHARDS) -out fleet-work-hand/sweep-shard-$$k-of-$(FLEET_SHARDS).json > /dev/null; \
+	done
+	$(GO) run ./cmd/phi-merge -out sweep-hand-merged.json 'fleet-work-hand/sweep-shard-*.json'
+	cmp sweep.json sweep-hand-merged.json
+	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials), the phi-merge CLI refold and the hand-sharded -shard k/$(FLEET_SHARDS) runs are byte-identical to the monolithic sweep"
 
 # The same bytes with the CPU features Go picks code paths by turned off:
 # the golden and kernel-equality tests, the quick sweep byte-diffed against

@@ -18,12 +18,13 @@
 //	          [-progress-jsonl] [-out -]
 //	          [-checkpoint-out ck.json -checkpoint-every 1000] [-resume-from ck.json]
 //
-// With -shard k/K (1-based) the sweep runs only the k-th of K deterministic
-// slices of every cell's trials; the K partials fold back into the
-// monolithic artifact, byte for byte, with cmd/phi-merge. With -plan the
-// shard's trial ranges are explicit instead of the balanced split — the
-// partial-overlap cache protocol (internal/distrib.FormatPlanArg), where
-// fresh workers compute exactly the ranges a cached prefix is missing.
+// With -plan the sweep runs exactly the given trial ranges of every cell
+// (internal/distrib.FormatPlanArg) — the one form the fan-out supervisor
+// sends its workers, balanced shards and the partial-overlap cache's fresh
+// ranges alike. -shard k/K (1-based) is the operator's sugar for the
+// balanced plan, the k-th of K deterministic slices of every cell's trials;
+// the K partials fold back into the monolithic artifact, byte for byte,
+// with cmd/phi-merge.
 //
 // With -spec the whole sweep grid comes from a fleet spec JSON file ("-"
 // reads stdin) instead of the grid flags — the shard-worker protocol
@@ -172,22 +173,30 @@ func runSweep(o sweepOpts) {
 		s.ObserveBeam = sink.Monitor.ObserveBeam
 	}
 
-	if o.shard != "" && o.plan != "" {
-		fatal(fmt.Errorf("-shard and -plan are mutually exclusive"))
-	}
-	k, count := 0, 1
 	var plan *fleet.ShardPlan
-	if o.shard != "" {
-		if k, count, err = parseShard(o.shard); err != nil {
+	switch {
+	case o.shard != "" && o.plan != "":
+		fatal(fmt.Errorf("-shard and -plan are mutually exclusive"))
+	case o.shard != "":
+		k, count, err := parseShard(o.shard)
+		if err != nil {
 			fatal(err)
 		}
-	}
-	if o.plan != "" {
+		p, err := s.Plan(k, count)
+		if err != nil {
+			fatal(err)
+		}
+		plan = &p
+	case o.plan != "":
 		p, err := distrib.ParsePlanArg(o.plan)
 		if err != nil {
 			fatal(err)
 		}
-		plan, k, count = &p, p.Index, p.Count
+		plan = &p
+	}
+	k, count := 0, 1
+	if plan != nil {
+		k, count = plan.Index, plan.Count
 	}
 	if o.progressJSONL {
 		enc := json.NewEncoder(os.Stderr)
@@ -202,8 +211,7 @@ func runSweep(o sweepOpts) {
 		}
 	}
 
-	elastic := o.ckOut != "" || o.ckResume != ""
-	if elastic && o.shard == "" && o.plan == "" {
+	if plan == nil && (o.ckOut != "" || o.ckResume != "") {
 		fatal(fmt.Errorf("-checkpoint-out and -resume-from need -shard or -plan: a monolithic run has no shard plan to checkpoint"))
 	}
 
@@ -211,15 +219,10 @@ func runSweep(o sweepOpts) {
 	defer stop()
 	start := time.Now()
 	var res *fleet.SweepResult
-	switch {
-	case elastic:
-		p := fleet.ShardPlan{}
-		if plan != nil {
-			p = *plan
-		} else if p, err = s.Plan(k, count); err != nil {
-			fatal(err)
-		}
-		res, err = s.RunPlanCheckpointed(ctx, p, fleet.Checkpoint{
+	if plan == nil {
+		res, err = s.Run(ctx)
+	} else {
+		res, err = s.RunPlanCheckpointed(ctx, *plan, fleet.Checkpoint{
 			Out:    o.ckOut,
 			Every:  o.ckEvery,
 			Resume: o.ckResume,
@@ -227,12 +230,6 @@ func runSweep(o sweepOpts) {
 				fmt.Fprintf(os.Stderr, "phi-bench: "+format+"\n", args...)
 			},
 		})
-	case plan != nil:
-		res, err = s.RunPlan(ctx, *plan)
-	case o.shard != "":
-		res, err = s.RunShard(ctx, k, count)
-	default:
-		res, err = s.Run(ctx)
 	}
 	if err != nil {
 		fatal(err)

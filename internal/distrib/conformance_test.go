@@ -9,9 +9,11 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"phirel/internal/fault"
 	"phirel/internal/fleet"
 )
 
@@ -34,7 +36,11 @@ import (
 //     shard's diagnostic stderr tail, and surfaces the backend's native
 //     failure evidence (stderr tail surfaced);
 //   - a worker that "succeeds" while leaving an unusable artifact is caught
-//     by revalidation and retried (corrupt-partial revalidation).
+//     by revalidation and retried (corrupt-partial revalidation);
+//   - a worker that "succeeds" with a well-formed partial at its own
+//     position but another shard's ranges is caught by the plan check,
+//     named, and retried, not left for the merge to reject the whole job
+//     (wrong-range revalidation).
 //   - a worker killed mid-shard after landing a checkpoint is relaunched
 //     with the checkpoint mounted: the retry computes exactly the trials
 //     the checkpoint does not cover, and the merge still holds
@@ -46,12 +52,13 @@ import (
 type confMode int
 
 const (
-	confClean       confMode = iota
-	confCrashOnce            // every shard fails its first attempt with a real worker error
-	confHangShard0           // shard 0 never finishes on its own; only a kill ends it
-	confAlwaysCrash          // every attempt of every shard fails, leaving a diagnostic tail line
-	confCorruptOnce          // every shard's first attempt exits cleanly with an unusable partial
-	confPreempt              // every shard dies right after its first checkpoint; the retry must resume
+	confClean          confMode = iota
+	confCrashOnce               // every shard fails its first attempt with a real worker error
+	confHangShard0              // shard 0 never finishes on its own; only a kill ends it
+	confAlwaysCrash             // every attempt of every shard fails, leaving a diagnostic tail line
+	confCorruptOnce             // every shard's first attempt exits cleanly with an unusable partial
+	confPreempt                 // every shard dies right after its first checkpoint; the retry must resume
+	confWrongRangeOnce          // every shard's first attempt exits cleanly with another shard's ranges
 )
 
 // confFixture adapts one Launcher backend to the conformance table.
@@ -82,6 +89,8 @@ func setWorkerEnv(t *testing.T, mode confMode) {
 		t.Setenv("PHIREL_FAKE_FAIL_ALWAYS", "1")
 	case confCorruptOnce:
 		t.Setenv("PHIREL_FAKE_CORRUPT_ONCE_DIR", t.TempDir())
+	case confWrongRangeOnce:
+		t.Setenv("PHIREL_FAKE_WRONG_RANGE_ONCE_DIR", t.TempDir())
 	}
 }
 
@@ -110,6 +119,13 @@ func funcWorker(mode confMode) LauncherFunc {
 		spec, err := fleet.ReadSpecFile(task.SpecPath)
 		if err != nil {
 			return err
+		}
+		if mode == confWrongRangeOnce && first {
+			res, err := wrongRangePartial(ctx, spec, task)
+			if err != nil {
+				return err
+			}
+			return res.WriteFile(task.OutPath)
 		}
 		rctx, cancel := context.WithCancel(ctx)
 		defer cancel()
@@ -321,6 +337,29 @@ func TestLauncherConformanceSweep(t *testing.T) {
 				}
 			})
 
+			t.Run("WrongRangeRevalidated", func(t *testing.T) {
+				logs := &confLogs{}
+				merged, err := Run(context.Background(), spec, Options{
+					Shards:   2,
+					Launcher: fx.launcher(t, confWrongRangeOnce),
+					Dir:      t.TempDir(),
+					Retries:  1, Backoff: time.Millisecond,
+					Logf: logs.logf,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
+					t.Fatal("merge after wrong-range retries not byte-identical")
+				}
+				joined := logs.joined()
+				for k := 1; k <= 2; k++ {
+					if !strings.Contains(joined, fmt.Sprintf("shard %d/2: attempt 1 failed: worker ran plan", k)) {
+						t.Fatalf("supervisor never named shard %d/2's wrong ranges:\n%s", k, joined)
+					}
+				}
+			})
+
 			t.Run("PreemptionResumesFromCheckpoint", func(t *testing.T) {
 				// Every shard is killed right after its first checkpoint
 				// lands; the relaunch must mount that checkpoint and compute
@@ -377,5 +416,50 @@ func TestLauncherConformanceSweep(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestExecMixedHostFeatures is a heterogeneous fleet on one box: the odd
+// shards' workers run with every optional CPU feature switched off
+// (GODEBUG=cpu.all=off, standing in for an amd64 host without AVX or FMA),
+// the even shards' with the default environment. The grid includes
+// LavaMD, whose exp is where a host-dependent libm would show, and the
+// merged bytes must still equal the monolithic run.
+func TestExecMixedHostFeatures(t *testing.T) {
+	skipInShort(t)
+	spec := fleet.Sweep{
+		Benchmarks:     []string{"DGEMM", "LavaMD"},
+		Models:         []fault.Model{fault.Single, fault.Random},
+		N:              8,
+		BeamRuns:       300,
+		BeamBenchmarks: []string{"LavaMD"},
+		Seed:           1701,
+		BenchSeed:      1,
+		Workers:        2,
+	}
+	_, monoJSON := monoArtifact(t, spec)
+	t.Setenv("PHIREL_FAKE_WORKER", "1")
+	plain := ExecLauncher{Command: []string{os.Args[0]}}
+	featuresOff := ExecLauncher{Command: []string{os.Args[0]}, Env: append(os.Environ(), "GODEBUG=cpu.all=off")}
+	var off atomic.Int32
+	merged, err := Run(context.Background(), spec, Options{
+		Shards: 4,
+		Dir:    t.TempDir(),
+		Launcher: LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
+			if task.Shard%2 == 1 {
+				off.Add(1)
+				return featuresOff.Launch(ctx, task, stderr)
+			}
+			return plain.Launch(ctx, task, stderr)
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Load() != 2 {
+		t.Fatalf("%d shards ran with the features off, want 2", off.Load())
+	}
+	if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
+		t.Fatal("a fan-out mixing feature-less and default workers is not byte-identical to the monolithic sweep")
 	}
 }

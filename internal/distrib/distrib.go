@@ -8,8 +8,11 @@
 //
 // The moving parts:
 //
-//   - Plan writes the shared sweep spec file and lays out the K shard
-//     tasks (one canonical partial path per shard).
+//   - Scheduler.Submit writes the shared sweep spec file and lays out the
+//     shard tasks (one canonical partial path per shard). Every task carries
+//     its explicit plan, so the supervisor sends workers only -plan; a cached
+//     prefix, when given, becomes shard 0's partial and the tasks split only
+//     what it is missing. -shard k/K is operator sugar for the balanced plan.
 //   - Launcher runs one shard worker to completion. ExecLauncher execs a
 //     local phi-bench subprocess; RemoteLauncher runs phi-bench elsewhere
 //     with the spec streamed in over stdin and the partial streamed back
@@ -76,11 +79,11 @@ type Task struct {
 	// Attempt is the 0-based attempt number; the supervisor increments it
 	// on every relaunch.
 	Attempt int
-	// Plan, when non-nil, overrides the balanced k-of-K split with explicit
-	// trial ranges (phi-bench -plan): the worker runs exactly these ranges,
-	// and the validator requires the partial's recorded plan to match. Its
-	// Index/Count must agree with Shard/Count. The partial-overlap cache
-	// uses this to compute only the ranges a cached prefix is missing.
+	// Plan is the trial ranges the worker runs (phi-bench -plan), and the
+	// validator requires the partial's recorded plan to equal it. Its
+	// Index/Count agree with Shard/Count. The supervisor sets it on every
+	// task it launches; a task without one stands for the balanced k-of-K
+	// split (phi-bench -shard), which only a hand-built task uses.
 	Plan *fleet.ShardPlan
 	// CheckpointPath, when non-empty, is where the worker periodically
 	// lands a valid shard-partial checkpoint (phi-bench -checkpoint-out),
@@ -101,7 +104,7 @@ type Task struct {
 // ShardArg renders the task's position in phi-bench's 1-based -shard form.
 func (t Task) ShardArg() string { return fmt.Sprintf("%d/%d", t.Shard+1, t.Count) }
 
-// SpecFileName is the name Plan gives the shared spec file inside the
+// SpecFileName is the name the planner gives the shared spec file inside the
 // fan-out working directory.
 const SpecFileName = "sweep-spec.json"
 
@@ -112,83 +115,59 @@ func PartialPath(dir string, k, count int) string {
 	return filepath.Join(dir, fmt.Sprintf("sweep-shard-%d-of-%d.json", k+1, count))
 }
 
-// Plan writes the shared spec file into dir (which must exist) and lays
-// out the fan-out's shard tasks. dir is absolutized first: task paths end
-// up in worker argv, and a worker may run with a different working
+// layout writes the shared spec file into dir (which must exist) and lays
+// out a fan-out's shard tasks, every one with its explicit plan. With cached
+// nil the sweep splits shards ways, balanced. With cached — a complete,
+// base-equal artifact covering a strict prefix of spec's trial space — the
+// prefix is sliced into shard 0's partial and written straight to its
+// canonical path (no worker ever runs for it), and the shards tasks split
+// only the missing trial ranges. paths is every partial of the fan-out in
+// merge order; fleet.MergeFiles over them reconstructs the full sweep
+// byte-identical to a monolithic run. dir is absolutized first: task paths
+// end up in worker argv, and a worker may run with a different working
 // directory (ExecLauncher.Dir), which must not change where the spec is
 // found or the partial lands.
-func Plan(dir string, spec fleet.Sweep, shards int) ([]Task, error) {
+func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int) (tasks []Task, paths []string, err error) {
 	if shards < 1 {
-		return nil, fmt.Errorf("distrib: need at least 1 shard, got %d", shards)
+		return nil, nil, fmt.Errorf("distrib: need at least 1 shard, got %d", shards)
 	}
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, fmt.Errorf("distrib: %w", err)
-	}
-	if _, err := spec.Plan(0, shards); err != nil {
-		return nil, err
-	}
-	specPath := filepath.Join(dir, SpecFileName)
-	if err := spec.WriteSpecFile(specPath); err != nil {
-		return nil, err
-	}
-	tasks := make([]Task, shards)
-	for k := range tasks {
-		tasks[k] = Task{
-			Shard:    k,
-			Count:    shards,
-			SpecPath: specPath,
-			OutPath:  PartialPath(dir, k, shards),
-		}
-	}
-	return tasks, nil
-}
-
-// PlanWithPrefix lays out a partially-cached fan-out in dir: the cached
-// artifact — a complete, base-equal sweep covering a strict prefix of
-// spec's trial space — is sliced into shard-0's partial and written
-// straight to its canonical partial path (no worker ever runs for it), and
-// the returned tasks are the `fresh` explicit-plan workers that compute
-// only the missing trial ranges. The returned paths are every partial of
-// the fan-out — prefix first, then the fresh shards — in merge order;
-// fleet.MergeFiles over them reconstructs the full sweep byte-identical to
-// a monolithic run.
-func PlanWithPrefix(dir string, spec fleet.Sweep, cached *fleet.SweepResult, fresh int) ([]Task, []string, error) {
-	if cached == nil {
-		return nil, nil, fmt.Errorf("distrib: no cached artifact to plan around")
-	}
-	dir, err := filepath.Abs(dir)
-	if err != nil {
+	if dir, err = filepath.Abs(dir); err != nil {
 		return nil, nil, fmt.Errorf("distrib: %w", err)
 	}
-	plans, err := spec.PlanWithPrefix(cached.Spec.N, cached.Spec.BeamRuns, fresh)
-	if err != nil {
-		return nil, nil, err
-	}
-	prefix, err := fleet.SliceResult(cached, spec, plans[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	specPath := filepath.Join(dir, SpecFileName)
-	if err := spec.WriteSpecFile(specPath); err != nil {
+	var plans []fleet.ShardPlan
+	if cached == nil {
+		plans = make([]fleet.ShardPlan, shards)
+		for k := range plans {
+			if plans[k], err = spec.Plan(k, shards); err != nil {
+				return nil, nil, err
+			}
+		}
+	} else if plans, err = spec.PlanWithPrefix(cached.Spec.N, cached.Spec.BeamRuns, shards); err != nil {
 		return nil, nil, err
 	}
 	count := len(plans)
-	paths := make([]string, count)
-	paths[0] = PartialPath(dir, 0, count)
-	if err := prefix.WriteFile(paths[0]); err != nil {
+	paths = make([]string, count)
+	for k := range paths {
+		paths[k] = PartialPath(dir, k, count)
+	}
+	first := 0
+	if cached != nil {
+		prefix, err := fleet.SliceResult(cached, spec, plans[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := prefix.WriteFile(paths[0]); err != nil {
+			return nil, nil, err
+		}
+		first = 1
+	}
+	specPath := filepath.Join(dir, SpecFileName)
+	if err := spec.WriteSpecFile(specPath); err != nil {
 		return nil, nil, err
 	}
-	tasks := make([]Task, 0, count-1)
-	for k := 1; k < count; k++ {
-		plan := plans[k]
-		paths[k] = PartialPath(dir, k, count)
+	for k := first; k < count; k++ {
 		tasks = append(tasks, Task{
-			Shard:    k,
-			Count:    count,
-			SpecPath: specPath,
-			OutPath:  paths[k],
-			Plan:     &plan,
+			Shard: k, Count: count, SpecPath: specPath, OutPath: paths[k], Plan: &plans[k],
 		})
 	}
 	return tasks, paths, nil

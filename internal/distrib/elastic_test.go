@@ -226,7 +226,7 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec, nil)
+	job, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +271,10 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// stealChild reports whether task is a re-split child of a stolen
+// straggler rather than a primary shard: children write .steal-* partials.
+func stealChild(task Task) bool { return strings.Contains(task.OutPath, ".steal-") }
+
 // TestSchedulerStealsStraggler: a shard that checkpoints a prefix and then
 // stalls is cancelled by the watchdog and its remainder re-split across
 // fresh sub-workers. The checkpointed prefix is never recomputed (zero lost
@@ -306,7 +310,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			return err
 		}
 		enc := json.NewEncoder(stderr)
-		if task.Plan != nil {
+		if stealChild(task) {
 			// Re-split child: compute exactly the handed plan.
 			mu.Lock()
 			subPlans = append(subPlans, *task.Plan)
@@ -320,10 +324,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			return res.WriteFile(task.OutPath)
 		}
 		if task.Shard == 1 {
-			plan, err := spec.Plan(task.Shard, task.Count)
-			if err != nil {
-				return err
-			}
+			plan := *task.Plan
 			prefix := fleet.ShardPlan{
 				Index: plan.Index, Count: plan.Count,
 				Injection: plan.Injection.Split(0, 2),
@@ -361,7 +362,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 				}
 			}
 		}()
-		res, err := spec.RunShard(ctx, task.Shard, task.Count)
+		res, err := spec.RunPlan(ctx, *task.Plan)
 		if err != nil {
 			return err
 		}
@@ -387,7 +388,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec, nil)
+	job, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,13 +497,10 @@ func TestSchedulerCloseDuringSteal(t *testing.T) {
 		}
 		enc := json.NewEncoder(stderr)
 		switch {
-		case task.Plan != nil: // re-split child: hold its slot until cancelled
+		case stealChild(task): // re-split child: hold its slot until cancelled
 			childStarted <- struct{}{}
 		case task.Shard == 1: // straggler: bank half its plan, report once, stall
-			plan, err := spec.Plan(task.Shard, task.Count)
-			if err != nil {
-				return err
-			}
+			plan := *task.Plan
 			part, err := spec.RunPlan(ctx, fleet.ShardPlan{
 				Index: plan.Index, Count: plan.Count,
 				Injection: plan.Injection.Split(0, 2), Beam: plan.Beam.Split(0, 2),
@@ -533,7 +531,7 @@ func TestSchedulerCloseDuringSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := sched.Submit(testSweep(), nil)
+	job, err := sched.Submit(testSweep(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // ExampleScheduler_Submit runs one sweep through the resident scheduler
 // with an in-process launcher — the LauncherFunc seam that stands in for
 // the subprocess/SSH/Kubernetes transports. The worker does exactly what
-// a phi-bench shard process does: read the spec file, run its shard,
+// a phi-bench shard process does: read the spec file, run its plan,
 // write the partial; the scheduler supervises the fan-out and folds the
 // partials into the merged artifact.
 func ExampleScheduler_Submit() {
@@ -30,7 +30,7 @@ func ExampleScheduler_Submit() {
 		if err != nil {
 			return err
 		}
-		res, err := spec.RunShard(ctx, task.Shard, task.Count)
+		res, err := spec.RunPlan(ctx, *task.Plan)
 		if err != nil {
 			return err
 		}
@@ -49,7 +49,7 @@ func ExampleScheduler_Submit() {
 		Models:     []fault.Model{fault.Single},
 		N:          8,
 		Seed:       11, BenchSeed: 1, Workers: 1,
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		panic(err)
 	}

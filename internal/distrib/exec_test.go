@@ -19,7 +19,7 @@ import (
 
 // TestMain doubles as the shard-worker executable: when re-exec'd with
 // PHIREL_FAKE_WORKER=1, the test binary speaks the phi-bench worker
-// protocol (spec in, -shard k/K, JSONL progress on stderr, partial out) —
+// protocol (spec in, -plan, JSONL progress on stderr, partial out) —
 // so the exec and remote launchers are exercised through real
 // subprocesses, pipes, exit codes and kills without building
 // cmd/phi-bench first. Standing in for ssh or kubectl, it skips the
@@ -43,6 +43,10 @@ func TestMain(m *testing.M) {
 //	PHIREL_FAKE_CORRUPT_ONCE_DIR — every shard's first attempt exits 0 but
 //	  leaves a truncated artifact (marker-tracked), the clean-exit failure
 //	  the supervisor's revalidation must catch.
+//	PHIREL_FAKE_WRONG_RANGE_ONCE_DIR — every shard's first attempt exits 0
+//	  with a well-formed partial at its own position but another shard's
+//	  ranges (marker-tracked), which only the supervisor's plan check can
+//	  tell from the right one.
 //	PHIREL_FAKE_HANG=k — shard k blocks forever, so only a launcher-side
 //	  kill (per-attempt timeout) can end it.
 //	PHIREL_FAKE_DIE_AFTER_CKPT_DIR — each shard's first checkpointing
@@ -64,16 +68,13 @@ func fakeWorker() int {
 		args = args[1:]
 	}
 	var task Task
-	var specArg, shardArg, planArg string
+	var specArg, planArg string
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
 		case "-sweep", "-progress-jsonl":
 		case "-spec":
 			i++
 			specArg = args[i]
-		case "-shard":
-			i++
-			shardArg = args[i]
 		case "-plan":
 			i++
 			planArg = args[i]
@@ -94,21 +95,13 @@ func fakeWorker() int {
 			return 2
 		}
 	}
-	if planArg != "" {
-		p, err := ParsePlanArg(planArg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fake worker: bad -plan %q: %v\n", planArg, err)
-			return 2
-		}
-		task.Plan = &p
-		task.Shard, task.Count = p.Index, p.Count
-	} else {
-		if _, err := fmt.Sscanf(shardArg, "%d/%d", &task.Shard, &task.Count); err != nil {
-			fmt.Fprintf(os.Stderr, "fake worker: bad -shard %q\n", shardArg)
-			return 2
-		}
-		task.Shard--
+	p, err := ParsePlanArg(planArg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fake worker: bad -plan %q: %v\n", planArg, err)
+		return 2
 	}
+	task.Plan = &p
+	task.Shard, task.Count = p.Index, p.Count
 	k, outArg := task.Shard, task.OutPath
 
 	if os.Getenv("PHIREL_FAKE_FAIL_ALWAYS") == "1" {
@@ -146,7 +139,6 @@ func fakeWorker() int {
 	}
 
 	var spec fleet.Sweep
-	var err error
 	if specArg == "-" {
 		spec, err = fleet.ReadSpec(os.Stdin)
 	} else {
@@ -155,6 +147,14 @@ func fakeWorker() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
+	}
+	wrongRange := false
+	if dir := os.Getenv("PHIREL_FAKE_WRONG_RANGE_ONCE_DIR"); dir != "" {
+		marker := filepath.Join(dir, fmt.Sprintf("wrong-range-%d", k))
+		if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
+			os.WriteFile(marker, nil, 0o644)
+			wrongRange = true
+		}
 	}
 	var onCheckpoint func(fleet.ShardPlan)
 	if dir := os.Getenv("PHIREL_FAKE_DIE_AFTER_CKPT_DIR"); dir != "" && task.CheckpointPath != "" {
@@ -167,7 +167,12 @@ func fakeWorker() int {
 			}
 		}
 	}
-	res, err := runWorker(context.Background(), spec, task, os.Stderr, onCheckpoint)
+	var res *fleet.SweepResult
+	if wrongRange {
+		res, err = wrongRangePartial(context.Background(), spec, task)
+	} else {
+		res, err = runWorker(context.Background(), spec, task, os.Stderr, onCheckpoint)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
@@ -193,26 +198,26 @@ func runWorker(ctx context.Context, spec fleet.Sweep, task Task, stderr io.Write
 	spec.Progress = func(done, total int) {
 		enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: done, Total: total})
 	}
-	if task.Plan == nil && task.CheckpointPath == "" && task.ResumeFrom == "" {
-		return spec.RunShard(ctx, task.Shard, task.Count)
-	}
-	var plan fleet.ShardPlan
-	if task.Plan != nil {
-		plan = *task.Plan
-	} else {
-		var err error
-		if plan, err = spec.Plan(task.Shard, task.Count); err != nil {
-			return nil, err
-		}
-	}
-	logWorkerTrials(spec, plan, task.ResumeFrom, task.Shard)
-	return spec.RunPlanCheckpointed(ctx, plan, fleet.Checkpoint{
+	logWorkerTrials(spec, *task.Plan, task.ResumeFrom, task.Shard)
+	return spec.RunPlanCheckpointed(ctx, *task.Plan, fleet.Checkpoint{
 		Out: task.CheckpointPath, Every: task.CheckpointEvery, Resume: task.ResumeFrom,
 		OnCheckpoint: onCheckpoint,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, "fake worker: "+format+"\n", a...)
 		},
 	})
+}
+
+// wrongRangePartial runs the next shard's balanced ranges under task's own
+// position: a well-formed partial at the right index and count that only a
+// check against the task's plan can reject.
+func wrongRangePartial(ctx context.Context, spec fleet.Sweep, task Task) (*fleet.SweepResult, error) {
+	other, err := spec.Plan((task.Shard+1)%task.Count, task.Count)
+	if err != nil {
+		return nil, err
+	}
+	other.Index = task.Shard
+	return spec.RunPlan(ctx, other)
 }
 
 // workerTrials is one attempt's accounting line in the

@@ -34,8 +34,10 @@ func (f LauncherFunc) Launch(ctx context.Context, task Task, stderr io.Writer) e
 // WorkerArgs returns the phi-bench argument list that runs task. With
 // streamIO the spec is read from stdin and the partial written to stdout
 // ("-" on both flags) — the transport RemoteLauncher uses so no file ever
-// needs to cross machines out of band. An explicit-plan task rides the
-// -plan flag (shell-safe, see FormatPlanArg) instead of -shard.
+// needs to cross machines out of band. The plan rides the -plan flag
+// (shell-safe, see FormatPlanArg); every task the supervisor launches has
+// one. A hand-built task without a plan renders as -shard k/K, the
+// operator's sugar for the balanced plan.
 func WorkerArgs(task Task, streamIO bool) []string {
 	spec, out := task.SpecPath, task.OutPath
 	if streamIO {

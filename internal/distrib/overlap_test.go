@@ -61,7 +61,7 @@ func TestWorkerArgsPlan(t *testing.T) {
 }
 
 // TestSchedulerSubmitWithPrefix drives the partial-overlap path end to end
-// through the scheduler: a cached half-size artifact becomes shard 0 on
+// through the scheduler's Submit with a cached artifact: a cached half-size artifact becomes shard 0 on
 // disk, in-process workers compute only the explicit-plan remainders, and
 // the merged job result is byte-identical to the monolithic run — with the
 // fresh trial count equal to exactly the extension.
@@ -81,8 +81,8 @@ func TestSchedulerSubmitWithPrefix(t *testing.T) {
 
 	var freshInj, freshBeam atomic.Int64
 	launcher := LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
-		if task.Plan == nil {
-			t.Errorf("prefix fan-out launched a balanced task: %+v", task)
+		if task.Shard == 0 {
+			t.Errorf("prefix fan-out launched a worker for the cached shard 0: %+v", task)
 			return nil
 		}
 		freshInj.Add(int64(task.Plan.Injection.N))
@@ -100,7 +100,7 @@ func TestSchedulerSubmitWithPrefix(t *testing.T) {
 	}
 	defer sched.Close()
 
-	job, err := sched.SubmitWithPrefix(req, cached, nil)
+	job, err := sched.Submit(req, cached, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestSchedulerSubmitWithPrefix(t *testing.T) {
 
 	// A full-coverage cached artifact has nothing to compute and must be
 	// refused — that request is the exact-hit path, not a prefix job.
-	if _, err := sched.SubmitWithPrefix(req, mono, nil); err == nil {
-		t.Fatal("SubmitWithPrefix accepted a fully-covering cached artifact")
+	if _, err := sched.Submit(req, mono, nil); err == nil {
+		t.Fatal("Submit accepted a fully-covering cached artifact")
 	}
 	// A base mismatch is refused before anything launches.
 	other := req
 	other.Seed++
-	if _, err := sched.SubmitWithPrefix(other, cached, nil); err == nil {
-		t.Fatal("SubmitWithPrefix accepted a base-mismatched cached artifact")
+	if _, err := sched.Submit(other, cached, nil); err == nil {
+		t.Fatal("Submit accepted a base-mismatched cached artifact")
 	}
 }
 
@@ -170,7 +170,7 @@ func TestValidatePartialPlanMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.SubmitWithPrefix(req, cached, nil)
+	job, err := sched.Submit(req, cached, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,9 +226,12 @@ type Scheduler struct {
 	ctx    context.Context
 	stop   context.CancelFunc
 
+	// oneShot marks Run's private scheduler: its one job works directly
+	// in Options.Dir.
+	oneShot bool
+
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
 	seq    int
 	closed bool
 	wg     sync.WaitGroup
@@ -255,73 +258,38 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 }
 
 // Submit queues spec as a new job in its own subdirectory of Options.Dir
-// and returns immediately; the job runs as budget slots free up. The spec
-// must plan cleanly at the scheduler's shard width. seal, when non-nil, is
-// the job's last step: it runs on the merged result before the job reads
-// done, and an error from it ends the job failed.
-func (s *Scheduler) Submit(spec fleet.Sweep, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
-	id, dir, err := s.newJobDir()
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(spec, id, dir, id+": ", seal)
-}
-
-// SubmitWithPrefix queues spec as a job whose shard 0 is already answered:
+// and returns immediately; the job runs as budget slots free up. With cached
+// nil the job is cold: spec splits the scheduler's shard width ways. With
 // cached — a complete, base-equal artifact covering a strict prefix of
-// spec's trial space — is sliced into the job's first partial on disk, and
-// only the missing trial ranges fan out as explicit-plan workers (the
-// scheduler's full shard width splits the remainder). The merged result is
-// byte-identical to a monolithic run of spec; the job's progress Total
-// counts only the fresh cells actually computed. seal is Submit's.
-func (s *Scheduler) SubmitWithPrefix(spec fleet.Sweep, cached *fleet.SweepResult, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
-	id, dir, err := s.newJobDir()
-	if err != nil {
-		return nil, err
-	}
-	tasks, paths, err := PlanWithPrefix(dir, spec, cached, s.opts.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(spec, id, dir, id+": ", tasks, paths, seal)
-}
-
-// newJobDir mints the next job id and creates its working directory.
-func (s *Scheduler) newJobDir() (string, string, error) {
+// spec's trial space — shard 0 is already answered: the prefix is sliced
+// into the job's first partial on disk, and the shard width splits only the
+// missing trial ranges; the job's progress Total then counts only the fresh
+// cells. Either way every worker is sent its explicit plan, and the merged
+// result is byte-identical to a monolithic run of spec. seal, when non-nil,
+// is the job's last step: it runs on the merged result before the job reads
+// done, and an error from it ends the job failed.
+func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return "", "", errors.New("distrib: scheduler is closed")
+		return nil, errors.New("distrib: scheduler is closed")
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%d", s.seq)
 	s.mu.Unlock()
-	dir := filepath.Join(s.opts.Dir, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", "", fmt.Errorf("distrib: %w", err)
+	// Run's one-shot job works in Options.Dir itself and logs unprefixed,
+	// so its evidence trail is where the caller pointed it.
+	dir, logPrefix := filepath.Join(s.opts.Dir, id), id+": "
+	if s.oneShot {
+		dir, logPrefix = s.opts.Dir, ""
 	}
-	return id, dir, nil
-}
-
-// submit plans the job in dir and starts it. logPrefix decorates Logf
-// lines so interleaved jobs stay attributable; Run passes "" to keep the
-// one-shot log format unchanged.
-func (s *Scheduler) submit(spec fleet.Sweep, id, dir, logPrefix string, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
-	tasks, err := Plan(dir, spec, s.opts.Shards)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("distrib: %w", err)
+	}
+	tasks, mergePaths, err := layout(dir, spec, cached, s.opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	paths := make([]string, len(tasks))
-	for i, t := range tasks {
-		paths[i] = t.OutPath
-	}
-	return s.start(spec, id, dir, logPrefix, tasks, paths, seal)
-}
-
-// start registers the planned job and launches its supervisor. mergePaths
-// are every partial of the fan-out in merge order — the tasks' outputs
-// plus any pre-written cached partial.
-func (s *Scheduler) start(spec fleet.Sweep, id, dir, logPrefix string, tasks []Task, mergePaths []string, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	cellsPerShard := len(spec.Cells()) + len(spec.BeamCells())
 	jctx, jcancel := context.WithCancel(s.ctx)
 	job := &Job{
@@ -342,7 +310,6 @@ func (s *Scheduler) start(spec fleet.Sweep, id, dir, logPrefix string, tasks []T
 		return nil, errors.New("distrib: scheduler is closed")
 	}
 	s.jobs[id] = job
-	s.order = append(s.order, id)
 	// Tickets are enqueued here, in shard order, while still serialised
 	// with other Submits: the shared budget is strictly FIFO across jobs,
 	// so under a 1-slot budget job N+1 can never overtake job N.
@@ -634,17 +601,6 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
-}
-
-// Jobs lists every job in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
 }
 
 // Close cancels every job, refuses further submissions, and waits for the

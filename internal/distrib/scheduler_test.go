@@ -65,7 +65,7 @@ func TestSchedulerFIFOUnderOneSlot(t *testing.T) {
 
 	jobs := make([]*Job, 3)
 	for i := range jobs {
-		if jobs[i], err = sched.Submit(spec, nil); err != nil {
+		if jobs[i], err = sched.Submit(spec, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,14 +118,14 @@ func TestSchedulerCancelIsolation(t *testing.T) {
 	}
 	defer sched.Close()
 
-	victim, err := sched.Submit(spec, nil)
+	victim, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if victim.ID() != "job-1" {
 		t.Fatalf("first submission got id %s", victim.ID())
 	}
-	sibling, err := sched.Submit(spec, nil)
+	sibling, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,18 +175,18 @@ func TestSchedulerCancelQueuedJobFreesNothing(t *testing.T) {
 	}
 	defer sched.Close()
 
-	holder, err := sched.Submit(spec, nil)
+	holder, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := <-started; got != filepath.Base(holder.Dir()) {
 		t.Fatalf("first slot went to %s", got)
 	}
-	queued, err := sched.Submit(spec, nil)
+	queued, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, err := sched.Submit(spec, nil)
+	last, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSchedulerSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	job, err := sched.Submit(spec, nil)
+	job, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSchedulerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := sched.Submit(spec, nil)
+	job, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSchedulerClose(t *testing.T) {
 	if st := job.Status(); st.State != JobCancelled {
 		t.Fatalf("job state after Close: %s", st.State)
 	}
-	if _, err := sched.Submit(spec, nil); err == nil {
+	if _, err := sched.Submit(spec, nil, nil); err == nil {
 		t.Fatal("closed scheduler accepted a submission")
 	}
 }
@@ -324,7 +324,7 @@ func TestSchedulerSeal(t *testing.T) {
 	}
 	defer sched.Close()
 	merged, release := make(chan *fleet.SweepResult, 1), make(chan struct{})
-	job, err := sched.Submit(spec, func(_ *Job, res *fleet.SweepResult) error {
+	job, err := sched.Submit(spec, nil, func(_ *Job, res *fleet.SweepResult) error {
 		merged <- res
 		<-release
 		return nil
@@ -350,7 +350,7 @@ func TestSchedulerSeal(t *testing.T) {
 	}
 
 	refused := errors.New("seal refused")
-	failed, err := sched.Submit(spec, func(*Job, *fleet.SweepResult) error { return refused })
+	failed, err := sched.Submit(spec, nil, func(*Job, *fleet.SweepResult) error { return refused })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,8 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 		return nil, err
 	}
 	defer sched.Close()
-	job, err := sched.submit(spec, "job-1", opts.Dir, "", nil)
+	sched.oneShot = true
+	job, err := sched.Submit(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -136,20 +137,15 @@ func resumableTrials(t Task) (int, bool) {
 	return salvaged, salvaged > 0
 }
 
-// readCheckpoint reads the task's spec and plan and loads its checkpoint
-// against them: ck is the banked partial and rest the plan past it, or ck
-// is nil and rest the whole plan when no valid checkpoint is on disk. err
-// reports only a spec or plan that cannot be read.
+// readCheckpoint reads the task's spec and loads its checkpoint against the
+// task's plan: ck is the banked partial and rest the plan past it, or ck is
+// nil and rest the whole plan when no valid checkpoint is on disk. err
+// reports only a spec that cannot be read.
 func readCheckpoint(t Task) (spec fleet.Sweep, plan, rest fleet.ShardPlan, ck *fleet.SweepResult, err error) {
 	if spec, err = fleet.ReadSpecFile(t.SpecPath); err != nil {
 		return
 	}
-	if t.Plan != nil {
-		plan = *t.Plan
-	} else if plan, err = spec.Plan(t.Shard, t.Count); err != nil {
-		return
-	}
-	rest = plan
+	plan, rest = *t.Plan, *t.Plan
 	if t.CheckpointPath != "" {
 		if c, r, lerr := fleet.LoadCheckpoint(t.CheckpointPath, spec, plan); lerr == nil {
 			ck, rest = c, r
@@ -207,16 +203,12 @@ func validatePartial(t Task) error {
 	if err != nil {
 		return fmt.Errorf("worker exited cleanly but its partial is unusable: %w", err)
 	}
-	if r.Shard.Index != t.Shard || r.Shard.Count != t.Count {
-		return fmt.Errorf("worker wrote a partial for shard %d/%d, want %s",
-			r.Shard.Index+1, r.Shard.Count, t.ShardArg())
-	}
-	// An explicit-plan worker must have run exactly the ranges it was
-	// handed: a partial with the right position but the wrong ranges would
-	// survive until the merge, where the tiling check rejects the whole job
-	// instead of naming the one bad worker.
-	if t.Plan != nil && *r.Shard != *t.Plan {
-		return fmt.Errorf("worker ran plan %+v, want %+v", *r.Shard, *t.Plan)
+	// The worker must have run exactly the position and ranges it was
+	// handed: a partial with the wrong ones would survive until the merge,
+	// where the tiling check rejects the whole job instead of naming the
+	// one bad worker.
+	if *r.Shard != *t.Plan {
+		return fmt.Errorf("worker ran plan %s %+v, want %s %+v", r.Shard, *r.Shard, t.ShardArg(), *t.Plan)
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func testSweep() fleet.Sweep {
 }
 
 // inProcWorker is the reference worker: exactly what a phi-bench
-// subprocess does (spec file in, RunShard, partial out, JSONL progress on
+// subprocess does (spec file in, RunPlan, partial out, JSONL progress on
 // stderr), but in-process, so supervisor behaviour is testable without
 // exec.
 func inProcWorker(ctx context.Context, t Task, stderr io.Writer) error {
@@ -54,7 +54,7 @@ func inProcWorker(ctx context.Context, t Task, stderr io.Writer) error {
 	spec.Progress = func(done, total int) {
 		enc.Encode(Event{Event: EventName, Shard: t.Shard, Count: t.Count, Done: done, Total: total})
 	}
-	res, err := spec.RunShard(ctx, t.Shard, t.Count)
+	res, err := spec.RunPlan(ctx, *t.Plan)
 	if err != nil {
 		return err
 	}
@@ -381,16 +381,26 @@ func TestRunSweepMaxConcurrent(t *testing.T) {
 func TestPlanLayout(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSweep()
-	tasks, err := Plan(dir, spec, 3)
+	tasks, paths, err := layout(dir, spec, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tasks) != 3 {
-		t.Fatalf("planned %d tasks, want 3", len(tasks))
+	if len(tasks) != 3 || len(paths) != 3 {
+		t.Fatalf("planned %d tasks and %d partials, want 3 of each", len(tasks), len(paths))
 	}
 	for k, task := range tasks {
 		if task.Shard != k || task.Count != 3 || task.Attempt != 0 {
 			t.Fatalf("task %d mislabelled: %+v", k, task)
+		}
+		want, err := spec.Plan(k, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task.Plan == nil || *task.Plan != want {
+			t.Fatalf("task %d plan %v, want the balanced %+v", k, task.Plan, want)
+		}
+		if paths[k] != task.OutPath {
+			t.Fatalf("merge path %d is %q, task writes %q", k, paths[k], task.OutPath)
 		}
 		if task.OutPath != filepath.Join(dir, fmt.Sprintf("sweep-shard-%d-of-3.json", k+1)) {
 			t.Fatalf("task %d partial path %q off-convention", k, task.OutPath)
@@ -407,7 +417,28 @@ func TestPlanLayout(t *testing.T) {
 	if !reflect.DeepEqual(spec, back) {
 		t.Fatal("planned spec file does not round-trip the sweep spec")
 	}
-	if _, err := Plan(dir, spec, 0); err == nil {
+	if _, _, err := layout(dir, spec, nil, 0); err == nil {
 		t.Fatal("accepted a 0-shard plan")
+	}
+
+	// A prefix layout: the cached slice is shard 0's partial on disk, and
+	// every task — the fresh shards only — carries its plan too.
+	cachedSpec := spec
+	cachedSpec.N /= 2
+	cached, _ := monoArtifact(t, cachedSpec)
+	tasks, paths, err = layout(t.TempDir(), spec, cached, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 || len(paths) != 3 {
+		t.Fatalf("prefix layout planned %d tasks and %d partials, want 2 and 3", len(tasks), len(paths))
+	}
+	for i, task := range tasks {
+		if task.Plan == nil || task.Shard != i+1 || task.Plan.Index != task.Shard || task.Plan.Count != 3 {
+			t.Fatalf("prefix task %d: %+v with plan %v", i, task, task.Plan)
+		}
+	}
+	if p, err := fleet.ReadShardFile(paths[0]); err != nil || p.Shard.Injection.N != cachedSpec.N {
+		t.Fatalf("prefix partial %s: %v", paths[0], err)
 	}
 }

@@ -181,16 +181,17 @@ type Checkpoint struct {
 	OnCheckpoint func(covered ShardPlan)
 }
 
-// RunPlanCheckpointed executes an explicit shard plan like RunPlan, but in
-// checkpoint-cadence chunks: after each chunk the folded prefix partial is
-// written atomically to ck.Out, so a killed worker leaves behind a valid
-// artifact covering the contiguous trial prefix it completed. With
+// RunPlanCheckpointed is the one body every shard runs: an explicit shard
+// plan, the full grid of both cell kinds each restricted to plan's trial
+// ranges, in checkpoint-cadence chunks. After each chunk the folded prefix
+// partial is written atomically to ck.Out, so a killed worker leaves behind
+// a valid artifact covering the contiguous trial prefix it completed. With
 // ck.Resume set the run first subtracts a previous attempt's checkpoint and
 // computes only the remainder. A checkpoint write that fails is logged and
-// the run goes on: it costs resumability, not correctness. The returned
-// result is bit-identical — struct and JSON — to an uninterrupted RunPlan
-// of the same plan: chunking, checkpointing and resuming are pure execution
-// detail.
+// the run goes on: it costs resumability, not correctness. With an empty
+// Checkpoint it is one chunk, a plain run (RunPlan). The returned result is
+// bit-identical — struct and JSON — whatever the Checkpoint: chunking,
+// checkpointing and resuming are pure execution detail.
 func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Checkpoint) (*SweepResult, error) {
 	if err := s.CheckPlan(plan); err != nil {
 		return nil, err
@@ -211,13 +212,10 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 				plan, part.Shard.Injection.N, part.Shard.Beam.N, rest.Injection.N, rest.Beam.N)
 		}
 	}
-	if work.Injection.Empty() && work.Beam.Empty() {
-		if acc != nil {
-			// The checkpoint already covers the whole plan; fold it alone to
-			// re-tag and revalidate it as the full shard partial.
-			return MergeShardPartials(plan, acc)
-		}
-		return s.run(ctx, &plan)
+	if acc != nil && work.Injection.Empty() && work.Beam.Empty() {
+		// The checkpoint already covers the whole plan; fold it alone to
+		// re-tag and revalidate it as the full shard partial.
+		return MergeShardPartials(plan, acc)
 	}
 	span := work.Injection.N
 	if work.Beam.N > span {

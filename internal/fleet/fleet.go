@@ -236,16 +236,9 @@ func (s Sweep) BeamCells() []BeamCellSpec {
 // golden-run runners from a list the call owns (see newRunners); a key the
 // process has built before costs the run no kernel run (see bench.Runners).
 func (s Sweep) Run(ctx context.Context) (*SweepResult, error) {
-	return s.run(ctx, nil)
-}
-
-// run executes the sweep, restricted to plan's per-cell trial ranges when
-// plan is non-nil (the RunShard path; nil means every cell runs in full),
-// on a runner list of its own.
-func (s Sweep) run(ctx context.Context, plan *ShardPlan) (*SweepResult, error) {
-	rs := s.newRunners(plan)
+	rs := s.newRunners(nil)
 	defer rs.Close()
-	return s.runCells(ctx, plan, rs)
+	return s.runCells(ctx, nil, rs)
 }
 
 // testHookRunners, when set by a test, sees every runner list a run creates.

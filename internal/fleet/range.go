@@ -1,10 +1,9 @@
 package fleet
 
-// Range algebra over TrialRange — the primitives the partial-overlap cache
-// planner needs to answer "which part of this request is already covered
-// by a cached sweep, and what remains to compute". All operations treat a
-// range as the half-open interval [Offset, Offset+N); an empty range (N ==
-// 0) intersects nothing and is covered by everything.
+// Range algebra over TrialRange — the primitives the shard planners and the
+// merge's tiling check share. All operations treat a range as the half-open
+// interval [Offset, Offset+N); an empty range (N == 0) is covered by
+// everything.
 
 // End returns the exclusive upper bound of the range.
 func (r TrialRange) End() int { return r.Offset + r.N }
@@ -19,45 +18,6 @@ func (r TrialRange) Covers(o TrialRange) bool {
 		return true
 	}
 	return r.Offset <= o.Offset && o.End() <= r.End()
-}
-
-// Intersect returns the overlap of r and o. A disjoint pair yields an
-// empty range anchored at the higher offset, so the result is always a
-// well-formed (possibly empty) range.
-func (r TrialRange) Intersect(o TrialRange) TrialRange {
-	lo := r.Offset
-	if o.Offset > lo {
-		lo = o.Offset
-	}
-	hi := r.End()
-	if o.End() < hi {
-		hi = o.End()
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return TrialRange{Offset: lo, N: hi - lo}
-}
-
-// Subtract returns what remains of r after removing o: zero, one or two
-// contiguous ranges, in ascending order. Empty leftovers are omitted, so
-// full coverage returns nil.
-func (r TrialRange) Subtract(o TrialRange) []TrialRange {
-	ov := r.Intersect(o)
-	if ov.Empty() {
-		if r.Empty() {
-			return nil
-		}
-		return []TrialRange{r}
-	}
-	var out []TrialRange
-	if left := (TrialRange{Offset: r.Offset, N: ov.Offset - r.Offset}); !left.Empty() {
-		out = append(out, left)
-	}
-	if right := (TrialRange{Offset: ov.End(), N: r.End() - ov.End()}); !right.Empty() {
-		out = append(out, right)
-	}
-	return out
 }
 
 // Split cuts r into count balanced contiguous sub-ranges (sizes differ by

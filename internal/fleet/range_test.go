@@ -10,102 +10,44 @@ func TestTrialRangeAlgebra(t *testing.T) {
 	cases := []struct {
 		name  string
 		o     TrialRange
-		inter TrialRange
-		sub   []TrialRange
 		cover bool
 	}{
-		{"identical", TrialRange{10, 20}, TrialRange{10, 20}, nil, true},
-		{"inner", TrialRange{15, 5}, TrialRange{15, 5},
-			[]TrialRange{{10, 5}, {20, 10}}, true},
-		{"prefix", TrialRange{10, 8}, TrialRange{10, 8},
-			[]TrialRange{{18, 12}}, true},
-		{"suffix", TrialRange{25, 5}, TrialRange{25, 5},
-			[]TrialRange{{10, 15}}, true},
-		{"left overhang", TrialRange{0, 15}, TrialRange{10, 5},
-			[]TrialRange{{15, 15}}, false},
-		{"right overhang", TrialRange{25, 20}, TrialRange{25, 5},
-			[]TrialRange{{10, 15}}, false},
-		{"superset", TrialRange{0, 50}, TrialRange{10, 20}, nil, false},
-		{"disjoint left", TrialRange{0, 5}, TrialRange{10, 0},
-			[]TrialRange{{10, 20}}, false},
-		{"disjoint right", TrialRange{40, 5}, TrialRange{40, 0},
-			[]TrialRange{{10, 20}}, false},
-		{"touching", TrialRange{30, 5}, TrialRange{30, 0},
-			[]TrialRange{{10, 20}}, false},
-		{"empty", TrialRange{17, 0}, TrialRange{17, 0},
-			[]TrialRange{{10, 20}}, true},
+		{"identical", TrialRange{10, 20}, true},
+		{"inner", TrialRange{15, 5}, true},
+		{"prefix", TrialRange{10, 8}, true},
+		{"suffix", TrialRange{25, 5}, true},
+		{"left overhang", TrialRange{0, 15}, false},
+		{"right overhang", TrialRange{25, 20}, false},
+		{"superset", TrialRange{0, 50}, false},
+		{"disjoint left", TrialRange{0, 5}, false},
+		{"disjoint right", TrialRange{40, 5}, false},
+		{"touching", TrialRange{30, 5}, false},
+		{"empty", TrialRange{17, 0}, true},
+		{"empty outside", TrialRange{90, 0}, true},
 	}
 	for _, c := range cases {
-		if got := r.Intersect(c.o); got != c.inter {
-			t.Errorf("%s: %+v.Intersect(%+v) = %+v, want %+v", c.name, r, c.o, got, c.inter)
-		}
-		got := r.Subtract(c.o)
-		if len(got) != len(c.sub) {
-			t.Errorf("%s: %+v.Subtract(%+v) = %+v, want %+v", c.name, r, c.o, got, c.sub)
-		} else {
-			for i := range got {
-				if got[i] != c.sub[i] {
-					t.Errorf("%s: Subtract piece %d = %+v, want %+v", c.name, i, got[i], c.sub[i])
-				}
-			}
-		}
 		if got := r.Covers(c.o); got != c.cover {
 			t.Errorf("%s: %+v.Covers(%+v) = %v, want %v", c.name, r, c.o, got, c.cover)
 		}
 	}
-	if e := (TrialRange{5, 0}); e.Subtract(TrialRange{0, 100}) != nil || e.Subtract(TrialRange{50, 1}) != nil {
-		t.Error("subtracting from an empty range should leave nothing")
+	if r.End() != 30 || r.Empty() || !(TrialRange{Offset: 30}).Empty() {
+		t.Error("End/Empty disagree with [10, 30) and an empty range")
 	}
 }
 
-// TestTrialRangeAlgebraProperties checks the algebraic laws the overlap
-// planner leans on, over randomly drawn range pairs: intersection is
-// symmetric and contained in both operands, coverage is equivalent to an
-// empty subtraction, and Intersect + Subtract conserve trials exactly —
-// every trial of r is either in the overlap or in exactly one leftover
-// piece, never both, never dropped.
+// TestTrialRangeAlgebraProperties checks the laws the shard planners lean
+// on, over randomly drawn ranges: Split partitions a range contiguously for
+// any count, and every piece is covered by the range it came from.
 func TestTrialRangeAlgebraProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	draw := func() TrialRange {
-		return TrialRange{Offset: rng.Intn(40), N: rng.Intn(30)}
-	}
 	for i := 0; i < 2000; i++ {
-		r, o := draw(), draw()
-		ov := r.Intersect(o)
-		if ov != o.Intersect(r) {
-			t.Fatalf("Intersect not symmetric: %+v vs %+v", r, o)
-		}
-		if !r.Covers(ov) || !o.Covers(ov) {
-			t.Fatalf("intersection %+v escapes an operand (%+v, %+v)", ov, r, o)
-		}
-		sub := r.Subtract(o)
-		if o.Covers(r) != (len(sub) == 0) {
-			t.Fatalf("Covers and Subtract disagree for %+v \\ %+v: %v vs %d pieces", r, o, o.Covers(r), len(sub))
-		}
-		total := ov.N
-		prevEnd := -1
-		for _, p := range sub {
-			if p.Empty() || !r.Covers(p) {
-				t.Fatalf("leftover %+v of %+v \\ %+v is empty or escapes r", p, r, o)
-			}
-			if !p.Intersect(o).Empty() {
-				t.Fatalf("leftover %+v of %+v \\ %+v still overlaps o", p, r, o)
-			}
-			if p.Offset <= prevEnd {
-				t.Fatalf("leftovers of %+v \\ %+v out of order or adjacent-mergeable overlap", r, o)
-			}
-			prevEnd = p.End()
-			total += p.N
-		}
-		if total != r.N {
-			t.Fatalf("%+v \\ %+v: overlap %d + leftovers sum to %d, want %d trials conserved", r, o, ov.N, total, r.N)
-		}
+		r := TrialRange{Offset: rng.Intn(40), N: rng.Intn(30)}
 		// Split partitions r for any count.
 		count := 1 + rng.Intn(6)
 		next := r.Offset
 		for k := 0; k < count; k++ {
 			p := r.Split(k, count)
-			if p.Offset != next || p.N < 0 {
+			if p.Offset != next || p.N < 0 || !r.Covers(p) {
 				t.Fatalf("Split(%d, %d) of %+v not contiguous: %+v at %d", k, count, r, p, next)
 			}
 			next = p.End()

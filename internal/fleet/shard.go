@@ -61,17 +61,15 @@ func (s Sweep) Plan(k, count int) (ShardPlan, error) {
 	}, nil
 }
 
-// RunShard executes shard k (0-based) of count: the full grid of both cell
-// kinds, each cell restricted to its ShardPlan trial range (a cell whose
-// range is empty lands in the partial with a nil Result). The returned
-// SweepResult is tagged with the plan; MergeSweepResults folds the K
-// partials into a result bit-identical to Run with the same spec.
+// RunShard executes shard k (0-based) of count: RunPlan of the balanced
+// Plan(k, count). MergeSweepResults folds the K partials into a result
+// bit-identical to Run with the same spec.
 func (s Sweep) RunShard(ctx context.Context, k, count int) (*SweepResult, error) {
 	plan, err := s.Plan(k, count)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, &plan)
+	return s.RunPlan(ctx, plan)
 }
 
 // CheckPlan reports the first way plan is not a well-formed shard of this
@@ -95,18 +93,14 @@ func (s Sweep) CheckPlan(plan ShardPlan) error {
 }
 
 // RunPlan executes an explicit shard plan: the full grid of both cell
-// kinds, each cell restricted to exactly plan's trial ranges — the worker
-// entry point of the partial-overlap cache, where the ranges to compute
-// come from what a cached artifact does not cover rather than from the
-// balanced k-of-K split. The partial it returns folds with any other
-// partials that complete the partition, bit-identical to the monolithic
-// run (trial i of a cell seeds identically no matter which plan computes
-// it).
+// kinds, each cell restricted to exactly plan's trial ranges (a cell whose
+// range is empty lands in the partial with a nil Result), tagged with the
+// plan. It is RunPlanCheckpointed with no checkpoint. The partial folds
+// with any other partials that complete the partition, bit-identical to
+// the monolithic run (trial i of a cell seeds identically no matter which
+// plan computes it).
 func (s Sweep) RunPlan(ctx context.Context, plan ShardPlan) (*SweepResult, error) {
-	if err := s.CheckPlan(plan); err != nil {
-		return nil, err
-	}
-	return s.run(ctx, &plan)
+	return s.RunPlanCheckpointed(ctx, plan, Checkpoint{})
 }
 
 // PlanWithPrefix lays out the shard plans of a partially-cached run: plan

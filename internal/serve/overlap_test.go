@@ -48,6 +48,7 @@ func TestServeOverlapPartial(t *testing.T) {
 	}
 	weight := stSmall.TrialsComputed // cell-weighted trials of the N-sized sweep
 
+	before := wk.planInj.Load()
 	code, st := postSpec(t, ts, big)
 	if code != http.StatusAccepted {
 		t.Fatalf("overlapping POST: %d, want 202", code)
@@ -63,7 +64,7 @@ func TestServeOverlapPartial(t *testing.T) {
 
 	// The headline property: doubling N computed only N fresh per-cell
 	// trials, not 2N.
-	if got := wk.planInj.Load(); got != int64(big.N-small.N) {
+	if got := wk.planInj.Load() - before; got != int64(big.N-small.N) {
 		t.Fatalf("fresh workers computed %d per-cell trials, want exactly the missing %d", got, big.N-small.N)
 	}
 

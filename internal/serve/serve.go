@@ -22,8 +22,8 @@
 // global trial index space makes a smaller same-base sweep a bit-identical
 // prefix of a larger one. On a miss, the overlap planner picks the
 // base-equal cached artifact saving the most cell-weighted trials, mounts
-// it as shard 0 of an explicit-range plan (distrib.Scheduler's
-// SubmitWithPrefix), and workers compute only the missing trial ranges;
+// it as shard 0 of the job (the cached argument of distrib.Scheduler's
+// Submit), and workers compute only the missing trial ranges;
 // the folded artifact is byte-identical to a monolithic run. So growing an
 // N-trial sweep to 2N costs N fresh trials, not 2N.
 //
@@ -382,43 +382,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// whose artifact no longer loads is dropped from the index and the
 	// next-best tried, so a vanished file degrades to a cold miss, never
 	// an error.
-	for {
-		best := s.bestOverlap(spec)
-		if best == nil {
+	var cached *fleet.SweepResult
+	best := s.bestOverlap(spec)
+	for ; best != nil; best = s.bestOverlap(spec) {
+		var ok bool
+		if _, cached, ok = s.loadCached(best.hash); ok {
 			break
 		}
-		_, cachedRes, ok := s.loadCached(best.hash)
-		if !ok {
-			delete(s.index, best.hash)
-			continue
-		}
-		e := &entry{
-			hash: hash, partial: true, prefix: best.hash,
-			cacheTrials: best.trials(), freshTrials: reqTrials - best.trials(),
-		}
-		job, err := s.sched.SubmitWithPrefix(spec, cachedRes, s.seal(e))
-		if err != nil {
-			// The planner refused what the index predicted (e.g. a stale
-			// artifact rewritten mid-flight); recompute instead.
-			s.logf("serve: overlap plan around %.12s failed: %v", best.hash, err)
-			break
-		}
-		s.touch(best.hash)
-		e.job = job
-		s.sweeps[hash] = e
-		s.order = append(s.order, hash)
-		s.stats.PartialHits++
-		s.stats.TrialsFromCache += int64(e.cacheTrials)
-		s.mu.Unlock()
-		s.logf("serve: sweep %.12s submitted as %s — partial overlap on %.12s (%d trials cached, %d to compute)",
-			hash, job.ID(), best.hash, e.cacheTrials, e.freshTrials)
-		admit("partial", best.hash, e.cacheTrials, e.freshTrials)
-		writeJSON(w, http.StatusAccepted, s.status(e))
-		return
+		delete(s.index, best.hash)
 	}
-
-	e := &entry{hash: hash, freshTrials: reqTrials}
-	job, err := s.sched.Submit(spec, s.seal(e))
+	var (
+		e   *entry
+		job *distrib.Job
+	)
+	for {
+		e = &entry{hash: hash, freshTrials: reqTrials}
+		if best != nil {
+			e.partial, e.prefix = true, best.hash
+			e.cacheTrials, e.freshTrials = best.trials(), reqTrials-best.trials()
+		}
+		if job, err = s.sched.Submit(spec, cached, s.seal(e)); err == nil || best == nil {
+			break
+		}
+		// The planner refused what the index predicted (e.g. a stale
+		// artifact rewritten mid-flight); recompute instead.
+		s.logf("serve: overlap plan around %.12s failed: %v", best.hash, err)
+		best, cached = nil, nil
+	}
 	if err != nil {
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
@@ -427,10 +417,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	e.job = job
 	s.sweeps[hash] = e
 	s.order = append(s.order, hash)
-	s.stats.Misses++
+	if e.partial {
+		s.touch(best.hash)
+		s.stats.PartialHits++
+		s.stats.TrialsFromCache += int64(e.cacheTrials)
+	} else {
+		s.stats.Misses++
+	}
 	s.mu.Unlock()
-	s.logf("serve: sweep %.12s submitted as %s (%d shards)", hash, job.ID(), s.sched.Options().Shards)
-	admit("miss", "", 0, reqTrials)
+	if e.partial {
+		s.logf("serve: sweep %.12s submitted as %s — partial overlap on %.12s (%d trials cached, %d to compute)",
+			hash, job.ID(), best.hash, e.cacheTrials, e.freshTrials)
+		admit("partial", best.hash, e.cacheTrials, e.freshTrials)
+	} else {
+		s.logf("serve: sweep %.12s submitted as %s (%d shards)", hash, job.ID(), s.sched.Options().Shards)
+		admit("miss", "", 0, reqTrials)
+	}
 	writeJSON(w, http.StatusAccepted, s.status(e))
 }
 

@@ -47,14 +47,13 @@ func specBody(t *testing.T, spec fleet.Sweep) *bytes.Reader {
 }
 
 // worker is the in-process reference launcher: what a phi-bench
-// subprocess does (spec in, RunShard, partial out, progress JSONL on
+// subprocess does (spec in, RunPlan, partial out, progress JSONL on
 // stderr), plus an execution counter — the tests' proof of "zero
 // compute" — and an optional gate that holds every shard until release.
 type worker struct {
 	execs atomic.Int64
-	// planInj and planBeam sum the per-cell trial counts of every explicit
-	// plan executed — the tests' measure of fresh compute on the
-	// partial-overlap path.
+	// planInj and planBeam sum the per-cell trial counts of every plan
+	// executed — the tests' measure of fresh compute.
 	planInj  atomic.Int64
 	planBeam atomic.Int64
 	gate     chan struct{} // nil = run immediately
@@ -82,14 +81,9 @@ func (wk *worker) Launch(ctx context.Context, task distrib.Task, stderr io.Write
 	spec.Progress = func(done, total int) {
 		enc.Encode(distrib.Event{Event: distrib.EventName, Shard: task.Shard, Count: task.Count, Done: done, Total: total})
 	}
-	var res *fleet.SweepResult
-	if task.Plan != nil {
-		wk.planInj.Add(int64(task.Plan.Injection.N))
-		wk.planBeam.Add(int64(task.Plan.Beam.N))
-		res, err = spec.RunPlan(ctx, *task.Plan)
-	} else {
-		res, err = spec.RunShard(ctx, task.Shard, task.Count)
-	}
+	wk.planInj.Add(int64(task.Plan.Injection.N))
+	wk.planBeam.Add(int64(task.Plan.Beam.N))
+	res, err := spec.RunPlan(ctx, *task.Plan)
 	if err != nil {
 		return err
 	}
@@ -708,7 +702,7 @@ func TestServeDoneOnlyAfterSeal(t *testing.T) {
 	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
 	merged, release := make(chan struct{}), make(chan struct{})
 	seal := srv.seal(e)
-	job, err := sched.Submit(spec, func(j *distrib.Job, res *fleet.SweepResult) error {
+	job, err := sched.Submit(spec, nil, func(j *distrib.Job, res *fleet.SweepResult) error {
 		close(merged)
 		<-release
 		return seal(j, res)
