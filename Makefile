@@ -31,18 +31,20 @@ test:
 # shared streaming engine, both campaign classes built on it, the fleet
 # orchestrator and the monitor) run the concurrency-exercising
 # tests the -run filter selects: worker determinism, cancellation, stream
-# delivery, progress, pool scheduling, the section watchdog, resumed and
-# converged runs, planned beam strikes, and HotSpot's row and LavaMD's box
-# against their Go references (the Sweep and BoxMatches keywords). In internal/state the Debit tests
-# run all six kernels' campaigns on parallel goroutines, which shows that no
-# cell (plain fields, no atomics) is shared between concurrent runs.
+# delivery, progress, pool scheduling, the section watchdog, converged runs,
+# planned beam strikes, and HotSpot's row and LavaMD's box against their Go
+# references (the Sweep and BoxMatches keywords). The Levers harness runs
+# every kernel's trials on a reference runner and a normal runner of one
+# resident key at once, six kernels on parallel goroutines, which shows that
+# no cell (plain fields, no atomics) and nothing of a key state is written by
+# concurrent runs.
 # Race-instrumented Monte-Carlo runs cost ~100x, and their
 # statistical-power campaigns add nothing to race coverage. serve and
 # distrib run whole: their lifecycle bugs have hidden in tests no keyword
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Decided|Resume|Converge|Strike|Debit|BoxMatches' \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches' \
 		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/...
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
@@ -102,8 +104,12 @@ fmt:
 # package must carry a package comment — the godoc entry point a new
 # reader lands on; (2) docs/api.md must mention every route string
 # registered in internal/serve, so the API reference cannot silently
-# drift behind the mux. Both checks derive their ground truth from the
-# source (go list, the HandleFunc table), never from a hand-kept list.
+# drift behind the mux; (3) every test name README.md, ARCHITECTURE.md
+# and the verify skill cite (Test and a capital letter; a trailing * cites
+# a prefix) must name a func Test… in a _test.go file of the tree, so a
+# deleted or renamed test cannot linger in the instructions. The checks
+# derive their ground truth from the source (go list, the HandleFunc table,
+# the test funcs), never from a hand-kept list.
 docs-check:
 	@bad=""; for pkg in $$($(GO) list ./internal/...); do \
 		dir=$${pkg#phirel/}; \
@@ -115,8 +121,18 @@ docs-check:
 	missing=$$(echo "$$routes" | while read -r r; do \
 		grep -qF -- "$$r" docs/api.md || printf ' [%s]' "$$r"; \
 	done); \
-	if [ -n "$$missing" ]; then echo "docs/api.md is missing routes:$$missing"; exit 1; fi; \
-	echo "docs-check: all internal packages documented; docs/api.md covers every serve route"
+	if [ -n "$$missing" ]; then echo "docs/api.md is missing routes:$$missing"; exit 1; fi
+	@cited=$$(grep -ohE 'Test[A-Z][A-Za-z0-9_]*\*?' README.md ARCHITECTURE.md .claude/skills/verify/SKILL.md | sort -u); \
+	defined=$$(grep -rhoE --include='*_test.go' '^func Test[A-Z][A-Za-z0-9_]*\(' . | sed 's/^func //; s/($$//' | sort -u); \
+	[ -n "$$cited" ] && [ -n "$$defined" ] || { echo "docs-check: found no cited or no defined tests"; exit 1; }; \
+	stale=$$(for n in $$cited; do \
+		case $$n in \
+		*\*) echo "$$defined" | grep -q "^$${n%\*}" || printf ' %s' "$$n" ;; \
+		*) echo "$$defined" | grep -qx "$$n" || printf ' %s' "$$n" ;; \
+		esac; \
+	done); \
+	if [ -n "$$stale" ]; then echo "docs-check: the docs cite tests that do not exist:$$stale"; exit 1; fi; \
+	echo "docs-check: all internal packages documented; docs/api.md covers every serve route; the $$(echo "$$cited" | wc -l) tests the docs cite exist"
 
 # One set of quick-sweep parameters shared by the monolithic sweep job and
 # the sharded matrix legs, so their artifacts are byte-comparable.

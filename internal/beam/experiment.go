@@ -56,10 +56,6 @@ type Config struct {
 	// runner per worker and drops it at the end. Execution detail: results
 	// do not depend on it.
 	Runners *bench.Runners
-
-	// forceRun is the differential tests' seam: every strike is run, the
-	// decided ones included, so their records can be compared.
-	forceRun bool
 }
 
 // Record is one accelerated run's log entry (the public beam log format).
@@ -255,7 +251,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, werr
 			}
 			return func(i int, rng *stats.RNG) Record {
-				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng, cfg.forceRun)
+				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng)
 			}, nil
 		},
 		NewShard: func(int) *shard { return &shard{byPattern: map[analysis.Pattern]int{}} },
@@ -309,10 +305,10 @@ func withoutECC(dev *phi.Device) *phi.Device {
 // oneRun executes one accelerated run: sample a raw fault, filter it
 // through protection, and — only when it reaches architecture — plan the
 // strike at a uniform tick and execute the workload with it applied, unless
-// the plan shows the run would be the golden run over again. forceRun runs
-// those too.
+// the plan shows the run would be the golden run over again. A reference
+// runner (bench.Runner.Reference) runs those too.
 func oneRun(seq int, name string, runner *bench.Runner,
-	dev *phi.Device, profile phi.Profile, rng *stats.RNG, forceRun bool) Record {
+	dev *phi.Device, profile phi.Profile, rng *stats.RNG) Record {
 
 	rec := Record{Seq: seq, Benchmark: name, Outcome: bench.Masked.String(), Pattern: analysis.PatternNone.String()}
 	f := dev.SampleFault(rng, profile)
@@ -331,7 +327,7 @@ func oneRun(seq int, name string, runner *bench.Runner,
 	rec.Tick = rng.Intn(runner.TotalTicks)
 	s := planStrike(runner, effect, rec.Tick, rng)
 	rec.Detail = s.detail
-	if !forceRun && s.decided() {
+	if !runner.Reference() && s.decided() {
 		return rec
 	}
 	res := runner.RunInjected(rec.Tick, func() {

@@ -293,13 +293,19 @@ func (c *ctoy) Converged(tick int, _ *Snapshot, _ Output) (kept int, ok bool) {
 // slots the kernel keeps as the run left them — a corrupted one an SDC —
 // and the golden run's after them, in a buffer of its own. A run whose
 // corruption only cost work, or whose armed cell fires past the first point,
-// is never asked, and every run ends as its full suffix does under the seam.
+// is never asked, and every run ends as a reference runner's run of it,
+// which executes its suffix to the end.
 func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 	c := newCtoy()
 	r, err := NewRunner(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.reference = true
 	for _, tc := range []struct {
 		what   string
 		inject func()
@@ -313,15 +319,13 @@ func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 		{"a padded tick", func() { c.pad.Store(5) }, nil, nil},
 		{"a pad armed to fire past the first point", func() { c.pad.Arm(1, fault.Single, stats.NewRNG(1)) }, nil, nil},
 	} {
-		run := func(fullSuffix bool) RawResult {
-			forceSuffix = fullSuffix
-			defer func() { forceSuffix = false }()
+		run := func(r *Runner) RawResult {
 			c.asked = nil
 			return r.RunInjected(3, tc.inject)
 		}
-		want := run(true)
+		want := run(ref)
 		want.Output = want.Output.Clone()
-		got := run(false)
+		got := run(r)
 		if !slices.Equal(c.asked, tc.asked) || got.Status != want.Status || got.Ticks != want.Ticks || got.Work != want.Work ||
 			!got.Injected || !CompareExact(want.Output, got.Output) {
 			t.Errorf("%s: asked at %v, want %v; got %+v, want %+v", tc.what, c.asked, tc.asked, got, want)
@@ -339,6 +343,27 @@ func TestRunInjectedStopsWhereItConverges(t *testing.T) {
 		if r.Golden.Vals[0] == -1 || r.Golden.Vals[7] == -1 {
 			t.Fatalf("%s: the result aliases the golden output", tc.what)
 		}
+	}
+}
+
+// TestReferenceRefusesDebits is the reference half of state's
+// TestDebitLoadsEdges: a reference runner's run refuses any debit while one
+// of the cells is armed, and only while armed, where a normal run's debit is
+// state.DebitLoads's.
+func TestReferenceRefusesDebits(t *testing.T) {
+	c := state.NewCell("i", "control", 9)
+	cells, n := []*state.Cell[int]{c}, []int64{1}
+	c.Arm(100, fault.Zero, stats.NewRNG(1))
+	ref, normal := &Ctx{reference: true}, &Ctx{}
+	if ref.DebitLoads(cells, n) {
+		t.Fatal("reference run: debit on an armed cell accepted")
+	}
+	if !normal.DebitLoads(cells, n) || c.LoadsToFire() != 100 {
+		t.Fatalf("normal run: debit of 1 of 101 loads refused, or %d loads left", c.LoadsToFire())
+	}
+	c.Disarm()
+	if !ref.DebitLoads(cells, n) {
+		t.Fatal("reference run: debit on an unarmed cell refused")
 	}
 }
 

@@ -1,6 +1,11 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"phirel/internal/state"
+)
 
 // watchdogFired is the sentinel panic value raised when the work budget is
 // exhausted; the Runner classifies it as DUE-hang.
@@ -27,6 +32,8 @@ type Ctx struct {
 	// a key's one kernel run records the quiescent state through it, and an
 	// injected run looks for the point where it has converged.
 	probe func(tick int)
+	// reference marks a reference runner's run: DebitLoads refuses.
+	reference bool
 
 	work   int64
 	budget int64 // 0 = unlimited (golden runs)
@@ -76,6 +83,17 @@ func (c *Ctx) Work(n int64) {
 	if c.budget > 0 && c.work > c.budget {
 		panic(watchdogFired{work: c.work, budget: c.budget})
 	}
+}
+
+// DebitLoads is state.DebitLoads for the kernel code of this run: a kernel
+// about to skip loads of its cells asks here. A reference runner's run
+// refuses whenever one of the cells is armed, so its kernel performs every
+// load an armed cell sees in the cell-driven loop.
+func (c *Ctx) DebitLoads(cells []*state.Cell[int], n []int64) bool {
+	if c.reference && slices.ContainsFunc(cells, (*state.Cell[int]).Armed) {
+		return false
+	}
+	return state.DebitLoads(cells, n)
 }
 
 // WorkDone returns the cumulative accounted work.

@@ -238,7 +238,7 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, i0, j0, i1, j1 int) {
 	wk[kEnd].Store(n)
 
 	loads := tileLoads(int64(i1-i0), int64(j1-j0), int64(n))
-	if state.DebitLoads(wk[:], loads[:]) {
+	if ctx.DebitLoads(wk[:], loads[:]) {
 		ctx.WorkLane(w, int64(i1-i0)*int64(j1-j0)*int64(n)+1)
 		for i := i0; i < i1; i++ {
 			ar := a[i*n : i*n+n]

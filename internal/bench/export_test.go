@@ -6,17 +6,17 @@ import (
 	"phirel/internal/state"
 )
 
-// SetForceReset switches the resume seam: while set, every injected run
-// starts at Reset, as all of them did before kernels saved resume points.
-func SetForceReset(v bool) { forceReset = v }
-
-// SetForceSuffix switches the convergence seam: while set, every injected
-// run executes its suffix to the end, as all of them did before kernels
-// could tell a run had rejoined the golden run.
-func SetForceSuffix(v bool) { forceSuffix = v }
+// NewReferenceRunners returns an empty list of reference runners: every
+// runner it hands out pulls no lever (Runner.Reference). A key's reference
+// and normal runners share its resident key state, and may run at once.
+func NewReferenceRunners() *Runners {
+	rs := NewRunners()
+	rs.reference = true
+	return rs
+}
 
 // ResumePoint returns the tick RunInjected(tick, …) starts its run at.
-func (r *Runner) ResumePoint(tick int) int { return r.sh.at(tick).tick }
+func (r *Runner) ResumePoint(tick int) int { return r.start(tick).tick }
 
 // ResumePoints returns how many points the runner may resume at, Reset
 // excluded, and the bytes their snapshots hold.

@@ -332,12 +332,6 @@ func (h *HotSpot) Temps() *state.Buf[float32] {
 	return h.tA
 }
 
-// Constants returns the constant cells (used by the selective-hardening
-// example to protect exactly the region the campaign flags).
-func (h *HotSpot) Constants() []*state.Cell[float32] {
-	return []*state.Cell[float32]{h.cx, h.cy, h.cz, h.cp, h.amb}
-}
-
 func init() {
 	bench.Register("HotSpot", func(seed uint64) bench.Benchmark {
 		return New(DefaultConfig(), seed)

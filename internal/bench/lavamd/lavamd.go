@@ -308,18 +308,6 @@ func (l *LavaMD) OutputInto(dst []float64) bench.Output {
 	return bench.Output{Vals: dst, Shape: l.fv.Shape}
 }
 
-// Positions exposes the distance array for beam tests.
-func (l *LavaMD) Positions() *state.Buf[float64] { return l.rv }
-
-// Charges exposes the charge array for beam tests.
-func (l *LavaMD) Charges() *state.Buf[float64] { return l.qv }
-
-// Forces exposes the output array for beam tests.
-func (l *LavaMD) Forces() *state.Buf[float64] { return l.fv }
-
-// Neighbours exposes the box neighbour list.
-func (l *LavaMD) Neighbours() *state.Buf[int] { return l.nn }
-
 func init() {
 	bench.Register("LavaMD", func(seed uint64) bench.Benchmark {
 		return New(DefaultConfig(), seed)

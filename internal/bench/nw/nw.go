@@ -260,7 +260,7 @@ func (w *NW) Run(ctx *bench.Ctx) {
 			wk[cStart].Store(start)
 			wk[cEnd].Store(end)
 			span := int64(end - start)
-			if state.DebitLoads(wk[:], []int64{cStart: startLoads, cEnd: span + 1, cCur: 2*span + 1}) {
+			if ctx.DebitLoads(wk[:], []int64{cStart: startLoads, cEnd: span + 1, cCur: 2*span + 1}) {
 				fastSpan(start, end)
 				wk[cCur].Store(end)
 				return
@@ -352,15 +352,6 @@ func (w *NW) OutputInto(dst []float64) bench.Output {
 	}
 	return bench.Output{Vals: out, Shape: state.Dims1(len(out)), Exact: true}
 }
-
-// Itemsets exposes the DP matrix for beam tests.
-func (w *NW) Itemsets() *state.Buf[int32] { return w.item }
-
-// Reference exposes the similarity matrix for beam tests.
-func (w *NW) Reference() *state.Buf[int32] { return w.ref }
-
-// Score returns the final alignment score (bottom-right corner).
-func (w *NW) Score() int32 { return w.item.Data[len(w.item.Data)-1] }
 
 func init() {
 	bench.Register("NW", func(seed uint64) bench.Benchmark {

@@ -81,10 +81,6 @@ type point struct {
 	snap *Snapshot
 }
 
-// forceReset and forceSuffix are the differential tests' seams: every run
-// starts at Reset, and every run executes its suffix to the end.
-var forceReset, forceSuffix bool
-
 // shared is what the runners of one key have in common, all of it found by
 // the key's one kernel run (Runner.build): the golden run's output, ticks
 // and work, the resume points and the horizon — or the error the run ended
@@ -104,12 +100,15 @@ type shared struct {
 	hz     *horizon
 }
 
-// at returns the greatest point at or before tick. A tick the golden run
-// never reaches injects nothing, and its run is a whole one.
-func (sh *shared) at(tick int) point {
-	if tick < 0 || tick >= sh.ticks || forceReset {
-		return sh.points[0]
+// start returns the point a run injected at tick starts at: the greatest
+// point at or before tick. A tick the golden run never reaches injects
+// nothing, and its run is a whole one, as every run of a reference runner
+// is.
+func (r *Runner) start(tick int) point {
+	pts := r.sh.points
+	if tick < 0 || tick >= r.sh.ticks || r.reference {
+		return pts[0]
 	}
-	i := sort.Search(len(sh.points), func(i int) bool { return sh.points[i].tick > tick })
-	return sh.points[i-1]
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].tick > tick })
+	return pts[i-1]
 }

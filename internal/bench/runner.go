@@ -106,6 +106,9 @@ type Runner struct {
 	// run, the resume points RunInjected may start a run at, and the
 	// horizon Victim and LiveAt read.
 	sh *shared
+	// reference makes the runner a reference runner, which pulls none of
+	// the levers that spare work (see Reference). Only tests set it.
+	reference bool
 }
 
 // NewRunner builds a runner and performs the golden run. It returns an
@@ -136,8 +139,13 @@ func (r *Runner) Close() {}
 // loop bounds trip it quickly.
 const budgetFactor = 4
 
-// Budget returns the watchdog budget for injected runs.
-func (r *Runner) Budget() int64 { return r.budget }
+// Reference reports whether r is a reference runner: every injected run
+// starts at Reset and executes its suffix to the end, its kernel performs
+// every load of an armed cell instead of debiting it, and the campaigns
+// (core.Injector.InjectOne, beam strikes) run every trial they would
+// otherwise decide from the horizon. Its records and RawResults are what
+// the levers must reproduce; only this package's tests build one.
+func (r *Runner) Reference() bool { return r.reference }
 
 // Window maps an injection tick to a time-window index in
 // [0, B.Windows()) — the x-axis of Figure 6.
@@ -184,10 +192,11 @@ func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false,
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
 	ctx := newCtx(tick, inject, r.budget)
-	if k, ok := r.B.(Convergent); ok && !forceSuffix {
+	ctx.reference = r.reference
+	if k, ok := r.B.(Convergent); ok && !r.reference {
 		ctx.probe = r.convergence(ctx, k, tick)
 	}
-	return r.run(ctx, true, r.sh.at(tick))
+	return r.run(ctx, true, r.start(tick))
 }
 
 // rejoined is the sentinel panic value a run whose rest is the golden run

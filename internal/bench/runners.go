@@ -34,6 +34,8 @@ import (
 type Runners struct {
 	mu    sync.Mutex
 	slots map[runnerKey]*runnerSlot
+	// reference: the list hands out reference runners (Runner.Reference).
+	reference bool
 }
 
 type runnerKey struct {
@@ -151,7 +153,7 @@ func (rs *Runners) Get(benchmark string, benchSeed uint64) (*Runner, error) {
 		forget(k, sh) // a failed key state is not kept: the next list runs the key again
 		return nil, err
 	}
-	r.key = k
+	r.key, r.reference = k, rs != nil && rs.reference
 	return r, nil
 }
 

@@ -30,10 +30,6 @@ type Injector struct {
 	Policy state.Policy
 	// ArmDelayMax bounds scalar arming delays (default DefaultArmDelayMax).
 	ArmDelayMax int
-
-	// forceRun is the differential tests' seam: every trial is run, the
-	// decided ones included, so their records can be compared.
-	forceRun bool
 }
 
 // NewInjector is the standalone form: it builds the benchmark, performs its
@@ -67,7 +63,8 @@ func newInjector(r *bench.Runner, policy state.Policy) *Injector {
 // no more than delay loads left in the run, nothing is ever corrupted, the
 // run would be the golden run over again, and the record is complete without
 // it: fired false, Masked. Every other trial runs, and an armed cell is
-// then sure to fire.
+// then sure to fire. A reference runner (bench.Runner.Reference) runs the
+// decided trials too.
 func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 	tick := rng.Intn(in.Runner.TotalTicks)
 	rec := InjectionRecord{
@@ -104,7 +101,7 @@ func (in *Injector) InjectOne(m fault.Model, rng *stats.RNG) InjectionRecord {
 			armRNG = rng.Split()
 		}
 	}
-	if !in.forceRun && (!ok || victim.Armable && delay >= victim.LoadsLeft) {
+	if !in.Runner.Reference() && (!ok || victim.Armable && delay >= victim.LoadsLeft) {
 		return rec
 	}
 

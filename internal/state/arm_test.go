@@ -205,15 +205,4 @@ func TestDebitLoadsEdges(t *testing.T) {
 	if c.Load(); !def.Fired {
 		t.Fatal("load after the debit did not fire")
 	}
-	// The seam refuses any debit while armed, and only while armed.
-	c.Arm(100, fault.Zero, stats.NewRNG(1))
-	refuseDebit = true
-	defer func() { refuseDebit = false }()
-	if DebitLoads([]*Cell[int]{c}, []int64{1}) {
-		t.Fatal("seam set: debit on an armed cell accepted")
-	}
-	c.Disarm()
-	if !DebitLoads([]*Cell[int]{c}, []int64{1}) {
-		t.Fatal("seam set: debit on an unarmed cell refused")
-	}
 }

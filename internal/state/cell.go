@@ -179,10 +179,6 @@ func (c *Cell[T]) fire() {
 	d.out.Fired = true
 }
 
-// refuseDebit is a test seam: when set, DebitLoads refuses whenever a cell is
-// armed, so every armed lane takes its kernel's cell-driven loop.
-var refuseDebit bool
-
 // DebitLoads accounts for Loads the caller is about to skip: n[i] is how many
 // times the code being skipped would Load cells[i]. A pending corruption fires
 // on exactly the load that takes its countdown to zero, so when every armed
@@ -192,7 +188,7 @@ var refuseDebit bool
 // false, and the caller must perform the loads.
 func DebitLoads(cells []*Cell[int], n []int64) bool {
 	for i, c := range cells {
-		if d := c.pend; d != nil && (refuseDebit || d.count <= n[i]) {
+		if d := c.pend; d != nil && d.count <= n[i] {
 			return false
 		}
 	}
