@@ -28,12 +28,14 @@ test:
 # resume points and horizon every runner of the key adopts under a
 # sync.Once — the Runners tests — and the process's resident key states,
 # which lists of one key used at once share — the Resident tests — the
-# shared streaming engine, both campaign classes built on it, the fleet
-# orchestrator and the monitor) run the concurrency-exercising
-# tests the -run filter selects: worker determinism, cancellation, stream
-# delivery, progress, pool scheduling, the section watchdog, converged runs,
-# planned beam strikes, and HotSpot's row and LavaMD's box against their Go
-# references (the Sweep and BoxMatches keywords). The Levers harness runs
+# shared campaign engine, both campaign classes built on it, the fleet
+# orchestrator, the monitor and trace's ordered log) run the
+# concurrency-exercising tests the -run filter selects: worker
+# determinism, cancellation, records observed from concurrent workers
+# (the Stream and Observe keywords), progress, pool scheduling, the
+# section watchdog, converged runs, planned beam strikes, and HotSpot's
+# row and LavaMD's box against their Go references (the Sweep and
+# BoxMatches keywords). The Levers harness runs
 # every kernel's trials on a reference runner and a normal runner of one
 # resident key at once, six kernels on parallel goroutines, which shows that
 # no cell (plain fields, no atomics) and nothing of a key state is written by
@@ -44,9 +46,9 @@ test:
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Tee|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches' \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Observe|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches' \
 		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
-		./internal/monitor/...
+		./internal/monitor/... ./internal/trace/
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
 
 # Runs every figure/ablation benchmark exactly once — a smoke test that the
@@ -214,9 +216,11 @@ serve-check:
 # else runs carol-fi or phi-beam. This builds every binary into bin/ and
 # drives the single-campaign tools end to end at probe scale: an injection
 # campaign whose JSONL log must hold one line per injection and render in
-# phi-report, a beam campaign whose log must hold one line per run per
-# benchmark the tool announces, and phi-report over sweep.json when a sweep
-# target has left one. Any non-zero exit fails.
+# phi-report, a monitored beam campaign whose log must hold one line per
+# run per benchmark the tool announces and whose last monitor snapshot
+# must count as many trials, and phi-report over sweep.json when a sweep
+# target has left one. Any non-zero exit fails, and so does a zero exit
+# from either campaign tool when its -out log cannot be written.
 cli-smoke:
 	$(GO) build -o bin/ ./cmd/...
 	@set -e; tmp=$$(mktemp -d cli-smoke.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
@@ -224,11 +228,15 @@ cli-smoke:
 	got=$$(wc -l < $$tmp/inj.jsonl); \
 	[ "$$got" -eq 40 ] || { echo "cli-smoke: carol-fi -n 40 logged $$got records"; exit 1; }; \
 	bin/phi-report -in $$tmp/inj.jsonl > /dev/null; \
-	bin/phi-beam -runs 200 -workers 2 -out $$tmp/beam.jsonl > /dev/null 2> $$tmp/beam.err || { cat $$tmp/beam.err; exit 1; }; \
+	bin/phi-beam -runs 200 -workers 2 -out $$tmp/beam.jsonl -monitor-jsonl $$tmp/mon.jsonl > /dev/null 2> $$tmp/beam.err || { cat $$tmp/beam.err; exit 1; }; \
 	benches=$$(grep -c 'accelerated runs on' $$tmp/beam.err); got=$$(wc -l < $$tmp/beam.jsonl); \
 	[ "$$benches" -gt 0 ] && [ "$$got" -eq $$((200 * benches)) ] || { echo "cli-smoke: phi-beam -runs 200 on $$benches benchmarks logged $$got records"; exit 1; }; \
+	mon=$$(tail -n 1 $$tmp/mon.jsonl | grep -o '"trials":[0-9]*' | head -n 1 | cut -d: -f2); \
+	[ "$$mon" = "$$got" ] || { echo "cli-smoke: phi-beam logged $$got records but its last monitor snapshot counts $$mon trials"; exit 1; }; \
+	if bin/carol-fi -bench DGEMM -n 3 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: carol-fi -out /dev/full exited 0"; exit 1; fi; \
+	if bin/phi-beam -runs 2 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: phi-beam -out /dev/full exited 0"; exit 1; fi; \
 	if [ -f sweep.json ]; then bin/phi-report -sweep sweep.json > /dev/null; fi; \
-	echo "cli-smoke: carol-fi (40 records) -> phi-report, phi-beam ($$got records over $$benches benchmarks)$$([ -f sweep.json ] && echo ', phi-report -sweep sweep.json') ok"
+	echo "cli-smoke: carol-fi (40 records) -> phi-report, phi-beam ($$got records over $$benches benchmarks, monitor agrees), -out /dev/full fails both$$([ -f sweep.json ] && echo ', phi-report -sweep sweep.json') ok"
 
 # Shard workers are exec'd as subprocesses, so the fleet targets build a
 # real phi-bench binary first instead of racing N concurrent `go run`

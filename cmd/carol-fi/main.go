@@ -52,25 +52,26 @@ func main() {
 		names = []string{*benchName}
 	}
 
-	var (
-		logw *trace.Writer
-		logf *os.File
-	)
+	// Records go straight from the workers to the JSONL log, so -out costs
+	// O(worker skew) memory instead of O(N). The log orders them by
+	// benchmark, then Seq, so its bytes do not depend on -workers.
+	var logw *trace.Ordered[core.InjectionRecord]
 	if *out != "" {
-		logf, err = os.Create(*out)
+		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
-		defer logf.Close()
-		logw = trace.NewWriter(logf)
-		defer logw.Flush()
+		first := map[string]int{}
+		for i, name := range names {
+			first[name] = i * *n
+		}
+		logw = trace.NewOrdered(f, func(r core.InjectionRecord) int { return first[r.Benchmark] + r.Seq })
 	}
-	// die flushes the partial log before exiting, so an interrupted or
-	// failed campaign still leaves valid JSONL behind (fatal skips defers).
+	// die closes the partial log before exiting, so an interrupted or
+	// failed campaign still leaves valid JSONL behind.
 	die := func(err error) {
 		if logw != nil {
-			logw.Flush()
-			logf.Close()
+			logw.Close()
 		}
 		fatal(err)
 	}
@@ -90,25 +91,10 @@ func main() {
 				}
 			},
 		}
-		// Records stream straight to the JSONL log through a bounded
-		// channel, so -out costs O(worker skew) memory instead of O(N);
-		// the resequencer keeps the log byte-identical across runs even
-		// though workers deliver interleaved.
-		var writeDone chan error
 		if logw != nil {
-			ch := make(chan core.InjectionRecord, 1024)
-			cfg.Stream = ch
-			writeDone = make(chan error, 1)
-			go func() {
-				writeDone <- trace.CopyOrdered(ch, logw, func(r core.InjectionRecord) int { return r.Seq })
-			}()
+			cfg.Observe = logw.Observe
 		}
 		res, err := core.RunCampaignContext(ctx, cfg)
-		if logw != nil {
-			if werr := <-writeDone; werr != nil {
-				die(werr)
-			}
-		}
 		if err != nil {
 			die(err)
 		}
@@ -127,6 +113,9 @@ func main() {
 		}
 	}
 	if logw != nil {
+		if err := logw.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "carol-fi: wrote %d records to %s\n", logw.Count(), *out)
 	}
 }

@@ -1,10 +1,10 @@
 // Command phi-beam runs accelerated neutron-beam campaigns against the
 // simulated Xeon Phi and prints the paper's Figure 2 (FIT + spatial
 // patterns), Figure 3 (FIT reduction vs tolerance), and the machine-scale
-// extrapolation table (§4.2). Campaigns run on the unified streaming engine
-// (internal/engine): per-run records stream straight to the -out JSONL log
-// in O(workers) memory, SIGINT cancels cleanly leaving a valid partial log,
-// and -progress reports completion like phi-bench does.
+// extrapolation table (§4.2). Campaigns run on the shared campaign engine
+// (internal/engine): its workers hand each record straight to the -out
+// JSONL log in O(workers) memory, SIGINT cancels cleanly leaving a valid
+// partial log, and -progress reports completion like phi-bench does.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	         [-monitor-jsonl mon.jsonl] [-monitor-temp 330] [-monitor-every 1000]
 //
 // With -monitor-jsonl a resident reliability monitor (internal/monitor)
-// taps the same record stream the -out log consumes and appends rolling
+// observes every record the -out log is handed and appends rolling
 // FIT/MTBF snapshots — one JSONL line per -monitor-every records plus one
 // per benchmark boundary; the final line equals the post-hoc fit exactly.
 package main
@@ -29,9 +29,7 @@ import (
 	"phirel/internal/beam"
 	"phirel/internal/bench/all"
 	"phirel/internal/cli"
-	"phirel/internal/engine"
 	"phirel/internal/figures"
-	"phirel/internal/monitor"
 	"phirel/internal/phi"
 	"phirel/internal/trace"
 )
@@ -57,34 +55,34 @@ func main() {
 		fatal(err)
 	}
 
-	// The resident monitor consumes the same record stream the JSONL log
-	// does; one monitor spans the whole suite, so its rolling aggregate is
+	// The resident monitor observes the same records the JSONL log does;
+	// one monitor spans the whole suite, so its rolling aggregate is
 	// the machine-level estimate across benchmarks.
 	sink, err := mon.Open()
 	if err != nil {
 		fatal(err)
 	}
 
-	var (
-		logw *trace.Writer
-		logf *os.File
-	)
+	// The log orders records by benchmark, then Seq, so its bytes do not
+	// depend on -workers.
+	var logw *trace.Ordered[beam.Record]
 	if *out != "" {
-		logf, err = os.Create(*out)
+		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
-		defer logf.Close()
-		logw = trace.NewWriter(logf)
-		defer logw.Flush()
+		first := map[string]int{}
+		for i, name := range all.BeamSuite {
+			first[name] = i * *runs
+		}
+		logw = trace.NewOrdered(f, func(r beam.Record) int { return first[r.Benchmark] + r.Seq })
 	}
-	// die flushes the partial log and monitor stream before exiting, so an
-	// interrupted or failed campaign still leaves valid JSONL behind
-	// (fatal skips defers).
+	// die closes the partial log and monitor stream before exiting, so an
+	// interrupted or failed campaign still leaves valid JSONL behind.
 	die := func(err error) {
-		if logw != nil {
-			logw.Flush()
-			logf.Close()
+		if logw != nil && logw.Close() == nil && errors.Is(err, context.Canceled) {
+			fmt.Fprintf(os.Stderr, "phi-beam: interrupted; %d records flushed to %s\n",
+				logw.Count(), *out)
 		}
 		if sink != nil {
 			sink.Close()
@@ -109,53 +107,16 @@ func main() {
 				}
 			}
 		}
-		// Records stream straight to the JSONL log through a bounded
-		// channel, so -out costs O(worker skew) memory instead of O(Runs);
-		// the resequencer keeps the log byte-identical across runs even
-		// though workers deliver interleaved. With -monitor-jsonl the same
-		// stream is teed to the resident monitor — both consumers see every
-		// record, and the engine's close-on-return propagates through the
-		// tee so each drains exactly once per campaign.
-		var writeDone chan error
-		var att *monitor.Attachment
-		startLog := func(ch <-chan beam.Record) {
-			writeDone = make(chan error, 1)
-			go func() {
-				writeDone <- trace.CopyOrdered(ch, logw, func(r beam.Record) int { return r.Seq })
-			}()
-		}
-		switch {
-		case logw != nil && sink != nil:
-			ch := make(chan beam.Record, 1024)
-			cfg.Stream = ch
-			monCh := make(chan beam.Record, 1024)
-			logCh := make(chan beam.Record, 1024)
-			engine.Tee(ch, monCh, logCh)
-			att = monitor.Attach(sink.Monitor, monCh)
-			startLog(logCh)
-		case sink != nil:
-			ch := make(chan beam.Record, 1024)
-			cfg.Stream = ch
-			att = monitor.Attach(sink.Monitor, ch)
-		case logw != nil:
-			ch := make(chan beam.Record, 1024)
-			cfg.Stream = ch
-			startLog(ch)
+		cfg.Observe = func(r beam.Record) {
+			if logw != nil {
+				logw.Observe(r)
+			}
+			if sink != nil {
+				sink.Monitor.ObserveBeam(r)
+			}
 		}
 		res, err := beam.RunContext(ctx, cfg)
-		if att != nil {
-			att.Wait()
-		}
-		if writeDone != nil {
-			if werr := <-writeDone; werr != nil {
-				die(werr)
-			}
-		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) && logw != nil {
-				fmt.Fprintf(os.Stderr, "phi-beam: interrupted; %d records flushed to %s\n",
-					logw.Count(), *out)
-			}
 			die(err)
 		}
 		results[name] = res
@@ -184,6 +145,9 @@ func main() {
 			name, r.SingleElementShare())
 	}
 	if logw != nil {
+		if err := logw.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "phi-beam: wrote %d records to %s\n", logw.Count(), *out)
 	}
 }

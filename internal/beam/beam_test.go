@@ -3,7 +3,7 @@ package beam
 import (
 	"context"
 	"reflect"
-	"sort"
+	"sync/atomic"
 	"testing"
 
 	"phirel/internal/analysis"
@@ -18,8 +18,7 @@ func TestBeamSmallCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := res.Outcomes.Masked + res.Outcomes.SDC + res.Outcomes.DUE()
-	if total != 3000 {
+	if total := assertBeamConsistent(t, res); total != 3000 {
 		t.Fatalf("outcome total %d != runs", total)
 	}
 	if res.CorrectedByECC < 2000 {
@@ -31,28 +30,34 @@ func TestBeamSmallCampaign(t *testing.T) {
 	if res.Outcomes.DUEMCA == 0 {
 		t.Fatal("no MCA DUEs; double-bit path unexercised")
 	}
-	if len(res.RelErrs) != res.Outcomes.SDC {
-		t.Fatalf("rel errs %d != SDC count %d", len(res.RelErrs), res.Outcomes.SDC)
-	}
+}
+
+// observe sets cfg.Observe to keep every record at Seq−Offset and returns
+// the slice. Workers write disjoint elements, so it needs no lock.
+func observe(cfg *Config) []Record {
+	recs := make([]Record, cfg.Runs)
+	off := cfg.Offset
+	cfg.Observe = func(r Record) { recs[r.Seq-off] = r }
+	return recs
 }
 
 // The acceptance shape for the unified engine: the whole Result — tallies,
-// pattern split, Seq-ordered RelErrs, and every record — must be identical
-// for any worker count.
+// pattern split, Seq-ordered RelErrs — and every observed record must be
+// identical for any worker count.
 func TestBeamDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *Result {
-		r, err := Run(Config{Benchmark: "DGEMM", Runs: 400, Seed: 7, BenchSeed: 1,
-			Workers: workers, KeepRecords: true})
+	run := func(workers int) []any {
+		cfg := Config{Benchmark: "DGEMM", Runs: 400, Seed: 7, BenchSeed: 1, Workers: workers}
+		recs := observe(&cfg)
+		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return []any{r, recs}
 	}
 	base := run(1)
 	for _, workers := range []int{3, 8} {
-		other := run(workers)
-		if !reflect.DeepEqual(base, other) {
-			t.Fatalf("workers=%d Result differs from workers=1:\n%+v\n%+v", workers, base, other)
+		if other := run(workers); !reflect.DeepEqual(base, other) {
+			t.Fatalf("workers=%d: Result or records differ from workers=1", workers)
 		}
 	}
 }
@@ -84,9 +89,10 @@ func assertBeamConsistent(t *testing.T, res *Result) int {
 func TestBeamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const runs = 8000
+	var observed atomic.Int64
 	res, err := RunContext(ctx, Config{
 		Benchmark: "DGEMM", Runs: runs, Seed: 21, BenchSeed: 1, Workers: 4,
-		KeepRecords: true,
+		Observe: func(Record) { observed.Add(1) },
 		Progress: func(done, total int) {
 			if done >= 80 {
 				cancel()
@@ -106,42 +112,37 @@ func TestBeamCancellation(t *testing.T) {
 	if total >= runs {
 		t.Fatalf("campaign ran to completion (%d) despite cancellation", total)
 	}
-	if len(res.Records) != total {
-		t.Fatalf("%d records for %d completed runs", len(res.Records), total)
-	}
-	for i := 1; i < len(res.Records); i++ {
-		if res.Records[i-1].Seq >= res.Records[i].Seq {
-			t.Fatal("partial records not sorted by Seq")
-		}
+	if int(observed.Load()) != total {
+		t.Fatalf("%d records observed for %d completed runs", observed.Load(), total)
 	}
 }
 
+// TestBeamStreamMatchesRecords: the records a campaign hands its Observe
+// hook, one per run, re-tally to the campaign's own result.
 func TestBeamStreamMatchesRecords(t *testing.T) {
-	ch := make(chan Record, 32)
-	var streamed []Record
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rec := range ch {
-			streamed = append(streamed, rec)
-		}
-	}()
-	res, err := Run(Config{
-		Benchmark: "DGEMM", Runs: 200, Seed: 33, BenchSeed: 1, Workers: 4,
-		KeepRecords: true, Stream: ch,
-	})
+	cfg := Config{Benchmark: "DGEMM", Runs: 200, Seed: 33, BenchSeed: 1, Workers: 4}
+	recs := observe(&cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done // the engine closed the channel when the campaign returned
-	if len(streamed) != len(res.Records) {
-		t.Fatalf("streamed %d records, kept %d", len(streamed), len(res.Records))
-	}
-	sort.Slice(streamed, func(i, j int) bool { return streamed[i].Seq < streamed[j].Seq })
-	for i := range streamed {
-		if streamed[i] != res.Records[i] {
-			t.Fatalf("streamed record %d differs:\n%+v\n%+v", i, streamed[i], res.Records[i])
+	sh := &shard{byPattern: map[analysis.Pattern]int{}}
+	var relErrs []float64
+	for i, rec := range recs {
+		if rec.Seq != i || rec.Benchmark != "DGEMM" {
+			t.Fatalf("record %d not observed: %+v", i, rec)
 		}
+		sh.fold(rec)
+		if rec.OutcomeOf() == bench.SDC {
+			relErrs = append(relErrs, rec.MaxRelErr)
+		}
+	}
+	if sh.outcomes != res.Outcomes || sh.corrected != res.CorrectedByECC ||
+		!reflect.DeepEqual(sh.byPattern, res.SDCByPattern) || !reflect.DeepEqual(relErrs, res.RelErrs) {
+		t.Fatalf("observed records re-tally to %+v, campaign says %+v", sh, res)
+	}
+	if res.Outcomes.SDC == 0 {
+		t.Fatal("fixture produced no SDCs; the pattern and RelErrs tallies went unchecked")
 	}
 }
 

@@ -12,37 +12,42 @@ import (
 	"phirel/internal/state"
 )
 
-// A cell is one campaign of either class with its records kept. Run on a
-// list it borrows the list's runner; run on nil it builds a fresh one.
-type cell func(rs *bench.Runners) (result any, lastOutcome string)
+// A cell is one campaign of either class with its records observed; it
+// returns the result and the records as one []any. Run on a list it
+// borrows the list's runner; run on nil it builds a fresh one.
+type cell func(rs *bench.Runners) (kept any, lastOutcome string)
 
 const borrowBenchSeed = 1
 
 func injectionCell(t *testing.T, name string, m fault.Model, p state.Policy, seed uint64, n int) cell {
 	return func(rs *bench.Runners) (any, string) {
 		t.Helper()
+		var recs []core.InjectionRecord
 		res, err := core.RunCampaign(core.CampaignConfig{
 			Benchmark: name, N: n, Models: []fault.Model{m}, Policy: p,
-			Seed: seed, BenchSeed: borrowBenchSeed, Workers: 1, KeepRecords: true, Runners: rs,
+			Seed: seed, BenchSeed: borrowBenchSeed, Workers: 1, Runners: rs,
+			Observe: func(r core.InjectionRecord) { recs = append(recs, r) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, res.Records[len(res.Records)-1].Outcome
+		return []any{res, recs}, recs[len(recs)-1].Outcome
 	}
 }
 
 func noECCBeamCell(t *testing.T, name string, seed uint64, runs int) cell {
 	return func(rs *bench.Runners) (any, string) {
 		t.Helper()
+		var recs []beam.Record
 		res, err := beam.Run(beam.Config{
 			Benchmark: name, Runs: runs, Seed: seed, BenchSeed: borrowBenchSeed,
-			Workers: 1, DisableECC: true, KeepRecords: true, Runners: rs,
+			Workers: 1, DisableECC: true, Runners: rs,
+			Observe: func(r beam.Record) { recs = append(recs, r) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, res.Records[len(res.Records)-1].Outcome
+		return []any{res, recs}, recs[len(recs)-1].Outcome
 	}
 }
 
@@ -62,9 +67,9 @@ func TestBorrowedRunnerEqualsFresh(t *testing.T) {
 		// Scout cell A's stream once for a trial that hangs and one that
 		// crashes, so A can be cut to end on either.
 		scoutModel, scoutPolicy, scoutSeed := fault.Random, state.ByVariable, uint64(0xa11ce)
-		res, _ := injectionCell(t, name, scoutModel, scoutPolicy, scoutSeed, scoutN)(nil)
+		kept, _ := injectionCell(t, name, scoutModel, scoutPolicy, scoutSeed, scoutN)(nil)
 		cuts := map[string]int{}
-		for i, rec := range res.(*core.CampaignResult).Records {
+		for i, rec := range kept.([]any)[1].([]core.InjectionRecord) {
 			if o := rec.Outcome; (o == bench.DUEHang.String() || o == bench.DUECrash.String()) && cuts[o] == 0 {
 				cuts[o] = i + 1
 			}

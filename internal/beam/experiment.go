@@ -36,20 +36,14 @@ type Config struct {
 	// DisableECC removes SECDED from the SRAM arrays (ablation A2: every
 	// SRAM upset reaches architectural state).
 	DisableECC bool
-	// KeepRecords retains per-run records in Result.Records, ordered by
-	// Seq. This is the only mode that costs O(Runs) memory; without it the
-	// engine streams outcomes into per-worker shard tallies and campaign
-	// memory stays O(Workers).
-	KeepRecords bool
 	// Progress, when non-nil, is invoked with (done, total) as runs
 	// complete — roughly every 1% of total and once at the end. Calls are
 	// serialised.
 	Progress func(done, total int)
-	// Stream, when non-nil, receives every Record as it is produced.
-	// Delivery order across workers is nondeterministic (records carry Seq
-	// for reordering). The engine closes the channel when the campaign
-	// returns. Works independently of KeepRecords.
-	Stream chan<- Record
+	// Observe, when non-nil, is handed every Record by the worker that ran
+	// it, before the record is tallied (engine.Config.Observe). Calls from
+	// different workers may overlap and arrive in any Seq order.
+	Observe func(Record)
 	// Runners, when non-nil, is the run-scoped free list the campaign
 	// borrows its golden-run runners from — the same list, and the same
 	// runners, the injection cells of the sweep run use. Nil builds a
@@ -104,8 +98,6 @@ type Result struct {
 	// RawFaultRate is the calibrated raw upset rate (faults/hour at
 	// natural flux) that converts probabilities into FIT.
 	RawFaultRate float64
-
-	Records []Record `json:",omitempty"`
 }
 
 // DUE returns all detected-unrecoverable counts.
@@ -113,7 +105,7 @@ func (r *Result) DUE() int { return r.Outcomes.DUE() }
 
 // FIT converts an outcome count into a FIT estimate with binomial CI. The
 // math is analysis.RateFITEstimate — shared with the resident monitor, so
-// a monitor snapshot over this campaign's stream reproduces these fits
+// a monitor snapshot over this campaign's records reproduces these fits
 // bit for bit.
 func (r *Result) FIT(count int) analysis.FITEstimate {
 	return analysis.RateFITEstimate(r.RawFaultRate, count, r.Runs)
@@ -212,14 +204,8 @@ func Run(cfg Config) (*Result, error) {
 // borrowed from cfg.Runners (built fresh when that is nil) and returned on
 // every path out.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	fail := func(err error) (*Result, error) {
-		if cfg.Stream != nil {
-			close(cfg.Stream)
-		}
-		return nil, err
-	}
 	if cfg.Runs <= 0 {
-		return fail(fmt.Errorf("beam: campaign needs Runs > 0"))
+		return nil, fmt.Errorf("beam: campaign needs Runs > 0")
 	}
 	dev := cfg.Device
 	if dev == nil {
@@ -230,7 +216,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	profile, err := phi.ProfileFor(cfg.Benchmark)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 
 	// Every worker's runner comes from cfg.Runners and goes back on every
@@ -238,13 +224,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	loan := cfg.Runners.Loan(cfg.Benchmark, cfg.BenchSeed)
 	defer loan.Return()
 	eres, err := engine.Run(ctx, engine.Config[Record, *shard]{
-		N:           cfg.Runs,
-		Offset:      cfg.Offset,
-		Seed:        cfg.Seed ^ beamSeedSalt,
-		Workers:     cfg.Workers,
-		KeepRecords: cfg.KeepRecords,
-		Progress:    cfg.Progress,
-		Stream:      cfg.Stream,
+		N:        cfg.Runs,
+		Offset:   cfg.Offset,
+		Seed:     cfg.Seed ^ beamSeedSalt,
+		Workers:  cfg.Workers,
+		Progress: cfg.Progress,
+		Observe:  cfg.Observe,
 		NewWorker: func(int) (engine.Experiment[Record], error) {
 			runner, werr := loan.Get()
 			if werr != nil {
@@ -268,7 +253,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		ECCDisabled:  cfg.DisableECC,
 		SDCByPattern: map[analysis.Pattern]int{},
 		RawFaultRate: dev.RawFaultRate(profile, analysis.NaturalFlux),
-		Records:      eres.Records,
 	}
 	var errs []seqErr
 	for _, sh := range eres.Shards {

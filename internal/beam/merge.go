@@ -18,7 +18,6 @@ func (r *Result) Clone() *Result {
 		}
 	}
 	out.RelErrs = append([]float64(nil), r.RelErrs...)
-	out.Records = append([]Record(nil), r.Records...)
 	return &out
 }
 
@@ -28,9 +27,8 @@ func (r *Result) Clone() *Result {
 // ranges, so the merged range stays contiguous and merging the K shards of
 // a partitioned campaign in range order reconstructs the monolithic result
 // bit for bit. Every field is folded: the outcome tally, the ECC-corrected
-// count, the per-pattern SDC split, the Figure 3 relative-error series
-// (kept in global run order), and kept records (recombined in global index
-// order).
+// count, the per-pattern SDC split and the Figure 3 relative-error series
+// (kept in global run order).
 func (r *Result) Merge(o *Result) error {
 	if r.Benchmark != o.Benchmark {
 		return fmt.Errorf("beam: merge across benchmarks %q and %q", r.Benchmark, o.Benchmark)
@@ -74,17 +72,5 @@ func (r *Result) Merge(o *Result) error {
 		r.RelErrs = append(r.RelErrs, o.RelErrs...)
 	}
 	r.Runs += o.Runs
-	// Like RelErrs, each side's records are already Seq-sorted and the
-	// ranges are adjacent, so concatenation in range order is the global
-	// Seq order.
-	switch {
-	case len(o.Records) == 0:
-	case len(r.Records) == 0:
-		r.Records = append([]Record(nil), o.Records...)
-	case prepend:
-		r.Records = append(append([]Record(nil), o.Records...), r.Records...)
-	default:
-		r.Records = append(r.Records, o.Records...)
-	}
 	return nil
 }

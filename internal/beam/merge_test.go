@@ -13,7 +13,7 @@ func shardBeam(t *testing.T, off, n int, disableECC bool) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Benchmark: "DGEMM", Runs: n, Offset: off, Seed: 1701, BenchSeed: 1,
-		Workers: 3, DisableECC: disableECC, KeepRecords: true,
+		Workers: 3, DisableECC: disableECC,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,10 @@ func TestOptGoldenBeam(t *testing.T) {
 				t.Fatalf("missing golden (run with -update-golden): %v", err)
 			}
 			for _, workers := range []int{1, 4} {
+				recs := make([]beam.Record, 400)
 				res, err := beam.Run(beam.Config{
 					Benchmark: name, Runs: 400, Seed: 20260808, BenchSeed: 1,
-					Workers: workers, KeepRecords: true,
+					Workers: workers, Observe: func(r beam.Record) { recs[r.Seq] = r },
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -43,7 +44,10 @@ func TestOptGoldenBeam(t *testing.T) {
 				var buf bytes.Buffer
 				enc := json.NewEncoder(&buf)
 				enc.SetIndent("", " ")
-				if err := enc.Encode(res); err != nil {
+				if err := enc.Encode(struct {
+					*beam.Result
+					Records []beam.Record `json:",omitempty"`
+				}{res, recs}); err != nil {
 					t.Fatal(err)
 				}
 				got := buf.Bytes()

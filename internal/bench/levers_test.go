@@ -487,12 +487,10 @@ func runStrike(name string, rs *bench.Runners, p plan) (beam.Record, error) {
 	if err != nil {
 		return beam.Record{}, err
 	}
-	res, err := beam.Run(beam.Config{Benchmark: name, Runs: 1, Offset: int(p.seed), Seed: strikeSeed, BenchSeed: 1,
-		Workers: 1, Device: dev, DisableECC: p.noECC, KeepRecords: true, Runners: rs})
-	if err != nil {
-		return beam.Record{}, err
-	}
-	return res.Records[0], nil
+	var rec beam.Record
+	_, err = beam.Run(beam.Config{Benchmark: name, Runs: 1, Offset: int(p.seed), Seed: strikeSeed, BenchSeed: 1,
+		Workers: 1, Device: dev, DisableECC: p.noECC, Runners: rs, Observe: func(r beam.Record) { rec = r }})
+	return rec, err
 }
 
 // reachesKernel reports whether a strike's fault got past the device's ECC and

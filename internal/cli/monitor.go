@@ -37,8 +37,8 @@ func (f *MonitorFlags) Register(fs *flag.FlagSet, prefix string) {
 // lifecycle. Snapshot writes are serialised internally, so the Monitor's
 // observers can feed it from concurrent campaign workers.
 type MonitorSink struct {
-	// Monitor receives the campaign records (wire its Observe methods or
-	// monitor.Attach into the campaign's record stream).
+	// Monitor receives the campaign records: wire its ObserveInjection or
+	// ObserveBeam method into the campaign's Observe hook.
 	Monitor *monitor.Monitor
 
 	mu    sync.Mutex

@@ -84,22 +84,15 @@ type CampaignConfig struct {
 	// Workers is the number of parallel injectors (each gets its own
 	// benchmark instance). Results are independent of Workers.
 	Workers int
-	// KeepRecords retains every InjectionRecord in CampaignResult.Records,
-	// ordered by Seq. This is the only mode that costs O(N) memory; without
-	// it the engine streams outcomes into per-worker shard tallies and
-	// campaign memory stays O(Workers).
-	KeepRecords bool
 	// Progress, when non-nil, is invoked with (done, total) as injections
 	// complete — roughly every 1% of total and once at the end. Calls are
 	// serialised; done is monotonic within a call sequence.
 	Progress func(done, total int)
-	// Stream, when non-nil, receives every InjectionRecord as it is
-	// produced. Delivery order across workers is nondeterministic (records
-	// carry Seq for reordering). Give the channel a buffer so a slow
-	// consumer throttles the engine rather than serialising it. The engine
-	// closes the channel when the campaign returns, so a channel serves
-	// exactly one campaign. Works independently of KeepRecords.
-	Stream chan<- InjectionRecord
+	// Observe, when non-nil, is handed every InjectionRecord by the worker
+	// that ran it, before the record is tallied (engine.Config.Observe).
+	// Calls from different workers may overlap and arrive in any Seq
+	// order.
+	Observe func(InjectionRecord)
 	// Runners, when non-nil, is the run-scoped free list the campaign
 	// borrows its golden-run runners from and returns them to, so the cells
 	// of one sweep run share golden runs. Nil builds a runner per worker
@@ -128,8 +121,6 @@ type CampaignResult struct {
 	// FiredShare is the fraction of injections whose corruption actually
 	// materialised (armed corruptions on dead variables never fire).
 	FiredShare stats.Proportion
-
-	Records []InjectionRecord `json:",omitempty"`
 }
 
 // shard is one worker's private aggregation state. Each worker folds its
@@ -189,16 +180,8 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // when that is nil); all of them are back in the list when the call
 // returns, on every path.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	// The engine owns closing cfg.Stream, but validation errors raised
-	// before the engine starts must still release stream consumers.
-	fail := func(err error) (*CampaignResult, error) {
-		if cfg.Stream != nil {
-			close(cfg.Stream)
-		}
-		return nil, err
-	}
 	if cfg.N <= 0 {
-		return fail(fmt.Errorf("core: campaign needs N > 0"))
+		return nil, fmt.Errorf("core: campaign needs N > 0")
 	}
 	models := cfg.Models
 	if len(models) == 0 {
@@ -213,18 +196,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 	defer loan.Return()
 	first, err := loan.Get()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	windows := first.B.Windows()
 
 	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *shard]{
-		N:           cfg.N,
-		Offset:      cfg.Offset,
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-		KeepRecords: cfg.KeepRecords,
-		Progress:    cfg.Progress,
-		Stream:      cfg.Stream,
+		N:        cfg.N,
+		Offset:   cfg.Offset,
+		Seed:     cfg.Seed,
+		Workers:  cfg.Workers,
+		Progress: cfg.Progress,
+		Observe:  cfg.Observe,
 		NewWorker: func(w int) (engine.Experiment[InjectionRecord], error) {
 			r := first
 			if w != 0 {
@@ -255,7 +237,6 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 		ByModel:   map[fault.Model]OutcomeCounts{},
 		ByWindow:  make([]OutcomeCounts, windows),
 		ByRegion:  map[state.Region]OutcomeCounts{},
-		Records:   eres.Records, // engine keeps them in Seq (= index) order
 	}
 	fired := 0
 	for _, sh := range eres.Shards {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -61,41 +60,29 @@ func TestInjectorUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// observe sets cfg.Observe to keep every record at Seq−Offset and returns
+// the slice. Workers write disjoint elements, so it needs no lock.
+func observe(cfg *CampaignConfig) []InjectionRecord {
+	recs := make([]InjectionRecord, cfg.N)
+	off := cfg.Offset
+	cfg.Observe = func(r InjectionRecord) { recs[r.Seq-off] = r }
+	return recs
+}
+
+// TestCampaignDeterministicAcrossWorkers: the whole result and every
+// observed record are identical for any worker count.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *CampaignResult {
-		res, err := RunCampaign(CampaignConfig{
-			Benchmark: "DGEMM", N: 60, Seed: 42, BenchSeed: 1,
-			Workers: workers, KeepRecords: true,
-		})
+	run := func(workers int) []any {
+		cfg := CampaignConfig{Benchmark: "DGEMM", N: 60, Seed: 42, BenchSeed: 1, Workers: workers}
+		recs := observe(&cfg)
+		res, err := RunCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return []any{res, recs}
 	}
-	a := run(1)
-	b := run(8)
-	if a.Outcomes != b.Outcomes {
-		t.Fatalf("outcomes differ across worker counts: %+v vs %+v", a.Outcomes, b.Outcomes)
-	}
-	if !reflect.DeepEqual(a.ByModel, b.ByModel) {
-		t.Fatalf("by-model tallies differ:\n%+v\n%+v", a.ByModel, b.ByModel)
-	}
-	if !reflect.DeepEqual(a.ByWindow, b.ByWindow) {
-		t.Fatalf("by-window tallies differ:\n%+v\n%+v", a.ByWindow, b.ByWindow)
-	}
-	if !reflect.DeepEqual(a.ByRegion, b.ByRegion) {
-		t.Fatalf("by-region tallies differ:\n%+v\n%+v", a.ByRegion, b.ByRegion)
-	}
-	if a.FiredShare != b.FiredShare {
-		t.Fatalf("fired share differs: %+v vs %+v", a.FiredShare, b.FiredShare)
-	}
-	if len(a.Records) != 60 || len(b.Records) != 60 {
-		t.Fatalf("record counts %d/%d", len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
-			t.Fatalf("record %d differs:\n%+v\n%+v", i, a.Records[i], b.Records[i])
-		}
+	if !reflect.DeepEqual(run(1), run(8)) {
+		t.Fatal("workers=8: result or records differ from workers=1")
 	}
 }
 
@@ -137,9 +124,10 @@ func assertConsistent(t *testing.T, res *CampaignResult) int {
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 4000
+	var observed atomic.Int64
 	res, err := RunCampaignContext(ctx, CampaignConfig{
 		Benchmark: "DGEMM", N: n, Seed: 21, BenchSeed: 1, Workers: 4,
-		KeepRecords: true,
+		Observe: func(InjectionRecord) { observed.Add(1) },
 		Progress: func(done, total int) {
 			if done >= 40 {
 				cancel()
@@ -159,42 +147,31 @@ func TestCampaignCancellation(t *testing.T) {
 	if total >= n {
 		t.Fatalf("campaign ran to completion (%d) despite cancellation", total)
 	}
-	if len(res.Records) != total {
-		t.Fatalf("%d records for %d completed injections", len(res.Records), total)
-	}
-	for i := 1; i < len(res.Records); i++ {
-		if res.Records[i-1].Seq >= res.Records[i].Seq {
-			t.Fatal("partial records not sorted by Seq")
-		}
+	if int(observed.Load()) != total {
+		t.Fatalf("%d records observed for %d completed injections", observed.Load(), total)
 	}
 }
 
+// TestCampaignStreamMatchesRecords: the records a campaign hands its
+// Observe hook, one per injection, re-tally to the campaign's own result.
 func TestCampaignStreamMatchesRecords(t *testing.T) {
-	ch := make(chan InjectionRecord, 32)
-	var streamed []InjectionRecord
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for rec := range ch {
-			streamed = append(streamed, rec)
-		}
-	}()
-	res, err := RunCampaign(CampaignConfig{
-		Benchmark: "DGEMM", N: 50, Seed: 33, BenchSeed: 1, Workers: 4,
-		KeepRecords: true, Stream: ch,
-	})
+	cfg := CampaignConfig{Benchmark: "DGEMM", N: 50, Seed: 33, BenchSeed: 1, Workers: 4}
+	recs := observe(&cfg)
+	res, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-done // the engine closed the channel when the campaign returned
-	if len(streamed) != len(res.Records) {
-		t.Fatalf("streamed %d records, kept %d", len(streamed), len(res.Records))
-	}
-	sort.Slice(streamed, func(i, j int) bool { return streamed[i].Seq < streamed[j].Seq })
-	for i := range streamed {
-		if streamed[i] != res.Records[i] {
-			t.Fatalf("streamed record %d differs:\n%+v\n%+v", i, streamed[i], res.Records[i])
+	sh := newShard(res.Windows)
+	for i, rec := range recs {
+		if rec.Seq != i || rec.Benchmark != "DGEMM" {
+			t.Fatalf("record %d not observed: %+v", i, rec)
 		}
+		sh.fold(rec)
+	}
+	if sh.outcomes != res.Outcomes || !reflect.DeepEqual(sh.byModel, res.ByModel) ||
+		!reflect.DeepEqual(sh.byWindow, res.ByWindow) || !reflect.DeepEqual(sh.byRegion, res.ByRegion) ||
+		sh.fired != res.FiredShare.K {
+		t.Fatalf("observed records re-tally to %+v, campaign says %+v", sh, res)
 	}
 }
 
@@ -205,35 +182,11 @@ func TestCampaignAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcomes.Total() != 80 {
-		t.Fatalf("total %d != N", res.Outcomes.Total())
+	if total := assertConsistent(t, res); total != 80 {
+		t.Fatalf("total %d != N", total)
 	}
-	modelTotal := 0
-	for _, m := range fault.Models {
-		modelTotal += res.ByModel[m].Total()
-	}
-	if modelTotal != 80 {
-		t.Fatalf("model partition sums to %d", modelTotal)
-	}
-	windowTotal := 0
-	for _, w := range res.ByWindow {
-		windowTotal += w.Total()
-	}
-	if windowTotal != 80 {
-		t.Fatalf("window partition sums to %d", windowTotal)
-	}
-	regionTotal := 0
-	for _, r := range res.ByRegion {
-		regionTotal += r.Total()
-	}
-	if regionTotal != 80 {
-		t.Fatalf("region partition sums to %d", regionTotal)
-	}
-	if len(res.ByWindow) != 5 {
-		t.Fatalf("DGEMM windows = %d", len(res.ByWindow))
-	}
-	if res.Records != nil {
-		t.Fatal("records kept without KeepRecords")
+	if len(res.ByModel) != len(fault.Models) || len(res.ByWindow) != 5 {
+		t.Fatalf("DGEMM campaign has %d models, %d windows", len(res.ByModel), len(res.ByWindow))
 	}
 }
 
@@ -385,9 +338,9 @@ func (c crashingBench) Run(*bench.Ctx) {
 }
 
 // TestCampaignReturnsRunners: every runner a campaign borrows is back in the
-// list when the campaign returns, whichever way it leaves, and the Stream is
-// closed on each of those paths. A key whose one kernel run fails fails
-// every Get of it with that run's error, and runs nothing more.
+// list when the campaign returns, whichever way it leaves. A key whose one
+// kernel run fails fails every Get of it with that run's error, and runs
+// nothing more.
 func TestCampaignReturnsRunners(t *testing.T) {
 	const workers = 3
 	// "flaky-DGEMM" is DGEMM, except that the failAt-th construction of a
@@ -429,16 +382,9 @@ func TestCampaignReturnsRunners(t *testing.T) {
 		crashes.Store(0)
 		failAt.Store(tc.failAt)
 		ctx, cancel := context.WithCancel(context.Background())
-		ch := make(chan InjectionRecord, 32)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for range ch {
-			}
-		}()
 		_, err := RunCampaignContext(ctx, CampaignConfig{
 			Benchmark: "flaky-DGEMM", N: tc.n, Seed: 5, BenchSeed: 1, Workers: workers,
-			Stream: ch, Runners: rs,
+			Runners: rs,
 			Progress: func(done, total int) {
 				if tc.cancelAt > 0 && done >= tc.cancelAt {
 					cancel()
@@ -446,7 +392,6 @@ func TestCampaignReturnsRunners(t *testing.T) {
 			},
 		})
 		cancel()
-		<-drained // the campaign closed the stream
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v", tc.name, err)
 		}

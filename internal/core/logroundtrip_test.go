@@ -8,25 +8,27 @@ import (
 	"phirel/internal/trace"
 )
 
+// nopCloser is a bytes.Buffer an ordered log can close.
+type nopCloser struct{ bytes.Buffer }
+
+func (*nopCloser) Close() error { return nil }
+
 // TestLogRoundTripReaggregation exercises the artifact workflow end to end:
-// run a campaign with records, serialise them as JSONL (carol-fi -out),
-// read them back (phi-report), and verify the re-derived aggregates equal
-// the campaign's own.
+// run a campaign whose workers hand their records to an ordered JSONL log
+// (carol-fi -out), read them back (phi-report), and verify the re-derived
+// aggregates equal the campaign's own.
 func TestLogRoundTripReaggregation(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
-		Benchmark: "LUD", N: 120, Seed: 77, BenchSeed: 1, Workers: 4,
-		KeepRecords: true,
-	})
+	var buf nopCloser
+	log := trace.NewOrdered(&buf, func(r InjectionRecord) int { return r.Seq })
+	cfg := CampaignConfig{Benchmark: "LUD", N: 120, Seed: 77, BenchSeed: 1, Workers: 4}
+	recs := observe(&cfg)
+	keep := cfg.Observe
+	cfg.Observe = func(r InjectionRecord) { keep(r); log.Observe(r) }
+	res, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	if err := trace.WriteAll(w, res.Records); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,8 +43,8 @@ func TestLogRoundTripReaggregation(t *testing.T) {
 	var re OutcomeCounts
 	fired := 0
 	for i, rec := range back {
-		if rec != res.Records[i] {
-			t.Fatalf("record %d changed across serialisation:\n%+v\n%+v", i, rec, res.Records[i])
+		if rec != recs[i] {
+			t.Fatalf("record %d changed across serialisation:\n%+v\n%+v", i, rec, recs[i])
 		}
 		re.Add(rec.OutcomeOf())
 		if rec.Fired {

@@ -26,7 +26,6 @@ func (r *CampaignResult) Clone() *CampaignResult {
 			out.ByRegion[reg] = c
 		}
 	}
-	out.Records = append([]InjectionRecord(nil), r.Records...)
 	return &out
 }
 
@@ -37,8 +36,7 @@ func (r *CampaignResult) Clone() *CampaignResult {
 // contiguous and merging the K shards of a partitioned campaign in range
 // order reconstructs the monolithic result bit for bit. Every field is
 // folded: outcome tallies, per-model / per-window / per-region partitions,
-// the fired-share proportion (recomputed over the merged denominator), and
-// kept records (recombined in global index order).
+// and the fired-share proportion (recomputed over the merged denominator).
 func (r *CampaignResult) Merge(o *CampaignResult) error {
 	if r.Benchmark != o.Benchmark {
 		return fmt.Errorf("core: merge across benchmarks %q and %q", r.Benchmark, o.Benchmark)
@@ -49,7 +47,7 @@ func (r *CampaignResult) Merge(o *CampaignResult) error {
 	if r.Windows != o.Windows {
 		return fmt.Errorf("core: merge across window counts %d and %d", r.Windows, o.Windows)
 	}
-	off, prepend, empty, err := engine.MergeRanges(r.Offset, r.N, o.Offset, o.N)
+	off, _, empty, err := engine.MergeRanges(r.Offset, r.N, o.Offset, o.N)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -88,16 +86,5 @@ func (r *CampaignResult) Merge(o *CampaignResult) error {
 	fired := r.FiredShare.K + o.FiredShare.K
 	r.N += o.N
 	r.FiredShare = stats.NewProportion(fired, r.N)
-	// Each side's records are already Seq-sorted and the ranges are
-	// adjacent, so concatenation in range order is the global Seq order.
-	switch {
-	case len(o.Records) == 0:
-	case len(r.Records) == 0:
-		r.Records = append([]InjectionRecord(nil), o.Records...)
-	case prepend:
-		r.Records = append(append([]InjectionRecord(nil), o.Records...), r.Records...)
-	default:
-		r.Records = append(r.Records, o.Records...)
-	}
 	return nil
 }

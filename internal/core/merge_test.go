@@ -11,11 +11,11 @@ import (
 
 // shardCampaign runs the [off, off+n) slice of the canonical merge-test
 // campaign.
-func shardCampaign(t *testing.T, off, n int, keep bool) *CampaignResult {
+func shardCampaign(t *testing.T, off, n int) *CampaignResult {
 	t.Helper()
 	res, err := RunCampaign(CampaignConfig{
 		Benchmark: "DGEMM", N: n, Offset: off, Seed: 42, BenchSeed: 1,
-		Workers: 3, KeepRecords: keep,
+		Workers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,17 +26,17 @@ func shardCampaign(t *testing.T, off, n int, keep bool) *CampaignResult {
 // TestCampaignMergeShardsEqualsWhole is the sharding acceptance property at
 // the campaign layer: uneven shard runs partitioning [0, N) merge into a
 // result deep-equal to the monolithic campaign — every tally partition,
-// the fired-share proportion, and the kept records.
+// and the fired-share proportion.
 func TestCampaignMergeShardsEqualsWhole(t *testing.T) {
-	whole := shardCampaign(t, 0, 60, true)
+	whole := shardCampaign(t, 0, 60)
 	for _, cuts := range [][]int{
 		{0, 60},
 		{0, 25, 60},
 		{0, 7, 30, 41, 60},
 	} {
-		acc := shardCampaign(t, cuts[0], cuts[1]-cuts[0], true).Clone()
+		acc := shardCampaign(t, cuts[0], cuts[1]-cuts[0]).Clone()
 		for i := 1; i+1 < len(cuts); i++ {
-			part := shardCampaign(t, cuts[i], cuts[i+1]-cuts[i], true)
+			part := shardCampaign(t, cuts[i], cuts[i+1]-cuts[i])
 			if err := acc.Merge(part); err != nil {
 				t.Fatal(err)
 			}
@@ -50,9 +50,9 @@ func TestCampaignMergeShardsEqualsWhole(t *testing.T) {
 // TestCampaignMergePrepend checks the reverse adjacency: folding the
 // earlier range into the later one lands on the same result.
 func TestCampaignMergePrepend(t *testing.T) {
-	whole := shardCampaign(t, 0, 40, true)
-	acc := shardCampaign(t, 25, 15, true).Clone()
-	if err := acc.Merge(shardCampaign(t, 0, 25, true)); err != nil {
+	whole := shardCampaign(t, 0, 40)
+	acc := shardCampaign(t, 25, 15).Clone()
+	if err := acc.Merge(shardCampaign(t, 0, 25)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(whole, acc) {
@@ -61,20 +61,19 @@ func TestCampaignMergePrepend(t *testing.T) {
 }
 
 func TestCampaignMergeClone(t *testing.T) {
-	a := shardCampaign(t, 0, 20, true)
+	a := shardCampaign(t, 0, 20)
 	c := a.Clone()
 	if !reflect.DeepEqual(a, c) {
 		t.Fatal("clone differs from original")
 	}
 	c.ByModel[fault.Single] = OutcomeCounts{Masked: 999}
-	c.Records[0].Seq = -1
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("clone shares storage with original")
 	}
 }
 
 func TestCampaignMergeValidation(t *testing.T) {
-	base := shardCampaign(t, 0, 10, false)
+	base := shardCampaign(t, 0, 10)
 	other := base.Clone()
 	other.Offset = 10
 	other.Benchmark = "LUD"

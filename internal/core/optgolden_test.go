@@ -24,20 +24,19 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the pre-optimization campaign goldens")
 
 // goldenCampaigns is the grid the goldens cover: every benchmark, all four
-// fault models cycling, with records kept so per-injection fields (site,
-// bits, outcome, pattern, panic message) are all pinned — plus one
+// fault models cycling, with records observed so per-injection fields
+// (site, bits, outcome, pattern, panic message) are all pinned — plus one
 // by-bytes-policy arm, which exercises registry site selection differently.
 func goldenCampaigns() []core.CampaignConfig {
 	var cfgs []core.CampaignConfig
 	for _, b := range []string{"DGEMM", "LUD", "HotSpot", "LavaMD", "NW", "CLAMR"} {
 		cfgs = append(cfgs, core.CampaignConfig{
 			Benchmark: b, N: 160, Seed: 20260808, BenchSeed: 1,
-			KeepRecords: true,
 		})
 	}
 	cfgs = append(cfgs, core.CampaignConfig{
 		Benchmark: "DGEMM", N: 160, Seed: 20260808, BenchSeed: 1,
-		Policy: state.ByBytes, KeepRecords: true,
+		Policy: state.ByBytes,
 	})
 	return cfgs
 }
@@ -50,12 +49,17 @@ func goldenPath(cfg core.CampaignConfig) string {
 	return filepath.Join("testdata", "optgolden", name+".json")
 }
 
-func marshalResult(t *testing.T, res *core.CampaignResult) []byte {
+// marshalResult encodes the records after the result's own fields, as the
+// goldens have them.
+func marshalResult(t *testing.T, res *core.CampaignResult, recs []core.InjectionRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(res); err != nil {
+	if err := enc.Encode(struct {
+		*core.CampaignResult
+		Records []core.InjectionRecord `json:",omitempty"`
+	}{res, recs}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -79,11 +83,13 @@ func TestOptGoldenCampaigns(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				c := cfg
 				c.Workers = workers
+				recs := make([]core.InjectionRecord, c.N)
+				c.Observe = func(r core.InjectionRecord) { recs[r.Seq] = r }
 				res, err := core.RunCampaign(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := marshalResult(t, res)
+				got := marshalResult(t, res, recs)
 				if *updateGolden && workers == 1 {
 					if err := os.MkdirAll(filepath.Dir(goldenPath(cfg)), 0o755); err != nil {
 						t.Fatal(err)

@@ -151,9 +151,9 @@ func (l RemoteLauncher) Launch(ctx context.Context, task Task, stderr io.Writer)
 		return fmt.Errorf("distrib: %w", err)
 	}
 	defer spec.Close()
-	// Stream the artifact into a sibling temp file and rename on success,
-	// so a connection dropped mid-transfer never leaves a plausible-looking
-	// partial behind for the validator to half-trust.
+	// Copy the artifact into a sibling temp file as it arrives and rename
+	// on success, so a connection dropped mid-transfer never leaves a
+	// plausible-looking partial behind for the validator to half-trust.
 	tmp := task.OutPath + ".tmp"
 	out, err := os.Create(tmp)
 	if err != nil {

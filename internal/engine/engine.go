@@ -5,17 +5,18 @@
 // assignment, per-worker shard aggregates merged after the pool drains,
 // per-trial RNG streams derived from one seed, context cancellation with
 // internally consistent partial tallies, a serialised Progress hook, and an
-// optional Stream channel delivering records in trial order — parameterised
-// over the experiment function and the record/aggregate types. Tee fans one
-// Stream out to several consumers (a JSONL trace and the resident
-// reliability monitor, say) without the campaign knowing who is listening.
+// optional Observe hook handed every record by the worker that ran it —
+// parameterised over the experiment function and the record/aggregate
+// types. A consumer that wants several listeners (a JSONL trace and the
+// resident reliability monitor, say) passes one closure that calls each.
 //
 // Determinism contract: global trial i always runs with the RNG stream
 // stats.NewRNG(stats.Mix64(Seed, i)) on some worker, and shard merging is
 // order-independent, so a completed campaign is bit-identical for any
 // worker count — and, via Config.Offset, K runs that partition the global
 // index space [0, total) reproduce one monolithic run exactly. Memory is
-// O(Workers) unless KeepRecords is set.
+// O(Workers): records are folded, or kept by an Observe hook, never by the
+// engine.
 package engine
 
 import (
@@ -33,31 +34,6 @@ import (
 // state, so trial i yields the same record on every worker.
 type Experiment[R any] func(i int, rng *stats.RNG) R
 
-// Tee fans one record stream out to several consumers: every record read
-// from in is delivered to each out, in order, and every out is closed
-// when in closes — the same close-on-return contract Config.Stream gives
-// a single consumer, extended to many. It returns immediately; the
-// returned channel closes when the fan-out drains. A campaign stream can
-// thus feed a JSONL log writer and a resident reliability monitor at
-// once: make Config.Stream an intermediate channel and Tee it.
-func Tee[R any](in <-chan R, outs ...chan<- R) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() {
-			for _, out := range outs {
-				close(out)
-			}
-		}()
-		for rec := range in {
-			for _, out := range outs {
-				out <- rec
-			}
-		}
-	}()
-	return done
-}
-
 // Config parameterises a streaming campaign over record type R and
 // per-worker aggregate type A (typically a pointer to a shard struct).
 type Config[R, A any] struct {
@@ -67,7 +43,7 @@ type Config[R, A any] struct {
 	// trials [Offset, Offset+N). Trial i (global) always derives its RNG
 	// stream from stats.Mix64(Seed, i) regardless of which shard run
 	// executes it, so K runs partitioning [0, total) reproduce one
-	// monolithic run bit for bit. Experiment and Stream see global
+	// monolithic run bit for bit. Experiment and Observe see global
 	// indices; Progress counts stay local to this run (done of N).
 	Offset int
 	// Seed determinises the campaign: global trial i uses
@@ -76,19 +52,15 @@ type Config[R, A any] struct {
 	// Workers sizes the pool (default 4, clamped to N). Completed results
 	// are independent of Workers.
 	Workers int
-	// KeepRecords retains every record, ordered by trial index — the only
-	// mode that costs O(N) memory.
-	KeepRecords bool
 	// Progress, when non-nil, is invoked with (done, total) roughly every
 	// 1% of N. Calls are serialised and done is monotone; a completed
 	// campaign always delivers a final (N, N) call.
 	Progress func(done, total int)
-	// Stream, when non-nil, receives every record as it is produced.
-	// Delivery order across workers is nondeterministic. The engine closes
-	// the channel when Run returns, so a channel serves exactly one
-	// campaign. A record cancelled mid-send is dropped entirely: partial
-	// tallies never claim a trial the consumer did not receive.
-	Stream chan<- R
+	// Observe, when non-nil, is called with every record by the worker
+	// that ran the trial, after the trial and before Fold, so a trial that
+	// was not observed is never tallied. Calls from different workers may
+	// overlap and arrive in any trial order.
+	Observe func(R)
 	// NewWorker builds one worker's private experiment state (benchmark
 	// instance, injector, ...). It is called once per worker, from that
 	// worker's goroutine; any error aborts the campaign.
@@ -101,17 +73,13 @@ type Config[R, A any] struct {
 }
 
 // Result is the raw engine outcome: the per-worker aggregates (merge is the
-// caller's, since only the caller knows A's semantics) and, with
-// KeepRecords, every record in trial order.
+// caller's, since only the caller knows A's semantics) and the count of
+// trials that completed.
 type Result[R, A any] struct {
 	// Shards holds one aggregate per worker. Folding is strided (worker w
 	// gets trials w, w+Workers, ...), so any order-independent merge of
 	// the shards reconstructs the campaign total.
 	Shards []A
-	// Records holds every completed trial's record in index order when
-	// KeepRecords was set (a cancelled campaign leaves gaps, which are
-	// compacted out).
-	Records []R
 	// Done is the number of trials that completed.
 	Done int
 }
@@ -122,9 +90,6 @@ type Result[R, A any] struct {
 // aggregates are internally consistent. A NewWorker error aborts the whole
 // campaign and returns a nil Result.
 func Run[R, A any](ctx context.Context, cfg Config[R, A]) (*Result[R, A], error) {
-	if cfg.Stream != nil {
-		defer close(cfg.Stream)
-	}
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("engine: campaign needs N > 0")
 	}
@@ -166,16 +131,6 @@ func Run[R, A any](ctx context.Context, cfg Config[R, A]) (*Result[R, A], error)
 		progressMu.Unlock()
 	}
 
-	var (
-		records []R
-		have    []bool
-	)
-	if cfg.KeepRecords {
-		// Workers write disjoint indices, so the slices need no locking.
-		records = make([]R, cfg.N)
-		have = make([]bool, cfg.N)
-	}
-
 	shards := make([]A, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -205,19 +160,10 @@ func Run[R, A any](ctx context.Context, cfg Config[R, A]) (*Result[R, A], error)
 				i := cfg.Offset + li
 				rng.Reseed(stats.Mix64(cfg.Seed, uint64(i)))
 				rec := run(i, &rng)
-				// Deliver before folding (see Config.Stream).
-				if cfg.Stream != nil {
-					select {
-					case cfg.Stream <- rec:
-					case <-ctx.Done():
-						return
-					}
+				if cfg.Observe != nil {
+					cfg.Observe(rec)
 				}
 				cfg.Fold(sh, rec)
-				if cfg.KeepRecords {
-					records[li] = rec
-					have[li] = true
-				}
 				if n := done.Add(1); cfg.Progress != nil && (n%stride == 0 || n == int64(cfg.N)) {
 					report(n)
 				}
@@ -244,18 +190,6 @@ func Run[R, A any](ctx context.Context, cfg Config[R, A]) (*Result[R, A], error)
 	}
 
 	out := &Result[R, A]{Shards: shards, Done: int(done.Load())}
-	if cfg.KeepRecords {
-		kept := records
-		if out.Done != cfg.N {
-			kept = make([]R, 0, out.Done)
-			for i, ok := range have {
-				if ok {
-					kept = append(kept, records[i])
-				}
-			}
-		}
-		out.Records = kept
-	}
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +39,15 @@ func config(n, workers int) Config[trial, *tally] {
 	}
 }
 
+// keep sets cfg.Observe to store every record at its local index and
+// returns the slice. Workers write disjoint elements, so it needs no lock.
+func keep(cfg *Config[trial, *tally]) []trial {
+	recs := make([]trial, cfg.N)
+	off := cfg.Offset
+	cfg.Observe = func(t trial) { recs[t.I-off] = t }
+	return recs
+}
+
 func merged(res *Result[trial, *tally]) tally {
 	var out tally
 	for _, sh := range res.Shards {
@@ -51,21 +59,22 @@ func merged(res *Result[trial, *tally]) tally {
 
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	var base *Result[trial, *tally]
+	var baseRecs []trial
 	for _, workers := range []int{1, 3, 8} {
 		cfg := config(100, workers)
-		cfg.KeepRecords = true
+		recs := keep(&cfg)
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Done != 100 || len(res.Records) != 100 {
-			t.Fatalf("workers=%d: done %d records %d", workers, res.Done, len(res.Records))
+		if res.Done != 100 {
+			t.Fatalf("workers=%d: done %d", workers, res.Done)
 		}
 		if base == nil {
-			base = res
+			base, baseRecs = res, recs
 			continue
 		}
-		if !reflect.DeepEqual(base.Records, res.Records) {
+		if !reflect.DeepEqual(baseRecs, recs) {
 			t.Fatalf("workers=%d: records differ from workers=1", workers)
 		}
 		if merged(base) != merged(res) {
@@ -76,12 +85,11 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 
 func TestEngineSeedsAreMix64(t *testing.T) {
 	cfg := config(10, 2)
-	cfg.KeepRecords = true
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
+	recs := keep(&cfg)
+	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	for i, rec := range res.Records {
+	for i, rec := range recs {
 		want := stats.NewRNG(stats.Mix64(99, uint64(i))).Uint64()
 		if rec.I != i || rec.V != want {
 			t.Fatalf("trial %d: got (%d,%d), want (%d,%d)", i, rec.I, rec.V, i, want)
@@ -92,7 +100,6 @@ func TestEngineSeedsAreMix64(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := config(5000, 4)
-	cfg.KeepRecords = true
 	cfg.Progress = func(done, total int) {
 		if done >= 50 {
 			cancel()
@@ -105,57 +112,46 @@ func TestEngineCancellation(t *testing.T) {
 	if res == nil {
 		t.Fatal("no partial result")
 	}
-	m := merged(res)
-	if m.n != res.Done || len(res.Records) != res.Done {
-		t.Fatalf("partial accounting: tally %d, records %d, done %d", m.n, len(res.Records), res.Done)
+	if m := merged(res); m.n != res.Done {
+		t.Fatalf("partial accounting: tally %d, done %d", m.n, res.Done)
 	}
 	if res.Done == 0 || res.Done >= 5000 {
 		t.Fatalf("done = %d, want a strict partial", res.Done)
 	}
-	for i := 1; i < len(res.Records); i++ {
-		if res.Records[i-1].I >= res.Records[i].I {
-			t.Fatal("partial records not in index order")
-		}
-	}
 }
 
-func TestEngineStreamMatchesTallies(t *testing.T) {
-	ch := make(chan trial, 16)
-	var streamed []trial
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for tr := range ch {
-			streamed = append(streamed, tr)
+// TestEngineObserveOncePerFoldedTrial pins the Observe contract: every
+// trial is observed exactly once, by its worker, before it is folded, so
+// a cancelled campaign's partial Done equals the number of records its
+// observer saw.
+func TestEngineObserveOncePerFoldedTrial(t *testing.T) {
+	for _, cancelAt := range []int{0, 50} {
+		const n = 5000
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := make([]atomic.Int32, n)
+		var observed atomic.Int64
+		cfg := config(n, 4)
+		cfg.Observe = func(tr trial) { seen[tr.I].Add(1); observed.Add(1) }
+		fold := cfg.Fold
+		cfg.Fold = func(sh *tally, tr trial) {
+			if c := seen[tr.I].Load(); c != 1 {
+				t.Errorf("trial %d folded after %d observations, want 1", tr.I, c)
+			}
+			fold(sh, tr)
 		}
-	}()
-	cfg := config(80, 4)
-	cfg.Stream = ch
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-drained // Run closed the channel
-	if len(streamed) != res.Done {
-		t.Fatalf("streamed %d, done %d", len(streamed), res.Done)
-	}
-	sort.Slice(streamed, func(i, j int) bool { return streamed[i].I < streamed[j].I })
-	for i, tr := range streamed {
-		if tr.I != i {
-			t.Fatalf("stream missing trial %d", i)
+		cfg.Progress = func(done, total int) {
+			if cancelAt > 0 && done >= cancelAt {
+				cancel()
+			}
 		}
-	}
-}
-
-func TestEngineStreamClosedOnError(t *testing.T) {
-	ch := make(chan trial)
-	cfg := config(0, 1) // invalid N
-	cfg.Stream = ch
-	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Fatal("accepted N=0")
-	}
-	if _, ok := <-ch; ok {
-		t.Fatal("stream not closed on config error")
+		res, err := Run(ctx, cfg)
+		cancel()
+		if (err != nil) != (cancelAt > 0) || cancelAt > 0 && res.Done == n {
+			t.Fatalf("cancelAt=%d: err %v, done %d", cancelAt, err, res.Done)
+		}
+		if int(observed.Load()) != res.Done || merged(res).n != res.Done {
+			t.Fatalf("cancelAt=%d: observed %d, folded %d, done %d", cancelAt, observed.Load(), merged(res).n, res.Done)
+		}
 	}
 }
 
@@ -207,15 +203,11 @@ func TestEngineValidation(t *testing.T) {
 func TestEngineOffsetGlobalIndices(t *testing.T) {
 	cfg := config(10, 3)
 	cfg.Offset = 40
-	cfg.KeepRecords = true
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
+	recs := keep(&cfg)
+	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 10 {
-		t.Fatalf("kept %d records, want 10", len(res.Records))
-	}
-	for li, rec := range res.Records {
+	for li, rec := range recs {
 		g := 40 + li
 		want := stats.NewRNG(stats.Mix64(99, uint64(g))).Uint64()
 		if rec.I != g || rec.V != want {
@@ -229,7 +221,7 @@ func TestEngineOffsetGlobalIndices(t *testing.T) {
 // record for record and tally for tally.
 func TestEngineShardPartitionMatchesMonolithic(t *testing.T) {
 	whole := config(101, 4)
-	whole.KeepRecords = true
+	monoRecs := keep(&whole)
 	mono, err := Run(context.Background(), whole)
 	if err != nil {
 		t.Fatal(err)
@@ -239,17 +231,17 @@ func TestEngineShardPartitionMatchesMonolithic(t *testing.T) {
 	for _, r := range []struct{ off, n int }{{0, 33}, {33, 40}, {73, 28}} {
 		cfg := config(r.n, 3)
 		cfg.Offset = r.off
-		cfg.KeepRecords = true
+		part := keep(&cfg)
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs = append(recs, res.Records...)
+		recs = append(recs, part...)
 		m := merged(res)
 		sum.n += m.n
 		sum.sum += m.sum
 	}
-	if !reflect.DeepEqual(mono.Records, recs) {
+	if !reflect.DeepEqual(monoRecs, recs) {
 		t.Fatal("sharded records differ from monolithic run")
 	}
 	if sum != merged(mono) {

@@ -12,9 +12,9 @@
 // must import the workload packages (typically phirel/internal/bench/all)
 // before running a sweep.
 //
-// The ObserveInjection/ObserveBeam hooks tap every cell's record stream as
-// it runs — the seam the resident reliability monitor (internal/monitor)
-// attaches through. Observers are execution details like Workers and
+// The ObserveInjection/ObserveBeam hooks are handed every cell's records
+// as it runs — the seam the resident reliability monitor (internal/monitor)
+// is wired to. Observers are execution details like Workers and
 // Progress: excluded from specs, canonical hashes, and artifacts, so an
 // observed sweep's artifact is byte-identical to an unobserved one.
 package fleet
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"phirel/internal/beam"
 	"phirel/internal/bench"
@@ -79,17 +78,19 @@ type Sweep struct {
 	BeamECCAblation bool `json:"beamECCAblation,omitempty"`
 
 	// Progress, when non-nil, is invoked with (done, total) cells — of
-	// both kinds — as the pool completes them. Calls are serialised.
+	// both kinds — as the pool completes them. Calls are serialised and
+	// done is monotone.
 	Progress func(done, total int) `json:"-"`
 
 	// ObserveInjection and ObserveBeam, when non-nil, receive every record
 	// every cell of the matching kind produces, as it is produced — the
-	// seam a resident reliability monitor (internal/monitor) attaches to.
-	// Cells run concurrently, so calls arrive from multiple goroutines and
-	// observers must be safe for concurrent use; every record of a cell is
-	// delivered before the cell counts as done. Like Progress, observers
-	// are execution detail: they are never serialised into specs and do
-	// not affect the sweep's canonical hash or its artifact bytes.
+	// cell campaign's Observe hook, where a resident reliability monitor
+	// (internal/monitor) is wired. Cells run concurrently, so calls arrive
+	// from multiple goroutines and observers must be safe for concurrent
+	// use; every record of a cell is delivered before the cell counts as
+	// done. Like Progress, observers are execution detail: they are never
+	// serialised into specs and do not affect the sweep's canonical hash
+	// or its artifact bytes.
 	ObserveInjection func(rec core.InjectionRecord) `json:"-"`
 	ObserveBeam      func(rec beam.Record)          `json:"-"`
 }
@@ -323,7 +324,7 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
-		done     atomic.Int64
+		done     int
 		mu       sync.Mutex
 		firstErr error
 	)
@@ -348,9 +349,11 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 			return
 		}
 		if ns.Progress != nil {
-			n := done.Add(1)
+			// Counting under the lock keeps done monotone, so the last
+			// call is always (total, total).
 			mu.Lock()
-			ns.Progress(int(n), total)
+			done++
+			ns.Progress(done, total)
 			mu.Unlock()
 		}
 	}
@@ -378,26 +381,9 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 				BenchSeed: ns.BenchSeed,
 				Workers:   1,
 				Runners:   rs,
-			}
-			// The observer drains a per-cell stream; the engine closes it
-			// when the campaign returns, and the drain is waited out so
-			// every record is observed before the cell counts as done.
-			var drained chan struct{}
-			if ns.ObserveInjection != nil {
-				ch := make(chan core.InjectionRecord, 256)
-				cfg.Stream = ch
-				drained = make(chan struct{})
-				go func() {
-					defer close(drained)
-					for rec := range ch {
-						ns.ObserveInjection(rec)
-					}
-				}()
+				Observe:   ns.ObserveInjection,
 			}
 			res, err := core.RunCampaignContext(ctx, cfg)
-			if drained != nil {
-				<-drained
-			}
 			if err == nil {
 				out[i] = CellResult{CellSpec: c, Result: res}
 			}
@@ -423,24 +409,10 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 				Device:     dev,
 				DisableECC: c.DisableECC,
 				Runners:    rs,
-			}
-			var drained chan struct{}
-			if ns.ObserveBeam != nil {
-				ch := make(chan beam.Record, 256)
-				cfg.Stream = ch
-				drained = make(chan struct{})
-				go func() {
-					defer close(drained)
-					for rec := range ch {
-						ns.ObserveBeam(rec)
-					}
-				}()
+				Observe:    ns.ObserveBeam,
 			}
 			var res *beam.Result
 			res, err = beam.RunContext(ctx, cfg)
-			if drained != nil {
-				<-drained
-			}
 			if err == nil {
 				beamOut[j] = BeamCellResult{BeamCellSpec: c, Result: res}
 			}

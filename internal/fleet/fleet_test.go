@@ -221,8 +221,8 @@ func TestSweepMixedPool(t *testing.T) {
 	var calls int
 	s.Progress = func(done, total int) {
 		calls++
-		if total != 5 { // 1 injection cell + 4 beam cells
-			t.Errorf("progress total %d, want 5", total)
+		if total != 5 || done != calls { // 1 injection cell + 4 beam cells
+			t.Errorf("progress call %d reports (%d, %d), want (%d, 5)", calls, done, total, calls)
 		}
 	}
 	res, err := s.Run(context.Background())

@@ -3,49 +3,34 @@ package monitor_test
 import (
 	"fmt"
 
+	_ "phirel/internal/bench/all"
 	"phirel/internal/core"
 	"phirel/internal/monitor"
 )
 
-// ExampleAttach shows the resident-monitor seam: a campaign's Stream
-// channel feeds Attach, which tallies every record and forwards the
-// stream onward (here to a second channel standing in for a JSONL log
-// writer). In a real campaign the engine produces the records and closes
-// the channel when the run returns; the example plays five hand-written
-// records for a deterministic snapshot.
-func ExampleAttach() {
+// Example wires the resident monitor into a campaign: the campaign hands
+// every record to its Observe hook, here the monitor's ObserveInjection,
+// from each of its workers as the trial finishes. When the campaign
+// returns, the monitor's snapshot covers every record, and its tallies
+// are the campaign's own.
+func Example() {
 	m, err := monitor.New(monitor.Config{Device: "KNC3120A"})
 	if err != nil {
 		panic(err)
 	}
-
-	ch := make(chan core.InjectionRecord, 8)
-	logCh := make(chan core.InjectionRecord, 8)
-	a := monitor.Attach(m, ch, logCh)
-
-	outcomes := []string{"Masked", "SDC", "Masked", "DUE-crash", "Masked"}
-	for i, out := range outcomes {
-		ch <- core.InjectionRecord{
-			Seq: i, Benchmark: "DGEMM", Model: "Single",
-			Region: "matrix", Outcome: out,
-		}
-	}
-	close(ch) // a real campaign's engine closes its Stream on return
-	a.Wait()  // final snapshot now covers every record
-
-	logged := 0
-	for range logCh {
-		logged++
+	res, err := core.RunCampaign(core.CampaignConfig{
+		Benchmark: "DGEMM", N: 200, Seed: 5, BenchSeed: 1, Workers: 4,
+		Observe: m.ObserveInjection,
+	})
+	if err != nil {
+		panic(err)
 	}
 
 	snap := m.Snapshot()
-	fmt.Printf("forwarded %d records\n", logged)
-	fmt.Printf("trials=%d sdc=%d/%d due=%d/%d\n", snap.Trials,
-		snap.Aggregate.SDC.K, snap.Aggregate.SDC.N,
-		snap.Aggregate.DUE.K, snap.Aggregate.DUE.N)
-	fmt.Printf("regions[0]=%s avf=%.1f\n", snap.Regions[0].Name, snap.Regions[0].AVF)
+	fmt.Printf("campaign: %d injections, %d SDC, %d DUE\n", res.N, res.Outcomes.SDC, res.Outcomes.DUE())
+	fmt.Printf("monitor:  %d trials, sdc=%d/%d due=%d/%d\n", snap.Trials,
+		snap.Aggregate.SDC.K, snap.Aggregate.SDC.N, snap.Aggregate.DUE.K, snap.Aggregate.DUE.N)
 	// Output:
-	// forwarded 5 records
-	// trials=5 sdc=1/5 due=1/5
-	// regions[0]=matrix avf=0.4
+	// campaign: 200 injections, 62 SDC, 52 DUE
+	// monitor:  200 trials, sdc=62/200 due=52/200
 }

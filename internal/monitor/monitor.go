@@ -1,21 +1,22 @@
-// Package monitor is the resident reliability monitor: it consumes a live
-// campaign's record stream — CAROL-FI injection records and accelerated
-// beam records alike — and maintains rolling FIT/MTBF estimates with
-// Wilson confidence intervals, per benchmark, per fault model, and in
+// Package monitor is the resident reliability monitor: a live campaign
+// hands it each record through the campaign's Observe hook (set it to
+// m.ObserveInjection on a core.CampaignConfig, m.ObserveBeam on a
+// beam.Config), and it maintains rolling FIT/MTBF estimates with Wilson
+// confidence intervals, per benchmark, per fault model, and in
 // aggregate, in the libhwrel mold: raw per-bit fault rates from the phi
 // device model, AVF weighting per corruption region, and an Arrhenius
 // temperature-acceleration factor.
 //
 // The monitor keeps only integer outcome tallies; every estimate is a
 // pure, deterministic function of those tallies (Snapshot folds them in
-// sorted order), so an incrementally observed stream and a batch fold of
+// sorted order), so incrementally observed records and a batch fold of
 // the finished result (ObserveSweep, FromSweep) produce identical
 // snapshots — and on a fixed-seed campaign the monitor's final estimate
 // equals the post-hoc internal/analysis fit exactly, because both go
 // through analysis.RateFITEstimate on the same tallies.
 //
-// All Observe methods are safe for concurrent use; a fleet sweep's cells
-// may feed one monitor from many goroutines.
+// All Observe methods are safe for concurrent use: a campaign's workers,
+// and a fleet sweep's cells, call them from many goroutines at once.
 package monitor
 
 import (

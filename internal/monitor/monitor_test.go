@@ -49,23 +49,20 @@ func wantRate(t *testing.T, label string, got Rate, want analysis.FITEstimate) {
 }
 
 // TestBeamStreamMatchesPostHocFit is the correctness anchor for the beam
-// class: a monitor attached to a fixed-seed campaign's Stream channel must
-// end on exactly the FIT estimate the finished beam.Result computes
-// post hoc.
+// class: a monitor observing a fixed-seed campaign's records, from four
+// workers at once, must end on exactly the FIT estimate the finished
+// beam.Result computes post hoc.
 func TestBeamStreamMatchesPostHocFit(t *testing.T) {
 	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan beam.Record, 64)
-	a := Attach(m, ch)
 	res, err := beam.Run(beam.Config{
-		Benchmark: "DGEMM", Runs: 400, Seed: 7, BenchSeed: 1, Workers: 4, Stream: ch,
+		Benchmark: "DGEMM", Runs: 400, Seed: 7, BenchSeed: 1, Workers: 4, Observe: m.ObserveBeam,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Wait()
 
 	snap := m.Snapshot()
 	if snap.Trials != res.Runs {
@@ -84,23 +81,21 @@ func TestBeamStreamMatchesPostHocFit(t *testing.T) {
 }
 
 // TestInjectionStreamMatchesPostHocFit anchors the injection class: the
-// streamed monitor estimate equals the analytical fit of the finished
-// campaign's tallies under the same device rate, and the AVF region
-// breakdown partitions the harmful FIT.
+// estimate of a monitor observing the campaign's records from four
+// workers at once equals the analytical fit of the finished campaign's
+// tallies under the same device rate, and the AVF region breakdown
+// partitions the harmful FIT.
 func TestInjectionStreamMatchesPostHocFit(t *testing.T) {
 	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan core.InjectionRecord, 64)
-	a := Attach(m, ch)
 	res, err := core.RunCampaign(core.CampaignConfig{
-		Benchmark: "DGEMM", N: 300, Seed: 5, BenchSeed: 1, Workers: 4, Stream: ch,
+		Benchmark: "DGEMM", N: 300, Seed: 5, BenchSeed: 1, Workers: 4, Observe: m.ObserveInjection,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Wait()
 
 	profile, err := phi.ProfileFor("DGEMM")
 	if err != nil {
@@ -205,14 +200,11 @@ func TestCIWidthShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch := make(chan beam.Record, 64)
-		a := Attach(m, ch)
 		if _, err := beam.Run(beam.Config{
-			Benchmark: "DGEMM", Runs: runs, Seed: 1, BenchSeed: 1, Workers: 4, Stream: ch,
+			Benchmark: "DGEMM", Runs: runs, Seed: 1, BenchSeed: 1, Workers: 4, Observe: m.ObserveBeam,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		a.Wait()
 		agg := m.Snapshot().Aggregate
 		if agg.SDC.K == 0 {
 			t.Fatalf("no SDC events in %d runs; widen the fixture", runs)

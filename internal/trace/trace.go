@@ -5,9 +5,10 @@
 // carries the -monitor-jsonl snapshot streams of phi-bench and phi-beam —
 // any JSON-marshalable record type, one object per line.
 //
-// Campaign engines deliver streamed records in trial order already;
-// CopyOrdered is the resequencer for consumers that receive records out of
-// order (it buffers by sequence number and writes each exactly once).
+// A campaign's workers hand their records to its Observe hook in no
+// particular order; Ordered is the log to hand them to: it resequences by
+// sequence number, writes each record exactly once, and its Close reports
+// the first write, flush or close error.
 package trace
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // Writer appends JSONL records to an io.Writer.
@@ -40,53 +42,82 @@ func (w *Writer) Write(rec any) error {
 	return nil
 }
 
-// WriteAll appends a slice of records.
-func WriteAll[T any](w *Writer, recs []T) error {
-	for i := range recs {
-		if err := w.Write(recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+// Ordered is a JSONL log fed by concurrent campaign workers: seq maps a
+// record to its 0-based position in the log, and each record is held
+// until its predecessors have been written, so the log's bytes do not
+// depend on which worker ran what. A cancelled campaign leaves gaps in
+// the sequence space; Close writes the records held behind them in
+// sorted order, so a partial log stays sorted. Both campaign CLIs
+// (carol-fi, phi-beam) write their -out logs through this.
+type Ordered[T any] struct {
+	mu      sync.Mutex
+	dst     io.WriteCloser
+	w       *Writer
+	seq     func(T) int
+	next    int
+	pending map[int]T
+	err     error
 }
 
-// CopyOrdered drains records from ch into w in sequence order, where seq
-// maps a record to its 0-based campaign index. Workers deliver interleaved,
-// so records are held in a pending map until their predecessors arrive; a
-// cancelled campaign leaves gaps in the sequence space, and the stragglers
-// are flushed in sorted order after ch closes so partial logs stay sorted.
-// The channel keeps draining after a write error (the engine must never
-// block on a dead consumer) and the first error is returned. Both campaign
-// CLIs (carol-fi, phi-beam) stream their JSONL logs through this.
-func CopyOrdered[T any](ch <-chan T, w *Writer, seq func(T) int) error {
-	var werr error
-	pending := map[int]T{}
-	next := 0
-	for rec := range ch {
-		pending[seq(rec)] = rec
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if werr == nil {
-				werr = w.Write(r)
-			}
+// NewOrdered returns an ordered log writing to dst, which Close closes.
+func NewOrdered[T any](dst io.WriteCloser, seq func(T) int) *Ordered[T] {
+	return &Ordered[T]{dst: dst, w: NewWriter(dst), seq: seq, pending: map[int]T{}}
+}
+
+// Observe adds one record to the log; it is safe for concurrent use.
+// After a write error the log keeps accepting records, so a campaign
+// never blocks on a dead log, but writes nothing more; Close reports the
+// error.
+func (o *Ordered[T]) Observe(rec T) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.err != nil {
+		return
+	}
+	o.pending[o.seq(rec)] = rec
+	for {
+		r, ok := o.pending[o.next]
+		if !ok {
+			return
+		}
+		delete(o.pending, o.next)
+		o.next++
+		if o.err = o.w.Write(r); o.err != nil {
+			return
 		}
 	}
-	rest := make([]int, 0, len(pending))
-	for s := range pending {
+}
+
+// Close writes the records still held behind gaps in sequence order,
+// flushes the log and closes dst. It returns the first write, flush or
+// close error of the log's life.
+func (o *Ordered[T]) Close() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	rest := make([]int, 0, len(o.pending))
+	for s := range o.pending {
 		rest = append(rest, s)
 	}
 	sort.Ints(rest)
 	for _, s := range rest {
-		if werr == nil {
-			werr = w.Write(pending[s])
+		if o.err == nil {
+			o.err = o.w.Write(o.pending[s])
 		}
 	}
-	return werr
+	if err := o.w.Flush(); err != nil && o.err == nil {
+		o.err = fmt.Errorf("trace: flush: %w", err)
+	}
+	if err := o.dst.Close(); err != nil && o.err == nil {
+		o.err = fmt.Errorf("trace: close: %w", err)
+	}
+	return o.err
+}
+
+// Count returns the number of records the log has written.
+func (o *Ordered[T]) Count() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.w.Count()
 }
 
 // Count returns the number of records written.
