@@ -71,15 +71,6 @@ func (o Output) Clone() Output {
 	return c
 }
 
-// OutputInto is implemented by benchmarks that can write their canonical
-// output into a caller-provided buffer. The Runner uses it to reuse one
-// buffer across injected runs instead of allocating a fresh output slice
-// per trial. dst may be nil or too small; implementations grow it with
-// GrowVals and return the buffer they actually filled.
-type OutputInto interface {
-	OutputInto(dst []float64) Output
-}
-
 // GrowVals returns dst resized to n elements, reallocating only when its
 // capacity is insufficient. Contents are unspecified; callers overwrite
 // every element (or zero it first for sparse writers).
@@ -109,8 +100,11 @@ type Benchmark interface {
 	// ctx.Tick at instrumentation points and ctx.Work inside loops whose
 	// bounds come from corruptible cells.
 	Run(ctx *Ctx)
-	// Output returns the canonical result of the last completed Run.
-	Output() Output
+	// Output writes the canonical result of the last completed Run into
+	// dst and returns it. dst may be nil or too small: implementations grow
+	// it with GrowVals and return the buffer they filled, so the Runner
+	// reuses one buffer across injected runs.
+	Output(dst []float64) Output
 }
 
 // Constructor builds a fresh benchmark instance. The seed determinises

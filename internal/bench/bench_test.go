@@ -75,8 +75,8 @@ func (t *toy) Run(ctx *Ctx) {
 	}
 }
 
-func (t *toy) Output() Output {
-	return Output{Vals: append([]float64(nil), t.out.Data...), Shape: t.out.Shape}
+func (t *toy) Output(dst []float64) Output {
+	return Output{Vals: append(dst[:0], t.out.Data...), Shape: t.out.Shape}
 }
 
 func TestRunnerGolden(t *testing.T) {
@@ -182,7 +182,7 @@ func TestRunnerPopsFramesAfterAbort(t *testing.T) {
 	b := newToy()
 	r, _ := NewRunner(b)
 	res := r.RunInjected(1, func() {
-		b.reg.Push("phase") // simulate a phase frame live at abort time
+		b.reg.Push(&state.Frame{Name: "phase"}) // simulate a phase frame live at abort time
 		b.n.Store(1 << 40)
 	})
 	if res.Status != Hung {
@@ -246,7 +246,6 @@ func (c *ctoy) Name() string              { return "ctoy" }
 func (c *ctoy) Class() Class              { return Algebraic }
 func (c *ctoy) Windows() int              { return 4 }
 func (c *ctoy) Registry() *state.Registry { return c.reg }
-func (c *ctoy) Output() Output            { return c.OutputInto(nil) }
 
 func (c *ctoy) Reset() {
 	c.reg.PopAll()
@@ -267,7 +266,7 @@ func (c *ctoy) ticks(ctx *Ctx, it int) {
 	}
 }
 
-func (c *ctoy) OutputInto(dst []float64) Output {
+func (c *ctoy) Output(dst []float64) Output {
 	dst = GrowVals(dst, len(c.out.Data))
 	copy(dst, c.out.Data)
 	return Output{Vals: dst, Shape: c.out.Shape}

@@ -88,8 +88,8 @@ type CLAMR struct {
 
 	workers []worker
 
-	// quadtree of the current step (rebuilt each step inside the tree
-	// frame; slices are reused but only registered while the frame lives).
+	// quadtree of the current step (rebuilt each step; its node arrays are
+	// the tree frame's sites, live only while the frame is pushed).
 	qt quadtree
 
 	// remesh scratch (unregistered; overwritten every step).
@@ -97,12 +97,13 @@ type CLAMR struct {
 	tmpH, tmpU, tmpV   []float64
 	marks              []int8 // +1 refine, -1 coarsenable, 0 keep
 
-	// sort-phase backing storage, capacity-sized and wrapped as fresh sites
-	// each step so the per-step allocations disappear. The scratch halves are
-	// re-zeroed before registration: they are live-but-unwritten at the sort
-	// tick, so their injectable "before" values must match the zeroed fresh
-	// allocations they replace.
-	sortK, sortP, sortSK, sortSP []int
+	// The sort frame's buffers: Morton keys, permutation and their merge
+	// scratch, region "mesh.sort". Each owns a capacity-sized array and is
+	// re-sliced to the live cell count every sort tick, so an injection sees
+	// n elements of each.
+	sortBufs [4]*state.Buf[int]
+
+	sortFrame, treeFrame *state.Frame // built by New, pushed by their phases
 }
 
 // New builds a CLAMR instance. The initial mesh is uniform at level 1 with
@@ -161,11 +162,21 @@ func New(cfg Config, seed uint64) *CLAMR {
 	c.tmpU = make([]float64, c.cap)
 	c.tmpV = make([]float64, c.cap)
 	c.marks = make([]int8, c.cap)
-	c.sortK = make([]int, c.cap)
-	c.sortP = make([]int, c.cap)
-	c.sortSK = make([]int, c.cap)
-	c.sortSP = make([]int, c.cap)
-	c.qt.init(c.cap)
+	c.sortFrame = &state.Frame{Name: "sort"}
+	for i, name := range []string{"sortKeys", "sortPerm", "sortScratchKeys", "sortScratchPerm"} {
+		c.sortBufs[i] = state.NewBuf[int](name, "mesh.sort", state.Dims1(c.cap))
+		c.sortFrame.Register(c.sortBufs[i])
+	}
+	q := &c.qt
+	q.init(c.cap)
+	c.treeFrame = &state.Frame{Name: "tree"}
+	c.treeFrame.Register(
+		state.WrapBuf("qtLo", "mesh.tree", q.lo, state.Dims1(len(q.lo))),
+		state.WrapBuf("qtSize", "mesh.tree", q.size, state.Dims1(len(q.size))),
+		state.WrapBuf("qtChild", "mesh.tree", q.child, state.Dims1(len(q.child))),
+		state.WrapBuf("qtCell", "mesh.tree", q.cell, state.Dims1(len(q.cell))),
+		state.WrapBuf("qtKeys", "mesh.tree", q.keys, state.Dims1(len(q.keys))),
+	)
 	return c
 }
 
@@ -192,17 +203,20 @@ func (c *CLAMR) Reset() {
 	edge := c.cfg.Base << lvl
 	n := 0
 	scale := c.fine / edge
-	cx, cy := float64(c.fine)/2, float64(c.fine)/2
+	// float64(…) rounds each product before a sum, as in physics. The centre
+	// halves the even fine edge as an integer, since a float halving is a
+	// product by 0.5 that a target could fuse into dx and dy.
+	cx, cy := float64(c.fine/2), float64(c.fine/2)
 	radius := float64(c.fine) / 6
 	for j := 0; j < edge; j++ {
 		for i := 0; i < edge; i++ {
 			c.ci.Data[n] = i
 			c.cj.Data[n] = j
 			c.clev.Data[n] = lvl
-			xc := (float64(i) + 0.5) * float64(scale)
-			yc := (float64(j) + 0.5) * float64(scale)
+			xc := float64((float64(i) + 0.5) * float64(scale))
+			yc := float64((float64(j) + 0.5) * float64(scale))
 			dx, dy := xc-cx, yc-cy
-			if dx*dx+dy*dy < radius*radius {
+			if float64(dx*dx)+float64(dy*dy) < radius*radius {
 				c.h.Data[n] = 10
 			} else {
 				c.h.Data[n] = 2
@@ -228,10 +242,10 @@ func (c *CLAMR) Reset() {
 	for i := range c.h2.Data {
 		c.h2.Data[i], c.u2.Data[i], c.v2.Data[i] = 0, 0, 0
 	}
-	// The quadtree scratch is registered at full capacity every tree phase,
-	// so elements beyond the live node count are injectable. Clear them, or
-	// a reused benchmark instance leaks node data from whichever trial ran
-	// on it last — making recorded injection sites depend on the engine's
+	// The tree frame holds the quadtree arrays at full capacity, so elements
+	// beyond the live node count are injectable. Clear them, or a reused
+	// benchmark instance leaks node data from whichever trial ran on it
+	// last — making recorded injection sites depend on the engine's
 	// trial→worker assignment and breaking cross-worker-count byte-identity.
 	q := &c.qt
 	for i := range q.lo {
@@ -279,10 +293,7 @@ func (c *CLAMR) steps(ctx *bench.Ctx, step int) {
 
 // Output implements bench.Benchmark: H sampled onto the uniform fine grid,
 // so runs with different mesh evolutions remain comparable.
-func (c *CLAMR) Output() bench.Output { return c.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (c *CLAMR) OutputInto(dst []float64) bench.Output {
+func (c *CLAMR) Output(dst []float64) bench.Output {
 	out := bench.GrowVals(dst, c.fine*c.fine)
 	// The sampler leaves unswept fine cells at zero (corrupted levels are
 	// skipped), so a reused buffer must start clean.
@@ -319,7 +330,7 @@ func (c *CLAMR) Mass() float64 {
 	n := c.ncell.Load()
 	for idx := 0; idx < n; idx++ {
 		size := 1 << (c.cfg.MaxLevel - c.clev.Data[idx])
-		total += c.h.Data[idx] * float64(size*size)
+		total += float64(c.h.Data[idx] * float64(size*size))
 	}
 	return total
 }

@@ -39,27 +39,25 @@ func (c *CLAMR) coverage(idx int) int {
 }
 
 // sortPhase re-sorts the cell arrays into Z-order. The Morton keys, the
-// permutation, and the merge-sort scratch all live in a "sort" frame, so
-// injections during this tick land in the paper's mesh.sort region.
+// permutation, and the merge-sort scratch all live in the "sort" frame, so
+// injections during this tick land in the paper's mesh.sort region. The
+// scratch halves are zeroed: they are live but not yet written at the tick.
 func (c *CLAMR) sortPhase(ctx *bench.Ctx, n int) {
-	frame := c.reg.Push("sort")
-	keys := state.WrapBuf("sortKeys", "mesh.sort", c.sortK[:n], state.Dims1(n))
-	perm := state.WrapBuf("sortPerm", "mesh.sort", c.sortP[:n], state.Dims1(n))
-	scratchK := state.WrapBuf("sortScratchKeys", "mesh.sort", c.sortSK[:n], state.Dims1(n))
-	scratchP := state.WrapBuf("sortScratchPerm", "mesh.sort", c.sortSP[:n], state.Dims1(n))
-	frame.Register(keys, perm, scratchK, scratchP)
-	for i := 0; i < n; i++ {
-		scratchK.Data[i] = 0
-		scratchP.Data[i] = 0
+	c.reg.Push(c.sortFrame)
+	for _, b := range c.sortBufs {
+		b.Data, b.Shape = b.Data[:n], state.Dims1(n)
 	}
+	keys, perm, scratchK, scratchP := c.sortBufs[0].Data, c.sortBufs[1].Data, c.sortBufs[2].Data, c.sortBufs[3].Data
+	clear(scratchK)
+	clear(scratchP)
 	for i := 0; i < n; i++ {
-		keys.Data[i] = c.key(i)
-		perm.Data[i] = i
+		keys[i] = c.key(i)
+		perm[i] = i
 	}
 	ctx.Tick() // sort phase: keys/perm/scratch are live and filled
 	ctx.Work(int64(n)*20 + 1)
-	mergeSort(keys.Data, perm.Data, scratchK.Data, scratchP.Data)
-	c.applyPerm(perm.Data, n)
+	mergeSort(keys, perm, scratchK, scratchP)
+	c.applyPerm(perm, n)
 	c.reg.Pop()
 }
 

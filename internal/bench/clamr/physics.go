@@ -61,19 +61,22 @@ func (c *CLAMR) sample(i, nb, n int, mirrorX, mirrorY bool) (h, u, v float64) {
 }
 
 // fluxX computes the Lax-Friedrichs shallow-water flux across a face with
-// x-normal, between left state (hL,uL,vL) and right state (hR,uR,vR).
+// x-normal, between left state (hL,uL,vL) and right state (hR,uR,vR). Here
+// and in updateCell, float64(…) rounds each product before its sum, so no
+// target fuses the two into one multiply-add that rounds once (make
+// fusion-check); on amd64 the conversions change nothing.
 func fluxX(hL, uL, vL, hR, uR, vR, g, lam float64) (fH, fU, fV float64) {
-	fH = 0.5*(uL+uR) - 0.5*lam*(hR-hL)
-	fU = 0.5*(uL*uL/hL+0.5*g*hL*hL+uR*uR/hR+0.5*g*hR*hR) - 0.5*lam*(uR-uL)
-	fV = 0.5*(uL*vL/hL+uR*vR/hR) - 0.5*lam*(vR-vL)
+	fH = float64(0.5*(uL+uR)) - float64(0.5*lam*(hR-hL))
+	fU = float64(0.5*(uL*uL/hL+float64(0.5*g*hL*hL)+uR*uR/hR+float64(0.5*g*hR*hR))) - float64(0.5*lam*(uR-uL))
+	fV = float64(0.5*(uL*vL/hL+uR*vR/hR)) - float64(0.5*lam*(vR-vL))
 	return
 }
 
 // fluxY is the y-normal analogue of fluxX.
 func fluxY(hL, uL, vL, hR, uR, vR, g, lam float64) (fH, fU, fV float64) {
-	fH = 0.5*(vL+vR) - 0.5*lam*(hR-hL)
-	fU = 0.5*(uL*vL/hL+uR*vR/hR) - 0.5*lam*(uR-uL)
-	fV = 0.5*(vL*vL/hL+0.5*g*hL*hL+vR*vR/hR+0.5*g*hR*hR) - 0.5*lam*(vR-vL)
+	fH = float64(0.5*(vL+vR)) - float64(0.5*lam*(hR-hL))
+	fU = float64(0.5*(uL*vL/hL+uR*vR/hR)) - float64(0.5*lam*(uR-uL))
+	fV = float64(0.5*(vL*vL/hL+float64(0.5*g*hL*hL)+vR*vR/hR+float64(0.5*g*hR*hR))) - float64(0.5*lam*(vR-vL))
 	return
 }
 
@@ -97,7 +100,7 @@ func (c *CLAMR) updateCell(i, n int, dt, g, lam float64) {
 	gsH, gsU, gsV := fluxY(hS, uS, vS, hc, uc, vc, g, lam)
 
 	r := dt / dx
-	c.h2.Data[i] = hc - r*(feH-fwH) - r*(gnH-gsH)
-	c.u2.Data[i] = uc - r*(feU-fwU) - r*(gnU-gsU)
-	c.v2.Data[i] = vc - r*(feV-fwV) - r*(gnV-gsV)
+	c.h2.Data[i] = hc - float64(r*(feH-fwH)) - float64(r*(gnH-gsH))
+	c.u2.Data[i] = uc - float64(r*(feU-fwU)) - float64(r*(gnU-gsU))
+	c.v2.Data[i] = vc - float64(r*(feV-fwV)) - float64(r*(gnV-gsV))
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"phirel/internal/bench"
-	"phirel/internal/state"
 )
 
 // quadtree locates cells by Morton key. It is rebuilt every step by
@@ -116,22 +115,15 @@ func (q *quadtree) query(key int) int {
 }
 
 // treePhase rebuilds the quadtree and resolves the four face neighbours of
-// every cell. Node arrays and keys are registered in a "tree" frame for the
+// every cell. Node arrays and keys are live in the "tree" frame for the
 // duration of the phase.
 func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
-	frame := c.reg.Push("tree")
+	c.reg.Push(c.treeFrame)
 	q := &c.qt
 	q.n = 0
 	for i := 0; i < n; i++ {
 		q.keys[i] = c.key(i)
 	}
-	frame.Register(
-		state.WrapBuf("qtLo", "mesh.tree", q.lo, state.Dims1(len(q.lo))),
-		state.WrapBuf("qtSize", "mesh.tree", q.size, state.Dims1(len(q.size))),
-		state.WrapBuf("qtChild", "mesh.tree", q.child, state.Dims1(len(q.child))),
-		state.WrapBuf("qtCell", "mesh.tree", q.cell, state.Dims1(len(q.cell))),
-		state.WrapBuf("qtKeys", "mesh.tree", q.keys, state.Dims1(len(q.keys))),
-	)
 	ctx.Work(int64(n)*30 + 1)
 	domain := c.fine * c.fine
 	q.root = q.build(c.coverage, 0, domain, 0, n)

@@ -311,10 +311,7 @@ func (d *DGEMM) tile(ctx *bench.Ctx, w int, i0, j0, i1, j1 int) {
 }
 
 // Output implements bench.Benchmark.
-func (d *DGEMM) Output() bench.Output { return d.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (d *DGEMM) OutputInto(dst []float64) bench.Output {
+func (d *DGEMM) Output(dst []float64) bench.Output {
 	dst = bench.GrowVals(dst, len(d.c.Data))
 	copy(dst, d.c.Data)
 	return bench.Output{Vals: dst, Shape: d.c.Shape}

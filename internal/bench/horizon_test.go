@@ -82,3 +82,29 @@ func TestRunnersOnePassIsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenRunAllocs: a golden run of every registered kernel allocates at
+// most 3 times (its Ctx, the Ctx's lane counters and its output). A kernel
+// builds the frames it pushes once, with itself, and keeps its loops'
+// arguments off the heap: a frame built per phase, or a HotSpot row or
+// LavaMD box whose arguments escaped, would add allocations per tick, row or
+// pair.
+func TestGoldenRunAllocs(t *testing.T) {
+	names := bench.Names()
+	if len(names) < 6 {
+		t.Fatalf("%d kernels registered, want the paper's six", len(names))
+	}
+	for _, name := range names {
+		b, err := bench.New(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := bench.NewRunner(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(10, func() { r.RunGolden() }); a > 3 {
+			t.Errorf("%s: a golden run allocates %v times, want at most 3", name, a)
+		}
+	}
+}

@@ -312,10 +312,7 @@ func stencilRowGo(d, s, n, so, p []float32, cx, cy, cz, cp, amb float32) {
 }
 
 // Output implements bench.Benchmark.
-func (h *HotSpot) Output() bench.Output { return h.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (h *HotSpot) OutputInto(dst []float64) bench.Output {
+func (h *HotSpot) Output(dst []float64) bench.Output {
 	dst = bench.GrowVals(dst, h.final.Len())
 	for i, v := range h.final.Data {
 		dst[i] = float64(v)

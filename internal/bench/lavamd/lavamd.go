@@ -299,10 +299,7 @@ func interact(f *[4]float64, xi, yi, zi, xj, yj, zj, qj, a2 float64) {
 
 // Output implements bench.Benchmark: per-particle force 4-vectors with the
 // box grid's 3-D shape.
-func (l *LavaMD) Output() bench.Output { return l.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (l *LavaMD) OutputInto(dst []float64) bench.Output {
+func (l *LavaMD) Output(dst []float64) bench.Output {
 	dst = bench.GrowVals(dst, len(l.fv.Data))
 	copy(dst, l.fv.Data)
 	return bench.Output{Vals: dst, Shape: l.fv.Shape}

@@ -54,11 +54,11 @@ type LUD struct {
 	// corrupting them walks the kernels out of bounds or onto wrong tiles.
 	nCell, bsCell, nbCell, kCur *state.Cell[int]
 
-	// diaTmp is the perimeter phase's diagonal-block temporary, allocated
-	// once and fully overwritten before each frame registration, so the
-	// per-step allocation churn disappears without changing what an
-	// injection at the perimeter tick can observe.
-	diaTmp *state.Buf[float32]
+	// diaTmp is the perimeter phase's diagonal-block temporary, the one site
+	// of the perimeter frame; both are built once, and diaTmp is fully
+	// overwritten before each push.
+	diaTmp    *state.Buf[float32]
+	perimeter *state.Frame
 
 	workers []worker
 }
@@ -86,6 +86,8 @@ func New(cfg Config, seed uint64) *LUD {
 	l.nbCell = state.NewCell("nb", "control", cfg.N/cfg.Block)
 	l.kCur = state.NewCell("kCur", "control", 0)
 	l.diaTmp = state.NewBuf[float32]("diaTmp", "temp", state.Dims2(cfg.Block, cfg.Block))
+	l.perimeter = &state.Frame{Name: "perimeter"}
+	l.perimeter.Register(l.diaTmp)
 	l.reg.Global().Register(l.a, l.nCell, l.bsCell, l.nbCell, l.kCur)
 	l.workers = make([]worker, cfg.Workers)
 	for w := range l.workers {
@@ -137,7 +139,7 @@ func (l *LUD) Run(ctx *bench.Ctx) { l.steps(ctx, 0) }
 // so a point keeps the trailing submatrix only (127 KB over the eleven
 // points, against 36 KB for every whole matrix), and with it the block
 // cursors, which lanes that had no tile in the last phases carry over from
-// earlier ones. diaTmp is rewritten before its frame registers it.
+// earlier ones. diaTmp is rewritten before its frame is pushed.
 func (l *LUD) SavePoint(tick int) (*bench.Snapshot, bool) {
 	if tick%3 != 0 {
 		return nil, false
@@ -187,14 +189,13 @@ func (l *LUD) steps(ctx *bench.Ctx, k int) {
 
 		// Perimeter phase: diagonal-block temporaries live in a frame, as
 		// the paper's "temporary matrices".
-		frame := l.reg.Push("perimeter")
+		l.reg.Push(l.perimeter)
 		dia := l.diaTmp
 		for i := 0; i < bs; i++ {
 			for j := 0; j < bs; j++ {
 				dia.Set(j, i, 0, l.a.Data[(k*bs+i)*n+k*bs+j])
 			}
 		}
-		frame.Register(dia)
 		ctx.Tick() // perimeter phase
 		panels := 2 * (nb - k - 1)
 		ctx.Work(int64(panels)*int64(bs)*int64(bs)*int64(bs) + 1)
@@ -317,10 +318,7 @@ func (l *LUD) internal(k, bi, bj, bs, n int) {
 }
 
 // Output implements bench.Benchmark: the packed L\U matrix.
-func (l *LUD) Output() bench.Output { return l.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (l *LUD) OutputInto(dst []float64) bench.Output {
+func (l *LUD) Output(dst []float64) bench.Output {
 	dst = bench.GrowVals(dst, len(l.a.Data))
 	for i, v := range l.a.Data {
 		dst[i] = float64(v)

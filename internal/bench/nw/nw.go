@@ -334,10 +334,7 @@ func (w *NW) traceback(n, stride int, item, ref []int32) {
 
 // Output implements bench.Benchmark: the consumed result — final row,
 // final column, and traceback directions. Integer scores are exact.
-func (w *NW) Output() bench.Output { return w.OutputInto(nil) }
-
-// OutputInto implements bench.OutputInto.
-func (w *NW) OutputInto(dst []float64) bench.Output {
+func (w *NW) Output(dst []float64) bench.Output {
 	n := w.cfg.N
 	stride := n + 1
 	out := bench.GrowVals(dst, 2*stride+len(w.trace))[:0]

@@ -98,8 +98,8 @@ type Runner struct {
 	// key is the free-list key the runner was built for (see Runners).
 	key runnerKey
 
-	// outBuf is the reused output buffer handed to OutputInto benchmarks on
-	// injected runs (see RunInjected's aliasing note).
+	// outBuf is the reused output buffer of injected runs (see RunInjected's
+	// aliasing note).
 	outBuf []float64
 
 	// sh is what the runner shares with the others of its key: the golden
@@ -187,9 +187,9 @@ func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0), false,
 // the prefix the kernel keeps of its live output followed by the golden
 // output, without executing the rest.
 //
-// For benchmarks implementing OutputInto, the result's Output aliases a
-// buffer owned by the runner that the next RunInjected call overwrites;
-// callers keeping an output across calls must Clone it.
+// The result's Output aliases a buffer owned by the runner that the next
+// RunInjected call overwrites; callers keeping an output across calls must
+// Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
 	ctx := newCtx(tick, inject, r.budget)
 	ctx.reference = r.reference
@@ -265,26 +265,23 @@ func (r *Runner) run(ctx *Ctx, reuse bool, from point) (res RawResult) {
 // output returns the run's output: the kernel's live output, or, of a run
 // that stopped where it converged, its first kept values and the golden
 // output's after them (kept < 0 keeps the whole live output). With reuse,
-// an OutputInto benchmark's output goes into the runner's buffer.
+// the output goes into the runner's buffer; without, into a new one.
 func (r *Runner) output(reuse bool, kept int) Output {
-	oi, into := r.B.(OutputInto)
-	into = into && reuse
+	var dst []float64
+	if reuse {
+		dst = r.outBuf
+	}
 	var out Output
-	switch {
-	case kept == 0 && into:
+	if kept == 0 {
 		out = r.Golden
-		out.Vals = append(r.outBuf[:0], r.Golden.Vals...)
-	case kept == 0:
-		out = r.Golden.Clone()
-	case into:
-		out = oi.OutputInto(r.outBuf)
-	default:
-		out = r.B.Output()
+		out.Vals = append(dst[:0], r.Golden.Vals...)
+	} else {
+		out = r.B.Output(dst)
 	}
 	if kept > 0 {
 		copy(out.Vals[kept:], r.Golden.Vals[kept:])
 	}
-	if into {
+	if reuse {
 		r.outBuf = out.Vals
 	}
 	return out

@@ -138,7 +138,7 @@ func ABFTMatMul(a, b []float64, n int) *ABFTMatrix {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				c[i*n+j] += aik * b[k*n+j]
+				c[i*n+j] += float64(aik * b[k*n+j]) // rounded before the sum: make fusion-check
 			}
 		}
 	}

@@ -45,13 +45,15 @@ func (c Checkpointing) ExpectedRuntime(workHours, interval float64) float64 {
 	if interval <= 0 {
 		return math.Inf(1)
 	}
+	// float64(…) rounds each product before its sum (a halving is a product
+	// by 0.5), so no target fuses the two into one multiply-add.
 	segments := workHours / interval
-	base := workHours + segments*c.DumpHours
+	base := workHours + float64(segments*c.DumpHours)
 	if math.IsInf(c.MTBFHours, 1) || c.MTBFHours <= 0 {
 		return base
 	}
 	failures := base / c.MTBFHours
-	lost := failures * (interval/2 + c.DumpHours + c.RestartHours)
+	lost := float64(failures * (float64(interval/2) + c.DumpHours + c.RestartHours))
 	return base + lost
 }
 

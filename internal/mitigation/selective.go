@@ -59,7 +59,7 @@ func SelectivePlan(res *core.CampaignResult, budget float64, minInjections int) 
 		return plan
 	}
 	harm := func(c core.RegionCriticality) float64 {
-		return float64(c.Injections) / float64(total) * c.Harmful.P
+		return float64(float64(c.Injections) / float64(total) * c.Harmful.P) // rounded before its sums: make fusion-check
 	}
 	for _, c := range crit {
 		plan.HarmBefore += harm(c)
@@ -76,7 +76,7 @@ func SelectivePlan(res *core.CampaignResult, budget float64, minInjections int) 
 		if best.Name == "" {
 			continue
 		}
-		removed := harm(c) * best.Coverage
+		removed := float64(harm(c) * best.Coverage) // rounded before its sum: make fusion-check
 		if removed <= 0 {
 			continue
 		}

@@ -258,7 +258,7 @@ func (m *Monitor) groupRate(t tally) (rate float64, n int) {
 	sum := 0.0
 	for _, b := range benches {
 		c := t[b]
-		sum += float64(c.trials) * m.rateFor(b)
+		sum += float64(float64(c.trials) * m.rateFor(b)) // rounded before the sum: make fusion-check
 		n += c.trials
 	}
 	if n > 0 {

@@ -266,7 +266,7 @@ func (d *Device) SampleFault(r *stats.RNG, p Profile) Fault {
 func (d *Device) RawFaultRate(p Profile, fluxPerCm2Hour float64) float64 {
 	bits := 0.0
 	for i := range d.Resources {
-		bits += d.Resources[i].Bits * p.Occupancy(d.Resources[i].Class)
+		bits += float64(d.Resources[i].Bits * p.Occupancy(d.Resources[i].Class)) // rounded before the sum: make fusion-check
 	}
 	return bits * d.SigmaBit * fluxPerCm2Hour
 }

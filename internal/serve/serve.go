@@ -525,9 +525,14 @@ func (s *Server) storeCached(hash string, artifact []byte, res *fleet.SweepResul
 }
 
 // lookup resolves the id path value, falling back to the persistent cache
-// for hashes computed by an earlier process.
+// for hashes computed by an earlier process. An id that is not a canonical
+// hash names no sweep: PathValue unescapes it, so "..%2Fx" would otherwise
+// reach a file outside the cache directory.
 func (s *Server) lookup(r *http.Request) (*entry, bool) {
 	id := r.PathValue("id")
+	if !cacheFileRe.MatchString(id + ".json") {
+		return nil, false
+	}
 	s.mu.Lock()
 	e, ok := s.sweeps[id]
 	if !ok {

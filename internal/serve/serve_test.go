@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -365,6 +367,32 @@ func TestServePersistentCache(t *testing.T) {
 	if st := getStatus(t, ts3, st.ID); st.State != "done" || !st.Cached {
 		t.Fatalf("cache-resurrected status %+v", st)
 	}
+
+	// A zero-length entry, as a crash between create and write would leave,
+	// is no artifact: the restarted index scan skips it, a POST of its spec
+	// recomputes it, and the seal leaves the file holding the artifact.
+	empty := testSpec(8)
+	emptyPath := filepath.Join(cacheDir, empty.CanonicalHash()+".json")
+	if err := os.WriteFile(emptyPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wk4 := &worker{}
+	ts4 := newTestServer(t, wk4, WithCacheDir(cacheDir))
+	if n := getStats(t, ts4).CacheEntries; n != 1 {
+		t.Fatalf("restarted index holds %d entries, want 1 (the empty file skipped)", n)
+	}
+	code, st4 := postSpec(t, ts4, empty)
+	if code != http.StatusAccepted || st4.Cached {
+		t.Fatalf("POST over an empty cache entry: %d %+v, want 202 uncached", code, st4)
+	}
+	waitState(t, ts4, st4.ID, "done")
+	if n := wk4.execs.Load(); n != testShards {
+		t.Fatalf("recomputing the empty entry executed %d shards, want %d, one per shard", n, testShards)
+	}
+	_, _, artifact := getBody(t, ts4, "/v1/sweeps/"+st4.ID+"/result")
+	if onDisk, err := os.ReadFile(emptyPath); err != nil || !bytes.Equal(onDisk, artifact) {
+		t.Fatalf("sealed cache file holds %d bytes (%v), want the %d-byte artifact", len(onDisk), err, len(artifact))
+	}
 }
 
 // TestServeEvents: the SSE stream delivers progress events while the
@@ -478,7 +506,17 @@ func TestServeFigures(t *testing.T) {
 // TestServeErrorPaths walks the contract's non-happy responses.
 func TestServeErrorPaths(t *testing.T) {
 	wk := &worker{gate: make(chan struct{})}
-	ts := newTestServer(t, wk)
+	root := t.TempDir()
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	ts := newTestServer(t, wk, WithCacheDir(filepath.Join(root, "cache")), WithLogf(logf))
 
 	// Not a spec at all, and a spec with unknown fields: 400.
 	for _, body := range []string{"not json", `{"benchmarks":["DGEMM"],"nope":1}`} {
@@ -499,6 +537,33 @@ func TestServeErrorPaths(t *testing.T) {
 		}
 	}
 
+	// An id that unescapes to a path out of the cache directory: 404, and
+	// the file beside the directory is never opened.
+	if err := os.WriteFile(filepath.Join(root, "outside.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/sweeps/..%2Foutside", "/v1/sweeps/..%2Foutside/result", "/v1/sweeps/..%2Foutside/monitor"} {
+		if code, _, _ := getBody(t, ts, path); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", path, code)
+		}
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/..%2Foutside", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE ..%%2Foutside: %d, want 404", resp.StatusCode)
+	}
+	logMu.Lock()
+	for _, line := range logs {
+		if strings.Contains(line, "outside") {
+			t.Errorf("the service read a file outside its cache directory: %q", line)
+		}
+	}
+	logMu.Unlock()
+
 	// Result of an in-flight sweep: 409.
 	spec := testSpec(5)
 	_, st := postSpec(t, ts, spec)
@@ -508,8 +573,8 @@ func TestServeErrorPaths(t *testing.T) {
 
 	// Cancelled: DELETE is 204, result turns 410, and a resubmission
 	// starts a fresh job rather than serving the non-answer.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

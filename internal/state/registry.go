@@ -71,7 +71,8 @@ func ParsePolicies(s string) ([]Policy, error) {
 
 // Frame is a named group of sites that is live for part of the execution,
 // mirroring a call-stack frame in GDB. The global frame (index 0) holds
-// variables live for the whole run.
+// variables live for the whole run. A kernel builds each of its frames once,
+// with itself, and pushes the same frame every time its phase enters.
 type Frame struct {
 	Name  string
 	sites []Site
@@ -107,12 +108,8 @@ func NewRegistry() *Registry {
 // Global returns the always-live frame.
 func (g *Registry) Global() *Frame { return g.frames[0] }
 
-// Push enters a new frame (benchmark phase / subroutine) and returns it.
-func (g *Registry) Push(name string) *Frame {
-	f := &Frame{Name: name}
-	g.frames = append(g.frames, f)
-	return f
-}
+// Push enters frame f (benchmark phase / subroutine).
+func (g *Registry) Push(f *Frame) { g.frames = append(g.frames, f) }
 
 // Pop exits the most recent frame. Popping the global frame panics.
 func (g *Registry) Pop() {

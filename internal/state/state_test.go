@@ -283,14 +283,17 @@ func TestRegistryFrames(t *testing.T) {
 	if g.Depth() != 1 || len(g.Live()) != 1 {
 		t.Fatal("global frame")
 	}
-	f := g.Push("kernel")
+	f := &Frame{Name: "kernel"}
 	f.Register(NewCell[float64]("acc", "control", 0))
-	if g.Depth() != 2 || len(g.Live()) != 2 {
-		t.Fatal("pushed frame not visible")
-	}
-	g.Pop()
-	if len(g.Live()) != 1 {
-		t.Fatal("pop did not hide frame sites")
+	for range 2 { // a phase re-enters the frame it entered before
+		g.Push(f)
+		if g.Depth() != 2 || len(g.Live()) != 2 {
+			t.Fatal("pushed frame not visible")
+		}
+		g.Pop()
+		if len(g.Live()) != 1 {
+			t.Fatal("pop did not hide frame sites")
+		}
 	}
 }
 
@@ -364,9 +367,10 @@ func TestRegistryPickByVariableUniform(t *testing.T) {
 func TestRegistryPickByFrame(t *testing.T) {
 	g := NewRegistry()
 	g.Global().Register(NewCell("a", "control", 0), NewCell("b", "control", 0), NewCell("c", "control", 0))
-	f := g.Push("leaf")
+	f := &Frame{Name: "leaf"}
 	leaf := NewCell("z", "control", 0)
 	f.Register(leaf)
+	g.Push(f)
 	r := stats.NewRNG(8)
 	leafHits := 0
 	const n = 6000

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -27,48 +28,58 @@ var exactMath = map[string]bool{
 // mathConst matches the names of package math's constants.
 var mathConst = regexp.MustCompile(`^((Max|Min)(Int|Uint|Float)(8|16|32|64)?|SmallestNonzeroFloat(32|64)|E|Pi|Phi|Sqrt2|SqrtE|SqrtPi|SqrtPhi|Ln2|Log2E|Ln10|Log10E)$`)
 
-// gatedDirs are the packages whose results land in campaign artifacts,
-// relative to this one: every kernel under bench, the RNG, the device
-// model and the two campaign engines.
-var gatedDirs = []string{"../bench", ".", "../phi", "../beam", "../core"}
+// moduleRoot is the root of the module, relative to this package.
+const moduleRoot = "../.."
 
-// No package whose numbers reach an artifact calls a function of package
-// math whose bits can differ between hosts. Test files may: they compare
-// against the host's math.
+// No package of the module calls a function of package math whose bits can
+// differ between hosts, so a package whose numbers reach an artifact today,
+// or from its first commit, cannot. Test files may: they compare against
+// the host's math. Modules nested in the tree (benchmark/) and testdata are
+// not this module's packages.
 func TestNoHostLibm(t *testing.T) {
 	fset := token.NewFileSet()
 	files := 0
-	for _, dir := range gatedDirs {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	err := filepath.WalkDir(moduleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == moduleRoot {
+				return nil
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files++
-			for _, name := range mathNames(f) {
-				ast.Inspect(f, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && !exactMath[sel.Sel.Name] && !mathConst.MatchString(sel.Sel.Name) {
-						t.Errorf("%s: math.%s is not correctly rounded on every host; use an exact function or a repository copy (stats.Exp, stats.Log)",
-							fset.Position(sel.Pos()), sel.Sel.Name)
-					}
-					return true
-				})
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
 			}
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, name := range mathNames(f) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && !exactMath[sel.Sel.Name] && !mathConst.MatchString(sel.Sel.Name) {
+					t.Errorf("%s: math.%s is not correctly rounded on every host; use an exact function or a repository copy (stats.Exp, stats.Log)",
+						fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if files < 20 {
-		t.Fatalf("parsed %d files, want the kernels, stats, phi, beam and core", files)
+	if files < 90 {
+		t.Fatalf("parsed %d files under %s, want the module's", files, moduleRoot)
 	}
 }
 

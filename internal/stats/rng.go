@@ -83,9 +83,12 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(splitmix64(&seed))
 }
 
-// Float64 returns a uniform value in [0,1) with 53 random bits.
+// Float64 returns a uniform value in [0,1) with 53 random bits. The scaling
+// is a product by 2⁻⁵³ once compiled, and exact; float64(…) still rounds it,
+// so that inlined into a caller's sum it is not fused into a multiply-add,
+// which make fusion-check would list.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
