@@ -35,7 +35,8 @@ test:
 # (the Stream and Observe keywords), progress, pool scheduling, the
 # section watchdog, converged runs, planned beam strikes, and HotSpot's
 # row and LavaMD's box against their Go references (the Sweep and
-# BoxMatches keywords). The Levers harness runs
+# BoxMatches keywords), and CLAMR's neighbour index against the tree
+# descent it stands in for (NeighbourIndex). The Levers harness runs
 # every kernel's trials on a reference runner and a normal runner of one
 # resident key at once, six kernels on parallel goroutines, which shows that
 # no cell (plain fields, no atomics) and nothing of a key state is written by
@@ -46,8 +47,8 @@ test:
 # named. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
-	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Observe|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches' \
-		./internal/state/ ./internal/bench/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
+	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Observe|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches|NeighbourIndex' \
+		./internal/state/ ./internal/bench/ ./internal/bench/clamr/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/monitor/... ./internal/trace/
 	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
 

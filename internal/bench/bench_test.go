@@ -366,6 +366,15 @@ func TestReferenceRefusesDebits(t *testing.T) {
 	}
 }
 
+// TestReferenceTakesNoShortcut: a reference runner's run is told to take no
+// shortcut, which is how the Levers harness holds CLAMR's neighbour index
+// and sort skip to the full paths; a normal run may take them.
+func TestReferenceTakesNoShortcut(t *testing.T) {
+	if (&Ctx{reference: true}).Shortcuts() || !(&Ctx{}).Shortcuts() {
+		t.Fatal("a reference run may take shortcuts, or a normal run may not")
+	}
+}
+
 // TestSameBits: the convergence checks' compare tells every bit apart —
 // the sign of zero and a NaN's payload — and reads only b's leading values.
 func TestSameBits(t *testing.T) {

@@ -17,7 +17,9 @@
 //   - Tree ("mesh.tree"): neighbour finding descends a quadtree whose node
 //     arrays are rebuilt each step from the sorted cells; traversal guards
 //     turn corrupted child links into deterministic aborts (paper: 20 %
-//     SDC / 41 % DUE).
+//     SDC / 41 % DUE). The region is the node arrays; the key→cell index
+//     the build also fills is an unregistered cache of them, read in
+//     place of the descent only where the two must agree (see treePhase).
 //   - Remaining mesh state ("mesh.other"): cell coordinate/level arrays,
 //     H/U/V fields, neighbour indices, scratch fields.
 //

@@ -2,6 +2,7 @@ package clamr
 
 import (
 	"fmt"
+	"slices"
 
 	"phirel/internal/bench"
 	"phirel/internal/state"
@@ -56,9 +57,36 @@ func (c *CLAMR) sortPhase(ctx *bench.Ctx, n int) {
 	}
 	ctx.Tick() // sort phase: keys/perm/scratch are live and filled
 	ctx.Work(int64(n)*20 + 1)
-	mergeSort(keys, perm, scratchK, scratchP)
-	c.applyPerm(perm, n)
+	// Remesh emits the cells in Z-order, so after the first step the keys
+	// arrive sorted and the permutation stays the identity, which permutes
+	// nothing.
+	shortcuts := ctx.Shortcuts()
+	zSort(keys, perm, scratchK, scratchP, shortcuts)
+	if !shortcuts || !identity(perm) {
+		c.applyPerm(perm, n)
+	}
 	c.reg.Pop()
+}
+
+// zSort is mergeSort, except that with shortcuts it leaves non-decreasing
+// keys as they are: a stable sort of them moves nothing, so keys and perm
+// are what mergeSort would leave, and only the scratch halves, dead once the
+// sort frame pops, go unwritten.
+func zSort(keys, perm, sk, sp []int, shortcuts bool) {
+	if shortcuts && slices.IsSorted(keys) {
+		return
+	}
+	mergeSort(keys, perm, sk, sp)
+}
+
+// identity reports whether perm maps every position to itself.
+func identity(perm []int) bool {
+	for i, p := range perm {
+		if p != i {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeSort is a bottom-up merge sort of keys with a parallel permutation

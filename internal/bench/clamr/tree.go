@@ -2,7 +2,6 @@ package clamr
 
 import (
 	"fmt"
-	"math/bits"
 
 	"phirel/internal/bench"
 )
@@ -11,6 +10,11 @@ import (
 // recursive bisection of the Z-sorted key array — the structure the paper's
 // "Tree" criticality region corresponds to. All node arrays are injectable
 // while the tree frame is live.
+//
+// at is a cache of the node arrays, not a site: build writes each valid
+// leaf's cell over the leaf's key range, so on a clean build (no empty or
+// inconsistent node) at[key] is the cell query(key) returns for as long as
+// the node arrays stay what build wrote.
 type quadtree struct {
 	lo    []int // node key-range start
 	size  []int // node key-range width
@@ -19,6 +23,9 @@ type quadtree struct {
 	keys  []int // per-cell Morton keys of the current step
 	n     int   // allocated node count
 	root  int
+
+	at    []int32 // key → cell of the valid leaf covering it
+	clean bool    // the last build made no empty or inconsistent node
 }
 
 func (q *quadtree) init(capCells int) {
@@ -28,6 +35,7 @@ func (q *quadtree) init(capCells int) {
 	q.child = make([]int, 4*maxNodes)
 	q.cell = make([]int, maxNodes)
 	q.keys = make([]int, capCells)
+	q.at = make([]int32, capCells) // the fine grid has as many keys as cells
 }
 
 func (q *quadtree) alloc(lo, size int) int {
@@ -48,18 +56,23 @@ func (q *quadtree) alloc(lo, size int) int {
 // build constructs the tree over cells [ilo,ihi) covering key range
 // [a,a+size). The cells must be Z-sorted; a corrupted sort breaks the
 // bisection invariants and surfaces as invalid leaves, which queries turn
-// into aborts.
+// into aborts, and clears clean, which the caller sets before the root.
 func (q *quadtree) build(cov func(int) int, a, size, ilo, ihi int) int {
 	idx := q.alloc(a, size)
 	count := ihi - ilo
 	if count == 0 {
+		q.clean = false
 		return idx // empty: queries landing here abort
 	}
 	if count == 1 && q.keys[ilo] == a && cov(ilo) == size {
 		q.cell[idx] = ilo
+		for k := a; k < a+size; k++ {
+			q.at[k] = int32(ilo)
+		}
 		return idx
 	}
 	if size <= 1 {
+		q.clean = false
 		return idx // inconsistent (duplicate or mis-keyed cells)
 	}
 	quarter := size / 4
@@ -100,17 +113,7 @@ func (q *quadtree) query(key int) int {
 		if off < 0 || off >= size {
 			panic(fmt.Sprintf("clamr: key %d outside node range", key))
 		}
-		// Quarter widths are powers of two on every tree build ever produces,
-		// where the hot division is a shift; the division stays as the
-		// fallback so corrupted node sizes keep their exact old behaviour.
-		quarter := size >> 2
-		var ch int
-		if quarter&(quarter-1) == 0 {
-			ch = off >> uint(bits.Len(uint(quarter))-1)
-		} else {
-			ch = off / quarter
-		}
-		node = q.child[4*node+ch]
+		node = q.child[4*node+off/(size/4)]
 	}
 }
 
@@ -126,10 +129,12 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 	}
 	ctx.Work(int64(n)*30 + 1)
 	domain := c.fine * c.fine
+	q.clean = true
 	q.root = q.build(c.coverage, 0, domain, 0, n)
 	// The phase tick fires after the build, when the node arrays are live
 	// and about to be consumed by every neighbour query — the state a
 	// GDB interrupt would find for most of the phase's duration.
+	injected := ctx.Injected()
 	ctx.Tick()
 
 	// Neighbour resolution, parallel over cells. The live cell count is read
@@ -139,13 +144,16 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 	// Nothing armed ⇒ nothing fires mid-phase; plain neighbour loop with
 	// identical queries and section-final cursor state.
 	fast := !c.reg.AnyArmed()
+	// No fault at this tick ⇒ the node arrays are what build wrote, and a
+	// clean build's index answers every query as the descent would.
+	index := fast && q.clean && ctx.Injected() == injected && ctx.Shortcuts()
 	ctx.ParallelFor(c.cfg.Workers, n, func(w, start, end int) {
 		wk := &c.workers[w]
 		wk.cStart.Store(start)
 		wk.cEnd.Store(end)
 		if fast {
 			for i := start; i < end; i++ {
-				c.findNeighbours(i, live)
+				c.findNeighbours(i, live, index)
 			}
 			wk.cCur.Store(end)
 			return
@@ -157,36 +165,44 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 			if i < start || i >= end {
 				panic(fmt.Sprintf("clamr: neighbour cursor %d outside chunk [%d,%d)", i, start, end))
 			}
-			c.findNeighbours(i, live)
+			c.findNeighbours(i, live, false)
 		}
 	})
 	c.reg.Pop()
 }
 
-// findNeighbours fills nbE/W/N/S for cell i (-1 = domain boundary). Every
-// query result is validated against the cell's actual extent; a mismatch
+// findNeighbours fills nbE/W/N/S for cell i (-1 = domain boundary), from
+// the tree's index or, without index, by descending the tree. Every
+// lookup is validated against the cell's actual extent; a mismatch
 // means mesh or tree corruption and aborts, as the real code's neighbour
 // consistency checks do.
-func (c *CLAMR) findNeighbours(i, live int) {
+func (c *CLAMR) findNeighbours(i, live int, index bool) {
 	lev := c.clev.Data[i]
 	if lev < 0 || lev > c.cfg.MaxLevel {
 		panic(fmt.Sprintf("clamr: corrupted cell level %d", lev))
 	}
 	size := 1 << (c.cfg.MaxLevel - lev)
 	x0, y0 := c.ci.Data[i]*size, c.cj.Data[i]*size
-	c.nbE.Data[i] = c.locate(x0+size, y0, live)
-	c.nbW.Data[i] = c.locate(x0-1, y0, live)
-	c.nbN.Data[i] = c.locate(x0, y0+size, live)
-	c.nbS.Data[i] = c.locate(x0, y0-1, live)
+	c.nbE.Data[i] = c.locate(x0+size, y0, live, index)
+	c.nbW.Data[i] = c.locate(x0-1, y0, live, index)
+	c.nbN.Data[i] = c.locate(x0, y0+size, live, index)
+	c.nbS.Data[i] = c.locate(x0, y0-1, live, index)
 }
 
 // locate returns the cell containing fine coordinate (x,y), or -1 outside
 // the domain. live is the cell count read at phase start (see treePhase).
-func (c *CLAMR) locate(x, y, live int) int {
+// The checks after the lookup hold on both paths: a clean build can still
+// hold a cell with a negative level or an aliased Morton key.
+func (c *CLAMR) locate(x, y, live int, index bool) int {
 	if x < 0 || x >= c.fine || y < 0 || y >= c.fine {
 		return -1
 	}
-	idx := c.qt.query(morton(x, y))
+	var idx int
+	if index {
+		idx = int(c.qt.at[morton(x, y)])
+	} else {
+		idx = c.qt.query(morton(x, y))
+	}
 	if idx < 0 || idx >= live {
 		panic(fmt.Sprintf("clamr: quadtree returned cell %d of %d", idx, live))
 	}

@@ -32,7 +32,8 @@ type Ctx struct {
 	// a key's one kernel run records the quiescent state through it, and an
 	// injected run looks for the point where it has converged.
 	probe func(tick int)
-	// reference marks a reference runner's run: DebitLoads refuses.
+	// reference marks a reference runner's run: DebitLoads refuses and
+	// Shortcuts reports false.
 	reference bool
 
 	work   int64
@@ -95,6 +96,13 @@ func (c *Ctx) DebitLoads(cells []*state.Cell[int], n []int64) bool {
 	}
 	return state.DebitLoads(cells, n)
 }
+
+// Shortcuts reports whether kernel code may skip work whose result it has
+// shown to be what the full path would leave (an already sorted array, a
+// lookup table of a tree that no fault has touched). A reference runner's
+// run may not: it executes every path in full, which is what the shortcuts
+// are compared against.
+func (c *Ctx) Shortcuts() bool { return !c.reference }
 
 // WorkDone returns the cumulative accounted work.
 func (c *Ctx) WorkDone() int64 { return c.work }

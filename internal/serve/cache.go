@@ -67,7 +67,7 @@ func (s *Server) scanCache() {
 		if !ok {
 			continue
 		}
-		s.indexAdd(hash, res, int64(len(artifact)))
+		s.indexAdd(hash, res.Spec.CanonicalHashBase(), res, int64(len(artifact)))
 		n++
 	}
 	if n > 0 {
@@ -75,13 +75,13 @@ func (s *Server) scanCache() {
 	}
 }
 
-// indexAdd records a complete on-disk artifact in the overlap index.
-// Callers hold s.mu.
-func (s *Server) indexAdd(hash string, res *fleet.SweepResult, size int64) {
+// indexAdd records a complete on-disk artifact, whose spec's
+// CanonicalHashBase is base, in the overlap index. Callers hold s.mu.
+func (s *Server) indexAdd(hash, base string, res *fleet.SweepResult, size int64) {
 	sp := res.Spec
 	s.useSeq++
 	s.index[hash] = &cacheInfo{
-		hash: hash, base: sp.CanonicalHashBase(),
+		hash: hash, base: base,
 		injN: sp.N, beamN: sp.BeamRuns,
 		cells: len(sp.Cells()), beamCells: len(sp.BeamCells()),
 		size: size, lastUsed: s.useSeq,
@@ -100,9 +100,9 @@ func (s *Server) touch(hash string) {
 // spec: base-equal, covering a strict prefix (injN ≤ N, beamN ≤ BeamRuns,
 // not both equal — that is the exact-hit path), maximising the
 // cell-weighted trials served, ties broken by lexicographically smallest
-// hash so the choice is deterministic. Callers hold s.mu.
-func (s *Server) bestOverlap(spec fleet.Sweep) *cacheInfo {
-	base := spec.CanonicalHashBase()
+// hash so the choice is deterministic. base is spec's CanonicalHashBase.
+// Callers hold s.mu.
+func (s *Server) bestOverlap(base string, spec fleet.Sweep) *cacheInfo {
 	reqN, reqBeam := spec.N, spec.BeamRuns
 	var best *cacheInfo
 	for _, info := range s.index {

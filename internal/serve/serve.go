@@ -317,15 +317,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := spec.CanonicalHash()
-	base := spec.CanonicalHashBase()
+	// base is the spec's CanonicalHashBase, computed where it is first
+	// used: a miss plans with it, a hit needs it only for the admission log.
+	var base string
 	reqTrials := specTrials(spec)
 	admit := func(outcome, prefix string, fromCache, computed int) {
-		if s.admission != nil {
-			s.admission.record(AdmissionRecord{
-				Hash: hash, Base: base, Outcome: outcome, Prefix: prefix,
-				TrialsFromCache: fromCache, TrialsComputed: computed,
-			})
+		if s.admission == nil {
+			return
 		}
+		if base == "" {
+			base = spec.CanonicalHashBase()
+		}
+		s.admission.record(AdmissionRecord{
+			Hash: hash, Base: base, Outcome: outcome, Prefix: prefix,
+			TrialsFromCache: fromCache, TrialsComputed: computed,
+		})
 	}
 
 	s.mu.Lock()
@@ -383,8 +389,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// next-best tried, so a vanished file degrades to a cold miss, never
 	// an error.
 	var cached *fleet.SweepResult
-	best := s.bestOverlap(spec)
-	for ; best != nil; best = s.bestOverlap(spec) {
+	base = spec.CanonicalHashBase()
+	best := s.bestOverlap(base, spec)
+	for ; best != nil; best = s.bestOverlap(base, spec) {
 		var ok bool
 		if _, cached, ok = s.loadCached(best.hash); ok {
 			break
@@ -401,7 +408,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			e.partial, e.prefix = true, best.hash
 			e.cacheTrials, e.freshTrials = best.trials(), reqTrials-best.trials()
 		}
-		if job, err = s.sched.Submit(spec, cached, s.seal(e)); err == nil || best == nil {
+		if job, err = s.sched.Submit(spec, cached, s.seal(e, base)); err == nil || best == nil {
 			break
 		}
 		// The planner refused what the index predicted (e.g. a stale
@@ -437,17 +444,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // seal is e's job's last step before it reads done: it freezes the merged
-// artifact's bytes, fills the persistent cache and overlap index, and
-// credits the stats — so a client told "done" finds the result servable
-// and the artifact mountable as a prefix, byte-identical forever.
-func (s *Server) seal(e *entry) func(*distrib.Job, *fleet.SweepResult) error {
+// artifact's bytes, fills the persistent cache and overlap index (under
+// base, the job's spec's CanonicalHashBase), and credits the stats — so a
+// client told "done" finds the result servable and the artifact mountable
+// as a prefix, byte-identical forever.
+func (s *Server) seal(e *entry, base string) func(*distrib.Job, *fleet.SweepResult) error {
 	return func(job *distrib.Job, res *fleet.SweepResult) error {
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {
 			return err
 		}
 		e.artifact, e.result = buf.Bytes(), res
-		s.storeCached(e.hash, e.artifact, res)
+		s.storeCached(e.hash, base, e.artifact, res)
 		js := job.Status()
 		s.mu.Lock()
 		// Fresh compute is counted when it actually lands, so failed jobs
@@ -489,9 +497,9 @@ func (s *Server) loadCached(hash string) ([]byte, *fleet.SweepResult, bool) {
 
 // storeCached lands the artifact in the persistent cache via tmp+rename,
 // so a crash mid-write never leaves a half cache entry to half-trust. On
-// success the overlap index learns the artifact and the size bound is
-// enforced (evicting LRU victims as needed).
-func (s *Server) storeCached(hash string, artifact []byte, res *fleet.SweepResult) {
+// success the overlap index learns the artifact under its base hash and
+// the size bound is enforced (evicting LRU victims as needed).
+func (s *Server) storeCached(hash, base string, artifact []byte, res *fleet.SweepResult) {
 	if s.cacheDir == "" {
 		return
 	}
@@ -519,7 +527,7 @@ func (s *Server) storeCached(hash string, artifact []byte, res *fleet.SweepResul
 		return
 	}
 	s.mu.Lock()
-	s.indexAdd(hash, res, int64(len(artifact)))
+	s.indexAdd(hash, base, res, int64(len(artifact)))
 	s.evictLocked()
 	s.mu.Unlock()
 }

@@ -766,7 +766,7 @@ func TestServeDoneOnlyAfterSeal(t *testing.T) {
 	spec := testSpec(17)
 	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
 	merged, release := make(chan struct{}), make(chan struct{})
-	seal := srv.seal(e)
+	seal := srv.seal(e, spec.CanonicalHashBase())
 	job, err := sched.Submit(spec, nil, func(j *distrib.Job, res *fleet.SweepResult) error {
 		close(merged)
 		<-release
@@ -796,9 +796,11 @@ func TestServeDoneOnlyAfterSeal(t *testing.T) {
 		t.Errorf("result after the seal: %d, want 200", code)
 	}
 	srv.mu.Lock()
-	_, indexed := srv.index[e.hash]
+	info, indexed := srv.index[e.hash]
 	srv.mu.Unlock()
 	if !indexed {
 		t.Error("a done sweep is missing from the overlap index")
+	} else if info.base != spec.CanonicalHashBase() {
+		t.Errorf("a done sweep is indexed under base %.12s, want %.12s", info.base, spec.CanonicalHashBase())
 	}
 }
