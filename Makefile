@@ -204,14 +204,20 @@ fuzz:
 # a straggler stolen mid-run (or closed mid-steal) re-splits through the
 # same worker path and still merges to the monolithic bytes. A cold request
 # whose keys the process has already built makes no kernel run and still
-# serves the monolithic bytes.
+# serves the monolithic bytes. The one-copy legs: a sealed sweep's merged
+# result is garbage once its seal returns while /result serves the same
+# bytes, a live partial sweep's monitor counts its cached prefix from the
+# value the job holds (a spec spelling an unused list as [] included), the
+# cache's byte total and the resident-set counters stay exact, and a job
+# folds the partials it validated even when one is truncated on disk
+# afterwards.
 # -count=3 defeats the test cache, so CI always exercises the live path, and
 # repeats every scenario: the service's last lifecycle bug showed only in
 # some runs.
 serve-check:
-	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal|TestServeResidentKeys' \
+	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal|TestServeResidentKeys|TestServeSealedResultUnreachable|TestServeMonitorLivePrefix|TestServeOverlapEmptyList|TestServeCacheByteTotal|TestServeStatsResident' \
 		./internal/serve/
-	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal' ./internal/distrib/
+	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal|TestSchedulerFoldsValidatedPartials' ./internal/distrib/
 
 # Five of the seven cmd/ packages have no test of their own, and nothing
 # else runs carol-fi or phi-beam. This builds every binary into bin/ and

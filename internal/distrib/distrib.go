@@ -11,8 +11,8 @@
 //   - Scheduler.Submit writes the shared sweep spec file and lays out the
 //     shard tasks (one canonical partial path per shard). Every task carries
 //     its explicit plan, so the supervisor sends workers only -plan; a cached
-//     prefix, when given, becomes shard 0's partial and the tasks split only
-//     what it is missing. -shard k/K is operator sugar for the balanced plan.
+//     prefix, when given, becomes shard 0's partial, held as a value, and
+//     the tasks split only what it is missing. -shard k/K is operator sugar for the balanced plan.
 //   - Launcher runs one shard worker to completion. ExecLauncher execs a
 //     local phi-bench subprocess; RemoteLauncher runs phi-bench elsewhere
 //     with the spec streamed in over stdin and the partial streamed back
@@ -55,14 +55,16 @@
 //     mislabelled partial is a failed attempt; the supervisor revalidates
 //     every artifact.
 //
-// The end state is fleet.MergeFiles over the K validated partials, so
-// everything the merge layer enforces (grid/seed/plan compatibility, exact
+// The end state is fleet.MergeSweepResults over the K partials validation
+// decoded — each partial is read once — so everything the merge layer enforces (grid/seed/plan compatibility, exact
 // index coverage) backstops the supervisor.
 package distrib
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 
 	"phirel/internal/fleet"
 )
@@ -116,18 +118,19 @@ func PartialPath(dir string, k, count int) string {
 }
 
 // layout writes the shared spec file into dir (which must exist) and lays
-// out a fan-out's shard tasks, every one with its explicit plan. With cached
-// nil the sweep splits shards ways, balanced. With cached — a complete,
-// base-equal artifact covering a strict prefix of spec's trial space — the
-// prefix is sliced into shard 0's partial and written straight to its
-// canonical path (no worker ever runs for it), and the shards tasks split
-// only the missing trial ranges. paths is every partial of the fan-out in
-// merge order; fleet.MergeFiles over them reconstructs the full sweep
-// byte-identical to a monolithic run. dir is absolutized first: task paths
-// end up in worker argv, and a worker may run with a different working
-// directory (ExecLauncher.Dir), which must not change where the spec is
-// found or the partial lands.
-func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int) (tasks []Task, paths []string, err error) {
+// out a fan-out's shard tasks, every one with its explicit plan. parts is the
+// fan-out's merge set, one slot per partial in merge order, which the
+// supervisor fills as partials validate; fleet.MergeSweepResults over the
+// full set reconstructs the sweep byte-identical to a monolithic run. With
+// cached nil the sweep splits shards ways, balanced, and every slot starts
+// empty. With cached — a complete, base-equal artifact covering a strict
+// prefix of spec's trial space — the prefix is sliced into slot 0 as a value
+// (no worker ever runs for it, and no file is written for it), and the
+// shards tasks split only the missing trial ranges. dir is absolutized
+// first: task paths end up in worker argv, and a worker may run with a
+// different working directory (ExecLauncher.Dir), which must not change
+// where the spec is found or the partial lands.
+func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int) (tasks []Task, parts []*fleet.SweepResult, err error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("distrib: need at least 1 shard, got %d", shards)
 	}
@@ -146,29 +149,33 @@ func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int)
 		return nil, nil, err
 	}
 	count := len(plans)
-	paths = make([]string, count)
-	for k := range paths {
-		paths[k] = PartialPath(dir, k, count)
+	parts = make([]*fleet.SweepResult, count)
+	text, err := spec.SpecString()
+	if err != nil {
+		return nil, nil, err
 	}
 	first := 0
 	if cached != nil {
-		prefix, err := fleet.SliceResult(cached, spec, plans[0])
+		// The workers' partials record the spec as decoded from the spec
+		// file, and the fold requires every part to record one spec; the
+		// prefix records the same decode of the same bytes.
+		seen, err := fleet.ReadSpec(strings.NewReader(text))
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := prefix.WriteFile(paths[0]); err != nil {
+		if parts[0], err = fleet.SliceResult(cached, seen, plans[0]); err != nil {
 			return nil, nil, err
 		}
 		first = 1
 	}
 	specPath := filepath.Join(dir, SpecFileName)
-	if err := spec.WriteSpecFile(specPath); err != nil {
-		return nil, nil, err
+	if err := os.WriteFile(specPath, []byte(text), 0o644); err != nil {
+		return nil, nil, fmt.Errorf("distrib: %w", err)
 	}
 	for k := first; k < count; k++ {
 		tasks = append(tasks, Task{
-			Shard: k, Count: count, SpecPath: specPath, OutPath: paths[k], Plan: &plans[k],
+			Shard: k, Count: count, SpecPath: specPath, OutPath: PartialPath(dir, k, count), Plan: &plans[k],
 		})
 	}
-	return tasks, paths, nil
+	return tasks, parts, nil
 }

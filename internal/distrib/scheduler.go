@@ -31,6 +31,11 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
+// ErrResultSealed is what Wait and Result return for a done job that was
+// submitted with a seal: the seal was the merged result's one reader, and
+// the job kept none.
+var ErrResultSealed = errors.New("distrib: a sealed job keeps no merged result")
+
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
@@ -68,12 +73,18 @@ type Job struct {
 	resumed atomic.Int64
 	stolen  atomic.Int64
 
-	mu      sync.Mutex
-	state   JobState
-	done    int
-	total   int
-	err     error
-	result  *fleet.SweepResult
+	mu    sync.Mutex
+	state JobState
+	done  int
+	total int
+	err   error
+	// result is a done job's merged result, kept only when the job has no
+	// seal: a sealed job hands it to its seal and keeps nothing.
+	result *fleet.SweepResult
+	// parts is the merge set, one slot per partial in merge order: a
+	// partial-overlap job's cached prefix from the start, every other
+	// partial once it has validated. Nil once the job finished.
+	parts   []*fleet.SweepResult
 	subs    map[int]chan Progress
 	nextSub int
 
@@ -114,8 +125,9 @@ func (j *Job) Cancel() { j.cancel() }
 func (j *Job) Done() <-chan struct{} { return j.finished }
 
 // Wait blocks until the job finishes or ctx ends. A finished job returns
-// its merged result or its permanent error; cancellation — of the job or
-// of ctx — surfaces as the respective context error.
+// its merged result or its permanent error; a done job submitted with a
+// seal kept no result and returns ErrResultSealed. Cancellation — of the
+// job or of ctx — surfaces as the respective context error.
 func (j *Job) Wait(ctx context.Context) (*fleet.SweepResult, error) {
 	select {
 	case <-j.finished:
@@ -132,6 +144,9 @@ func (j *Job) Result() (*fleet.SweepResult, error) {
 	defer j.mu.Unlock()
 	switch j.state {
 	case JobDone:
+		if j.seal != nil {
+			return nil, ErrResultSealed
+		}
 		return j.result, nil
 	case JobFailed:
 		return nil, j.err
@@ -139,6 +154,29 @@ func (j *Job) Result() (*fleet.SweepResult, error) {
 		return nil, context.Canceled
 	}
 	return nil, fmt.Errorf("distrib: job %s has not finished", j.id)
+}
+
+// Partials returns the partials of a live job's merge set that are already
+// answered — a partial-overlap job's cached prefix and every shard partial
+// that has validated — in merge order, and live true. A finished job holds
+// none and reports live false. The values are shared with the job's merge:
+// callers must not modify them.
+func (j *Job) Partials() (parts []*fleet.SweepResult, live bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, p := range j.parts {
+		if p != nil {
+			parts = append(parts, p)
+		}
+	}
+	return parts, !j.state.Terminal()
+}
+
+// land files a validated partial at merge position k.
+func (j *Job) land(k int, p *fleet.SweepResult) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.parts[k] = p
 }
 
 // Subscribe registers a progress listener: a channel of aggregated
@@ -202,7 +240,7 @@ func (j *Job) markRunning() {
 // finish records the terminal state and releases waiters and subscribers.
 func (j *Job) finish(state JobState, res *fleet.SweepResult, err error) {
 	j.mu.Lock()
-	j.state, j.result, j.err = state, res, err
+	j.state, j.result, j.err, j.parts = state, res, err, nil
 	for id, ch := range j.subs {
 		delete(j.subs, id)
 		close(ch)
@@ -231,7 +269,6 @@ type Scheduler struct {
 	oneShot bool
 
 	mu     sync.Mutex
-	jobs   map[string]*Job
 	seq    int
 	closed bool
 	wg     sync.WaitGroup
@@ -253,7 +290,6 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		budget: newBudget(opts.MaxConcurrent),
 		ctx:    ctx,
 		stop:   stop,
-		jobs:   map[string]*Job{},
 	}, nil
 }
 
@@ -262,12 +298,14 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 // nil the job is cold: spec splits the scheduler's shard width ways. With
 // cached — a complete, base-equal artifact covering a strict prefix of
 // spec's trial space — shard 0 is already answered: the prefix is sliced
-// into the job's first partial on disk, and the shard width splits only the
-// missing trial ranges; the job's progress Total then counts only the fresh
-// cells. Either way every worker is sent its explicit plan, and the merged
-// result is byte-identical to a monolithic run of spec. seal, when non-nil,
-// is the job's last step: it runs on the merged result before the job reads
-// done, and an error from it ends the job failed.
+// into the job's first partial, held as a value, and the shard width splits
+// only the missing trial ranges; the job's progress Total then counts only
+// the fresh cells. Either way every worker is sent its explicit plan, and
+// the merged result is byte-identical to a monolithic run of spec. seal,
+// when non-nil, is the job's last step: it runs on the merged result before
+// the job reads done, and an error from it ends the job failed. A sealed
+// job keeps no merged result: the seal is its only reader, and Wait and
+// Result of the done job return ErrResultSealed.
 func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal func(*Job, *fleet.SweepResult) error) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -286,7 +324,7 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("distrib: %w", err)
 	}
-	tasks, mergePaths, err := layout(dir, spec, cached, s.opts.Shards)
+	tasks, parts, err := layout(dir, spec, cached, s.opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -299,6 +337,7 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 		seal:     seal,
 		state:    JobQueued,
 		total:    cellsPerShard * len(tasks),
+		parts:    parts,
 		subs:     map[int]chan Progress{},
 		finished: make(chan struct{}),
 	}
@@ -309,7 +348,6 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 		jcancel()
 		return nil, errors.New("distrib: scheduler is closed")
 	}
-	s.jobs[id] = job
 	// Tickets are enqueued here, in shard order, while still serialised
 	// with other Submits: the shared budget is strictly FIFO across jobs,
 	// so under a 1-slot budget job N+1 can never overtake job N.
@@ -320,7 +358,7 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go s.runJob(jctx, job, spec, runs, logPrefix, mergePaths)
+	go s.runJob(jctx, job, spec, runs, logPrefix)
 	return job, nil
 }
 
@@ -383,8 +421,11 @@ type jobRun struct {
 }
 
 // runJob supervises one job's fan-out to a terminal state.
-func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, runs []*shardRun, logPrefix string, mergePaths []string) {
+func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, runs []*shardRun, logPrefix string) {
 	defer s.wg.Done()
+	// A finished job's context is released, so the scheduler's context
+	// holds no job that has ended.
+	defer job.cancel()
 	r := &jobRun{s: s, jctx: jctx, job: job, opts: s.opts}
 	if logf := s.opts.Logf; logf != nil {
 		r.opts.Logf = func(format string, args ...any) { logf(logPrefix+format, args...) }
@@ -423,7 +464,7 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 		defer func() { stopWatch(); <-watched }()
 	}
 
-	failures := r.runAll(runs)
+	failures := r.runAll(runs, func(i int, p *fleet.SweepResult) { job.land(runs[i].task.Shard, p) })
 	switch {
 	case len(failures) > 0:
 		msgs := make([]string, len(failures))
@@ -435,7 +476,8 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 	case jctx.Err() != nil:
 		job.finish(JobCancelled, nil, context.Canceled)
 	default:
-		merged, err := fleet.MergeFiles(mergePaths...)
+		// Every lander has returned, so the merge set is settled.
+		merged, err := fleet.MergeSweepResults(job.parts...)
 		if err != nil {
 			job.finish(JobFailed, nil, fmt.Errorf("distrib: folding shard partials: %w", err))
 			return
@@ -445,6 +487,7 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 				job.finish(JobFailed, nil, fmt.Errorf("distrib: sealing the merged result: %w", err))
 				return
 			}
+			merged = nil
 		}
 		job.finish(JobDone, merged, nil)
 	}
@@ -473,16 +516,21 @@ func (r *jobRun) watch(ctx context.Context, runs []*shardRun) {
 	}
 }
 
-// runAll runs every shard on its own goroutine and returns the permanent
-// failures in shard order once all of them have concluded.
-func (r *jobRun) runAll(runs []*shardRun) []*shardError {
+// runAll runs every shard on its own goroutine, hands each validated
+// partial to land with the shard's position in runs as it concludes, and
+// returns the permanent failures in shard order once all of them have
+// concluded.
+func (r *jobRun) runAll(runs []*shardRun, land func(i int, p *fleet.SweepResult)) []*shardError {
 	errs := make([]*shardError, len(runs))
 	var wg sync.WaitGroup
 	for i, sr := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = r.run(sr)
+			var p *fleet.SweepResult
+			if p, errs[i] = r.run(sr); p != nil {
+				land(i, p)
+			}
 		}()
 	}
 	wg.Wait()
@@ -492,20 +540,22 @@ func (r *jobRun) runAll(runs []*shardRun) []*shardError {
 // run is the one path every worker of a job takes, primary or re-split
 // child: wait for its ticket, mark the job running, supervise the shard
 // through its attempts, release the slot. A shard the watchdog stole
-// mid-run then re-splits its remainder on this goroutine.
-func (r *jobRun) run(sr *shardRun) *shardError {
+// mid-run then re-splits its remainder on this goroutine. The partial it
+// returns is the shard's validated partial, nil when the shard failed or
+// its job was cancelled.
+func (r *jobRun) run(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	defer sr.cancel()
 	if r.s.budget.wait(sr.ctx, sr.tk) != nil {
-		return nil // job (or scheduler) cancelled while queued
+		return nil, nil // job (or scheduler) cancelled while queued
 	}
 	r.job.markRunning()
-	ferr := superviseShard(sr.ctx, sr.task, r.opts, r.mux, sr.key)
+	part, ferr := superviseShard(sr.ctx, sr.task, r.opts, r.mux, sr.key)
 	r.s.budget.release()
 	if sr.finish() {
 		if r.wd != nil {
 			r.wd.exclude(sr.key)
 		}
-		return ferr
+		return part, ferr
 	}
 	return r.resplit(sr)
 }
@@ -513,14 +563,15 @@ func (r *jobRun) run(sr *shardRun) *shardError {
 // resplit finishes a stolen straggler: its newest valid checkpoint banks
 // the prefix (losing zero completed trials), the remainder is split
 // stealWays ways across child workers drawing on the shared budget, and the
-// folded result lands atomically at the straggler's own partial path — so
-// the job's merge is byte-identical to the shard having run uninterrupted.
+// folded result is the straggler's partial — returned, and landed
+// atomically at its own partial path — so the job's merge is
+// byte-identical to the shard having run uninterrupted.
 // A checkpoint that already covers the whole plan leaves no children and
 // folds alone. Child partials use a .steal-* suffix (outside the
 // sweep-shard-*.json merge globs) and report progress under the keys
 // Count + Shard*stealWays + w, unique because a shard is stolen at most
 // once.
-func (r *jobRun) resplit(sr *shardRun) *shardError {
+func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	t := sr.task
 	// The straggler reports nothing more: close its tally at what it did,
 	// so the children's reports carry the rest of the job's progress.
@@ -528,7 +579,7 @@ func (r *jobRun) resplit(sr *shardRun) *shardError {
 	r.opts.Logf("shard %s: lagging the fleet median — cancelled at checkpoint, re-splitting", t.ShardArg())
 	spec, plan, work, ckpt, err := readCheckpoint(t)
 	if err != nil {
-		return &shardError{task: t, err: fmt.Errorf("re-split: %w", err)}
+		return nil, &shardError{task: t, err: fmt.Errorf("re-split: %w", err)}
 	}
 	stolen := cellTrials(spec, work)
 	r.job.stolen.Add(int64(stolen))
@@ -556,30 +607,24 @@ func (r *jobRun) resplit(sr *shardRun) *shardError {
 	if len(children) > 0 {
 		r.opts.Logf("shard %s: re-splitting %d remaining trials %d ways", t.ShardArg(), stolen, stealWays)
 	}
-	errs := r.runAll(children)
+	parts := make([]*fleet.SweepResult, len(children)+1)
+	parts[0] = ckpt
+	errs := r.runAll(children, func(i int, p *fleet.SweepResult) { parts[i+1] = p })
 	if r.jctx.Err() != nil {
-		return nil // job cancelled; not this shard's failure
+		return nil, nil // job cancelled; not this shard's failure
 	}
 	if len(errs) > 0 {
-		return errs[0]
+		return nil, errs[0]
 	}
-	parts := make([]*fleet.SweepResult, 0, len(children)+1)
-	if ckpt != nil {
-		parts = append(parts, ckpt)
-	}
-	for _, c := range children {
-		p, err := fleet.ReadShardFile(c.task.OutPath)
-		if err != nil {
-			return &shardError{task: t, err: fmt.Errorf("re-split child partial: %w", err)}
-		}
-		parts = append(parts, p)
+	if ckpt == nil {
+		parts = parts[1:]
 	}
 	full, err := fleet.MergeShardPartials(plan, parts...)
 	if err != nil {
-		return &shardError{task: t, err: fmt.Errorf("re-split fold: %w", err)}
+		return nil, &shardError{task: t, err: fmt.Errorf("re-split fold: %w", err)}
 	}
 	if err := full.WriteFileAtomic(t.OutPath); err != nil {
-		return &shardError{task: t, err: err}
+		return nil, &shardError{task: t, err: err}
 	}
 	for _, c := range children {
 		os.Remove(c.task.OutPath)
@@ -587,21 +632,13 @@ func (r *jobRun) resplit(sr *shardRun) *shardError {
 	}
 	os.Remove(t.CheckpointPath)
 	r.opts.Logf("shard %s: re-split complete, partial refolded (%s)", t.ShardArg(), t.OutPath)
-	return nil
+	return full, nil
 }
 
 // Options returns a copy of the scheduler's validated config (hooks
 // included) — what a layer above needs to describe the fan-out it is
 // submitting into, e.g. the shard width of progress events.
 func (s *Scheduler) Options() Options { return s.opts }
-
-// Job returns the job with the given ID, if it exists.
-func (s *Scheduler) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
 
 // Close cancels every job, refuses further submissions, and waits for the
 // supervision goroutines to drain.

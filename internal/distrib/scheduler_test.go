@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -208,11 +209,18 @@ func TestSchedulerCancelQueuedJobFreesNothing(t *testing.T) {
 
 // TestSchedulerSubscribe: progress samples flow to subscribers and the
 // stream closes at the terminal state; a late subscriber gets an
-// immediately-closed channel.
+// immediately-closed channel. The workers wait for the subscription: a
+// job whose keys are already resident can finish before Submit's caller
+// subscribes.
 func TestSchedulerSubscribe(t *testing.T) {
 	spec := schedSweep()
+	subscribed := make(chan struct{})
 	sched, err := NewScheduler(Options{
-		Shards: 2, Launcher: LauncherFunc(inProcWorker), Dir: t.TempDir(),
+		Shards: 2, Dir: t.TempDir(),
+		Launcher: LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
+			<-subscribed
+			return inProcWorker(ctx, task, stderr)
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +232,7 @@ func TestSchedulerSubscribe(t *testing.T) {
 	}
 	ch, stop := job.Subscribe()
 	defer stop()
+	close(subscribed)
 	var last Progress
 	n := 0
 	for p := range ch {
@@ -314,8 +323,8 @@ func TestOptionsValidate(t *testing.T) {
 
 // TestSchedulerSeal: a job reads done only after its seal returns — Done
 // stays open and Result reports the job unfinished while the seal blocks,
-// and the sealed result is the job's result — and a seal error ends the job
-// failed.
+// and a sealed job keeps no merged result: the seal was its one reader, so
+// Wait reports ErrResultSealed — and a seal error ends the job failed.
 func TestSchedulerSeal(t *testing.T) {
 	spec := schedSweep()
 	sched, err := NewScheduler(Options{Shards: 2, Launcher: LauncherFunc(inProcWorker), Dir: t.TempDir()})
@@ -345,8 +354,11 @@ func TestSchedulerSeal(t *testing.T) {
 		t.Fatalf("Result while the seal blocks: %v, want not finished", err)
 	}
 	close(release)
-	if res, err := job.Wait(context.Background()); err != nil || res != sealed {
-		t.Fatalf("Wait after the seal: %p, %v; want the sealed result %p", res, err, sealed)
+	if res, err := job.Wait(context.Background()); !errors.Is(err, ErrResultSealed) || res != nil || sealed == nil {
+		t.Fatalf("Wait after the seal: %p, %v; want no result kept and ErrResultSealed (the seal got %p)", res, err, sealed)
+	}
+	if st := job.Status(); st.State != JobDone {
+		t.Fatalf("sealed job reads %s, want done", st.State)
 	}
 
 	refused := errors.New("seal refused")
@@ -359,5 +371,37 @@ func TestSchedulerSeal(t *testing.T) {
 	}
 	if st := failed.Status(); st.State != JobFailed {
 		t.Fatalf("job whose seal failed reads %s, want failed", st.State)
+	}
+}
+
+// TestSchedulerFoldsValidatedPartials: a job folds the partials validation
+// decoded, not the files they came from. Under a 1-slot budget shard 1
+// launches only after shard 0's partial has validated, and its launcher
+// truncates that partial on disk before doing its own work; the job still
+// merges to the monolithic bytes, and both shards ran exactly once.
+func TestSchedulerFoldsValidatedPartials(t *testing.T) {
+	spec := testSweep()
+	_, monoJSON := monoArtifact(t, spec)
+	var launches sync.Map // shard → struct{}
+	launcher := LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
+		if _, again := launches.LoadOrStore(task.Shard, struct{}{}); again {
+			t.Errorf("shard %s launched twice", task.ShardArg())
+		}
+		if task.Shard == 1 {
+			earlier := PartialPath(filepath.Dir(task.OutPath), 0, task.Count)
+			if err := os.Truncate(earlier, 10); err != nil {
+				return err
+			}
+		}
+		return inProcWorker(ctx, task, stderr)
+	})
+	res, err := Run(context.Background(), spec, Options{
+		Shards: 2, MaxConcurrent: 1, Retries: 0, Launcher: launcher, Dir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatalf("a job whose validated partial was truncated afterwards failed: %v", err)
+	}
+	if !bytes.Equal(artifactBytes(t, res), monoJSON) {
+		t.Fatal("merged result differs from the monolithic run")
 	}
 }

@@ -65,9 +65,10 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 	return res, err
 }
 
-// superviseShard drives one shard through its attempt budget. nil means
-// its partial landed and validated; non-nil is a permanent failure. A
-// shard aborted because the whole job was cancelled is not a failure. key
+// superviseShard drives one shard through its attempt budget. A partial
+// means it landed and validated, and is the value validation decoded; a
+// shardError is a permanent failure. A shard aborted because the whole job
+// was cancelled is neither: both are nil. key
 // is the task's progress-mux identity — the shard index for primary
 // workers, a key past the primaries for a re-split straggler's children.
 // opts.Logf must be non-nil.
@@ -76,7 +77,7 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 // looks for a valid checkpoint from the failed attempt: if one covers a
 // non-empty prefix of the shard's plan, the new attempt resumes from it —
 // identical failure classification, strictly fewer recomputed trials.
-func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux, key int) *shardError {
+func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux, key int) (*fleet.SweepResult, *shardError) {
 	tail := &tailBuffer{max: tailBytes}
 	logf := opts.Logf
 	if t.CheckpointPath != "" {
@@ -100,27 +101,27 @@ func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux,
 			delay := backoffDelay(opts.Backoff, attempt)
 			logf("shard %s: retry %d/%d in %s", t.ShardArg(), attempt, opts.Retries, delay)
 			if sleepCtx(ctx, delay) != nil {
-				return nil // job cancelled while backing off
+				return nil, nil // job cancelled while backing off
 			}
 		} else {
 			logf("shard %s: launching", t.ShardArg())
 		}
-		err := launchOnce(ctx, t, opts, mux, key, tail)
+		part, err := launchOnce(ctx, t, opts, mux, key, tail)
 		if err == nil {
 			logf("shard %s: partial validated (%s)", t.ShardArg(), t.OutPath)
 			if t.CheckpointPath != "" {
 				os.Remove(t.CheckpointPath) // spent; the partial supersedes it
 			}
-			return nil
+			return part, nil
 		}
 		if ctx.Err() != nil {
 			// The job is shutting down; the abort is not this shard's
 			// fault and retrying against a dead context is pointless.
-			return nil
+			return nil, nil
 		}
 		logf("shard %s: attempt %d failed: %v", t.ShardArg(), attempt+1, err)
 		if attempt >= opts.Retries {
-			return &shardError{task: t, err: err, tail: tail.String()}
+			return nil, &shardError{task: t, err: err, tail: tail.String()}
 		}
 	}
 }
@@ -163,12 +164,13 @@ func cellTrials(spec fleet.Sweep, p fleet.ShardPlan) int {
 
 // launchOnce runs one attempt: stale-partial removal, launch under the
 // per-attempt timeout, stderr demux (progress events to the mux, the rest
-// to the failure tail), and artifact validation.
-func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key int, tail *tailBuffer) error {
+// to the failure tail), and artifact validation, which returns the partial
+// it decoded.
+func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key int, tail *tailBuffer) (*fleet.SweepResult, error) {
 	// A partial left by a killed or crashed prior attempt must never pass
 	// for this attempt's output.
 	if err := os.Remove(t.OutPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("removing stale partial: %w", err)
+		return nil, fmt.Errorf("removing stale partial: %w", err)
 	}
 	actx := ctx
 	if opts.Timeout > 0 {
@@ -187,9 +189,9 @@ func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key
 	lw.Flush()
 	if err != nil {
 		if actx.Err() != nil && ctx.Err() == nil {
-			return fmt.Errorf("attempt timed out after %s", opts.Timeout)
+			return nil, fmt.Errorf("attempt timed out after %s", opts.Timeout)
 		}
-		return err
+		return nil, err
 	}
 	return validatePartial(t)
 }
@@ -197,18 +199,19 @@ func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key
 // validatePartial confirms the attempt left a parseable partial tagged as
 // this task's shard — a worker that exits 0 with a truncated, mislabelled
 // or missing artifact has failed exactly as hard as a crash, it just
-// doesn't know it.
-func validatePartial(t Task) error {
+// doesn't know it. The partial it returns is the job's one decode of it:
+// the merge folds that value and never re-reads the file.
+func validatePartial(t Task) (*fleet.SweepResult, error) {
 	r, err := fleet.ReadShardFile(t.OutPath)
 	if err != nil {
-		return fmt.Errorf("worker exited cleanly but its partial is unusable: %w", err)
+		return nil, fmt.Errorf("worker exited cleanly but its partial is unusable: %w", err)
 	}
 	// The worker must have run exactly the position and ranges it was
 	// handed: a partial with the wrong ones would survive until the merge,
 	// where the tiling check rejects the whole job instead of naming the
 	// one bad worker.
 	if *r.Shard != *t.Plan {
-		return fmt.Errorf("worker ran plan %s %+v, want %s %+v", r.Shard, *r.Shard, t.ShardArg(), *t.Plan)
+		return nil, fmt.Errorf("worker ran plan %s %+v, want %s %+v", r.Shard, *r.Shard, t.ShardArg(), *t.Plan)
 	}
-	return nil
+	return r, nil
 }

@@ -381,12 +381,12 @@ func TestRunSweepMaxConcurrent(t *testing.T) {
 func TestPlanLayout(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSweep()
-	tasks, paths, err := layout(dir, spec, nil, 3)
+	tasks, parts, err := layout(dir, spec, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tasks) != 3 || len(paths) != 3 {
-		t.Fatalf("planned %d tasks and %d partials, want 3 of each", len(tasks), len(paths))
+	if len(tasks) != 3 || len(parts) != 3 {
+		t.Fatalf("planned %d tasks and %d partials, want 3 of each", len(tasks), len(parts))
 	}
 	for k, task := range tasks {
 		if task.Shard != k || task.Count != 3 || task.Attempt != 0 {
@@ -399,8 +399,8 @@ func TestPlanLayout(t *testing.T) {
 		if task.Plan == nil || *task.Plan != want {
 			t.Fatalf("task %d plan %v, want the balanced %+v", k, task.Plan, want)
 		}
-		if paths[k] != task.OutPath {
-			t.Fatalf("merge path %d is %q, task writes %q", k, paths[k], task.OutPath)
+		if parts[k] != nil {
+			t.Fatalf("cold merge slot %d is answered before any worker ran", k)
 		}
 		if task.OutPath != filepath.Join(dir, fmt.Sprintf("sweep-shard-%d-of-3.json", k+1)) {
 			t.Fatalf("task %d partial path %q off-convention", k, task.OutPath)
@@ -421,24 +421,29 @@ func TestPlanLayout(t *testing.T) {
 		t.Fatal("accepted a 0-shard plan")
 	}
 
-	// A prefix layout: the cached slice is shard 0's partial on disk, and
-	// every task — the fresh shards only — carries its plan too.
+	// A prefix layout: the cached slice is shard 0's partial, held as a
+	// value and never written, and every task — the fresh shards only —
+	// carries its plan too.
 	cachedSpec := spec
 	cachedSpec.N /= 2
 	cached, _ := monoArtifact(t, cachedSpec)
-	tasks, paths, err = layout(t.TempDir(), spec, cached, 2)
+	prefixDir := t.TempDir()
+	tasks, parts, err = layout(prefixDir, spec, cached, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tasks) != 2 || len(paths) != 3 {
-		t.Fatalf("prefix layout planned %d tasks and %d partials, want 2 and 3", len(tasks), len(paths))
+	if len(tasks) != 2 || len(parts) != 3 {
+		t.Fatalf("prefix layout planned %d tasks and %d partials, want 2 and 3", len(tasks), len(parts))
 	}
 	for i, task := range tasks {
 		if task.Plan == nil || task.Shard != i+1 || task.Plan.Index != task.Shard || task.Plan.Count != 3 {
 			t.Fatalf("prefix task %d: %+v with plan %v", i, task, task.Plan)
 		}
 	}
-	if p, err := fleet.ReadShardFile(paths[0]); err != nil || p.Shard.Injection.N != cachedSpec.N {
-		t.Fatalf("prefix partial %s: %v", paths[0], err)
+	if p := parts[0]; p == nil || p.Shard.Index != 0 || p.Shard.Injection.N != cachedSpec.N || parts[1] != nil || parts[2] != nil {
+		t.Fatalf("prefix merge set %v, want the cached prefix in slot 0 alone", parts)
+	}
+	if _, err := os.Stat(PartialPath(prefixDir, 0, 3)); !os.IsNotExist(err) {
+		t.Fatalf("the cached prefix was written to disk (stat: %v)", err)
 	}
 }

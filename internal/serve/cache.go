@@ -26,6 +26,17 @@ type cacheInfo struct {
 	lastUsed int64
 }
 
+// newCacheInfo describes the artifact of size bytes stored under hash,
+// whose spec is sp and whose spec's CanonicalHashBase is base.
+func newCacheInfo(hash, base string, sp fleet.Sweep, size int64) *cacheInfo {
+	return &cacheInfo{
+		hash: hash, base: base,
+		injN: sp.N, beamN: sp.BeamRuns,
+		cells: len(sp.Cells()), beamCells: len(sp.BeamCells()),
+		size: size,
+	}
+}
+
 // trials is the cell-weighted trial count the artifact serves as a cached
 // prefix — the quantity the overlap planner maximises and the stats
 // counters report.
@@ -67,7 +78,7 @@ func (s *Server) scanCache() {
 		if !ok {
 			continue
 		}
-		s.indexAdd(hash, res.Spec.CanonicalHashBase(), res, int64(len(artifact)))
+		s.indexAdd(newCacheInfo(hash, res.Spec.CanonicalHashBase(), res.Spec, int64(len(artifact))))
 		n++
 	}
 	if n > 0 {
@@ -75,17 +86,24 @@ func (s *Server) scanCache() {
 	}
 }
 
-// indexAdd records a complete on-disk artifact, whose spec's
-// CanonicalHashBase is base, in the overlap index. Callers hold s.mu.
-func (s *Server) indexAdd(hash, base string, res *fleet.SweepResult, size int64) {
-	sp := res.Spec
+// indexAdd records a complete on-disk artifact in the overlap index as
+// just used, replacing an earlier record of its hash. Callers hold s.mu.
+func (s *Server) indexAdd(info *cacheInfo) {
+	s.indexDrop(info.hash)
 	s.useSeq++
-	s.index[hash] = &cacheInfo{
-		hash: hash, base: base,
-		injN: sp.N, beamN: sp.BeamRuns,
-		cells: len(sp.Cells()), beamCells: len(sp.BeamCells()),
-		size: size, lastUsed: s.useSeq,
+	info.lastUsed = s.useSeq
+	s.index[info.hash] = info
+	s.cacheBytes += info.size
+}
+
+// indexDrop forgets hash's record, if any. Callers hold s.mu.
+func (s *Server) indexDrop(hash string) {
+	info, ok := s.index[hash]
+	if !ok {
+		return
 	}
+	delete(s.index, hash)
+	s.cacheBytes -= info.size
 }
 
 // touch marks hash as just-used for LRU purposes. Callers hold s.mu.
@@ -133,14 +151,7 @@ func (s *Server) evictLocked() {
 	if s.cacheMaxBytes <= 0 {
 		return
 	}
-	for {
-		var total int64
-		for _, info := range s.index {
-			total += info.size
-		}
-		if total <= s.cacheMaxBytes {
-			return
-		}
+	for s.cacheBytes > s.cacheMaxBytes {
 		var victim *cacheInfo
 		for hash, info := range s.index {
 			if e, ok := s.sweeps[hash]; ok && !e.jobStatus().State.Terminal() {
@@ -158,16 +169,8 @@ func (s *Server) evictLocked() {
 			// Fall through: dropping the index entry anyway keeps the loop
 			// from spinning on an unremovable file.
 		}
-		delete(s.index, victim.hash)
-		if _, ok := s.sweeps[victim.hash]; ok {
-			delete(s.sweeps, victim.hash)
-			for i, id := range s.order {
-				if id == victim.hash {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
-		}
+		s.indexDrop(victim.hash)
+		s.dropLocked(victim.hash)
 		s.stats.Evictions++
 		s.logf("serve: evicted %.12s (%d bytes) from the artifact cache", victim.hash, victim.size)
 	}
@@ -206,6 +209,11 @@ type Stats struct {
 	// CacheEntries and CacheBytes snapshot the on-disk cache extent.
 	CacheEntries int64 `json:"cacheEntries"`
 	CacheBytes   int64 `json:"cacheBytes"`
+	// ResidentEntries and ResidentBytes snapshot the resident set: the
+	// sweeps this process holds in memory, in any state, and the artifact
+	// bytes the done ones keep — the only copy of a finished sweep it holds.
+	ResidentEntries int64 `json:"residentEntries"`
+	ResidentBytes   int64 `json:"residentBytes"`
 }
 
 // StatsSnapshot returns the current counters.
@@ -213,10 +221,8 @@ func (s *Server) StatsSnapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	for _, info := range s.index {
-		st.CacheEntries++
-		st.CacheBytes += info.size
-	}
+	st.CacheEntries, st.CacheBytes = int64(len(s.index)), s.cacheBytes
+	st.ResidentEntries, st.ResidentBytes = int64(len(s.sweeps)), s.residentBytes
 	return st
 }
 

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"path/filepath"
-	"sort"
 
 	"phirel/internal/distrib"
 	"phirel/internal/fleet"
@@ -11,38 +9,34 @@ import (
 )
 
 // monitorSnapshot builds the sweep's current reliability snapshot and
-// reports how many shard partials backed it. A done sweep folds its
-// merged result — the exact tallies the post-hoc fit uses, so the final
-// snapshot is the analytical answer. A live sweep folds whatever shard
-// partials have already landed atomically (tmp+rename) in the job's
-// working directory, including the pre-sliced cached prefix of a
-// partial-overlap job; unreadable or not-yet-complete files are skipped,
-// so a mid-write directory degrades to a smaller snapshot, never an
-// error. Failed and cancelled sweeps report the partials the same way —
-// whatever landed is what the monitor saw.
+// reports how many partials backed it. A done sweep folds its merged
+// artifact, decoded from the entry's bytes — the exact tallies the
+// post-hoc fit uses, so the final snapshot is the analytical answer. A
+// live sweep folds the partials its job has validated so far, a
+// partial-overlap job's cached prefix included: values the job already
+// holds, so nothing is read from disk or decoded again.
 func (s *Server) monitorSnapshot(e *entry) (monitor.Snapshot, int, error) {
 	m, err := monitor.New(monitor.Config{})
 	if err != nil {
 		return monitor.Snapshot{}, 0, err
 	}
-	if e.jobStatus().State == distrib.JobDone {
-		m.ObserveSweep(e.result)
+	var parts []*fleet.SweepResult
+	live := false
+	if e.job != nil {
+		parts, live = e.job.Partials()
+	}
+	if !live && e.jobStatus().State == distrib.JobDone {
+		res, err := e.decode()
+		if err != nil {
+			return monitor.Snapshot{}, 0, err
+		}
+		m.ObserveSweep(res)
 		return m.Snapshot(), 0, nil
 	}
-	parts := 0
-	if e.job != nil {
-		paths, _ := filepath.Glob(filepath.Join(e.job.Dir(), "sweep-shard-*.json"))
-		sort.Strings(paths)
-		for _, p := range paths {
-			part, err := fleet.ReadShardFile(p)
-			if err != nil {
-				continue
-			}
-			m.ObserveSweep(part)
-			parts++
-		}
+	for _, p := range parts {
+		m.ObserveSweep(p)
 	}
-	return m.Snapshot(), parts, nil
+	return m.Snapshot(), len(parts), nil
 }
 
 // handleMonitor serves GET /v1/sweeps/{id}/monitor: the current rolling

@@ -3,12 +3,18 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"phirel/internal/distrib"
 	"phirel/internal/fleet"
 	"phirel/internal/monitor"
 )
@@ -210,4 +216,62 @@ func TestServeMonitorEvents(t *testing.T) {
 	if !bytes.Equal(lastMonitor, want) {
 		t.Fatalf("final monitor frame differs from the post-hoc fold:\n%s\nvs\n%s", lastMonitor, want)
 	}
+}
+
+// TestServeMonitorLivePrefix: while a partial-overlap sweep's workers are
+// held, its monitor already counts the cached prefix — a value the job
+// holds, never written to the job's directory — and nothing else.
+func TestServeMonitorLivePrefix(t *testing.T) {
+	jobs := t.TempDir()
+	// Only the partial job's fan-out — the prefix and testShards fresh
+	// shards — is held.
+	held := make(chan struct{})
+	launcher := distrib.LauncherFunc(func(ctx context.Context, task distrib.Task, stderr io.Writer) error {
+		if task.Count > testShards {
+			select {
+			case <-held:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return (&worker{}).Launch(ctx, task, stderr)
+	})
+	sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: launcher, Dir: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	ts := httptest.NewServer(New(sched, WithCacheDir(t.TempDir())).Handler())
+	t.Cleanup(ts.Close)
+
+	small := testSpec(66)
+	_, stSmall := postSpec(t, ts, small)
+	stSmall = waitState(t, ts, stSmall.ID, "done")
+	big := small
+	big.N *= 2
+	code, st := postSpec(t, ts, big)
+	if code != http.StatusAccepted || !st.Partial {
+		t.Fatalf("overlapping POST: %d %+v, want a partial job", code, st)
+	}
+
+	code, _, body := getBody(t, ts, "/v1/sweeps/"+st.ID+"/monitor")
+	if code != http.StatusOK {
+		t.Fatalf("monitor of the running partial sweep: %d", code)
+	}
+	var got monitorPayload
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	var snap monitor.Snapshot
+	if err := json.Unmarshal(got.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got.State == "done" || snap.Trials != stSmall.TrialsComputed {
+		t.Fatalf("held partial sweep (%s) monitors %d trials, want the cached prefix's %d", got.State, snap.Trials, stSmall.TrialsComputed)
+	}
+	if written, _ := filepath.Glob(filepath.Join(jobs, "*", fmt.Sprintf("sweep-shard-1-of-%d.json", testShards+1))); len(written) > 0 {
+		t.Fatalf("the cached prefix was written to disk: %v", written)
+	}
+	close(held)
+	waitState(t, ts, st.ID, "done")
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"phirel/internal/distrib"
 	"phirel/internal/fleet"
 )
 
@@ -306,5 +308,173 @@ func TestServeResultNotModified(t *testing.T) {
 		if code, _, _ := get(inm); code != http.StatusOK {
 			t.Fatalf("If-None-Match %q: %d, want 200", inm, code)
 		}
+	}
+}
+
+// TestServeCacheByteTotal: the cache's running byte total equals the
+// sizes of the files it indexes — and the sum over its records — through
+// stores, LRU evictions, and an invalid entry the planner drops.
+func TestServeCacheByteTotal(t *testing.T) {
+	cacheDir := t.TempDir()
+	check := func(srv *Server, when string) {
+		t.Helper()
+		dirents, err := os.ReadDir(cacheDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		var onDisk, summed int64
+		for _, de := range dirents {
+			if info, err := de.Info(); err == nil && cacheFileRe.MatchString(de.Name()) {
+				if _, indexed := srv.index[strings.TrimSuffix(de.Name(), ".json")]; indexed {
+					onDisk += info.Size()
+				}
+			}
+		}
+		for _, info := range srv.index {
+			summed += info.size
+		}
+		srv.mu.Unlock()
+		st := srv.StatsSnapshot()
+		if st.CacheBytes != summed || st.CacheBytes != onDisk || st.CacheEntries != int64(len(srv.index)) {
+			t.Fatalf("%s: stats count %d entries, %d bytes; the index sums %d bytes, the indexed files %d",
+				when, st.CacheEntries, st.CacheBytes, summed, onDisk)
+		}
+	}
+	newServer := func(opts ...Option) (*Server, *httptest.Server) {
+		sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: &worker{}, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sched.Close)
+		srv := New(sched, append(opts, WithCacheDir(cacheDir))...)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+
+	probe, err := testSpec(91).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := probe.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newServer(WithCacheMaxBytes(int64(3 * buf.Len())))
+	for _, seed := range []uint64{91, 92, 93, 94, 95} {
+		_, st := postSpec(t, ts, testSpec(seed))
+		waitState(t, ts, st.ID, "done")
+		check(srv, fmt.Sprintf("after storing seed %d", seed))
+	}
+	if st := srv.StatsSnapshot(); st.Evictions == 0 {
+		t.Fatalf("five stores under a three-artifact bound evicted nothing: %+v", st)
+	}
+
+	// A restarted server indexes what is on disk; one file is then
+	// corrupted behind its back, and a larger same-base request drops it
+	// when the planner tries to mount it.
+	srv, ts = newServer()
+	check(srv, "after the restart scan")
+	victim := testSpec(95)
+	if err := os.WriteFile(filepath.Join(cacheDir, victim.CanonicalHash()+".json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	big := victim
+	big.N *= 2
+	code, st := postSpec(t, ts, big)
+	if code != http.StatusAccepted || st.Partial {
+		t.Fatalf("request over a corrupted prefix: %d %+v, want a cold job", code, st)
+	}
+	srv.mu.Lock()
+	_, stillIndexed := srv.index[victim.CanonicalHash()]
+	srv.mu.Unlock()
+	if stillIndexed {
+		t.Fatal("the planner kept an artifact that no longer loads")
+	}
+	waitState(t, ts, st.ID, "done")
+	check(srv, "after the invalid entry was dropped and the cold job stored")
+}
+
+// TestServeStatsResident: /v1/stats counts the sweeps held in memory and
+// the artifact bytes they keep — the bytes /result serves — from a fresh
+// compute, from a cache file and through an eviction.
+func TestServeStatsResident(t *testing.T) {
+	cacheDir := t.TempDir()
+	ts := newTestServer(t, &worker{}, WithCacheDir(cacheDir))
+	if st := getStats(t, ts); st.ResidentEntries != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("empty server stats %+v, want no resident set", st)
+	}
+	var ids []string
+	var bytesServed int64
+	for _, seed := range []uint64{96, 97} {
+		_, st := postSpec(t, ts, testSpec(seed))
+		waitState(t, ts, st.ID, "done")
+		_, _, body := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result")
+		ids = append(ids, st.ID)
+		bytesServed += int64(len(body))
+	}
+	if st := getStats(t, ts); st.ResidentEntries != 2 || st.ResidentBytes != bytesServed {
+		t.Fatalf("after two sweeps: %d resident entries, %d bytes; want 2 and the %d bytes served", st.ResidentEntries, st.ResidentBytes, bytesServed)
+	}
+
+	// A second server over the same cache: a GET resurrects one artifact
+	// from disk, and a bound that holds one artifact evicts it again when
+	// the other is stored.
+	_, _, first := getBody(t, ts, "/v1/sweeps/"+ids[0]+"/result")
+	ts2 := newTestServer(t, &worker{}, WithCacheDir(cacheDir), WithCacheMaxBytes(int64(len(first))+1))
+	if code, _, _ := getBody(t, ts2, "/v1/sweeps/"+ids[0]); code != http.StatusOK {
+		t.Fatalf("cached sweep on a restarted server: %d", code)
+	}
+	if st := getStats(t, ts2); st.ResidentEntries != 1 || st.ResidentBytes != int64(len(first)) {
+		t.Fatalf("after a resurrection: %d resident entries, %d bytes; want 1 and %d", st.ResidentEntries, st.ResidentBytes, len(first))
+	}
+	_, st := postSpec(t, ts2, testSpec(98))
+	waitState(t, ts2, st.ID, "done")
+	_, _, last := getBody(t, ts2, "/v1/sweeps/"+st.ID+"/result")
+	stats := getStats(t, ts2)
+	if stats.Evictions == 0 || stats.ResidentEntries != 1 || stats.ResidentBytes != int64(len(last)) {
+		t.Fatalf("after evictions: %+v; want only the last sweep's %d bytes resident", stats, len(last))
+	}
+}
+
+// TestServeOverlapEmptyList: a spec may spell an unused list as [] — which
+// decodes to an empty slice, while the spec file the workers read omits it
+// — and a partial-overlap job over such a spec still folds its cached
+// prefix with the fresh partials into the monolithic bytes.
+func TestServeOverlapEmptyList(t *testing.T) {
+	ts := newTestServer(t, &worker{}, WithCacheDir(t.TempDir()))
+	post := func(n int) Status {
+		t.Helper()
+		body := fmt.Sprintf(`{"benchmarks":["DGEMM"],"models":[0],"n":%d,"seed":67,"benchSeed":1,"workers":1,"beamBenchmarks":[]}`, n)
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st Status
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	waitState(t, ts, post(6).ID, "done")
+	st := post(12)
+	if !st.Partial {
+		t.Fatalf("the larger request was not admitted as a partial job: %+v", st)
+	}
+	waitState(t, ts, st.ID, "done")
+	spec := testSpec(67)
+	spec.N = 12
+	mono, err := spec.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := mono.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, got := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result"); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("the folded artifact differs from the monolithic run")
 	}
 }

@@ -71,16 +71,21 @@
 //	GET /v1/sweeps/{id}/monitor
 //	    200 + the current rolling FIT/MTBF snapshot (monitor.Snapshot
 //	    JSON wrapped with the sweep id and state). Live sweeps fold the
-//	    shard partials landed so far (zero trials before the first shard
-//	    finishes); done sweeps fold the merged result, which equals the
-//	    post-hoc analysis fit exactly. 410 cancelled, 502 failed.
+//	    partials their job has validated so far, a partial sweep's cached
+//	    prefix included (zero trials before the first shard finishes);
+//	    done sweeps fold the merged artifact, which equals the post-hoc
+//	    analysis fit exactly. 410 cancelled, 502 failed.
 //	DELETE /v1/sweeps/{id}
 //	    Cancels the sweep's job (204); cancelling a finished sweep is a
 //	    no-op (204), unknown ids 404.
 //	GET /v1/stats
 //	    200 + Stats JSON: submissions, full/partial hits, misses,
 //	    coalesced joins, trials served from cache vs computed, evictions,
-//	    and the cache's on-disk extent.
+//	    the cache's on-disk extent (cacheEntries, cacheBytes), and the
+//	    resident set: the sweeps the process holds (residentEntries) and
+//	    the artifact bytes they keep in memory (residentBytes): a done
+//	    sweep is held as its artifact bytes alone, which /figures and
+//	    /monitor decode when asked.
 package serve
 
 import (
@@ -91,6 +96,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"phirel/internal/distrib"
@@ -155,9 +161,9 @@ func linksFor(id string) Links {
 
 // entry is one sweep the server knows about: an in-flight job, a finished
 // one, or an artifact resurrected from the cache. It holds request facts
-// only; the sweep's state is its job's. artifact and result are written
-// once, by the job's seal before the job reads done, and read only after
-// jobStatus reports done, so no lock guards them.
+// only; the sweep's state is its job's. artifact is written once, by the
+// job's seal before the job reads done, and read only after jobStatus
+// reports done, so no lock guards it.
 type entry struct {
 	hash   string
 	cached bool         // artifact came from the cache, no compute here
@@ -171,8 +177,12 @@ type entry struct {
 	cacheTrials int
 	freshTrials int
 
-	artifact []byte // exact WriteJSON bytes of the merged result
-	result   *fleet.SweepResult
+	artifact []byte // exact WriteJSON bytes of the merged result, at exact capacity
+}
+
+// decode reads a done entry's artifact back into a result.
+func (e *entry) decode() (*fleet.SweepResult, error) {
+	return fleet.ReadJSON(bytes.NewReader(e.artifact))
 }
 
 // jobStatus is the entry's lifecycle position: a cache hit is done on
@@ -200,10 +210,13 @@ type Server struct {
 	sweeps map[string]*entry
 	order  []string
 	// index is the overlap index: every complete on-disk artifact keyed by
-	// canonical hash, searchable by base hash for prefix reuse.
-	index  map[string]*cacheInfo
-	useSeq int64
-	stats  Stats
+	// canonical hash, searchable by base hash for prefix reuse. cacheBytes
+	// totals their sizes, and residentBytes the artifact bytes sweeps holds.
+	index         map[string]*cacheInfo
+	cacheBytes    int64
+	residentBytes int64
+	useSeq        int64
+	stats         Stats
 }
 
 // Option configures a Server.
@@ -360,19 +373,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, st)
 			return
 		}
-		delete(s.sweeps, hash)
-		// keep its slot in order; re-adding below would duplicate the id
-		for i, id := range s.order {
-			if id == hash {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+		s.dropLocked(hash)
 	}
-	if artifact, res, ok := s.loadCached(hash); ok {
-		e := &entry{hash: hash, cached: true, cacheTrials: reqTrials, artifact: artifact, result: res}
-		s.sweeps[hash] = e
-		s.order = append(s.order, hash)
+	if artifact, _, ok := s.loadCached(hash); ok {
+		e := &entry{hash: hash, cached: true, cacheTrials: reqTrials, artifact: artifact}
+		s.addLocked(e)
 		s.stats.FullHits++
 		s.stats.TrialsFromCache += int64(reqTrials)
 		s.touch(hash)
@@ -396,7 +401,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if _, cached, ok = s.loadCached(best.hash); ok {
 			break
 		}
-		delete(s.index, best.hash)
+		s.indexDrop(best.hash)
 	}
 	var (
 		e   *entry
@@ -422,8 +427,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.job = job
-	s.sweeps[hash] = e
-	s.order = append(s.order, hash)
+	s.addLocked(e)
 	if e.partial {
 		s.touch(best.hash)
 		s.stats.PartialHits++
@@ -447,17 +451,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // artifact's bytes, fills the persistent cache and overlap index (under
 // base, the job's spec's CanonicalHashBase), and credits the stats — so a
 // client told "done" finds the result servable and the artifact mountable
-// as a prefix, byte-identical forever.
+// as a prefix, byte-identical forever. The entry keeps the bytes alone, at
+// exact capacity; the merged result is unreachable once the seal returns.
 func (s *Server) seal(e *entry, base string) func(*distrib.Job, *fleet.SweepResult) error {
 	return func(job *distrib.Job, res *fleet.SweepResult) error {
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {
 			return err
 		}
-		e.artifact, e.result = buf.Bytes(), res
-		s.storeCached(e.hash, base, e.artifact, res)
+		e.artifact = bytes.Clone(buf.Bytes())
+		s.storeCached(e.hash, base, e.artifact, res.Spec)
 		js := job.Status()
 		s.mu.Lock()
+		s.residentBytes += int64(len(e.artifact))
 		// Fresh compute is counted when it actually lands, so failed jobs
 		// never inflate the savings ledger. Elastic salvage totals come from
 		// the job's own counters at the same moment, for the same reason.
@@ -495,11 +501,34 @@ func (s *Server) loadCached(hash string) ([]byte, *fleet.SweepResult, bool) {
 	return data, res, true
 }
 
+// addLocked makes e resident. A cache hit's artifact counts now; a job's
+// counts when its seal freezes it. Callers hold s.mu.
+func (s *Server) addLocked(e *entry) {
+	s.sweeps[e.hash] = e
+	s.order = append(s.order, e.hash)
+	if e.job == nil {
+		s.residentBytes += int64(len(e.artifact))
+	}
+}
+
+// dropLocked forgets the resident sweep hash, if any. Its entry must have
+// ended, so its artifact is no longer being written. Callers hold s.mu.
+func (s *Server) dropLocked(hash string) {
+	e, ok := s.sweeps[hash]
+	if !ok {
+		return
+	}
+	delete(s.sweeps, hash)
+	s.residentBytes -= int64(len(e.artifact))
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == hash })
+}
+
 // storeCached lands the artifact in the persistent cache via tmp+rename,
 // so a crash mid-write never leaves a half cache entry to half-trust. On
-// success the overlap index learns the artifact under its base hash and
-// the size bound is enforced (evicting LRU victims as needed).
-func (s *Server) storeCached(hash, base string, artifact []byte, res *fleet.SweepResult) {
+// success the overlap index learns the artifact, whose spec is sp, under
+// its base hash and the size bound is enforced (evicting LRU victims as
+// needed).
+func (s *Server) storeCached(hash, base string, artifact []byte, sp fleet.Sweep) {
 	if s.cacheDir == "" {
 		return
 	}
@@ -527,7 +556,7 @@ func (s *Server) storeCached(hash, base string, artifact []byte, res *fleet.Swee
 		return
 	}
 	s.mu.Lock()
-	s.indexAdd(hash, base, res, int64(len(artifact)))
+	s.indexAdd(newCacheInfo(hash, base, sp, int64(len(artifact))))
 	s.evictLocked()
 	s.mu.Unlock()
 }
@@ -545,9 +574,8 @@ func (s *Server) lookup(r *http.Request) (*entry, bool) {
 	e, ok := s.sweeps[id]
 	if !ok {
 		if artifact, res, hit := s.loadCached(id); hit {
-			e = &entry{hash: id, cached: true, cacheTrials: specTrials(res.Spec), artifact: artifact, result: res}
-			s.sweeps[id] = e
-			s.order = append(s.order, id)
+			e = &entry{hash: id, cached: true, cacheTrials: specTrials(res.Spec), artifact: artifact}
+			s.addLocked(e)
 			ok = true
 		}
 	}
@@ -653,7 +681,12 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	groups := figures.SweepGroups(e.result)
+	res, err := e.decode()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	groups := figures.SweepGroups(res)
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, g := range groups {
@@ -711,10 +744,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 
 	// monitorFrame emits a "monitor" event carrying the current rolling
-	// FIT/MTBF snapshot. Live snapshots are rebuilt from the shard
-	// partials landed so far, so re-rendering is skipped until the landed
+	// FIT/MTBF snapshot. Live snapshots are rebuilt from the partials the
+	// job has validated so far, so re-rendering is skipped until their
 	// count changes; the terminal frame always re-renders from the merged
-	// result (force), making the stream's last monitor frame the exact
+	// artifact (force), making the stream's last monitor frame the exact
 	// post-hoc fit.
 	lastParts := -1
 	monitorFrame := func(force bool) {

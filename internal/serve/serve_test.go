@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -802,5 +804,71 @@ func TestServeDoneOnlyAfterSeal(t *testing.T) {
 		t.Error("a done sweep is missing from the overlap index")
 	} else if info.base != spec.CanonicalHashBase() {
 		t.Errorf("a done sweep is indexed under base %.12s, want %.12s", info.base, spec.CanonicalHashBase())
+	}
+}
+
+// TestServeSealedResultUnreachable: a sealed sweep is kept as its artifact
+// bytes alone. Once the seal has returned, the merged result it was handed
+// is garbage — neither the entry nor the job (held here) reaches it, so its
+// finalizer runs after a collection — and /result still serves the
+// monolithic bytes.
+func TestServeSealedResultUnreachable(t *testing.T) {
+	sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: &worker{}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	srv := New(sched, WithCacheDir(t.TempDir()))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	spec := testSpec(19)
+	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
+	collected := make(chan struct{})
+	seal := srv.seal(e, spec.CanonicalHashBase())
+	job, err := sched.Submit(spec, nil, func(j *distrib.Job, res *fleet.SweepResult) error {
+		runtime.SetFinalizer(res, func(*fleet.SweepResult) { close(collected) })
+		return seal(j, res)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.job = job
+	srv.mu.Lock()
+	srv.addLocked(e)
+	srv.mu.Unlock()
+	<-job.Done()
+
+	reclaimed := false
+	for i := 0; i < 20 && !reclaimed; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			reclaimed = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !reclaimed {
+		t.Error("the merged result outlived its seal: something still holds the decoded sweep")
+	}
+	if res, err := job.Result(); !errors.Is(err, distrib.ErrResultSealed) || res != nil {
+		t.Errorf("sealed job's Result: %p, %v; want no result kept and ErrResultSealed", res, err)
+	}
+	mono, err := spec.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := mono.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	code, _, body := getBody(t, ts, "/v1/sweeps/"+e.hash+"/result")
+	if code != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("result after the merged result was reclaimed: %d, %d bytes; want the monolithic %d bytes", code, len(body), want.Len())
+	}
+	// An encoder's buffer grows by doubling; the kept copy is the
+	// artifact's size, up to the allocator's size-class rounding (< 1/8).
+	if slack := cap(e.artifact) - len(e.artifact); slack > len(e.artifact)/8 {
+		t.Errorf("the entry holds %d artifact bytes in a %d-byte array, want its exact size", len(e.artifact), cap(e.artifact))
 	}
 }
