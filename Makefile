@@ -219,11 +219,13 @@ serve-check:
 		./internal/serve/
 	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal|TestSchedulerFoldsValidatedPartials' ./internal/distrib/
 
-# Five of the seven cmd/ packages have no test of their own, and nothing
-# else runs carol-fi or phi-beam. This builds every binary into bin/ and
-# drives the single-campaign tools end to end at probe scale: an injection
-# campaign whose JSONL log must hold one line per injection and render in
-# phi-report, a monitored beam campaign whose log must hold one line per
+# Four of the seven cmd/ packages (carol-fi, phi-beam, phi-fleet and
+# phi-serve) have no test of their own, and nothing else runs carol-fi or
+# phi-beam. This builds every binary into bin/ and drives the
+# single-campaign tools end to end at probe scale: an injection campaign
+# whose JSONL log must hold one line per injection, and whose printed
+# tables must be a byte prefix of what phi-report -in re-derives from that
+# log (the same fold and renderers, plus Table 1), a monitored beam campaign whose log must hold one line per
 # run per benchmark the tool announces and whose last monitor snapshot
 # must count as many trials, and phi-report over sweep.json when a sweep
 # target has left one. Any non-zero exit fails, and so does a zero exit
@@ -231,10 +233,12 @@ serve-check:
 cli-smoke:
 	$(GO) build -o bin/ ./cmd/...
 	@set -e; tmp=$$(mktemp -d cli-smoke.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
-	bin/carol-fi -bench DGEMM -n 40 -workers 2 -out $$tmp/inj.jsonl > /dev/null 2> $$tmp/inj.err || { cat $$tmp/inj.err; exit 1; }; \
+	bin/carol-fi -bench DGEMM -n 40 -workers 2 -out $$tmp/inj.jsonl > $$tmp/inj.out 2> $$tmp/inj.err || { cat $$tmp/inj.err; exit 1; }; \
 	got=$$(wc -l < $$tmp/inj.jsonl); \
 	[ "$$got" -eq 40 ] || { echo "cli-smoke: carol-fi -n 40 logged $$got records"; exit 1; }; \
-	bin/phi-report -in $$tmp/inj.jsonl > /dev/null; \
+	bin/phi-report -in $$tmp/inj.jsonl > $$tmp/report.out; \
+	[ -s $$tmp/inj.out ] && cmp -n $$(wc -c < $$tmp/inj.out) $$tmp/inj.out $$tmp/report.out || \
+		{ echo "cli-smoke: carol-fi's tables are not a byte prefix of phi-report -in over its log"; exit 1; }; \
 	bin/phi-beam -runs 200 -workers 2 -out $$tmp/beam.jsonl -monitor-jsonl $$tmp/mon.jsonl > /dev/null 2> $$tmp/beam.err || { cat $$tmp/beam.err; exit 1; }; \
 	benches=$$(grep -c 'accelerated runs on' $$tmp/beam.err); got=$$(wc -l < $$tmp/beam.jsonl); \
 	[ "$$benches" -gt 0 ] && [ "$$got" -eq $$((200 * benches)) ] || { echo "cli-smoke: phi-beam -runs 200 on $$benches benchmarks logged $$got records"; exit 1; }; \
@@ -243,7 +247,7 @@ cli-smoke:
 	if bin/carol-fi -bench DGEMM -n 3 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: carol-fi -out /dev/full exited 0"; exit 1; fi; \
 	if bin/phi-beam -runs 2 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: phi-beam -out /dev/full exited 0"; exit 1; fi; \
 	if [ -f sweep.json ]; then bin/phi-report -sweep sweep.json > /dev/null; fi; \
-	echo "cli-smoke: carol-fi (40 records) -> phi-report, phi-beam ($$got records over $$benches benchmarks, monitor agrees), -out /dev/full fails both$$([ -f sweep.json ] && echo ', phi-report -sweep sweep.json') ok"
+	echo "cli-smoke: carol-fi (40 records) -> phi-report re-derives its tables, phi-beam ($$got records over $$benches benchmarks, monitor agrees), -out /dev/full fails both$$([ -f sweep.json ] && echo ', phi-report -sweep sweep.json') ok"
 
 # Shard workers are exec'd as subprocesses, so the fleet targets build a
 # real phi-bench binary first instead of racing N concurrent `go run`

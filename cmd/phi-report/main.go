@@ -1,9 +1,11 @@
-// Command phi-report re-derives campaign tables from JSONL logs written by
-// carol-fi — the analog of the paper artifact's parser scripts over the
-// public log release. It reconstructs outcome shares, per-model and
-// per-window PVF, and per-region criticality purely from the log. With
-// -sweep it instead renders the paper figures from a fleet SweepResult
-// written by phi-bench -sweep -out.
+// Command phi-report re-derives the paper's tables from published data —
+// the analog of the paper artifact's parser scripts over the public log
+// release. With -in it folds a JSONL log written by carol-fi -out through
+// the campaign's own record fold (core.Tally), one result per policy and
+// benchmark, and prints each policy's Figure 4/5/6 and Table 1 tables, so
+// a log re-derives the tables carol-fi printed, byte for byte. With -sweep
+// it renders the figures of a fleet SweepResult written by phi-bench
+// -sweep -out. Both print through the figures package's table groups.
 //
 // Usage:
 //
@@ -18,12 +20,12 @@ import (
 	"os"
 	"sort"
 
+	"phirel/internal/bench"
+	_ "phirel/internal/bench/all"
 	"phirel/internal/cli"
 	"phirel/internal/core"
-	"phirel/internal/fault"
 	"phirel/internal/figures"
 	"phirel/internal/fleet"
-	"phirel/internal/report"
 	"phirel/internal/state"
 	"phirel/internal/trace"
 )
@@ -35,169 +37,99 @@ func main() {
 		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()
-	if *sweep != "" {
-		renderSweep(*sweep, *csv)
-		return
+	var groups []figures.TableGroup
+	var err error
+	switch {
+	case *sweep != "":
+		groups, err = sweepGroups(*sweep)
+	case *in != "":
+		groups, err = logGroups(*in)
+	default:
+		err = fmt.Errorf("missing -in (or -sweep)")
 	}
-	if *in == "" {
-		fatal(fmt.Errorf("missing -in (or -sweep)"))
-	}
-	f, name, err := cli.OpenInput(*in, os.Stdin)
 	if err != nil {
 		fatal(err)
+	}
+	emit(groups, *csv)
+}
+
+// logGroups folds a JSONL injection log into one campaign result per
+// policy and benchmark and renders each policy's results as its
+// figures.PolicyGroup. A benchmark's window count comes from the registry,
+// as a campaign takes it, not from the windows its records happen to hit.
+func logGroups(path string) ([]figures.TableGroup, error) {
+	f, name, err := cli.OpenInput(path, os.Stdin)
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
 	records, err := trace.Read[core.InjectionRecord](f)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if len(records) == 0 {
-		fatal(fmt.Errorf("no records in %s", name))
+		return nil, fmt.Errorf("no records in %s", name)
 	}
-
-	// Group by benchmark and rebuild the aggregates.
-	type agg struct {
-		outcomes core.OutcomeCounts
-		byModel  map[fault.Model]core.OutcomeCounts
-		byRegion map[state.Region]core.OutcomeCounts
-		byWindow map[int]core.OutcomeCounts
-		maxWin   int
+	type cell struct {
+		policy    state.Policy
+		benchmark string
 	}
-	groups := map[string]*agg{}
+	tallies := map[cell]*core.Tally{}
+	windows := map[string]int{}
 	for _, rec := range records {
-		g := groups[rec.Benchmark]
-		if g == nil {
-			g = &agg{
-				byModel:  map[fault.Model]core.OutcomeCounts{},
-				byRegion: map[state.Region]core.OutcomeCounts{},
-				byWindow: map[int]core.OutcomeCounts{},
+		c := cell{rec.PolicyOf(), rec.Benchmark}
+		t := tallies[c]
+		if t == nil {
+			if _, ok := windows[c.benchmark]; !ok {
+				b, err := bench.New(c.benchmark, 0)
+				if err != nil {
+					return nil, err
+				}
+				windows[c.benchmark] = b.Windows()
 			}
-			groups[rec.Benchmark] = g
+			t = core.NewTally(windows[c.benchmark])
+			tallies[c] = t
 		}
-		o := rec.OutcomeOf()
-		g.outcomes.Add(o)
-		mc := g.byModel[rec.ModelOf()]
-		mc.Add(o)
-		g.byModel[rec.ModelOf()] = mc
-		rc := g.byRegion[rec.Region]
-		rc.Add(o)
-		g.byRegion[rec.Region] = rc
-		wc := g.byWindow[rec.Window]
-		wc.Add(o)
-		g.byWindow[rec.Window] = wc
-		if rec.Window > g.maxWin {
-			g.maxWin = rec.Window
+		t.Fold(rec)
+	}
+	results := map[state.Policy]map[string]*core.CampaignResult{}
+	for c, t := range tallies {
+		if results[c.policy] == nil {
+			results[c.policy] = map[string]*core.CampaignResult{}
 		}
+		results[c.policy][c.benchmark] = core.Assemble(c.benchmark, c.policy, 0, windows[c.benchmark], []*core.Tally{t})
 	}
-
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
+	policies := make([]state.Policy, 0, len(results))
+	for p := range results {
+		policies = append(policies, p)
 	}
-	sort.Strings(names)
-
-	emit := func(t *report.Table) {
-		if *csv {
-			t.CSV(os.Stdout)
-			fmt.Println()
-		} else {
-			fmt.Println(t)
-		}
+	sort.Slice(policies, func(i, j int) bool { return policies[i] < policies[j] })
+	groups := make([]figures.TableGroup, len(policies))
+	for i, p := range policies {
+		groups[i] = figures.PolicyGroup(p, results[p])
 	}
-
-	outcomes := report.NewTable("Outcomes from log (Figure 4)",
-		"Benchmark", "Masked %", "SDC %", "DUE %", "N")
-	for _, n := range names {
-		g := groups[n]
-		tot := float64(g.outcomes.Total())
-		outcomes.AddRow(n,
-			fmt.Sprintf("%.1f", 100*float64(g.outcomes.Masked)/tot),
-			fmt.Sprintf("%.1f", 100*float64(g.outcomes.SDC)/tot),
-			fmt.Sprintf("%.1f", 100*float64(g.outcomes.DUE())/tot),
-			fmt.Sprintf("%d", g.outcomes.Total()))
-	}
-	emit(outcomes)
-
-	models := report.NewTable("Fault-model PVF from log (Figure 5)",
-		"Benchmark", "Model", "SDC %", "DUE %", "N")
-	for _, n := range names {
-		for _, m := range fault.Models {
-			c := groups[n].byModel[m]
-			if c.Total() == 0 {
-				continue
-			}
-			models.AddRow(n, m.String(),
-				fmt.Sprintf("%.1f", c.SDCPVF().Percent()),
-				fmt.Sprintf("%.1f", c.DUEPVF().Percent()),
-				fmt.Sprintf("%d", c.Total()))
-		}
-	}
-	emit(models)
-
-	windows := report.NewTable("Time-window PVF from log (Figure 6)",
-		"Benchmark", "Window", "SDC %", "DUE %", "N")
-	for _, n := range names {
-		g := groups[n]
-		for w := 0; w <= g.maxWin; w++ {
-			c := g.byWindow[w]
-			if c.Total() == 0 {
-				continue
-			}
-			windows.AddRow(n, fmt.Sprintf("%d", w+1),
-				fmt.Sprintf("%.1f", c.SDCPVF().Percent()),
-				fmt.Sprintf("%.1f", c.DUEPVF().Percent()),
-				fmt.Sprintf("%d", c.Total()))
-		}
-	}
-	emit(windows)
-
-	crit := report.NewTable("Region criticality from log (§6)",
-		"Benchmark", "Region", "SDC %", "DUE %", "N")
-	for _, n := range names {
-		g := groups[n]
-		regions := make([]string, 0, len(g.byRegion))
-		for r := range g.byRegion {
-			regions = append(regions, string(r))
-		}
-		sort.Strings(regions)
-		for _, r := range regions {
-			c := g.byRegion[state.Region(r)]
-			if c.Total() < 5 {
-				continue
-			}
-			crit.AddRow(n, r,
-				fmt.Sprintf("%.1f", c.SDCPVF().Percent()),
-				fmt.Sprintf("%.1f", c.DUEPVF().Percent()),
-				fmt.Sprintf("%d", c.Total()))
-		}
-	}
-	emit(crit)
+	return groups, nil
 }
 
-// renderSweep regenerates the campaign figures from a fleet sweep artifact
-// — injection cells feed the Figure 4/5/6 + Table 1 renderers, beam cells
-// the Figure 2/3 + Table 2 renderers, one pass per ablation arm — so a CI
-// artifact and a fresh run print identical tables.
-func renderSweep(path string, csv bool) {
+// sweepGroups reads a fleet sweep artifact and renders it through
+// figures.SweepGroups, the one definition of what a sweep renders as
+// (shared with the phi-serve figures endpoint): injection cells per policy,
+// beam cells per (device, ECC) arm, so a CI artifact and a fresh run print
+// identical tables.
+func sweepGroups(path string) ([]figures.TableGroup, error) {
 	sr, err := fleet.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if len(sr.Cells) == 0 && len(sr.BeamCells) == 0 {
-		fatal(fmt.Errorf("no cells in %s", path))
+		return nil, fmt.Errorf("no cells in %s", path)
 	}
-	emit := func(t *report.Table) {
-		if csv {
-			t.CSV(os.Stdout)
-			fmt.Println()
-		} else {
-			fmt.Println(t)
-		}
-	}
-	// figures.SweepGroups is the one definition of what a sweep renders as
-	// (shared with the phi-serve figures endpoint); each group is one
-	// ablation arm, bannered only when its kind has siblings to tell apart.
-	groups := figures.SweepGroups(sr)
+	return figures.SweepGroups(sr), nil
+}
+
+// emit writes every group's tables, aligned or as CSV, each group
+// bannered only when its kind has siblings to tell apart.
+func emit(groups []figures.TableGroup, csv bool) {
 	perKind := map[string]int{}
 	for _, g := range groups {
 		perKind[g.Kind]++
@@ -207,7 +139,12 @@ func renderSweep(path string, csv bool) {
 			fmt.Printf("== %s ==\n\n", g.Label)
 		}
 		for _, t := range g.Tables {
-			emit(t)
+			if csv {
+				t.CSV(os.Stdout)
+				fmt.Println()
+			} else {
+				fmt.Println(t)
+			}
 		}
 	}
 }

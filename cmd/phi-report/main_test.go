@@ -9,12 +9,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	_ "phirel/internal/bench/all"
 	"phirel/internal/core"
 	"phirel/internal/fault"
+	"phirel/internal/figures"
 	"phirel/internal/fleet"
+	"phirel/internal/state"
 )
 
 // TestMain doubles as the phi-report executable (re-exec'd with
@@ -155,9 +158,64 @@ func TestReportLogStdin(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("phi-report -in - exited %d:\n%s", code, stderr)
 	}
-	for _, needle := range []string{"Figure 4", "DGEMM"} {
+	// "W5": DGEMM's five windows come from the registry, though every
+	// record here hit the first.
+	for _, needle := range []string{"Figure 4", "DGEMM", "W5"} {
 		if !strings.Contains(stdout, needle) {
 			t.Fatalf("stdout misses %q:\n%s", needle, stdout)
 		}
+	}
+}
+
+// TestReportLogMatchesCampaign: a log re-derives exactly the tables its
+// campaigns render as. Campaigns on two benchmarks under two policies hand
+// their records to a log through Observe; phi-report -in over that log
+// must print, byte for byte, figures' policy group of each policy's
+// results, in policy order, each under its banner.
+func TestReportLogMatchesCampaign(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		log bytes.Buffer
+	)
+	enc := json.NewEncoder(&log)
+	var want strings.Builder
+	for _, policy := range []state.Policy{state.ByFrameThenVariable, state.ByBytes} {
+		results := map[string]*core.CampaignResult{}
+		for _, name := range []string{"DGEMM", "NW"} {
+			res, err := core.RunCampaign(core.CampaignConfig{
+				Benchmark: name, N: 30, Policy: policy, Seed: 7, BenchSeed: 1, Workers: 2,
+				Observe: func(rec core.InjectionRecord) {
+					mu.Lock()
+					defer mu.Unlock()
+					if err := enc.Encode(rec); err != nil {
+						t.Error(err)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[name] = res
+		}
+		g := figures.PolicyGroup(policy, results)
+		want.WriteString("== " + g.Label + " ==\n\n")
+		for _, tab := range g.Tables {
+			want.WriteString(tab.String() + "\n")
+		}
+	}
+	code, stdout, stderr := runReportIO(t, log.String(), "-in", "-")
+	if code != 0 {
+		t.Fatalf("phi-report -in - exited %d:\n%s", code, stderr)
+	}
+	if stdout != want.String() {
+		t.Fatalf("phi-report -in printed\n%s\nwant the campaigns' own tables\n%s", stdout, want.String())
+	}
+}
+
+func TestReportLogUnknownBenchmark(t *testing.T) {
+	rec := `{"seq":0,"benchmark":"NoSuchKernel","model":"Single","outcome":"masked","elem":-1}` + "\n"
+	code, _, stderr := runReportIO(t, rec, "-in", "-")
+	if code == 0 || !strings.Contains(stderr, "NoSuchKernel") {
+		t.Fatalf("phi-report -in over an unregistered benchmark exited %d:\n%s", code, stderr)
 	}
 }

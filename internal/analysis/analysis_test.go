@@ -269,18 +269,28 @@ func TestPatternStrings(t *testing.T) {
 	}
 }
 
+// TestFITMath checks the paper's FIT = σ · Φ · P(outcome|fault) · 10⁹ as
+// RateFITEstimate computes it, from the raw fault rate σ · Φ.
 func TestFITMath(t *testing.T) {
-	// σ=1e-12 cm², P=0.5: FIT = 1e-12 * 13 * 0.5 * 1e9 = 6.5e-3.
-	if got := FIT(1e-12, 0.5); math.Abs(got-6.5e-3) > 1e-15 {
-		t.Fatalf("FIT = %v", got)
+	// σ=1e-12 cm² at Φ=13 n/(cm²·h), P=50/100: FIT = 1e-12 * 13 * 0.5 * 1e9 = 6.5e-3.
+	e := RateFITEstimate(1e-12*NaturalFlux, 50, 100)
+	if math.Abs(e.FIT-6.5e-3) > 1e-15 {
+		t.Fatalf("FIT = %v", e.FIT)
 	}
-	// Round trip through calibration.
-	sigma := CrossSectionForFIT(100, 0.25)
-	if math.Abs(FIT(sigma, 0.25)-100) > 1e-9 {
-		t.Fatal("calibration round trip failed")
+	if z := RateFITEstimate(1e-12*NaturalFlux, 0, 100); z.FIT != 0 || z.CI.Lo != 0 {
+		t.Fatalf("zero events: %+v", z)
 	}
-	if CrossSectionForFIT(100, 0) != 0 {
-		t.Fatal("zero probability cross-section")
+}
+
+// TestNewFITEstimate checks that a FIT estimate keeps its counts and that
+// the Wilson interval of k/n, scaled like the estimate, brackets it.
+func TestNewFITEstimate(t *testing.T) {
+	e := RateFITEstimate(1e-10*NaturalFlux, 50, 100)
+	if e.K != 50 || e.N != 100 {
+		t.Fatal("counts")
+	}
+	if !(e.CI.Lo < e.FIT && e.FIT < e.CI.Hi) {
+		t.Fatalf("CI %v does not bracket %v", e.CI, e.FIT)
 	}
 }
 
@@ -302,16 +312,6 @@ func TestTrinityExtrapolation(t *testing.T) {
 	}
 	if !math.IsInf(MachineMTBFDays(0, 19000), 1) || !math.IsInf(MachineMTBFDays(100, 0), 1) {
 		t.Fatal("degenerate extrapolations")
-	}
-}
-
-func TestNewFITEstimate(t *testing.T) {
-	e := NewFITEstimate(1e-10, 50, 100)
-	if e.K != 50 || e.N != 100 {
-		t.Fatal("counts")
-	}
-	if !(e.CI.Lo < e.FIT && e.FIT < e.CI.Hi) {
-		t.Fatalf("CI %v does not bracket %v", e.CI, e.FIT)
 	}
 }
 
@@ -346,15 +346,5 @@ func TestToleranceCurveMonotoneQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCorruptedFraction(t *testing.T) {
-	sh := state.Dims2(4, 4)
-	if CorruptedFraction(mk(sh, 1, 2), sh) != 2.0/16 {
-		t.Fatal("fraction")
-	}
-	if CorruptedFraction(nil, state.Dims{}) != 0 {
-		t.Fatal("degenerate")
 	}
 }

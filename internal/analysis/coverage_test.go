@@ -33,7 +33,11 @@ func TestIntervalCoverage(t *testing.T) {
 		return k
 	}
 	between := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
-	const sigma = 3.2e-9 // cm², an arbitrary cross-section: FIT is linear in it
+	// An arbitrary raw fault rate (faults per hour): FIT is linear in it,
+	// and RateFITEstimate is the conversion beam.Result.FIT and the
+	// monitor report through.
+	const rate = 3.2e-9 * NaturalFlux
+	fit := func(p float64) float64 { return rate * 1e9 * p }
 	for _, tc := range []struct {
 		name   string
 		covers func() bool
@@ -45,9 +49,9 @@ func TestIntervalCoverage(t *testing.T) {
 		{"Wilson, k≈600 of 2000", func() bool { return stats.WilsonInterval(binomial(2000, 0.3), 2000, 0.95).Contains(0.3) }},
 		{"FIT, k≈4–16 of 400", func() bool {
 			p := between(0.01, 0.04)
-			return NewFITEstimate(sigma, binomial(400, p), 400).CI.Contains(FIT(sigma, p))
+			return RateFITEstimate(rate, binomial(400, p), 400).CI.Contains(fit(p))
 		}},
-		{"FIT, k≈900 of 1500", func() bool { return NewFITEstimate(sigma, binomial(1500, 0.6), 1500).CI.Contains(FIT(sigma, 0.6)) }},
+		{"FIT, k≈900 of 1500", func() bool { return RateFITEstimate(rate, binomial(1500, 0.6), 1500).CI.Contains(fit(0.6)) }},
 	} {
 		covered := 0
 		for i := 0; i < reps; i++ {

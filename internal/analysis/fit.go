@@ -14,24 +14,6 @@ const NaturalFlux = 13.0
 // device-hours.
 const HoursPerFIT = 1e9
 
-// FIT computes the Failure In Time rate from a device sensitive
-// cross-section (cm²) and the conditional probability that a fault produces
-// the outcome of interest:
-//
-//	FIT = σ · Φ · P(outcome|fault) · 10⁹
-func FIT(crossSectionCm2, pOutcome float64) float64 {
-	return crossSectionCm2 * NaturalFlux * pOutcome * 1e9
-}
-
-// CrossSectionForFIT inverts FIT for calibration: given a measured FIT and
-// outcome probability, it returns the implied raw cross-section.
-func CrossSectionForFIT(fit, pOutcome float64) float64 {
-	if pOutcome <= 0 {
-		return 0
-	}
-	return fit / (NaturalFlux * pOutcome * 1e9)
-}
-
 // MTBFHours returns the mean time between failures for a FIT rate.
 func MTBFHours(fit float64) float64 {
 	if fit <= 0 {
@@ -62,25 +44,12 @@ type FITEstimate struct {
 	CI stats.Interval
 }
 
-// NewFITEstimate builds a FIT estimate from a fault-conditional outcome
-// count and the calibrated raw cross-section.
-func NewFITEstimate(crossSectionCm2 float64, k, n int) FITEstimate {
-	p := stats.NewProportion(k, n)
-	return FITEstimate{
-		FIT: FIT(crossSectionCm2, p.P),
-		K:   k,
-		N:   n,
-		CI: stats.Interval{
-			Lo: FIT(crossSectionCm2, p.CI.Lo),
-			Hi: FIT(crossSectionCm2, p.CI.Hi),
-		},
-	}
-}
-
 // RateFITEstimate builds a FIT estimate from a raw fault rate (faults per
 // hour, e.g. phi.Device.RawFaultRate at the natural flux) and a
 // fault-conditional outcome count: FIT = rate · 10⁹ · k/n, with the Wilson
-// interval of k/n scaled by the same factor. This is the one conversion
+// interval of k/n scaled by the same factor. The raw rate is σ · Φ, the
+// sensitive cross-section (cm²) times the flux, so this is the paper's
+// FIT = σ · Φ · P(outcome|fault) · 10⁹. This is the one conversion
 // both the beam campaign's post-hoc fits (beam.Result.FIT) and the
 // resident monitor's rolling estimates (internal/monitor) go through, so
 // the two can be compared for bit-exact equality on equal tallies.

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"phirel/internal/bench"
-	"phirel/internal/state"
 )
 
 // Mismatch is one output element that differs from golden.
@@ -89,12 +88,4 @@ func FiniteRelErr(r float64) float64 {
 		return math.MaxFloat64
 	}
 	return r
-}
-
-// CorruptedFraction returns the fraction of output elements that mismatch.
-func CorruptedFraction(ms []Mismatch, shape state.Dims) float64 {
-	if shape.Len() == 0 {
-		return 0
-	}
-	return float64(len(ms)) / float64(shape.Len())
 }

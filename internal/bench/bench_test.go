@@ -206,10 +206,6 @@ func TestWindowMapping(t *testing.T) {
 	if r.Window(-3) != 0 || r.Window(99) != 4 {
 		t.Error("window clamping wrong")
 	}
-	lo, hi := r.WindowBounds(2)
-	if lo != 4 || hi != 6 {
-		t.Errorf("WindowBounds(2) = [%d,%d)", lo, hi)
-	}
 }
 
 func TestInjectionFiresExactlyOnce(t *testing.T) {
@@ -595,9 +591,6 @@ func TestOutcomeStrings(t *testing.T) {
 		if o.String() == "" {
 			t.Fatal("empty outcome name")
 		}
-	}
-	if !DUECrash.IsDUE() || !DUEHang.IsDUE() || !DUEMCA.IsDUE() || SDC.IsDUE() || Masked.IsDUE() {
-		t.Fatal("IsDUE wrong")
 	}
 	for _, c := range []Class{Algebraic, Stencil, NBody, DynProg, AMR} {
 		if c.String() == "" {

@@ -44,9 +44,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// IsDUE reports whether the outcome is any detected unrecoverable error.
-func (o Outcome) IsDUE() bool { return o == DUECrash || o == DUEHang || o == DUEMCA }
-
 // Status is the mechanical termination state of a run, before output
 // comparison refines Completed into Masked/SDC.
 type Status int
@@ -158,14 +155,6 @@ func (r *Runner) Window(tick int) int {
 		return w - 1
 	}
 	return tick * w / r.TotalTicks
-}
-
-// WindowBounds returns the tick interval [lo,hi) of window w.
-func (r *Runner) WindowBounds(w int) (lo, hi int) {
-	n := r.B.Windows()
-	lo = w * r.TotalTicks / n
-	hi = (w + 1) * r.TotalTicks / n
-	return
 }
 
 // RunGolden re-executes the pristine benchmark (used by tests to check

@@ -36,7 +36,7 @@ func (f *FleetFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Shards, "shards", d.Shards, "fan-out width K: how many shard workers per sweep")
 	fs.DurationVar(&f.Timeout, "timeout", d.Timeout, "per-attempt shard timeout (0 = none)")
 	fs.IntVar(&f.Retries, "retries", d.Retries, "relaunches per crashed/timed-out/corrupt-output shard beyond its first attempt")
-	fs.DurationVar(&f.Backoff, "backoff", d.Backoff, "delay before a shard's first retry (doubles per retry)")
+	fs.DurationVar(&f.Backoff, "backoff", d.Backoff, "delay before a shard's first retry (doubles per retry, capped at 1m; 0 means 500ms)")
 	fs.IntVar(&f.MaxConcurrent, "max-concurrent", d.MaxConcurrent, "max shards in flight at once (0 = no cap; one shared budget across jobs)")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", d.CheckpointEvery, "shard checkpoint cadence in trials: relaunched shards resume instead of recomputing (0 = off)")
 	fs.DurationVar(&f.StealInterval, "steal-interval", d.StealInterval, "straggler watchdog period: lagging shards are cancelled at a checkpoint and re-split (0 = off; needs -checkpoint-every)")

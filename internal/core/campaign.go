@@ -123,10 +123,12 @@ type CampaignResult struct {
 	FiredShare stats.Proportion
 }
 
-// shard is one worker's private aggregation state. Each worker folds its
-// outcomes here and the shards are merged after the engine's pool drains,
-// so aggregation needs no locks and campaign memory is O(workers), not O(N).
-type shard struct {
+// Tally is the record fold of a campaign. Each engine worker folds the
+// records it runs into a private Tally, so aggregation needs no locks and
+// campaign memory is O(workers), not O(N); Assemble sums the tallies into
+// the CampaignResult once the pool drains. A published log re-derives its
+// campaign's result through the same two steps (cmd/phi-report -in).
+type Tally struct {
 	outcomes OutcomeCounts
 	byModel  map[fault.Model]OutcomeCounts
 	byWindow []OutcomeCounts
@@ -134,31 +136,71 @@ type shard struct {
 	fired    int
 }
 
-func newShard(windows int) *shard {
-	return &shard{
+// NewTally returns an empty tally over the benchmark's time windows.
+func NewTally(windows int) *Tally {
+	return &Tally{
 		byModel:  map[fault.Model]OutcomeCounts{},
 		byWindow: make([]OutcomeCounts, windows),
 		byRegion: map[state.Region]OutcomeCounts{},
 	}
 }
 
-// fold tallies one record into the shard.
-func (s *shard) fold(rec InjectionRecord) {
+// Fold tallies one record. A record outside the tally's windows counts
+// everywhere but in ByWindow.
+func (t *Tally) Fold(rec InjectionRecord) {
 	o := rec.OutcomeOf()
-	s.outcomes.Add(o)
+	t.outcomes.Add(o)
 	m := rec.ModelOf()
-	mc := s.byModel[m]
+	mc := t.byModel[m]
 	mc.Add(o)
-	s.byModel[m] = mc
-	if rec.Window >= 0 && rec.Window < len(s.byWindow) {
-		s.byWindow[rec.Window].Add(o)
+	t.byModel[m] = mc
+	if rec.Window >= 0 && rec.Window < len(t.byWindow) {
+		t.byWindow[rec.Window].Add(o)
 	}
-	rc := s.byRegion[rec.Region]
+	rc := t.byRegion[rec.Region]
 	rc.Add(o)
-	s.byRegion[rec.Region] = rc
+	t.byRegion[rec.Region] = rc
 	if rec.Fired {
-		s.fired++
+		t.fired++
 	}
+}
+
+// Assemble sums the tallies of one campaign — benchmark under policy, its
+// first injection at global index offset, over windows time windows — into
+// its result. N and FiredShare count the records the tallies folded, so a
+// cancelled campaign's partial result never claims injections that did not
+// run.
+func Assemble(benchmark string, policy state.Policy, offset, windows int, tallies []*Tally) *CampaignResult {
+	res := &CampaignResult{
+		Benchmark: benchmark,
+		Offset:    offset,
+		Windows:   windows,
+		Policy:    policy,
+		ByModel:   map[fault.Model]OutcomeCounts{},
+		ByWindow:  make([]OutcomeCounts, windows),
+		ByRegion:  map[state.Region]OutcomeCounts{},
+	}
+	fired := 0
+	for _, t := range tallies {
+		res.Outcomes.Merge(t.outcomes)
+		for m, c := range t.byModel {
+			mc := res.ByModel[m]
+			mc.Merge(c)
+			res.ByModel[m] = mc
+		}
+		for w, c := range t.byWindow {
+			res.ByWindow[w].Merge(c)
+		}
+		for r, c := range t.byRegion {
+			rc := res.ByRegion[r]
+			rc.Merge(c)
+			res.ByRegion[r] = rc
+		}
+		fired += t.fired
+	}
+	res.N = res.Outcomes.Total()
+	res.FiredShare = stats.NewProportion(fired, res.N)
+	return res
 }
 
 // RunCampaign executes cfg.N injection experiments. Every experiment i uses
@@ -200,7 +242,7 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 	}
 	windows := first.B.Windows()
 
-	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *shard]{
+	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *Tally]{
 		N:        cfg.N,
 		Offset:   cfg.Offset,
 		Seed:     cfg.Seed,
@@ -222,46 +264,13 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 				return rec
 			}, nil
 		},
-		NewShard: func(int) *shard { return newShard(windows) },
-		Fold:     func(sh *shard, rec InjectionRecord) { sh.fold(rec) },
+		NewShard: func(int) *Tally { return NewTally(windows) },
+		Fold:     (*Tally).Fold,
 	})
 	if eres == nil {
 		return nil, err
 	}
-
-	res := &CampaignResult{
-		Benchmark: cfg.Benchmark,
-		Offset:    cfg.Offset,
-		Windows:   windows,
-		Policy:    cfg.Policy,
-		ByModel:   map[fault.Model]OutcomeCounts{},
-		ByWindow:  make([]OutcomeCounts, windows),
-		ByRegion:  map[state.Region]OutcomeCounts{},
-	}
-	fired := 0
-	for _, sh := range eres.Shards {
-		res.Outcomes.Merge(sh.outcomes)
-		for m, c := range sh.byModel {
-			mc := res.ByModel[m]
-			mc.Merge(c)
-			res.ByModel[m] = mc
-		}
-		for w, c := range sh.byWindow {
-			res.ByWindow[w].Merge(c)
-		}
-		for r, c := range sh.byRegion {
-			rc := res.ByRegion[r]
-			rc.Merge(c)
-			res.ByRegion[r] = rc
-		}
-		fired += sh.fired
-	}
-	// Completed-count denominators: N and FiredShare.N equal cfg.N unless
-	// the campaign was cancelled mid-flight, so partial results never
-	// claim injections that did not run.
-	res.N = res.Outcomes.Total()
-	res.FiredShare = stats.NewProportion(fired, res.N)
-	return res, err
+	return Assemble(cfg.Benchmark, cfg.Policy, cfg.Offset, windows, eres.Shards), err
 }
 
 // DeriveSeed exposes the engine's per-index seed mixing so higher layers

@@ -161,17 +161,15 @@ func TestCampaignStreamMatchesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newShard(res.Windows)
+	tally := NewTally(res.Windows)
 	for i, rec := range recs {
 		if rec.Seq != i || rec.Benchmark != "DGEMM" {
 			t.Fatalf("record %d not observed: %+v", i, rec)
 		}
-		sh.fold(rec)
+		tally.Fold(rec)
 	}
-	if sh.outcomes != res.Outcomes || !reflect.DeepEqual(sh.byModel, res.ByModel) ||
-		!reflect.DeepEqual(sh.byWindow, res.ByWindow) || !reflect.DeepEqual(sh.byRegion, res.ByRegion) ||
-		sh.fired != res.FiredShare.K {
-		t.Fatalf("observed records re-tally to %+v, campaign says %+v", sh, res)
+	if got := Assemble("DGEMM", cfg.Policy, 0, res.Windows, []*Tally{tally}); !reflect.DeepEqual(got, res) {
+		t.Fatalf("observed records re-tally to %+v, campaign says %+v", got, res)
 	}
 }
 

@@ -72,6 +72,16 @@ func (r InjectionRecord) ModelOf() fault.Model {
 	return m
 }
 
+// PolicyOf parses the record's site-selection policy; a record that names
+// none, or an unknown one, counts under the campaign default.
+func (r InjectionRecord) PolicyOf() state.Policy {
+	p, err := state.ParsePolicy(r.Policy)
+	if err != nil {
+		return state.ByFrameThenVariable
+	}
+	return p
+}
+
 // PatternOf parses the record's spatial pattern.
 func (r InjectionRecord) PatternOf() analysis.Pattern {
 	for _, p := range append([]analysis.Pattern{analysis.PatternNone}, analysis.Patterns...) {

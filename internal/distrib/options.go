@@ -29,7 +29,8 @@ type Options struct {
 	// shard is relaunched beyond its first attempt.
 	Retries int
 	// Backoff is the delay before a shard's first retry, doubling per
-	// retry (default 500ms, capped at 1m).
+	// retry and capped at 1m. Defaults() and the CLIs' -backoff flag set
+	// 1s; a zero Backoff (an Options built without Defaults) means 500ms.
 	Backoff time.Duration
 	// MaxConcurrent caps shards in flight at once (0 = no cap). Under a
 	// Scheduler the cap is one shared budget across every job: slots are

@@ -52,9 +52,6 @@ func (m Model) String() string {
 	}
 }
 
-// Valid reports whether m is one of the defined models.
-func (m Model) Valid() bool { return m >= Single && m <= Zero }
-
 // ParseModel converts a model name (as printed by String, case-sensitive)
 // back to a Model.
 func ParseModel(s string) (Model, error) {

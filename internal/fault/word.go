@@ -62,10 +62,3 @@ func CorruptInt32(r *stats.RNG, m Model, v int32) (int32, Corruption) {
 	nb, c := CorruptUint32(r, m, uint32(v))
 	return int32(nb), c
 }
-
-// CorruptByte applies the model to a single byte.
-func CorruptByte(r *stats.RNG, m Model, v byte) (byte, Corruption) {
-	buf := [1]byte{v}
-	n := m.Apply(r, buf[:])
-	return buf[0], Corruption{Model: m, BitsChanged: n, Before: uint64(v), After: uint64(buf[0]), Width: 1}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"phirel/internal/core"
 	"phirel/internal/fleet"
 	"phirel/internal/monitor"
 	"phirel/internal/report"
@@ -31,11 +32,10 @@ type TableGroup struct {
 // endpoint (JSON output), so the two surfaces can never disagree on what
 // a sweep renders as.
 //
-// Injection cells produce one group per site-selection policy (a
+// Injection cells produce one PolicyGroup per site-selection policy (a
 // multi-policy sweep is an ablation and conflating its arms would
-// misreport every figure): Figure 4, Figure 5 (SDC and DUE), Figure 6
-// (SDC and DUE), and Table 1 per benchmark. Beam cells produce one group
-// per (device, ECC) arm: Figure 2, Figure 3, Table 2.
+// misreport every figure). Beam cells produce one group per (device, ECC)
+// arm: Figure 2, Figure 3, Table 2.
 func SweepGroups(sr *fleet.SweepResult) []TableGroup {
 	var groups []TableGroup
 	policies := sr.Spec.Policies
@@ -49,26 +49,9 @@ func SweepGroups(sr *fleet.SweepResult) []TableGroup {
 		}
 	}
 	for _, policy := range policies {
-		merged := sr.MergedFor(policy)
-		if len(merged) == 0 {
-			continue
+		if merged := sr.MergedFor(policy); len(merged) > 0 {
+			groups = append(groups, PolicyGroup(policy, merged))
 		}
-		g := TableGroup{Kind: "policy", Label: fmt.Sprintf("policy: %s", policy)}
-		g.Tables = append(g.Tables,
-			Figure4(merged),
-			Figure5(merged, false),
-			Figure5(merged, true),
-			Figure6(merged, false),
-			Figure6(merged, true))
-		names := make([]string, 0, len(merged))
-		for n := range merged {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			g.Tables = append(g.Tables, Table1(merged[n], 20))
-		}
-		groups = append(groups, g)
 	}
 	for _, arm := range sr.BeamArms() {
 		results := sr.BeamFor(arm.Device, arm.DisableECC)
@@ -93,6 +76,29 @@ func SweepGroups(sr *fleet.SweepResult) []TableGroup {
 		})
 	}
 	return groups
+}
+
+// PolicyGroup renders the campaign results of one site-selection policy,
+// keyed by benchmark: Figure 4, Figure 5 (SDC and DUE), Figure 6 (SDC and
+// DUE), and Table 1 per benchmark in name order. It is the injection half
+// of SweepGroups, and what cmd/phi-report -in renders a JSONL log as.
+func PolicyGroup(policy state.Policy, results map[string]*core.CampaignResult) TableGroup {
+	g := TableGroup{Kind: "policy", Label: fmt.Sprintf("policy: %s", policy)}
+	g.Tables = append(g.Tables,
+		Figure4(results),
+		Figure5(results, false),
+		Figure5(results, true),
+		Figure6(results, false),
+		Figure6(results, true))
+	names := make([]string, 0, len(results))
+	for n := range results {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		g.Tables = append(g.Tables, Table1(results[n], 20))
+	}
+	return g
 }
 
 // MonitorConvergence renders the resident monitor's convergence series for

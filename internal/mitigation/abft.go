@@ -1,20 +1,18 @@
-// Package mitigation implements the hardening techniques the paper's §6.1
-// discussion matches to its findings — the "future work" of §7, built out:
+// Package mitigation implements the two hardening techniques the paper's
+// §6.1 discussion matches to its findings and that the repository's
+// experiments exercise:
 //
 //   - ABFT checksum matrix multiplication (Huang-Abraham), which corrects
 //     single errors and detects line/random patterns in O(1) per element
 //     (paper §4.3: "most of the observed SDCs in DGEMM could be corrected
 //     by ABFT");
-//   - residue codes mod 3 / mod 15 for integer datapaths ("we need only 8
-//     bits to use mod15 ... or only 2 bits for mod3");
-//   - duplication with comparison (DWC) and triple modular redundancy (TMR)
-//     cells for selective control-variable hardening;
-//   - parity-protected buffers (detection for NW-style integer data);
-//   - redundant multithreading (run-twice-and-compare);
-//   - checkpoint/restart interval tuning (Young's approximation), the lever
-//     the paper connects to DUE-rate reductions;
 //   - a selective-hardening planner that turns campaign criticality tables
-//     into a protection plan under an overhead budget.
+//     into a protection plan under an overhead budget, choosing from a
+//     catalogue of techniques (parity, residue codes, DWC, ABFT, redundant
+//     multithreading) by their cost and coverage.
+//
+// Its callers are the hardening example (examples/hardening) and the root
+// benchmark suite's mitigation ablation.
 package mitigation
 
 import (

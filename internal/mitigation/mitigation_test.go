@@ -103,170 +103,6 @@ func TestABFTMatMul(t *testing.T) {
 	}
 }
 
-func TestResidueHomomorphismQuick(t *testing.T) {
-	f := func(a, b int32) bool {
-		x, y := int64(a), int64(b)
-		for _, r := range []Residue{Mod3, Mod15} {
-			if !r.CheckAdd(x, y, x+y) || !r.CheckMul(x, y, x*y) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResidueDetectsCorruption(t *testing.T) {
-	// mod 15 misses corruptions that are multiples of 15; a flipped low bit
-	// is always caught.
-	if Mod15.CheckAdd(10, 5, 15+1) {
-		t.Fatal("mod15 missed +1 corruption")
-	}
-	if !Mod15.CheckAdd(10, 5, 15) {
-		t.Fatal("mod15 rejected correct sum")
-	}
-	if Mod3.Of(-7) != 2 {
-		t.Fatalf("canonical residue of -7 mod 3 = %d", Mod3.Of(-7))
-	}
-}
-
-func TestResidueVerifyIntMatMul(t *testing.T) {
-	r := stats.NewRNG(7)
-	n := 6
-	a := make([]int64, n*n)
-	b := make([]int64, n*n)
-	for i := range a {
-		a[i] = int64(r.Intn(100)) - 50
-		b[i] = int64(r.Intn(100)) - 50
-	}
-	c := make([]int64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				c[i*n+j] += a[i*n+k] * b[k*n+j]
-			}
-		}
-	}
-	if bad := Mod15.VerifyIntMatMul(a, b, c, n); bad != -1 {
-		t.Fatalf("clean product flagged at %d", bad)
-	}
-	c[17] += 1
-	if bad := Mod15.VerifyIntMatMul(a, b, c, n); bad != 17 {
-		t.Fatalf("corruption located at %d, want 17", bad)
-	}
-}
-
-func TestDWC(t *testing.T) {
-	c := NewDWCInt(42)
-	if v, ok := c.Load(); v != 42 || !ok {
-		t.Fatal("clean load")
-	}
-	c.CorruptPrimary(1 << 7)
-	if _, ok := c.Load(); ok {
-		t.Fatal("corruption not detected")
-	}
-	c.Store(10)
-	if v, ok := c.Load(); v != 10 || !ok {
-		t.Fatal("store did not heal")
-	}
-}
-
-func TestTMR(t *testing.T) {
-	c := NewTMRInt(9)
-	if v, rep, ok := c.Load(); v != 9 || rep || !ok {
-		t.Fatal("clean load")
-	}
-	c.Corrupt(1, 0xff)
-	v, rep, ok := c.Load()
-	if v != 9 || !rep || !ok {
-		t.Fatalf("single corruption not repaired: v=%d rep=%v ok=%v", v, rep, ok)
-	}
-	if _, rep, _ = c.Load(); rep {
-		t.Fatal("repair did not persist")
-	}
-	c.Corrupt(0, 1)
-	c.Corrupt(1, 2)
-	c.Corrupt(2, 4)
-	if _, _, ok := c.Load(); ok {
-		t.Fatal("triple disagreement reported ok")
-	}
-}
-
-func TestParityWords(t *testing.T) {
-	words := []uint64{0, 0xff, 0xdeadbeef}
-	p := NewParityWords(words)
-	if bad := p.Verify(); bad != nil {
-		t.Fatalf("clean verify: %v", bad)
-	}
-	words[1] ^= 1 << 3 // single flip: parity catches
-	if bad := p.Verify(); len(bad) != 1 || bad[0] != 1 {
-		t.Fatalf("verify: %v", bad)
-	}
-	words[1] ^= 1 << 5 // second flip: even weight escapes (real parity limit)
-	if bad := p.Verify(); len(bad) != 0 {
-		t.Fatalf("double flip should escape parity: %v", bad)
-	}
-}
-
-func TestRunTwice(t *testing.T) {
-	calls := 0
-	out, bad := RunTwice(func() []float64 {
-		calls++
-		return []float64{1, 2, 3}
-	})
-	if bad != -1 || calls != 2 || len(out) != 3 {
-		t.Fatalf("agreeing runs: bad=%d calls=%d", bad, calls)
-	}
-	calls = 0
-	_, bad = RunTwice(func() []float64 {
-		calls++
-		return []float64{1, float64(calls), 3}
-	})
-	if bad != 1 {
-		t.Fatalf("disagreement at %d, want 1", bad)
-	}
-}
-
-func TestCheckpointOptimalInterval(t *testing.T) {
-	c := Checkpointing{DumpHours: 0.1, RestartHours: 0.2, MTBFHours: 20}
-	opt := c.OptimalInterval()
-	if math.Abs(opt-2) > 1e-9 { // sqrt(2*0.1*20) = 2
-		t.Fatalf("optimal interval %v", opt)
-	}
-	// The optimum must beat much shorter and much longer intervals.
-	work := 100.0
-	atOpt := c.ExpectedRuntime(work, opt)
-	if c.ExpectedRuntime(work, opt/8) <= atOpt || c.ExpectedRuntime(work, opt*8) <= atOpt {
-		t.Fatal("Young interval not locally optimal")
-	}
-	if eff := c.Efficiency(work, opt); eff <= 0 || eff >= 1 {
-		t.Fatalf("efficiency %v", eff)
-	}
-}
-
-func TestCheckpointDegenerate(t *testing.T) {
-	c := Checkpointing{DumpHours: 0.1, MTBFHours: math.Inf(1)}
-	if !math.IsInf(c.OptimalInterval(), 1) {
-		t.Fatal("no failures → never checkpoint")
-	}
-	if rt := c.ExpectedRuntime(10, 1); rt != 10+10*0.1 {
-		t.Fatalf("failure-free runtime %v", rt)
-	}
-	if c.ExpectedRuntime(10, 0) != math.Inf(1) {
-		t.Fatal("zero interval")
-	}
-}
-
-func TestFromFIT(t *testing.T) {
-	c := FromFIT(100, 19000, 0.05, 0.1)
-	// 100 FIT × 19000 boards → MTBF = 1e9/(1.9e6) h ≈ 526 h.
-	if math.Abs(c.MTBFHours-1e9/1.9e6) > 1 {
-		t.Fatalf("machine MTBF %v", c.MTBFHours)
-	}
-}
-
 func TestSelectivePlan(t *testing.T) {
 	res := &core.CampaignResult{
 		ByRegion: map[state.Region]core.OutcomeCounts{

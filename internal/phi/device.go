@@ -270,8 +270,3 @@ func (d *Device) RawFaultRate(p Profile, fluxPerCm2Hour float64) float64 {
 	}
 	return bits * d.SigmaBit * fluxPerCm2Hour
 }
-
-// RawFIT returns the raw upset rate expressed in FIT.
-func (d *Device) RawFIT(p Profile, fluxPerCm2Hour float64) float64 {
-	return d.RawFaultRate(p, fluxPerCm2Hour) * 1e9
-}

@@ -48,7 +48,7 @@ func TestKNCInventory(t *testing.T) {
 }
 
 func TestProfilesValid(t *testing.T) {
-	for _, name := range Profiles() {
+	for name := range profiles {
 		p, err := ProfileFor(name)
 		if err != nil {
 			t.Fatal(err)
@@ -137,9 +137,8 @@ func TestSampleFaultOccupancyEffect(t *testing.T) {
 
 func TestRawFITPhysicallyPlausible(t *testing.T) {
 	d := NewKNC3120A()
-	for _, name := range Profiles() {
-		p, _ := ProfileFor(name)
-		fit := d.RawFIT(p, 13.0)
+	for name, p := range profiles {
+		fit := d.RawFaultRate(p, 13.0) * 1e9
 		// Raw upset rates for a ~30 MB-SRAM 22nm device at sea level are
 		// in the thousands of FIT; outcome FITs are far lower after ECC.
 		if fit < 500 || fit > 50000 {

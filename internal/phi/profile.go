@@ -69,12 +69,3 @@ func ProfileFor(benchmark string) (Profile, error) {
 	}
 	return p, nil
 }
-
-// Profiles lists the benchmarks with calibrated profiles.
-func Profiles() []string {
-	out := make([]string, 0, len(profiles))
-	for n := range profiles {
-		out = append(out, n)
-	}
-	return out
-}

@@ -126,18 +126,3 @@ func BarChart(w io.Writer, title string, labels []string, values []float64, unit
 		fmt.Fprintf(w, "  %-*s %8.2f %-4s %s\n", maxLabel, labels[i], v, unit, Bar(v, maxVal, 40))
 	}
 }
-
-// Series renders an x/y series as rows (the terminal form of the paper's
-// curve figures).
-func Series(w io.Writer, title string, xLabel, yLabel string, xs, ys []float64) {
-	fmt.Fprintf(w, "%s\n  %-12s %-12s\n", title, xLabel, yLabel)
-	maxY := 0.0
-	for _, y := range ys {
-		if y > maxY {
-			maxY = y
-		}
-	}
-	for i := range xs {
-		fmt.Fprintf(w, "  %-12.4g %-12.4g %s\n", xs[i], ys[i], Bar(ys[i], maxY, 30))
-	}
-}

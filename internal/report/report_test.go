@@ -48,15 +48,10 @@ func TestBar(t *testing.T) {
 	}
 }
 
-func TestBarChartAndSeries(t *testing.T) {
+func TestBarChart(t *testing.T) {
 	var buf bytes.Buffer
 	BarChart(&buf, "chart", []string{"a", "bb"}, []float64{1, 2}, "FIT")
 	if !strings.Contains(buf.String(), "chart") || !strings.Contains(buf.String(), "bb") {
 		t.Fatalf("chart:\n%s", buf.String())
-	}
-	buf.Reset()
-	Series(&buf, "s", "x", "y", []float64{1, 2}, []float64{3, 4})
-	if !strings.Contains(buf.String(), "s\n") {
-		t.Fatalf("series:\n%s", buf.String())
 	}
 }

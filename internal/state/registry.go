@@ -166,15 +166,6 @@ func (g *Registry) Live() []Site {
 	return out
 }
 
-// TotalBytes returns the footprint of all live sites.
-func (g *Registry) TotalBytes() int {
-	n := 0
-	for _, s := range g.Live() {
-		n += s.SizeBytes()
-	}
-	return n
-}
-
 // RegionBytes returns live footprint grouped by region.
 func (g *Registry) RegionBytes() map[Region]int {
 	out := make(map[Region]int)

@@ -407,9 +407,6 @@ func TestRegionBytes(t *testing.T) {
 	if rb["matrix"] != 160 || rb["control"] != 8 {
 		t.Fatalf("region bytes: %v", rb)
 	}
-	if g.TotalBytes() != 168 {
-		t.Fatalf("total bytes: %d", g.TotalBytes())
-	}
 }
 
 func TestPolicyStringParse(t *testing.T) {

@@ -65,25 +65,6 @@ func WilsonInterval(k, n int, confidence float64) Interval {
 	return Interval{lo, hi}
 }
 
-// NormalInterval is the classic Wald interval p ± z·sqrt(p(1-p)/n), clamped
-// to [0,1]. The paper reports these; Wilson is preferred internally.
-func NormalInterval(k, n int, confidence float64) Interval {
-	if n <= 0 {
-		return Interval{0, 1}
-	}
-	z := zFor(confidence)
-	p := float64(k) / float64(n)
-	half := float64(z * math.Sqrt(p*(1-p)/float64(n)))
-	lo, hi := p-half, p+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return Interval{lo, hi}
-}
-
 // Proportion bundles an estimated rate with its Wilson CI; it is the unit in
 // which PVF and outcome shares are reported.
 type Proportion struct {
@@ -107,14 +88,4 @@ func (pr Proportion) Percent() float64 { return 100 * pr.P }
 func (pr Proportion) String() string {
 	return fmt.Sprintf("%.2f%% (%d/%d, 95%% CI %.2f%%-%.2f%%)",
 		pr.Percent(), pr.K, pr.N, 100*pr.CI.Lo, 100*pr.CI.Hi)
-}
-
-// RelativeHalfWidth returns the CI half-width divided by the point estimate,
-// the quantity the paper bounds below 10% for FIT values. Returns +Inf when
-// the estimate is zero.
-func (pr Proportion) RelativeHalfWidth() float64 {
-	if pr.P == 0 {
-		return math.Inf(1)
-	}
-	return (pr.CI.Hi - pr.CI.Lo) / 2 / pr.P
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -62,25 +61,6 @@ func TestWilsonIntervalPropertiesQuick(t *testing.T) {
 	}
 }
 
-func TestNormalIntervalClamped(t *testing.T) {
-	iv := NormalInterval(1, 1000, 0.95)
-	if iv.Lo < 0 {
-		t.Fatalf("normal interval not clamped: %v", iv)
-	}
-	iv = NormalInterval(999, 1000, 0.95)
-	if iv.Hi > 1 {
-		t.Fatalf("normal interval not clamped: %v", iv)
-	}
-}
-
-func TestNormalIntervalMatchesHand(t *testing.T) {
-	iv := NormalInterval(40, 100, 0.95)
-	want := 1.96 * math.Sqrt(0.4*0.6/100)
-	if math.Abs((iv.Hi-iv.Lo)/2-want) > 1e-9 {
-		t.Fatalf("half width %v, want %v", (iv.Hi-iv.Lo)/2, want)
-	}
-}
-
 func TestProportion(t *testing.T) {
 	p := NewProportion(25, 100)
 	if p.P != 0.25 {
@@ -99,9 +79,6 @@ func TestProportionEmpty(t *testing.T) {
 	if p.P != 0 {
 		t.Fatalf("empty proportion P = %v", p.P)
 	}
-	if !math.IsInf(p.RelativeHalfWidth(), 1) {
-		t.Fatal("RelativeHalfWidth of zero estimate should be +Inf")
-	}
 }
 
 // The paper requires enough events that the 95% CI half-width is below 10%
@@ -109,8 +86,8 @@ func TestProportionEmpty(t *testing.T) {
 // large population reaches roughly that precision.
 func TestPaperPrecisionRule(t *testing.T) {
 	p := NewProportion(400, 4000)
-	if p.RelativeHalfWidth() > 0.10 {
-		t.Fatalf("400/4000 should give <=10%% relative half-width, got %v", p.RelativeHalfWidth())
+	if rel := (p.CI.Hi - p.CI.Lo) / 2 / p.P; rel > 0.10 {
+		t.Fatalf("400/4000 should give <=10%% relative half-width, got %v", rel)
 	}
 }
 

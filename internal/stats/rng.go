@@ -1,8 +1,8 @@
 // Package stats provides the deterministic random-number generation and
 // statistical machinery used by every Monte-Carlo campaign in phirel:
-// splittable xoshiro256** streams, streaming summaries, histograms,
-// binomial/normal confidence intervals for FIT and PVF estimates, and the
-// exp and log the campaigns compute with.
+// splittable xoshiro256** streams, Wilson confidence intervals for FIT and
+// PVF estimates, the exceedance fraction behind Figure 3's tolerance
+// curves, and the exp and log the campaigns compute with.
 //
 // Everything is deterministic given a seed, which is what makes campaign
 // results (and therefore the regenerated paper figures) reproducible. That
@@ -11,8 +11,6 @@
 // rounds once (make fusion-check), and Exp and Log are the repository's own,
 // not the host's (TestNoHostLibm).
 package stats
-
-import "math"
 
 // RNG is a xoshiro256** generator seeded through splitmix64.
 //
@@ -144,55 +142,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := float64(u*u) + float64(v*v)
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*Log(s)/s)
-		}
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -Log(u)
-		}
-	}
-}
-
-// Poisson returns a Poisson variate with the given mean. For small means it
-// uses Knuth's product method; for large means a normal approximation with
-// continuity correction, which is accurate far beyond the campaign needs.
-func (r *RNG) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		limit := Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= limit {
-				return k
-			}
-			k++
-		}
-	default:
-		v := mean + float64(math.Sqrt(mean)*r.NormFloat64()) + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-}
-
 // Perm returns a random permutation of [0,n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -202,15 +151,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function (Fisher-Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // PickWeighted returns an index in [0,len(weights)) with probability

@@ -6,146 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	// Population sd of this classic set is 2; sample variance = 32/7.
-	if math.Abs(s.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("var = %v", s.Var())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.StderrMean() != 0 {
-		t.Fatal("empty summary should report zeros")
-	}
-}
-
-func TestSummaryMergeMatchesSequentialQuick(t *testing.T) {
-	f := func(raw []float64, split uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				// Bound magnitude to keep float error comparable.
-				xs = append(xs, math.Mod(v, 1e6))
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		cut := int(split) % len(xs)
-		var all, a, b Summary
-		for _, x := range xs {
-			all.Add(x)
-		}
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		scale := 1 + math.Abs(all.Mean())
-		return math.Abs(a.Mean()-all.Mean()) < 1e-9*scale &&
-			math.Abs(a.Var()-all.Var()) < 1e-6*(1+all.Var())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(3)
-	b.Merge(&a)
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty failed")
-	}
-	var c Summary
-	b.Merge(&c)
-	if b.N() != 1 {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count %d, want 1", i, c)
-		}
-	}
-	if math.Abs(h.BinCenter(0)-0.5) > 1e-12 {
-		t.Fatalf("bin center %v", h.BinCenter(0))
-	}
-	if got := h.CDFAt(5); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("CDF(5) = %v", got)
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(2, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{9, 1, 5, 3, 7}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 9 {
-		t.Fatal("extreme quantiles")
-	}
-	if Quantile(xs, 0.5) != 5 {
-		t.Fatalf("median = %v", Quantile(xs, 0.5))
-	}
-	if got := Quantile(xs, 0.25); got != 3 {
-		t.Fatalf("q25 = %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("quantile of empty should be NaN")
-	}
-	// Quantile must not mutate its input.
-	if xs[0] != 9 {
-		t.Fatal("Quantile mutated input")
-	}
-}
-
 func TestExceedanceFraction(t *testing.T) {
 	xs := []float64{0.1, 0.2, 0.3, 0.4}
 	if got := ExceedanceFraction(xs, 0.25); got != 0.5 {
