@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke cli-smoke \
+.PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke \
 	worker-bin fleet-check fleet-demo host-check nightly-sweep \
 	nightly-trend cover fuzz serve-check ci
 
@@ -11,11 +11,10 @@ GO ?= go
 # the covered packages with coverage instrumentation (a different build
 # than test's, so the test cache cannot share them); CI pays nothing — the
 # jobs run in parallel — and locally it adds ~1 minute to a multi-minute
-# sequence. cli-smoke runs last so that it renders the sweep.json fleet-demo
-# has just written. Speed is not gated here: a shared box cannot hold a
-# timing still for long enough (see README, Performance); benchmark-smoke
-# gates that the benchmark still builds, runs and checks its outputs.
-ci: fmt vet fusion-check docs-check build test benchmark-smoke race cover serve-check fleet-demo cli-smoke host-check
+# sequence. Speed is not gated here: a shared box cannot hold a timing
+# still for long enough (see README, Performance); benchmark-smoke gates
+# that the benchmark still builds, runs and checks its outputs.
+ci: fmt vet fusion-check docs-check build test benchmark-smoke race cover serve-check fleet-demo host-check
 
 build:
 	$(GO) build ./...
@@ -154,25 +153,29 @@ sweep:
 # sweep service's cache/coalesce/streaming contract, now including the
 # partial-overlap planner, eviction, and stats), and internal/monitor
 # (the online FIT/MTBF estimator whose final snapshot must equal the
-# post-hoc fit exactly). The floors sit below current coverage
-# (~92% / ~90% / ~89% / ~97%; the ssh and kubectl paths run against the
-# test binary standing in for both) so they catch erosion, not noise.
+# post-hoc fit exactly), and internal/cli (the seven tools, each a
+# function its tests call directly). The floors sit below current coverage
+# (~92% / ~90% / ~89% / ~97% / ~87%; the ssh and kubectl paths run against
+# the test binary standing in for both) so they catch erosion, not noise.
 # CI's cover job runs this and uploads the HTML reports as artifacts.
 DISTRIB_COVER_FLOOR ?= 75
 FLEET_COVER_FLOOR ?= 85
 SERVE_COVER_FLOOR ?= 84
 MONITOR_COVER_FLOOR ?= 90
+CLI_COVER_FLOOR ?= 80
 
 cover:
 	$(GO) test -coverprofile=cover-distrib.out ./internal/distrib/
 	$(GO) test -coverprofile=cover-fleet.out ./internal/fleet/
 	$(GO) test -coverprofile=cover-serve.out ./internal/serve/
 	$(GO) test -coverprofile=cover-monitor.out ./internal/monitor/
+	$(GO) test -coverprofile=cover-cli.out ./internal/cli/
 	$(GO) tool cover -html=cover-distrib.out -o cover-distrib.html
 	$(GO) tool cover -html=cover-fleet.out -o cover-fleet.html
 	$(GO) tool cover -html=cover-serve.out -o cover-serve.html
 	$(GO) tool cover -html=cover-monitor.out -o cover-monitor.html
-	@for pf in cover-distrib.out:$(DISTRIB_COVER_FLOOR) cover-fleet.out:$(FLEET_COVER_FLOOR) cover-serve.out:$(SERVE_COVER_FLOOR) cover-monitor.out:$(MONITOR_COVER_FLOOR); do \
+	$(GO) tool cover -html=cover-cli.out -o cover-cli.html
+	@for pf in cover-distrib.out:$(DISTRIB_COVER_FLOOR) cover-fleet.out:$(FLEET_COVER_FLOOR) cover-serve.out:$(SERVE_COVER_FLOOR) cover-monitor.out:$(MONITOR_COVER_FLOOR) cover-cli.out:$(CLI_COVER_FLOOR); do \
 		profile=$${pf%%:*}; floor=$${pf##*:}; \
 		total=$$($(GO) tool cover -func=$$profile | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 		if awk -v t="$$total" -v f="$$floor" 'BEGIN { exit !(t+0 < f+0) }'; then \
@@ -218,36 +221,6 @@ serve-check:
 	$(GO) test -count=3 -v -run 'TestServeLoadSmoke|TestServeCacheHitByteIdentical|TestServeCoalesce|TestServePersistentCache|TestServeOverlapPartial|TestServeOverlapProperty|TestServeEviction|TestServeDoneOnlyAfterSeal|TestServeResidentKeys|TestServeSealedResultUnreachable|TestServeMonitorLivePrefix|TestServeOverlapEmptyList|TestServeCacheByteTotal|TestServeStatsResident' \
 		./internal/serve/
 	$(GO) test -count=3 -v -run 'TestSchedulerSeal|TestSchedulerStealsStraggler|TestSchedulerCloseDuringSteal|TestSchedulerFoldsValidatedPartials' ./internal/distrib/
-
-# Four of the seven cmd/ packages (carol-fi, phi-beam, phi-fleet and
-# phi-serve) have no test of their own, and nothing else runs carol-fi or
-# phi-beam. This builds every binary into bin/ and drives the
-# single-campaign tools end to end at probe scale: an injection campaign
-# whose JSONL log must hold one line per injection, and whose printed
-# tables must be a byte prefix of what phi-report -in re-derives from that
-# log (the same fold and renderers, plus Table 1), a monitored beam campaign whose log must hold one line per
-# run per benchmark the tool announces and whose last monitor snapshot
-# must count as many trials, and phi-report over sweep.json when a sweep
-# target has left one. Any non-zero exit fails, and so does a zero exit
-# from either campaign tool when its -out log cannot be written.
-cli-smoke:
-	$(GO) build -o bin/ ./cmd/...
-	@set -e; tmp=$$(mktemp -d cli-smoke.XXXXXX); trap 'rm -rf "$$tmp"' EXIT; \
-	bin/carol-fi -bench DGEMM -n 40 -workers 2 -out $$tmp/inj.jsonl > $$tmp/inj.out 2> $$tmp/inj.err || { cat $$tmp/inj.err; exit 1; }; \
-	got=$$(wc -l < $$tmp/inj.jsonl); \
-	[ "$$got" -eq 40 ] || { echo "cli-smoke: carol-fi -n 40 logged $$got records"; exit 1; }; \
-	bin/phi-report -in $$tmp/inj.jsonl > $$tmp/report.out; \
-	[ -s $$tmp/inj.out ] && cmp -n $$(wc -c < $$tmp/inj.out) $$tmp/inj.out $$tmp/report.out || \
-		{ echo "cli-smoke: carol-fi's tables are not a byte prefix of phi-report -in over its log"; exit 1; }; \
-	bin/phi-beam -runs 200 -workers 2 -out $$tmp/beam.jsonl -monitor-jsonl $$tmp/mon.jsonl > /dev/null 2> $$tmp/beam.err || { cat $$tmp/beam.err; exit 1; }; \
-	benches=$$(grep -c 'accelerated runs on' $$tmp/beam.err); got=$$(wc -l < $$tmp/beam.jsonl); \
-	[ "$$benches" -gt 0 ] && [ "$$got" -eq $$((200 * benches)) ] || { echo "cli-smoke: phi-beam -runs 200 on $$benches benchmarks logged $$got records"; exit 1; }; \
-	mon=$$(tail -n 1 $$tmp/mon.jsonl | grep -o '"trials":[0-9]*' | head -n 1 | cut -d: -f2); \
-	[ "$$mon" = "$$got" ] || { echo "cli-smoke: phi-beam logged $$got records but its last monitor snapshot counts $$mon trials"; exit 1; }; \
-	if bin/carol-fi -bench DGEMM -n 3 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: carol-fi -out /dev/full exited 0"; exit 1; fi; \
-	if bin/phi-beam -runs 2 -workers 1 -out /dev/full > /dev/null 2>&1; then echo "cli-smoke: phi-beam -out /dev/full exited 0"; exit 1; fi; \
-	if [ -f sweep.json ]; then bin/phi-report -sweep sweep.json > /dev/null; fi; \
-	echo "cli-smoke: carol-fi (40 records) -> phi-report re-derives its tables, phi-beam ($$got records over $$benches benchmarks, monitor agrees), -out /dev/full fails both$$([ -f sweep.json ] && echo ', phi-report -sweep sweep.json') ok"
 
 # Shard workers are exec'd as subprocesses, so the fleet targets build a
 # real phi-bench binary first instead of racing N concurrent `go run`

@@ -24,7 +24,6 @@ import (
 	"phirel/internal/fleet"
 	"phirel/internal/mitigation"
 	"phirel/internal/state"
-	"phirel/internal/stats"
 )
 
 // Campaigns are expensive; share one set of Quick results across the
@@ -200,42 +199,8 @@ func BenchmarkAblation_ECC(b *testing.B) {
 	reportTrials(b, 2*4000)
 }
 
-// Ablation A3: mitigation effectiveness/overhead — ABFT-checksummed matmul
-// vs plain, and the selective-hardening plan for DGEMM.
+// Ablation A3: mitigation — the selective-hardening plan for DGEMM.
 func BenchmarkAblation_Mitigation(b *testing.B) {
-	rng := stats.NewRNG(17)
-	n := 64
-	a := make([]float64, n*n)
-	bm := make([]float64, n*n)
-	for i := range a {
-		a[i] = 2*rng.Float64() - 1
-		bm[i] = 2*rng.Float64() - 1
-	}
-	b.Run("plain-matmul", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := make([]float64, n*n)
-			for r := 0; r < n; r++ {
-				for k := 0; k < n; k++ {
-					ark := a[r*n+k]
-					for j := 0; j < n; j++ {
-						c[r*n+j] += ark * bm[k*n+j]
-					}
-				}
-			}
-		}
-		reportTrials(b, 1)
-	})
-	b.Run("abft-matmul+check", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := mitigation.ABFTMatMul(a, bm, n)
-			if m.Check(1e-6) != mitigation.OK {
-				b.Fatal("clean product flagged")
-			}
-		}
-		reportTrials(b, 1)
-	})
 	b.Run("selective-plan", func(b *testing.B) {
 		res, err := core.RunCampaign(core.CampaignConfig{
 			Benchmark: "DGEMM", N: 400, Seed: 19, BenchSeed: 1, Workers: 8,

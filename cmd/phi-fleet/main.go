@@ -32,103 +32,6 @@
 // to the uninterrupted run.
 package main
 
-import (
-	"context"
-	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"time"
+import "phirel/internal/cli"
 
-	"phirel/internal/cli"
-	"phirel/internal/distrib"
-)
-
-func main() {
-	var grid cli.SweepFlags
-	grid.Register(flag.CommandLine, "")
-	var fleetFlags cli.FleetFlags
-	fleetFlags.Register(flag.CommandLine)
-	var worker cli.WorkerFlags
-	worker.Register(flag.CommandLine)
-	var (
-		specArg = flag.String("spec", "", "read the sweep spec from this fleet spec JSON file ('-' = stdin) instead of the grid flags")
-		out     = flag.String("out", "sweep.json", "write the merged SweepResult JSON here ('-' = stdout)")
-		dir     = flag.String("dir", "", "working directory for the spec file and shard partials (default: a temp dir, removed unless -keep-partials)")
-		keep    = flag.Bool("keep-partials", false, "keep the shard partials and spec file after a successful merge")
-		quiet   = flag.Bool("quiet", false, "suppress progress and supervisor lifecycle lines on stderr")
-	)
-	flag.Parse()
-
-	spec, err := grid.LoadSweep(*specArg, os.Stdin, cli.WorkersSet(flag.CommandLine))
-	if err != nil {
-		fatal(err)
-	}
-
-	launch, err := worker.Launcher("phi-fleet")
-	if err != nil {
-		fatal(err)
-	}
-
-	workdir := *dir
-	ownDir := workdir == ""
-	if ownDir {
-		if workdir, err = os.MkdirTemp("", "phi-fleet-*"); err != nil {
-			fatal(err)
-		}
-	} else if err := os.MkdirAll(workdir, 0o755); err != nil {
-		fatal(err)
-	}
-
-	opts, err := fleetFlags.Options(launch, workdir)
-	if err != nil {
-		fatal(err)
-	}
-	if !*quiet {
-		opts.Progress = func(p distrib.Progress) {
-			fmt.Fprintf(os.Stderr, "phi-fleet: %d/%d cells done across %d shards\n", p.Done, p.Total, opts.Shards)
-		}
-		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "phi-fleet: "+format+"\n", args...)
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	start := time.Now()
-	merged, err := distrib.Run(ctx, spec, opts)
-	if err != nil {
-		// Keep whatever landed: the partials and spec are the evidence a
-		// failed fan-out leaves behind. Always say where they are — with
-		// an auto-created temp dir and -quiet the path was never printed.
-		fmt.Fprintf(os.Stderr, "phi-fleet: spec and any shard partials kept in %s\n", workdir)
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "phi-fleet: %d shards merged into %d injection + %d beam cells in %s\n",
-		opts.Shards, len(merged.Cells), len(merged.BeamCells), time.Since(start).Round(time.Millisecond))
-
-	if *out == "-" {
-		err = merged.WriteJSON(os.Stdout)
-	} else if err = merged.WriteFile(*out); err == nil {
-		fmt.Fprintf(os.Stderr, "phi-fleet: wrote merged artifact to %s\n", *out)
-	}
-	if err != nil {
-		// The campaign is done and the partials are valid — if the merged
-		// artifact can't land (full disk, bad -out path), the partials are
-		// the only copy of hours of compute, so say where they are and
-		// leave them for a phi-merge rescue.
-		fmt.Fprintf(os.Stderr, "phi-fleet: spec and shard partials kept in %s (refold with phi-merge)\n", workdir)
-		fatal(err)
-	}
-
-	if *keep {
-		fmt.Fprintf(os.Stderr, "phi-fleet: shard partials kept in %s\n", workdir)
-	} else if ownDir {
-		os.RemoveAll(workdir)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "phi-fleet:", err)
-	os.Exit(1)
-}
+func main() { cli.Main(cli.Fleet) }

@@ -18,41 +18,6 @@
 //	phi-merge -out sweep.json 'sweep-shard-*.json'
 package main
 
-import (
-	"flag"
-	"fmt"
-	"os"
+import "phirel/internal/cli"
 
-	_ "phirel/internal/bench/all"
-	"phirel/internal/fleet"
-)
-
-func main() {
-	out := flag.String("out", "", "write the merged SweepResult JSON here (default: stdout)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fatal(fmt.Errorf("no shard files given; usage: phi-merge [-out sweep.json] sweep-shard-*.json"))
-	}
-	paths, err := fleet.DiscoverPartials(flag.Args()...)
-	if err != nil {
-		fatal(err)
-	}
-	merged, err := fleet.MergeFiles(paths...)
-	if err != nil {
-		fatal(err)
-	}
-	if *out == "" {
-		if err := merged.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-	} else if err := merged.WriteFile(*out); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "phi-merge: folded %d shards into %d injection + %d beam cells\n",
-		len(paths), len(merged.Cells), len(merged.BeamCells))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "phi-merge:", err)
-	os.Exit(1)
-}
+func main() { cli.Main(cli.Merge) }

@@ -1,13 +1,11 @@
-// Package cli is the sweep-grid flag surface cmd/phi-bench and
-// cmd/phi-fleet share. Both tools promise that the same grid flags produce
-// byte-comparable artifacts — a monolithic phi-bench -sweep and a
-// phi-fleet fan-out of the same flags must write identical JSON — so the
-// flags, their defaults, and how they assemble into a fleet.Sweep live
-// here once, making the mirror contract structural instead of two copies
-// kept in sync by discipline (and by the CI byte-diff that would catch the
-// drift late). It also carries the fleet tools' supervision and
-// worker-transport flag surfaces (FleetFlags, WorkerFlags), so
-// flag-to-layer wiring stays testable outside a main package.
+// Package cli is the command line of every phirel tool. Each tool is a
+// Func (CarolFI, Beam, Bench, Fleet, Merge, Report, Serve) over its
+// arguments and streams, so its tests call it directly, and each cmd/ main
+// is one Main call. The flag surfaces the tools share live here once:
+// SweepFlags, the grid phi-bench -sweep and phi-fleet both take (the same
+// flags must give byte-identical artifacts), FleetFlags and WorkerFlags
+// (fan-out supervision and transport, for phi-fleet and phi-serve),
+// MonitorFlags and ProfileFlags.
 package cli
 
 import (

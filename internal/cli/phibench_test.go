@@ -1,51 +1,18 @@
-package main
+package cli_test
 
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"phirel/internal/cli"
 	"phirel/internal/distrib"
 	"phirel/internal/fault"
 	"phirel/internal/fleet"
 )
-
-// TestMain doubles as the phi-bench executable: re-exec'd with
-// PHIREL_BE_PHI_BENCH=1, the test binary runs main(), so flag handling —
-// exit codes and stderr text included — is exercised exactly as an
-// operator or a fan-out supervisor hits it, without building the command
-// first.
-func TestMain(m *testing.M) {
-	if os.Getenv("PHIREL_BE_PHI_BENCH") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runBench re-execs this binary as phi-bench and returns (exit code, stderr).
-func runBench(t *testing.T, args ...string) (int, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "PHIREL_BE_PHI_BENCH=1")
-	cmd.Stdout = io.Discard
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if err == nil {
-		return 0, stderr.String()
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("re-exec failed before main ran: %v", err)
-	}
-	return ee.ExitCode(), stderr.String()
-}
 
 // writeSpec writes a tiny mixed sweep (injection and beam cells) as a spec
 // file in dir.
@@ -81,7 +48,7 @@ func TestShardIsPlanSugar(t *testing.T) {
 	}
 	for name, args := range outs {
 		out := filepath.Join(dir, name)
-		if code, stderr := runBench(t, append([]string{"-spec", specPath, "-out", out}, args...)...); code != 0 {
+		if code, _, stderr := call(t, cli.Bench, "", append([]string{"-spec", specPath, "-out", out}, args...)...); code != 0 {
 			t.Fatalf("phi-bench %v exited %d:\n%s", args, code, stderr)
 		}
 	}
@@ -124,7 +91,7 @@ func TestSweepFlagErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			out := filepath.Join(dir, strings.ReplaceAll(c.name, " ", "-")+".json")
-			code, stderr := runBench(t, append([]string{"-spec", specPath, "-out", out}, c.args...)...)
+			code, _, stderr := call(t, cli.Bench, "", append([]string{"-spec", specPath, "-out", out}, c.args...)...)
 			if code == 0 {
 				t.Fatalf("phi-bench %v succeeded", c.args)
 			}

@@ -1,51 +1,18 @@
-package main
+package cli_test
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"phirel/internal/cli"
 	"phirel/internal/fault"
 	"phirel/internal/fleet"
 )
-
-// TestMain doubles as the phi-merge executable: re-exec'd with
-// PHIREL_BE_PHI_MERGE=1, the test binary runs main(), so the error paths —
-// exit codes and stderr text included — are exercised exactly as an
-// operator hits them, without building the command first.
-func TestMain(m *testing.M) {
-	if os.Getenv("PHIREL_BE_PHI_MERGE") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runMerge re-execs this binary as phi-merge and returns (exit code, stderr).
-func runMerge(t *testing.T, args ...string) (int, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "PHIREL_BE_PHI_MERGE=1")
-	cmd.Stdout = io.Discard
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if err == nil {
-		return 0, stderr.String()
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("re-exec failed before main ran: %v", err)
-	}
-	return ee.ExitCode(), stderr.String()
-}
 
 // testPartials runs a tiny 2-way sharded sweep and writes its partials plus
 // the monolithic reference artifact into dir.
@@ -82,7 +49,7 @@ func testPartials(t *testing.T, dir string) (parts []string, mono string) {
 // the operator-facing contract for every error path.
 func expectFailure(t *testing.T, needle string, args ...string) {
 	t.Helper()
-	code, stderr := runMerge(t, args...)
+	code, _, stderr := call(t, cli.Merge, "", args...)
 	if code == 0 {
 		t.Fatalf("phi-merge %v exited 0, want failure", args)
 	}
@@ -146,7 +113,7 @@ func TestMergeHappyPathBytes(t *testing.T) {
 	dir := t.TempDir()
 	parts, mono := testPartials(t, dir)
 	out := filepath.Join(dir, "merged.json")
-	code, stderr := runMerge(t, append([]string{"-out", out}, parts...)...)
+	code, _, stderr := call(t, cli.Merge, "", append([]string{"-out", out}, parts...)...)
 	if code != 0 {
 		t.Fatalf("merge exited %d:\n%s", code, stderr)
 	}

@@ -1,18 +1,16 @@
-package main
+package cli_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	_ "phirel/internal/bench/all"
+	"phirel/internal/cli"
 	"phirel/internal/core"
 	"phirel/internal/fault"
 	"phirel/internal/figures"
@@ -20,47 +18,9 @@ import (
 	"phirel/internal/state"
 )
 
-// TestMain doubles as the phi-report executable (re-exec'd with
-// PHIREL_BE_PHI_REPORT=1), so exit codes and stderr text are tested exactly
-// as an operator sees them.
-func TestMain(m *testing.M) {
-	if os.Getenv("PHIREL_BE_PHI_REPORT") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-func runReport(t *testing.T, args ...string) (int, string) {
-	t.Helper()
-	code, _, stderr := runReportIO(t, "", args...)
-	return code, stderr
-}
-
-// runReportIO re-execs phi-report with stdin wired up — the transport the
-// '-in -' convention reads from — and captures both output streams.
-func runReportIO(t *testing.T, stdin string, args ...string) (int, string, string) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "PHIREL_BE_PHI_REPORT=1")
-	cmd.Stdin = strings.NewReader(stdin)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if err == nil {
-		return 0, stdout.String(), stderr.String()
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("re-exec failed before main ran: %v", err)
-	}
-	return ee.ExitCode(), stdout.String(), stderr.String()
-}
-
 func expectReportFailure(t *testing.T, needle string, args ...string) {
 	t.Helper()
-	code, stderr := runReport(t, args...)
+	code, _, stderr := call(t, cli.Report, "", args...)
 	if code == 0 {
 		t.Fatalf("phi-report %v exited 0, want failure", args)
 	}
@@ -121,7 +81,7 @@ func TestReportLogEmpty(t *testing.T) {
 // TestReportLogStdinEmpty: '-in -' reads stdin, so the empty-input error
 // must name stdin, not a file called "-".
 func TestReportLogStdinEmpty(t *testing.T) {
-	code, _, stderr := runReportIO(t, "", "-in", "-")
+	code, _, stderr := call(t, cli.Report, "", "-in", "-")
 	if code == 0 {
 		t.Fatal("phi-report -in - with empty stdin exited 0, want failure")
 	}
@@ -131,7 +91,7 @@ func TestReportLogStdinEmpty(t *testing.T) {
 }
 
 func TestReportLogStdinGarbage(t *testing.T) {
-	code, _, stderr := runReportIO(t, "this is not a JSONL log\n", "-in", "-")
+	code, _, stderr := call(t, cli.Report, "this is not a JSONL log\n", "-in", "-")
 	if code == 0 {
 		t.Fatal("phi-report -in - with garbage stdin exited 0, want failure")
 	}
@@ -145,22 +105,22 @@ func TestReportLogStdinGarbage(t *testing.T) {
 func TestReportLogStdin(t *testing.T) {
 	var log bytes.Buffer
 	enc := json.NewEncoder(&log)
-	for seq, outcome := range []string{"masked", "sdc", "masked"} {
+	for seq, outcome := range []string{"Masked", "SDC", "Masked"} {
 		rec := core.InjectionRecord{
-			Seq: seq, Benchmark: "DGEMM", Model: "single", Outcome: outcome,
-			Region: "input", Elem: -1, Fired: true,
+			Seq: seq, Benchmark: "DGEMM", Model: "Single", Outcome: outcome,
+			Pattern: "none", Region: "input", Elem: -1, Fired: true,
 		}
 		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	code, stdout, stderr := runReportIO(t, log.String(), "-in", "-")
+	code, stdout, stderr := call(t, cli.Report, log.String(), "-in", "-")
 	if code != 0 {
 		t.Fatalf("phi-report -in - exited %d:\n%s", code, stderr)
 	}
 	// "W5": DGEMM's five windows come from the registry, though every
-	// record here hit the first.
-	for _, needle := range []string{"Figure 4", "DGEMM", "W5"} {
+	// record here hit the first. "33.3": the one SDC in three records.
+	for _, needle := range []string{"Figure 4", "DGEMM", "W5", "33.3"} {
 		if !strings.Contains(stdout, needle) {
 			t.Fatalf("stdout misses %q:\n%s", needle, stdout)
 		}
@@ -203,7 +163,7 @@ func TestReportLogMatchesCampaign(t *testing.T) {
 			want.WriteString(tab.String() + "\n")
 		}
 	}
-	code, stdout, stderr := runReportIO(t, log.String(), "-in", "-")
+	code, stdout, stderr := call(t, cli.Report, log.String(), "-in", "-")
 	if code != 0 {
 		t.Fatalf("phi-report -in - exited %d:\n%s", code, stderr)
 	}
@@ -213,9 +173,36 @@ func TestReportLogMatchesCampaign(t *testing.T) {
 }
 
 func TestReportLogUnknownBenchmark(t *testing.T) {
-	rec := `{"seq":0,"benchmark":"NoSuchKernel","model":"Single","outcome":"masked","elem":-1}` + "\n"
-	code, _, stderr := runReportIO(t, rec, "-in", "-")
+	rec := `{"seq":0,"benchmark":"NoSuchKernel","model":"Single","outcome":"Masked","pattern":"none","elem":-1}` + "\n"
+	code, _, stderr := call(t, cli.Report, rec, "-in", "-")
 	if code == 0 || !strings.Contains(stderr, "NoSuchKernel") {
 		t.Fatalf("phi-report -in over an unregistered benchmark exited %d:\n%s", code, stderr)
+	}
+}
+
+// TestReportLogRefusesUnreadableRecords: a record whose outcome, model,
+// policy or pattern no campaign writes is refused with its line number,
+// not counted under a default (a lower-case "sdc" once read as Masked).
+// An empty policy is the campaign default and reads.
+func TestReportLogRefusesUnreadableRecords(t *testing.T) {
+	const good = `{"seq":0,"benchmark":"DGEMM","model":"Single","policy":"by-bytes","outcome":"SDC","pattern":"Line","elem":-1}`
+	cases := []struct{ field, from, to string }{
+		{"outcome", `"outcome":"SDC"`, `"outcome":"sdc"`},
+		{"model", `"model":"Single"`, `"model":"single"`},
+		{"policy", `"policy":"by-bytes"`, `"policy":"bytes"`},
+		{"pattern", `"pattern":"Line"`, `"pattern":"line"`},
+	}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			bad := strings.Replace(good, c.from, c.to, 1)
+			code, _, stderr := call(t, cli.Report, good+"\n\n"+bad+"\n", "-in", "-")
+			if code != 1 || !strings.Contains(stderr, "line 3") || !strings.Contains(stderr, "unknown "+c.field) {
+				t.Fatalf("phi-report -in over a record with a bad %s exited %d, want 1 naming line 3:\n%s", c.field, code, stderr)
+			}
+		})
+	}
+	noPolicy := strings.Replace(good, `"policy":"by-bytes",`, "", 1)
+	if code, stdout, stderr := call(t, cli.Report, noPolicy+"\n", "-in", "-"); code != 0 || !strings.Contains(stdout, "Figure 4") {
+		t.Fatalf("phi-report -in over a record with no policy exited %d:\n%s", code, stderr)
 	}
 }

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"fmt"
+
 	"phirel/internal/analysis"
 	"phirel/internal/bench"
 	"phirel/internal/fault"
@@ -53,17 +55,14 @@ type InjectionRecord struct {
 	PanicMsg       string  `json:"panicMsg,omitempty"`
 }
 
-// OutcomeOf parses the record's outcome back into the harness enum.
+// OutcomeOf parses the record's outcome back into the harness enum; an
+// outcome no campaign writes reads as Masked (Check rejects it).
 func (r InjectionRecord) OutcomeOf() bench.Outcome {
-	for _, o := range []bench.Outcome{bench.Masked, bench.SDC, bench.DUECrash, bench.DUEHang, bench.DUEMCA} {
-		if o.String() == r.Outcome {
-			return o
-		}
-	}
-	return bench.Masked
+	o, _ := parseOutcome(r.Outcome)
+	return o
 }
 
-// ModelOf parses the record's fault model.
+// ModelOf parses the record's fault model; an unknown one reads as Single.
 func (r InjectionRecord) ModelOf() fault.Model {
 	m, err := fault.ParseModel(r.Model)
 	if err != nil {
@@ -82,12 +81,49 @@ func (r InjectionRecord) PolicyOf() state.Policy {
 	return p
 }
 
-// PatternOf parses the record's spatial pattern.
+// PatternOf parses the record's spatial pattern; an unknown one reads as
+// none.
 func (r InjectionRecord) PatternOf() analysis.Pattern {
-	for _, p := range append([]analysis.Pattern{analysis.PatternNone}, analysis.Patterns...) {
-		if p.String() == r.Pattern {
-			return p
+	p, _ := parsePattern(r.Pattern)
+	return p
+}
+
+// Check reports the first of the record's outcome, model, policy and
+// pattern that no campaign writes, which the readers above would silently
+// read as their defaults. An empty policy is the campaign default. A log
+// reader checks each record once; the campaign's own fold does not.
+func (r InjectionRecord) Check() error {
+	if _, ok := parseOutcome(r.Outcome); !ok {
+		return fmt.Errorf("core: unknown outcome %q", r.Outcome)
+	}
+	if _, err := fault.ParseModel(r.Model); err != nil {
+		return err
+	}
+	if r.Policy != "" {
+		if _, err := state.ParsePolicy(r.Policy); err != nil {
+			return err
 		}
 	}
-	return analysis.PatternNone
+	if _, ok := parsePattern(r.Pattern); !ok {
+		return fmt.Errorf("core: unknown pattern %q", r.Pattern)
+	}
+	return nil
+}
+
+func parseOutcome(s string) (bench.Outcome, bool) {
+	for _, o := range []bench.Outcome{bench.Masked, bench.SDC, bench.DUECrash, bench.DUEHang, bench.DUEMCA} {
+		if o.String() == s {
+			return o, true
+		}
+	}
+	return bench.Masked, false
+}
+
+func parsePattern(s string) (analysis.Pattern, bool) {
+	for _, p := range append([]analysis.Pattern{analysis.PatternNone}, analysis.Patterns...) {
+		if p.String() == s {
+			return p, true
+		}
+	}
+	return analysis.PatternNone, false
 }

@@ -1,3 +1,9 @@
+// Package mitigation turns a campaign's criticality table into a
+// selective-hardening plan (paper §6.1): regions taken most critical first,
+// each protected by the best technique of a catalogue (parity, residue
+// codes, DWC, ABFT, redundant multithreading) that still fits an overhead
+// budget, with the harm the plan is predicted to remove. Its callers are
+// ExampleSelectivePlan and the root benchmark suite's mitigation ablation.
 package mitigation
 
 import (

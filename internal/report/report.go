@@ -1,5 +1,5 @@
-// Package report renders campaign results as aligned ASCII tables, CSV,
-// and terminal bar charts — the textual equivalents of the paper's figures.
+// Package report renders campaign results as aligned ASCII tables and CSV
+// — the textual equivalents of the paper's figures.
 // It is the dependency-free base of the presentation layer: internal/figures
 // builds every paper table on Table, and the serve figures endpoint ships
 // the same tables as JSON (Table marshals its title, headers, and rows).
@@ -94,35 +94,5 @@ func (t *Table) CSV(w io.Writer) {
 	writeRow(t.Headers)
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-}
-
-// Bar renders a horizontal bar scaled so that maxVal spans width runes.
-func Bar(val, maxVal float64, width int) string {
-	if maxVal <= 0 || val < 0 {
-		return ""
-	}
-	n := int(val / maxVal * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("█", n)
-}
-
-// BarChart renders labelled values as a terminal bar chart — the textual
-// form of the paper's figures.
-func BarChart(w io.Writer, title string, labels []string, values []float64, unit string) {
-	fmt.Fprintf(w, "%s\n", title)
-	maxVal, maxLabel := 0.0, 0
-	for i, v := range values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		fmt.Fprintf(w, "  %-*s %8.2f %-4s %s\n", maxLabel, labels[i], v, unit, Bar(v, maxVal, 40))
 	}
 }

@@ -35,23 +35,3 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("csv %q want %q", buf.String(), want)
 	}
 }
-
-func TestBar(t *testing.T) {
-	if Bar(5, 10, 10) != strings.Repeat("█", 5) {
-		t.Fatal("half bar")
-	}
-	if Bar(20, 10, 10) != strings.Repeat("█", 10) {
-		t.Fatal("clamped bar")
-	}
-	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" {
-		t.Fatal("degenerate bars")
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	BarChart(&buf, "chart", []string{"a", "bb"}, []float64{1, 2}, "FIT")
-	if !strings.Contains(buf.String(), "chart") || !strings.Contains(buf.String(), "bb") {
-		t.Fatalf("chart:\n%s", buf.String())
-	}
-}

@@ -17,7 +17,7 @@ import (
 // correctly rounded, so the same on every GOARCH and CPU: a kernel, the
 // RNG, the device model and the campaign engines may call these and no
 // other. Exp, Log, Pow and the rest are assembly on some targets and pick
-// a path by CPUID on others; Exp and Log have repository copies here.
+// a path by CPUID on others; Exp has a repository copy here.
 var exactMath = map[string]bool{
 	"Sqrt": true, "Abs": true, "Max": true, "Min": true, "Mod": true, "Copysign": true,
 	"Ldexp": true, "Frexp": true, "Floor": true, "Ceil": true, "Trunc": true,
@@ -67,7 +67,7 @@ func TestNoHostLibm(t *testing.T) {
 					return true
 				}
 				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name && !exactMath[sel.Sel.Name] && !mathConst.MatchString(sel.Sel.Name) {
-					t.Errorf("%s: math.%s is not correctly rounded on every host; use an exact function or a repository copy (stats.Exp, stats.Log)",
+					t.Errorf("%s: math.%s is not correctly rounded on every host; use an exact function or a repository copy (stats.Exp)",
 						fset.Position(sel.Pos()), sel.Sel.Name)
 				}
 				return true

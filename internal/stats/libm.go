@@ -1,6 +1,6 @@
-// The bodies of Exp and Log are the pure-Go ones of the Go standard
-// library's math package (exp.go, log.go), which came from FreeBSD's
-// msun/src/e_exp.c and e_log.c under this notice:
+// The body of Exp is the pure-Go one of the Go standard library's math
+// package (exp.go), which came from FreeBSD's msun/src/e_exp.c under this
+// notice:
 //
 // ====================================================
 // Copyright (C) 2004 by Sun Microsystems, Inc. All rights reserved.
@@ -80,51 +80,4 @@ func expmulti(hi, lo float64, k int) float64 {
 	c := r - float64(t*(P1+float64(t*(P2+float64(t*(P3+float64(t*(P4+float64(t*P5)))))))))
 	y := 1 - ((lo - float64(r*c)/(2-c)) - hi)
 	return math.Ldexp(y, k)
-}
-
-// Log returns the natural logarithm of x with the bits of math's pure-Go
-// log on every host (math.Log is assembly on amd64 and s390x), each product
-// rounded before its sum. The error is below 1 ulp.
-//
-// Special cases: Log(+Inf) = +Inf, Log(0) = -Inf, Log(x < 0) = NaN,
-// Log(NaN) = NaN.
-func Log(x float64) float64 {
-	const (
-		Ln2Hi = 6.93147180369123816490e-01 /* 3fe62e42 fee00000 */
-		Ln2Lo = 1.90821492927058770002e-10 /* 3dea39ef 35793c76 */
-		L1    = 6.666666666666735130e-01   /* 3FE55555 55555593 */
-		L2    = 3.999999999940941908e-01   /* 3FD99999 9997FA04 */
-		L3    = 2.857142874366239149e-01   /* 3FD24924 94229359 */
-		L4    = 2.222219843214978396e-01   /* 3FCC71C5 1D8E78AF */
-		L5    = 1.818357216161805012e-01   /* 3FC74664 96CB03DE */
-		L6    = 1.531383769920937332e-01   /* 3FC39A09 D078C69F */
-		L7    = 1.479819860511658591e-01   /* 3FC2F112 DF3E5244 */
-	)
-
-	switch {
-	case math.IsNaN(x) || math.IsInf(x, 1):
-		return x
-	case x < 0:
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	}
-
-	// x = 2**k · (1+f) with √2/2 ≤ 1+f < √2.
-	f1, ki := math.Frexp(x)
-	if f1 < math.Sqrt2/2 {
-		f1 *= 2
-		ki--
-	}
-	f := f1 - 1
-	k := float64(ki)
-
-	s := f / (2 + f)
-	s2 := s * s
-	s4 := s2 * s2
-	t1 := float64(s2 * (L1 + float64(s4*(L3+float64(s4*(L5+float64(s4*L7)))))))
-	t2 := float64(s4 * (L2 + float64(s4*(L4+float64(s4*L6)))))
-	R := t1 + t2
-	hfsq := float64(0.5 * f * f)
-	return float64(k*Ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*Ln2Lo))) - f)
 }

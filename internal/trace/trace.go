@@ -129,9 +129,19 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 // Read decodes every JSONL record from r into T. Blank lines are skipped;
 // a malformed line aborts with its line number.
 func Read[T any](r io.Reader) ([]T, error) {
+	var out []T
+	if err := Each(r, func(rec T) error { out = append(out, rec); return nil }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Each decodes r's JSONL records into T one at a time and hands each to
+// fn, in order. Blank lines are skipped; a malformed line, or one whose
+// record fn refuses, aborts with its line number.
+func Each[T any](r io.Reader, fn func(T) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []T
 	line := 0
 	for sc.Scan() {
 		line++
@@ -140,13 +150,16 @@ func Read[T any](r io.Reader) ([]T, error) {
 			continue
 		}
 		var rec T
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		err := json.Unmarshal(raw, &rec)
+		if err == nil {
+			err = fn(rec)
 		}
-		out = append(out, rec)
+		if err != nil {
+			return fmt.Errorf("trace: line %d: %w", line, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scan: %w", err)
+		return fmt.Errorf("trace: scan: %w", err)
 	}
-	return out, nil
+	return nil
 }

@@ -61,6 +61,23 @@ func TestReadMalformed(t *testing.T) {
 	}
 }
 
+// TestEachRefusedLine: a record fn refuses stops the read at its line,
+// blank lines counted, with fn's error inside.
+func TestEachRefusedLine(t *testing.T) {
+	refused := errors.New("refused")
+	var seen []string
+	err := Each(strings.NewReader("{\"name\":\"a\"}\n\n{\"name\":\"b\"}\n{\"name\":\"c\"}\n"), func(r rec) error {
+		seen = append(seen, r.Name)
+		if r.Name == "b" {
+			return refused
+		}
+		return nil
+	})
+	if !errors.Is(err, refused) || !strings.Contains(err.Error(), "line 3") || len(seen) != 2 {
+		t.Fatalf("Each stopped with %v after %v, want the refusal at line 3 after a and b", err, seen)
+	}
+}
+
 func TestReadEmpty(t *testing.T) {
 	out, err := Read[rec](strings.NewReader(""))
 	if err != nil || len(out) != 0 {
