@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke \
 	worker-bin fleet-check fleet-demo host-check nightly-sweep \
-	nightly-trend cover fuzz serve-check ci
+	nightly-trend cover fuzz serve-check ci pairs
 
 # The exact PR-gating sequence CI runs, as one local command. cover re-runs
 # the covered packages with coverage instrumentation (a different build
@@ -76,6 +76,84 @@ benchmark-smoke:
 		echo "benchmark-smoke: go test -C benchmark failed beyond the waived assertion"; exit 1; \
 	fi
 	$(GO) run -C benchmark . --workload inject_grid --seed 1 --seconds 2 --trace 0
+
+# No-regression evidence for a change, in the form CHANGES.md records it:
+# PAIRS pairs of single-workload benchmark runs (go run -C benchmark .
+# --workload W --seed S, at the benchmark's own run length) per workload in
+# WORKLOADS, the committed files of PARENT against this working tree, in
+# ABBA order (odd pairs run the parent first, even pairs the change) with
+# one seed per pair, 1700 + the pair's number, shared by both sides. Both
+# sides run from plain copies in PAIRS_DIR, as a benchmark of a fresh
+# checkout runs: the parent's committed files from git archive, with
+# nothing registered in .git, and the working tree's files git does not
+# ignore. (A build inside the git working tree stamps VCS status into the
+# worker, which alone moves fanout_ckpt's setup_s by ~0.05 s.) A shared box
+# drifts by more than most changes move, so only pairs taken back to back
+# can show a difference; the target therefore refuses to run when nproc,
+# GOMAXPROCS or the Go version differ between the two sides or change
+# between runs, stops at a run that prints no result, and prints a table
+# only when both sides ran the same pairs, comparing each pair's parent run
+# with the change run of the same number. It prints, per workload, the
+# seeds, the failed share of operations, and per end-to-end metric of
+# BENCHMARK.json both medians and interquartile ranges, their ratio and in
+# how many pairs the change was better. It measures; it gates nothing, and
+# ci does not run it. Needs jq.
+PARENT ?= HEAD
+WORKLOADS ?= fanout_ckpt
+PAIRS ?= 10
+PAIRS_DIR ?= pairs-work
+define PAIRS_TABLE
+def q(p): sort as $$s | ((($$s|length)-1)*p) as $$i | ($$i|floor) as $$lo | ($$i|ceil) as $$hi
+  | $$s[$$lo] + ($$s[$$hi]-$$s[$$lo])*($$i-$$lo);
+def r: . * 10000 | round / 10000;
+def side($$n): map(select(.side == $$n)) | INDEX(.pair|tostring);
+$$bench[0].end_to_end as $$defs
+| group_by(.workload)[]
+| .[0].workload as $$wl | side("parent") as $$a | side("change") as $$b
+| ($$a|keys|sort_by(tonumber)) as $$ks
+| if $$ks != ($$b|keys|sort_by(tonumber))
+  then error("pairs: \($$wl): the parent ran pairs \($$ks|join(" ")), the change \($$b|keys|sort_by(tonumber)|join(" "))")
+  else . end
+| ($$ks|map($$a[.])) as $$ar | ($$ks|map($$b[.])) as $$br
+| "\n### \($$wl): \($$ks|length) pairs, seeds \($$ar|map(.seed|tostring)|join(" "))",
+  "failed operations: parent \($$ar|map(.failed)|add) of \($$ar|map(.attempted)|add), change \($$br|map(.failed)|add) of \($$br|map(.attempted)|add)\n",
+  "| metric | parent median | parent IQR | change median | change IQR | change/parent | change better |",
+  "|---|---|---|---|---|---|---|",
+  ($$defs[] | .name as $$m | .better as $$dir
+    | ($$ar|map(.metrics[$$m])) as $$av | ($$br|map(.metrics[$$m])) as $$bv
+    | ($$av|q(0.5)) as $$am | ($$bv|q(0.5)) as $$bm
+    | [range(0; $$av|length) | select(if $$dir == "higher" then $$bv[.] > $$av[.] else $$bv[.] < $$av[.] end)] as $$wins
+    | "| \($$m) | \($$am|r) | \($$av|q(0.25)|r)–\($$av|q(0.75)|r) | \($$bm|r) | \($$bv|q(0.25)|r)–\($$bv|q(0.75)|r) | \(if $$am == 0 then "—" else $$bm/$$am|r end) | \($$wins|length)/\($$av|length) |")
+endef
+export PAIRS_TABLE
+pairs:
+	@set -e; command -v jq > /dev/null || { echo "pairs: needs jq"; exit 1; }; \
+	rm -rf $(PAIRS_DIR); mkdir -p $(PAIRS_DIR)/parent $(PAIRS_DIR)/change; \
+	git archive $(PARENT) | tar -x -C $(PAIRS_DIR)/parent; \
+	git ls-files -co --exclude-standard | while read -r f; do [ ! -e "$$f" ] || echo "$$f"; done \
+		| tar -cf - -T - | tar -x -C $(PAIRS_DIR)/change; \
+	envof() { echo "nproc=$$(nproc) GOMAXPROCS=$${GOMAXPROCS:-unset} $$($(GO) -C $$1/benchmark version)"; }; \
+	want=$$(envof .); echo "pairs: $(PARENT) against the working tree, $$want"; \
+	for wl in $(WORKLOADS); do \
+		for i in $$(seq 1 $(PAIRS)); do \
+			seed=$$((1700 + i)); order="parent change"; \
+			[ $$((i % 2)) = 1 ] || order="change parent"; \
+			for side in $$order; do \
+				dir=$(PAIRS_DIR)/$$side; \
+				got=$$(envof $$dir); \
+				[ "$$got" = "$$want" ] || { echo "pairs: refusing to compare $$got with $$want"; exit 1; }; \
+				$(GO) run -C $$dir/benchmark . --workload $$wl --seed $$seed --trace 0 \
+					> $(PAIRS_DIR)/run.out 2> $(PAIRS_DIR)/run.err || true; \
+				line=$$(tail -n 1 $(PAIRS_DIR)/run.out); \
+				rec=$$([ -n "$$line" ] && echo "$$line" | jq -c --arg side $$side --arg wl $$wl --argjson seed $$seed --argjson pair $$i \
+					'select(.metrics | type == "object") | {side: $$side, workload: $$wl, seed: $$seed, pair: $$pair, attempted, failed, metrics: (.metrics | map_values(.value))}') \
+					&& [ -n "$$rec" ] || { echo "pairs: $$wl pair $$i $$side gave no result"; cat $(PAIRS_DIR)/run.err; exit 1; }; \
+				echo "$$rec" >> $(PAIRS_DIR)/runs.jsonl; \
+				echo "pairs: $$wl pair $$i seed $$seed $$side done"; \
+			done; \
+		done; \
+	done; \
+	jq -rs --slurpfile bench BENCHMARK.json "$$PAIRS_TABLE" $(PAIRS_DIR)/runs.jsonl
 
 vet:
 	$(GO) vet ./...

@@ -16,7 +16,7 @@
 //	          [-shard k/K] [-out sweep.json] [-monitor-jsonl mon.jsonl]
 //	phi-bench -spec spec.json [-shard k/K | -plan k/K:injOff+injN:beamOff+beamN]
 //	          [-progress-jsonl] [-out -]
-//	          [-checkpoint-out ck.json -checkpoint-every 1000] [-resume-from ck.json]
+//	          [-checkpoint-out ck.json -checkpoint-every 1000]
 //
 // With -plan the sweep runs exactly the given trial ranges of every cell
 // (internal/distrib.FormatPlanArg) — the one form the fan-out supervisor
@@ -31,15 +31,16 @@
 // cmd/phi-fleet drives. -progress-jsonl switches stderr progress to
 // machine-readable JSONL events (one internal/distrib.Event per line), and
 // -out - streams the artifact to stdout (suppressing the per-cell tables),
-// so a remote worker (over ssh, or in a pod started by kubectl run) needs
-// no filesystem handshake at all.
+// so a worker (local, over ssh, or in a pod started by kubectl run) needs
+// no filesystem handshake at all; cmd/phi-fleet runs every worker so.
 //
 // -checkpoint-out with -checkpoint-every N makes a shard worker elastic: a
 // valid shard-partial artifact covering the contiguous trial prefix
-// completed so far lands (atomically) every N trials, and -resume-from
-// picks a prior attempt's checkpoint back up, computing only the remaining
-// ranges. Both require -shard or -plan — a monolithic run has no shard plan
-// to checkpoint — and neither changes the final artifact's bytes.
+// completed so far lands (atomically) every N trials. The worker never
+// reads it back: on a relaunch the supervisor banks it and sends the next
+// worker only the remaining ranges as its -plan. It requires -shard or
+// -plan — a monolithic run has no shard plan to checkpoint — and does not
+// change the final artifact's bytes.
 package main
 
 import "phirel/internal/cli"

@@ -108,14 +108,14 @@ func (f *WorkerFlags) Launcher(runName string) (distrib.Launcher, error) {
 		}
 		var salt [3]byte
 		rand.Read(salt[:])
-		return distrib.RemoteLauncher{
+		return distrib.ExecLauncher{
+			Command: []string{f.RemoteBin},
 			Via: distrib.Kubectl{
 				Command:   strings.Fields(f.Kubectl),
 				Namespace: f.Namespace,
 				Image:     f.Image,
 				RunName:   fmt.Sprintf("%s-%x", runName, salt),
 			},
-			Bin: f.RemoteBin,
 		}, nil
 	case f.SSHHosts != "":
 		hosts := strings.Split(f.SSHHosts, ",")
@@ -124,7 +124,7 @@ func (f *WorkerFlags) Launcher(runName string) (distrib.Launcher, error) {
 				return nil, fmt.Errorf("cli: -ssh %q names an empty host", f.SSHHosts)
 			}
 		}
-		return distrib.RemoteLauncher{Via: distrib.SSH{Hosts: hosts}, Bin: f.RemoteBin}, nil
+		return distrib.ExecLauncher{Command: []string{f.RemoteBin}, Via: distrib.SSH{Hosts: hosts}}, nil
 	case f.WorkerCmd != "":
 		return distrib.ExecLauncher{Command: strings.Fields(f.WorkerCmd)}, nil
 	}

@@ -66,24 +66,25 @@ func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	}
 }
 
-// TestWorkerFlagsLauncherWiring: -ssh and -k8s each build the one remote
-// launcher with their transport, -remote-bin and the transport's knobs.
+// TestWorkerFlagsLauncherWiring: -ssh and -k8s each build the one exec
+// launcher with their transport, -remote-bin as its command and the
+// transport's knobs.
 func TestWorkerFlagsLauncherWiring(t *testing.T) {
-	launcher := func(args ...string) distrib.RemoteLauncher {
+	launcher := func(args ...string) distrib.ExecLauncher {
 		t.Helper()
 		_, w := parseFleet(t, args...)
 		l, err := w.Launcher("fleet-7")
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, ok := l.(distrib.RemoteLauncher)
+		exec, ok := l.(distrib.ExecLauncher)
 		if !ok {
-			t.Fatalf("launcher is %T, want distrib.RemoteLauncher", l)
+			t.Fatalf("launcher is %T, want distrib.ExecLauncher", l)
 		}
-		return remote
+		return exec
 	}
 	ssh := launcher("-ssh", "a, b", "-remote-bin", "/opt/phi-bench")
-	want := distrib.RemoteLauncher{Via: distrib.SSH{Hosts: []string{"a", "b"}}, Bin: "/opt/phi-bench"}
+	want := distrib.ExecLauncher{Command: []string{"/opt/phi-bench"}, Via: distrib.SSH{Hosts: []string{"a", "b"}}}
 	if !reflect.DeepEqual(ssh, want) {
 		t.Fatalf("ssh launcher wired as %+v, want %+v", ssh, want)
 	}
@@ -101,16 +102,16 @@ func TestWorkerFlagsLauncherWiring(t *testing.T) {
 	}
 	kubectl.RunName = ""
 	wantK := distrib.Kubectl{Command: []string{"kubectl", "--context", "lab"}, Namespace: "phirel", Image: "ghcr.io/x/phirel:1"}
-	if !reflect.DeepEqual(kubectl, wantK) || k8s.Bin != "/opt/phi-bench" {
-		t.Fatalf("kubectl launcher wired as %+v (bin %q), want %+v", kubectl, k8s.Bin, wantK)
+	if !reflect.DeepEqual(kubectl, wantK) || !reflect.DeepEqual(k8s.Command, []string{"/opt/phi-bench"}) {
+		t.Fatalf("kubectl launcher wired as %+v (command %q), want %+v", kubectl, k8s.Command, wantK)
 	}
 
 	// No transport flag: a local subprocess.
 	_, w := parseFleet(t)
 	if l, err := w.Launcher("run"); err != nil {
 		t.Fatal(err)
-	} else if _, ok := l.(distrib.ExecLauncher); !ok {
-		t.Fatalf("default launcher is %T, want distrib.ExecLauncher", l)
+	} else if exec, ok := l.(distrib.ExecLauncher); !ok || exec.Via != nil {
+		t.Fatalf("default launcher is %#v, want a local distrib.ExecLauncher", l)
 	}
 }
 

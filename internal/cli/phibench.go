@@ -34,7 +34,6 @@ func Bench(ctx context.Context, args []string, stdin io.Reader, stdout, stderr i
 	fs.BoolVar(&o.progressJSONL, "progress-jsonl", false, "sweep: emit machine-readable JSONL progress events on stderr (the phi-fleet protocol)")
 	fs.StringVar(&o.ckOut, "checkpoint-out", "", "sweep: land a valid shard-partial checkpoint here (tmp+rename) every -checkpoint-every trials; needs -shard or -plan")
 	fs.IntVar(&o.ckEvery, "checkpoint-every", 0, "sweep: checkpoint cadence in trials (0 = no periodic checkpoints)")
-	fs.StringVar(&o.ckResume, "resume-from", "", "sweep: resume from this checkpoint artifact, computing only the remaining ranges; an unusable checkpoint degrades to the full plan")
 	var prof ProfileFlags
 	prof.Register(fs)
 	return Run(fs, args, func() (err error) {
@@ -100,7 +99,6 @@ type sweepOpts struct {
 	progressJSONL bool
 	ckOut         string
 	ckEvery       int
-	ckResume      string
 }
 
 // parseShard parses the 1-based "k/K" shard syntax into a 0-based index
@@ -159,8 +157,8 @@ func runSweep(ctx context.Context, fs *flag.FlagSet, stdin io.Reader, stdout, st
 		s.Progress = func(done, total int) { say("sweep %d/%d cells", done, total) }
 	}
 
-	if plan == nil && (o.ckOut != "" || o.ckResume != "") {
-		return errors.New("-checkpoint-out and -resume-from need -shard or -plan: a monolithic run has no shard plan to checkpoint")
+	if plan == nil && o.ckOut != "" {
+		return errors.New("-checkpoint-out needs -shard or -plan: a monolithic run has no shard plan to checkpoint")
 	}
 
 	// The resident monitor taps the sweep's record streams through the
@@ -181,10 +179,9 @@ func runSweep(ctx context.Context, fs *flag.FlagSet, stdin io.Reader, stdout, st
 		res, err = s.Run(ctx)
 	} else {
 		res, err = s.RunPlanCheckpointed(ctx, *plan, fleet.Checkpoint{
-			Out:    o.ckOut,
-			Every:  o.ckEvery,
-			Resume: o.ckResume,
-			Logf:   say,
+			Out:   o.ckOut,
+			Every: o.ckEvery,
+			Logf:  say,
 		})
 	}
 	if err != nil {

@@ -86,7 +86,7 @@ func TestSweepFlagErrors(t *testing.T) {
 		{"zero index", []string{"-shard", "0/3"}, `bad -shard "0/3": k must be in 1..K`},
 		{"shard and plan", []string{"-shard", "1/3", "-plan", "1/3:0+2:0+3"}, "-shard and -plan are mutually exclusive"},
 		{"checkpoint without a plan", []string{"-checkpoint-out", filepath.Join(dir, "ck.json")},
-			"-checkpoint-out and -resume-from need -shard or -plan"},
+			"-checkpoint-out needs -shard or -plan"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

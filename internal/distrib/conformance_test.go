@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,9 +44,9 @@ import (
 //     named, and retried, not left for the merge to reject the whole job
 //     (wrong-range revalidation).
 //   - a worker killed mid-shard after landing a checkpoint is relaunched
-//     with the checkpoint mounted: the retry computes exactly the trials
-//     the checkpoint does not cover, and the merge still holds
-//     (preemption resume).
+//     on the remainder: the supervisor banks the checkpoint, the retry's
+//     argv carries exactly the trials it does not cover as its -plan and
+//     no checkpoint to read, and the merge still holds (preemption resume).
 //
 // New backends plug in by adding a confFixture; the table does the rest.
 
@@ -136,11 +138,21 @@ func funcWorker(mode confMode) LauncherFunc {
 				cancel()
 			}
 		}
+		logWorkerTrials(task, WorkerArgs(task, true))
 		res, err := runWorker(rctx, spec, task, stderr, onCheckpoint)
 		if err != nil {
 			return err
 		}
 		return res.WriteFile(task.OutPath)
+	}
+}
+
+// sshStandIn is the exec launcher through an ssh transport whose ssh is
+// the test binary.
+func sshStandIn() ExecLauncher {
+	return ExecLauncher{
+		Command: []string{"phi-bench"},
+		Via:     SSH{Hosts: []string{"nodeA", "nodeB"}, Command: []string{os.Args[0]}},
 	}
 }
 
@@ -161,10 +173,7 @@ func conformanceFixtures() []confFixture {
 			failureNeedle: "exit status 3",
 			launcher: func(t *testing.T, mode confMode) Launcher {
 				setWorkerEnv(t, mode)
-				return RemoteLauncher{
-					Via: SSH{Hosts: []string{"nodeA", "nodeB"}, Command: []string{os.Args[0]}},
-					Bin: "phi-bench",
-				}
+				return sshStandIn()
 			},
 		},
 		{
@@ -173,14 +182,14 @@ func conformanceFixtures() []confFixture {
 			failureNeedle: "exit status 3",
 			launcher: func(t *testing.T, mode confMode) Launcher {
 				setWorkerEnv(t, mode)
-				return RemoteLauncher{
+				return ExecLauncher{
+					Command: []string{"phi-bench"},
 					Via: Kubectl{
 						Command:   []string{os.Args[0]},
 						Namespace: "phirel-conf",
 						Image:     "ghcr.io/phirel/phi-bench:test",
 						RunName:   "conf",
 					},
-					Bin: "phi-bench",
 				}
 			},
 		},
@@ -384,8 +393,8 @@ func TestLauncherConformanceSweep(t *testing.T) {
 				if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
 					t.Fatal("merge after mid-shard preemptions not byte-identical")
 				}
-				if !strings.Contains(logs.joined(), "resuming from checkpoint") {
-					t.Fatalf("supervisor never mounted a checkpoint on relaunch:\n%s", logs.joined())
+				if !strings.Contains(logs.joined(), "banked") {
+					t.Fatalf("supervisor never banked a checkpoint on relaunch:\n%s", logs.joined())
 				}
 				for k := 0; k < 2; k++ {
 					plan, err := spec.Plan(k, 2)
@@ -394,28 +403,145 @@ func TestLauncherConformanceSweep(t *testing.T) {
 					}
 					attempts := readWorkerTrials(t, trialsDir, k)
 					if len(attempts) != 2 {
-						t.Fatalf("shard %d ran %d attempts, want 2 (preempted + resumed)", k, len(attempts))
+						t.Fatalf("shard %d ran %d attempts, want 2 (preempted + relaunched)", k, len(attempts))
 					}
-					first, second := attempts[0], attempts[1]
-					if first.ResumedInj != 0 || first.ResumedBeam != 0 {
-						t.Fatalf("shard %d first attempt claims resumed trials: %+v", k, first)
+					if attempts[0].Plan != plan {
+						t.Fatalf("shard %d first attempt ran %v, want the whole plan %v", k, attempts[0].Plan, plan)
 					}
-					if second.ResumedInj+second.ResumedBeam == 0 {
-						t.Fatalf("shard %d retry resumed nothing from the checkpoint: %+v", k, second)
-					}
-					// Conservation: resumed + recomputed covers the shard's
-					// extent exactly — and strictly fewer trials recomputed
-					// than the full shard, per dimension with banked work.
-					if second.ResumedInj+second.ComputedInj != plan.Injection.N ||
-						second.ResumedBeam+second.ComputedBeam != plan.Beam.N {
-						t.Fatalf("shard %d retry does not tile the plan %v: %+v", k, plan, second)
-					}
-					if second.ComputedInj+second.ComputedBeam >= plan.Injection.N+plan.Beam.N {
-						t.Fatalf("shard %d retry recomputed the whole shard: %+v vs plan %v", k, second, plan)
+					relaunch := attempts[1]
+					checkRemainder(t, k, plan, relaunch)
+					if relaunch.Plan.Injection.N+relaunch.Plan.Beam.N >= plan.Injection.N+plan.Beam.N {
+						t.Fatalf("shard %d relaunch recomputes the whole shard: %v vs plan %v", k, relaunch.Plan, plan)
 					}
 				}
 			})
 		})
+	}
+}
+
+// checkRemainder requires a relaunched worker's argv to carry its remainder
+// as -plan, a suffix of the shard's plan, and no checkpoint to read: the
+// only checkpoint flag a worker gets is where to write its own.
+func checkRemainder(t *testing.T, k int, plan fleet.ShardPlan, relaunch workerTrials) {
+	t.Helper()
+	rest := relaunch.Plan
+	if rest.Index != plan.Index || rest.Count != plan.Count ||
+		rest.Injection.End() != plan.Injection.End() || rest.Beam.End() != plan.Beam.End() ||
+		rest.Injection.Offset < plan.Injection.Offset || rest.Beam.Offset < plan.Beam.Offset {
+		t.Fatalf("shard %d relaunch ran %v, not a suffix of the plan %v", k, rest, plan)
+	}
+	i := slices.Index(relaunch.Args, "-plan")
+	if i < 0 || i+1 >= len(relaunch.Args) || relaunch.Args[i+1] != FormatPlanArg(rest) {
+		t.Fatalf("shard %d relaunch argv %q does not carry the remainder -plan %s", k, relaunch.Args, FormatPlanArg(rest))
+	}
+	for i, a := range relaunch.Args {
+		if a == "-resume-from" || strings.HasSuffix(a, ".ckpt") && relaunch.Args[i-1] != "-checkpoint-out" {
+			t.Fatalf("shard %d relaunch argv %q hands the worker a checkpoint to read", k, relaunch.Args)
+		}
+	}
+}
+
+// TestRemoteCheckpointNotMountedRecomputes: through the ssh stand-in, every
+// shard is preempted after its first checkpoint lands, but the checkpoints
+// are local to the worker, as on a real ssh host. The supervisor finds
+// nothing at the checkpoint path, says so in one line naming the shard and
+// the path, and relaunches the whole plan; the merge still holds.
+func TestRemoteCheckpointNotMountedRecomputes(t *testing.T) {
+	skipInShort(t)
+	spec := testSweep()
+	_, monoJSON := monoArtifact(t, spec)
+	trialsDir := t.TempDir()
+	t.Setenv("PHIREL_FAKE_WORKER", "1")
+	t.Setenv("PHIREL_FAKE_TRIALS_LOG_DIR", trialsDir)
+	t.Setenv("PHIREL_FAKE_DIE_AFTER_CKPT_DIR", t.TempDir())
+	t.Setenv("PHIREL_FAKE_CKPT_LOCAL_DIR", t.TempDir())
+	logs := &confLogs{}
+	dir := t.TempDir()
+	merged, err := Run(context.Background(), spec, Options{
+		Shards: 2, Launcher: sshStandIn(), Dir: dir,
+		Retries: 1, Backoff: time.Millisecond, CheckpointEvery: 2,
+		Logf: logs.logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
+		t.Fatal("merge after unmounted checkpoints not byte-identical")
+	}
+	joined := logs.joined()
+	if strings.Contains(joined, "banked") {
+		t.Fatalf("supervisor banked a checkpoint it cannot see:\n%s", joined)
+	}
+	for k := 0; k < 2; k++ {
+		path := PartialPath(dir, k, 2) + ".ckpt"
+		if abs, err := filepath.Abs(path); err == nil {
+			path = abs
+		}
+		if n := strings.Count(joined, fmt.Sprintf("shard %d/2: no readable checkpoint at %s", k+1, path)); n != 1 {
+			t.Fatalf("shard %d/2: %d lines naming the unmounted checkpoint %s, want 1:\n%s", k+1, n, path, joined)
+		}
+		plan, err := spec.Plan(k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attempts := readWorkerTrials(t, trialsDir, k)
+		if len(attempts) != 2 || attempts[1].Plan != plan {
+			t.Fatalf("shard %d attempts %+v, want the whole plan %v relaunched", k, attempts, plan)
+		}
+	}
+}
+
+// TestExecStdoutCarriesOnlyTheArtifact: a local worker that writes anything
+// after its partial on stdout has broken the protocol; its attempt fails
+// validation like a truncated one, and the retry budget runs out on it.
+func TestExecStdoutCarriesOnlyTheArtifact(t *testing.T) {
+	skipInShort(t)
+	t.Setenv("PHIREL_FAKE_WORKER", "1")
+	t.Setenv("PHIREL_FAKE_STDOUT", "noise")
+	_, err := Run(context.Background(), testSweep(), Options{
+		Shards: 1, Launcher: ExecLauncher{Command: []string{os.Args[0]}}, Dir: t.TempDir(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "followed by other data") {
+		t.Fatalf("a worker writing tables after its partial: %v, want a validation failure", err)
+	}
+}
+
+// TestExecKilledMidStreamLeavesNoPartial: a local worker killed after
+// streaming half its partial leaves neither the partial nor its temp file.
+func TestExecKilledMidStreamLeavesNoPartial(t *testing.T) {
+	skipInShort(t)
+	t.Setenv("PHIREL_FAKE_WORKER", "1")
+	t.Setenv("PHIREL_FAKE_STDOUT", "stall")
+	dir := t.TempDir()
+	spec := testSweep()
+	plan, err := spec.Plan(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := Task{Count: 1, SpecPath: filepath.Join(dir, SpecFileName), OutPath: PartialPath(dir, 0, 1), Plan: &plan}
+	if err := spec.WriteSpecFile(task.SpecPath); err != nil {
+		t.Fatal(err)
+	}
+	// Kill the worker once its partial has begun to land in the temp file.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil {
+			if st, err := os.Stat(task.OutPath + ".tmp"); err == nil && st.Size() > 0 {
+				cancel()
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	var stderr bytes.Buffer
+	if err := (ExecLauncher{Command: []string{os.Args[0]}}).Launch(ctx, task, &stderr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker killed mid-stream: %v, want the cancellation (stderr %s)", err, stderr.String())
+	}
+	for _, path := range []string{task.OutPath, task.OutPath + ".tmp"} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("a worker killed mid-stream left %s (stat: %v)", path, err)
+		}
 	}
 }
 

@@ -13,12 +13,12 @@
 //     its explicit plan, so the supervisor sends workers only -plan; a cached
 //     prefix, when given, becomes shard 0's partial, held as a value, and
 //     the tasks split only what it is missing. -shard k/K is operator sugar for the balanced plan.
-//   - Launcher runs one shard worker to completion. ExecLauncher execs a
-//     local phi-bench subprocess; RemoteLauncher runs phi-bench elsewhere
-//     with the spec streamed in over stdin and the partial streamed back
-//     over stdout (no shared filesystem needed), through an ssh session
-//     (SSH) or a pod started by kubectl run (Kubectl); LauncherFunc
-//     adapts an in-process function.
+//   - Launcher runs one shard worker to completion. ExecLauncher is the one
+//     exec path: the worker reads the spec on stdin and writes its partial
+//     on stdout, locally or, with an optional transport prefix, through an
+//     ssh session (SSH) or a pod started by kubectl run (Kubectl), so no
+//     shared filesystem is needed; LauncherFunc adapts an in-process
+//     function.
 //   - Run supervises the fan-out: a bounded launch pool, a per-attempt
 //     timeout, bounded retry with exponential backoff for crashed,
 //     timed-out or corrupt-output workers, a progress mux folding every
@@ -26,14 +26,19 @@
 //     and per-shard stderr tails surfaced when a shard fails permanently.
 //     Every worker of a job, primary or child of a stolen straggler, takes
 //     one path (jobRun.run); a job reads done only after its seal ran.
+//   - Continuation is the supervisor's alone. A worker runs the plan it is
+//     handed and may land checkpoints; it never reads one. When a
+//     checkpointing shard is relaunched or stolen, the supervisor loads its
+//     newest checkpoint once, adds it to the shard's banks, launches only
+//     the remainder and folds banks and remainder into the shard's partial.
 //
 // # The Launcher contract
 //
 // Every backend — current and future — must satisfy the same behavioural
 // contract, enforced by the launcher conformance suite
 // (conformance_test.go), which executes one shared table against the Exec
-// launcher, the remote launcher over SSH and over Kubectl (the test binary
-// standing in for ssh and kubectl), and an in-process LauncherFunc:
+// launcher locally, over SSH and over Kubectl (the test binary standing in
+// for ssh and kubectl), and an in-process LauncherFunc:
 //
 //   - Blocking launch: Launch returns only once the worker is finished,
 //     with the shard's validated-parseable partial at task.OutPath on
@@ -84,23 +89,20 @@ type Task struct {
 	// Plan is the trial ranges the worker runs (phi-bench -plan), and the
 	// validator requires the partial's recorded plan to equal it. Its
 	// Index/Count agree with Shard/Count. The supervisor sets it on every
-	// task it launches; a task without one stands for the balanced k-of-K
+	// task it launches, to what its banks of checkpointed trials leave of
+	// the shard's plan; a task without one stands for the balanced k-of-K
 	// split (phi-bench -shard), which only a hand-built task uses.
 	Plan *fleet.ShardPlan
 	// CheckpointPath, when non-empty, is where the worker periodically
 	// lands a valid shard-partial checkpoint (phi-bench -checkpoint-out),
-	// and where the supervisor looks for resumable progress when it
-	// relaunches the shard. The path is used verbatim on the worker side,
-	// so remote launchers need it on storage both sides can reach.
+	// and where the supervisor looks for banked progress when it relaunches
+	// or steals the shard. The path is used verbatim on the worker side, so
+	// a worker on an ssh host or in a pod needs it on storage both sides
+	// can reach; otherwise a relaunch recomputes its whole plan.
 	CheckpointPath string
 	// CheckpointEvery is the checkpoint cadence in trials (phi-bench
 	// -checkpoint-every); meaningful only with CheckpointPath.
 	CheckpointEvery int
-	// ResumeFrom, when non-empty, tells the worker to resume from this
-	// checkpoint artifact (phi-bench -resume-from) and compute only the
-	// remaining ranges. The supervisor sets it per attempt after
-	// validating the checkpoint; callers leave it empty.
-	ResumeFrom string
 }
 
 // ShardArg renders the task's position in phi-bench's 1-based -shard form.
@@ -127,9 +129,9 @@ func PartialPath(dir string, k, count int) string {
 // prefix of spec's trial space — the prefix is sliced into slot 0 as a value
 // (no worker ever runs for it, and no file is written for it), and the
 // shards tasks split only the missing trial ranges. dir is absolutized
-// first: task paths end up in worker argv, and a worker may run with a
-// different working directory (ExecLauncher.Dir), which must not change
-// where the spec is found or the partial lands.
+// first: a task's checkpoint path goes into the worker's argv, a worker may
+// run with a different working directory (ExecLauncher.Dir), and the
+// supervisor reads the checkpoint back from that same path.
 func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int) (tasks []Task, parts []*fleet.SweepResult, err error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("distrib: need at least 1 shard, got %d", shards)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -172,14 +174,14 @@ func TestWatchdogExclude(t *testing.T) {
 // elasticAttempt records one in-process worker launch for assertions.
 type elasticAttempt struct {
 	shard, attempt int
-	resumed        bool
-	plan           *fleet.ShardPlan
+	plan           fleet.ShardPlan
 }
 
 // TestSchedulerResumesFromCheckpoint: every shard checkpoints and dies on
-// its first attempt; the relaunch mounts the checkpoint and computes only
-// the remainder. The job lands byte-identical to the monolithic run and
-// reports the salvaged trials through JobStatus.TrialsResumed.
+// its first attempt; the supervisor banks the checkpoint and relaunches the
+// shard on only the remainder, which the worker runs as a plain plan. The
+// job lands byte-identical to the monolithic run and reports exactly the
+// banked trials through JobStatus.TrialsResumed.
 func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	spec := testSweep()
 	_, monoJSON := monoArtifact(t, spec)
@@ -192,34 +194,27 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		plan, err := spec.Plan(task.Shard, task.Count)
-		if err != nil {
-			return err
-		}
 		mu.Lock()
-		attempts = append(attempts, elasticAttempt{
-			shard: task.Shard, attempt: task.Attempt, resumed: task.ResumeFrom != "",
-		})
+		attempts = append(attempts, elasticAttempt{shard: task.Shard, attempt: task.Attempt, plan: *task.Plan})
 		mu.Unlock()
 		rctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		ck := fleet.Checkpoint{
-			Out: task.CheckpointPath, Every: task.CheckpointEvery, Resume: task.ResumeFrom,
-		}
+		ck := fleet.Checkpoint{Out: task.CheckpointPath, Every: task.CheckpointEvery}
 		if task.Attempt == 0 {
 			// Die at the first checkpoint boundary: the cancel aborts the
 			// next chunk, leaving the checkpoint artifact behind.
 			ck.OnCheckpoint = func(fleet.ShardPlan) { cancel() }
 		}
-		res, err := spec.RunPlanCheckpointed(rctx, plan, ck)
+		res, err := spec.RunPlanCheckpointed(rctx, *task.Plan, ck)
 		if err != nil {
 			return err
 		}
 		return res.WriteFile(task.OutPath)
 	})
 
+	dir := t.TempDir()
 	sched, err := NewScheduler(Options{
-		Shards: shards, Launcher: launcher, Dir: t.TempDir(),
+		Shards: shards, Launcher: launcher, Dir: dir,
 		Retries: 1, Backoff: time.Millisecond, CheckpointEvery: 2,
 	})
 	if err != nil {
@@ -239,16 +234,8 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	}
 
 	st := job.Status()
-	if st.TrialsResumed == 0 {
-		t.Fatal("job resumed from checkpoints but TrialsResumed is 0")
-	}
 	if st.TrialsStolen != 0 {
 		t.Fatalf("no watchdog armed, yet TrialsStolen = %d", st.TrialsStolen)
-	}
-	// Ceiling: resumed trials can never exceed the whole job's trial space.
-	total := int64(spec.N*len(spec.Cells()) + spec.BeamRuns*len(spec.BeamCells()))
-	if st.TrialsResumed >= total {
-		t.Fatalf("TrialsResumed %d >= the job's %d total trials", st.TrialsResumed, total)
 	}
 
 	mu.Lock()
@@ -257,17 +244,35 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	for _, a := range attempts {
 		byShard[a.shard] = append(byShard[a.shard], a)
 	}
+	cellTrials := func(p fleet.ShardPlan) int64 {
+		return int64(p.Injection.N*len(spec.Cells()) + p.Beam.N*len(spec.BeamCells()))
+	}
+	var banked int64
 	for k := 0; k < shards; k++ {
+		plan, err := spec.Plan(k, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
 		as := byShard[k]
 		if len(as) != 2 {
-			t.Fatalf("shard %d launched %d times, want 2 (die + resume)", k, len(as))
+			t.Fatalf("shard %d launched %d times, want 2 (die + relaunch)", k, len(as))
 		}
-		if as[0].resumed || as[0].attempt != 0 {
-			t.Fatalf("shard %d first attempt malformed: %+v", k, as[0])
+		if as[0].attempt != 0 || as[0].plan != plan {
+			t.Fatalf("shard %d first attempt malformed: %+v, want the plan %v", k, as[0], plan)
 		}
-		if !as[1].resumed || as[1].attempt != 1 {
-			t.Fatalf("shard %d relaunch did not mount the checkpoint: %+v", k, as[1])
+		rest := as[1].plan
+		if as[1].attempt != 1 || rest.Injection.End() != plan.Injection.End() || rest.Beam.End() != plan.Beam.End() ||
+			cellTrials(rest) == 0 || cellTrials(rest) >= cellTrials(plan) {
+			t.Fatalf("shard %d relaunch ran %+v, want a non-empty strict suffix of %v", k, as[1], plan)
 		}
+		banked += cellTrials(plan) - cellTrials(rest)
+		// The bank is spent into the partial: no checkpoint stays behind.
+		if _, err := os.Stat(PartialPath(dir, k, shards) + ".ckpt"); !os.IsNotExist(err) {
+			t.Fatalf("shard %d left its checkpoint behind (stat: %v)", k, err)
+		}
+	}
+	if st.TrialsResumed != banked {
+		t.Fatalf("TrialsResumed = %d, want the %d trials the relaunches did not run", st.TrialsResumed, banked)
 	}
 }
 
@@ -410,7 +415,15 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 		Injection: plan.Injection.Split(0, 2),
 		Beam:      plan.Beam.Split(0, 2),
 	}
-	rest, err := fleet.ResumePlan(plan, prefix)
+	ckPath := filepath.Join(t.TempDir(), "prefix.ckpt")
+	banked, err := spec.RunPlan(context.Background(), prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := banked.WriteFileAtomic(ckPath); err != nil {
+		t.Fatal(err)
+	}
+	_, rest, err := fleet.LoadCheckpoint(ckPath, spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,6 +460,144 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 	}
 	if !strings.Contains(logs.joined(), "re-split complete") {
 		t.Fatalf("re-split never completed:\n%s", logs.joined())
+	}
+}
+
+// TestSchedulerStealsAfterRetry: one shard banks a quarter of its plan and
+// crashes; its relaunch runs the remainder, banks half of that and stalls,
+// and the watchdog steals it. The re-split children compute only what
+// neither the bank nor the newest checkpoint covers, and the merge is
+// byte-identical to the monolithic run.
+func TestSchedulerStealsAfterRetry(t *testing.T) {
+	spec := testSweep()
+	_, monoJSON := monoArtifact(t, spec)
+	const shards = 2
+	half := func(p fleet.ShardPlan, ways int) fleet.ShardPlan {
+		p.Injection, p.Beam = p.Injection.Split(0, ways), p.Beam.Split(0, ways)
+		return p
+	}
+
+	stealSeen := make(chan struct{})
+	var stealOnce sync.Once
+	logs := &confLogs{}
+	logf := func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "lagging the fleet median") {
+			stealOnce.Do(func() { close(stealSeen) })
+		}
+		logs.logf(format, args...)
+	}
+	var mu sync.Mutex
+	var relaunch fleet.ShardPlan
+	var subPlans []fleet.ShardPlan
+	launcher := LauncherFunc(func(ctx context.Context, task Task, stderr io.Writer) error {
+		spec, err := fleet.ReadSpecFile(task.SpecPath)
+		if err != nil {
+			return err
+		}
+		enc := json.NewEncoder(stderr)
+		switch {
+		case stealChild(task):
+			mu.Lock()
+			subPlans = append(subPlans, *task.Plan)
+			mu.Unlock()
+			res, err := spec.RunPlan(ctx, *task.Plan)
+			if err != nil {
+				return err
+			}
+			return res.WriteFile(task.OutPath)
+		case task.Shard == 1:
+			// Bank a prefix of the plan handed: a quarter on the first
+			// attempt, then half of the remainder on the relaunch.
+			ways := 4
+			if task.Attempt > 0 {
+				ways = 2
+				mu.Lock()
+				relaunch = *task.Plan
+				mu.Unlock()
+			}
+			part, err := spec.RunPlan(ctx, half(*task.Plan, ways))
+			if err != nil {
+				return err
+			}
+			if err := part.WriteFileAtomic(task.CheckpointPath); err != nil {
+				return err
+			}
+			if task.Attempt == 0 {
+				return errors.New("synthetic crash after the first checkpoint")
+			}
+			enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: 1, Total: 100})
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		// Shard 0: steady progress until the steal is underway.
+		for i := 1; ; i++ {
+			select {
+			case <-stealSeen:
+				res, err := spec.RunPlan(ctx, *task.Plan)
+				if err != nil {
+					return err
+				}
+				enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: 1000, Total: 1000})
+				return res.WriteFile(task.OutPath)
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(5 * time.Millisecond):
+				enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: min(i, 999), Total: 1000})
+			}
+		}
+	})
+	sched, err := NewScheduler(Options{
+		Shards: shards, Launcher: launcher, Dir: t.TempDir(),
+		Retries: 1, Backoff: time.Millisecond,
+		CheckpointEvery: 2, StealInterval: 50 * time.Millisecond,
+		Logf: logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+	job, err := sched.Submit(spec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("%v\n%s", err, logs.joined())
+	}
+	if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
+		t.Fatal("merge after a retry then a steal not byte-identical to the monolithic run")
+	}
+
+	plan, err := spec.Plan(1, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	first := half(plan, 4)
+	if relaunch.Injection.Offset != first.Injection.End() || relaunch.Beam.Offset != first.Beam.End() {
+		t.Fatalf("relaunch ran %+v, want the plan %+v past the banked quarter %+v", relaunch, plan, first)
+	}
+	second := half(relaunch, 2)
+	injN, beamN := 0, 0
+	for _, sp := range subPlans {
+		if sp.Injection.N > 0 && sp.Injection.Offset < second.Injection.End() ||
+			sp.Beam.N > 0 && sp.Beam.Offset < second.Beam.End() {
+			t.Fatalf("child plan %+v recomputes banked trials (banked up to %+v)", sp, second)
+		}
+		injN += sp.Injection.N
+		beamN += sp.Beam.N
+	}
+	if injN != plan.Injection.End()-second.Injection.End() || beamN != plan.Beam.End()-second.Beam.End() {
+		t.Fatalf("children cover %d+%d trials, want the %+v past %+v", injN, beamN, plan, second)
+	}
+	cells, beamCells := len(spec.Cells()), len(spec.BeamCells())
+	st := job.Status()
+	if want := int64(first.Injection.N*cells + first.Beam.N*beamCells); st.TrialsResumed != want {
+		t.Fatalf("TrialsResumed = %d, want the %d the relaunch banked", st.TrialsResumed, want)
+	}
+	if want := int64(injN*cells + beamN*beamCells); st.TrialsStolen != want {
+		t.Fatalf("TrialsStolen = %d, want the %d the children ran", st.TrialsStolen, want)
 	}
 }
 
@@ -524,8 +675,9 @@ func TestSchedulerCloseDuringSteal(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
+	dir := t.TempDir()
 	sched, err := NewScheduler(Options{
-		Shards: shards, Launcher: launcher, Dir: t.TempDir(), MaxConcurrent: 2,
+		Shards: shards, Launcher: launcher, Dir: dir, MaxConcurrent: 2,
 		CheckpointEvery: 2, StealInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -558,7 +710,7 @@ func TestSchedulerCloseDuringSteal(t *testing.T) {
 	if st := job.Status(); st.State != JobCancelled {
 		t.Fatalf("job closed during a steal reads %s, want cancelled", st.State)
 	}
-	if _, err := os.Stat(PartialPath(job.Dir(), 1, shards)); !os.IsNotExist(err) {
+	if _, err := os.Stat(PartialPath(filepath.Join(dir, job.ID()), 1, shards)); !os.IsNotExist(err) {
 		t.Fatalf("re-split children were refolded into the straggler's partial after Close (stat: %v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,11 +20,11 @@ import (
 
 // TestMain doubles as the shard-worker executable: when re-exec'd with
 // PHIREL_FAKE_WORKER=1, the test binary speaks the phi-bench worker
-// protocol (spec in, -plan, JSONL progress on stderr, partial out) —
-// so the exec and remote launchers are exercised through real
-// subprocesses, pipes, exit codes and kills without building
-// cmd/phi-bench first. Standing in for ssh or kubectl, it skips the
-// transport's own argv.
+// protocol (spec on stdin, -plan, JSONL progress on stderr, partial on
+// stdout) — so the exec launcher, local and through each transport, is
+// exercised through real subprocesses, pipes, exit codes and kills without
+// building cmd/phi-bench first. Standing in for ssh or kubectl, it skips
+// the transport's own argv.
 func TestMain(m *testing.M) {
 	if os.Getenv("PHIREL_FAKE_WORKER") == "1" {
 		os.Exit(fakeWorker())
@@ -52,10 +53,16 @@ func TestMain(m *testing.M) {
 //	PHIREL_FAKE_DIE_AFTER_CKPT_DIR — each shard's first checkpointing
 //	  attempt exits 3 right after its first checkpoint lands (marker-
 //	  tracked), the mid-shard preemption the elastic resume path exists for.
+//	PHIREL_FAKE_CKPT_LOCAL_DIR — checkpoints land under this directory
+//	  instead of at -checkpoint-out, out of the supervisor's sight: a
+//	  worker on an ssh host or in a pod, whose checkpoints are local to it.
+//	PHIREL_FAKE_STDOUT=noise — the worker writes a line of tables to stdout
+//	  after its partial, the one thing the stream must not carry.
+//	PHIREL_FAKE_STDOUT=stall — the worker writes half its partial to
+//	  stdout and blocks, so only a kill ends it mid-stream.
 //	PHIREL_FAKE_TRIALS_LOG_DIR — every attempt appends one JSON line to
-//	  trials-<k>.log recording the trials it resumed from a checkpoint and
-//	  the trials it set out to compute, so tests can prove a resumed attempt
-//	  recomputes exactly the remainder.
+//	  trials-<k>.log recording its argv and the plan it set out to compute,
+//	  so tests can prove a relaunch is handed exactly the remainder.
 func fakeWorker() int {
 	args := os.Args[1:]
 	// A remote transport puts its own argv first: kubectl's ends in "--",
@@ -68,28 +75,25 @@ func fakeWorker() int {
 		args = args[1:]
 	}
 	var task Task
-	var specArg, planArg string
+	var planArg string
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
 		case "-sweep", "-progress-jsonl":
-		case "-spec":
-			i++
-			specArg = args[i]
+		case "-spec", "-out":
+			// The one worker protocol: spec on stdin, partial on stdout.
+			if i++; args[i] != "-" {
+				fmt.Fprintf(os.Stderr, "fake worker: %s %q, want the stream form -\n", args[i-1], args[i])
+				return 2
+			}
 		case "-plan":
 			i++
 			planArg = args[i]
-		case "-out":
-			i++
-			task.OutPath = args[i]
 		case "-checkpoint-out":
 			i++
 			task.CheckpointPath = args[i]
 		case "-checkpoint-every":
 			i++
 			task.CheckpointEvery, _ = strconv.Atoi(args[i])
-		case "-resume-from":
-			i++
-			task.ResumeFrom = args[i]
 		default:
 			fmt.Fprintf(os.Stderr, "fake worker: unexpected arg %q\n", args[i])
 			return 2
@@ -102,7 +106,11 @@ func fakeWorker() int {
 	}
 	task.Plan = &p
 	task.Shard, task.Count = p.Index, p.Count
-	k, outArg := task.Shard, task.OutPath
+	k := task.Shard
+	logWorkerTrials(task, args)
+	if dir := os.Getenv("PHIREL_FAKE_CKPT_LOCAL_DIR"); dir != "" && task.CheckpointPath != "" {
+		task.CheckpointPath = filepath.Join(dir, filepath.Base(task.CheckpointPath))
+	}
 
 	if os.Getenv("PHIREL_FAKE_FAIL_ALWAYS") == "1" {
 		fmt.Fprintf(os.Stderr, "boom-from-shard-%d\n", k)
@@ -120,13 +128,8 @@ func fakeWorker() int {
 		marker := filepath.Join(dir, fmt.Sprintf("corrupted-%d", k))
 		if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
 			os.WriteFile(marker, nil, 0o644)
-			// "Success" with a truncated artifact — on stdout for the
-			// streaming (remote) transports, at the -out path for exec.
-			if outArg == "-" {
-				fmt.Print(`{"spec"`)
-			} else {
-				os.WriteFile(outArg, []byte(`{"spec"`), 0o644)
-			}
+			// "Success" with a truncated artifact on stdout.
+			fmt.Print(`{"spec"`)
 			return 0
 		}
 	}
@@ -138,12 +141,7 @@ func fakeWorker() int {
 		return 1
 	}
 
-	var spec fleet.Sweep
-	if specArg == "-" {
-		spec, err = fleet.ReadSpec(os.Stdin)
-	} else {
-		spec, err = fleet.ReadSpecFile(specArg)
-	}
+	spec, err := fleet.ReadSpec(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
@@ -177,15 +175,20 @@ func fakeWorker() int {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
 	}
-	if outArg == "-" {
-		err = res.WriteJSON(os.Stdout)
-	} else {
-		err = res.WriteFile(outArg)
-	}
-	if err != nil {
+	var out bytes.Buffer
+	if err := res.WriteJSON(&out); err != nil {
 		fmt.Fprintln(os.Stderr, "fake worker:", err)
 		return 1
 	}
+	switch os.Getenv("PHIREL_FAKE_STDOUT") {
+	case "noise":
+		out.WriteString("phirel fleet sweep (per-cell outcomes)\n")
+	case "stall":
+		os.Stdout.Write(out.Bytes()[:out.Len()/2])
+		time.Sleep(time.Hour)
+		return 1
+	}
+	os.Stdout.Write(out.Bytes())
 	return 0
 }
 
@@ -198,9 +201,8 @@ func runWorker(ctx context.Context, spec fleet.Sweep, task Task, stderr io.Write
 	spec.Progress = func(done, total int) {
 		enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: done, Total: total})
 	}
-	logWorkerTrials(spec, *task.Plan, task.ResumeFrom, task.Shard)
 	return spec.RunPlanCheckpointed(ctx, *task.Plan, fleet.Checkpoint{
-		Out: task.CheckpointPath, Every: task.CheckpointEvery, Resume: task.ResumeFrom,
+		Out: task.CheckpointPath, Every: task.CheckpointEvery,
 		OnCheckpoint: onCheckpoint,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, "fake worker: "+format+"\n", a...)
@@ -221,36 +223,26 @@ func wrongRangePartial(ctx context.Context, spec fleet.Sweep, task Task) (*fleet
 }
 
 // workerTrials is one attempt's accounting line in the
-// PHIREL_FAKE_TRIALS_LOG_DIR log: the trials the attempt salvaged from a
-// resume checkpoint and the trials it set out to compute, per dimension.
+// PHIREL_FAKE_TRIALS_LOG_DIR log: the worker's argv and the plan it set
+// out to compute.
 type workerTrials struct {
-	Shard        int `json:"shard"`
-	ResumedInj   int `json:"resumedInj"`
-	ResumedBeam  int `json:"resumedBeam"`
-	ComputedInj  int `json:"computedInj"`
-	ComputedBeam int `json:"computedBeam"`
+	Shard int             `json:"shard"`
+	Plan  fleet.ShardPlan `json:"plan"`
+	Args  []string        `json:"args"`
 }
 
-// logWorkerTrials appends this attempt's resumed/computed split to the
-// shard's trials log. Resumed counts come from the same LoadCheckpoint the
-// run itself performs, so the log records what the attempt actually did.
-func logWorkerTrials(spec fleet.Sweep, plan fleet.ShardPlan, resumeFrom string, k int) {
+// logWorkerTrials appends this attempt's argv and plan to the shard's
+// trials log.
+func logWorkerTrials(task Task, args []string) {
 	dir := os.Getenv("PHIREL_FAKE_TRIALS_LOG_DIR")
 	if dir == "" {
 		return
 	}
-	wt := workerTrials{Shard: k, ComputedInj: plan.Injection.N, ComputedBeam: plan.Beam.N}
-	if resumeFrom != "" {
-		if part, rest, err := fleet.LoadCheckpoint(resumeFrom, spec, plan); err == nil {
-			wt.ResumedInj, wt.ResumedBeam = part.Shard.Injection.N, part.Shard.Beam.N
-			wt.ComputedInj, wt.ComputedBeam = rest.Injection.N, rest.Beam.N
-		}
-	}
-	line, err := json.Marshal(wt)
+	line, err := json.Marshal(workerTrials{Shard: task.Shard, Plan: *task.Plan, Args: args})
 	if err != nil {
 		return
 	}
-	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("trials-%d.log", k)),
+	f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("trials-%d.log", task.Shard)),
 		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return

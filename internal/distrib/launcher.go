@@ -33,11 +33,12 @@ func (f LauncherFunc) Launch(ctx context.Context, task Task, stderr io.Writer) e
 
 // WorkerArgs returns the phi-bench argument list that runs task. With
 // streamIO the spec is read from stdin and the partial written to stdout
-// ("-" on both flags) — the transport RemoteLauncher uses so no file ever
-// needs to cross machines out of band. The plan rides the -plan flag
-// (shell-safe, see FormatPlanArg); every task the supervisor launches has
-// one. A hand-built task without a plan renders as -shard k/K, the
-// operator's sugar for the balanced plan.
+// ("-" on both flags), the one worker protocol ExecLauncher speaks; the
+// file form (spec and partial at task's paths) is for callers that run a
+// worker by hand. The plan rides the -plan flag (shell-safe, see
+// FormatPlanArg); every task the supervisor launches has one. A hand-built
+// task without a plan renders as -shard k/K, the operator's sugar for the
+// balanced plan.
 func WorkerArgs(task Task, streamIO bool) []string {
 	spec, out := task.SpecPath, task.OutPath
 	if streamIO {
@@ -53,18 +54,14 @@ func WorkerArgs(task Task, streamIO bool) []string {
 		"-progress-jsonl",
 		"-out", out,
 	)
-	// Checkpoint paths ride verbatim even under streamIO: the spec and the
-	// final partial cross machines in-band, but checkpoints are worker-local
-	// state — a resumed attempt reads them back where the worker runs, so
-	// remote transports need them on storage the worker can reach.
+	// Checkpoint paths ride verbatim: the spec and the partial cross
+	// machines in-band, but a checkpoint is written where the worker runs,
+	// and only the supervisor reads it back (on a relaunch or a steal).
 	if task.CheckpointPath != "" {
 		args = append(args, "-checkpoint-out", task.CheckpointPath)
 		if task.CheckpointEvery > 0 {
 			args = append(args, "-checkpoint-every", fmt.Sprintf("%d", task.CheckpointEvery))
 		}
-	}
-	if task.ResumeFrom != "" {
-		args = append(args, "-resume-from", task.ResumeFrom)
 	}
 	return args
 }
@@ -74,77 +71,50 @@ func WorkerArgs(task Task, streamIO bool) []string {
 // open cannot wedge the supervisor.
 const waitDelay = 5 * time.Second
 
-// ExecLauncher launches shard workers as local subprocesses. Command is
-// the worker argv prefix — e.g. {"bin/phi-bench"} or {"go", "run",
-// "./cmd/phi-bench"} — and the standard worker flags are appended.
+// ExecLauncher runs each shard worker as a subprocess that reads the spec
+// on its stdin and writes its partial on its stdout, which lands at
+// task.OutPath through a sibling temp file and a rename; stderr carries
+// progress and diagnostics. With Via nil the worker runs locally; with an
+// SSH or Kubectl transport the subprocess is the ssh or kubectl client and
+// the worker runs on a host or in a pod, with no shared filesystem needed.
 type ExecLauncher struct {
+	// Command is the worker argv prefix, e.g. {"bin/phi-bench"} or {"go",
+	// "run", "./cmd/phi-bench"}; the worker flags are appended. Under a
+	// transport it is the command where the worker runs (e.g.
+	// {"phi-bench"}, resolved by the remote PATH).
 	Command []string
 	// Dir, if set, is the subprocess working directory.
 	Dir string
 	// Env, if non-nil, replaces the inherited environment.
 	Env []string
-}
-
-// Launch runs the worker subprocess for task, killing it if ctx ends.
-func (l ExecLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) error {
-	if len(l.Command) == 0 {
-		return fmt.Errorf("distrib: ExecLauncher has no command")
-	}
-	args := append(append([]string(nil), l.Command[1:]...), WorkerArgs(task, false)...)
-	cmd := exec.CommandContext(ctx, l.Command[0], args...)
-	cmd.Dir = l.Dir
-	cmd.Env = l.Env
-	// The worker writes its artifact to task.OutPath itself; its stdout
-	// (per-cell tables) is operator noise here.
-	cmd.Stdout = io.Discard
-	cmd.Stderr = stderr
-	cmd.WaitDelay = waitDelay
-	if err := cmd.Run(); err != nil {
-		// A worker killed on ctx expiry surfaces as "signal: killed";
-		// report the ctx error instead so timeouts read as timeouts.
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("distrib: worker %s (shard %s): %w", l.Command[0], task.ShardArg(), err)
-	}
-	return nil
-}
-
-// RemoteLauncher launches shard workers on other machines with no shared
-// filesystem: the spec streams to the worker's stdin, the partial artifact
-// streams back on its stdout and is written to task.OutPath locally, and
-// stderr carries progress and diagnostics like any other launcher's. The
-// transports — an ssh session (SSH) or a fresh pod (Kubectl) — differ only
-// in the argv placed before Bin and the worker flags.
-type RemoteLauncher struct {
-	// Via builds each attempt's argv prefix: SSH or Kubectl.
+	// Via, if non-nil, is the transport the worker runs through: SSH or
+	// Kubectl. Nil runs the worker locally.
 	Via Transport
-	// Bin is the phi-bench executable where the worker runs (default
-	// "phi-bench", resolved by the remote PATH).
-	Bin string
 }
 
-// Transport is what RemoteLauncher runs a worker through.
+// Transport is what an ExecLauncher runs a worker through.
 type Transport interface {
 	// Prefix returns the argv placed before the worker command for task's
 	// attempt, and where the worker runs (a host or a pod) for errors.
 	Prefix(ctx context.Context, task Task) (argv []string, where string, err error)
 }
 
-// Launch runs task's worker through l.Via. Cancelling ctx interrupts the
-// transport rather than killing it, so ssh can close its session and
-// kubectl can delete its --rm pod; waitDelay later kills what is left.
-func (l RemoteLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) error {
-	if l.Via == nil {
-		return errors.New("distrib: RemoteLauncher has no transport")
+// Launch runs task's worker and lands its partial. Cancelling ctx kills a
+// local worker; a transport is interrupted instead, so ssh can close its
+// session and kubectl can delete its --rm pod, and waitDelay later kills
+// what is left. A worker that fails or is killed mid-stream leaves neither
+// the partial nor its temp file behind.
+func (l ExecLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) error {
+	if len(l.Command) == 0 {
+		return errors.New("distrib: ExecLauncher has no command")
 	}
-	prefix, where, err := l.Via.Prefix(ctx, task)
-	if err != nil {
-		return err
-	}
-	bin := l.Bin
-	if bin == "" {
-		bin = "phi-bench"
+	argv, where := l.Command, "this host"
+	if l.Via != nil {
+		prefix, host, err := l.Via.Prefix(ctx, task)
+		if err != nil {
+			return err
+		}
+		argv, where = append(prefix, l.Command...), host
 	}
 	spec, err := os.Open(task.SpecPath)
 	if err != nil {
@@ -152,16 +122,19 @@ func (l RemoteLauncher) Launch(ctx context.Context, task Task, stderr io.Writer)
 	}
 	defer spec.Close()
 	// Copy the artifact into a sibling temp file as it arrives and rename
-	// on success, so a connection dropped mid-transfer never leaves a
+	// on success, so a stream cut mid-transfer never leaves a
 	// plausible-looking partial behind for the validator to half-trust.
 	tmp := task.OutPath + ".tmp"
 	out, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("distrib: %w", err)
 	}
-	args := append(append(append([]string(nil), prefix[1:]...), bin), WorkerArgs(task, true)...)
-	cmd := exec.CommandContext(ctx, prefix[0], args...)
-	cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	cmd := exec.CommandContext(ctx, argv[0], append(argv[1:len(argv):len(argv)], WorkerArgs(task, true)...)...)
+	if l.Via != nil {
+		cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
+	}
+	cmd.Dir = l.Dir
+	cmd.Env = l.Env
 	cmd.Stdin = spec
 	cmd.Stdout = out
 	cmd.Stderr = stderr
@@ -172,12 +145,15 @@ func (l RemoteLauncher) Launch(ctx context.Context, task Task, stderr io.Writer)
 	}
 	if runErr != nil {
 		os.Remove(tmp)
+		// A worker killed on ctx expiry surfaces as "signal: killed";
+		// report the ctx error instead so timeouts read as timeouts.
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		return fmt.Errorf("distrib: worker on %s (shard %s): %w", where, task.ShardArg(), runErr)
+		return fmt.Errorf("distrib: worker %s on %s (shard %s): %w", l.Command[0], where, task.ShardArg(), runErr)
 	}
 	if err := os.Rename(tmp, task.OutPath); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("distrib: %w", err)
 	}
 	return nil
@@ -214,7 +190,7 @@ func (s SSH) Prefix(_ context.Context, task Task) ([]string, string, error) {
 
 // Kubectl runs each worker attempt in a fresh pod. Run without a TTY,
 // `kubectl run -i --rm --restart=Never` hands the container its stdin and
-// keeps its stdout and stderr apart, which is all RemoteLauncher needs;
+// keeps its stdout and stderr apart, which is all ExecLauncher needs;
 // --quiet keeps kubectl's own messages off stdout. The pod is named per
 // attempt, so a retry never collides with what a failed attempt left
 // behind, and the attempt's deadline rides into the pod as

@@ -15,8 +15,8 @@ type Options struct {
 	// Shards is the fan-out width K (required, >= 1): how many shard
 	// workers every submitted sweep is split across.
 	Shards int
-	// Launcher starts shard workers (required): ExecLauncher for local
-	// subprocesses, RemoteLauncher for ssh hosts or Kubernetes pods,
+	// Launcher starts shard workers (required): ExecLauncher for
+	// subprocesses, local or through an ssh or kubectl transport,
 	// LauncherFunc for in-process workers.
 	Launcher Launcher
 	// Dir is the working directory (required; the caller owns creation and
@@ -39,9 +39,10 @@ type Options struct {
 	MaxConcurrent int
 	// CheckpointEvery, when > 0, makes every shard worker checkpoint its
 	// partial every CheckpointEvery trials (phi-bench -checkpoint-out next
-	// to the shard's partial path), and makes the supervisor resume a
-	// relaunched shard from its newest valid checkpoint instead of
-	// recomputing from trial zero. 0 disables checkpointing.
+	// to the shard's partial path), and makes the supervisor bank a
+	// relaunched shard's newest valid checkpoint and launch only the rest
+	// of its plan instead of recomputing from trial zero. 0 disables
+	// checkpointing.
 	CheckpointEvery int
 	// StealInterval, when > 0, arms the straggler watchdog: every
 	// StealInterval the scheduler compares per-shard progress rates, and a

@@ -53,7 +53,7 @@ type Progress struct {
 // muxShard is one worker's latest progress sample: how many units it has
 // completed out of how many it intends to run. A plain worker's total is
 // the cell count; a checkpointing worker chunks its run and reports
-// chunks×cells; a resumed worker reports only its remaining work.
+// chunks×cells; a relaunched worker reports only the remainder it runs.
 type muxShard struct {
 	done, total int
 }
@@ -75,10 +75,6 @@ type progressMux struct {
 	// observe, when non-nil, taps every report — the straggler watchdog's
 	// feed. Set before workers launch; called outside the mux lock.
 	observe func(shard, done, total int)
-	// onResumed, when non-nil, receives trial counts salvaged by
-	// checkpoint resume (the job's trialsResumed counter). Set before
-	// workers launch.
-	onResumed func(trials int)
 }
 
 func newProgressMux(workers, cellsPerShard int, sink func(Progress)) *progressMux {
@@ -143,13 +139,6 @@ func (m *progressMux) reset(shard int) {
 		sh.total = m.cells
 	}
 	m.shards[shard] = sh
-}
-
-// addResumed credits trials salvaged by a checkpoint resume.
-func (m *progressMux) addResumed(trials int) {
-	if m.onResumed != nil && trials > 0 {
-		m.onResumed(trials)
-	}
 }
 
 // lineWriter buffers writes and hands complete lines to fn — the io.Writer

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// The remote launcher's fan-out behaviours — merges, retries, kills,
-// revalidation, tails — run in the conformance suite's SSH and Kubectl
-// legs. This file locks what the table does not see: the argv each
+// The exec launcher's fan-out behaviours through a transport — merges,
+// retries, kills, revalidation, tails — run in the conformance suite's SSH
+// and Kubectl legs. This file locks what the table does not see: the argv each
 // transport builds per attempt.
 
 // TestSSHHostRotation: retries must not be pinned to a possibly dead host
@@ -93,18 +93,19 @@ func TestKubectlArgv(t *testing.T) {
 	}
 }
 
-// TestRemoteLauncherValidation: an incoherent transport fails the attempt
-// before anything is started.
+// TestRemoteLauncherValidation: an exec launcher with no command or an
+// incoherent transport fails the attempt before anything is started.
 func TestRemoteLauncherValidation(t *testing.T) {
 	task := Task{Shard: 0, Count: 1, SpecPath: "/nonexistent", OutPath: "/nonexistent"}
+	bin := []string{"phi-bench"}
 	for _, tc := range []struct {
-		l    RemoteLauncher
+		l    ExecLauncher
 		want string
 	}{
-		{RemoteLauncher{}, "no transport"},
-		{RemoteLauncher{Via: SSH{}}, "no hosts"},
-		{RemoteLauncher{Via: Kubectl{}}, "no image"},
-		{RemoteLauncher{Via: SSH{Hosts: []string{"a"}}}, "nonexistent"},
+		{ExecLauncher{Via: SSH{Hosts: []string{"a"}}}, "no command"},
+		{ExecLauncher{Command: bin, Via: SSH{}}, "no hosts"},
+		{ExecLauncher{Command: bin, Via: Kubectl{}}, "no image"},
+		{ExecLauncher{Command: bin, Via: SSH{Hosts: []string{"a"}}}, "nonexistent"},
 	} {
 		if err := tc.l.Launch(context.Background(), task, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%+v: %v, want an error naming %q", tc.l, err, tc.want)

@@ -51,9 +51,9 @@ type JobStatus struct {
 	// (Total is K times the sweep's cell count, like Progress samples).
 	Done  int `json:"done"`
 	Total int `json:"total"`
-	// TrialsResumed counts cell-weighted trials salvaged from checkpoints
-	// when crashed/timed-out/preempted shards were relaunched — work the
-	// fleet did not have to redo.
+	// TrialsResumed counts cell-weighted trials the supervisor banked from
+	// checkpoints when crashed/timed-out/preempted shards were relaunched —
+	// work the fleet did not have to redo.
 	TrialsResumed int64 `json:"trialsResumed,omitempty"`
 	// TrialsStolen counts cell-weighted trials re-split off straggler
 	// shards onto idle slots by the progress-rate watchdog.
@@ -66,7 +66,6 @@ type JobStatus struct {
 // cancelling, and observing progress without disturbing sibling jobs.
 type Job struct {
 	id     string
-	dir    string
 	cancel context.CancelFunc
 	seal   func(*Job, *fleet.SweepResult) error
 
@@ -94,10 +93,6 @@ type Job struct {
 // ID returns the scheduler-assigned job identity.
 func (j *Job) ID() string { return j.id }
 
-// Dir returns the job's working directory — where its spec file and shard
-// partials live (the evidence trail of a failed job).
-func (j *Job) Dir() string { return j.dir }
-
 // Status snapshots the job.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
@@ -111,10 +106,6 @@ func (j *Job) Status() JobStatus {
 	}
 	return st
 }
-
-// addResumed accumulates the job's checkpoint-resume counter
-// (cell-weighted trials; see JobStatus). Safe from any goroutine.
-func (j *Job) addResumed(n int) { j.resumed.Add(int64(n)) }
 
 // Cancel stops the job: queued shards never launch, running workers are
 // killed. Sibling jobs are untouched — each job supervises its shards
@@ -332,7 +323,6 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 	jctx, jcancel := context.WithCancel(s.ctx)
 	job := &Job{
 		id:       id,
-		dir:      dir,
 		cancel:   jcancel,
 		seal:     seal,
 		state:    JobQueued,
@@ -371,11 +361,11 @@ const (
 )
 
 // shardRun is one worker of a job — a primary shard or a re-split child —
-// with its budget ticket and its lifecycle under the steal protocol. The
-// state machine is a single CAS point: the shard's own goroutine claims
-// running→finished when the shard concludes, the watchdog claims
-// running→stolen to take it over, and whoever loses abandons the outcome —
-// a shard's result is owned by exactly one side, never both.
+// with its budget ticket, its banks and its lifecycle under the steal
+// protocol. The state machine is a single CAS point: the shard's own
+// goroutine claims running→finished when the shard concludes, the watchdog
+// claims running→stolen to take it over, and whoever loses abandons the
+// outcome — a shard's result is owned by exactly one side, never both.
 type shardRun struct {
 	task   Task
 	key    int // progress-mux identity
@@ -383,6 +373,13 @@ type shardRun struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	state  atomic.Int32
+
+	// plan is the shard's whole plan; task.Plan is what the banks leave of
+	// it, the plan its next worker runs.
+	plan *fleet.ShardPlan
+	// banks are the checkpoints the supervisor loaded for the shard, in
+	// order: together they tile the prefix of plan that task.Plan follows.
+	banks []*fleet.SweepResult
 }
 
 const (
@@ -393,7 +390,7 @@ const (
 
 func newShardRun(parent context.Context, t Task, key int, tk *ticket) *shardRun {
 	ctx, cancel := context.WithCancel(parent)
-	return &shardRun{task: t, key: key, tk: tk, ctx: ctx, cancel: cancel}
+	return &shardRun{task: t, key: key, tk: tk, ctx: ctx, cancel: cancel, plan: t.Plan}
 }
 
 // finish is the shard's own claim on its outcome.
@@ -418,6 +415,7 @@ type jobRun struct {
 	opts Options // Logf never nil
 	mux  *progressMux
 	wd   *watchdog // nil when stealing is off
+	spec fleet.Sweep
 }
 
 // runJob supervises one job's fan-out to a terminal state.
@@ -426,7 +424,7 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 	// A finished job's context is released, so the scheduler's context
 	// holds no job that has ended.
 	defer job.cancel()
-	r := &jobRun{s: s, jctx: jctx, job: job, opts: s.opts}
+	r := &jobRun{s: s, jctx: jctx, job: job, opts: s.opts, spec: spec}
 	if logf := s.opts.Logf; logf != nil {
 		r.opts.Logf = func(format string, args ...any) { logf(logPrefix+format, args...) }
 	} else {
@@ -449,7 +447,6 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 		}
 	}
 	r.mux = newProgressMux(len(runs), len(spec.Cells())+len(spec.BeamCells()), sink)
-	r.mux.onResumed = job.addResumed
 	if r.opts.StealInterval > 0 && len(runs) > 1 {
 		r.wd = newWatchdog(stealFactor, r.opts.StealInterval)
 		r.mux.observe = func(key, done, total int) {
@@ -549,7 +546,7 @@ func (r *jobRun) run(sr *shardRun) (*fleet.SweepResult, *shardError) {
 		return nil, nil // job (or scheduler) cancelled while queued
 	}
 	r.job.markRunning()
-	part, ferr := superviseShard(sr.ctx, sr.task, r.opts, r.mux, sr.key)
+	part, ferr := r.supervise(sr)
 	r.s.budget.release()
 	if sr.finish() {
 		if r.wd != nil {
@@ -560,34 +557,31 @@ func (r *jobRun) run(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	return r.resplit(sr)
 }
 
-// resplit finishes a stolen straggler: its newest valid checkpoint banks
-// the prefix (losing zero completed trials), the remainder is split
-// stealWays ways across child workers drawing on the shared budget, and the
-// folded result is the straggler's partial — returned, and landed
-// atomically at its own partial path — so the job's merge is
-// byte-identical to the shard having run uninterrupted.
-// A checkpoint that already covers the whole plan leaves no children and
-// folds alone. Child partials use a .steal-* suffix (outside the
+// resplit finishes a stolen straggler: its newest valid checkpoint joins
+// the shard's banks (losing zero completed trials), what the banks leave
+// is split stealWays ways across child workers drawing on the shared
+// budget, and fold lands banks and children as the straggler's partial, so
+// the job's merge is byte-identical to the shard having run uninterrupted.
+// Banks that already cover the whole plan leave no children and fold
+// alone. Child partials use a .steal-* suffix (outside the
 // sweep-shard-*.json merge globs) and report progress under the keys
 // Count + Shard*stealWays + w, unique because a shard is stolen at most
 // once.
 func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
-	t := sr.task
+	t := &sr.task
 	// The straggler reports nothing more: close its tally at what it did,
 	// so the children's reports carry the rest of the job's progress.
 	r.mux.close(sr.key)
 	r.opts.Logf("shard %s: lagging the fleet median — cancelled at checkpoint, re-splitting", t.ShardArg())
-	spec, plan, work, ckpt, err := readCheckpoint(t)
-	if err != nil {
-		return nil, &shardError{task: t, err: fmt.Errorf("re-split: %w", err)}
-	}
-	stolen := cellTrials(spec, work)
+	r.bank(sr)
+	work := *t.Plan
+	stolen := r.cellTrials(work)
 	r.job.stolen.Add(int64(stolen))
 	var children []*shardRun
 	for w := 0; w < stealWays; w++ {
 		sub := fleet.ShardPlan{
-			Index:     plan.Index,
-			Count:     plan.Count,
+			Index:     work.Index,
+			Count:     work.Count,
 			Injection: work.Injection.Split(w, stealWays),
 			Beam:      work.Beam.Split(w, stealWays),
 		}
@@ -607,24 +601,17 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	if len(children) > 0 {
 		r.opts.Logf("shard %s: re-splitting %d remaining trials %d ways", t.ShardArg(), stolen, stealWays)
 	}
-	parts := make([]*fleet.SweepResult, len(children)+1)
-	parts[0] = ckpt
-	errs := r.runAll(children, func(i int, p *fleet.SweepResult) { parts[i+1] = p })
+	parts := make([]*fleet.SweepResult, len(children))
+	errs := r.runAll(children, func(i int, p *fleet.SweepResult) { parts[i] = p })
 	if r.jctx.Err() != nil {
 		return nil, nil // job cancelled; not this shard's failure
 	}
 	if len(errs) > 0 {
 		return nil, errs[0]
 	}
-	if ckpt == nil {
-		parts = parts[1:]
-	}
-	full, err := fleet.MergeShardPartials(plan, parts...)
+	full, err := r.fold(sr, parts)
 	if err != nil {
-		return nil, &shardError{task: t, err: fmt.Errorf("re-split fold: %w", err)}
-	}
-	if err := full.WriteFileAtomic(t.OutPath); err != nil {
-		return nil, &shardError{task: t, err: err}
+		return nil, &shardError{task: *t, err: fmt.Errorf("re-split fold: %w", err)}
 	}
 	for _, c := range children {
 		os.Remove(c.task.OutPath)

@@ -75,7 +75,7 @@ func TestSchedulerFIFOUnderOneSlot(t *testing.T) {
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatalf("job %s: %v", j.ID(), err)
 		}
-		base := filepath.Base(j.Dir())
+		base := j.ID()
 		for k := 0; k < shards; k++ {
 			want = append(want, base+"/"+Task{Shard: k, Count: shards}.ShardArg())
 		}
@@ -180,7 +180,7 @@ func TestSchedulerCancelQueuedJobFreesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := <-started; got != filepath.Base(holder.Dir()) {
+	if got := <-started; got != holder.ID() {
 		t.Fatalf("first slot went to %s", got)
 	}
 	queued, err := sched.Submit(spec, nil, nil)
@@ -202,8 +202,8 @@ func TestSchedulerCancelQueuedJobFreesNothing(t *testing.T) {
 	if _, err := last.Wait(context.Background()); err != nil {
 		t.Fatalf("job behind an abandoned ticket never ran: %v", err)
 	}
-	if got := <-started; got != filepath.Base(last.Dir()) {
-		t.Fatalf("freed slot went to %s, want %s", got, filepath.Base(last.Dir()))
+	if got := <-started; got != last.ID() {
+		t.Fatalf("freed slot went to %s, want %s", got, last.ID())
 	}
 }
 

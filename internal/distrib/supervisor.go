@@ -65,21 +65,20 @@ func Run(ctx context.Context, spec fleet.Sweep, opts Options) (*fleet.SweepResul
 	return res, err
 }
 
-// superviseShard drives one shard through its attempt budget. A partial
-// means it landed and validated, and is the value validation decoded; a
-// shardError is a permanent failure. A shard aborted because the whole job
-// was cancelled is neither: both are nil. key
-// is the task's progress-mux identity — the shard index for primary
-// workers, a key past the primaries for a re-split straggler's children.
-// opts.Logf must be non-nil.
+// supervise drives one shard through its attempt budget. A partial means
+// it landed and validated, and is the value validation decoded (folded
+// with the shard's banks when it has any); a shardError is a permanent
+// failure. A shard aborted because the whole job was cancelled is neither:
+// both are nil.
 //
 // When the task checkpoints (CheckpointPath set), every relaunch first
-// looks for a valid checkpoint from the failed attempt: if one covers a
-// non-empty prefix of the shard's plan, the new attempt resumes from it —
-// identical failure classification, strictly fewer recomputed trials.
-func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux, key int) (*fleet.SweepResult, *shardError) {
+// banks the checkpoint the failed attempt left (bank), so the new attempt
+// is launched on only the remainder of the shard's plan: identical failure
+// classification, strictly fewer recomputed trials.
+func (r *jobRun) supervise(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	tail := &tailBuffer{max: tailBytes}
-	logf := opts.Logf
+	logf := r.opts.Logf
+	t := &sr.task
 	if t.CheckpointPath != "" {
 		// A checkpoint left by an earlier fan-out in the same directory
 		// must not masquerade as this run's progress.
@@ -87,26 +86,27 @@ func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux,
 	}
 	for attempt := 0; ; attempt++ {
 		t.Attempt = attempt
-		t.ResumeFrom = ""
 		if attempt > 0 {
-			mux.reset(key)
+			r.mux.reset(sr.key)
 			if t.CheckpointPath != "" {
-				if salvaged, ok := resumableTrials(t); ok {
-					t.ResumeFrom = t.CheckpointPath
-					mux.addResumed(salvaged)
-					logf("shard %s: resuming from checkpoint %s (%d trials already banked)",
-						t.ShardArg(), t.CheckpointPath, salvaged)
+				if banked := r.bank(sr); banked > 0 {
+					r.job.resumed.Add(int64(banked))
+					logf("shard %s: banked %d trials from checkpoint %s, relaunching on the rest",
+						t.ShardArg(), banked, t.CheckpointPath)
 				}
 			}
-			delay := backoffDelay(opts.Backoff, attempt)
-			logf("shard %s: retry %d/%d in %s", t.ShardArg(), attempt, opts.Retries, delay)
-			if sleepCtx(ctx, delay) != nil {
+			delay := backoffDelay(r.opts.Backoff, attempt)
+			logf("shard %s: retry %d/%d in %s", t.ShardArg(), attempt, r.opts.Retries, delay)
+			if sleepCtx(sr.ctx, delay) != nil {
 				return nil, nil // job cancelled while backing off
 			}
 		} else {
 			logf("shard %s: launching", t.ShardArg())
 		}
-		part, err := launchOnce(ctx, t, opts, mux, key, tail)
+		part, err := launchOnce(sr.ctx, *t, r.opts, r.mux, sr.key, tail)
+		if err == nil && len(sr.banks) > 0 {
+			part, err = r.fold(sr, []*fleet.SweepResult{part})
+		}
 		if err == nil {
 			logf("shard %s: partial validated (%s)", t.ShardArg(), t.OutPath)
 			if t.CheckpointPath != "" {
@@ -114,52 +114,58 @@ func superviseShard(ctx context.Context, t Task, opts Options, mux *progressMux,
 			}
 			return part, nil
 		}
-		if ctx.Err() != nil {
+		if sr.ctx.Err() != nil {
 			// The job is shutting down; the abort is not this shard's
 			// fault and retrying against a dead context is pointless.
 			return nil, nil
 		}
 		logf("shard %s: attempt %d failed: %v", t.ShardArg(), attempt+1, err)
-		if attempt >= opts.Retries {
-			return nil, &shardError{task: t, err: err, tail: tail.String()}
+		if attempt >= r.opts.Retries {
+			return nil, &shardError{task: *t, err: err, tail: tail.String()}
 		}
 	}
 }
 
-// resumableTrials reports how many cell-weighted trials the task's valid
-// checkpoint banks; ok is false when there is nothing valid to resume and
-// the attempt recomputes from zero.
-func resumableTrials(t Task) (int, bool) {
-	spec, _, _, ck, err := readCheckpoint(t)
-	if err != nil || ck == nil {
-		return 0, false
+// bank loads the shard's newest checkpoint, once, appends it to the
+// shard's banks and narrows the task's plan to what the banks leave; it
+// returns the cell-weighted trials the checkpoint added. A checkpoint that
+// cannot be read banks nothing and the shard recomputes all the banks
+// leave, said in one line naming the path: on an ssh host or in a pod the
+// checkpoint is written where the worker runs, out of the supervisor's
+// reach.
+func (r *jobRun) bank(sr *shardRun) int {
+	t := &sr.task
+	ck, rest, err := fleet.LoadCheckpoint(t.CheckpointPath, r.spec, *t.Plan)
+	if err != nil {
+		r.opts.Logf("shard %s: no readable checkpoint at %s, recomputing the %d trials its banks leave",
+			t.ShardArg(), t.CheckpointPath, r.cellTrials(*t.Plan))
+		return 0
 	}
-	salvaged := cellTrials(spec, *ck.Shard)
-	return salvaged, salvaged > 0
+	// Banked: the next attempt checkpoints its own remainder, and this
+	// checkpoint must not be read against it.
+	os.Remove(t.CheckpointPath)
+	sr.banks, t.Plan = append(sr.banks, ck), &rest
+	return r.cellTrials(*ck.Shard)
 }
 
-// readCheckpoint reads the task's spec and loads its checkpoint against the
-// task's plan: ck is the banked partial and rest the plan past it, or ck is
-// nil and rest the whole plan when no valid checkpoint is on disk. err
-// reports only a spec that cannot be read.
-func readCheckpoint(t Task) (spec fleet.Sweep, plan, rest fleet.ShardPlan, ck *fleet.SweepResult, err error) {
-	if spec, err = fleet.ReadSpecFile(t.SpecPath); err != nil {
-		return
+// fold folds the shard's banks and the partials computed past them into
+// the partial of the shard's whole plan, one MergeShardPartials that checks
+// every piece tiles the plan, and lands it atomically at the shard's
+// partial path: the one fold a relaunched and a stolen shard share, so the
+// job's merge reads the shard as if it had run uninterrupted.
+func (r *jobRun) fold(sr *shardRun, parts []*fleet.SweepResult) (*fleet.SweepResult, error) {
+	full, err := fleet.MergeShardPartials(*sr.plan, append(parts, sr.banks...)...)
+	if err != nil {
+		return nil, err
 	}
-	plan, rest = *t.Plan, *t.Plan
-	if t.CheckpointPath != "" {
-		if c, r, lerr := fleet.LoadCheckpoint(t.CheckpointPath, spec, plan); lerr == nil {
-			ck, rest = c, r
-		}
-	}
-	return
+	return full, full.WriteFileAtomic(sr.task.OutPath)
 }
 
 // cellTrials counts a plan's cell-weighted trials: injection trials ×
 // injection cells + beam runs × beam cells, the unit of the trialsResumed
 // and trialsStolen counters.
-func cellTrials(spec fleet.Sweep, p fleet.ShardPlan) int {
-	return p.Injection.N*len(spec.Cells()) + p.Beam.N*len(spec.BeamCells())
+func (r *jobRun) cellTrials(p fleet.ShardPlan) int {
+	return p.Injection.N*len(r.spec.Cells()) + p.Beam.N*len(r.spec.BeamCells())
 }
 
 // launchOnce runs one attempt: stale-partial removal, launch under the

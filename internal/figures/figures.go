@@ -21,8 +21,10 @@ import (
 	"phirel/internal/state"
 )
 
-// Scale selects campaign sizes: Quick for tests/benches, Full for the cmd
-// tools (paper-grade sample counts).
+// Scale sizes the campaigns BeamResults and CampaignResults run. Quick is
+// the one size in use: the figure benchmarks and the tests run at it; the
+// paper-grade sweeps (>= 10,000 injections per cell) run through phi-bench
+// -sweep and phi-fleet, not through this package.
 type Scale struct {
 	BeamRuns   int
 	Injections int
@@ -34,12 +36,6 @@ type Scale struct {
 // Quick is sized for CI: minutes of wall time, CIs of several percent.
 func Quick() Scale {
 	return Scale{BeamRuns: 6000, Injections: 600, Workers: 8, Seed: 1701, BenchSeed: 1}
-}
-
-// Full approaches the paper's precision (>=10,000 injections; >=100
-// SDC/DUE events per benchmark in the beam).
-func Full() Scale {
-	return Scale{BeamRuns: 40000, Injections: 10000, Workers: 8, Seed: 1701, BenchSeed: 1}
 }
 
 // BeamResults runs the beam campaign for the five beam benchmarks through

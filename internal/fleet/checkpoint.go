@@ -10,12 +10,13 @@ import (
 // Checkpoint/resume at trial-range granularity. A checkpoint is an ordinary
 // shard partial (written atomically, readable by ReadShardFile) whose plan
 // ranges are a contiguous prefix of the shard's plan: the trials completed
-// so far. Resuming is therefore pure range algebra — ResumePlan subtracts
-// the checkpointed prefix, the worker runs only the remainder, and
+// so far. Resuming is therefore pure range algebra — LoadCheckpoint
+// subtracts the checkpointed prefix, a worker runs only the remainder, and
 // MergeShardPartials folds prefix and remainder back into one partial
 // indistinguishable from an uninterrupted run. The same fold also serves
 // straggler re-splitting: a cancelled shard's checkpoint plus the stolen
-// sub-ranges tile its plan exactly.
+// sub-ranges tile its plan exactly. The reader is the fan-out supervisor;
+// a worker only writes checkpoints.
 
 // WriteFileAtomic writes the result to path via a sibling temp file and a
 // rename, so a concurrent reader (or a crash mid-write) never observes a
@@ -34,12 +35,12 @@ func (r *SweepResult) WriteFileAtomic(path string) error {
 	return nil
 }
 
-// ResumePlan subtracts a checkpointed prefix from a shard plan: done must
+// resumePlan subtracts a checkpointed prefix from a shard plan: done must
 // sit at plan's position and cover a (possibly empty) prefix of each of
 // plan's trial ranges, and the returned plan is what remains to compute.
 // The pair (done, remainder) tiles plan exactly, so partials for the two
 // fold back with MergeShardPartials into the full shard partial.
-func ResumePlan(plan, done ShardPlan) (ShardPlan, error) {
+func resumePlan(plan, done ShardPlan) (ShardPlan, error) {
 	if done.Index != plan.Index || done.Count != plan.Count {
 		return ShardPlan{}, fmt.Errorf("fleet: checkpoint is for shard %s, plan is shard %s", done, plan)
 	}
@@ -107,7 +108,7 @@ func MergeShardPartials(plan ShardPlan, parts ...*SweepResult) (*SweepResult, er
 // LoadCheckpoint reads a checkpoint artifact and validates it against the
 // sweep and shard plan it claims to prefix: it must be a shard partial at
 // plan's position, recording the same normalized spec (Workers and Progress
-// are execution details), its ranges must be a prefix of plan's (ResumePlan
+// are execution details), its ranges must be a prefix of plan's (resumePlan
 // computes the remainder), and its cell grid must match the spec's with a
 // result present wherever the checkpointed range is non-empty. It returns
 // the checkpoint partial and the remainder plan still to compute. Any
@@ -123,7 +124,7 @@ func LoadCheckpoint(path string, spec Sweep, plan ShardPlan) (*SweepResult, Shar
 	if !reflect.DeepEqual(want, ck.Spec.identity()) {
 		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s was written for a different sweep spec", path)
 	}
-	rest, err := ResumePlan(plan, *ck.Shard)
+	rest, err := resumePlan(plan, *ck.Shard)
 	if err != nil {
 		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
 	}
@@ -155,25 +156,20 @@ func LoadCheckpoint(path string, spec Sweep, plan ShardPlan) (*SweepResult, Shar
 }
 
 // Checkpoint configures RunPlanCheckpointed: where periodic checkpoints
-// land, how often, and what (if anything) to resume from.
+// land and how often.
 type Checkpoint struct {
 	// Out is the checkpoint artifact path (written atomically after every
 	// chunk except the last; readable by ReadShardFile). Empty disables
 	// checkpoint writes, and with them chunking.
 	Out string
-	// Every is the checkpoint cadence in trials: the work left after any
-	// resume is cut into ceil(span/Every) chunks, span being the larger of
-	// its injection and beam extents, and a checkpoint lands between chunks.
+	// Every is the checkpoint cadence in trials: the plan is cut into
+	// ceil(span/Every) chunks, span being the larger of its injection and
+	// beam extents, and a checkpoint lands between chunks.
 	// <= 0 disables chunking. Chunks cost their trials only: all of them
 	// run on one runner list, so golden runs do not multiply with them.
 	Every int
-	// Resume, when non-empty, names a checkpoint to resume from. A missing,
-	// corrupt, truncated or plan-mismatched checkpoint is logged and
-	// ignored — the run degrades to the full plan, it never fails or
-	// poisons the result.
-	Resume string
-	// Logf, when non-nil, receives resume and degradation diagnostics and
-	// one line for every checkpoint write that fails.
+	// Logf, when non-nil, receives one line for every checkpoint write
+	// that fails.
 	Logf func(format string, args ...any)
 	// OnCheckpoint, when non-nil, is called after each checkpoint artifact
 	// has landed, with the plan prefix the artifact covers. It is not
@@ -185,13 +181,13 @@ type Checkpoint struct {
 // plan, the full grid of both cell kinds each restricted to plan's trial
 // ranges, in checkpoint-cadence chunks. After each chunk the folded prefix
 // partial is written atomically to ck.Out, so a killed worker leaves behind
-// a valid artifact covering the contiguous trial prefix it completed. With
-// ck.Resume set the run first subtracts a previous attempt's checkpoint and
-// computes only the remainder. A checkpoint write that fails is logged and
-// the run goes on: it costs resumability, not correctness. With an empty
-// Checkpoint it is one chunk, a plain run (RunPlan). The returned result is
-// bit-identical — struct and JSON — whatever the Checkpoint: chunking,
-// checkpointing and resuming are pure execution detail.
+// a valid artifact covering the contiguous trial prefix it completed; a
+// relaunch runs the remainder LoadCheckpoint leaves as a plan of its own. A
+// checkpoint write that fails is logged and the run goes on: it costs
+// resumability, not correctness. With an empty Checkpoint it is one chunk,
+// a plain run (RunPlan). The returned result is bit-identical — struct and
+// JSON — whatever the Checkpoint: chunking and checkpointing are pure
+// execution detail.
 func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Checkpoint) (*SweepResult, error) {
 	if err := s.CheckPlan(plan); err != nil {
 		return nil, err
@@ -201,26 +197,7 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 		logf = func(string, ...any) {}
 	}
 	var acc *SweepResult
-	work := plan
-	if ck.Resume != "" {
-		part, rest, err := LoadCheckpoint(ck.Resume, s, plan)
-		if err != nil {
-			logf("checkpoint %s unusable, running the full plan: %v", ck.Resume, err)
-		} else {
-			acc, work = part, rest
-			logf("shard %s resuming from checkpoint: %d injection + %d beam trials already done, %d + %d to run",
-				plan, part.Shard.Injection.N, part.Shard.Beam.N, rest.Injection.N, rest.Beam.N)
-		}
-	}
-	if acc != nil && work.Injection.Empty() && work.Beam.Empty() {
-		// The checkpoint already covers the whole plan; fold it alone to
-		// re-tag and revalidate it as the full shard partial.
-		return MergeShardPartials(plan, acc)
-	}
-	span := work.Injection.N
-	if work.Beam.N > span {
-		span = work.Beam.N
-	}
+	span := max(plan.Injection.N, plan.Beam.N)
 	chunks := 1
 	if ck.Out != "" && ck.Every > 0 && span > ck.Every {
 		chunks = (span + ck.Every - 1) / ck.Every
@@ -234,8 +211,8 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 		chunkPlans[c] = &ShardPlan{
 			Index:     plan.Index,
 			Count:     plan.Count,
-			Injection: work.Injection.Split(c, chunks),
-			Beam:      work.Beam.Split(c, chunks),
+			Injection: plan.Injection.Split(c, chunks),
+			Beam:      plan.Beam.Split(c, chunks),
 		}
 	}
 	rs := s.newRunners(chunkPlans...)
@@ -245,7 +222,7 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 		s2 := s
 		if progress != nil && chunks > 1 {
 			// Progress must read as one continuous run, not restart per
-			// chunk: report cells-completed across all fresh chunks.
+			// chunk: report cells-completed across all chunks.
 			cc := c
 			s2.Progress = func(done, total int) {
 				progress(cc*total+done, chunks*total)

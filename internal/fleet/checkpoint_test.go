@@ -83,13 +83,13 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestResumePlanAlgebra(t *testing.T) {
 	plan := ShardPlan{Index: 1, Count: 3, Injection: TrialRange{Offset: 4, N: 6}, Beam: TrialRange{Offset: 10, N: 8}}
 	// An empty checkpoint leaves the full plan to run.
-	rest, err := ResumePlan(plan, ShardPlan{Index: 1, Count: 3})
+	rest, err := resumePlan(plan, ShardPlan{Index: 1, Count: 3})
 	if err != nil || rest != plan {
 		t.Fatalf("empty checkpoint: %+v, %v", rest, err)
 	}
 	// A proper prefix leaves exactly the suffix.
 	done := ShardPlan{Index: 1, Count: 3, Injection: TrialRange{Offset: 4, N: 2}, Beam: TrialRange{Offset: 10, N: 5}}
-	rest, err = ResumePlan(plan, done)
+	rest, err = resumePlan(plan, done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestResumePlanAlgebra(t *testing.T) {
 		t.Fatalf("remainder %+v, want %+v", rest, want)
 	}
 	// A complete checkpoint leaves empty ranges at the plan's ends.
-	rest, err = ResumePlan(plan, plan)
+	rest, err = resumePlan(plan, plan)
 	if err != nil || !rest.Injection.Empty() || !rest.Beam.Empty() {
 		t.Fatalf("full checkpoint remainder %+v, %v", rest, err)
 	}
@@ -114,7 +114,7 @@ func TestResumePlanAlgebra(t *testing.T) {
 		"beam non-prefix":  {Index: 1, Count: 3, Beam: TrialRange{Offset: 12, N: 2}},
 		"beam overrunning": {Index: 1, Count: 3, Beam: TrialRange{Offset: 10, N: 9}},
 	} {
-		if _, err := ResumePlan(plan, done); err == nil {
+		if _, err := resumePlan(plan, done); err == nil {
 			t.Fatalf("%s: accepted checkpoint %+v", name, done)
 		}
 	}
@@ -130,7 +130,7 @@ func TestMergeShardPartialsFoldsAndValidates(t *testing.T) {
 		pre := ShardPlan{Index: plan.Index, Count: plan.Count,
 			Injection: TrialRange{Offset: plan.Injection.Offset, N: injAt},
 			Beam:      TrialRange{Offset: plan.Beam.Offset, N: beamAt}}
-		rest, err := ResumePlan(plan, pre)
+		rest, err := resumePlan(plan, pre)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,11 +305,12 @@ func TestRunPlanCheckpointedEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunPlanCheckpointedKillResume is the single-shard preemption story: a
-// worker dies right after a checkpoint lands, the relaunch resumes from it,
-// and the final artifact is byte-identical to never having died. A relaunch
-// pointed at garbage degrades to recomputing the full plan with the same
-// final bytes.
+// TestRunPlanCheckpointedKillResume is the single-shard preemption story as
+// the supervisor tells it: a worker dies right after a checkpoint lands, the
+// checkpoint is loaded once and banked, a relaunch runs only the remainder
+// as a plan of its own, and bank and remainder fold to the bytes of never
+// having died. A checkpoint that is garbage does not load, and the relaunch
+// recomputes the full plan with the same final bytes.
 func TestRunPlanCheckpointedKillResume(t *testing.T) {
 	dir := t.TempDir()
 	s := ckptSweep()
@@ -339,56 +340,55 @@ func TestRunPlanCheckpointedKillResume(t *testing.T) {
 		t.Fatalf("kill point not mid-plan: %d salvaged, %d remaining", salvaged, remaining)
 	}
 
-	var resumeLogged bool
-	res, err := s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
-		Resume: ckPath,
-		Logf: func(format string, _ ...any) {
-			if strings.Contains(format, "resuming") {
-				resumeLogged = true
-			}
-		},
+	// The relaunch runs the remainder alone, checkpointing its own prefix
+	// (a plan that starts mid-shard), and knows nothing of the bank.
+	var restCovered []ShardPlan
+	tail, err := s.RunPlanCheckpointed(context.Background(), rest, Checkpoint{
+		Out: filepath.Join(dir, "rest.ckpt"), Every: 2,
+		OnCheckpoint: func(c ShardPlan) { restCovered = append(restCovered, c) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumeLogged {
-		t.Fatal("resume did not use the checkpoint")
+	if *tail.Shard != rest {
+		t.Fatalf("relaunch ran %+v, want the remainder %+v", *tail.Shard, rest)
+	}
+	for _, c := range restCovered {
+		if c.Injection.Offset != rest.Injection.Offset || c.Beam.Offset != rest.Beam.Offset {
+			t.Fatalf("remainder checkpoint %+v is not a prefix of the remainder %+v", c, rest)
+		}
+	}
+	res, err := MergeShardPartials(plan, ck, tail)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(monoJSON, artifactJSON(t, res)) {
-		t.Fatal("resumed artifact not byte-identical to the unkilled run")
+		t.Fatal("bank + remainder not byte-identical to the unkilled run")
 	}
 
-	// Garbage in the resume slot degrades to a clean full-plan run.
+	// Garbage at the checkpoint path does not load; the full plan reruns.
 	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var degraded bool
-	res, err = s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
-		Resume: bad,
-		Logf: func(format string, _ ...any) {
-			if strings.Contains(format, "unusable") {
-				degraded = true
-			}
-		},
-	})
+	if _, _, err := LoadCheckpoint(bad, s, plan); err == nil {
+		t.Fatal("garbage checkpoint loaded")
+	}
+	res, err = s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{Out: bad, Every: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !degraded {
-		t.Fatal("garbage checkpoint did not log a degradation")
-	}
 	if !bytes.Equal(monoJSON, artifactJSON(t, res)) {
-		t.Fatal("degraded run not byte-identical to the unkilled run")
+		t.Fatal("full rerun not byte-identical to the unkilled run")
 	}
 }
 
 // TestCheckpointResumeProperty drives the elastic seam through hundreds of
 // random (plan, checkpoint-cadence, kill-point) triples. For every triple
 // the chunk tiling is checked gap/overlap-free and trial-conserving by pure
-// range algebra, and the kill-at-checkpoint → resume cycle is executed for
-// real: the resumed result must be DeepEqual and byte-equal to the unkilled
-// run of the same plan.
+// range algebra, and the supervisor's kill-at-checkpoint → bank → remainder
+// → fold cycle is executed for real: the folded result must be DeepEqual
+// and byte-equal to the unkilled run of the same plan.
 func TestCheckpointResumeProperty(t *testing.T) {
 	iters := 500
 	if testing.Short() {
@@ -455,7 +455,7 @@ func TestCheckpointResumeProperty(t *testing.T) {
 			covered := ShardPlan{Index: plan.Index, Count: plan.Count,
 				Injection: TrialRange{Offset: plan.Injection.Offset, N: inj.End() - plan.Injection.Offset},
 				Beam:      TrialRange{Offset: plan.Beam.Offset, N: beam.End() - plan.Beam.Offset}}
-			rest, err := ResumePlan(plan, covered)
+			rest, err := resumePlan(plan, covered)
 			if err != nil {
 				t.Fatalf("iter %d: chunk %d boundary not resumable: %v", it, c, err)
 			}
@@ -492,13 +492,20 @@ func TestCheckpointResumeProperty(t *testing.T) {
 				t.Fatalf("iter %d: killed run reported success", it)
 			}
 		}
-		ck := Checkpoint{Out: ckPath, Every: every}
-		if _, statErr := os.Stat(ckPath); statErr == nil {
-			ck.Resume = ckPath
-		}
-		res, err := s.RunPlanCheckpointed(context.Background(), plan, ck)
+		var res *SweepResult
+		bank, rest, err := LoadCheckpoint(ckPath, s, plan)
 		if err != nil {
-			t.Fatalf("iter %d: resume failed: %v", it, err)
+			// Nothing banked (one chunk, no checkpoint): the full plan.
+			bank, rest = nil, plan
+		}
+		tail, err := s.RunPlanCheckpointed(context.Background(), rest, Checkpoint{Out: ckPath, Every: every})
+		if err != nil {
+			t.Fatalf("iter %d: remainder failed: %v", it, err)
+		}
+		if res = tail; bank != nil {
+			if res, err = MergeShardPartials(plan, bank, tail); err != nil {
+				t.Fatalf("iter %d: bank + remainder fold: %v", it, err)
+			}
 		}
 		if !reflect.DeepEqual(want.res, res) {
 			t.Fatalf("iter %d: resumed result differs from the unkilled run (plan %+v, every %d)", it, plan, every)

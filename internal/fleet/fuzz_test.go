@@ -152,7 +152,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			ck.Shard.Beam.N+rest.Beam.N != plan.Beam.N {
 			t.Fatalf("accepted checkpoint loses trials: ck %+v rest %+v plan %+v", ck.Shard, rest, plan)
 		}
-		if re, err := ResumePlan(plan, *ck.Shard); err != nil || re != rest {
+		if re, err := resumePlan(plan, *ck.Shard); err != nil || re != rest {
 			t.Fatalf("accepted checkpoint not re-derivable: %+v vs %+v (%v)", re, rest, err)
 		}
 		// And it must fold without error when it covers the whole plan.

@@ -22,14 +22,20 @@ func (r *SweepResult) WriteJSON(w io.Writer) error {
 
 // ReadJSON deserialises a sweep result written by WriteJSON. A truncated
 // stream (an interrupted phi-bench, a half-uploaded artifact) is reported
-// as such instead of surfacing a bare syntax error.
+// as such instead of surfacing a bare syntax error, and so is anything
+// after the artifact: a worker that streams its partial on stdout must
+// write nothing else there.
 func ReadJSON(r io.Reader) (*SweepResult, error) {
 	var out SweepResult
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&out); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("fleet: sweep JSON is truncated or empty: %w", err)
 		}
 		return nil, fmt.Errorf("fleet: decode sweep: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("fleet: sweep JSON is followed by other data")
 	}
 	return &out, nil
 }

@@ -180,7 +180,15 @@ func TestRunnersGoldenRunCount(t *testing.T) {
 		t.Fatal("killed run reported success")
 	}
 	res, err := run("resumed run", 0, func() (*SweepResult, error) {
-		return s.RunPlanCheckpointed(context.Background(), plan, Checkpoint{Out: ckPath, Every: 1, Resume: ckPath})
+		bank, rest, err := LoadCheckpoint(ckPath, s, plan)
+		if err != nil {
+			return nil, err
+		}
+		tail, err := s.RunPlanCheckpointed(context.Background(), rest, Checkpoint{Out: ckPath, Every: 1})
+		if err != nil {
+			return nil, err
+		}
+		return MergeShardPartials(plan, bank, tail)
 	}, keys...)
 	if err != nil {
 		t.Fatal(err)
