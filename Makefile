@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: build test race vet fusion-check fmt docs-check sweep bench-smoke benchmark-smoke \
 	worker-bin fleet-check fleet-demo host-check nightly-sweep \
-	nightly-trend cover fuzz serve-check ci pairs
+	nightly-trend cover fuzz serve-check ci pairs loc
 
 # The exact PR-gating sequence CI runs, as one local command. cover re-runs
 # the covered packages with coverage instrumentation (a different build
@@ -154,6 +154,16 @@ pairs:
 		done; \
 	done; \
 	jq -rs --slurpfile bench BENCHMARK.json "$$PAIRS_TABLE" $(PAIRS_DIR)/runs.jsonl
+
+# Counts the Go lines of the root module, benchmark/ excluded, apart for
+# non-test and test files: the size the ROADMAP tracks. Files git ignores
+# (the copies under pairs-work/, say) are not counted; new files are. It
+# gates nothing, so ci does not run it.
+loc:
+	@files=$$(git ls-files -co --exclude-standard '*.go') || exit 1; \
+	files=$$(echo "$$files" | grep -v '^benchmark/' | while read -r f; do [ ! -e "$$f" ] || echo "$$f"; done); \
+	echo "non-test Go: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l) lines"; \
+	echo "test Go: $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"
 
 vet:
 	$(GO) vet ./...

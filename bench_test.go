@@ -235,7 +235,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 		if i == 0 {
 			trials = float64(8 * len(res.Cells))
 			fmt.Fprintf(os.Stderr, "fleet: %d cells, %d benchmarks merged\n",
-				len(res.Cells), len(res.Merged()))
+				len(res.Cells), len(res.MergedFor(state.ByFrameThenVariable)))
 		}
 	}
 	reportTrials(b, trials)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	carol-fi [-bench NAME|all] [-n 10000] [-models Single,Double,Random,Zero]
+//	carol-fi [-bench NAME,...|all] [-n 10000] [-models Single,Double,Random,Zero]
 //	         [-policy by-frame|by-variable|by-bytes] [-seed N] [-workers N]
 //	         [-out logs.jsonl] [-regions]
 package main

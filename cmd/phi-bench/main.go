@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	phi-bench [-bench all] [-seed 1] [-reps 3]
-//	phi-bench -sweep [-n 600] [-models Single,Double,Random,Zero]
+//	phi-bench [-bench all|DGEMM,LUD,...] [-seed 1] [-reps 3]
+//	phi-bench -sweep [-bench all|DGEMM,LUD,...] [-n 600] [-models Single,Double,Random,Zero]
 //	          [-policies by-frame] [-campaign-seed 1701] [-workers 8]
 //	          [-beam-runs 6000] [-beam-devices KNC3120A] [-beam-ecc-ablation]
 //	          [-shard k/K] [-out sweep.json] [-monitor-jsonl mon.jsonl]

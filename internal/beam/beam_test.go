@@ -126,7 +126,7 @@ func TestBeamStreamMatchesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &shard{byPattern: map[analysis.Pattern]int{}}
+	sh := &shard{counts: Result{SDCByPattern: map[analysis.Pattern]int{}}}
 	var relErrs []float64
 	for i, rec := range recs {
 		if rec.Seq != i || rec.Benchmark != "DGEMM" {
@@ -137,8 +137,8 @@ func TestBeamStreamMatchesRecords(t *testing.T) {
 			relErrs = append(relErrs, rec.MaxRelErr)
 		}
 	}
-	if sh.outcomes != res.Outcomes || sh.corrected != res.CorrectedByECC ||
-		!reflect.DeepEqual(sh.byPattern, res.SDCByPattern) || !reflect.DeepEqual(relErrs, res.RelErrs) {
+	if sh.counts.Outcomes != res.Outcomes || sh.counts.CorrectedByECC != res.CorrectedByECC ||
+		!reflect.DeepEqual(sh.counts.SDCByPattern, res.SDCByPattern) || !reflect.DeepEqual(relErrs, res.RelErrs) {
 		t.Fatalf("observed records re-tally to %+v, campaign says %+v", sh, res)
 	}
 	if res.Outcomes.SDC == 0 {

@@ -159,9 +159,8 @@ func (r Record) PatternOf() analysis.Pattern {
 // shard is one worker's private aggregation state; the engine merges the
 // shards after its pool drains, so no locks and O(workers) campaign memory.
 type shard struct {
-	outcomes  core.OutcomeCounts
-	corrected int
-	byPattern map[analysis.Pattern]int
+	// counts holds the shard's Outcomes, CorrectedByECC and SDCByPattern.
+	counts Result
 	// relErrs carries Seq so the merged Result's Figure 3 series has one
 	// deterministic order regardless of worker count.
 	relErrs []seqErr
@@ -175,14 +174,14 @@ type seqErr struct {
 // fold tallies one record into the shard.
 func (s *shard) fold(rec Record) {
 	o := rec.OutcomeOf()
-	s.outcomes.Add(o)
+	s.counts.Outcomes.Add(o)
 	switch o {
 	case bench.Masked:
 		if rec.HWResult == phi.Corrected.String() {
-			s.corrected++
+			s.counts.CorrectedByECC++
 		}
 	case bench.SDC:
-		s.byPattern[rec.PatternOf()]++
+		s.counts.SDCByPattern[rec.PatternOf()]++
 		s.relErrs = append(s.relErrs, seqErr{rec.Seq, rec.MaxRelErr})
 	}
 }
@@ -239,7 +238,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return oneRun(i, cfg.Benchmark, runner, dev, profile, rng)
 			}, nil
 		},
-		NewShard: func(int) *shard { return &shard{byPattern: map[analysis.Pattern]int{}} },
+		NewShard: func(int) *shard { return &shard{counts: Result{SDCByPattern: map[analysis.Pattern]int{}}} },
 		Fold:     func(sh *shard, rec Record) { sh.fold(rec) },
 	})
 	if eres == nil {
@@ -256,11 +255,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var errs []seqErr
 	for _, sh := range eres.Shards {
-		res.Outcomes.Merge(sh.outcomes)
-		res.CorrectedByECC += sh.corrected
-		for p, n := range sh.byPattern {
-			res.SDCByPattern[p] += n
-		}
+		res.addCounts(&sh.counts)
 		errs = append(errs, sh.relErrs...)
 	}
 	// Each shard's relErrs are already Seq-sorted (strided assignment);

@@ -54,14 +54,7 @@ func (r *Result) Merge(o *Result) error {
 	}
 	r.Offset = off
 
-	r.Outcomes.Merge(o.Outcomes)
-	r.CorrectedByECC += o.CorrectedByECC
-	if r.SDCByPattern == nil && len(o.SDCByPattern) > 0 {
-		r.SDCByPattern = make(map[analysis.Pattern]int, len(o.SDCByPattern))
-	}
-	for p, n := range o.SDCByPattern {
-		r.SDCByPattern[p] += n
-	}
+	r.addCounts(o)
 	switch {
 	case len(o.RelErrs) == 0:
 	case len(r.RelErrs) == 0:
@@ -73,4 +66,18 @@ func (r *Result) Merge(o *Result) error {
 	}
 	r.Runs += o.Runs
 	return nil
+}
+
+// addCounts sums o's counts into r: the outcome tally, the ECC-corrected
+// count and the per-pattern SDC split. It is the one sum behind Merge and
+// the assembly of a campaign's worker shards.
+func (r *Result) addCounts(o *Result) {
+	r.Outcomes.Merge(o.Outcomes)
+	r.CorrectedByECC += o.CorrectedByECC
+	if r.SDCByPattern == nil && len(o.SDCByPattern) > 0 {
+		r.SDCByPattern = make(map[analysis.Pattern]int, len(o.SDCByPattern))
+	}
+	for p, n := range o.SDCByPattern {
+		r.SDCByPattern[p] += n
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"phirel/internal/bench/all"
 	"phirel/internal/core"
 	"phirel/internal/fault"
 	"phirel/internal/figures"
@@ -19,7 +18,7 @@ func CarolFI(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.
 	const tool = "carol-fi"
 	fs := Flags(tool, stderr)
 	var (
-		benchName = fs.String("bench", "all", "benchmark name or 'all'")
+		benchName = fs.String("bench", "all", "comma-separated benchmark names or 'all'")
 		n         = fs.Int("n", 10000, "injections per benchmark (paper: >=10,000)")
 		modelsArg = fs.String("models", "", "comma-separated fault models (default: all four)")
 		policyArg = fs.String("policy", "by-frame", "site selection policy")
@@ -38,10 +37,7 @@ func CarolFI(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.
 		if err != nil {
 			return err
 		}
-		names := all.Suite
-		if *benchName != "all" {
-			names = []string{*benchName}
-		}
+		names := BenchNames(*benchName)
 		logw, err := openRecordLog(*out, names, *n, func(r core.InjectionRecord) (string, int) { return r.Benchmark, r.Seq })
 		if err != nil {
 			return err

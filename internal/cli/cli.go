@@ -37,7 +37,7 @@ type SweepFlags struct {
 // the help text of the sweep-grid flags — phi-bench passes "sweep: "
 // because it also has non-sweep modes; phi-fleet passes "".
 func (f *SweepFlags) Register(fs *flag.FlagSet, prefix string) {
-	fs.StringVar(&f.Bench, "bench", "all", "benchmark name or 'all'")
+	fs.StringVar(&f.Bench, "bench", "all", "comma-separated benchmark names or 'all'")
 	fs.Uint64Var(&f.Seed, "seed", 1, "workload input seed")
 	fs.IntVar(&f.N, "n", 600, prefix+"injections per grid cell")
 	fs.StringVar(&f.Models, "models", "", prefix+"comma-separated fault models (default: all four)")
@@ -87,12 +87,18 @@ func (f *SweepFlags) LoadSweep(specPath string, stdin io.Reader, workersSet bool
 	return s, nil
 }
 
-// Names resolves -bench into the benchmark list.
-func (f *SweepFlags) Names() []string {
-	if f.Bench == "all" {
+// BenchNames resolves a -bench value, "all" or a comma-separated list,
+// into the benchmark list phi-bench, phi-fleet and carol-fi run. A name is
+// not checked here: an unknown one fails where the campaign looks it up.
+func BenchNames(arg string) []string {
+	if arg == "all" {
 		return all.Suite
 	}
-	return []string{f.Bench}
+	names := strings.Split(arg, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+	}
+	return names
 }
 
 // Sweep assembles the fleet.Sweep the grid flags describe — the one
@@ -112,7 +118,7 @@ func (f *SweepFlags) Sweep() (fleet.Sweep, error) {
 		devices = strings.Split(f.BeamDevices, ",")
 	}
 	s := fleet.Sweep{
-		Benchmarks:      f.Names(),
+		Benchmarks:      BenchNames(f.Bench),
 		Models:          models,
 		Policies:        pols,
 		N:               f.N,

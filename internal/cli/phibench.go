@@ -48,7 +48,7 @@ func Bench(ctx context.Context, args []string, stdin io.Reader, stdout, stderr i
 		if *sweep || o.spec != "" {
 			return runSweep(ctx, fs, stdin, stdout, stderr, o)
 		}
-		return goldenRuns(ctx, stdout, grid.Names(), grid.Seed, *reps)
+		return goldenRuns(ctx, stdout, BenchNames(grid.Bench), grid.Seed, *reps)
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"phirel/internal/distrib"
 	"phirel/internal/fault"
 	"phirel/internal/fleet"
+	"phirel/internal/state"
 )
 
 // writeSpec writes a tiny mixed sweep (injection and beam cells) as a spec
@@ -69,6 +70,36 @@ func TestShardIsPlanSugar(t *testing.T) {
 	}
 	if *part.Shard != plan {
 		t.Fatalf("-shard 2/3 partial records plan %+v, want %+v", *part.Shard, plan)
+	}
+}
+
+// TestBenchTakesACommaList: -bench names a list as -models does, and the
+// grid it builds is the spec's: the artifact of -bench DGEMM,LUD is the
+// very bytes of a -spec listing the two benchmarks. carol-fi reads the
+// list the same way, and a list naming an unknown benchmark still fails.
+func TestBenchTakesACommaList(t *testing.T) {
+	dir := t.TempDir()
+	spec := fleet.Sweep{
+		Benchmarks: []string{"DGEMM", "LUD"},
+		Policies:   []state.Policy{state.ByFrameThenVariable},
+		N:          4,
+		Seed:       1701, BenchSeed: 1, Workers: 8,
+	}
+	specPath := filepath.Join(dir, "spec.json")
+	if err := spec.WriteSpecFile(specPath); err != nil {
+		t.Fatal(err)
+	}
+	flags := mustCall(t, cli.Bench, "-sweep", "-bench", "DGEMM,LUD", "-n", "4", "-out", "-")
+	specced := mustCall(t, cli.Bench, "-spec", specPath, "-out", "-")
+	if flags != specced {
+		t.Fatal("-bench DGEMM,LUD and a spec of the two benchmarks wrote different artifacts")
+	}
+	if out := mustCall(t, cli.CarolFI, "-bench", "DGEMM,LUD", "-n", "4", "-models", "Single"); !strings.Contains(out, "LUD") {
+		t.Fatalf("carol-fi -bench DGEMM,LUD printed no LUD row:\n%s", out)
+	}
+	if code, _, stderr := call(t, cli.Bench, "", "-sweep", "-bench", "DGEMM,nope", "-n", "4", "-out", "-"); code != 1 ||
+		!strings.Contains(stderr, `unknown benchmark "nope"`) {
+		t.Fatalf("-bench DGEMM,nope exited %d:\n%s", code, stderr)
 	}
 }
 

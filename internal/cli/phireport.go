@@ -56,44 +56,36 @@ func logGroups(path string, stdin io.Reader) ([]figures.TableGroup, error) {
 		return nil, err
 	}
 	defer f.Close()
-	type cell struct {
-		policy    state.Policy
-		benchmark string
-	}
-	tallies := map[cell]*core.Tally{}
+	results := map[state.Policy]map[string]*core.CampaignResult{}
 	windows := map[string]int{}
 	err = trace.Each(f, func(rec core.InjectionRecord) error {
 		if err := rec.Check(); err != nil {
 			return err
 		}
-		c := cell{rec.PolicyOf(), rec.Benchmark}
-		t := tallies[c]
-		if t == nil {
-			if _, ok := windows[c.benchmark]; !ok {
-				b, err := bench.New(c.benchmark, 0)
+		policy := rec.PolicyOf()
+		if results[policy] == nil {
+			results[policy] = map[string]*core.CampaignResult{}
+		}
+		r := results[policy][rec.Benchmark]
+		if r == nil {
+			if _, ok := windows[rec.Benchmark]; !ok {
+				b, err := bench.New(rec.Benchmark, 0)
 				if err != nil {
 					return err
 				}
-				windows[c.benchmark] = b.Windows()
+				windows[rec.Benchmark] = b.Windows()
 			}
-			t = core.NewTally(windows[c.benchmark])
-			tallies[c] = t
+			r = core.NewCampaignResult(rec.Benchmark, policy, 0, windows[rec.Benchmark])
+			results[policy][rec.Benchmark] = r
 		}
-		t.Fold(rec)
+		r.Fold(rec)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(tallies) == 0 {
+	if len(results) == 0 {
 		return nil, fmt.Errorf("no records in %s", name)
-	}
-	results := map[state.Policy]map[string]*core.CampaignResult{}
-	for c, t := range tallies {
-		if results[c.policy] == nil {
-			results[c.policy] = map[string]*core.CampaignResult{}
-		}
-		results[c.policy][c.benchmark] = core.Assemble(c.benchmark, c.policy, 0, windows[c.benchmark], []*core.Tally{t})
 	}
 	policies := make([]state.Policy, 0, len(results))
 	for p := range results {

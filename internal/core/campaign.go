@@ -123,86 +123,6 @@ type CampaignResult struct {
 	FiredShare stats.Proportion
 }
 
-// Tally is the record fold of a campaign. Each engine worker folds the
-// records it runs into a private Tally, so aggregation needs no locks and
-// campaign memory is O(workers), not O(N); Assemble sums the tallies into
-// the CampaignResult once the pool drains. A published log re-derives its
-// campaign's result through the same two steps (cmd/phi-report -in).
-type Tally struct {
-	outcomes OutcomeCounts
-	byModel  map[fault.Model]OutcomeCounts
-	byWindow []OutcomeCounts
-	byRegion map[state.Region]OutcomeCounts
-	fired    int
-}
-
-// NewTally returns an empty tally over the benchmark's time windows.
-func NewTally(windows int) *Tally {
-	return &Tally{
-		byModel:  map[fault.Model]OutcomeCounts{},
-		byWindow: make([]OutcomeCounts, windows),
-		byRegion: map[state.Region]OutcomeCounts{},
-	}
-}
-
-// Fold tallies one record. A record outside the tally's windows counts
-// everywhere but in ByWindow.
-func (t *Tally) Fold(rec InjectionRecord) {
-	o := rec.OutcomeOf()
-	t.outcomes.Add(o)
-	m := rec.ModelOf()
-	mc := t.byModel[m]
-	mc.Add(o)
-	t.byModel[m] = mc
-	if rec.Window >= 0 && rec.Window < len(t.byWindow) {
-		t.byWindow[rec.Window].Add(o)
-	}
-	rc := t.byRegion[rec.Region]
-	rc.Add(o)
-	t.byRegion[rec.Region] = rc
-	if rec.Fired {
-		t.fired++
-	}
-}
-
-// Assemble sums the tallies of one campaign — benchmark under policy, its
-// first injection at global index offset, over windows time windows — into
-// its result. N and FiredShare count the records the tallies folded, so a
-// cancelled campaign's partial result never claims injections that did not
-// run.
-func Assemble(benchmark string, policy state.Policy, offset, windows int, tallies []*Tally) *CampaignResult {
-	res := &CampaignResult{
-		Benchmark: benchmark,
-		Offset:    offset,
-		Windows:   windows,
-		Policy:    policy,
-		ByModel:   map[fault.Model]OutcomeCounts{},
-		ByWindow:  make([]OutcomeCounts, windows),
-		ByRegion:  map[state.Region]OutcomeCounts{},
-	}
-	fired := 0
-	for _, t := range tallies {
-		res.Outcomes.Merge(t.outcomes)
-		for m, c := range t.byModel {
-			mc := res.ByModel[m]
-			mc.Merge(c)
-			res.ByModel[m] = mc
-		}
-		for w, c := range t.byWindow {
-			res.ByWindow[w].Merge(c)
-		}
-		for r, c := range t.byRegion {
-			rc := res.ByRegion[r]
-			rc.Merge(c)
-			res.ByRegion[r] = rc
-		}
-		fired += t.fired
-	}
-	res.N = res.Outcomes.Total()
-	res.FiredShare = stats.NewProportion(fired, res.N)
-	return res
-}
-
 // RunCampaign executes cfg.N injection experiments. Every experiment i uses
 // an RNG stream derived from (cfg.Seed, i), so results are bit-identical for
 // any worker count. It is RunCampaignContext without cancellation.
@@ -242,7 +162,7 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 	}
 	windows := first.B.Windows()
 
-	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *Tally]{
+	eres, err := engine.Run(ctx, engine.Config[InjectionRecord, *CampaignResult]{
 		N:        cfg.N,
 		Offset:   cfg.Offset,
 		Seed:     cfg.Seed,
@@ -264,13 +184,21 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResul
 				return rec
 			}, nil
 		},
-		NewShard: func(int) *Tally { return NewTally(windows) },
-		Fold:     (*Tally).Fold,
+		NewShard: func(int) *CampaignResult {
+			return NewCampaignResult(cfg.Benchmark, cfg.Policy, cfg.Offset, windows)
+		},
+		Fold: (*CampaignResult).Fold,
 	})
 	if eres == nil {
 		return nil, err
 	}
-	return Assemble(cfg.Benchmark, cfg.Policy, cfg.Offset, windows, eres.Shards), err
+	// N and FiredShare count the records the shards folded, so a cancelled
+	// campaign's partial result never claims injections that did not run.
+	res := eres.Shards[0]
+	for _, sh := range eres.Shards[1:] {
+		res.Add(sh)
+	}
+	return res, err
 }
 
 // DeriveSeed exposes the engine's per-index seed mixing so higher layers

@@ -161,14 +161,14 @@ func TestCampaignStreamMatchesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := NewTally(res.Windows)
+	got := NewCampaignResult("DGEMM", cfg.Policy, 0, res.Windows)
 	for i, rec := range recs {
 		if rec.Seq != i || rec.Benchmark != "DGEMM" {
 			t.Fatalf("record %d not observed: %+v", i, rec)
 		}
-		tally.Fold(rec)
+		got.Fold(rec)
 	}
-	if got := Assemble("DGEMM", cfg.Policy, 0, res.Windows, []*Tally{tally}); !reflect.DeepEqual(got, res) {
+	if !reflect.DeepEqual(got, res) {
 		t.Fatalf("observed records re-tally to %+v, campaign says %+v", got, res)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -57,6 +58,45 @@ func TestCampaignMergePrepend(t *testing.T) {
 	}
 	if !reflect.DeepEqual(whole, acc) {
 		t.Fatal("prepend merge differs from monolithic campaign")
+	}
+}
+
+// TestCampaignAddProperty: a campaign's records split into k random
+// groups, each group folded on its own and the groups added in a random
+// order, equal one fold of all of them — the algebra the engine's worker
+// shards, Merge and a sweep's per-benchmark sum all rest on.
+func TestCampaignAddProperty(t *testing.T) {
+	cfg := CampaignConfig{Benchmark: "DGEMM", N: 60, Seed: 42, BenchSeed: 1, Workers: 3}
+	recs := observe(&cfg)
+	res, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewCampaignResult("DGEMM", cfg.Policy, 0, res.Windows)
+	for _, rec := range recs {
+		whole.Fold(rec)
+	}
+	if !reflect.DeepEqual(whole, res) {
+		t.Fatalf("one fold of the records %+v differs from the campaign %+v", whole, res)
+	}
+	rng := rand.New(rand.NewSource(1701))
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rng.Intn(8)
+		groups := make([]*CampaignResult, k)
+		for g := range groups {
+			groups[g] = NewCampaignResult("DGEMM", cfg.Policy, 0, res.Windows)
+		}
+		for _, rec := range recs {
+			groups[rng.Intn(k)].Fold(rec)
+		}
+		order := rng.Perm(k)
+		acc := groups[order[0]]
+		for _, g := range order[1:] {
+			acc.Add(groups[g])
+		}
+		if !reflect.DeepEqual(acc, whole) {
+			t.Fatalf("trial %d: %d groups added in order %v give %+v, one fold %+v", trial, k, order, acc, whole)
+		}
 	}
 }
 

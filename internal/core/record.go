@@ -13,7 +13,12 @@
 // Campaigns aggregate thousands of such records into the paper's
 // observables: outcome shares (Figure 4), per-fault-model PVF (Figure 5),
 // per-time-window PVF (Figure 6), and per-region criticality (§6 prose),
-// and derive mitigation recommendations (§6.1).
+// and derive mitigation recommendations (§6.1). Every one of them is a sum
+// of per-record counts in a CampaignResult, made by one pair of methods:
+// Fold tallies one record and Add sums another result. An engine worker's
+// shard, a shard merge (Merge), a sweep's per-benchmark arm
+// (fleet.SweepResult.MergedFor) and a log re-read by phi-report -in all
+// count through them.
 package core
 
 import (

@@ -575,7 +575,7 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	r.opts.Logf("shard %s: lagging the fleet median — cancelled at checkpoint, re-splitting", t.ShardArg())
 	r.bank(sr)
 	work := *t.Plan
-	stolen := r.cellTrials(work)
+	stolen := r.spec.Trials(work)
 	r.job.stolen.Add(int64(stolen))
 	var children []*shardRun
 	for w := 0; w < stealWays; w++ {

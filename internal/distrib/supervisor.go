@@ -138,14 +138,14 @@ func (r *jobRun) bank(sr *shardRun) int {
 	ck, rest, err := fleet.LoadCheckpoint(t.CheckpointPath, r.spec, *t.Plan)
 	if err != nil {
 		r.opts.Logf("shard %s: no readable checkpoint at %s, recomputing the %d trials its banks leave",
-			t.ShardArg(), t.CheckpointPath, r.cellTrials(*t.Plan))
+			t.ShardArg(), t.CheckpointPath, r.spec.Trials(*t.Plan))
 		return 0
 	}
 	// Banked: the next attempt checkpoints its own remainder, and this
 	// checkpoint must not be read against it.
 	os.Remove(t.CheckpointPath)
 	sr.banks, t.Plan = append(sr.banks, ck), &rest
-	return r.cellTrials(*ck.Shard)
+	return r.spec.Trials(*ck.Shard)
 }
 
 // fold folds the shard's banks and the partials computed past them into
@@ -159,13 +159,6 @@ func (r *jobRun) fold(sr *shardRun, parts []*fleet.SweepResult) (*fleet.SweepRes
 		return nil, err
 	}
 	return full, full.WriteFileAtomic(sr.task.OutPath)
-}
-
-// cellTrials counts a plan's cell-weighted trials: injection trials ×
-// injection cells + beam runs × beam cells, the unit of the trialsResumed
-// and trialsStolen counters.
-func (r *jobRun) cellTrials(p fleet.ShardPlan) int {
-	return p.Injection.N*len(r.spec.Cells()) + p.Beam.N*len(r.spec.BeamCells())
 }
 
 // launchOnce runs one attempt: stale-partial removal, launch under the

@@ -2,7 +2,9 @@
 // paper's campaign classes run on: CAROL-FI fault injection (internal/core)
 // and accelerated neutron-beam runs (internal/beam). It owns the mechanics
 // every Monte-Carlo campaign shares — a worker pool with strided trial
-// assignment, per-worker shard aggregates merged after the pool drains,
+// assignment, per-worker shard aggregates the caller sums after the pool
+// drains (a campaign result is its own shard: core folds each record with
+// CampaignResult.Fold and sums the shards with CampaignResult.Add),
 // per-trial RNG streams derived from one seed, context cancellation with
 // internally consistent partial tallies, a serialised Progress hook, and an
 // optional Observe hook handed every record by the worker that ran it —

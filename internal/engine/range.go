@@ -4,13 +4,16 @@ import "fmt"
 
 // MergeRanges reconciles two completed shard trial ranges for a fold of
 // [oOff, oOff+oN) into [rOff, rOff+rN): the ranges must be adjacent so the
-// merged range stays contiguous and per-trial ordered series (records,
-// error streams) recombine in global index order by concatenation alone.
-// It returns the merged range's offset, whether o precedes r (its ordered
-// series go first), and whether o is empty (contributes nothing). Both
-// campaign merge algebras (core.CampaignResult.Merge, beam.Result.Merge)
-// fold through this one helper so the fleet layer can rely on them
-// behaving identically.
+// merged range stays contiguous and per-trial ordered series (beam's
+// Figure 3 error series) recombine in global index order by concatenation
+// alone. It returns the merged range's offset, whether o precedes r (its
+// ordered series go first), and whether o is empty (contributes nothing).
+// Both campaign merge algebras (core.CampaignResult.Merge, beam.Result.Merge)
+// check through this one helper and then sum the counts with the same
+// function that assembles a run's worker shards (CampaignResult.Add,
+// beam's addCounts). Worker shards need no range check: their trials are
+// strided, not contiguous, so their counts are summed directly and beam
+// sorts their ordered series by trial index.
 func MergeRanges(rOff, rN, oOff, oN int) (offset int, prepend, empty bool, err error) {
 	switch {
 	case oN == 0:

@@ -490,61 +490,22 @@ type BeamArm struct {
 	DisableECC bool
 }
 
-// Merged folds the sweep's cells back into one CampaignResult per benchmark
-// (summed across models AND policies) — the exact shape internal/figures
-// renders, so Figure 4/5/6 and Table 1 work directly on a sweep. For a
-// multi-policy sweep this conflates the ablation arms; use MergedFor to
-// keep them apart.
-func (r *SweepResult) Merged() map[string]*core.CampaignResult {
-	return r.merged(nil)
-}
-
-// MergedFor folds only the cells run under the given policy, keeping
-// multi-policy ablation sweeps renderable one arm at a time.
+// MergedFor folds the cells run under policy back into one CampaignResult
+// per benchmark, summed across fault models: the shape internal/figures
+// renders, so Figures 4-6 and Table 1 work directly on a sweep, one
+// ablation arm at a time. Each is a Clone of the benchmark's first cell
+// plus the Add of the rest.
 func (r *SweepResult) MergedFor(policy state.Policy) map[string]*core.CampaignResult {
-	return r.merged(&policy)
-}
-
-func (r *SweepResult) merged(policy *state.Policy) map[string]*core.CampaignResult {
 	out := map[string]*core.CampaignResult{}
-	fired := map[string]int{}
 	for _, c := range r.Cells {
-		if c.Result == nil || (policy != nil && c.Policy != *policy) {
+		if c.Result == nil || c.Policy != policy {
 			continue
 		}
-		m := out[c.Benchmark]
-		if m == nil {
-			m = &core.CampaignResult{
-				Benchmark: c.Benchmark,
-				Windows:   c.Result.Windows,
-				Policy:    c.Result.Policy,
-				ByModel:   map[fault.Model]core.OutcomeCounts{},
-				ByWindow:  make([]core.OutcomeCounts, c.Result.Windows),
-				ByRegion:  map[state.Region]core.OutcomeCounts{},
-			}
-			out[c.Benchmark] = m
+		if m := out[c.Benchmark]; m != nil {
+			m.Add(c.Result)
+		} else {
+			out[c.Benchmark] = c.Result.Clone()
 		}
-		m.N += c.Result.N
-		m.Outcomes.Merge(c.Result.Outcomes)
-		for mod, counts := range c.Result.ByModel {
-			mc := m.ByModel[mod]
-			mc.Merge(counts)
-			m.ByModel[mod] = mc
-		}
-		for w, counts := range c.Result.ByWindow {
-			if w < len(m.ByWindow) {
-				m.ByWindow[w].Merge(counts)
-			}
-		}
-		for reg, counts := range c.Result.ByRegion {
-			rc := m.ByRegion[reg]
-			rc.Merge(counts)
-			m.ByRegion[reg] = rc
-		}
-		fired[c.Benchmark] += c.Result.FiredShare.K
-	}
-	for name, m := range out {
-		m.FiredShare = stats.NewProportion(fired[name], m.Outcomes.Total())
 	}
 	return out
 }

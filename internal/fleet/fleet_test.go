@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	_ "phirel/internal/bench/all"
+	"phirel/internal/core"
 	"phirel/internal/fault"
 	"phirel/internal/state"
 )
@@ -110,7 +112,7 @@ func TestSweepMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := res.Merged()
+	merged := res.MergedFor(state.ByFrameThenVariable)
 	if len(merged) != len(s.Benchmarks) {
 		t.Fatalf("merged %d benchmarks, want %d", len(merged), len(s.Benchmarks))
 	}
@@ -141,29 +143,52 @@ func TestSweepMerged(t *testing.T) {
 	}
 }
 
+// TestSweepMergedFor: each policy arm merges apart from the other, and an
+// arm's per-benchmark result is exactly the fold of the records its cells
+// handed the sweep's ObserveInjection hook.
 func TestSweepMergedFor(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		recs []core.InjectionRecord
+	)
 	s := Sweep{
-		Benchmarks: []string{"DGEMM"},
-		Models:     []fault.Model{fault.Single},
+		Benchmarks: []string{"DGEMM", "LUD"},
+		Models:     []fault.Model{fault.Single, fault.Zero},
 		Policies:   []state.Policy{state.ByFrameThenVariable, state.ByBytes},
 		N:          20,
 		Seed:       5,
 		BenchSeed:  1,
 		Workers:    2,
+		ObserveInjection: func(rec core.InjectionRecord) {
+			mu.Lock()
+			recs = append(recs, rec)
+			mu.Unlock()
+		},
 	}
 	res, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Merged()["DGEMM"].Outcomes.Total(); got != 40 {
-		t.Fatalf("conflated merge has %d injections, want 40", got)
-	}
-	arm := res.MergedFor(state.ByBytes)["DGEMM"]
-	if arm.Outcomes.Total() != 20 || arm.N != 20 {
-		t.Fatalf("by-bytes arm has %d injections, want 20", arm.Outcomes.Total())
-	}
-	if arm.Policy != state.ByBytes {
-		t.Fatalf("arm labelled %v", arm.Policy)
+	for _, policy := range s.Policies {
+		merged := res.MergedFor(policy)
+		if len(merged) != len(s.Benchmarks) {
+			t.Fatalf("%v: merged %d benchmarks, want %d", policy, len(merged), len(s.Benchmarks))
+		}
+		for _, name := range s.Benchmarks {
+			arm := merged[name]
+			if arm.Outcomes.Total() != 40 || arm.N != 40 || arm.Policy != policy {
+				t.Fatalf("%v/%s: %d injections under %v, want 40", policy, name, arm.N, arm.Policy)
+			}
+			folded := core.NewCampaignResult(name, policy, 0, arm.Windows)
+			for _, rec := range recs {
+				if rec.Benchmark == name && rec.PolicyOf() == policy {
+					folded.Fold(rec)
+				}
+			}
+			if !reflect.DeepEqual(arm, folded) {
+				t.Fatalf("%v/%s: merged %+v, its records fold to %+v", policy, name, arm, folded)
+			}
+		}
 	}
 }
 
@@ -379,7 +404,7 @@ func TestSweepFullQuickScale(t *testing.T) {
 			t.Fatalf("cell %s/%s completed %d of %d", c.Benchmark, c.Model, c.Result.Outcomes.Total(), s.N)
 		}
 	}
-	merged := res.Merged()
+	merged := res.MergedFor(state.ByFrameThenVariable)
 	for name, m := range merged {
 		if m.Outcomes.Total() != s.N*len(fault.Models) {
 			t.Fatalf("%s merged %d", name, m.Outcomes.Total())

@@ -61,6 +61,20 @@ func (s Sweep) Plan(k, count int) (ShardPlan, error) {
 	}, nil
 }
 
+// Whole is the plan of the sweep's whole trial space: one shard of one.
+func (s Sweep) Whole() ShardPlan {
+	return ShardPlan{Count: 1, Injection: TrialRange{N: s.N}, Beam: TrialRange{N: s.BeamRuns}}
+}
+
+// Trials counts plan's cell-weighted trials: its injection range times the
+// sweep's injection cells plus its beam range times the beam cells. It is
+// the unit in which a fan-out credits resumed and stolen work and the
+// service counts cached and computed trials; s.Trials(s.Whole()) is the
+// whole sweep's.
+func (s Sweep) Trials(plan ShardPlan) int {
+	return plan.Injection.N*len(s.Cells()) + plan.Beam.N*len(s.BeamCells())
+}
+
 // RunShard executes shard k (0-based) of count: RunPlan of the balanced
 // Plan(k, count). MergeSweepResults folds the K partials into a result
 // bit-identical to Run with the same spec.
@@ -185,8 +199,7 @@ func MergeSweepResults(parts ...*SweepResult) (*SweepResult, error) {
 			return nil, fmt.Errorf("fleet: shard %d/%d is missing from the merge set", i+1, count)
 		}
 	}
-	whole := ShardPlan{Injection: TrialRange{N: ps[0].Spec.N}, Beam: TrialRange{N: ps[0].Spec.BeamRuns}}
-	return foldTiling(ps, whole, true)
+	return foldTiling(ps, ps[0].Spec.Whole(), true)
 }
 
 // sortedPartials returns parts ordered by less over their shard tags,

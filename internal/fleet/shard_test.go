@@ -48,6 +48,34 @@ func TestShardPlanPartition(t *testing.T) {
 	}
 }
 
+// TestSweepTrials: a plan's cell-weighted trials weigh each range by its
+// cell kind's count, the whole sweep's are every cell's trials, and the K
+// balanced plans' trials sum to the whole.
+func TestSweepTrials(t *testing.T) {
+	s := beamSweep()
+	inj, beams := len(s.Cells()), len(s.BeamCells())
+	if inj == 0 || beams == 0 {
+		t.Fatalf("fixture has %d injection and %d beam cells, want both kinds", inj, beams)
+	}
+	whole := s.Trials(s.Whole())
+	if want := inj*s.N + beams*s.BeamRuns; whole != want {
+		t.Fatalf("whole sweep counts %d trials, want %d", whole, want)
+	}
+	for _, count := range []int{1, 3, 7} {
+		sum := 0
+		for k := 0; k < count; k++ {
+			plan, err := s.Plan(k, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += s.Trials(plan)
+		}
+		if sum != whole {
+			t.Fatalf("%d plans count %d trials, the whole sweep %d", count, sum, whole)
+		}
+	}
+}
+
 // TestSweepShardMergeBitIdentical is the acceptance test for the shardable
 // sweep seam: for K in {1, 2, 3, 5} (all uneven splits of the fixture's
 // trial counts), merging the K RunShard partials of a mixed sweep — both

@@ -7,13 +7,15 @@
 // device model, AVF weighting per corruption region, and an Arrhenius
 // temperature-acceleration factor.
 //
-// The monitor keeps only integer outcome tallies; every estimate is a
-// pure, deterministic function of those tallies (Snapshot folds them in
-// sorted order), so incrementally observed records and a batch fold of
-// the finished result (ObserveSweep, FromSweep) produce identical
-// snapshots — and on a fixed-seed campaign the monitor's final estimate
-// equals the post-hoc internal/analysis fit exactly, because both go
-// through analysis.RateFITEstimate on the same tallies.
+// The monitor keeps only integer outcome tallies (core.OutcomeCounts per
+// group and benchmark); every estimate is a pure, deterministic function of
+// those tallies (Snapshot folds them in sorted order), and a record and a
+// sweep cell add to them through the same step, so incrementally observed
+// records and a batch fold of the finished result (ObserveSweep,
+// FromSweep) produce identical snapshots — and on a fixed-seed campaign
+// the monitor's final estimate equals the post-hoc internal/analysis fit
+// exactly, because both go through analysis.RateFITEstimate on the same
+// tallies.
 //
 // All Observe methods are safe for concurrent use: a campaign's workers,
 // and a fleet sweep's cells, call them from many goroutines at once.
@@ -25,6 +27,7 @@ import (
 
 	"phirel/internal/analysis"
 	"phirel/internal/beam"
+	"phirel/internal/bench"
 	"phirel/internal/core"
 	"phirel/internal/fleet"
 	"phirel/internal/phi"
@@ -53,29 +56,29 @@ type Config struct {
 	OnSnapshot func(Snapshot)
 }
 
-// counts is one integer outcome tally.
-type counts struct {
-	trials, sdc, due int
-}
-
-func (c *counts) add(trials, sdc, due int) {
-	c.trials += trials
-	c.sdc += sdc
-	c.due += due
-}
-
 // tally is a per-benchmark breakdown of one estimate group. The benchmark
 // split is what lets Snapshot reconstruct the group's mean raw fault rate
 // deterministically from integers, independent of observation order.
-type tally map[string]*counts
+type tally map[string]*core.OutcomeCounts
 
-func (t tally) at(bench string) *counts {
+func (t tally) at(bench string) *core.OutcomeCounts {
 	c := t[bench]
 	if c == nil {
-		c = &counts{}
+		c = &core.OutcomeCounts{}
 		t[bench] = c
 	}
 	return c
+}
+
+// add sums oc into bench's tally of the group key, making the group on
+// first use: the one step a record and a sweep cell both count through.
+func add(groups map[string]tally, key, bench string, oc core.OutcomeCounts) {
+	t := groups[key]
+	if t == nil {
+		t = tally{}
+		groups[key] = t
+	}
+	t.at(bench).Merge(oc)
 }
 
 // Monitor accumulates rolling reliability tallies. The zero value is not
@@ -131,23 +134,15 @@ func (m *Monitor) rateFor(bench string) float64 {
 }
 
 // observe folds one record's outcome into the group tallies.
-func (m *Monitor) observe(bench, model, region string, sdc, due int) {
+func (m *Monitor) observe(benchmark, model, region string, o bench.Outcome) {
+	var oc core.OutcomeCounts
+	oc.Add(o)
 	m.mu.Lock()
 	m.trials++
-	m.byBench.at(bench).add(1, sdc, due)
-	mt := m.byModel[model]
-	if mt == nil {
-		mt = tally{}
-		m.byModel[model] = mt
-	}
-	mt.at(bench).add(1, sdc, due)
+	m.byBench.at(benchmark).Merge(oc)
+	add(m.byModel, model, benchmark, oc)
 	if region != "" {
-		rt := m.byRegion[region]
-		if rt == nil {
-			rt = tally{}
-			m.byRegion[region] = rt
-		}
-		rt.at(bench).add(1, sdc, due)
+		add(m.byRegion, region, benchmark, oc)
 	}
 	emit := m.every > 0 && m.onSnap != nil && m.trials%m.every == 0
 	var snap Snapshot
@@ -162,18 +157,14 @@ func (m *Monitor) observe(bench, model, region string, sdc, due int) {
 
 // ObserveInjection folds one CAROL-FI injection record.
 func (m *Monitor) ObserveInjection(rec core.InjectionRecord) {
-	oc := core.OutcomeCounts{}
-	oc.Add(rec.OutcomeOf())
-	m.observe(rec.Benchmark, rec.Model, string(rec.Region), oc.SDC, oc.DUE())
+	m.observe(rec.Benchmark, rec.Model, string(rec.Region), rec.OutcomeOf())
 }
 
 // ObserveBeam folds one accelerated beam record under the BeamModel key.
 // Beam records carry no corruption region, so they do not contribute to
 // the AVF breakdown.
 func (m *Monitor) ObserveBeam(rec beam.Record) {
-	oc := core.OutcomeCounts{}
-	oc.Add(rec.OutcomeOf())
-	m.observe(rec.Benchmark, BeamModel, "", oc.SDC, oc.DUE())
+	m.observe(rec.Benchmark, BeamModel, "", rec.OutcomeOf())
 }
 
 // ObserveSweep batch-folds a finished (or partial) sweep artifact: the
@@ -186,42 +177,23 @@ func (m *Monitor) ObserveSweep(res *fleet.SweepResult) {
 	}
 	m.mu.Lock()
 	for _, c := range res.Cells {
-		if c.Result == nil {
-			continue
-		}
-		r := c.Result
-		m.trials += r.Outcomes.Total()
-		m.byBench.at(r.Benchmark).add(r.Outcomes.Total(), r.Outcomes.SDC, r.Outcomes.DUE())
-		for model, oc := range r.ByModel {
-			mt := m.byModel[model.String()]
-			if mt == nil {
-				mt = tally{}
-				m.byModel[model.String()] = mt
+		if r := c.Result; r != nil {
+			m.trials += r.Outcomes.Total()
+			m.byBench.at(r.Benchmark).Merge(r.Outcomes)
+			for model, oc := range r.ByModel {
+				add(m.byModel, model.String(), r.Benchmark, oc)
 			}
-			mt.at(r.Benchmark).add(oc.Total(), oc.SDC, oc.DUE())
-		}
-		for region, oc := range r.ByRegion {
-			rt := m.byRegion[string(region)]
-			if rt == nil {
-				rt = tally{}
-				m.byRegion[string(region)] = rt
+			for region, oc := range r.ByRegion {
+				add(m.byRegion, string(region), r.Benchmark, oc)
 			}
-			rt.at(r.Benchmark).add(oc.Total(), oc.SDC, oc.DUE())
 		}
 	}
 	for _, c := range res.BeamCells {
-		if c.Result == nil {
-			continue
+		if r := c.Result; r != nil {
+			m.trials += r.Outcomes.Total()
+			m.byBench.at(r.Benchmark).Merge(r.Outcomes)
+			add(m.byModel, BeamModel, r.Benchmark, r.Outcomes)
 		}
-		r := c.Result
-		m.trials += r.Outcomes.Total()
-		m.byBench.at(r.Benchmark).add(r.Outcomes.Total(), r.Outcomes.SDC, r.Outcomes.DUE())
-		mt := m.byModel[BeamModel]
-		if mt == nil {
-			mt = tally{}
-			m.byModel[BeamModel] = mt
-		}
-		mt.at(r.Benchmark).add(r.Outcomes.Total(), r.Outcomes.SDC, r.Outcomes.DUE())
 	}
 	m.mu.Unlock()
 }
@@ -247,7 +219,7 @@ func FromSweep(res *fleet.SweepResult, cfg Config) (Snapshot, error) {
 func (m *Monitor) groupRate(t tally) (rate float64, n int) {
 	if len(t) == 1 {
 		for bench, c := range t {
-			return m.rateFor(bench), c.trials
+			return m.rateFor(bench), c.Total()
 		}
 	}
 	benches := make([]string, 0, len(t))
@@ -258,8 +230,8 @@ func (m *Monitor) groupRate(t tally) (rate float64, n int) {
 	sum := 0.0
 	for _, b := range benches {
 		c := t[b]
-		sum += float64(float64(c.trials) * m.rateFor(b)) // rounded before the sum: make fusion-check
-		n += c.trials
+		sum += float64(float64(c.Total()) * m.rateFor(b)) // rounded before the sum: make fusion-check
+		n += c.Total()
 	}
 	if n > 0 {
 		rate = sum / float64(n)
@@ -272,8 +244,8 @@ func (m *Monitor) group(name string, t tally, af float64) Group {
 	rate, n := m.groupRate(t)
 	var sdc, due int
 	for _, c := range t {
-		sdc += c.sdc
-		due += c.due
+		sdc += c.SDC
+		due += c.DUE()
 	}
 	return Group{
 		Name:   name,
@@ -317,9 +289,9 @@ func (m *Monitor) snapshotLocked() Snapshot {
 		t := m.byRegion[name]
 		var n, sdc, due int
 		for _, c := range t {
-			n += c.trials
-			sdc += c.sdc
-			due += c.due
+			n += c.Total()
+			sdc += c.SDC
+			due += c.DUE()
 		}
 		avf := 0.0
 		if n > 0 {
@@ -342,7 +314,7 @@ func (m *Monitor) injectionRate() (rate float64, n int) {
 	merged := tally{}
 	for _, t := range m.byRegion {
 		for b, c := range t {
-			merged.at(b).add(c.trials, c.sdc, c.due)
+			merged.at(b).Merge(*c)
 		}
 	}
 	return m.groupRate(merged)

@@ -17,10 +17,13 @@ import (
 // rebuilt by scanning cacheDir at startup and maintained incrementally as
 // artifacts are stored and evicted.
 type cacheInfo struct {
-	hash, base       string
-	injN, beamN      int
-	cells, beamCells int
-	size             int64
+	hash, base  string
+	injN, beamN int
+	// trials is the cell-weighted trial count (fleet's Sweep.Trials) the
+	// artifact serves as a cached prefix — the quantity the overlap
+	// planner maximises and the stats counters report.
+	trials int
+	size   int64
 	// lastUsed orders LRU eviction: a monotonic use sequence, bumped on
 	// every store, hit, or overlap reuse.
 	lastUsed int64
@@ -32,19 +35,9 @@ func newCacheInfo(hash, base string, sp fleet.Sweep, size int64) *cacheInfo {
 	return &cacheInfo{
 		hash: hash, base: base,
 		injN: sp.N, beamN: sp.BeamRuns,
-		cells: len(sp.Cells()), beamCells: len(sp.BeamCells()),
-		size: size,
+		trials: sp.Trials(sp.Whole()),
+		size:   size,
 	}
-}
-
-// trials is the cell-weighted trial count the artifact serves as a cached
-// prefix — the quantity the overlap planner maximises and the stats
-// counters report.
-func (c *cacheInfo) trials() int { return c.cells*c.injN + c.beamCells*c.beamN }
-
-// specTrials is the same cell-weighted count for a request spec.
-func specTrials(sp fleet.Sweep) int {
-	return len(sp.Cells())*sp.N + len(sp.BeamCells())*sp.BeamRuns
 }
 
 // cacheFileRe matches content-addressed artifact file names: the canonical
@@ -130,11 +123,11 @@ func (s *Server) bestOverlap(base string, spec fleet.Sweep) *cacheInfo {
 		if info.injN == reqN && info.beamN == reqBeam {
 			continue // same trial counts + same base = same hash: exact hit, handled earlier
 		}
-		if info.trials() == 0 {
+		if info.trials == 0 {
 			continue
 		}
-		if best == nil || info.trials() > best.trials() ||
-			(info.trials() == best.trials() && info.hash < best.hash) {
+		if best == nil || info.trials > best.trials ||
+			(info.trials == best.trials && info.hash < best.hash) {
 			best = info
 		}
 	}

@@ -333,7 +333,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// base is the spec's CanonicalHashBase, computed where it is first
 	// used: a miss plans with it, a hit needs it only for the admission log.
 	var base string
-	reqTrials := specTrials(spec)
+	reqTrials := spec.Trials(spec.Whole())
 	admit := func(outcome, prefix string, fromCache, computed int) {
 		if s.admission == nil {
 			return
@@ -411,7 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		e = &entry{hash: hash, freshTrials: reqTrials}
 		if best != nil {
 			e.partial, e.prefix = true, best.hash
-			e.cacheTrials, e.freshTrials = best.trials(), reqTrials-best.trials()
+			e.cacheTrials, e.freshTrials = best.trials, reqTrials-best.trials
 		}
 		if job, err = s.sched.Submit(spec, cached, s.seal(e, base)); err == nil || best == nil {
 			break
@@ -574,7 +574,7 @@ func (s *Server) lookup(r *http.Request) (*entry, bool) {
 	e, ok := s.sweeps[id]
 	if !ok {
 		if artifact, res, hit := s.loadCached(id); hit {
-			e = &entry{hash: id, cached: true, cacheTrials: specTrials(res.Spec), artifact: artifact}
+			e = &entry{hash: id, cached: true, cacheTrials: res.Spec.Trials(res.Spec.Whole()), artifact: artifact}
 			s.addLocked(e)
 			ok = true
 		}

@@ -766,7 +766,7 @@ func TestServeDoneOnlyAfterSeal(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := testSpec(17)
-	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
+	e := &entry{hash: spec.CanonicalHash(), freshTrials: spec.Trials(spec.Whole())}
 	merged, release := make(chan struct{}), make(chan struct{})
 	seal := srv.seal(e, spec.CanonicalHashBase())
 	job, err := sched.Submit(spec, nil, func(j *distrib.Job, res *fleet.SweepResult) error {
@@ -823,7 +823,7 @@ func TestServeSealedResultUnreachable(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := testSpec(19)
-	e := &entry{hash: spec.CanonicalHash(), freshTrials: specTrials(spec)}
+	e := &entry{hash: spec.CanonicalHash(), freshTrials: spec.Trials(spec.Whole())}
 	collected := make(chan struct{})
 	seal := srv.seal(e, spec.CanonicalHashBase())
 	job, err := sched.Submit(spec, nil, func(j *distrib.Job, res *fleet.SweepResult) error {
