@@ -157,13 +157,16 @@ pairs:
 
 # Counts the Go lines of the root module, benchmark/ excluded, apart for
 # non-test and test files: the size the ROADMAP tracks. Files git ignores
-# (the copies under pairs-work/, say) are not counted; new files are. It
-# gates nothing, so ci does not run it.
+# (the copies under pairs-work/, say) are not counted; new files are. Then
+# prints how many exported names under internal/ TestLibraryHasAProgram
+# (library_test.go) holds to a program caller. It gates nothing, so ci does
+# not run it.
 loc:
 	@files=$$(git ls-files -co --exclude-standard '*.go') || exit 1; \
 	files=$$(echo "$$files" | grep -v '^benchmark/' | while read -r f; do [ ! -e "$$f" ] || echo "$$f"; done); \
 	echo "non-test Go: $$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l) lines"; \
-	echo "test Go: $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"
+	echo "test Go: $$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l) lines"; \
+	$(GO) test -count=1 -run '^TestLibraryHasAProgram$$' -v . | sed -n 's/^.*library_test\.go:[0-9]*: //p'
 
 vet:
 	$(GO) vet ./...

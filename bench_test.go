@@ -1,13 +1,15 @@
 // Package phirel's root benchmark suite regenerates every table and figure
 // of the paper's evaluation (the Benchmark* functions below are the
 // experiment index: Figures 2-6, Tables 1-2, and the A1-A3 ablations).
-// Each benchmark runs one Quick-scale campaign per iteration and prints the
-// regenerated rows once, so
+// The figure benchmarks read one fleet.Sweep, run once: the sweep
+// `phi-bench -sweep -beam-runs 6000` runs at its default grid, 600
+// injections per cell and 6 000 runs per beam cell. Each times its figure's
+// render and prints the regenerated rows once, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. The cmd tools run the same harness at
-// paper-grade sample counts.
+// reproduces the full evaluation. The cmd tools run the same harness, at
+// paper-grade sample counts when asked.
 package phirel_test
 
 import (
@@ -22,38 +24,39 @@ import (
 	"phirel/internal/core"
 	"phirel/internal/figures"
 	"phirel/internal/fleet"
-	"phirel/internal/mitigation"
+	"phirel/internal/phi"
 	"phirel/internal/state"
 )
 
-// Campaigns are expensive; share one set of Quick results across the
-// figure benches so `go test -bench=.` stays tractable.
+// The sweep is expensive; the figure benches share one run of it so
+// `go test -bench=.` stays tractable.
 var (
-	beamOnce    sync.Once
-	beamRes     map[string]*beam.Result
-	campOnce    sync.Once
-	campRes     map[string]*core.CampaignResult
-	harnessFail error
+	sweepOnce sync.Once
+	sweepRes  *fleet.SweepResult
+	sweepErr  error
 )
 
-func beamResults(b *testing.B) map[string]*beam.Result {
-	beamOnce.Do(func() {
-		beamRes, harnessFail = figures.BeamResults(figures.Quick())
+func sweep(b *testing.B) *fleet.SweepResult {
+	sweepOnce.Do(func() {
+		sweepRes, sweepErr = fleet.Sweep{
+			N: 600, BeamRuns: 6000, BeamBenchmarks: all.BeamSuite,
+			Seed: 1701, BenchSeed: 1, Workers: 8,
+		}.Run(context.Background())
 	})
-	if harnessFail != nil {
-		b.Fatal(harnessFail)
+	if sweepErr != nil {
+		b.Fatal(sweepErr)
 	}
-	return beamRes
+	return sweepRes
 }
 
+// beamResults is the sweep's default-device, ECC-on beam arm.
+func beamResults(b *testing.B) map[string]*beam.Result {
+	return sweep(b).BeamFor(phi.DefaultDevice, false)
+}
+
+// campaignResults is the sweep's injection cells, merged per benchmark.
 func campaignResults(b *testing.B) map[string]*core.CampaignResult {
-	campOnce.Do(func() {
-		campRes, harnessFail = figures.CampaignResults(figures.Quick(), state.ByFrameThenVariable)
-	})
-	if harnessFail != nil {
-		b.Fatal(harnessFail)
-	}
-	return campRes
+	return sweep(b).MergedFor(state.ByFrameThenVariable)
 }
 
 // reportTrials attaches the rail's trials/sec metric: perIter is how many
@@ -163,7 +166,7 @@ func BenchmarkAblation_SitePolicy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, pol := range []state.Policy{state.ByFrameThenVariable, state.ByBytes} {
-			res, err := core.RunCampaign(core.CampaignConfig{
+			res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 				Benchmark: "DGEMM", N: 400, Seed: 11, BenchSeed: 1, Workers: 8, Policy: pol,
 			})
 			if err != nil {
@@ -202,7 +205,7 @@ func BenchmarkAblation_ECC(b *testing.B) {
 // Ablation A3: mitigation — the selective-hardening plan for DGEMM.
 func BenchmarkAblation_Mitigation(b *testing.B) {
 	b.Run("selective-plan", func(b *testing.B) {
-		res, err := core.RunCampaign(core.CampaignConfig{
+		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 			Benchmark: "DGEMM", N: 400, Seed: 19, BenchSeed: 1, Workers: 8,
 		})
 		if err != nil {
@@ -211,7 +214,7 @@ func BenchmarkAblation_Mitigation(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			plan := mitigation.SelectivePlan(res, 0.15, 20)
+			plan := SelectivePlan(res, 0.15, 20)
 			if i == 0 {
 				fmt.Fprintf(os.Stderr, "A3 selective: overhead %.0f%% harm %.1f%%→%.1f%%\n",
 					100*plan.TotalOverhead, 100*plan.HarmBefore, 100*plan.HarmAfter)
@@ -263,7 +266,7 @@ func BenchmarkWorkloads(b *testing.B) {
 }
 
 // A final sanity check exposed as a test so `go test .` verifies the
-// headline claims end-to-end at Quick scale.
+// headline claims end-to-end, on a beam-only sweep.
 func TestHeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -271,12 +274,13 @@ func TestHeadlineShapes(t *testing.T) {
 	// 16,000 runs per benchmark: the DUE orderings below ride on tens of
 	// events per cell, and smaller samples leave the HotSpot/LavaMD gap
 	// inside its error bars.
-	results, err := figures.BeamResults(figures.Scale{
-		BeamRuns: 16000, Injections: 0, Workers: 8, Seed: 2024, BenchSeed: 1,
-	})
+	sr, err := fleet.Sweep{
+		BeamRuns: 16000, BeamBenchmarks: all.BeamSuite, Seed: 2024, BenchSeed: 1, Workers: 8,
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := sr.BeamFor(phi.DefaultDevice, false)
 	// Paper §4.2: LUD and HotSpot (single-precision iterative kernels) top
 	// the SDC FIT ranking; CLAMR is lowest.
 	lud := results["LUD"].SDCFIT().FIT

@@ -1,6 +1,7 @@
 package beam_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func injectionCell(t *testing.T, name string, m fault.Model, p state.Policy, see
 	return func(rs *bench.Runners) (any, string) {
 		t.Helper()
 		var recs []core.InjectionRecord
-		res, err := core.RunCampaign(core.CampaignConfig{
+		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 			Benchmark: name, N: n, Models: []fault.Model{m}, Policy: p,
 			Seed: seed, BenchSeed: borrowBenchSeed, Workers: 1, Runners: rs,
 			Observe: func(r core.InjectionRecord) { recs = append(recs, r) },

@@ -188,8 +188,8 @@ func TestRunnerPopsFramesAfterAbort(t *testing.T) {
 	if res.Status != Hung {
 		t.Fatalf("status %v", res.Status)
 	}
-	if b.reg.Depth() != 1 {
-		t.Fatalf("registry depth %d after abort, want 1", b.reg.Depth())
+	if n := len(b.reg.Frames()); n != 1 {
+		t.Fatalf("registry depth %d after abort, want 1", n)
 	}
 }
 

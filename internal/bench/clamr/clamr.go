@@ -323,23 +323,6 @@ func (c *CLAMR) Output(dst []float64) bench.Output {
 	return bench.Output{Vals: out, Shape: state.Dims2(c.fine, c.fine)}
 }
 
-// NumCells returns the live cell count (tests & examples).
-func (c *CLAMR) NumCells() int { return c.ncell.Load() }
-
-// Mass returns ∫H dA over the mesh in fine-cell units.
-func (c *CLAMR) Mass() float64 {
-	total := 0.0
-	n := c.ncell.Load()
-	for idx := 0; idx < n; idx++ {
-		size := 1 << (c.cfg.MaxLevel - c.clev.Data[idx])
-		total += float64(c.h.Data[idx] * float64(size*size))
-	}
-	return total
-}
-
-// H exposes the height field for beam tests.
-func (c *CLAMR) H() *state.Buf[float64] { return c.h }
-
 func init() {
 	bench.Register("CLAMR", func(seed uint64) bench.Benchmark {
 		return New(DefaultConfig(), seed)

@@ -63,7 +63,7 @@ func TestCLAMRMeshRefinesAtFront(t *testing.T) {
 	r.RunGolden() // the runner's construction ends with Reset
 	// After the golden run the mesh must hold more cells than the uniform
 	// level-1 start (refinement happened) and fewer than capacity.
-	n := c.NumCells()
+	n := c.ncell.Load()
 	initial := (8 * 2) * (8 * 2)
 	if n <= initial {
 		t.Fatalf("cell count %d did not grow beyond initial %d", n, initial)
@@ -83,7 +83,7 @@ func TestCLAMRActiveCellsPeakEarlyMiddle(t *testing.T) {
 	// Re-run and snapshot the cell count at each remesh tick (ticks 3,7,...).
 	for step := 0; step < 30; step++ {
 		res := r.RunInjected(4*step+3, func() {
-			counts = append(counts, c.NumCells())
+			counts = append(counts, c.ncell.Load())
 		})
 		if res.Status != bench.Completed {
 			t.Fatalf("probe run failed: %v", res.Status)
@@ -164,6 +164,17 @@ func TestCLAMRMergeSortSorts(t *testing.T) {
 	}
 }
 
+// mass returns ∫H dA over the mesh in fine-cell units.
+func mass(c *CLAMR) float64 {
+	total := 0.0
+	n := c.ncell.Load()
+	for idx := 0; idx < n; idx++ {
+		size := 1 << (c.cfg.MaxLevel - c.clev.Data[idx])
+		total += float64(c.h.Data[idx] * float64(size*size))
+	}
+	return total
+}
+
 func TestCLAMRMassConservedByRemesh(t *testing.T) {
 	// Refinement copies parent state to children; coarsening averages.
 	// Both preserve ∫H dA exactly, so mass drift can come only from the
@@ -172,13 +183,13 @@ func TestCLAMRMassConservedByRemesh(t *testing.T) {
 	r, _ := bench.NewRunner(c)
 	_ = r
 	c.Reset()
-	initial := c.Mass()
+	initial := mass(c)
 	runner, _ := bench.NewRunner(c)
 	res := runner.RunGolden()
 	if res.Status != bench.Completed {
 		t.Fatal(res.Status)
 	}
-	final := c.Mass()
+	final := mass(c)
 	drift := math.Abs(final-initial) / initial
 	if drift > 0.05 {
 		t.Fatalf("mass drifted %.2f%% (%.1f → %.1f)", 100*drift, initial, final)
@@ -274,7 +285,7 @@ func TestCLAMRHCorruptionSpreads(t *testing.T) {
 	c := small()
 	r, _ := bench.NewRunner(c)
 	res := r.RunInjected(4*2+2, func() {
-		n := c.NumCells()
+		n := c.ncell.Load()
 		c.h.Data[n/2] += 5
 	})
 	if res.Status != bench.Completed {

@@ -317,15 +317,6 @@ func (d *DGEMM) Output(dst []float64) bench.Output {
 	return bench.Output{Vals: dst, Shape: d.c.Shape}
 }
 
-// A exposes the input matrix for mitigation tests (ABFT wraps DGEMM).
-func (d *DGEMM) A() *state.Buf[float64] { return d.a }
-
-// B exposes the input matrix for mitigation tests.
-func (d *DGEMM) B() *state.Buf[float64] { return d.b }
-
-// C exposes the output matrix for mitigation tests.
-func (d *DGEMM) C() *state.Buf[float64] { return d.c }
-
 // Size returns the matrix dimension.
 func (d *DGEMM) Size() int { return d.cfg.N }
 

@@ -93,7 +93,7 @@ func TestDGEMMMatrixCorruptionIsSDC(t *testing.T) {
 	rng := stats.NewRNG(7)
 	res := r.RunInjected(1, func() {
 		// Random-model corruption of an output element already computed.
-		d.C().CorruptElem(rng, fault.Random, 0)
+		d.c.CorruptElem(rng, fault.Random, 0)
 	})
 	if res.Status != bench.Completed {
 		t.Fatalf("status %v", res.Status)
@@ -108,7 +108,7 @@ func TestDGEMMInputCorruptionPropagates(t *testing.T) {
 	r, _ := bench.NewRunner(d)
 	rng := stats.NewRNG(8)
 	res := r.RunInjected(0, func() {
-		d.A().CorruptElem(rng, fault.Random, 5)
+		d.a.CorruptElem(rng, fault.Random, 5)
 	})
 	if res.Status != bench.Completed {
 		t.Fatalf("status %v", res.Status)
@@ -156,7 +156,7 @@ func TestDGEMMControlZeroKEndTruncatesOutput(t *testing.T) {
 	}
 	switch res.Status {
 	case bench.Completed:
-		if def.Report.Changed() && bench.CompareExact(r.Golden, res.Output) {
+		if def.Report.Before != def.Report.After && bench.CompareExact(r.Golden, res.Output) {
 			t.Fatal("zeroed mid-loop cursor changed value but had no output effect")
 		}
 	case bench.Hung, bench.Crashed:
@@ -167,7 +167,10 @@ func TestDGEMMControlZeroKEndTruncatesOutput(t *testing.T) {
 
 func TestDGEMMRegistryRegions(t *testing.T) {
 	d := small()
-	rb := d.Registry().RegionBytes()
+	rb := map[state.Region]int{}
+	for _, s := range d.Registry().Live() {
+		rb[s.Region()] += s.SizeBytes()
+	}
 	if rb["matrix"] != 3*24*24*8 {
 		t.Fatalf("matrix bytes = %d", rb["matrix"])
 	}
@@ -193,7 +196,7 @@ func TestDGEMMResetRestoresState(t *testing.T) {
 	d := small()
 	r, _ := bench.NewRunner(d)
 	rng := stats.NewRNG(11)
-	r.RunInjected(1, func() { d.A().CorruptElem(rng, fault.Random, 0) })
+	r.RunInjected(1, func() { d.a.CorruptElem(rng, fault.Random, 0) })
 	res := r.RunGolden()
 	if res.Status != bench.Completed || !bench.CompareExact(r.Golden, res.Output) {
 		t.Fatal("Reset did not restore pristine inputs")

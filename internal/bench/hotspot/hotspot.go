@@ -320,15 +320,6 @@ func (h *HotSpot) Output(dst []float64) bench.Output {
 	return bench.Output{Vals: dst, Shape: h.final.Shape}
 }
 
-// Temps exposes the live temperature grid: during a run, the buffer the
-// current sweep reads from; afterwards, the buffer holding the result.
-func (h *HotSpot) Temps() *state.Buf[float32] {
-	if h.final != nil {
-		return h.final
-	}
-	return h.tA
-}
-
 func init() {
 	bench.Register("HotSpot", func(seed uint64) bench.Benchmark {
 		return New(DefaultConfig(), seed)

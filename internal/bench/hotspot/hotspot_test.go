@@ -6,6 +6,7 @@ import (
 
 	"phirel/internal/bench"
 	"phirel/internal/fault"
+	"phirel/internal/state"
 	"phirel/internal/stats"
 )
 
@@ -65,6 +66,15 @@ func meanAbsDiff(a, b []float64) float64 {
 	return s / float64(len(a))
 }
 
+// liveGrid is the temperature grid a run reads: during a run, the buffer
+// the current sweep reads from; afterwards, the buffer holding the result.
+func liveGrid(h *HotSpot) *state.Buf[float32] {
+	if h.final != nil {
+		return h.final
+	}
+	return h.tA
+}
+
 // The paper's central HotSpot observation: injected deltas attenuate, and
 // the earlier the injection the smaller the final error.
 func TestHotSpotAttenuation(t *testing.T) {
@@ -72,7 +82,7 @@ func TestHotSpotAttenuation(t *testing.T) {
 	r, _ := bench.NewRunner(h)
 	inject := func(tick int) float64 {
 		res := r.RunInjected(tick, func() {
-			h.Temps().Data[12*24+12] += 1000 // +1000 degrees at grid centre
+			liveGrid(h).Data[12*24+12] += 1000 // +1000 degrees at grid centre
 		})
 		if res.Status != bench.Completed {
 			t.Fatalf("status %v", res.Status)
@@ -106,7 +116,7 @@ func TestHotSpotErrorSpread(t *testing.T) {
 	h := New(Config{Rows: 24, Cols: 24, Iters: 60, Workers: 2}, 7)
 	r, _ := bench.NewRunner(h)
 	res := r.RunInjected(30, func() {
-		h.Temps().Data[12*24+12] += 1e9
+		liveGrid(h).Data[12*24+12] += 1e9
 	})
 	if res.Status != bench.Completed {
 		t.Fatalf("status %v", res.Status)

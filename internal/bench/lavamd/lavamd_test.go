@@ -6,6 +6,7 @@ import (
 
 	"phirel/internal/bench"
 	"phirel/internal/fault"
+	"phirel/internal/state"
 	"phirel/internal/stats"
 )
 
@@ -209,9 +210,6 @@ func TestLavaMDOutputShape3D(t *testing.T) {
 	if sh.Z != 3 || sh.Y != 3 || sh.X != 4*6*3 {
 		t.Fatalf("output shape %v", sh)
 	}
-	if sh.Rank() != 3 {
-		t.Fatal("LavaMD must be the 3-D output benchmark")
-	}
 }
 
 func TestLavaMDRegistered(t *testing.T) {
@@ -226,7 +224,10 @@ func TestLavaMDRegistered(t *testing.T) {
 
 func TestLavaMDRegionFootprints(t *testing.T) {
 	l := small()
-	rb := l.Registry().RegionBytes()
+	rb := map[state.Region]int{}
+	for _, s := range l.Registry().Live() {
+		rb[s.Region()] += s.SizeBytes()
+	}
 	n := 3 * 3 * 3 * 6
 	if rb["distance"] != 3*n*8 || rb["charge"] != n*8 {
 		t.Fatalf("charge/distance footprints wrong: %v", rb)

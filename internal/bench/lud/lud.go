@@ -326,13 +326,6 @@ func (l *LUD) Output(dst []float64) bench.Output {
 	return bench.Output{Vals: dst, Shape: l.a.Shape}
 }
 
-// Matrix exposes the in-place matrix for mitigation and beam tests.
-func (l *LUD) Matrix() *state.Buf[float32] { return l.a }
-
-// Pristine returns a copy of the original input matrix (for residual
-// verification in tests).
-func (l *LUD) Pristine() []float32 { return append([]float32(nil), l.a0...) }
-
 // Size returns the matrix dimension.
 func (l *LUD) Size() int { return l.cfg.N }
 

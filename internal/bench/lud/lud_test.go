@@ -49,7 +49,7 @@ func TestLUDFactorsReconstructInput(t *testing.T) {
 	}
 	n := l.Size()
 	rec := reconstruct(r.Golden.Vals, n)
-	orig := l.Pristine()
+	orig := l.a0
 	maxRel := 0.0
 	for i := range rec {
 		denom := math.Abs(float64(orig[i])) + 1
@@ -87,7 +87,7 @@ func TestLUDEarlyMatrixFaultSpreadsWide(t *testing.T) {
 	l := small()
 	r, _ := bench.NewRunner(l)
 	res := r.RunInjected(0, func() {
-		l.Matrix().Data[0] *= 4 // corrupt A[0][0] before factoring
+		l.a.Data[0] *= 4 // corrupt A[0][0] before factoring
 	})
 	if res.Status != bench.Completed {
 		t.Fatalf("status %v", res.Status)
@@ -110,7 +110,7 @@ func TestLUDLateFaultStaysLocal(t *testing.T) {
 	r, _ := bench.NewRunner(l)
 	lastTick := r.TotalTicks - 1
 	res := r.RunInjected(lastTick, func() {
-		l.Matrix().Data[3] += 1 // row 0 is finalized early; late fault can't spread
+		l.a.Data[3] += 1 // row 0 is finalized early; late fault can't spread
 	})
 	if res.Status != bench.Completed {
 		t.Fatalf("status %v", res.Status)
@@ -213,7 +213,7 @@ func TestLUDResetRestores(t *testing.T) {
 	l := small()
 	r, _ := bench.NewRunner(l)
 	rng := stats.NewRNG(6)
-	r.RunInjected(2, func() { l.Matrix().CorruptElem(rng, fault.Random, 40) })
+	r.RunInjected(2, func() { l.a.CorruptElem(rng, fault.Random, 40) })
 	res := r.RunGolden()
 	if !bench.CompareExact(r.Golden, res.Output) {
 		t.Fatal("Reset did not restore")

@@ -55,7 +55,7 @@ func CarolFI(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.
 			if logw != nil {
 				cfg.Observe = logw.Observe
 			}
-			res, err := core.RunCampaignContext(ctx, cfg)
+			res, err := core.RunCampaign(ctx, cfg)
 			if err != nil {
 				return logw.abort(stderr, tool, err)
 			}

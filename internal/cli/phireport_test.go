@@ -142,7 +142,7 @@ func TestReportLogMatchesCampaign(t *testing.T) {
 	for _, policy := range []state.Policy{state.ByFrameThenVariable, state.ByBytes} {
 		results := map[string]*core.CampaignResult{}
 		for _, name := range []string{"DGEMM", "NW"} {
-			res, err := core.RunCampaign(core.CampaignConfig{
+			res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 				Benchmark: name, N: 30, Policy: policy, Seed: 7, BenchSeed: 1, Workers: 2,
 				Observe: func(rec core.InjectionRecord) {
 					mu.Lock()

@@ -123,14 +123,7 @@ type CampaignResult struct {
 	FiredShare stats.Proportion
 }
 
-// RunCampaign executes cfg.N injection experiments. Every experiment i uses
-// an RNG stream derived from (cfg.Seed, i), so results are bit-identical for
-// any worker count. It is RunCampaignContext without cancellation.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	return RunCampaignContext(context.Background(), cfg)
-}
-
-// RunCampaignContext executes cfg.N injection experiments under ctx on the
+// RunCampaign executes cfg.N injection experiments under ctx on the
 // shared streaming engine (internal/engine). When ctx is cancelled the
 // engine stops scheduling new injections and returns the partial result
 // alongside ctx.Err(); the partial tallies are internally consistent (every
@@ -141,7 +134,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // injects on a golden-run runner borrowed from cfg.Runners (built fresh
 // when that is nil); all of them are back in the list when the call
 // returns, on every path.
-func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
+func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("core: campaign needs N > 0")
 	}

@@ -75,7 +75,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []any {
 		cfg := CampaignConfig{Benchmark: "DGEMM", N: 60, Seed: 42, BenchSeed: 1, Workers: workers}
 		recs := observe(&cfg)
-		res, err := RunCampaign(cfg)
+		res, err := RunCampaign(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 4000
 	var observed atomic.Int64
-	res, err := RunCampaignContext(ctx, CampaignConfig{
+	res, err := RunCampaign(ctx, CampaignConfig{
 		Benchmark: "DGEMM", N: n, Seed: 21, BenchSeed: 1, Workers: 4,
 		Observe: func(InjectionRecord) { observed.Add(1) },
 		Progress: func(done, total int) {
@@ -157,7 +157,7 @@ func TestCampaignCancellation(t *testing.T) {
 func TestCampaignStreamMatchesRecords(t *testing.T) {
 	cfg := CampaignConfig{Benchmark: "DGEMM", N: 50, Seed: 33, BenchSeed: 1, Workers: 4}
 	recs := observe(&cfg)
-	res, err := RunCampaign(cfg)
+	res, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCampaignStreamMatchesRecords(t *testing.T) {
 }
 
 func TestCampaignAccounting(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
+	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Benchmark: "DGEMM", N: 80, Seed: 9, BenchSeed: 2, Workers: 4,
 	})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestCampaignAccounting(t *testing.T) {
 }
 
 func TestCampaignModelsRoundRobin(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
+	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Benchmark: "DGEMM", N: 40, Seed: 3, BenchSeed: 1, Workers: 2,
 		Models: []fault.Model{fault.Zero},
 	})
@@ -208,7 +208,7 @@ func TestCampaignProducesHarmAndMasking(t *testing.T) {
 	// A sanity check of the whole pipeline: a few hundred injections into
 	// DGEMM must produce all three outcome classes (paper Fig. 4 shows
 	// DGEMM at roughly 40% masked / 35% SDC / 25% DUE).
-	res, err := RunCampaign(CampaignConfig{
+	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Benchmark: "DGEMM", N: 300, Seed: 5, BenchSeed: 1, Workers: 4,
 	})
 	if err != nil {
@@ -226,10 +226,10 @@ func TestCampaignProducesHarmAndMasking(t *testing.T) {
 }
 
 func TestCampaignInvalidConfig(t *testing.T) {
-	if _, err := RunCampaign(CampaignConfig{Benchmark: "DGEMM", N: 0}); err == nil {
+	if _, err := RunCampaign(context.Background(), CampaignConfig{Benchmark: "DGEMM", N: 0}); err == nil {
 		t.Fatal("accepted N=0")
 	}
-	if _, err := RunCampaign(CampaignConfig{Benchmark: "Ghost", N: 5}); err == nil {
+	if _, err := RunCampaign(context.Background(), CampaignConfig{Benchmark: "Ghost", N: 5}); err == nil {
 		t.Fatal("accepted unknown benchmark")
 	}
 }
@@ -311,7 +311,7 @@ func TestCampaignAllBenchmarks(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunCampaign(CampaignConfig{
+			res, err := RunCampaign(context.Background(), CampaignConfig{
 				Benchmark: name, N: 24, Seed: 11, BenchSeed: 1, Workers: 2,
 			})
 			if err != nil {
@@ -380,7 +380,7 @@ func TestCampaignReturnsRunners(t *testing.T) {
 		crashes.Store(0)
 		failAt.Store(tc.failAt)
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunCampaignContext(ctx, CampaignConfig{
+		_, err := RunCampaign(ctx, CampaignConfig{
 			Benchmark: "flaky-DGEMM", N: tc.n, Seed: 5, BenchSeed: 1, Workers: workers,
 			Runners: rs,
 			Progress: func(done, total int) {

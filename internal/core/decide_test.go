@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestNeverFiredShareClosedForm(t *testing.T) {
 				}
 				p /= float64(run.TotalTicks)
 
-				res, err := RunCampaign(CampaignConfig{Benchmark: name, N: n, Seed: 0x5b, BenchSeed: 1, Policy: policy, Workers: 2})
+				res, err := RunCampaign(context.Background(), CampaignConfig{Benchmark: name, N: n, Seed: 0x5b, BenchSeed: 1, Policy: policy, Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	_ "phirel/internal/bench/all"
@@ -11,7 +12,7 @@ import (
 // print the outcome breakdown and the most critical code regions: the
 // whole pipeline in one call. The numbers are the same for any Workers.
 func ExampleRunCampaign() {
-	res, err := core.RunCampaign(core.CampaignConfig{
+	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 		Benchmark: "DGEMM",
 		N:         200,
 		Seed:      42,

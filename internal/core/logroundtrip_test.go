@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	_ "phirel/internal/bench/all"
@@ -24,7 +25,7 @@ func TestLogRoundTripReaggregation(t *testing.T) {
 	recs := observe(&cfg)
 	keep := cfg.Observe
 	cfg.Observe = func(r InjectionRecord) { keep(r); log.Observe(r) }
-	res, err := RunCampaign(cfg)
+	res, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestLogRoundTripReaggregation(t *testing.T) {
 // TestCampaignWindowCoverage checks injections actually land in every
 // window (Figure 6 would silently show empty columns otherwise).
 func TestCampaignWindowCoverage(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
+	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Benchmark: "CLAMR", N: 270, Seed: 5, BenchSeed: 1, Workers: 4,
 	})
 	if err != nil {

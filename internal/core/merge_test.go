@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // campaign.
 func shardCampaign(t *testing.T, off, n int) *CampaignResult {
 	t.Helper()
-	res, err := RunCampaign(CampaignConfig{
+	res, err := RunCampaign(context.Background(), CampaignConfig{
 		Benchmark: "DGEMM", N: n, Offset: off, Seed: 42, BenchSeed: 1,
 		Workers: 3,
 	})
@@ -68,7 +69,7 @@ func TestCampaignMergePrepend(t *testing.T) {
 func TestCampaignAddProperty(t *testing.T) {
 	cfg := CampaignConfig{Benchmark: "DGEMM", N: 60, Seed: 42, BenchSeed: 1, Workers: 3}
 	recs := observe(&cfg)
-	res, err := RunCampaign(cfg)
+	res, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

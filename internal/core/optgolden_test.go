@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -85,7 +86,7 @@ func TestOptGoldenCampaigns(t *testing.T) {
 				c.Workers = workers
 				recs := make([]core.InjectionRecord, c.N)
 				c.Observe = func(r core.InjectionRecord) { recs[r.Seq] = r }
-				res, err := core.RunCampaign(c)
+				res, err := core.RunCampaign(context.Background(), c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,9 +18,6 @@ type Corruption struct {
 	Width int
 }
 
-// Changed reports whether the value actually changed.
-func (c Corruption) Changed() bool { return c.Before != c.After }
-
 // CorruptUint64 applies the model to a 64-bit pattern.
 func CorruptUint64(r *stats.RNG, m Model, v uint64) (uint64, Corruption) {
 	var buf [8]byte

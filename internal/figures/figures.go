@@ -1,60 +1,22 @@
-// Package figures regenerates every table and figure of the paper's
-// evaluation from fresh campaigns. It is the single harness shared by the
-// cmd tools and the root benchmark suite, so `go test -bench` and the CLIs
-// print identical rows. The experiment index is the root bench_test.go.
+// Package figures renders every table and figure of the paper's
+// evaluation from campaign and beam results. The cmd tools and the root
+// benchmark suite render through it, and the root suite runs one
+// fleet.Sweep, the one `phi-bench -sweep` runs, so `go test -bench` and the
+// CLIs print identical rows. The experiment index is the root
+// bench_test.go.
 package figures
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"phirel/internal/analysis"
 	"phirel/internal/beam"
 	"phirel/internal/bench/all"
-	_ "phirel/internal/bench/all"
 	"phirel/internal/core"
 	"phirel/internal/fault"
-	"phirel/internal/fleet"
-	"phirel/internal/phi"
 	"phirel/internal/report"
-	"phirel/internal/state"
 )
-
-// Scale sizes the campaigns BeamResults and CampaignResults run. Quick is
-// the one size in use: the figure benchmarks and the tests run at it; the
-// paper-grade sweeps (>= 10,000 injections per cell) run through phi-bench
-// -sweep and phi-fleet, not through this package.
-type Scale struct {
-	BeamRuns   int
-	Injections int
-	Workers    int
-	Seed       uint64
-	BenchSeed  uint64
-}
-
-// Quick is sized for CI: minutes of wall time, CIs of several percent.
-func Quick() Scale {
-	return Scale{BeamRuns: 6000, Injections: 600, Workers: 8, Seed: 1701, BenchSeed: 1}
-}
-
-// BeamResults runs the beam campaign for the five beam benchmarks through
-// the fleet orchestrator: one beam cell per benchmark on a shared pool with
-// per-cell derived seeds, the same path `phi-bench -sweep -beam-runs` uses.
-func BeamResults(s Scale) (map[string]*beam.Result, error) {
-	sw := fleet.Sweep{
-		BeamRuns:       s.BeamRuns,
-		BeamBenchmarks: all.BeamSuite,
-		Seed:           s.Seed,
-		BenchSeed:      s.BenchSeed,
-		Workers:        s.Workers,
-	}
-	res, err := sw.Run(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("figures: beam sweep: %w", err)
-	}
-	return res.BeamFor(phi.DefaultDevice, false), nil
-}
 
 // beamOrder returns the render order for a beam result set: the paper's
 // presentation order first, then any extension benchmarks (e.g. NW beam
@@ -124,22 +86,6 @@ func toleranceHeaders() []string {
 		out = append(out, fmt.Sprintf("%.1f%%", 100*tol))
 	}
 	return out
-}
-
-// CampaignResults runs the CAROL-FI campaign for all six benchmarks.
-func CampaignResults(s Scale, policy state.Policy) (map[string]*core.CampaignResult, error) {
-	out := map[string]*core.CampaignResult{}
-	for _, name := range all.Suite {
-		res, err := core.RunCampaign(core.CampaignConfig{
-			Benchmark: name, N: s.Injections, Seed: s.Seed, BenchSeed: s.BenchSeed,
-			Workers: s.Workers, Policy: policy,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("figures: campaign %s: %w", name, err)
-		}
-		out[name] = res
-	}
-	return out, nil
 }
 
 // Figure4 renders the injection-outcome shares.

@@ -1,27 +1,35 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"phirel/internal/beam"
+	"phirel/internal/bench/all"
 	"phirel/internal/core"
+	"phirel/internal/fleet"
+	"phirel/internal/phi"
 	"phirel/internal/state"
 )
 
-// tiny returns a scale small enough for unit tests.
-func tiny() Scale {
-	return Scale{BeamRuns: 400, Injections: 48, Workers: 4, Seed: 5, BenchSeed: 1}
+// tiny runs s, sized by the caller for a unit test, on the seeds and pool
+// the figure tests share.
+func tiny(t *testing.T, s fleet.Sweep) *fleet.SweepResult {
+	t.Helper()
+	s.Seed, s.BenchSeed, s.Workers = 5, 1, 4
+	res, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestBeamFiguresEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	results, err := BeamResults(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := tiny(t, fleet.Sweep{BeamRuns: 400, BeamBenchmarks: all.BeamSuite}).BeamFor(phi.DefaultDevice, false)
 	f2 := Figure2(results).String()
 	for _, name := range []string{"CLAMR", "DGEMM", "HotSpot", "LavaMD", "LUD"} {
 		if !strings.Contains(f2, name) {
@@ -42,10 +50,8 @@ func TestCampaignFiguresEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	results, err := CampaignResults(tiny(), state.ByFrameThenVariable)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 12 injections per cell: 48 per benchmark over the four fault models.
+	results := tiny(t, fleet.Sweep{N: 12}).MergedFor(state.ByFrameThenVariable)
 	f4 := Figure4(results).String()
 	if !strings.Contains(f4, "NW") || !strings.Contains(f4, "Masked") {
 		t.Fatalf("Figure 4:\n%s", f4)
@@ -150,14 +156,16 @@ matrix   algorithm-based fault tolerance (ABFT) checksums or residue (mod-3/mod-
 	}
 }
 
-// TestScales: Quick is a CI size, below the paper's 10,000 injections per
-// cell, yet every campaign it sizes runs trials.
+// TestScales: a figure counts what the sweep ran. Figure 4's N column is a
+// benchmark's trials summed over its fault-model cells, so a sweep of 8
+// injections per cell reads 32 over the four models.
 func TestScales(t *testing.T) {
-	q := Quick()
-	if q.Injections >= 10000 || q.BeamRuns >= 40000 {
-		t.Fatalf("Quick %+v is not below the paper-grade sizes", q)
+	results := tiny(t, fleet.Sweep{Benchmarks: []string{"DGEMM"}, N: 8}).MergedFor(state.ByFrameThenVariable)
+	f4 := Figure4(results)
+	if len(f4.Rows) != 1 {
+		t.Fatalf("Figure 4 has %d rows for one benchmark:\n%s", len(f4.Rows), f4)
 	}
-	if q.Injections <= 0 || q.BeamRuns <= 0 || q.Workers <= 0 {
-		t.Fatalf("Quick %+v sizes a campaign with nothing to run", q)
+	if row := f4.Rows[0]; row[0] != "DGEMM" || row[len(row)-1] != "32" {
+		t.Fatalf("Figure 4 row %q, want DGEMM with N 32", row)
 	}
 }

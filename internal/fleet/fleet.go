@@ -383,7 +383,7 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 				Runners:   rs,
 				Observe:   ns.ObserveInjection,
 			}
-			res, err := core.RunCampaignContext(ctx, cfg)
+			res, err := core.RunCampaign(ctx, cfg)
 			if err == nil {
 				out[i] = CellResult{CellSpec: c, Result: res}
 			}

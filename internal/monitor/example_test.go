@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"context"
 	"fmt"
 
 	_ "phirel/internal/bench/all"
@@ -18,7 +19,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := core.RunCampaign(core.CampaignConfig{
+	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 		Benchmark: "DGEMM", N: 200, Seed: 5, BenchSeed: 1, Workers: 4,
 		Observe: m.ObserveInjection,
 	})

@@ -90,7 +90,7 @@ func TestInjectionStreamMatchesPostHocFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunCampaign(core.CampaignConfig{
+	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
 		Benchmark: "DGEMM", N: 300, Seed: 5, BenchSeed: 1, Workers: 4, Observe: m.ObserveInjection,
 	})
 	if err != nil {

@@ -119,9 +119,6 @@ func (g *Registry) Pop() {
 	g.frames = g.frames[:len(g.frames)-1]
 }
 
-// Depth returns the number of live frames including global.
-func (g *Registry) Depth() int { return len(g.frames) }
-
 // PopAll removes every frame above global. The harness calls it when a run
 // aborts mid-phase (crash or watchdog) and deferred Pops never ran.
 func (g *Registry) PopAll() { g.frames = g.frames[:1] }
@@ -162,15 +159,6 @@ func (g *Registry) Live() []Site {
 	var out []Site
 	for _, f := range g.frames {
 		out = append(out, f.sites...)
-	}
-	return out
-}
-
-// RegionBytes returns live footprint grouped by region.
-func (g *Registry) RegionBytes() map[Region]int {
-	out := make(map[Region]int)
-	for _, s := range g.Live() {
-		out[s.Region()] += s.SizeBytes()
 	}
 	return out
 }

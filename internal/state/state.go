@@ -125,19 +125,4 @@ func (d Dims) Coord(i int) (x, y, z int) {
 // Index maps (x,y,z) to a flat index.
 func (d Dims) Index(x, y, z int) int { return (z*d.Y+y)*d.X + x }
 
-// Rank returns the number of dimensions with extent > 1.
-func (d Dims) Rank() int {
-	r := 0
-	if d.X > 1 {
-		r++
-	}
-	if d.Y > 1 {
-		r++
-	}
-	if d.Z > 1 {
-		r++
-	}
-	return r
-}
-
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.X, d.Y, d.Z) }

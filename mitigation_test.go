@@ -1,17 +1,22 @@
-// Package mitigation turns a campaign's criticality table into a
-// selective-hardening plan (paper §6.1): regions taken most critical first,
-// each protected by the best technique of a catalogue (parity, residue
-// codes, DWC, ABFT, redundant multithreading) that still fits an overhead
-// budget, with the harm the plan is predicted to remove. Its callers are
-// ExampleSelectivePlan and the root benchmark suite's mitigation ablation.
-package mitigation
+package phirel_test
 
 import (
+	"context"
+	"fmt"
 	"sort"
+	"testing"
 
 	"phirel/internal/core"
 	"phirel/internal/state"
 )
+
+// Selective hardening (paper §6.1), the A3 ablation: a campaign's
+// criticality table becomes a plan in which regions, taken most critical
+// first, are each protected by the best technique of a catalogue (parity,
+// residue codes, DWC, ABFT, redundant multithreading) that still fits an
+// overhead budget, with the harm the plan is predicted to remove. The
+// programs print core.CampaignResult.Recommend's advice instead; the plan
+// lives beside the ablation that measures it.
 
 // Technique is a protection mechanism with its runtime overhead and the
 // fraction of a region's harmful faults it removes (coverage). Costs follow
@@ -109,4 +114,74 @@ func (p Plan) Improvement() float64 {
 		return 1
 	}
 	return p.HarmBefore / p.HarmAfter
+}
+
+// Selective hardening (paper §6.1): a CAROL-FI campaign on DGEMM gives
+// each code region's harmful-outcome rate, and the plan protects the most
+// critical regions first within a 15% overhead budget.
+func ExampleSelectivePlan() {
+	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+		Benchmark: "DGEMM", N: 400, Seed: 99, BenchSeed: 1, Workers: 4,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Println("Criticality (conditional harmful rates per region):")
+	for _, c := range res.Criticality(10) {
+		fmt.Printf("  %-10s SDC %5.1f%%  DUE %5.1f%%  (n=%d)\n",
+			c.Region, c.SDC.Percent(), c.DUE.Percent(), c.Injections)
+	}
+	plan := SelectivePlan(res, 0.15, 10)
+	fmt.Println("Selective plan under a 15% overhead budget:")
+	for _, e := range plan.Entries {
+		fmt.Printf("  %-10s <- %-14s (removes %.2f%% absolute harm)\n",
+			e.Region, e.Technique.Name, 100*e.HarmRemoved)
+	}
+	fmt.Printf("  total overhead %.0f%%, harmful outcomes %.1f%% -> %.1f%% (x%.1f better)\n",
+		100*plan.TotalOverhead, 100*plan.HarmBefore, 100*plan.HarmAfter, plan.Improvement())
+	// Output:
+	// Criticality (conditional harmful rates per region):
+	//   matrix     SDC  56.5%  DUE   0.0%  (n=23)
+	//   control    SDC  24.7%  DUE  24.1%  (n=377)
+	// Selective plan under a 15% overhead budget:
+	//   control    <- residue-mod3   (removes 32.20% absolute harm)
+	//   matrix     <- dwc            (removes 3.09% absolute harm)
+	//   total overhead 14%, harmful outcomes 49.3% -> 14.0% (x3.5 better)
+}
+
+func TestSelectivePlan(t *testing.T) {
+	res := &core.CampaignResult{
+		ByRegion: map[state.Region]core.OutcomeCounts{
+			"control": {Masked: 100, SDC: 150, DUECrash: 250}, // 500 inj, 80% harmful
+			"matrix":  {Masked: 200, SDC: 250, DUECrash: 50},  // 500 inj, 60% harmful
+		},
+	}
+	res.Outcomes = core.OutcomeCounts{Masked: 300, SDC: 400, DUECrash: 300}
+	plan := SelectivePlan(res, 0.25, 10)
+	if len(plan.Entries) == 0 {
+		t.Fatal("empty plan")
+	}
+	if plan.TotalOverhead > 0.25+1e-9 {
+		t.Fatalf("budget exceeded: %v", plan.TotalOverhead)
+	}
+	if plan.HarmAfter >= plan.HarmBefore {
+		t.Fatal("plan removed nothing")
+	}
+	if plan.Improvement() <= 1 {
+		t.Fatalf("improvement %v", plan.Improvement())
+	}
+	// A tighter budget must not remove more harm.
+	tight := SelectivePlan(res, 0.05, 10)
+	if tight.HarmBefore-tight.HarmAfter > plan.HarmBefore-plan.HarmAfter+1e-12 {
+		t.Fatal("tighter budget outperformed larger one")
+	}
+}
+
+func TestSelectivePlanEmptyCampaign(t *testing.T) {
+	res := &core.CampaignResult{ByRegion: map[state.Region]core.OutcomeCounts{}}
+	plan := SelectivePlan(res, 1, 1)
+	if len(plan.Entries) != 0 || plan.Improvement() != 1 {
+		t.Fatal("degenerate plan")
+	}
 }
