@@ -326,7 +326,9 @@ worker-bin:
 # exec'd workers running every chunk of a shard on one runner list — is
 # byte-diffed too. The supervisor sends its workers only -plan, so the last
 # leg runs README's hand-sharded flow: one `phi-bench -shard k/K` per shard,
-# folded with phi-merge.
+# folded with phi-merge. Shard 1 of that leg also checkpoints and streams a
+# monitor, so a worker whose observers are hooked folds its own chunks; its
+# .ckpt and .jsonl names stay outside the sweep-shard-*.json glob.
 FLEET_SHARDS ?= 3
 FLEET_CKPT_EVERY ?= 50
 fleet-check:
@@ -342,11 +344,12 @@ fleet-check:
 	cmp sweep.json sweep-fleet-ckpt.json
 	mkdir fleet-work-hand
 	@set -e; for k in $$(seq 1 $(FLEET_SHARDS)); do \
-		bin/phi-bench -sweep $(SWEEP_FLAGS) -shard $$k/$(FLEET_SHARDS) -out fleet-work-hand/sweep-shard-$$k-of-$(FLEET_SHARDS).json > /dev/null; \
+		hooked=""; [ $$k -ne 1 ] || hooked="-checkpoint-out fleet-work-hand/ck-1.ckpt -checkpoint-every $(FLEET_CKPT_EVERY) -monitor-jsonl fleet-work-hand/mon-1.jsonl"; \
+		bin/phi-bench -sweep $(SWEEP_FLAGS) -shard $$k/$(FLEET_SHARDS) $$hooked -out fleet-work-hand/sweep-shard-$$k-of-$(FLEET_SHARDS).json > /dev/null; \
 	done
 	$(GO) run ./cmd/phi-merge -out sweep-hand-merged.json 'fleet-work-hand/sweep-shard-*.json'
 	cmp sweep.json sweep-hand-merged.json
-	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials), the phi-merge CLI refold and the hand-sharded -shard k/$(FLEET_SHARDS) runs are byte-identical to the monolithic sweep"
+	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials), the phi-merge CLI refold and the hand-sharded -shard k/$(FLEET_SHARDS) runs (shard 1 checkpointed and monitored) are byte-identical to the monolithic sweep"
 
 # The same bytes with the CPU features Go picks code paths by turned off:
 # the golden and kernel-equality tests, the quick sweep byte-diffed against

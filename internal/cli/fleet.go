@@ -9,53 +9,37 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"phirel/internal/distrib"
 )
 
 // FleetFlags is the supervision flag surface shared by cmd/phi-fleet and
-// cmd/phi-serve: the per-attempt timeout, retry budget, backoff and
-// concurrency cap of a fan-out. Defaults come from distrib.Defaults and
-// assembly goes through distrib.Options.Validate, so the CLI surfaces and
-// the scheduler cannot drift on what a legal fan-out config is.
+// cmd/phi-serve. The flags set the fields of a distrib.Options that starts
+// as distrib.Defaults, and assembly goes through distrib.Options.Validate,
+// so the CLI surfaces and the scheduler cannot drift on a fan-out config.
 type FleetFlags struct {
-	Shards          int
-	Timeout         time.Duration
-	Retries         int
-	Backoff         time.Duration
-	MaxConcurrent   int
-	CheckpointEvery int
-	StealInterval   time.Duration
+	opts distrib.Options
 }
 
 // Register installs the supervision flags on fs with distrib.Defaults as
 // the flag defaults.
 func (f *FleetFlags) Register(fs *flag.FlagSet) {
-	d := distrib.Defaults()
-	fs.IntVar(&f.Shards, "shards", d.Shards, "fan-out width K: how many shard workers per sweep")
-	fs.DurationVar(&f.Timeout, "timeout", d.Timeout, "per-attempt shard timeout (0 = none)")
-	fs.IntVar(&f.Retries, "retries", d.Retries, "relaunches per crashed/timed-out/corrupt-output shard beyond its first attempt")
-	fs.DurationVar(&f.Backoff, "backoff", d.Backoff, "delay before a shard's first retry (doubles per retry, capped at 1m; 0 means 500ms)")
-	fs.IntVar(&f.MaxConcurrent, "max-concurrent", d.MaxConcurrent, "max shards in flight at once (0 = no cap; one shared budget across jobs)")
-	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", d.CheckpointEvery, "shard checkpoint cadence in trials: relaunched shards resume instead of recomputing (0 = off)")
-	fs.DurationVar(&f.StealInterval, "steal-interval", d.StealInterval, "straggler watchdog period: lagging shards are cancelled at a checkpoint and re-split (0 = off; needs -checkpoint-every)")
+	o := &f.opts
+	*o = distrib.Defaults()
+	fs.IntVar(&o.Shards, "shards", o.Shards, "fan-out width K: how many shard workers per sweep")
+	fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "per-attempt shard timeout (0 = none)")
+	fs.IntVar(&o.Retries, "retries", o.Retries, "relaunches per crashed/timed-out/corrupt-output shard beyond its first attempt")
+	fs.DurationVar(&o.Backoff, "backoff", o.Backoff, "delay before a shard's first retry (doubles per retry, capped at 1m; 0 means 500ms)")
+	fs.IntVar(&o.MaxConcurrent, "max-concurrent", o.MaxConcurrent, "max shards in flight at once (0 = no cap; one shared budget across jobs)")
+	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery, "shard checkpoint cadence in trials: relaunched shards resume instead of recomputing (0 = off)")
+	fs.DurationVar(&o.StealInterval, "steal-interval", o.StealInterval, "straggler watchdog period: lagging shards are cancelled at a checkpoint and re-split (0 = off; needs -checkpoint-every)")
 }
 
 // Options assembles the validated distrib.Options the flags describe,
 // completed with the launcher and working directory the caller resolved.
 func (f *FleetFlags) Options(launcher distrib.Launcher, dir string) (distrib.Options, error) {
-	opts := distrib.Options{
-		Shards:          f.Shards,
-		Launcher:        launcher,
-		Dir:             dir,
-		Timeout:         f.Timeout,
-		Retries:         f.Retries,
-		Backoff:         f.Backoff,
-		MaxConcurrent:   f.MaxConcurrent,
-		CheckpointEvery: f.CheckpointEvery,
-		StealInterval:   f.StealInterval,
-	}
+	opts := f.opts
+	opts.Launcher, opts.Dir = launcher, dir
 	if err := opts.Validate(); err != nil {
 		return distrib.Options{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"phirel/internal/distrib"
 )
@@ -29,16 +30,15 @@ func parseFleet(t *testing.T, args ...string) (*FleetFlags, *WorkerFlags) {
 // disagree on the baseline fan-out config.
 func TestFleetFlagsDefaultsMatchScheduler(t *testing.T) {
 	f, _ := parseFleet(t)
-	d := distrib.Defaults()
-	if f.Shards != d.Shards || f.Timeout != d.Timeout || f.Retries != d.Retries ||
-		f.Backoff != d.Backoff || f.MaxConcurrent != d.MaxConcurrent {
-		t.Fatalf("flag defaults %+v diverge from distrib.Defaults %+v", f, d)
+	if d := distrib.Defaults(); !reflect.DeepEqual(f.opts, d) {
+		t.Fatalf("flag defaults %+v diverge from distrib.Defaults %+v", f.opts, d)
 	}
 }
 
 func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	f, w := parseFleet(t, "-shards", "5", "-timeout", "90s", "-retries", "2",
-		"-backoff", "3s", "-max-concurrent", "4", "-worker-cmd", "bin/phi-bench -quiet")
+		"-backoff", "3s", "-max-concurrent", "4", "-checkpoint-every", "7", "-steal-interval", "2s",
+		"-worker-cmd", "bin/phi-bench -quiet")
 	launch, err := w.Launcher("run")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,8 @@ func TestFleetFlagsOptionsAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Shards != 5 || opts.Retries != 2 || opts.MaxConcurrent != 4 {
+	if opts.Shards != 5 || opts.Timeout != 90*time.Second || opts.Retries != 2 || opts.Backoff != 3*time.Second ||
+		opts.MaxConcurrent != 4 || opts.CheckpointEvery != 7 || opts.StealInterval != 2*time.Second {
 		t.Fatalf("options wired as %+v", opts)
 	}
 	exec, ok := opts.Launcher.(distrib.ExecLauncher)

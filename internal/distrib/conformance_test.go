@@ -527,9 +527,11 @@ func TestExecKilledMidStreamLeavesNoPartial(t *testing.T) {
 	defer cancel()
 	go func() {
 		for ctx.Err() == nil {
-			if st, err := os.Stat(task.OutPath + ".tmp"); err == nil && st.Size() > 0 {
-				cancel()
-				return
+			if tmps, _ := filepath.Glob(task.OutPath + ".tmp-*"); len(tmps) == 1 {
+				if st, err := os.Stat(tmps[0]); err == nil && st.Size() > 0 {
+					cancel()
+					return
+				}
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -538,10 +540,11 @@ func TestExecKilledMidStreamLeavesNoPartial(t *testing.T) {
 	if err := (ExecLauncher{Command: []string{os.Args[0]}}).Launch(ctx, task, &stderr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("worker killed mid-stream: %v, want the cancellation (stderr %s)", err, stderr.String())
 	}
-	for _, path := range []string{task.OutPath, task.OutPath + ".tmp"} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("a worker killed mid-stream left %s (stat: %v)", path, err)
-		}
+	if _, err := os.Stat(task.OutPath); !os.IsNotExist(err) {
+		t.Fatalf("a worker killed mid-stream left %s (stat: %v)", task.OutPath, err)
+	}
+	if tmps, _ := filepath.Glob(task.OutPath + ".tmp-*"); len(tmps) != 0 {
+		t.Fatalf("a worker killed mid-stream left its temp file %v", tmps)
 	}
 }
 

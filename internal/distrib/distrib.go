@@ -21,9 +21,10 @@
 //     function.
 //   - Run supervises the fan-out: a bounded launch pool, a per-attempt
 //     timeout, bounded retry with exponential backoff for crashed,
-//     timed-out or corrupt-output workers, a progress mux folding every
-//     worker's structured JSONL stderr events into fan-out-wide samples,
-//     and per-shard stderr tails surfaced when a shard fails permanently.
+//     timed-out or corrupt-output workers, per-shard stderr tails surfaced
+//     when a shard fails permanently, and one worker table per job whose
+//     rows hold each worker's progress (from its JSONL stderr events), its
+//     straggler rate window and its claim: finished, or stolen and re-split.
 //     Every worker of a job, primary or child of a stolen straggler, takes
 //     one path (jobRun.run); a job reads done only after its seal ran.
 //   - Continuation is the supervisor's alone. A worker runs the plan it is
@@ -43,7 +44,7 @@
 //   - Blocking launch: Launch returns only once the worker is finished,
 //     with the shard's validated-parseable partial at task.OutPath on
 //     success. A K-way fan-out must merge byte-identical to the monolithic
-//     run, and worker progress must reach the supervisor's mux.
+//     run, and worker progress must reach the supervisor's worker table.
 //   - Kill on cancellation: when ctx ends (the per-attempt timeout), the
 //     backend must actually stop the worker — kill the process, interrupt
 //     the ssh or kubectl client — and return ctx.Err() so the failure

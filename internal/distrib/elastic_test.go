@@ -19,7 +19,7 @@ import (
 	"phirel/internal/fleet"
 )
 
-// Tests for the elastic-execution layer: the straggler watchdog's rate
+// Tests for the elastic-execution layer: the worker table's straggler rate
 // arithmetic under a fake clock, and the scheduler's checkpoint-resume and
 // steal/re-split paths through in-process workers. The same behaviours are
 // proven end-to-end against real launcher backends by the conformance
@@ -39,16 +39,15 @@ func (c wdClock) at(d time.Duration) time.Time { return c.base.Add(d) }
 // straggling.
 func TestWatchdogNoStealBelowThreshold(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, 100*time.Millisecond)
-	wd.watch(0)
-	wd.watch(1)
+	const minObserve = 100 * time.Millisecond
+	tab := primaries(2, 10, nil)
 	// Shard 0 gains 1.0 frac/s, shard 1 gains 0.6 frac/s — above the 0.5
 	// cut of the median however the median falls.
-	wd.observe(0, 0, 10, clk.at(0))
-	wd.observe(1, 0, 10, clk.at(0))
-	wd.observe(0, 10, 10, clk.at(time.Second))
-	wd.observe(1, 6, 10, clk.at(time.Second))
-	if got := wd.lagging(clk.at(time.Second)); got != nil {
+	tab.report(0, 0, 10, clk.at(0))
+	tab.report(1, 0, 10, clk.at(0))
+	tab.report(0, 10, 10, clk.at(time.Second))
+	tab.report(1, 6, 10, clk.at(time.Second))
+	if got := tab.lagging(clk.at(time.Second), minObserve); got != nil {
 		t.Fatalf("shards within the threshold flagged as lagging: %v", got)
 	}
 }
@@ -58,21 +57,20 @@ func TestWatchdogNoStealBelowThreshold(t *testing.T) {
 // hiccup inside the window cannot trigger a steal.
 func TestWatchdogFlagsStragglerAfterMinObserve(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, time.Second)
-	wd.watch(0)
-	wd.watch(1)
-	wd.observe(0, 0, 10, clk.at(0))
-	wd.observe(1, 0, 10, clk.at(0))
+	const minObserve = time.Second
+	tab := primaries(2, 10, nil)
+	tab.report(0, 0, 10, clk.at(0))
+	tab.report(1, 0, 10, clk.at(0))
 	// Half the window in: shard 1 is already 10x slower, but ineligible.
-	wd.observe(0, 5, 10, clk.at(500*time.Millisecond))
-	wd.observe(1, 1, 20, clk.at(500*time.Millisecond))
-	if got := wd.lagging(clk.at(500 * time.Millisecond)); got != nil {
+	tab.report(0, 5, 10, clk.at(500*time.Millisecond))
+	tab.report(1, 1, 20, clk.at(500*time.Millisecond))
+	if got := tab.lagging(clk.at(500*time.Millisecond), minObserve); got != nil {
 		t.Fatalf("straggler flagged before minObserve: %v", got)
 	}
 	// Past the window the same rates must flag it, and only it.
-	wd.observe(0, 10, 10, clk.at(time.Second))
-	wd.observe(1, 2, 20, clk.at(time.Second))
-	if got := wd.lagging(clk.at(time.Second)); !reflect.DeepEqual(got, []int{1}) {
+	tab.report(0, 10, 10, clk.at(time.Second))
+	tab.report(1, 2, 20, clk.at(time.Second))
+	if got := tab.lagging(clk.at(time.Second), minObserve); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("lagging = %v, want [1]", got)
 	}
 }
@@ -81,10 +79,10 @@ func TestWatchdogFlagsStragglerAfterMinObserve(t *testing.T) {
 // no fleet median to lag — a lone stalled shard is never flagged.
 func TestWatchdogNeedsAFleet(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, 100*time.Millisecond)
-	wd.watch(0)
-	wd.observe(0, 1, 10, clk.at(0))
-	if got := wd.lagging(clk.at(time.Minute)); got != nil {
+	const minObserve = 100 * time.Millisecond
+	tab := primaries(1, 10, nil)
+	tab.report(0, 1, 10, clk.at(0))
+	if got := tab.lagging(clk.at(time.Minute), minObserve); got != nil {
 		t.Fatalf("lone shard flagged with no fleet to compare against: %v", got)
 	}
 }
@@ -94,22 +92,21 @@ func TestWatchdogNeedsAFleet(t *testing.T) {
 // wall-clock and it is eventually flagged without a single new sample.
 func TestWatchdogStalledRateDecays(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, time.Second)
-	wd.watch(0)
-	wd.watch(1)
-	wd.observe(0, 0, 10, clk.at(0))
-	wd.observe(1, 0, 10, clk.at(0))
+	const minObserve = time.Second
+	tab := primaries(2, 10, nil)
+	tab.report(0, 0, 10, clk.at(0))
+	tab.report(1, 0, 10, clk.at(0))
 	// Both make identical early progress…
-	wd.observe(0, 2, 10, clk.at(time.Second))
-	wd.observe(1, 2, 10, clk.at(time.Second))
-	if got := wd.lagging(clk.at(time.Second)); got != nil {
+	tab.report(0, 2, 10, clk.at(time.Second))
+	tab.report(1, 2, 10, clk.at(time.Second))
+	if got := tab.lagging(clk.at(time.Second), minObserve); got != nil {
 		t.Fatalf("identical shards flagged: %v", got)
 	}
 	// …then shard 1 goes silent while shard 0 keeps reporting. No new
 	// sample for shard 1 arrives, yet its measured rate decays to a tenth
 	// of shard 0's.
-	wd.observe(0, 9, 10, clk.at(4*time.Second))
-	if got := wd.lagging(clk.at(10 * time.Second)); !reflect.DeepEqual(got, []int{1}) {
+	tab.report(0, 9, 10, clk.at(4*time.Second))
+	if got := tab.lagging(clk.at(10*time.Second), minObserve); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("stalled shard not flagged by rate decay: %v", got)
 	}
 }
@@ -120,53 +117,56 @@ func TestWatchdogStalledRateDecays(t *testing.T) {
 // crash, and a healthy resumed attempt is never flagged.
 func TestWatchdogWindowRestartsOnRegression(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, time.Second)
-	wd.watch(0)
-	wd.watch(1)
-	wd.observe(0, 0, 10, clk.at(0))
-	wd.observe(1, 0, 10, clk.at(0))
-	wd.observe(0, 5, 10, clk.at(2*time.Second))
-	wd.observe(1, 8, 10, clk.at(2*time.Second))
+	const minObserve = time.Second
+	tab := primaries(2, 10, nil)
+	tab.report(0, 0, 10, clk.at(0))
+	tab.report(1, 0, 10, clk.at(0))
+	tab.report(0, 5, 10, clk.at(2*time.Second))
+	tab.report(1, 8, 10, clk.at(2*time.Second))
 	// Shard 1 crashes and its relaunch restarts reporting near zero. A
 	// naive window would compute a negative rate and flag it instantly.
-	wd.observe(1, 1, 10, clk.at(3*time.Second))
-	if got := wd.lagging(clk.at(3 * time.Second)); got != nil {
+	tab.report(1, 1, 10, clk.at(3*time.Second))
+	if got := tab.lagging(clk.at(3*time.Second), minObserve); got != nil {
 		t.Fatalf("resumed shard flagged at relaunch: %v", got)
 	}
 	// The resumed attempt progresses at the fleet's pace: healthy through
 	// and past its fresh observation window.
-	wd.observe(0, 8, 10, clk.at(4*time.Second))
-	wd.observe(1, 4, 10, clk.at(4*time.Second))
-	if got := wd.lagging(clk.at(4*time.Second + 500*time.Millisecond)); got != nil {
+	tab.report(0, 8, 10, clk.at(4*time.Second))
+	tab.report(1, 4, 10, clk.at(4*time.Second))
+	if got := tab.lagging(clk.at(4*time.Second+500*time.Millisecond), minObserve); got != nil {
 		t.Fatalf("healthy resumed shard flagged: %v", got)
 	}
 }
 
-// TestWatchdogExclude: finished or already-stolen shards drop out of both
-// sides of the comparison — they are never flagged again, and when the
-// observable fleet falls below two, nothing is.
+// TestWatchdogExclude: a claimed row — finished or already stolen — drops
+// out of both sides of the comparison: it is never flagged again, and when
+// the observable fleet falls below two, nothing is.
 func TestWatchdogExclude(t *testing.T) {
 	clk := newWdClock()
-	wd := newWatchdog(0.5, time.Second)
+	const minObserve = time.Second
+	tab := primaries(3, 10, nil)
 	for k := 0; k < 3; k++ {
-		wd.watch(k)
-		wd.observe(k, 0, 10, clk.at(0))
+		tab.report(k, 0, 10, clk.at(0))
 	}
-	wd.observe(0, 10, 10, clk.at(2*time.Second))
-	wd.observe(1, 10, 10, clk.at(2*time.Second))
-	wd.observe(2, 1, 10, clk.at(2*time.Second))
-	if got := wd.lagging(clk.at(2 * time.Second)); !reflect.DeepEqual(got, []int{2}) {
+	tab.report(0, 10, 10, clk.at(2*time.Second))
+	tab.report(1, 10, 10, clk.at(2*time.Second))
+	tab.report(2, 1, 10, clk.at(2*time.Second))
+	if got := tab.lagging(clk.at(2*time.Second), minObserve); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("lagging = %v, want [2]", got)
 	}
 	// Stolen: shard 2 must not be flagged twice.
-	wd.exclude(2)
-	if got := wd.lagging(clk.at(2 * time.Second)); got != nil {
-		t.Fatalf("excluded shard still flagged: %v", got)
+	if !tab.claim(2, stolen) {
+		t.Fatal("steal of a running row refused")
+	}
+	if got := tab.lagging(clk.at(2*time.Second), minObserve); got != nil {
+		t.Fatalf("stolen shard still flagged: %v", got)
 	}
 	// Shard 1 finishes too: one observable shard left, no fleet.
-	wd.exclude(1)
-	wd.observe(2, 1, 10, clk.at(3*time.Second)) // ignored: excluded
-	if got := wd.lagging(clk.at(time.Minute)); got != nil {
+	if !tab.claim(1, finished) {
+		t.Fatal("finish of a running row refused")
+	}
+	tab.report(2, 1, 10, clk.at(3*time.Second)) // uncounted: claimed
+	if got := tab.lagging(clk.at(time.Minute), minObserve); got != nil {
 		t.Fatalf("lagging with a one-shard fleet: %v", got)
 	}
 }
@@ -339,7 +339,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := part.WriteFileAtomic(task.CheckpointPath); err != nil {
+			if err := fleet.WriteAtomic(task.CheckpointPath, part.WriteJSON); err != nil {
 				return err
 			}
 			// One sample, then silence: the watchdog measures a zero rate
@@ -420,7 +420,7 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := banked.WriteFileAtomic(ckPath); err != nil {
+	if err := fleet.WriteAtomic(ckPath, banked.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	_, rest, err := fleet.LoadCheckpoint(ckPath, spec, plan)
@@ -519,7 +519,7 @@ func TestSchedulerStealsAfterRetry(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := part.WriteFileAtomic(task.CheckpointPath); err != nil {
+			if err := fleet.WriteAtomic(task.CheckpointPath, part.WriteJSON); err != nil {
 				return err
 			}
 			if task.Attempt == 0 {
@@ -601,30 +601,29 @@ func TestSchedulerStealsAfterRetry(t *testing.T) {
 	}
 }
 
-// TestShardRunStateMachine: the one CAS point between a shard's own
-// goroutine and the watchdog — the first claim owns the outcome, every
-// later claim is refused, and only a steal cancels the shard.
+// TestShardRunStateMachine: a row's outcome claim is the one decision point
+// between a shard's own goroutine and the straggler watch — the first claim
+// owns the outcome, every later claim is refused, and only a successful
+// steal cancels the shard.
 func TestShardRunStateMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		steps     []string // "finish" or "steal", in order
+		steps     []outcome // in order
 		want      []bool
 		cancelled bool
 	}{
-		{"finish then steal", []string{"finish", "steal"}, []bool{true, false}, false},
-		{"steal then finish", []string{"steal", "finish"}, []bool{true, false}, true},
-		{"double steal", []string{"steal", "steal"}, []bool{true, false}, true},
+		{"finish then steal", []outcome{finished, stolen}, []bool{true, false}, false},
+		{"steal then finish", []outcome{stolen, finished}, []bool{true, false}, true},
+		{"double steal", []outcome{stolen, stolen}, []bool{true, false}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sr := newShardRun(context.Background(), Task{}, 0, nil)
 			defer sr.cancel()
+			tab := newWorkerTable(1, nil)
+			tab.add(sr, true)
 			for i, step := range tc.steps {
-				claim := sr.finish
-				if step == "steal" {
-					claim = sr.steal
-				}
-				if got := claim(); got != tc.want[i] {
-					t.Fatalf("claim %d (%s) = %v, want %v", i+1, step, got, tc.want[i])
+				if got := tab.claim(sr.key, step); got != tc.want[i] {
+					t.Fatalf("claim %d (%v) = %v, want %v", i+1, step, got, tc.want[i])
 				}
 			}
 			if got := sr.ctx.Err() != nil; got != tc.cancelled {
@@ -659,7 +658,7 @@ func TestSchedulerCloseDuringSteal(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := part.WriteFileAtomic(task.CheckpointPath); err != nil {
+			if err := fleet.WriteAtomic(task.CheckpointPath, part.WriteJSON); err != nil {
 				return err
 			}
 			enc.Encode(Event{Event: EventName, Shard: task.Shard, Count: task.Count, Done: 1, Total: 100})

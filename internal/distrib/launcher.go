@@ -10,6 +10,8 @@ import (
 	"os/exec"
 	"strings"
 	"time"
+
+	"phirel/internal/fleet"
 )
 
 // Launcher runs one shard worker to completion. Launch must block until
@@ -121,14 +123,6 @@ func (l ExecLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) e
 		return fmt.Errorf("distrib: %w", err)
 	}
 	defer spec.Close()
-	// Copy the artifact into a sibling temp file as it arrives and rename
-	// on success, so a stream cut mid-transfer never leaves a
-	// plausible-looking partial behind for the validator to half-trust.
-	tmp := task.OutPath + ".tmp"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("distrib: %w", err)
-	}
 	cmd := exec.CommandContext(ctx, argv[0], append(argv[1:len(argv):len(argv)], WorkerArgs(task, true)...)...)
 	if l.Via != nil {
 		cmd.Cancel = func() error { return cmd.Process.Signal(os.Interrupt) }
@@ -136,27 +130,23 @@ func (l ExecLauncher) Launch(ctx context.Context, task Task, stderr io.Writer) e
 	cmd.Dir = l.Dir
 	cmd.Env = l.Env
 	cmd.Stdin = spec
-	cmd.Stdout = out
 	cmd.Stderr = stderr
 	cmd.WaitDelay = waitDelay
-	runErr := cmd.Run()
-	if closeErr := out.Close(); runErr == nil {
-		runErr = closeErr
-	}
-	if runErr != nil {
-		os.Remove(tmp)
-		// A worker killed on ctx expiry surfaces as "signal: killed";
-		// report the ctx error instead so timeouts read as timeouts.
-		if ctx.Err() != nil {
-			return ctx.Err()
+	// The artifact lands as it arrives through an atomic write, so a stream
+	// cut mid-transfer never leaves a plausible-looking partial behind for
+	// the validator to half-trust.
+	return fleet.WriteAtomic(task.OutPath, func(out io.Writer) error {
+		cmd.Stdout = out
+		if err := cmd.Run(); err != nil {
+			// A worker killed on ctx expiry surfaces as "signal: killed";
+			// report the ctx error instead so timeouts read as timeouts.
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return fmt.Errorf("distrib: worker %s on %s (shard %s): %w", l.Command[0], where, task.ShardArg(), err)
 		}
-		return fmt.Errorf("distrib: worker %s on %s (shard %s): %w", l.Command[0], where, task.ShardArg(), runErr)
-	}
-	if err := os.Rename(tmp, task.OutPath); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("distrib: %w", err)
-	}
-	return nil
+		return nil
+	})
 }
 
 // SSH runs workers on remote hosts over ssh. Shards round-robin over

@@ -44,13 +44,13 @@ type Options struct {
 	// of its plan instead of recomputing from trial zero. 0 disables
 	// checkpointing.
 	CheckpointEvery int
-	// StealInterval, when > 0, arms the straggler watchdog: every
-	// StealInterval the scheduler compares per-shard progress rates, and a
-	// shard lagging below half the fleet median is cancelled at a
-	// checkpoint boundary and its remaining trials re-split two ways across
-	// idle slots. Requires CheckpointEvery > 0 — stealing without
-	// checkpoints would forfeit the straggler's completed trials. 0
-	// disables stealing.
+	// StealInterval, when > 0, arms the straggler watch: every
+	// StealInterval the scheduler compares the shards' progress rates in
+	// the job's worker table, and a shard observed for one StealInterval
+	// and lagging below half the fleet median is cancelled at a checkpoint
+	// boundary and its remaining trials re-split two ways across idle
+	// slots. Requires CheckpointEvery > 0 — stealing without checkpoints
+	// would forfeit the straggler's completed trials. 0 disables stealing.
 	StealInterval time.Duration
 	// Progress, when non-nil, receives aggregated job-wide samples as
 	// workers report. Calls are serialised. Under a Scheduler every job

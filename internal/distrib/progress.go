@@ -2,14 +2,17 @@ package distrib
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Event is the structured progress record a worker emits on stderr — one
 // JSON object per line — when driven with -progress-jsonl. cmd/phi-bench
-// produces it; the supervisor's progress mux consumes it. Any stderr line
+// produces it; the job's worker table consumes it. Any stderr line
 // that is not an Event is treated as worker diagnostics and kept in the
 // shard's failure tail instead.
 type Event struct {
@@ -50,95 +53,171 @@ type Progress struct {
 	Done, Total int
 }
 
-// muxShard is one worker's latest progress sample: how many units it has
-// completed out of how many it intends to run. A plain worker's total is
-// the cell count; a checkpointing worker chunks its run and reports
-// chunks×cells; a relaunched worker reports only the remainder it runs.
-type muxShard struct {
+// outcome is a worker's claim: running until its own goroutine claims it
+// finished or the straggler watch claims it stolen.
+type outcome int
+
+const (
+	running outcome = iota
+	finished
+	stolen
+)
+
+// worker is one row of a job's worker table.
+type worker struct {
+	// done and total are the worker's latest progress: a plain worker's
+	// total is the cell count, a checkpointing one reports chunks×cells, a
+	// relaunched one only the remainder it runs.
 	done, total int
+	watched     bool // a primary, which the straggler watch covers
+	claim       outcome
+	cancel      context.CancelFunc // the shard's; a successful steal calls it
+	// The rate window opens at the first report (since, fraction first)
+	// and reopens when a report's fraction regresses below last's.
+	since       time.Time
+	first, last float64
 }
 
-// progressMux folds per-shard progress events into fan-out-wide samples.
-// One mux serves the whole fan-out; the per-attempt stderr demux feeds it.
-// Samples are emitted with the lock held, so sink calls are serialised —
-// the same contract fleet.Sweep.Progress gives. Mux keys may be sparse: a
-// prefix-cached fan-out launches workers 1..S of an (S+1)-way plan (shard 0
-// being the cached partial that never runs), and the children of a
-// re-split straggler report under keys >= the shard count.
-type progressMux struct {
-	mu     sync.Mutex
-	shards map[int]muxShard
-	expect int
-	cells  int
-	sink   func(Progress)
-
-	// observe, when non-nil, taps every report — the straggler watchdog's
-	// feed. Set before workers launch; called outside the mux lock.
-	observe func(shard, done, total int)
+// workerTable is one job's record of its workers, keyed by progress key: a
+// primary's shard index, or >= the shard count for the children of a
+// re-split straggler. Keys may be sparse: a prefix-cached fan-out launches
+// workers 1..S of an (S+1)-way plan. The stderr demux reports into it, the
+// supervisor resets and closes rows, the straggler watch reads it, and
+// outcomes are claimed on it, all under one lock. Every report emits a
+// fan-out-wide sample with the lock held, so sink calls are serialised —
+// the same contract fleet.Sweep.Progress gives.
+type workerTable struct {
+	mu    sync.Mutex
+	rows  map[int]*worker
+	cells int
+	sink  func(Progress)
 }
 
-func newProgressMux(workers, cellsPerShard int, sink func(Progress)) *progressMux {
-	return &progressMux{shards: map[int]muxShard{}, expect: workers, cells: cellsPerShard, sink: sink}
+func newWorkerTable(cellsPerShard int, sink func(Progress)) *workerTable {
+	return &workerTable{rows: map[int]*worker{}, cells: cellsPerShard, sink: sink}
 }
 
-// report records a worker's latest (done, total) and emits an aggregate
-// sample. total <= 0 defaults to the plain one-chunk cell count — the
-// shape of events from workers predating the checkpoint protocol. The
-// aggregate total counts each reporting worker's own claim plus the
-// default for expected workers yet to report, so it converges on the true
-// fan-out size as chunked or resumed workers announce theirs.
-func (m *progressMux) report(shard, done, total int) {
+// add makes sr's row at launch: a primary is watched and counts the
+// sweep's cells until it first reports, a re-split child counts nothing.
+func (t *workerTable) add(sr *shardRun, primary bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := &worker{watched: primary, cancel: sr.cancel}
+	if primary {
+		w.total = t.cells
+	}
+	t.rows[sr.key] = w
+}
+
+// report records a worker's latest (done, total), taken at now, and emits
+// an aggregate sample. total <= 0 defaults to the one-chunk cell count. A
+// fraction that regresses marks a relaunched worker: its rate window
+// restarts, so a resumed attempt is not punished for the crash.
+func (t *workerTable) report(key, done, total int, now time.Time) {
 	if total <= 0 {
-		total = m.cells
+		total = t.cells
 	}
-	m.mu.Lock()
-	m.shards[shard] = muxShard{done: done, total: total}
-	m.emitLocked(shard)
-	m.mu.Unlock()
-	if m.observe != nil {
-		m.observe(shard, done, total)
+	frac := float64(done) / float64(total)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := t.rows[key]
+	w.done, w.total = done, total
+	if w.since.IsZero() || frac < w.last {
+		w.since, w.first = now, frac
 	}
+	w.last = frac
+	t.emitLocked(key)
 }
 
-// close freezes a stolen shard's tally at what it reported done: its
-// worker will report nothing more, and the re-split children's own reports
-// carry the remainder, so a job finished after a steal reads done = total.
-func (m *progressMux) close(shard int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sh := m.shards[shard]
-	sh.total = sh.done
-	m.shards[shard] = sh
-	m.emitLocked(shard)
+// close freezes a stolen shard's tally at what it reported done: the
+// re-split children's reports carry the rest, so a job finished after a
+// steal reads done = total.
+func (t *workerTable) close(key int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := t.rows[key]
+	w.total = w.done
+	t.emitLocked(key)
 }
 
-// emitLocked sends the aggregate sample after shard's tally changed.
-func (m *progressMux) emitLocked(shard int) {
-	if m.sink == nil {
+// reset zeroes a relaunched worker's done, so aggregate samples never
+// double-count a retried shard's first attempt.
+func (t *workerTable) reset(key int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rows[key].done = 0
+}
+
+func (t *workerTable) emitLocked(key int) {
+	if t.sink == nil {
 		return
 	}
 	sumDone, sumTotal := 0, 0
-	for _, sh := range m.shards {
-		sumDone += sh.done
-		sumTotal += sh.total
+	for _, w := range t.rows {
+		sumDone += w.done
+		sumTotal += w.total
 	}
-	if missing := m.expect - len(m.shards); missing > 0 {
-		sumTotal += missing * m.cells
-	}
-	m.sink(Progress{Shard: shard, Done: sumDone, Total: sumTotal})
+	t.sink(Progress{Shard: key, Done: sumDone, Total: sumTotal})
 }
 
-// reset zeroes a shard's tally when its worker is relaunched, so aggregate
-// samples never double-count a retried shard's first attempt.
-func (m *progressMux) reset(shard int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sh := m.shards[shard]
-	sh.done = 0
-	if sh.total == 0 {
-		sh.total = m.cells
+// claim moves a running row to c and reports whether it did. The first
+// claim owns the shard's result and later ones are refused, so the shard's
+// goroutine (finished) and the straggler watch (stolen) never both own it.
+// A successful steal cancels the shard at its checkpoint boundary, and its
+// own goroutine re-splits the remainder.
+func (t *workerTable) claim(key int, c outcome) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := t.rows[key]
+	if w.claim != running {
+		return false
 	}
-	m.shards[shard] = sh
+	w.claim = c
+	if c == stolen {
+		w.cancel()
+	}
+	return true
+}
+
+// lagging returns the watched, unclaimed workers (ascending keys) whose
+// rate, fraction gained per second since the window opened measured
+// against now (so a stalled worker decays without a new sample), is below
+// stealFactor × the median of those workers' rates. With fewer than two
+// rates there is no fleet to lag, and a worker observed for less than
+// minObserve is never flagged, so a hiccup right after launch cannot
+// trigger a steal.
+func (t *workerTable) lagging(now time.Time, minObserve time.Duration) []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var rates []float64
+	eligible := map[int]float64{}
+	for key, w := range t.rows {
+		elapsed := now.Sub(w.since)
+		if !w.watched || w.claim != running || w.since.IsZero() || elapsed <= 0 {
+			continue
+		}
+		rate := (w.last - w.first) / elapsed.Seconds()
+		rates = append(rates, rate)
+		if elapsed >= minObserve {
+			eligible[key] = rate
+		}
+	}
+	if len(rates) < 2 {
+		return nil
+	}
+	sort.Float64s(rates)
+	median := rates[len(rates)/2]
+	if median <= 0 {
+		return nil
+	}
+	var out []int
+	for key, rate := range eligible {
+		if rate < stealFactor*median {
+			out = append(out, key)
+		}
+	}
+	sort.Ints(out)
+	return out
 }
 
 // lineWriter buffers writes and hands complete lines to fn — the io.Writer

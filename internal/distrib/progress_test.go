@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -45,12 +46,24 @@ func TestParseEvent(t *testing.T) {
 	}
 }
 
+// primaries returns a worker table of the given cell count holding n
+// primary rows, keys 0..n-1, as runJob lays a job's table out: every row
+// is watched.
+func primaries(n, cells int, sink func(Progress)) *workerTable {
+	tab := newWorkerTable(cells, sink)
+	for k := 0; k < n; k++ {
+		tab.add(newShardRun(context.Background(), Task{}, k, nil), true)
+	}
+	return tab
+}
+
 func TestProgressMuxAggregatesAndResets(t *testing.T) {
 	var samples []Progress
-	m := newProgressMux(2, 3, func(p Progress) { samples = append(samples, p) })
-	m.report(0, 1, 0)
-	m.report(1, 3, 0)
-	m.report(0, 3, 0)
+	tab := primaries(2, 3, func(p Progress) { samples = append(samples, p) })
+	now := time.Unix(1_700_000_000, 0)
+	tab.report(0, 1, 0, now)
+	tab.report(1, 3, 0, now)
+	tab.report(0, 3, 0, now)
 	want := []Progress{
 		{Shard: 0, Done: 1, Total: 6},
 		{Shard: 1, Done: 4, Total: 6},
@@ -61,18 +74,30 @@ func TestProgressMuxAggregatesAndResets(t *testing.T) {
 	}
 	// A relaunched shard starts over; the aggregate must drop its stale
 	// tally rather than double-count.
-	m.reset(0)
-	m.report(0, 2, 0)
+	tab.reset(0)
+	tab.report(0, 2, 0, now)
 	last := samples[len(samples)-1]
 	if last.Done != 5 || last.Total != 6 {
 		t.Fatalf("post-reset sample %+v, want 5/6", last)
 	}
+	// A re-split child's row counts nothing until it reports; a stolen
+	// shard's closed row keeps what it did.
+	tab.add(newShardRun(context.Background(), Task{}, 2, nil), false)
+	tab.close(0)
+	if last := samples[len(samples)-1]; last.Done != 5 || last.Total != 5 {
+		t.Fatalf("sample after a close %+v, want 5/5", last)
+	}
+	tab.report(2, 1, 4, now)
+	if last := samples[len(samples)-1]; last.Shard != 2 || last.Done != 6 || last.Total != 9 {
+		t.Fatalf("child's first sample %+v, want shard 2 at 6/9", last)
+	}
 }
 
 func TestProgressMuxNilSink(t *testing.T) {
-	m := newProgressMux(1, 3, nil)
-	m.report(0, 2, 0) // must not panic
-	m.reset(0)
+	tab := primaries(1, 3, nil)
+	tab.report(0, 2, 0, time.Unix(1_700_000_000, 0)) // must not panic
+	tab.reset(0)
+	tab.close(0)
 }
 
 func TestTailBufferKeepsTail(t *testing.T) {

@@ -56,7 +56,7 @@ type JobStatus struct {
 	// work the fleet did not have to redo.
 	TrialsResumed int64 `json:"trialsResumed,omitempty"`
 	// TrialsStolen counts cell-weighted trials re-split off straggler
-	// shards onto idle slots by the progress-rate watchdog.
+	// shards onto idle slots by the straggler watch.
 	TrialsStolen int64 `json:"trialsStolen,omitempty"`
 	// Err carries the failure text of a JobFailed job.
 	Err string `json:"error,omitempty"`
@@ -198,7 +198,7 @@ func (j *Job) Subscribe() (<-chan Progress, func()) {
 
 // emit is the job's progress sink: it folds the sample into the status
 // snapshot and fans it out to subscribers (latest-wins on a full buffer).
-// Called with the progress mux lock held, so delivery is serialised.
+// Called with the worker table's lock held, so delivery is serialised.
 func (j *Job) emit(p Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -352,7 +352,7 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 	return job, nil
 }
 
-// The straggler watchdog's two constants: a shard is lagging when its
+// The straggler watch's two constants: a shard is lagging when its
 // fractional progress rate falls below stealFactor times the fleet median,
 // and a stolen shard's remainder is re-split stealWays ways.
 const (
@@ -361,18 +361,14 @@ const (
 )
 
 // shardRun is one worker of a job — a primary shard or a re-split child —
-// with its budget ticket, its banks and its lifecycle under the steal
-// protocol. The state machine is a single CAS point: the shard's own
-// goroutine claims running→finished when the shard concludes, the watchdog
-// claims running→stolen to take it over, and whoever loses abandons the
-// outcome — a shard's result is owned by exactly one side, never both.
+// with its budget ticket and its banks. Its progress and its outcome claim
+// are its row in the job's worker table.
 type shardRun struct {
 	task   Task
-	key    int // progress-mux identity
+	key    int // worker-table key
 	tk     *ticket
 	ctx    context.Context
 	cancel context.CancelFunc
-	state  atomic.Int32
 
 	// plan is the shard's whole plan; task.Plan is what the banks leave of
 	// it, the plan its next worker runs.
@@ -382,40 +378,20 @@ type shardRun struct {
 	banks []*fleet.SweepResult
 }
 
-const (
-	shardRunning int32 = iota
-	shardFinished
-	shardStolen
-)
-
 func newShardRun(parent context.Context, t Task, key int, tk *ticket) *shardRun {
 	ctx, cancel := context.WithCancel(parent)
 	return &shardRun{task: t, key: key, tk: tk, ctx: ctx, cancel: cancel, plan: t.Plan}
 }
 
-// finish is the shard's own claim on its outcome.
-func (sr *shardRun) finish() bool { return sr.state.CompareAndSwap(shardRunning, shardFinished) }
-
-// steal is the watchdog's claim: on success the shard is cancelled at its
-// checkpoint boundary, and its own goroutine re-splits the remainder.
-func (sr *shardRun) steal() bool {
-	if !sr.state.CompareAndSwap(shardRunning, shardStolen) {
-		return false
-	}
-	sr.cancel()
-	return true
-}
-
 // jobRun is one job's supervision state, shared by every worker of its
 // fan-out.
 type jobRun struct {
-	s    *Scheduler
-	jctx context.Context
-	job  *Job
-	opts Options // Logf never nil
-	mux  *progressMux
-	wd   *watchdog // nil when stealing is off
-	spec fleet.Sweep
+	s     *Scheduler
+	jctx  context.Context
+	job   *Job
+	opts  Options // Logf never nil
+	table *workerTable
+	spec  fleet.Sweep
 }
 
 // runJob supervises one job's fan-out to a terminal state.
@@ -446,18 +422,14 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 			sr.task.CheckpointEvery = r.opts.CheckpointEvery
 		}
 	}
-	r.mux = newProgressMux(len(runs), len(spec.Cells())+len(spec.BeamCells()), sink)
+	r.table = newWorkerTable(len(spec.Cells())+len(spec.BeamCells()), sink)
+	for _, sr := range runs {
+		r.table.add(sr, true)
+	}
 	if r.opts.StealInterval > 0 && len(runs) > 1 {
-		r.wd = newWatchdog(stealFactor, r.opts.StealInterval)
-		r.mux.observe = func(key, done, total int) {
-			r.wd.observe(key, done, total, time.Now())
-		}
-		for _, sr := range runs {
-			r.wd.watch(sr.key)
-		}
 		wctx, stopWatch := context.WithCancel(jctx)
 		watched := make(chan struct{})
-		go func() { defer close(watched); r.watch(wctx, runs) }()
+		go func() { defer close(watched); r.watch(wctx) }()
 		defer func() { stopWatch(); <-watched }()
 	}
 
@@ -490,14 +462,10 @@ func (s *Scheduler) runJob(jctx context.Context, job *Job, spec fleet.Sweep, run
 	}
 }
 
-// watch is the watchdog ticker: on every interval it claims each lagging
-// primary as stolen, which cancels the shard; each shard is stolen at most
-// once (exclude).
-func (r *jobRun) watch(ctx context.Context, runs []*shardRun) {
-	byKey := make(map[int]*shardRun, len(runs))
-	for _, sr := range runs {
-		byKey[sr.key] = sr
-	}
+// watch is the straggler watch: on every interval it claims each lagging
+// primary as stolen, which cancels the shard. A claimed row stops counting,
+// so each shard is stolen at most once.
+func (r *jobRun) watch(ctx context.Context) {
 	ticker := time.NewTicker(r.opts.StealInterval)
 	defer ticker.Stop()
 	for {
@@ -506,9 +474,8 @@ func (r *jobRun) watch(ctx context.Context, runs []*shardRun) {
 			return
 		case <-ticker.C:
 		}
-		for _, key := range r.wd.lagging(time.Now()) {
-			r.wd.exclude(key)
-			byKey[key].steal()
+		for _, key := range r.table.lagging(time.Now(), r.opts.StealInterval) {
+			r.table.claim(key, stolen)
 		}
 	}
 }
@@ -536,7 +503,7 @@ func (r *jobRun) runAll(runs []*shardRun, land func(i int, p *fleet.SweepResult)
 
 // run is the one path every worker of a job takes, primary or re-split
 // child: wait for its ticket, mark the job running, supervise the shard
-// through its attempts, release the slot. A shard the watchdog stole
+// through its attempts, release the slot. A shard the straggler watch stole
 // mid-run then re-splits its remainder on this goroutine. The partial it
 // returns is the shard's validated partial, nil when the shard failed or
 // its job was cancelled.
@@ -548,10 +515,7 @@ func (r *jobRun) run(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	r.job.markRunning()
 	part, ferr := r.supervise(sr)
 	r.s.budget.release()
-	if sr.finish() {
-		if r.wd != nil {
-			r.wd.exclude(sr.key)
-		}
+	if r.table.claim(sr.key, finished) {
 		return part, ferr
 	}
 	return r.resplit(sr)
@@ -571,7 +535,7 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	t := &sr.task
 	// The straggler reports nothing more: close its tally at what it did,
 	// so the children's reports carry the rest of the job's progress.
-	r.mux.close(sr.key)
+	r.table.close(sr.key)
 	r.opts.Logf("shard %s: lagging the fleet median — cancelled at checkpoint, re-splitting", t.ShardArg())
 	r.bank(sr)
 	work := *t.Plan
@@ -589,14 +553,16 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 			continue
 		}
 		out := fmt.Sprintf("%s.steal-%d-of-%d", t.OutPath, w+1, stealWays)
-		children = append(children, newShardRun(r.jctx, Task{
+		child := newShardRun(r.jctx, Task{
 			Shard: t.Shard, Count: t.Count,
 			SpecPath:        t.SpecPath,
 			OutPath:         out,
 			Plan:            &sub,
 			CheckpointPath:  out + ".ckpt",
 			CheckpointEvery: t.CheckpointEvery,
-		}, t.Count+t.Shard*stealWays+w, r.s.budget.enqueue()))
+		}, t.Count+t.Shard*stealWays+w, r.s.budget.enqueue())
+		r.table.add(child, false)
+		children = append(children, child)
 	}
 	if len(children) > 0 {
 		r.opts.Logf("shard %s: re-splitting %d remaining trials %d ways", t.ShardArg(), stolen, stealWays)

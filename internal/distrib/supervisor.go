@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"phirel/internal/fleet"
 )
@@ -87,7 +88,7 @@ func (r *jobRun) supervise(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	for attempt := 0; ; attempt++ {
 		t.Attempt = attempt
 		if attempt > 0 {
-			r.mux.reset(sr.key)
+			r.table.reset(sr.key)
 			if t.CheckpointPath != "" {
 				if banked := r.bank(sr); banked > 0 {
 					r.job.resumed.Add(int64(banked))
@@ -103,7 +104,7 @@ func (r *jobRun) supervise(sr *shardRun) (*fleet.SweepResult, *shardError) {
 		} else {
 			logf("shard %s: launching", t.ShardArg())
 		}
-		part, err := launchOnce(sr.ctx, *t, r.opts, r.mux, sr.key, tail)
+		part, err := launchOnce(sr.ctx, *t, r.opts, r.table, sr.key, tail)
 		if err == nil && len(sr.banks) > 0 {
 			part, err = r.fold(sr, []*fleet.SweepResult{part})
 		}
@@ -158,14 +159,14 @@ func (r *jobRun) fold(sr *shardRun, parts []*fleet.SweepResult) (*fleet.SweepRes
 	if err != nil {
 		return nil, err
 	}
-	return full, full.WriteFileAtomic(sr.task.OutPath)
+	return full, fleet.WriteAtomic(sr.task.OutPath, full.WriteJSON)
 }
 
 // launchOnce runs one attempt: stale-partial removal, launch under the
-// per-attempt timeout, stderr demux (progress events to the mux, the rest
-// to the failure tail), and artifact validation, which returns the partial
-// it decoded.
-func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key int, tail *tailBuffer) (*fleet.SweepResult, error) {
+// per-attempt timeout, stderr demux (progress events to the worker table,
+// the rest to the failure tail), and artifact validation, which returns
+// the partial it decoded.
+func launchOnce(ctx context.Context, t Task, opts Options, table *workerTable, key int, tail *tailBuffer) (*fleet.SweepResult, error) {
 	// A partial left by a killed or crashed prior attempt must never pass
 	// for this attempt's output.
 	if err := os.Remove(t.OutPath); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -179,7 +180,7 @@ func launchOnce(ctx context.Context, t Task, opts Options, mux *progressMux, key
 	}
 	lw := &lineWriter{fn: func(line []byte) {
 		if ev, ok := parseEvent(line); ok {
-			mux.report(key, ev.Done, ev.Total)
+			table.report(key, ev.Done, ev.Total, time.Now())
 			return
 		}
 		tail.writeLine(line)

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"os"
 	"reflect"
 )
 
@@ -17,23 +16,6 @@ import (
 // straggler re-splitting: a cancelled shard's checkpoint plus the stolen
 // sub-ranges tile its plan exactly. The reader is the fan-out supervisor;
 // a worker only writes checkpoints.
-
-// WriteFileAtomic writes the result to path via a sibling temp file and a
-// rename, so a concurrent reader (or a crash mid-write) never observes a
-// half-written artifact — the durability contract checkpoint files and
-// re-split partials are published under.
-func (r *SweepResult) WriteFileAtomic(path string) error {
-	tmp := path + ".tmp"
-	if err := r.WriteFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fleet: %w", err)
-	}
-	return nil
-}
 
 // resumePlan subtracts a checkpointed prefix from a shard plan: done must
 // sit at plan's position and cover a (possibly empty) prefix of each of
@@ -107,10 +89,11 @@ func MergeShardPartials(plan ShardPlan, parts ...*SweepResult) (*SweepResult, er
 
 // LoadCheckpoint reads a checkpoint artifact and validates it against the
 // sweep and shard plan it claims to prefix: it must be a shard partial at
-// plan's position, recording the same normalized spec (Workers and Progress
-// are execution details), its ranges must be a prefix of plan's (resumePlan
-// computes the remainder), and its cell grid must match the spec's with a
-// result present wherever the checkpointed range is non-empty. It returns
+// plan's position, recording the same normalized spec (Workers and the
+// execution hooks are execution details), its ranges must be a prefix of
+// plan's (resumePlan computes the remainder), and its cell grid must match
+// the spec's with a result present wherever the checkpointed range is
+// non-empty. It returns
 // the checkpoint partial and the remainder plan still to compute. Any
 // defect — missing file, truncation, corruption, a stale plan from an older
 // submission — is an error, never a panic, so callers degrade to running
@@ -250,7 +233,7 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 			}
 		}
 		if ck.Out != "" && c < chunks-1 {
-			if err := acc.WriteFileAtomic(ck.Out); err != nil {
+			if err := WriteAtomic(ck.Out, acc.WriteJSON); err != nil {
 				// A failed checkpoint write costs resumability, not
 				// correctness; the run continues.
 				logf("shard %s: checkpoint write failed: %v", plan, err)

@@ -3,14 +3,20 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"phirel/internal/beam"
 	_ "phirel/internal/bench/all"
+	"phirel/internal/core"
 	"phirel/internal/fault"
 )
 
@@ -62,11 +68,11 @@ func TestWriteFileAtomic(t *testing.T) {
 	s := ckptSweep()
 	part := mustRunPlan(t, s, mustPlan(t, s, 0, 2))
 	path := filepath.Join(dir, "ck.json")
-	if err := part.WriteFileAtomic(path); err != nil {
+	if err := WriteAtomic(path, part.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: %v", err)
+	if tmps, _ := filepath.Glob(path + ".tmp-*"); len(tmps) != 0 {
+		t.Fatalf("temp file left behind: %v", tmps)
 	}
 	back, err := ReadShardFile(path)
 	if err != nil {
@@ -75,8 +81,21 @@ func TestWriteFileAtomic(t *testing.T) {
 	if !reflect.DeepEqual(part, back) {
 		t.Fatal("checkpoint changed across WriteFileAtomic/ReadShardFile")
 	}
-	if err := part.WriteFileAtomic(filepath.Join(dir, "no-such-dir", "ck.json")); err == nil {
+	if err := WriteAtomic(filepath.Join(dir, "no-such-dir", "ck.json"), part.WriteJSON); err == nil {
 		t.Fatal("atomic write into a missing directory succeeded")
+	}
+	// A write that fails halfway publishes nothing and leaves no temp file.
+	failed := filepath.Join(dir, "failed.json")
+	boom := errors.New("boom")
+	err = WriteAtomic(failed, func(w io.Writer) error {
+		w.Write([]byte("{"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the write's error", err)
+	}
+	if tmps, _ := filepath.Glob(failed + "*"); len(tmps) != 0 {
+		t.Fatalf("a failed write left %v", tmps)
 	}
 }
 
@@ -201,7 +220,7 @@ func TestLoadCheckpointValidatesAndDegrades(t *testing.T) {
 	pre := ShardPlan{Index: 0, Count: 1, Injection: TrialRange{N: 2}, Beam: TrialRange{N: 2}}
 	part := mustRunPlan(t, s, pre)
 	path := filepath.Join(dir, "ck.json")
-	if err := part.WriteFileAtomic(path); err != nil {
+	if err := WriteAtomic(path, part.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,19 +253,19 @@ func TestLoadCheckpointValidatesAndDegrades(t *testing.T) {
 	check("stale-spec", func(dst string) {
 		other := s
 		other.Seed = 1234
-		mustRunPlan(t, other, pre).WriteFileAtomic(dst)
+		WriteAtomic(dst, mustRunPlan(t, other, pre).WriteJSON)
 	})
 	check("not-a-prefix", func(dst string) {
 		mid := ShardPlan{Index: 0, Count: 1, Injection: TrialRange{Offset: 1, N: 2}, Beam: TrialRange{N: 2}}
-		mustRunPlan(t, s, mid).WriteFileAtomic(dst)
+		WriteAtomic(dst, mustRunPlan(t, s, mid).WriteJSON)
 	})
 	check("wrong-shard", func(dst string) {
-		mustRunPlan(t, s, mustPlan(t, s, 1, 2)).WriteFileAtomic(dst)
+		WriteAtomic(dst, mustRunPlan(t, s, mustPlan(t, s, 1, 2)).WriteJSON)
 	})
 	check("result-hole", func(dst string) {
 		hole := mustRunPlan(t, s, pre)
 		hole.Cells[0].Result = nil
-		hole.WriteFileAtomic(dst)
+		WriteAtomic(dst, hole.WriteJSON)
 	})
 }
 
@@ -286,9 +305,8 @@ func TestRunPlanCheckpointedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Progress is execution detail (funcs never compare equal); everything
-	// else must match the uninterrupted run exactly.
-	res.Spec.Progress = nil
+	// The result records no hook, so it must match the uninterrupted run
+	// exactly.
 	if !reflect.DeepEqual(mono, res) {
 		t.Fatal("checkpointed run differs from uninterrupted run")
 	}
@@ -302,6 +320,54 @@ func TestRunPlanCheckpointedEquivalence(t *testing.T) {
 		if covered[i].Injection.N < covered[i-1].Injection.N || covered[i].Beam.N < covered[i-1].Beam.N {
 			t.Fatalf("covered prefix shrank: %+v after %+v", covered[i], covered[i-1])
 		}
+	}
+}
+
+// TestRunPlanCheckpointedObserved: a sweep with both observers set runs
+// its plan in checkpoint chunks, folds them, encodes the bytes of an
+// unhooked RunPlan and hands its observers exactly the plan's trials, each
+// once per cell. A hook recorded in a chunk's spec would fail the fold.
+func TestRunPlanCheckpointedObserved(t *testing.T) {
+	s := ckptSweep()
+	plan := mustPlan(t, s, 1, 2)
+	monoJSON := artifactJSON(t, mustRunPlan(t, s, plan))
+
+	var mu sync.Mutex
+	seen := map[string]int{} // "kind/benchmark/seq" → records
+	hooked := s
+	hooked.ObserveInjection = func(rec core.InjectionRecord) {
+		mu.Lock()
+		seen[fmt.Sprintf("inj/%s/%d", rec.Benchmark, rec.Seq)]++
+		mu.Unlock()
+	}
+	hooked.ObserveBeam = func(rec beam.Record) {
+		mu.Lock()
+		seen[fmt.Sprintf("beam/%s/%d", rec.Benchmark, rec.Seq)]++
+		mu.Unlock()
+	}
+	res, err := hooked.RunPlanCheckpointed(context.Background(), plan, Checkpoint{
+		Out:   filepath.Join(t.TempDir(), "ck.json"),
+		Every: 1,
+	})
+	if err != nil {
+		t.Fatalf("observed chunked run: %v", err)
+	}
+	if !bytes.Equal(monoJSON, artifactJSON(t, res)) {
+		t.Fatal("observed chunked artifact differs from the unhooked RunPlan's")
+	}
+	want := map[string]int{}
+	for _, c := range s.Cells() {
+		for i := plan.Injection.Offset; i < plan.Injection.End(); i++ {
+			want[fmt.Sprintf("inj/%s/%d", c.Benchmark, i)]++
+		}
+	}
+	for _, c := range s.BeamCells() {
+		for i := plan.Beam.Offset; i < plan.Beam.End(); i++ {
+			want[fmt.Sprintf("beam/%s/%d", c.Benchmark, i)]++
+		}
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("observers saw %v, want the plan's trials %v", seen, want)
 	}
 }
 
@@ -568,8 +634,8 @@ func TestRunPlanCheckpointedWriteFailure(t *testing.T) {
 		if announced != 0 {
 			t.Fatalf("%s: OnCheckpoint called %d times for checkpoints that never landed", name, announced)
 		}
-		if _, err := os.Stat(ckPath + ".tmp"); err == nil {
-			t.Fatalf("%s: temp file left behind", name)
+		if tmps, _ := filepath.Glob(ckPath + ".tmp-*"); len(tmps) != 0 {
+			t.Fatalf("%s: temp file left behind: %v", name, tmps)
 		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {

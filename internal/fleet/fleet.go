@@ -450,7 +450,7 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &SweepResult{Spec: ns, Cells: out, BeamCells: beamOut, Shard: plan}, nil
+	return &SweepResult{Spec: ns.unhooked(), Cells: out, BeamCells: beamOut, Shard: plan}, nil
 }
 
 // BeamFor returns the sweep's beam results for one (device, ECC arm) pair,

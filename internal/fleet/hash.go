@@ -21,7 +21,8 @@ import (
 //   - Workers is zeroed, because pool size never changes a result (the
 //     engine's worker-independence contract, the same reason
 //     MergeSweepResults ignores it when comparing shard specs);
-//   - Progress is an execution hook and is never serialised.
+//   - the execution hooks (Progress, ObserveInjection, ObserveBeam) are
+//     never serialised.
 //
 // The resulting bytes are the WriteSpec encoding of that canonical form,
 // so the hash is stable across WriteSpec/ReadSpec round-trips. The exact
@@ -38,12 +39,19 @@ func (s Sweep) CanonicalHash() string {
 }
 
 // identity returns s without the execution details that are no part of a
-// result's identity: the pool size and the progress callback. Two
-// normalised specs describe the same sweep exactly when their identities
-// are deeply equal.
+// result's identity: the pool size and the execution hooks. Two normalised
+// specs describe the same sweep exactly when their identities are deeply
+// equal.
 func (s Sweep) identity() Sweep {
+	s = s.unhooked()
 	s.Workers = 0
-	s.Progress = nil
+	return s
+}
+
+// unhooked returns s without its execution hooks, the spec a result
+// records: a func is deeply equal to nothing but nil.
+func (s Sweep) unhooked() Sweep {
+	s.Progress, s.ObserveInjection, s.ObserveBeam = nil, nil, nil
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // WriteJSON serialises the sweep result as indented JSON — the CI artifact
@@ -51,6 +52,37 @@ func (r *SweepResult) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// WriteAtomic lands what write produces at path through a sibling temp
+// file, path + ".tmp-" + a random suffix, and a rename, so a reader or a
+// crash mid-write never sees a half-written file. The temp file is removed
+// on any failure.
+func WriteAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// As readable as a file os.Create makes; CreateTemp's is owner-only.
+	if err := f.Chmod(0o644); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	if err := write(f); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	return nil
 }
 
 // ReadFile reads a complete sweep result from path. Missing and truncated

@@ -161,15 +161,16 @@ func (s Sweep) PlanWithPrefix(injCovered, beamCovered, fresh int) ([]ShardPlan, 
 // Sweep.Run with the same spec. Before folding it validates compatibility:
 // every part must be a shard partial of the same shard count, the shard
 // indices must cover 0..K-1 exactly once, the normalised specs (grid,
-// seeds, trial counts — Workers and Progress are execution details and may
-// differ per shard) must be equal, each part's recorded cell specs must
-// match the grid the shared spec derives, and the parts' plans — in index
-// order — must tile the sweep's trial space exactly: contiguous from 0,
-// no gaps, no overlaps, summing to N and BeamRuns. The balanced RunShard
-// split satisfies this, and so does any finer or uneven partition, which
-// is what lets the partial-overlap cache fold a cached prefix partial
-// (SliceResult) with freshly computed suffix ranges (RunPlan). Parts are
-// folded in shard order, so callers may pass them in any order.
+// seeds, trial counts — Workers and the execution hooks are execution
+// details and may differ per shard) must be equal, each part's recorded
+// cell specs must match the grid the shared spec derives, and the parts'
+// plans — in index order — must tile the sweep's trial space exactly:
+// contiguous from 0, no gaps, no overlaps, summing to N and BeamRuns. The
+// balanced RunShard split satisfies this, and so does any finer or uneven
+// partition, which is what lets the partial-overlap cache fold a cached
+// prefix partial (SliceResult) with freshly computed suffix ranges
+// (RunPlan). Parts are folded in shard order, so callers may pass them in
+// any order.
 func MergeSweepResults(parts ...*SweepResult) (*SweepResult, error) {
 	ps, err := sortedPartials(parts, func(a, b *ShardPlan) bool { return a.Index < b.Index })
 	if err != nil {
@@ -223,16 +224,16 @@ func sortedPartials(parts []*SweepResult, less func(a, b *ShardPlan) bool) ([]*S
 
 // foldTiling is the one fold behind MergeSweepResults and
 // MergeShardPartials: the parts, in the order given, must record one spec
-// (Workers and Progress are execution details, not part of a result's
-// identity, so shards run with different pool sizes still merge) and their
-// ranges must tile span's two ranges exactly — contiguous from its offsets,
-// no gaps, no overlaps, ending at its ends. Every cell then folds by
-// Clone+Merge in that order; a dimension span leaves empty folds to
-// nil-Result cells, as an empty-range run records them. With positional set
-// the order is authoritative (parts keyed by shard index), so an empty range
-// must also sit where the previous part ended; without it the parts are
-// keyed by offset and an empty range has no position to check. The result
-// carries the first part's spec and no shard tag.
+// (Workers and the execution hooks are execution details, not part of a
+// result's identity, so shards run with different pool sizes still merge)
+// and their ranges must tile span's two ranges exactly — contiguous from
+// its offsets, no gaps, no overlaps, ending at its ends. Every cell then
+// folds by Clone+Merge in that order; a dimension span leaves empty folds
+// to nil-Result cells, as an empty-range run records them. With positional
+// set the order is authoritative (parts keyed by shard index), so an empty
+// range must also sit where the previous part ended; without it the parts
+// are keyed by offset and an empty range has no position to check. The
+// result carries the first part's spec and no shard tag.
 func foldTiling(ps []*SweepResult, span ShardPlan, positional bool) (*SweepResult, error) {
 	spec := ps[0].Spec.identity()
 	dims := [2]string{"injection", "beam"}

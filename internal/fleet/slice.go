@@ -32,8 +32,7 @@ func SliceResult(full *SweepResult, spec Sweep, plan ShardPlan) (*SweepResult, e
 	if full.Shard != nil {
 		return nil, fmt.Errorf("fleet: cached result is itself a shard partial (%s), want a complete artifact", full.Shard)
 	}
-	ns := spec.normalized()
-	ns.Progress = nil
+	ns := spec.normalized().unhooked()
 	if err := ns.CheckPlan(plan); err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@ import (
 // WriteSpec serialises the sweep spec as indented JSON — the file format
 // phi-bench -spec consumes, so a shard worker can be driven from one
 // self-describing file instead of a flag soup (the seam cmd/phi-fleet fans
-// out over). Progress is an execution hook, not part of the spec, and is
-// never serialised.
+// out over). The execution hooks (Progress, ObserveInjection, ObserveBeam)
+// are not part of the spec and are never serialised.
 func (s Sweep) WriteSpec(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

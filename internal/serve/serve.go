@@ -93,6 +93,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -523,8 +524,9 @@ func (s *Server) dropLocked(hash string) {
 	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == hash })
 }
 
-// storeCached lands the artifact in the persistent cache via tmp+rename,
-// so a crash mid-write never leaves a half cache entry to half-trust. On
+// storeCached lands the artifact in the persistent cache through an atomic
+// write, so a crash mid-write never leaves a half cache entry to
+// half-trust. On
 // success the overlap index learns the artifact, whose spec is sp, under
 // its base hash and the size bound is enforced (evicting LRU victims as
 // needed).
@@ -536,22 +538,11 @@ func (s *Server) storeCached(hash, base string, artifact []byte, sp fleet.Sweep)
 		s.logf("serve: cache dir: %v", err)
 		return
 	}
-	path := s.cachePath(hash)
-	tmp, err := os.CreateTemp(s.cacheDir, hash+".tmp-*")
+	err := fleet.WriteAtomic(s.cachePath(hash), func(w io.Writer) error {
+		_, err := w.Write(artifact)
+		return err
+	})
 	if err != nil {
-		s.logf("serve: cache write: %v", err)
-		return
-	}
-	if _, err := tmp.Write(artifact); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
 		s.logf("serve: cache write: %v", err)
 		return
 	}
