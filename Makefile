@@ -28,7 +28,7 @@ test:
 # sync.Once — the Runners tests — and the process's resident key states,
 # which lists of one key used at once share — the Resident tests — the
 # shared campaign engine, both campaign classes built on it, the fleet
-# orchestrator, the monitor and trace's ordered log) run the
+# orchestrator and the monitor) run the
 # concurrency-exercising tests the -run filter selects: worker
 # determinism, cancellation, records observed from concurrent workers
 # (the Stream and Observe keywords), progress, pool scheduling, the
@@ -43,13 +43,14 @@ test:
 # Race-instrumented Monte-Carlo runs cost ~100x, and their
 # statistical-power campaigns add nothing to race coverage. serve and
 # distrib run whole: their lifecycle bugs have hidden in tests no keyword
-# named. -short scales every fixture down (plain `make test` still runs
+# named. trace runs whole too: its reorder and its file are the record
+# path every concurrent campaign worker feeds, and its tests are small. -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
 	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Observe|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches|NeighbourIndex' \
 		./internal/state/ ./internal/bench/ ./internal/bench/clamr/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
-		./internal/monitor/... ./internal/trace/
-	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/...
+		./internal/monitor/...
+	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/... ./internal/trace/
 
 # Runs every figure/ablation benchmark exactly once — a smoke test that the
 # experiment index still executes, so engine regressions surface in CI.
@@ -328,7 +329,9 @@ worker-bin:
 # leg runs README's hand-sharded flow: one `phi-bench -shard k/K` per shard,
 # folded with phi-merge. Shard 1 of that leg also checkpoints and streams a
 # monitor, so a worker whose observers are hooked folds its own chunks; its
-# .ckpt and .jsonl names stay outside the sweep-shard-*.json glob.
+# .ckpt and .jsonl names stay outside the sweep-shard-*.json glob. Shard 1
+# then runs again at -workers 2, and its monitor stream must be the same
+# bytes: the hooks see records in grid-then-trial order at any pool size.
 FLEET_SHARDS ?= 3
 FLEET_CKPT_EVERY ?= 50
 fleet-check:
@@ -349,7 +352,10 @@ fleet-check:
 	done
 	$(GO) run ./cmd/phi-merge -out sweep-hand-merged.json 'fleet-work-hand/sweep-shard-*.json'
 	cmp sweep.json sweep-hand-merged.json
-	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials), the phi-merge CLI refold and the hand-sharded -shard k/$(FLEET_SHARDS) runs (shard 1 checkpointed and monitored) are byte-identical to the monolithic sweep"
+	bin/phi-bench -sweep $(SWEEP_FLAGS) -shard 1/$(FLEET_SHARDS) -workers 2 -checkpoint-out fleet-work-hand/ck-1-w2.ckpt -checkpoint-every $(FLEET_CKPT_EVERY) \
+		-monitor-jsonl fleet-work-hand/mon-1-w2.jsonl -out fleet-work-hand/shard-1-w2.json > /dev/null
+	cmp fleet-work-hand/mon-1.jsonl fleet-work-hand/mon-1-w2.jsonl
+	@echo "phi-fleet $(FLEET_SHARDS)-way fan-out (plain and checkpointing every $(FLEET_CKPT_EVERY) trials), the phi-merge CLI refold and the hand-sharded -shard k/$(FLEET_SHARDS) runs (shard 1 checkpointed and monitored) are byte-identical to the monolithic sweep, and shard 1's monitor stream is the same bytes at -workers 2"
 
 # The same bytes with the CPU features Go picks code paths by turned off:
 # the golden and kernel-equality tests, the quick sweep byte-diffed against

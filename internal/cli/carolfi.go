@@ -38,26 +38,24 @@ func CarolFI(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.
 			return err
 		}
 		names := BenchNames(*benchName)
-		logw, err := openRecordLog(*out, names, *n, func(r core.InjectionRecord) (string, int) { return r.Benchmark, r.Seq })
+		recs, err := openRecords[core.InjectionRecord](*out, nil)
 		if err != nil {
 			return err
 		}
 
 		say := Logf(stderr, tool)
 		results := map[string]*core.CampaignResult{}
-		for _, name := range names {
+		for bi, name := range names {
 			say("injecting %d faults into %s...", *n, name)
 			cfg := core.CampaignConfig{
 				Benchmark: name, N: *n, Models: models, Policy: policy,
 				Seed: *seed, BenchSeed: *benchSeed, Workers: *workers,
 				Progress: progress(stderr, tool, name),
-			}
-			if logw != nil {
-				cfg.Observe = logw.Observe
+				Observe:  recs.observer(bi**n, func(r core.InjectionRecord) int { return r.Seq }),
 			}
 			res, err := core.RunCampaign(ctx, cfg)
 			if err != nil {
-				return logw.abort(stderr, tool, err)
+				return recs.close(stderr, tool, err)
 			}
 			results[name] = res
 		}
@@ -73,6 +71,6 @@ func CarolFI(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.
 				fmt.Fprintln(stdout, figures.Recommendations(results[name], 20))
 			}
 		}
-		return logw.finish(stderr, tool)
+		return recs.close(stderr, tool, nil)
 	})
 }

@@ -71,59 +71,73 @@ func progress(w io.Writer, tool, name string) func(done, total int) {
 	}
 }
 
-// recordLog is the -out JSONL log of a campaign tool (carol-fi, phi-beam):
-// each benchmark's records in Seq order, benchmarks in suite order, so the
-// log's bytes do not depend on -workers. Records stream from the workers
-// to the file, so a log costs O(worker skew) memory, not O(N).
-type recordLog[R any] struct {
+// records is a campaign tool's record path (carol-fi, phi-beam): one
+// reorder, keyed by (benchmark in suite order, Seq), that hands each record
+// to the -out JSONL log and to also (phi-beam's monitor), so neither
+// depends on -workers. Records stream through it, so the path costs
+// O(worker skew) memory, not O(N).
+type records[R any] struct {
 	*trace.Ordered[R]
+	log  *trace.File // nil without -out
 	path string
 }
 
-// openRecordLog creates the log at path for perBench records of each of
-// names; pos maps a record to its benchmark and Seq. An empty path is no
-// log: nil, whose methods do nothing.
-func openRecordLog[R any](path string, names []string, perBench int, pos func(R) (string, int)) (*recordLog[R], error) {
-	if path == "" {
+// openRecords creates the record path, with the log at path (none when
+// path is empty). With neither a log nor also there is nothing to feed:
+// nil, whose methods do nothing.
+func openRecords[R any](path string, also func(R)) (l *records[R], err error) {
+	if path == "" && also == nil {
 		return nil, nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
+	l = &records[R]{path: path}
+	if path != "" {
+		if l.log, err = trace.Open(path, os.O_TRUNC); err != nil {
+			return nil, err
+		}
 	}
-	first := map[string]int{}
-	for i, name := range names {
-		first[name] = i * perBench
-	}
-	return &recordLog[R]{
-		Ordered: trace.NewOrdered(f, func(r R) int {
-			name, seq := pos(r)
-			return first[name] + seq
-		}),
-		path: path,
-	}, nil
+	l.Ordered = trace.NewOrdered(func(r R) {
+		if l.log != nil {
+			l.log.Write(r)
+		}
+		if also != nil {
+			also(r)
+		}
+	})
+	return l, nil
 }
 
-// abort closes the partial log of a failed or interrupted campaign, so it
-// still holds valid, sorted JSONL, says so on w when the campaign was
-// interrupted, and returns err.
-func (l *recordLog[R]) abort(w io.Writer, tool string, err error) error {
-	if l != nil && l.Close() == nil && errors.Is(err, context.Canceled) {
-		fmt.Fprintf(w, "%s: interrupted; %d records flushed to %s\n", tool, l.Count(), l.path)
-	}
-	return err
-}
-
-// finish closes the log of a completed campaign and reports its size on w.
-func (l *recordLog[R]) finish(w io.Writer, tool string) error {
+// observer returns the Observe hook of the campaign whose records start at
+// position first of the suite, seq naming a record's Seq.
+func (l *records[R]) observer(first int, seq func(R) int) func(R) {
 	if l == nil {
 		return nil
 	}
-	if err := l.Close(); err != nil {
-		return err
+	return func(r R) { l.Put(first+seq(r), r) }
+}
+
+// close ends the record path of a campaign that ended with cause (nil when
+// it completed): the reorder releases what it still holds, sorted, so a
+// partial log stays valid and sorted, and the log is closed and its size
+// reported on w. It returns cause, or else the log's error.
+func (l *records[R]) close(w io.Writer, tool string, cause error) error {
+	if l == nil {
+		return cause
 	}
-	fmt.Fprintf(w, "%s: wrote %d records to %s\n", tool, l.Count(), l.path)
-	return nil
+	l.Ordered.Close()
+	if l.log == nil {
+		return cause
+	}
+	err := l.log.Close()
+	switch {
+	case cause == nil && err == nil:
+		fmt.Fprintf(w, "%s: wrote %d records to %s\n", tool, l.log.Count(), l.path)
+	case err == nil && errors.Is(cause, context.Canceled):
+		fmt.Fprintf(w, "%s: interrupted; %d records flushed to %s\n", tool, l.log.Count(), l.path)
+	}
+	if cause != nil {
+		return cause
+	}
+	return err
 }
 
 // WorkDir resolves a fan-out tool's -dir: the named directory, made if

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +143,65 @@ func TestBeamLogAndMonitorAgree(t *testing.T) {
 	}
 	if last := snaps[len(snaps)-1].Trials; last != got {
 		t.Fatalf("phi-beam logged %d records but its last monitor snapshot counts %d trials", got, last)
+	}
+}
+
+// TestMonitorStreamIgnoresWorkers: a -monitor-jsonl stream is a function
+// of what was counted, not of which worker finished first — phi-beam's
+// monitor reads its log's reorder and phi-bench's the fleet hooks', so
+// the stream is the same bytes at any -workers, a checkpointed plan run's
+// included.
+func TestMonitorStreamIgnoresWorkers(t *testing.T) {
+	grid := []string{"-sweep", "-bench", "DGEMM,LUD,HotSpot", "-n", "40", "-beam-runs", "200", "-beam-ecc-ablation", "-policies", "by-frame,by-bytes"}
+	for _, c := range []struct {
+		name string
+		fn   cli.Func
+		args []string
+	}{
+		{"phi-beam", cli.Beam, []string{"-runs", "500", "-monitor-every", "50"}},
+		{"sweep", cli.Bench, append(grid, "-monitor-every", "50")},
+		{"plan", cli.Bench, append(grid, "-plan", "1/2:0+25:0+120", "-checkpoint-every", "10", "-monitor-every", "20")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var first []byte
+			for _, workers := range []string{"1", "3", "8"} {
+				mon := filepath.Join(dir, "mon-"+workers+".jsonl")
+				args := append(slices.Clip(c.args), "-workers", workers, "-monitor-jsonl", mon)
+				if c.name == "plan" {
+					args = append(args, "-checkpoint-out", filepath.Join(dir, "ck-"+workers+".json"))
+				}
+				mustCall(t, c.fn, args...)
+				got, err := os.ReadFile(mon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Fatalf("-workers %s streamed %d bytes, -workers 1 %d, and they differ", workers, len(got), len(first))
+				}
+			}
+			if n := bytes.Count(first, []byte("\n")); n < 10 {
+				t.Fatalf("the stream has %d lines; the check needs rolling ones", n)
+			}
+		})
+	}
+}
+
+// TestMonitorEveryZero: -monitor-every 0 writes no rolling lines, so
+// phi-beam streams one line per benchmark boundary (the last being the
+// final line) and a phi-bench sweep the final line alone.
+func TestMonitorEveryZero(t *testing.T) {
+	dir := t.TempDir()
+	beamMon, sweepMon := filepath.Join(dir, "beam.jsonl"), filepath.Join(dir, "sweep.jsonl")
+	mustCall(t, cli.Beam, "-runs", "200", "-monitor-every", "0", "-monitor-jsonl", beamMon)
+	mustCall(t, cli.Bench, "-sweep", "-bench", "DGEMM", "-n", "20", "-monitor-every", "0", "-monitor-jsonl", sweepMon)
+	if got, want := lines(t, beamMon), len(all.BeamSuite); got != want {
+		t.Errorf("phi-beam -monitor-every 0 streamed %d lines, want %d", got, want)
+	}
+	if got := lines(t, sweepMon); got != 1 {
+		t.Errorf("phi-bench -sweep -monitor-every 0 streamed %d lines, want 1", got)
 	}
 }
 

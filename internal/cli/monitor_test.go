@@ -66,8 +66,8 @@ func TestMonitorSinkStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 5 records at every-2 → 2 rolling lines, plus the Mark, plus Close.
-	if len(snaps) != 4 || sink.Lines() != 4 {
-		t.Fatalf("stream has %d lines (sink counted %d), want 4", len(snaps), sink.Lines())
+	if len(snaps) != 4 || sink.Count() != 4 {
+		t.Fatalf("stream has %d lines (sink counted %d), want 4", len(snaps), sink.Count())
 	}
 	if got := []int{snaps[0].Trials, snaps[1].Trials}; got[0] != 2 || got[1] != 4 {
 		t.Fatalf("rolling snapshot trial counts %v, want [2 4]", got)

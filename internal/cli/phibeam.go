@@ -36,14 +36,19 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 		if err != nil {
 			return err
 		}
-		// The resident monitor observes the same records the JSONL log
-		// does; one monitor spans the whole suite, so its rolling
-		// aggregate is the machine-level estimate across benchmarks.
+		// One reorder feeds the JSONL log and the resident monitor the
+		// suite's records in one order, whatever -workers; one monitor
+		// spans the suite, so its rolling aggregate is the machine-level
+		// estimate across benchmarks.
 		sink, err := mon.Open()
 		if err != nil {
 			return err
 		}
-		logw, err := openRecordLog(*out, all.BeamSuite, *runs, func(r beam.Record) (string, int) { return r.Benchmark, r.Seq })
+		var feed func(beam.Record)
+		if sink != nil {
+			feed = sink.ObserveBeam
+		}
+		recs, err := openRecords(*out, feed)
 		if err != nil {
 			return err
 		}
@@ -55,14 +60,7 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 			cfg := beam.Config{
 				Benchmark: name, Runs: *runs, Seed: *seed, BenchSeed: *benchSeed,
 				Workers: *workers, Device: dev, DisableECC: *noECC,
-				Observe: func(r beam.Record) {
-					if logw != nil {
-						logw.Observe(r)
-					}
-					if sink != nil {
-						sink.Monitor.ObserveBeam(r)
-					}
-				},
+				Observe: recs.observer(bi**runs, func(r beam.Record) int { return r.Seq }),
 			}
 			if *showProg {
 				cfg.Progress = progress(stderr, tool, name)
@@ -71,7 +69,7 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 			if err != nil {
 				// Both streams are closed, so a failed or interrupted
 				// campaign still leaves valid JSONL behind.
-				err = logw.abort(stderr, tool, err)
+				err = recs.close(stderr, tool, err)
 				if sink != nil {
 					sink.Close()
 				}
@@ -88,7 +86,7 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 			if err := sink.Close(); err != nil {
 				return err
 			}
-			say("wrote %d monitor snapshots to %s", sink.Lines(), mon.Out)
+			say("wrote %d monitor snapshots to %s", sink.Count(), mon.Out)
 		}
 
 		fmt.Fprintln(stdout, figures.Figure2(results))
@@ -100,6 +98,6 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 			fmt.Fprintf(stdout, "%s: single-element SDC share %s (paper: <10%%)\n",
 				name, results[name].SingleElementShare())
 		}
-		return logw.finish(stderr, tool)
+		return recs.close(stderr, tool, nil)
 	})
 }

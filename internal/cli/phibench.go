@@ -169,8 +169,8 @@ func runSweep(ctx context.Context, fs *flag.FlagSet, stdin io.Reader, stdout, st
 		return err
 	}
 	if sink != nil {
-		s.ObserveInjection = sink.Monitor.ObserveInjection
-		s.ObserveBeam = sink.Monitor.ObserveBeam
+		s.ObserveInjection = sink.ObserveInjection
+		s.ObserveBeam = sink.ObserveBeam
 	}
 
 	start := time.Now()
@@ -194,7 +194,7 @@ func runSweep(ctx context.Context, fs *flag.FlagSet, stdin io.Reader, stdout, st
 		if err := sink.Close(); err != nil {
 			return err
 		}
-		say("wrote %d monitor snapshots to %s", sink.Lines(), o.mon.Out)
+		say("wrote %d monitor snapshots to %s", sink.Count(), o.mon.Out)
 	}
 	label := ""
 	if res.Shard != nil {

@@ -3,37 +3,43 @@ package core
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	_ "phirel/internal/bench/all"
 	"phirel/internal/trace"
 )
 
-// nopCloser is a bytes.Buffer an ordered log can close.
-type nopCloser struct{ bytes.Buffer }
-
-func (*nopCloser) Close() error { return nil }
-
 // TestLogRoundTripReaggregation exercises the artifact workflow end to end:
-// run a campaign whose workers hand their records to an ordered JSONL log
-// (carol-fi -out), read them back (phi-report), and verify the re-derived
-// aggregates equal the campaign's own.
+// run a campaign whose workers hand their records through the reorder to
+// a JSONL file (carol-fi -out), read them back (phi-report), and verify the
+// re-derived aggregates equal the campaign's own.
 func TestLogRoundTripReaggregation(t *testing.T) {
-	var buf nopCloser
-	log := trace.NewOrdered(&buf, func(r InjectionRecord) int { return r.Seq })
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	file, err := trace.Open(path, os.O_TRUNC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := trace.NewOrdered(func(r InjectionRecord) { file.Write(r) })
 	cfg := CampaignConfig{Benchmark: "LUD", N: 120, Seed: 77, BenchSeed: 1, Workers: 4}
 	recs := observe(&cfg)
 	keep := cfg.Observe
-	cfg.Observe = func(r InjectionRecord) { keep(r); log.Observe(r) }
+	cfg.Observe = func(r InjectionRecord) { keep(r); log.Put(r.Seq, r) }
 	res, err := RunCampaign(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil {
+	log.Close()
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	back, err := trace.Read[InjectionRecord](&buf)
+	back, err := trace.Read[InjectionRecord](bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,10 @@ func parseEvent(line []byte) (Event, bool) {
 
 // Progress is one aggregated sample across the whole fan-out.
 type Progress struct {
-	// Shard is the 0-based shard whose report produced this sample.
-	Shard int
+	// Shard is the 0-based shard, in the job's plan of Count shards, of
+	// the worker whose report produced this sample (a re-split child
+	// reports as the shard it was split from): 0 <= Shard < Count.
+	Shard, Count int
 	// Done and Total count grid cells across every shard: each of the K
 	// shards runs its slice of all Total/K cells, so Total is K times the
 	// sweep's cell count.
@@ -68,10 +70,11 @@ type worker struct {
 	// done and total are the worker's latest progress: a plain worker's
 	// total is the cell count, a checkpointing one reports chunks×cells, a
 	// relaunched one only the remainder it runs.
-	done, total int
-	watched     bool // a primary, which the straggler watch covers
-	claim       outcome
-	cancel      context.CancelFunc // the shard's; a successful steal calls it
+	done, total  int
+	shard, count int  // the task's shard in the job's plan of count
+	watched      bool // a primary, which the straggler watch covers
+	claim        outcome
+	cancel       context.CancelFunc // the shard's; a successful steal calls it
 	// The rate window opens at the first report (since, fraction first)
 	// and reopens when a report's fraction regresses below last's.
 	since       time.Time
@@ -81,9 +84,10 @@ type worker struct {
 // workerTable is one job's record of its workers, keyed by progress key: a
 // primary's shard index, or >= the shard count for the children of a
 // re-split straggler. Keys may be sparse: a prefix-cached fan-out launches
-// workers 1..S of an (S+1)-way plan. The stderr demux reports into it, the
-// supervisor resets and closes rows, the straggler watch reads it, and
-// outcomes are claimed on it, all under one lock. Every report emits a
+// workers 1..S of an (S+1)-way plan. A sample names its worker's task
+// shard, never the key. The stderr demux reports into it, the supervisor
+// resets and closes rows, the straggler watch reads it, and outcomes are
+// claimed on it, all under one lock. Every report emits a
 // fan-out-wide sample with the lock held, so sink calls are serialised —
 // the same contract fleet.Sweep.Progress gives.
 type workerTable struct {
@@ -102,7 +106,7 @@ func newWorkerTable(cellsPerShard int, sink func(Progress)) *workerTable {
 func (t *workerTable) add(sr *shardRun, primary bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := &worker{watched: primary, cancel: sr.cancel}
+	w := &worker{shard: sr.task.Shard, count: sr.task.Count, watched: primary, cancel: sr.cancel}
 	if primary {
 		w.total = t.cells
 	}
@@ -157,7 +161,8 @@ func (t *workerTable) emitLocked(key int) {
 		sumDone += w.done
 		sumTotal += w.total
 	}
-	t.sink(Progress{Shard: key, Done: sumDone, Total: sumTotal})
+	w := t.rows[key]
+	t.sink(Progress{Shard: w.shard, Count: w.count, Done: sumDone, Total: sumTotal})
 }
 
 // claim moves a running row to c and reports whether it did. The first

@@ -52,7 +52,7 @@ func TestParseEvent(t *testing.T) {
 func primaries(n, cells int, sink func(Progress)) *workerTable {
 	tab := newWorkerTable(cells, sink)
 	for k := 0; k < n; k++ {
-		tab.add(newShardRun(context.Background(), Task{}, k, nil), true)
+		tab.add(newShardRun(context.Background(), Task{Shard: k, Count: n}, k, nil), true)
 	}
 	return tab
 }
@@ -65,9 +65,9 @@ func TestProgressMuxAggregatesAndResets(t *testing.T) {
 	tab.report(1, 3, 0, now)
 	tab.report(0, 3, 0, now)
 	want := []Progress{
-		{Shard: 0, Done: 1, Total: 6},
-		{Shard: 1, Done: 4, Total: 6},
-		{Shard: 0, Done: 6, Total: 6},
+		{Shard: 0, Count: 2, Done: 1, Total: 6},
+		{Shard: 1, Count: 2, Done: 4, Total: 6},
+		{Shard: 0, Count: 2, Done: 6, Total: 6},
 	}
 	if fmt.Sprint(samples) != fmt.Sprint(want) {
 		t.Fatalf("samples %v, want %v", samples, want)
@@ -81,15 +81,16 @@ func TestProgressMuxAggregatesAndResets(t *testing.T) {
 		t.Fatalf("post-reset sample %+v, want 5/6", last)
 	}
 	// A re-split child's row counts nothing until it reports; a stolen
-	// shard's closed row keeps what it did.
-	tab.add(newShardRun(context.Background(), Task{}, 2, nil), false)
+	// shard's closed row keeps what it did. The child's key is past the
+	// plan's count; its samples name the shard it was split from.
+	tab.add(newShardRun(context.Background(), Task{Shard: 0, Count: 2}, 2, nil), false)
 	tab.close(0)
 	if last := samples[len(samples)-1]; last.Done != 5 || last.Total != 5 {
 		t.Fatalf("sample after a close %+v, want 5/5", last)
 	}
 	tab.report(2, 1, 4, now)
-	if last := samples[len(samples)-1]; last.Shard != 2 || last.Done != 6 || last.Total != 9 {
-		t.Fatalf("child's first sample %+v, want shard 2 at 6/9", last)
+	if last := samples[len(samples)-1]; last.Shard != 0 || last.Count != 2 || last.Done != 6 || last.Total != 9 {
+		t.Fatalf("child's first sample %+v, want shard 0 of 2 at 6/9", last)
 	}
 }
 

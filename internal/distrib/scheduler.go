@@ -74,9 +74,10 @@ type Job struct {
 
 	mu    sync.Mutex
 	state JobState
-	done  int
-	total int
-	err   error
+	// last is the latest sample, a new subscriber's first: before any
+	// report, shard 0 at zero of the job's total cells.
+	last Progress
+	err  error
 	// result is a done job's merged result, kept only when the job has no
 	// seal: a sealed job hands it to its seal and keeps nothing.
 	result *fleet.SweepResult
@@ -98,7 +99,7 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID: j.id, State: j.state, Done: j.done, Total: j.total,
+		ID: j.id, State: j.state, Done: j.last.Done, Total: j.last.Total,
 		TrialsResumed: j.resumed.Load(), TrialsStolen: j.stolen.Load(),
 	}
 	if j.err != nil && j.state == JobFailed {
@@ -171,9 +172,10 @@ func (j *Job) land(k int, p *fleet.SweepResult) {
 }
 
 // Subscribe registers a progress listener: a channel of aggregated
-// job-wide samples, closed when the job finishes. Slow listeners never
-// block the supervisor — when a subscriber's buffer is full the oldest
-// sample is dropped, so a reader always converges on the latest state.
+// job-wide samples, starting with the latest, closed when the job
+// finishes. Slow listeners never block the supervisor — when a
+// subscriber's buffer is full the oldest sample is dropped, so a reader
+// always converges on the latest state.
 // The returned stop function unregisters (idempotent, safe after close).
 func (j *Job) Subscribe() (<-chan Progress, func()) {
 	ch := make(chan Progress, 16)
@@ -183,6 +185,7 @@ func (j *Job) Subscribe() (<-chan Progress, func()) {
 		close(ch)
 		return ch, func() {}
 	}
+	ch <- j.last
 	id := j.nextSub
 	j.nextSub++
 	j.subs[id] = ch
@@ -202,7 +205,7 @@ func (j *Job) Subscribe() (<-chan Progress, func()) {
 func (j *Job) emit(p Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.done, j.total = p.Done, p.Total
+	j.last = p
 	for _, ch := range j.subs {
 		select {
 		case ch <- p:
@@ -326,7 +329,7 @@ func (s *Scheduler) Submit(spec fleet.Sweep, cached *fleet.SweepResult, seal fun
 		cancel:   jcancel,
 		seal:     seal,
 		state:    JobQueued,
-		total:    cellsPerShard * len(tasks),
+		last:     Progress{Count: len(parts), Total: cellsPerShard * len(tasks)},
 		parts:    parts,
 		subs:     map[int]chan Progress{},
 		finished: make(chan struct{}),
@@ -590,7 +593,7 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 
 // Options returns a copy of the scheduler's validated config (hooks
 // included) — what a layer above needs to describe the fan-out it is
-// submitting into, e.g. the shard width of progress events.
+// submitting into, e.g. the shard width it logs.
 func (s *Scheduler) Options() Options { return s.opts }
 
 // Close cancels every job, refuses further submissions, and waits for the

@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"phirel/internal/beam"
@@ -644,5 +646,89 @@ func TestRunPlanCheckpointedWriteFailure(t *testing.T) {
 		if len(entries) != 1 || entries[0].Name() != "blocker" {
 			t.Fatalf("%s: the failed writes left something behind: %v", name, entries)
 		}
+	}
+}
+
+// TestSweepObserversSeeGridThenTrialOrder: the observer hooks run one at a
+// time and see the plan's records in grid-then-trial order — injection
+// cells before beam cells, each cell's trials in order, chunk by chunk —
+// on a pool of several workers, so what they build does not depend on the
+// pool size. A cancelled run delivers a prefix-ordered subset: nothing
+// outside the plan, nothing twice, nothing out of order.
+func TestSweepObserversSeeGridThenTrialOrder(t *testing.T) {
+	s := beamSweep()
+	s.Models = []fault.Model{fault.Single, fault.Zero}
+	plan := mustPlan(t, s, 1, 2)
+	const every = 7
+	chunks := (max(plan.Injection.N, plan.Beam.N) + every - 1) / every
+
+	// want is the order the hooks must follow: per chunk, every injection
+	// cell's slice of the chunk, then every beam cell's.
+	var want []string
+	for c := range chunks {
+		inj, bm := plan.Injection.Split(c, chunks), plan.Beam.Split(c, chunks)
+		for _, cell := range s.Cells() {
+			for i := inj.Offset; i < inj.End(); i++ {
+				want = append(want, fmt.Sprintf("inj/%s/%v/%v/%d", cell.Benchmark, cell.Model, cell.Policy, i))
+			}
+		}
+		for _, cell := range s.BeamCells() {
+			for i := bm.Offset; i < bm.End(); i++ {
+				want = append(want, fmt.Sprintf("beam/%s/%d", cell.Benchmark, i))
+			}
+		}
+	}
+
+	// observe runs the plan with hooks that log each record and flag an
+	// overlapping call; stopAfter > 0 cancels the run from inside the hook
+	// once that many records were seen.
+	observe := func(stopAfter int) ([]string, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var (
+			got      []string
+			inFlight atomic.Int32
+		)
+		see := func(key string) {
+			if inFlight.Add(1) != 1 {
+				t.Error("two observer calls overlapped")
+			}
+			got = append(got, key)
+			if len(got) == stopAfter {
+				cancel()
+			}
+			inFlight.Add(-1)
+		}
+		hooked := s
+		hooked.ObserveInjection = func(r core.InjectionRecord) {
+			see(fmt.Sprintf("inj/%s/%v/%v/%d", r.Benchmark, r.ModelOf(), r.PolicyOf(), r.Seq))
+		}
+		hooked.ObserveBeam = func(r beam.Record) { see(fmt.Sprintf("beam/%s/%d", r.Benchmark, r.Seq)) }
+		_, err := hooked.RunPlanCheckpointed(ctx, plan, Checkpoint{Out: filepath.Join(t.TempDir(), "ck.json"), Every: every})
+		return got, err
+	}
+
+	got, err := observe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("observers saw %d records, want the plan's %d in grid-then-trial order:\ngot  %v\nwant %v", len(got), len(want), got, want)
+	}
+
+	got, err = observe(len(want) / 3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if len(got) < len(want)/3 || len(got) >= len(want) {
+		t.Fatalf("cancelled run delivered %d of %d records", len(got), len(want))
+	}
+	next := 0
+	for _, key := range got {
+		i := slices.Index(want[next:], key)
+		if i < 0 {
+			t.Fatalf("cancelled run delivered %s out of grid-then-trial order or outside the plan:\n%v", key, got)
+		}
+		next += i + 1
 	}
 }

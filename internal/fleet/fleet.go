@@ -13,10 +13,12 @@
 // before running a sweep.
 //
 // The ObserveInjection/ObserveBeam hooks are handed every cell's records
-// as it runs — the seam the resident reliability monitor (internal/monitor)
-// is wired to. Observers are execution details like Workers and
-// Progress: excluded from specs, canonical hashes, and artifacts, so an
-// observed sweep's artifact is byte-identical to an unobserved one.
+// through one reorder (trace.Ordered), serially in grid-then-trial order
+// at any pool size — the seam the resident reliability monitor
+// (internal/monitor) is wired to. Observers are execution details like
+// Workers and Progress: excluded from specs, canonical hashes, and
+// artifacts, so an observed sweep's artifact is byte-identical to an
+// unobserved one.
 package fleet
 
 import (
@@ -32,6 +34,7 @@ import (
 	"phirel/internal/phi"
 	"phirel/internal/state"
 	"phirel/internal/stats"
+	"phirel/internal/trace"
 )
 
 // Sweep specifies a grid of campaigns. The zero value of each list field
@@ -83,14 +86,14 @@ type Sweep struct {
 	Progress func(done, total int) `json:"-"`
 
 	// ObserveInjection and ObserveBeam, when non-nil, receive every record
-	// every cell of the matching kind produces, as it is produced — the
-	// cell campaign's Observe hook, where a resident reliability monitor
-	// (internal/monitor) is wired. Cells run concurrently, so calls arrive
-	// from multiple goroutines and observers must be safe for concurrent
-	// use; every record of a cell is delivered before the cell counts as
-	// done. Like Progress, observers are execution detail: they are never
-	// serialised into specs and do not affect the sweep's canonical hash
-	// or its artifact bytes.
+	// every cell of the matching kind produces — where a resident
+	// reliability monitor (internal/monitor) is wired. They are called
+	// serially, in grid-then-trial order (injection cells before beam
+	// cells, each cell's trials in order; a checkpointed plan chunk by
+	// chunk); every record before Run returns. A cancelled run delivers
+	// the records it made, still in that order. Like Progress, observers
+	// are execution detail: they are never serialised into specs and do
+	// not affect the sweep's canonical hash or its artifact bytes.
 	ObserveInjection func(rec core.InjectionRecord) `json:"-"`
 	ObserveBeam      func(rec beam.Record)          `json:"-"`
 }
@@ -320,6 +323,15 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 		beamOut = make([]BeamCellResult, len(beamCells))
 	}
 
+	// Observed records go through one reorder keyed by (cell position,
+	// trial − range offset) over the hooked kinds' cells.
+	order := trace.NewOrdered(func(deliver func()) { deliver() })
+	defer order.Close()
+	beamBase := 0
+	if ns.ObserveInjection != nil {
+		beamBase = len(cells) * injRange.N
+	}
+
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -381,7 +393,10 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 				BenchSeed: ns.BenchSeed,
 				Workers:   1,
 				Runners:   rs,
-				Observe:   ns.ObserveInjection,
+			}
+			if hook := ns.ObserveInjection; hook != nil {
+				base := i*injRange.N - injRange.Offset
+				cfg.Observe = func(r core.InjectionRecord) { order.Put(base+r.Seq, func() { hook(r) }) }
 			}
 			res, err := core.RunCampaign(ctx, cfg)
 			if err == nil {
@@ -409,7 +424,10 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 				Device:     dev,
 				DisableECC: c.DisableECC,
 				Runners:    rs,
-				Observe:    ns.ObserveBeam,
+			}
+			if hook := ns.ObserveBeam; hook != nil {
+				base := beamBase + j*beamRange.N - beamRange.Offset
+				cfg.Observe = func(r beam.Record) { order.Put(base+r.Seq, func() { hook(r) }) }
 			}
 			var res *beam.Result
 			res, err = beam.RunContext(ctx, cfg)

@@ -17,8 +17,8 @@
 // exactly, because both go through analysis.RateFITEstimate on the same
 // tallies.
 //
-// All Observe methods are safe for concurrent use: a campaign's workers,
-// and a fleet sweep's cells, call them from many goroutines at once.
+// All methods are safe for concurrent use; the tools feed a monitor in
+// record order (trace.Ordered), so its snapshots do not depend on -workers.
 package monitor
 
 import (

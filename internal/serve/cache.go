@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"os"
 	"regexp"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"phirel/internal/fleet"
+	"phirel/internal/trace"
 )
 
 // cacheInfo is the overlap index's view of one complete on-disk artifact:
@@ -239,40 +239,20 @@ type AdmissionRecord struct {
 	TrialsComputed  int `json:"trialsComputed"`
 }
 
-// admissionLog appends one JSON object per admission to a file. Writes are
-// serialised; failures disable the log after one complaint rather than
-// failing requests.
+// admissionLog appends one JSON object per admission to a JSONL file,
+// flushed line by line so the log can be tailed. A failing log complains
+// once and then writes nothing more; it never fails a request.
 type admissionLog struct {
-	logf func(format string, args ...any)
-
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	enc  *json.Encoder
-	dead bool
+	file     *trace.File
+	logf     func(format string, args ...any)
+	complain sync.Once
 }
 
 func (l *admissionLog) record(rec AdmissionRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dead {
-		return
-	}
-	if l.f == nil {
-		f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			l.logf("serve: admission log disabled: %v", err)
-			l.dead = true
-			return
-		}
-		l.f, l.enc = f, json.NewEncoder(f)
-	}
 	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
-	if err := l.enc.Encode(rec); err != nil {
-		l.logf("serve: admission log disabled: %v", err)
-		l.dead = true
-		l.f.Close()
-		l.f = nil
+	l.file.Write(rec)
+	if err := l.file.Flush(); err != nil {
+		l.complain.Do(func() { l.logf("serve: admission log disabled: %v", err) })
 	}
 }
 

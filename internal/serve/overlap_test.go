@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -476,5 +477,59 @@ func TestServeOverlapEmptyList(t *testing.T) {
 	}
 	if _, _, got := getBody(t, ts, "/v1/sweeps/"+st.ID+"/result"); !bytes.Equal(got, want.Bytes()) {
 		t.Fatal("the folded artifact differs from the monolithic run")
+	}
+}
+
+// TestServeEventsNameAShardOfTheirCount: every progress event of a
+// partial-overlap job — whose workers run shards 1..S of an (S+1)-way
+// plan, shard 0 being the cached prefix — names a shard within the count
+// it carries, and that count is the job's plan's.
+func TestServeEventsNameAShardOfTheirCount(t *testing.T) {
+	small := testSpec(67)
+	big := small
+	big.N *= 2
+	wk := &worker{}
+	ts := newTestServer(t, wk, WithCacheDir(t.TempDir()))
+	_, st := postSpec(t, ts, small)
+	waitState(t, ts, st.ID, "done")
+
+	wk.gate = make(chan struct{})
+	_, st = postSpec(t, ts, big)
+	if !st.Partial {
+		t.Fatalf("overlapping POST status %+v, want partial", st)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	close(wk.gate)
+
+	var event string
+	progress := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "event: ") {
+			event = strings.TrimPrefix(line, "event: ")
+			continue
+		}
+		if event != "progress" || !strings.HasPrefix(line, "data: ") {
+			continue
+		}
+		var ev distrib.Event
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Count != testShards+1 || ev.Shard < 0 || ev.Shard >= ev.Count {
+			t.Fatalf("progress event %+v names a shard outside its count, or not the job's %d-way plan", ev, testShards+1)
+		}
+		progress++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if progress < 2 {
+		t.Fatalf("%d progress events, want the opening one and the workers' reports", progress)
 	}
 }

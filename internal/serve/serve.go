@@ -103,6 +103,7 @@ import (
 	"phirel/internal/distrib"
 	"phirel/internal/figures"
 	"phirel/internal/fleet"
+	"phirel/internal/trace"
 )
 
 // Status is the service's view of one sweep.
@@ -204,7 +205,8 @@ type Server struct {
 	// cacheMaxBytes, when positive, bounds the on-disk cache; exceeding it
 	// evicts least-recently-used artifacts (see evictLocked).
 	cacheMaxBytes int64
-	admission     *admissionLog // nil when no admission log is configured
+	admissionPath string
+	admission     *admissionLog // nil when no admission log is open
 	logf          func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -247,11 +249,7 @@ func WithCacheMaxBytes(n int64) Option {
 // AdmissionRecord): hash, base hash, full/partial/miss/coalesced outcome,
 // and the trials-from-cache vs trials-computed split.
 func WithAdmissionLog(path string) Option {
-	return func(s *Server) {
-		if path != "" {
-			s.admission = &admissionLog{path: path}
-		}
-	}
+	return func(s *Server) { s.admissionPath = path }
 }
 
 // New builds a Server over sched. The caller owns the scheduler's
@@ -268,8 +266,12 @@ func New(sched *distrib.Scheduler, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.admission != nil {
-		s.admission.logf = s.logf
+	if s.admissionPath != "" {
+		if f, err := trace.Open(s.admissionPath, os.O_APPEND); err != nil {
+			s.logf("serve: admission log disabled: %v", err)
+		} else {
+			s.admission = &admissionLog{file: f, logf: s.logf}
+		}
 	}
 	s.scanCache()
 	return s
@@ -714,7 +716,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	shards := s.sched.Options().Shards
 	sse := func(event string, v any) {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -723,10 +724,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 		flusher.Flush()
 	}
-	progressEvent := func(p distrib.Progress) distrib.Event {
-		return distrib.Event{Event: distrib.EventName, Shard: p.Shard, Count: shards, Done: p.Done, Total: p.Total}
-	}
-
 	var ch <-chan distrib.Progress
 	stop := func() {}
 	if e.job != nil {
@@ -753,13 +750,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		sse("monitor", snap)
 	}
 
-	// Opening snapshot, so a subscriber joining mid-run sees the current
-	// position before the next worker report arrives.
-	if st := s.status(e); !distrib.JobState(st.State).Terminal() {
-		sse("progress", progressEvent(distrib.Progress{Done: st.Done, Total: st.Total}))
-		monitorFrame(false)
-	}
-	// The subscription closes when the job ends, after its seal.
+	// The subscription opens with the job's latest sample, so a
+	// subscriber joining mid-run sees the current position before the
+	// next worker report arrives, and closes when the job ends, after its
+	// seal.
 	for ch != nil {
 		select {
 		case p, open := <-ch:
@@ -767,7 +761,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				ch = nil
 				break
 			}
-			sse("progress", progressEvent(p))
+			sse("progress", distrib.Event{Event: distrib.EventName, Shard: p.Shard, Count: p.Count, Done: p.Done, Total: p.Total})
 			monitorFrame(false)
 		case <-r.Context().Done():
 			return

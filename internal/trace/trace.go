@@ -1,14 +1,17 @@
-// Package trace serialises campaign records as JSON Lines, mirroring the
-// paper's public log release (the UFRGS-CAROL sc17-log-data repository):
-// every injection and beam run is one self-describing JSON object, and the
-// report tool re-derives every table from the logs alone. The same Writer
-// carries the -monitor-jsonl snapshot streams of phi-bench and phi-beam —
-// any JSON-marshalable record type, one object per line.
+// Package trace is the record path of every JSON Lines stream the tools
+// write, mirroring the paper's public log release (the UFRGS-CAROL
+// sc17-log-data repository): every injection and beam run is one
+// self-describing JSON object, and the report tool re-derives every table
+// from the logs alone.
 //
-// A campaign's workers hand their records to its Observe hook in no
-// particular order; Ordered is the log to hand them to: it resequences by
-// sequence number, writes each record exactly once, and its Close reports
-// the first write, flush or close error.
+// It has two halves. Ordered is the one reorder: concurrent campaign
+// workers hand it values in no particular order, each tagged with its
+// position, and it releases them to one callback, serially and in
+// position order, so what a consumer sees does not depend on which worker
+// ran what. It does no I/O. File is the one JSONL writer: the campaign
+// logs (-out), the -monitor-jsonl snapshot streams and the service's
+// admission log all land through it, one object per line, with one first
+// error that Close reports. Read and Each decode such a file.
 package trace
 
 import (
@@ -16,115 +19,132 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
 
-// Writer appends JSONL records to an io.Writer.
-type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   int
-}
-
-// NewWriter wraps w for record appending.
-func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
-}
-
-// Write appends one record (any JSON-marshallable value).
-func (w *Writer) Write(rec any) error {
-	if err := w.enc.Encode(rec); err != nil {
-		return fmt.Errorf("trace: encode record %d: %w", w.n, err)
-	}
-	w.n++
-	return nil
-}
-
-// Ordered is a JSONL log fed by concurrent campaign workers: seq maps a
-// record to its 0-based position in the log, and each record is held
-// until its predecessors have been written, so the log's bytes do not
-// depend on which worker ran what. A cancelled campaign leaves gaps in
-// the sequence space; Close writes the records held behind them in
-// sorted order, so a partial log stays sorted. Both campaign CLIs
-// (carol-fi, phi-beam) write their -out logs through this.
+// Ordered releases values in position order. Each value carries a
+// position (pos ≥ 0, each used once); a value is held until every lower
+// position has been released, then handed to release. Release calls are
+// serialised and never overlap: one runs at a time, under the reorder's
+// lock. A cancelled campaign leaves gaps in the position space; Close
+// releases what the gaps still hold, sorted.
 type Ordered[T any] struct {
 	mu      sync.Mutex
-	dst     io.WriteCloser
-	w       *Writer
-	seq     func(T) int
+	release func(T)
 	next    int
-	pending map[int]T
-	err     error
+	held    map[int]T
 }
 
-// NewOrdered returns an ordered log writing to dst, which Close closes.
-func NewOrdered[T any](dst io.WriteCloser, seq func(T) int) *Ordered[T] {
-	return &Ordered[T]{dst: dst, w: NewWriter(dst), seq: seq, pending: map[int]T{}}
+// NewOrdered returns a reorder that hands values to release.
+func NewOrdered[T any](release func(T)) *Ordered[T] {
+	return &Ordered[T]{release: release, held: map[int]T{}}
 }
 
-// Observe adds one record to the log; it is safe for concurrent use.
-// After a write error the log keeps accepting records, so a campaign
-// never blocks on a dead log, but writes nothing more; Close reports the
-// error.
-func (o *Ordered[T]) Observe(rec T) {
+// Put adds the value at position pos and releases every value that is now
+// in order; it is safe for concurrent use.
+func (o *Ordered[T]) Put(pos int, v T) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.err != nil {
-		return
-	}
-	o.pending[o.seq(rec)] = rec
+	o.held[pos] = v
 	for {
-		r, ok := o.pending[o.next]
+		v, ok := o.held[o.next]
 		if !ok {
 			return
 		}
-		delete(o.pending, o.next)
+		delete(o.held, o.next)
 		o.next++
-		if o.err = o.w.Write(r); o.err != nil {
-			return
-		}
+		o.release(v)
 	}
 }
 
-// Close writes the records still held behind gaps in sequence order,
-// flushes the log and closes dst. It returns the first write, flush or
-// close error of the log's life.
-func (o *Ordered[T]) Close() error {
+// Close releases the values still held behind gaps, in position order.
+func (o *Ordered[T]) Close() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	rest := make([]int, 0, len(o.pending))
-	for s := range o.pending {
-		rest = append(rest, s)
+	rest := make([]int, 0, len(o.held))
+	for pos := range o.held {
+		rest = append(rest, pos)
 	}
 	sort.Ints(rest)
-	for _, s := range rest {
-		if o.err == nil {
-			o.err = o.w.Write(o.pending[s])
-		}
+	for _, pos := range rest {
+		o.release(o.held[pos])
+		delete(o.held, pos)
 	}
-	if err := o.w.Flush(); err != nil && o.err == nil {
-		o.err = fmt.Errorf("trace: flush: %w", err)
-	}
-	if err := o.dst.Close(); err != nil && o.err == nil {
-		o.err = fmt.Errorf("trace: close: %w", err)
-	}
-	return o.err
 }
 
-// Count returns the number of records the log has written.
-func (o *Ordered[T]) Count() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.w.Count()
+// File is a JSONL file: one JSON object per Write, one per line. Write is
+// safe for concurrent use. The first error — encoding, writing, flushing
+// or closing — latches: nothing more is written, later calls return it,
+// and Close reports it.
+type File struct {
+	mu  sync.Mutex
+	dst io.WriteCloser
+	bw  *bufio.Writer
+	enc *json.Encoder
+	n   int
+	err error
+}
+
+// Open opens the JSONL file at path, creating it if needed; flag is
+// os.O_TRUNC to start it afresh or os.O_APPEND to extend it.
+func Open(path string, flag int) (*File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return newFile(f), nil
+}
+
+func newFile(dst io.WriteCloser) *File {
+	bw := bufio.NewWriter(dst)
+	return &File{dst: dst, bw: bw, enc: json.NewEncoder(bw)}
+}
+
+// Write appends rec (any JSON-marshalable value) as one line and returns
+// the file's first error, if any.
+func (f *File) Write(rec any) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		if err := f.enc.Encode(rec); err != nil {
+			f.err = fmt.Errorf("trace: record %d: %w", f.n, err)
+		} else {
+			f.n++
+		}
+	}
+	return f.err
+}
+
+// Flush hands the buffered lines to the file and returns the file's first
+// error, if any.
+func (f *File) Flush() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.bw.Flush(); err != nil && f.err == nil {
+		f.err = fmt.Errorf("trace: flush: %w", err)
+	}
+	return f.err
 }
 
 // Count returns the number of records written.
-func (w *Writer) Count() int { return w.n }
+func (f *File) Count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.n
+}
 
-// Flush drains the buffer; call before closing the underlying file.
-func (w *Writer) Flush() error { return w.bw.Flush() }
+// Close flushes and closes the file and returns its first error.
+func (f *File) Close() error {
+	f.Flush()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.dst.Close(); err != nil && f.err == nil {
+		f.err = fmt.Errorf("trace: close: %w", err)
+	}
+	return f.err
+}
 
 // Read decodes every JSONL record from r into T. Blank lines are skipped;
 // a malformed line aborts with its line number.
