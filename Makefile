@@ -44,13 +44,16 @@ test:
 # statistical-power campaigns add nothing to race coverage. serve and
 # distrib run whole: their lifecycle bugs have hidden in tests no keyword
 # named. trace runs whole too: its reorder and its file are the record
-# path every concurrent campaign worker feeds, and its tests are small. -short scales every fixture down (plain `make test` still runs
+# path every concurrent campaign worker feeds, and its tests are small.
+# fleet runs whole: its partial checks (slice, checkpoint load, merge) sit
+# in tests no keyword names, and the package takes ~12 s under -race.
+# -short scales every fixture down (plain `make test` still runs
 # everything at full size).
 race:
 	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Monitor|Observe|Incremental|Watchdog|Runners|Resident|Levers|Resume|Converge|Strike|Debit|BoxMatches|NeighbourIndex' \
-		./internal/state/ ./internal/bench/ ./internal/bench/clamr/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
+		./internal/state/ ./internal/bench/ ./internal/bench/clamr/ ./internal/bench/hotspot/ ./internal/bench/lavamd/ ./internal/engine/... ./internal/core/... ./internal/beam/... \
 		./internal/monitor/...
-	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/... ./internal/trace/
+	$(GO) test -race -short -timeout 15m ./internal/serve/... ./internal/distrib/... ./internal/trace/ ./internal/fleet/
 
 # Runs every figure/ablation benchmark exactly once — a smoke test that the
 # experiment index still executes, so engine regressions surface in CI.

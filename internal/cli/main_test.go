@@ -225,6 +225,21 @@ func TestCampaignToolsFailOnUnwritableLog(t *testing.T) {
 	}
 }
 
+// TestBeamUnopenableLogLeavesNoMonitorStream: phi-beam whose -out cannot
+// be created exits 1 naming it and leaves no -monitor-jsonl file behind.
+func TestBeamUnopenableLogLeavesNoMonitorStream(t *testing.T) {
+	dir := t.TempDir()
+	mon := filepath.Join(dir, "m.jsonl")
+	bad := filepath.Join(dir, "missing", "x.jsonl")
+	code, _, stderr := call(t, cli.Beam, "", "-runs", "2", "-workers", "1", "-out", bad, "-monitor-jsonl", mon)
+	if code != 1 || !strings.Contains(stderr, bad) {
+		t.Errorf("phi-beam -out %s exited %d, want 1 naming the log:\n%s", bad, code, stderr)
+	}
+	if _, err := os.Stat(mon); !os.IsNotExist(err) {
+		t.Errorf("a run that never started left its monitor stream behind (stat: %v)", err)
+	}
+}
+
 // TestCampaignToolsInterrupted: a cancelled campaign exits 1 naming the
 // cancellation, and says how many records its closed, still valid log
 // holds.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 
 	"phirel/internal/beam"
 	"phirel/internal/bench/all"
@@ -50,6 +51,11 @@ func Beam(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Wri
 		}
 		recs, err := openRecords(*out, feed)
 		if err != nil {
+			if sink != nil {
+				// A run that never started leaves no monitor stream.
+				sink.File.Close()
+				os.Remove(mon.Out)
+			}
 			return err
 		}
 

@@ -58,19 +58,19 @@
 //     writer, so permanent failures surface each shard's tail alongside
 //     the backend's native failure evidence (exit codes).
 //   - No trusted exits: a clean exit with a missing, truncated or
-//     mislabelled partial is a failed attempt; the supervisor revalidates
-//     every artifact.
+//     mislabelled partial, or one of another sweep, is a failed attempt:
+//     the supervisor checks every artifact against the job's spec with
+//     fleet.CheckPartial and retries the one bad worker.
 //
 // The end state is fleet.MergeSweepResults over the K partials validation
-// decoded — each partial is read once — so everything the merge layer enforces (grid/seed/plan compatibility, exact
-// index coverage) backstops the supervisor.
+// decoded — each read once — whose fold repeats CheckPartial on every part
+// and checks index coverage and tiling, backstopping the supervisor.
 package distrib
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"phirel/internal/fleet"
 )
@@ -159,14 +159,7 @@ func layout(dir string, spec fleet.Sweep, cached *fleet.SweepResult, shards int)
 	}
 	first := 0
 	if cached != nil {
-		// The workers' partials record the spec as decoded from the spec
-		// file, and the fold requires every part to record one spec; the
-		// prefix records the same decode of the same bytes.
-		seen, err := fleet.ReadSpec(strings.NewReader(text))
-		if err != nil {
-			return nil, nil, err
-		}
-		if parts[0], err = fleet.SliceResult(cached, seen, plans[0]); err != nil {
+		if parts[0], err = fleet.SliceResult(cached, spec, plans[0]); err != nil {
 			return nil, nil, err
 		}
 		first = 1

@@ -183,7 +183,33 @@ type elasticAttempt struct {
 // job lands byte-identical to the monolithic run and reports exactly the
 // banked trials through JobStatus.TrialsResumed.
 func TestSchedulerResumesFromCheckpoint(t *testing.T) {
-	spec := testSweep()
+	checkResumesFromCheckpoint(t, testSweep())
+}
+
+// TestSchedulerResumesEmptyListSpec: a job whose spec writes an unused list
+// as [] — what any JSON client may POST — is the same sweep as its workers'
+// decode of the spec file, which leaves the list out, so the supervisor
+// banks their checkpoints like any other job's.
+func TestSchedulerResumesEmptyListSpec(t *testing.T) {
+	spec, err := fleet.ReadSpec(strings.NewReader(fmt.Sprintf(
+		`{"models": [], "n": 0, "beamRuns": %d, "beamBenchmarks": ["DGEMM"], "beamECCAblation": true, "seed": 1701, "benchSeed": 1, "workers": 2}`,
+		testSweep().BeamRuns)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Models == nil {
+		t.Fatal("the spec decoded [] models as nil")
+	}
+	checkResumesFromCheckpoint(t, spec)
+}
+
+// checkResumesFromCheckpoint runs spec as a 2-shard job whose every shard
+// checkpoints and dies on its first attempt, and checks that each relaunch
+// runs a strict suffix of its plan, that no checkpoint went unread, that
+// TrialsResumed counts exactly the banked trials and that the merge is the
+// monolithic run's bytes.
+func checkResumesFromCheckpoint(t *testing.T, spec fleet.Sweep) {
+	t.Helper()
 	_, monoJSON := monoArtifact(t, spec)
 	const shards = 2
 
@@ -213,9 +239,10 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	})
 
 	dir := t.TempDir()
+	logs := &confLogs{}
 	sched, err := NewScheduler(Options{
 		Shards: shards, Launcher: launcher, Dir: dir,
-		Retries: 1, Backoff: time.Millisecond, CheckpointEvery: 2,
+		Retries: 1, Backoff: time.Millisecond, CheckpointEvery: 2, Logf: logs.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +263,9 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 	st := job.Status()
 	if st.TrialsStolen != 0 {
 		t.Fatalf("no watchdog armed, yet TrialsStolen = %d", st.TrialsStolen)
+	}
+	if strings.Contains(logs.joined(), "no readable checkpoint") {
+		t.Fatalf("a checkpoint went unread:\n%s", logs.joined())
 	}
 
 	mu.Lock()
@@ -271,7 +301,7 @@ func TestSchedulerResumesFromCheckpoint(t *testing.T) {
 			t.Fatalf("shard %d left its checkpoint behind (stat: %v)", k, err)
 		}
 	}
-	if st.TrialsResumed != banked {
+	if st.TrialsResumed != banked || banked == 0 {
 		t.Fatalf("TrialsResumed = %d, want the %d trials the relaunches did not run", st.TrialsResumed, banked)
 	}
 }

@@ -26,8 +26,8 @@ func FormatPlanArg(p fleet.ShardPlan) string {
 }
 
 // ParsePlanArg parses the -plan wire form back into a ShardPlan. It
-// validates shape and position only; range-vs-spec validation is
-// fleet.CheckPlan's, done by the worker against the spec it loads.
+// validates shape and position only; the ranges are checked against the
+// spec by the worker's RunPlan, and its partial by fleet.CheckPartial.
 func ParsePlanArg(s string) (fleet.ShardPlan, error) {
 	fail := func() (fleet.ShardPlan, error) {
 		return fleet.ShardPlan{}, fmt.Errorf("distrib: plan %q is not k/K:injOff+injN:beamOff+beamN", s)

@@ -546,12 +546,7 @@ func (r *jobRun) resplit(sr *shardRun) (*fleet.SweepResult, *shardError) {
 	r.job.stolen.Add(int64(stolen))
 	var children []*shardRun
 	for w := 0; w < stealWays; w++ {
-		sub := fleet.ShardPlan{
-			Index:     work.Index,
-			Count:     work.Count,
-			Injection: work.Injection.Split(w, stealWays),
-			Beam:      work.Beam.Split(w, stealWays),
-		}
+		sub := work.Split(w, stealWays)
 		if sub.Injection.Empty() && sub.Beam.Empty() {
 			continue
 		}

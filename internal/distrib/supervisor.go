@@ -104,7 +104,7 @@ func (r *jobRun) supervise(sr *shardRun) (*fleet.SweepResult, *shardError) {
 		} else {
 			logf("shard %s: launching", t.ShardArg())
 		}
-		part, err := launchOnce(sr.ctx, *t, r.opts, r.table, sr.key, tail)
+		part, err := r.launchOnce(sr.ctx, *t, sr.key, tail)
 		if err == nil && len(sr.banks) > 0 {
 			part, err = r.fold(sr, []*fleet.SweepResult{part})
 		}
@@ -164,54 +164,58 @@ func (r *jobRun) fold(sr *shardRun, parts []*fleet.SweepResult) (*fleet.SweepRes
 
 // launchOnce runs one attempt: stale-partial removal, launch under the
 // per-attempt timeout, stderr demux (progress events to the worker table,
-// the rest to the failure tail), and artifact validation, which returns
-// the partial it decoded.
-func launchOnce(ctx context.Context, t Task, opts Options, table *workerTable, key int, tail *tailBuffer) (*fleet.SweepResult, error) {
+// the rest to the failure tail), and artifact validation against the job's
+// spec, which returns the partial it decoded.
+func (r *jobRun) launchOnce(ctx context.Context, t Task, key int, tail *tailBuffer) (*fleet.SweepResult, error) {
 	// A partial left by a killed or crashed prior attempt must never pass
 	// for this attempt's output.
 	if err := os.Remove(t.OutPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("removing stale partial: %w", err)
 	}
 	actx := ctx
-	if opts.Timeout > 0 {
+	if r.opts.Timeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		actx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
 		defer cancel()
 	}
 	lw := &lineWriter{fn: func(line []byte) {
 		if ev, ok := parseEvent(line); ok {
-			table.report(key, ev.Done, ev.Total, time.Now())
+			r.table.report(key, ev.Done, ev.Total, time.Now())
 			return
 		}
 		tail.writeLine(line)
 	}}
-	err := opts.Launcher.Launch(actx, t, lw)
+	err := r.opts.Launcher.Launch(actx, t, lw)
 	lw.Flush()
 	if err != nil {
 		if actx.Err() != nil && ctx.Err() == nil {
-			return nil, fmt.Errorf("attempt timed out after %s", opts.Timeout)
+			return nil, fmt.Errorf("attempt timed out after %s", r.opts.Timeout)
 		}
 		return nil, err
 	}
-	return validatePartial(t)
+	return validatePartial(r.spec, t)
 }
 
-// validatePartial confirms the attempt left a parseable partial tagged as
-// this task's shard — a worker that exits 0 with a truncated, mislabelled
-// or missing artifact has failed exactly as hard as a crash, it just
-// doesn't know it. The partial it returns is the job's one decode of it:
-// the merge folds that value and never re-reads the file.
-func validatePartial(t Task) (*fleet.SweepResult, error) {
+// validatePartial confirms the attempt left a parseable partial of this
+// task's plan of spec — a worker that exits 0 with a truncated,
+// mislabelled or missing artifact, or one of another sweep, has failed
+// exactly as hard as a crash, it just doesn't know it. The partial it
+// returns is the job's one decode of it: the merge folds that value and
+// never re-reads the file.
+func validatePartial(spec fleet.Sweep, t Task) (*fleet.SweepResult, error) {
 	r, err := fleet.ReadShardFile(t.OutPath)
 	if err != nil {
 		return nil, fmt.Errorf("worker exited cleanly but its partial is unusable: %w", err)
 	}
 	// The worker must have run exactly the position and ranges it was
-	// handed: a partial with the wrong ones would survive until the merge,
-	// where the tiling check rejects the whole job instead of naming the
-	// one bad worker.
+	// handed, over the job's own sweep: a partial with the wrong ones
+	// would survive until the merge, which would reject the whole job
+	// instead of naming the one bad worker.
 	if *r.Shard != *t.Plan {
 		return nil, fmt.Errorf("worker ran plan %s %+v, want %s %+v", r.Shard, *r.Shard, t.ShardArg(), *t.Plan)
+	}
+	if err := fleet.CheckPartial(spec, *t.Plan, r); err != nil {
+		return nil, fmt.Errorf("worker exited cleanly but its partial is not of this job's sweep: %w", err)
 	}
 	return r, nil
 }

@@ -269,8 +269,8 @@ func TestRunSweepPermanentFailureTails(t *testing.T) {
 }
 
 // TestRunSweepValidatesPartial: a worker that exits 0 but leaves a
-// truncated or mislabelled artifact is treated as a failed attempt and
-// retried.
+// truncated or mislabelled artifact, or the right plan of another sweep, is
+// treated as a failed attempt and retried.
 func TestRunSweepValidatesPartial(t *testing.T) {
 	spec := testSweep()
 	_, monoJSON := monoArtifact(t, spec)
@@ -285,6 +285,16 @@ func TestRunSweepValidatesPartial(t *testing.T) {
 			// "Success" with a truncated artifact.
 			return os.WriteFile(task.OutPath, []byte(`{"spec": {"n"`), 0o644)
 		}
+		if task.Shard == 1 && n == 0 {
+			// "Success" with the right plan of a sweep on another seed.
+			other := spec
+			other.Seed++
+			part, err := other.RunPlan(ctx, *task.Plan)
+			if err != nil {
+				return err
+			}
+			return part.WriteFile(task.OutPath)
+		}
 		return inProcWorker(ctx, task, stderr)
 	})
 	merged, err := Run(context.Background(), spec, Options{
@@ -294,8 +304,8 @@ func TestRunSweepValidatesPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts[0] != 2 {
-		t.Fatalf("corrupt-output shard launched %d times, want 2", attempts[0])
+	if attempts[0] != 2 || attempts[1] != 2 {
+		t.Fatalf("corrupt-output and other-sweep shards launched %d and %d times, want 2 each", attempts[0], attempts[1])
 	}
 	if !bytes.Equal(monoJSON, artifactBytes(t, merged)) {
 		t.Fatal("merge after corrupt-output retry differs from monolithic run")
@@ -306,8 +316,8 @@ func TestRunSweepValidatesPartial(t *testing.T) {
 	_, err = Run(context.Background(), spec, Options{
 		Shards: 2, Launcher: launcher, Dir: t.TempDir(), Retries: 0,
 	})
-	if err == nil || !strings.Contains(err.Error(), "partial is unusable") {
-		t.Fatalf("corrupt partial with no retries: %v, want an unusable-partial error", err)
+	if err == nil || !strings.Contains(err.Error(), "partial is unusable") || !strings.Contains(err.Error(), "not of this job's sweep") {
+		t.Fatalf("corrupt and other-sweep partials with no retries: %v, want an unusable-partial and an other-sweep error", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"reflect"
 )
 
 // Checkpoint/resume at trial-range granularity. A checkpoint is an ordinary
@@ -88,52 +87,26 @@ func MergeShardPartials(plan ShardPlan, parts ...*SweepResult) (*SweepResult, er
 }
 
 // LoadCheckpoint reads a checkpoint artifact and validates it against the
-// sweep and shard plan it claims to prefix: it must be a shard partial at
-// plan's position, recording the same normalized spec (Workers and the
-// execution hooks are execution details), its ranges must be a prefix of
-// plan's (resumePlan computes the remainder), and its cell grid must match
-// the spec's with a result present wherever the checkpointed range is
-// non-empty. It returns
-// the checkpoint partial and the remainder plan still to compute. Any
-// defect — missing file, truncation, corruption, a stale plan from an older
-// submission — is an error, never a panic, so callers degrade to running
-// the full plan rather than poisoning a merge.
+// sweep and shard plan it claims to prefix: its ranges must be a prefix of
+// plan's at plan's position (resumePlan computes the remainder), and it
+// must pass CheckPartial for spec and its own ranges — the same sweep by
+// content address, the spec's grid with a result wherever the checkpointed
+// range is not empty. It returns the checkpoint partial and the remainder
+// plan still to compute. Any defect — missing file, truncation,
+// corruption, a stale plan from an older submission — is an error, never a
+// panic, so callers degrade to running the full plan rather than poisoning
+// a merge.
 func LoadCheckpoint(path string, spec Sweep, plan ShardPlan) (*SweepResult, ShardPlan, error) {
 	ck, err := ReadShardFile(path)
 	if err != nil {
 		return nil, ShardPlan{}, err
 	}
-	want := spec.normalized().identity()
-	if !reflect.DeepEqual(want, ck.Spec.identity()) {
-		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s was written for a different sweep spec", path)
-	}
 	rest, err := resumePlan(plan, *ck.Shard)
+	if err == nil {
+		err = CheckPartial(spec, *ck.Shard, ck)
+	}
 	if err != nil {
 		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s: %w", path, err)
-	}
-	grid := want.Cells()
-	if len(ck.Cells) != len(grid) {
-		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s has %d injection cells, grid has %d", path, len(ck.Cells), len(grid))
-	}
-	for i, c := range grid {
-		if ck.Cells[i].CellSpec != c {
-			return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s cell %d is %+v, grid says %+v", path, i, ck.Cells[i].CellSpec, c)
-		}
-		if ck.Cells[i].Result == nil && !ck.Shard.Injection.Empty() {
-			return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s claims injection range %+v but cell %d has no result", path, ck.Shard.Injection, i)
-		}
-	}
-	beamGrid := want.BeamCells()
-	if len(ck.BeamCells) != len(beamGrid) {
-		return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s has %d beam cells, grid has %d", path, len(ck.BeamCells), len(beamGrid))
-	}
-	for j, c := range beamGrid {
-		if ck.BeamCells[j].BeamCellSpec != c {
-			return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s beam cell %d is %+v, grid says %+v", path, j, ck.BeamCells[j].BeamCellSpec, c)
-		}
-		if ck.BeamCells[j].Result == nil && !ck.Shard.Beam.Empty() {
-			return nil, ShardPlan{}, fmt.Errorf("fleet: checkpoint %s claims beam range %+v but cell %d has no result", path, ck.Shard.Beam, j)
-		}
 	}
 	return ck, rest, nil
 }
@@ -172,7 +145,7 @@ type Checkpoint struct {
 // JSON — whatever the Checkpoint: chunking and checkpointing are pure
 // execution detail.
 func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Checkpoint) (*SweepResult, error) {
-	if err := s.CheckPlan(plan); err != nil {
+	if err := s.checkPlan(plan); err != nil {
 		return nil, err
 	}
 	logf := ck.Logf
@@ -189,14 +162,9 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 	// declared before the first runs, so a runner built in chunk 0 is still
 	// there for the last, and the shard performs at most Workers golden runs
 	// per benchmark however finely it checkpoints.
-	chunkPlans := make([]*ShardPlan, chunks)
+	chunkPlans := make([]ShardPlan, chunks)
 	for c := range chunkPlans {
-		chunkPlans[c] = &ShardPlan{
-			Index:     plan.Index,
-			Count:     plan.Count,
-			Injection: plan.Injection.Split(c, chunks),
-			Beam:      plan.Beam.Split(c, chunks),
-		}
+		chunkPlans[c] = plan.Split(c, chunks)
 	}
 	rs := s.newRunners(chunkPlans...)
 	defer rs.Close()
@@ -206,10 +174,7 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 		if progress != nil && chunks > 1 {
 			// Progress must read as one continuous run, not restart per
 			// chunk: report cells-completed across all chunks.
-			cc := c
-			s2.Progress = func(done, total int) {
-				progress(cc*total+done, chunks*total)
-			}
+			s2.Progress = func(done, total int) { progress(c*total+done, chunks*total) }
 		}
 		res, err := s2.runCells(ctx, chunkPlan, rs)
 		if err != nil {
@@ -218,12 +183,9 @@ func (s Sweep) RunPlanCheckpointed(ctx context.Context, plan ShardPlan, ck Check
 		// The covered prefix grows monotonically: chunk ranges are
 		// contiguous, so this chunk's End is the prefix end even when the
 		// chunk's slice of a dimension is empty.
-		covered := ShardPlan{
-			Index:     plan.Index,
-			Count:     plan.Count,
-			Injection: TrialRange{Offset: plan.Injection.Offset, N: chunkPlan.Injection.End() - plan.Injection.Offset},
-			Beam:      TrialRange{Offset: plan.Beam.Offset, N: chunkPlan.Beam.End() - plan.Beam.Offset},
-		}
+		covered := plan
+		covered.Injection.N = chunkPlan.Injection.End() - plan.Injection.Offset
+		covered.Beam.N = chunkPlan.Beam.End() - plan.Beam.Offset
 		if acc == nil {
 			acc = res
 		} else {

@@ -269,6 +269,35 @@ func TestLoadCheckpointValidatesAndDegrades(t *testing.T) {
 		hole.Cells[0].Result = nil
 		WriteAtomic(dst, hole.WriteJSON)
 	})
+
+	// A spec that writes an unused list as [] is the same sweep as its
+	// worker's decode of the spec file, which leaves the list out: the
+	// checkpoint that worker wrote loads.
+	empty, err := ReadSpec(strings.NewReader(`{"models": [], "n": 0, "beamRuns": 4, "beamBenchmarks": ["DGEMM"], "seed": 99, "benchSeed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := empty.SpecString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := ReadSpec(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Models == nil || worker.Models != nil {
+		t.Fatalf("models %#v and %#v, want [] in the request and nil in the worker's decode", empty.Models, worker.Models)
+	}
+	emptyPlan, emptyPre := mustPlan(t, empty, 0, 1), ShardPlan{Count: 1, Beam: TrialRange{N: 2}}
+	emptyPath := filepath.Join(dir, "empty-list.json")
+	if err := WriteAtomic(emptyPath, mustRunPlan(t, worker, emptyPre).WriteJSON); err != nil {
+		t.Fatal(err)
+	}
+	if _, rest, err := LoadCheckpoint(emptyPath, empty, emptyPlan); err != nil {
+		t.Fatalf("a [] list refused its own worker's checkpoint: %v", err)
+	} else if want := (ShardPlan{Count: 1, Beam: TrialRange{Offset: 2, N: 2}}); rest != want {
+		t.Fatalf("remainder %+v, want %+v", rest, want)
+	}
 }
 
 // TestRunPlanCheckpointedEquivalence: chunked, checkpointed execution is

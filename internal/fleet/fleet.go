@@ -8,6 +8,11 @@
 // SweepResult that cmd/phi-bench produces, cmd/phi-report renders, and CI
 // uploads as a JSON artifact.
 //
+// Every run executes one ShardPlan (Run's is the Whole plan, untagged), and
+// every partial a computation meets — a shard's, a checkpoint, a cached
+// prefix, a fan-out worker's — passes one check, CheckPartial, before
+// anything folds it.
+//
 // Like bench.New, fleet resolves benchmarks through the registry: callers
 // must import the workload packages (typically phirel/internal/bench/all)
 // before running a sweep.
@@ -239,10 +244,14 @@ func (s Sweep) BeamCells() []BeamCellSpec {
 // drains and the first error (or ctx.Err()) is returned. Cells borrow their
 // golden-run runners from a list the call owns (see newRunners); a key the
 // process has built before costs the run no kernel run (see bench.Runners).
+// It is RunPlan of the sweep's Whole plan, untagged.
 func (s Sweep) Run(ctx context.Context) (*SweepResult, error) {
-	rs := s.newRunners(nil)
-	defer rs.Close()
-	return s.runCells(ctx, nil, rs)
+	res, err := s.RunPlan(ctx, s.Whole())
+	if err != nil {
+		return nil, err
+	}
+	res.Shard = nil
+	return res, nil
 }
 
 // testHookRunners, when set by a test, sees every runner list a run creates.
@@ -254,17 +263,17 @@ var testHookRunners func(*bench.Runners)
 // every cell whose trial range in that plan is not empty. Injection and
 // beam cells of one benchmark ask under the same key and so share runners.
 // The list lives as long as the call that created it, which must Close it.
-func (s Sweep) newRunners(plans ...*ShardPlan) *bench.Runners {
+func (s Sweep) newRunners(plans ...ShardPlan) *bench.Runners {
 	ns := s.normalized()
 	rs := bench.NewRunners()
 	cells, beamCells := ns.Cells(), ns.BeamCells()
 	for _, plan := range plans {
-		if plan == nil || !plan.Injection.Empty() {
+		if !plan.Injection.Empty() {
 			for _, c := range cells {
 				rs.Expect(c.Benchmark, ns.BenchSeed)
 			}
 		}
-		if plan == nil || !plan.Beam.Empty() {
+		if !plan.Beam.Empty() {
 			for _, c := range beamCells {
 				rs.Expect(c.Benchmark, ns.BenchSeed)
 			}
@@ -276,10 +285,10 @@ func (s Sweep) newRunners(plans ...*ShardPlan) *bench.Runners {
 	return rs
 }
 
-// runCells executes one plan's slice of the grid (nil: every cell in full)
-// with runners borrowed from rs. A cell whose range is empty completes
-// immediately with a nil Result.
-func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners) (*SweepResult, error) {
+// runCells executes one plan's slice of the grid with runners borrowed
+// from rs. A cell whose range is empty completes immediately with a nil
+// Result.
+func (s Sweep) runCells(ctx context.Context, plan ShardPlan, rs *bench.Runners) (*SweepResult, error) {
 	ns := s.normalized()
 	if ns.N <= 0 && ns.BeamRuns <= 0 {
 		return nil, fmt.Errorf("fleet: sweep needs N > 0 or BeamRuns > 0")
@@ -307,11 +316,7 @@ func (s Sweep) runCells(ctx context.Context, plan *ShardPlan, rs *bench.Runners)
 	beamCells := ns.BeamCells()
 	// Every cell of a kind runs the same trial range: the shard seam cuts
 	// each cell's [0, N) trial space, never the grid.
-	injRange := TrialRange{Offset: 0, N: ns.N}
-	beamRange := TrialRange{Offset: 0, N: ns.BeamRuns}
-	if plan != nil {
-		injRange, beamRange = plan.Injection, plan.Beam
-	}
+	injRange, beamRange := plan.Injection, plan.Beam
 	// Keep absent cell kinds nil, not empty, so SweepResults survive a
 	// JSON round-trip (omitempty drops empty slices) byte-identically.
 	var out []CellResult
@@ -468,7 +473,7 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &SweepResult{Spec: ns.unhooked(), Cells: out, BeamCells: beamOut, Shard: plan}, nil
+	return &SweepResult{Spec: ns.unhooked(), Cells: out, BeamCells: beamOut, Shard: &plan}, nil
 }
 
 // BeamFor returns the sweep's beam results for one (device, ECC arm) pair,

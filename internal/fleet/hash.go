@@ -10,7 +10,10 @@ import (
 // SHA-256 of its canonical spec bytes. It is the cache key of the sweep
 // service — campaigns are bit-deterministic functions of their spec, so
 // two sweeps with equal hashes produce byte-identical merged artifacts
-// and one can be served for the other with zero compute.
+// and one can be served for the other with zero compute. It is also the
+// one sweep equality of the package: CheckPartial, which every partial a
+// merge, a checkpoint load, a cache slice or a fan-out's validation meets
+// passes, compares specs by it and by nothing else.
 //
 // "Canonical" means the hash covers exactly the result's identity and
 // nothing else:
@@ -19,10 +22,12 @@ import (
 //     default value hash identically (an empty Models list and all four
 //     models spelled out are the same sweep);
 //   - Workers is zeroed, because pool size never changes a result (the
-//     engine's worker-independence contract, the same reason
-//     MergeSweepResults ignores it when comparing shard specs);
+//     engine's worker-independence contract, so shards run with different
+//     pool sizes still merge);
 //   - the execution hooks (Progress, ObserveInjection, ObserveBeam) are
-//     never serialised.
+//     never serialised;
+//   - an empty list is left out of the encoding, so a list written as []
+//     and one left nil are the same sweep.
 //
 // The resulting bytes are the WriteSpec encoding of that canonical form,
 // so the hash is stable across WriteSpec/ReadSpec round-trips. The exact
@@ -39,9 +44,8 @@ func (s Sweep) CanonicalHash() string {
 }
 
 // identity returns s without the execution details that are no part of a
-// result's identity: the pool size and the execution hooks. Two normalised
-// specs describe the same sweep exactly when their identities are deeply
-// equal.
+// result's identity: the pool size and the execution hooks — the spec the
+// content address encodes.
 func (s Sweep) identity() Sweep {
 	s = s.unhooked()
 	s.Workers = 0

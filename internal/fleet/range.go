@@ -22,10 +22,8 @@ func (r TrialRange) Covers(o TrialRange) bool {
 
 // Split cuts r into count balanced contiguous sub-ranges (sizes differ by
 // at most one, empty sub-ranges possible when r.N < count) and returns the
-// k-th — the same balanced-split rule ShardPlan uses over [0, N), lifted
-// to an arbitrary base offset.
+// k-th.
 func (r TrialRange) Split(k, count int) TrialRange {
-	sub := shardRange(r.N, k, count)
-	sub.Offset += r.Offset
-	return sub
+	lo, hi := r.N*k/count, r.N*(k+1)/count
+	return TrialRange{Offset: r.Offset + lo, N: hi - lo}
 }

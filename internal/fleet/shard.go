@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sort"
 
 	"phirel/internal/beam"
@@ -37,13 +36,13 @@ type ShardPlan struct {
 // String renders the plan's position as the 1-based "k/K" the CLI uses.
 func (p ShardPlan) String() string { return fmt.Sprintf("%d/%d", p.Index+1, p.Count) }
 
-// shardRange splits [0, n) into count balanced contiguous ranges (sizes
-// differ by at most one) and returns the k-th. Empty ranges are possible
-// when n < count.
-func shardRange(n, k, count int) TrialRange {
-	lo := n * k / count
-	hi := n * (k + 1) / count
-	return TrialRange{Offset: lo, N: hi - lo}
+// Split cuts the plan's two ranges into count balanced contiguous pieces
+// each (TrialRange.Split) and returns the k-th, at the plan's own position:
+// the one cut behind Plan, PlanWithPrefix's fresh shards, checkpoint chunks
+// and a stolen straggler's children.
+func (p ShardPlan) Split(k, count int) ShardPlan {
+	p.Injection, p.Beam = p.Injection.Split(k, count), p.Beam.Split(k, count)
+	return p
 }
 
 // Plan returns shard k (0-based) of count for the sweep. The K plans of a
@@ -52,18 +51,15 @@ func (s Sweep) Plan(k, count int) (ShardPlan, error) {
 	if count < 1 || k < 0 || k >= count {
 		return ShardPlan{}, fmt.Errorf("fleet: shard %d/%d out of range", k+1, count)
 	}
-	ns := s.normalized()
-	return ShardPlan{
-		Index:     k,
-		Count:     count,
-		Injection: shardRange(ns.N, k, count),
-		Beam:      shardRange(ns.BeamRuns, k, count),
-	}, nil
+	plan := s.Whole().Split(k, count)
+	plan.Index, plan.Count = k, count
+	return plan, nil
 }
 
-// Whole is the plan of the sweep's whole trial space: one shard of one.
+// Whole is the plan of the sweep's whole trial space: one shard of one. A
+// negative trial count, like 0, disables its cell kind.
 func (s Sweep) Whole() ShardPlan {
-	return ShardPlan{Count: 1, Injection: TrialRange{N: s.N}, Beam: TrialRange{N: s.BeamRuns}}
+	return ShardPlan{Count: 1, Injection: TrialRange{N: max(s.N, 0)}, Beam: TrialRange{N: max(s.BeamRuns, 0)}}
 }
 
 // Trials counts plan's cell-weighted trials: its injection range times the
@@ -86,22 +82,78 @@ func (s Sweep) RunShard(ctx context.Context, k, count int) (*SweepResult, error)
 	return s.RunPlan(ctx, plan)
 }
 
-// CheckPlan reports the first way plan is not a well-formed shard of this
+// checkPlan reports the first way plan is not a well-formed shard of this
 // sweep: a position outside 0..Count-1, or a trial range that escapes the
 // sweep's [0, N) injection or [0, BeamRuns) beam space. It deliberately
 // does not require the balanced Plan split — explicit plans are how the
 // partial-overlap cache computes exactly the trial ranges a cached prefix
 // is missing.
-func (s Sweep) CheckPlan(plan ShardPlan) error {
-	ns := s.normalized()
+func (s Sweep) checkPlan(plan ShardPlan) error {
 	if plan.Count < 1 || plan.Index < 0 || plan.Index >= plan.Count {
 		return fmt.Errorf("fleet: shard %d/%d out of range", plan.Index+1, plan.Count)
 	}
-	if plan.Injection.N < 0 || plan.Injection.Offset < 0 || !(TrialRange{N: ns.N}).Covers(plan.Injection) {
-		return fmt.Errorf("fleet: plan injection range %+v escapes the sweep's [0, %d)", plan.Injection, ns.N)
+	if plan.Injection.N < 0 || plan.Injection.Offset < 0 || !(TrialRange{N: s.N}).Covers(plan.Injection) {
+		return fmt.Errorf("fleet: plan injection range %+v escapes the sweep's [0, %d)", plan.Injection, s.N)
 	}
-	if plan.Beam.N < 0 || plan.Beam.Offset < 0 || !(TrialRange{N: ns.BeamRuns}).Covers(plan.Beam) {
-		return fmt.Errorf("fleet: plan beam range %+v escapes the sweep's [0, %d)", plan.Beam, ns.BeamRuns)
+	if plan.Beam.N < 0 || plan.Beam.Offset < 0 || !(TrialRange{N: s.BeamRuns}).Covers(plan.Beam) {
+		return fmt.Errorf("fleet: plan beam range %+v escapes the sweep's [0, %d)", plan.Beam, s.BeamRuns)
+	}
+	return nil
+}
+
+// CheckPartial reports the first way p is not the partial plan of spec —
+// the one check every partial a job meets passes, whether a worker wrote
+// it, a checkpoint banked it, a cached artifact was sliced into it or a
+// merge is about to fold it. p must be tagged with exactly plan, plan must
+// be a well-formed shard of spec, p must record the same sweep (equal
+// CanonicalHash, the content address: pool size, hooks and an unused list
+// written as [] rather than left out do not count), and its cells must be
+// spec's grid, in order, with a result in exactly the cells whose range is
+// not empty.
+func CheckPartial(spec Sweep, plan ShardPlan, p *SweepResult) error {
+	if p.Shard == nil {
+		return fmt.Errorf("fleet: not a shard partial (already merged or monolithic)")
+	}
+	if *p.Shard != plan {
+		return fmt.Errorf("fleet: partial is plan %s %+v, want %s %+v", p.Shard, *p.Shard, plan, plan)
+	}
+	if err := spec.checkPlan(plan); err != nil {
+		return err
+	}
+	if got, want := p.Spec.CanonicalHash(), spec.CanonicalHash(); got != want {
+		what := "trial counts"
+		if p.Spec.CanonicalHashBase() != spec.CanonicalHashBase() {
+			what = "base identity (grid, seeds or inputs)"
+		}
+		return fmt.Errorf("fleet: partial %s ran sweep %.12s…, want %.12s…: a different %s", plan, got, want, what)
+	}
+	if err := checkCells("injection", p.Cells, spec.Cells(), plan.Injection); err != nil {
+		return fmt.Errorf("fleet: partial %s: %w", plan, err)
+	}
+	if err := checkCells("beam", p.BeamCells, spec.BeamCells(), plan.Beam); err != nil {
+		return fmt.Errorf("fleet: partial %s: %w", plan, err)
+	}
+	return nil
+}
+
+// checkCells reports the first way cells is not grid run over r: a cell
+// count or spec that differs from the grid's, or a result missing from a
+// cell of a non-empty range or present in one of an empty range.
+func checkCells[C interface{ split() (S, R) }, S, R comparable](kind string, cells []C, grid []S, r TrialRange) error {
+	if len(cells) != len(grid) {
+		return fmt.Errorf("%d %s cells, grid has %d", len(cells), kind, len(grid))
+	}
+	var none R
+	for i, want := range grid {
+		got, res := cells[i].split()
+		switch {
+		case got != want:
+			return fmt.Errorf("%s cell %d is %+v, grid says %+v", kind, i, got, want)
+		case res == none && !r.Empty():
+			return fmt.Errorf("%s cell %d has no result, but range %+v is not empty", kind, i, r)
+		case res != none && r.Empty():
+			return fmt.Errorf("%s cell %d has a result, but its range is empty", kind, i)
+		}
 	}
 	return nil
 }
@@ -138,20 +190,15 @@ func (s Sweep) PlanWithPrefix(injCovered, beamCovered, fresh int) ([]ShardPlan, 
 		return nil, fmt.Errorf("fleet: prefix %d+%d covers the whole sweep — nothing left to compute", injCovered, beamCovered)
 	}
 	count := fresh + 1
-	plans := make([]ShardPlan, count)
-	plans[0] = ShardPlan{
-		Index: 0, Count: count,
-		Injection: TrialRange{N: injCovered},
-		Beam:      TrialRange{N: beamCovered},
+	plans := []ShardPlan{{Count: count, Injection: TrialRange{N: injCovered}, Beam: TrialRange{N: beamCovered}}}
+	rest := ShardPlan{
+		Count:     count,
+		Injection: TrialRange{Offset: injCovered, N: ns.N - injCovered},
+		Beam:      TrialRange{Offset: beamCovered, N: ns.BeamRuns - beamCovered},
 	}
-	injRest := TrialRange{Offset: injCovered, N: ns.N - injCovered}
-	beamRest := TrialRange{Offset: beamCovered, N: ns.BeamRuns - beamCovered}
 	for k := 1; k < count; k++ {
-		plans[k] = ShardPlan{
-			Index: k, Count: count,
-			Injection: injRest.Split(k-1, fresh),
-			Beam:      beamRest.Split(k-1, fresh),
-		}
+		plans = append(plans, rest.Split(k-1, fresh))
+		plans[k].Index = k
 	}
 	return plans, nil
 }
@@ -160,17 +207,16 @@ func (s Sweep) PlanWithPrefix(injCovered, beamCovered, fresh int) ([]ShardPlan, 
 // complete SweepResult, bit-identical (struct and JSON) to the monolithic
 // Sweep.Run with the same spec. Before folding it validates compatibility:
 // every part must be a shard partial of the same shard count, the shard
-// indices must cover 0..K-1 exactly once, the normalised specs (grid,
-// seeds, trial counts — Workers and the execution hooks are execution
-// details and may differ per shard) must be equal, each part's recorded
-// cell specs must match the grid the shared spec derives, and the parts'
-// plans — in index order — must tile the sweep's trial space exactly:
-// contiguous from 0, no gaps, no overlaps, summing to N and BeamRuns. The
-// balanced RunShard split satisfies this, and so does any finer or uneven
-// partition, which is what lets the partial-overlap cache fold a cached
-// prefix partial (SliceResult) with freshly computed suffix ranges
-// (RunPlan). Parts are folded in shard order, so callers may pass them in
-// any order.
+// indices must cover 0..K-1 exactly once, every part must pass
+// CheckPartial against the first part's spec (one content address, so
+// Workers, the execution hooks and an unused list written as [] may differ
+// per shard), and the parts' plans — in index order — must tile the
+// sweep's trial space exactly: contiguous from 0, no gaps, no overlaps,
+// summing to N and BeamRuns. The balanced RunShard split satisfies this,
+// and so does any finer or uneven partition, which is what lets the
+// partial-overlap cache fold a cached prefix partial (SliceResult) with
+// freshly computed suffix ranges (RunPlan). Parts are folded in shard
+// order, so callers may pass them in any order.
 func MergeSweepResults(parts ...*SweepResult) (*SweepResult, error) {
 	ps, err := sortedPartials(parts, func(a, b *ShardPlan) bool { return a.Index < b.Index })
 	if err != nil {
@@ -223,10 +269,9 @@ func sortedPartials(parts []*SweepResult, less func(a, b *ShardPlan) bool) ([]*S
 }
 
 // foldTiling is the one fold behind MergeSweepResults and
-// MergeShardPartials: the parts, in the order given, must record one spec
-// (Workers and the execution hooks are execution details, not part of a
-// result's identity, so shards run with different pool sizes still merge)
-// and their ranges must tile span's two ranges exactly — contiguous from
+// MergeShardPartials: each part, in the order given, must pass
+// CheckPartial against the first part's spec and its own tag, and their
+// ranges must tile span's two ranges exactly — contiguous from
 // its offsets, no gaps, no overlaps, ending at its ends. Every cell then
 // folds by Clone+Merge in that order; a dimension span leaves empty folds
 // to nil-Result cells, as an empty-range run records them. With positional
@@ -235,18 +280,15 @@ func sortedPartials(parts []*SweepResult, less func(a, b *ShardPlan) bool) ([]*S
 // are keyed by offset and an empty range has no position to check. The
 // result carries the first part's spec and no shard tag.
 func foldTiling(ps []*SweepResult, span ShardPlan, positional bool) (*SweepResult, error) {
-	spec := ps[0].Spec.identity()
 	dims := [2]string{"injection", "beam"}
 	want := [2]TrialRange{span.Injection, span.Beam}
 	next := [2]int{want[0].Offset, want[1].Offset}
 	for _, p := range ps {
-		if !reflect.DeepEqual(spec, p.Spec.identity()) {
-			return nil, fmt.Errorf("fleet: shard %s ran a different sweep spec (grid, seeds or trial counts)", p.Shard)
+		if err := CheckPartial(ps[0].Spec, *p.Shard, p); err != nil {
+			return nil, err
 		}
 		for d, r := range [2]TrialRange{p.Shard.Injection, p.Shard.Beam} {
 			switch {
-			case r.N < 0:
-				return nil, fmt.Errorf("fleet: shard %s %s range %+v has negative length", p.Shard, dims[d], r)
 			case r.Empty() && !positional:
 			case r.Offset != next[d]:
 				return nil, fmt.Errorf("fleet: shard %s %s range %+v does not continue at trial %d — the parts must tile %+v exactly",
@@ -260,13 +302,13 @@ func foldTiling(ps []*SweepResult, span ShardPlan, positional bool) (*SweepResul
 		return nil, fmt.Errorf("fleet: the %d parts cover injection trials up to %d and beam runs up to %d, want %d and %d",
 			len(ps), next[0], next[1], want[0].End(), want[1].End())
 	}
-	cells, err := foldCells(ps, dims[0], spec.Cells(), want[0].Empty(),
+	cells, err := foldCells(ps, dims[0],
 		func(p *SweepResult) []CellResult { return p.Cells },
 		func(c CellSpec, r *core.CampaignResult) CellResult { return CellResult{CellSpec: c, Result: r} })
 	if err != nil {
 		return nil, err
 	}
-	beamCells, err := foldCells(ps, dims[1], spec.BeamCells(), want[1].Empty(),
+	beamCells, err := foldCells(ps, dims[1],
 		func(p *SweepResult) []BeamCellResult { return p.BeamCells },
 		func(c BeamCellSpec, r *beam.Result) BeamCellResult { return BeamCellResult{BeamCellSpec: c, Result: r} })
 	if err != nil {
@@ -286,29 +328,21 @@ type tally[R any] interface {
 func (c CellResult) split() (CellSpec, *core.CampaignResult) { return c.CellSpec, c.Result }
 func (c BeamCellResult) split() (BeamCellSpec, *beam.Result) { return c.BeamCellSpec, c.Result }
 
-// foldCells folds one grid's per-part results into one result per cell,
-// validating that each part carries the grid's exact cell specs. With
-// allowEmpty a cell with no results in any part folds to a nil result (what
-// an empty-range shard records); without it that is an error — the parts
-// must account for every trial.
-func foldCells[C interface{ split() (S, R) }, S comparable, R tally[R]](ps []*SweepResult, kind string, grid []S, allowEmpty bool, cellsOf func(*SweepResult) []C, join func(S, R) C) ([]C, error) {
+// foldCells folds one kind's per-part results into one result per cell by
+// Clone+Merge in part order. The parts passed CheckPartial, so they carry
+// one grid; a cell no part ran folds to a nil result.
+func foldCells[C interface{ split() (S, R) }, S any, R tally[R]](ps []*SweepResult, kind string, cellsOf func(*SweepResult) []C, join func(S, R) C) ([]C, error) {
+	grid := cellsOf(ps[0])
 	if len(grid) == 0 {
 		return nil, nil
 	}
 	var none R
 	out := make([]C, len(grid))
-	for i, c := range grid {
+	for i := range grid {
+		c, _ := grid[i].split()
 		acc := none
 		for _, p := range ps {
-			cells := cellsOf(p)
-			if len(cells) != len(grid) {
-				return nil, fmt.Errorf("fleet: shard %s has %d %s cells, grid has %d", p.Shard, len(cells), kind, len(grid))
-			}
-			got, r := cells[i].split()
-			if got != c {
-				return nil, fmt.Errorf("fleet: shard %s %s cell %d is %+v, grid says %+v", p.Shard, kind, i, got, c)
-			}
-			switch {
+			switch _, r := cellsOf(p)[i].split(); {
 			case r == none:
 			case acc == none:
 				acc = r.Clone()
@@ -317,9 +351,6 @@ func foldCells[C interface{ split() (S, R) }, S comparable, R tally[R]](ps []*Sw
 					return nil, fmt.Errorf("fleet: %s cell %+v: %w", kind, c, err)
 				}
 			}
-		}
-		if acc == none && !allowEmpty {
-			return nil, fmt.Errorf("fleet: %s cell %+v has no results in any part", kind, c)
 		}
 		out[i] = join(c, acc)
 	}

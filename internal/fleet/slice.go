@@ -20,11 +20,15 @@ import "fmt"
 // the planner's job is to pick the cached artifact whose extent saves the
 // most trials, not to cut artifacts apart.
 //
-// The returned partial carries the normalized request spec (so the merged
-// result's recorded spec — which MergeSweepResults takes from shard 0 — is
-// byte-identical to a monolithic run of the request, including its Workers
-// setting), shares the cached artifact's per-cell Result pointers (callers
-// must not mutate either), and is tagged with plan.
+// The artifact, relabelled as the cached spec at the request's trial
+// counts and tagged with its extent at plan's position, must pass
+// CheckPartial for spec and plan: an equal content address is an equal
+// base, an equal tag is plan at the cached extent, and the cell check
+// catches a corrupted or hand-edited artifact here, not deep inside a
+// merge. The returned partial carries the normalized request spec (the
+// merged result takes shard 0's, so it is byte-identical to a monolithic
+// run of the request, Workers included), shares the cached cells and
+// their Results (callers must mutate neither), and is tagged with plan.
 func SliceResult(full *SweepResult, spec Sweep, plan ShardPlan) (*SweepResult, error) {
 	if full == nil {
 		return nil, fmt.Errorf("fleet: no cached sweep result to slice")
@@ -33,74 +37,31 @@ func SliceResult(full *SweepResult, spec Sweep, plan ShardPlan) (*SweepResult, e
 		return nil, fmt.Errorf("fleet: cached result is itself a shard partial (%s), want a complete artifact", full.Shard)
 	}
 	ns := spec.normalized().unhooked()
-	if err := ns.CheckPlan(plan); err != nil {
-		return nil, err
-	}
-	cached := full.Spec
-	if cached.CanonicalHashBase() != ns.CanonicalHashBase() {
-		return nil, fmt.Errorf("fleet: cached sweep %.12s… and request %.12s… have different base identities (grid, seeds or inputs)",
-			cached.CanonicalHash(), ns.CanonicalHash())
-	}
-	if want := (TrialRange{N: cached.N}); plan.Injection != want {
-		return nil, fmt.Errorf("fleet: plan injection range %+v is not the cached prefix %+v — aggregated tallies only serve their full extent",
-			plan.Injection, want)
-	}
-	if want := (TrialRange{N: cached.BeamRuns}); plan.Beam != want {
-		return nil, fmt.Errorf("fleet: plan beam range %+v is not the cached prefix %+v — aggregated tallies only serve their full extent",
-			plan.Beam, want)
-	}
-
-	out := &SweepResult{Spec: ns, Shard: &plan}
-
-	// Base-hash equality already pins the grid; re-derive and compare cell
-	// by cell anyway so a corrupted or hand-edited artifact fails here with
-	// a precise message instead of deep inside a merge. When the cached
-	// prefix is empty along a dimension (a beam-only artifact serving a
-	// mixed request, or vice versa) the artifact carries no cells of that
-	// kind at all — synthesize them from the request grid with nil Results,
-	// exactly like an empty-range shard, so the partial still exposes the
-	// full grid to merge validation.
-	grid := ns.Cells()
-	switch {
-	case plan.Injection.Empty():
-		if len(grid) > 0 {
-			out.Cells = make([]CellResult, len(grid))
-			for i, c := range grid {
-				out.Cells[i] = CellResult{CellSpec: c}
-			}
-		}
-	default:
-		if len(full.Cells) != len(grid) {
-			return nil, fmt.Errorf("fleet: cached sweep has %d injection cells, request grid has %d", len(full.Cells), len(grid))
-		}
-		out.Cells = make([]CellResult, len(grid))
-		for i, c := range grid {
-			if full.Cells[i].CellSpec != c {
-				return nil, fmt.Errorf("fleet: cached cell %d is %+v, request grid says %+v", i, full.Cells[i].CellSpec, c)
-			}
-			out.Cells[i] = CellResult{CellSpec: c, Result: full.Cells[i].Result}
+	out := &SweepResult{Spec: full.Spec, Cells: full.Cells, BeamCells: full.BeamCells, Shard: &ShardPlan{
+		Index: plan.Index, Count: plan.Count,
+		Injection: TrialRange{N: full.Spec.N},
+		Beam:      TrialRange{N: full.Spec.BeamRuns},
+	}}
+	out.Spec.N, out.Spec.BeamRuns = ns.N, ns.BeamRuns
+	// A cached prefix empty along a dimension (a beam-only artifact serving
+	// a mixed request, or vice versa) carries no cells of that kind at all:
+	// the request grid's, with nil Results, stand in, exactly like an
+	// empty-range shard's.
+	if out.Shard.Injection.Empty() {
+		out.Cells = nil
+		for _, c := range ns.Cells() {
+			out.Cells = append(out.Cells, CellResult{CellSpec: c})
 		}
 	}
-	beamGrid := ns.BeamCells()
-	switch {
-	case plan.Beam.Empty():
-		if len(beamGrid) > 0 {
-			out.BeamCells = make([]BeamCellResult, len(beamGrid))
-			for j, c := range beamGrid {
-				out.BeamCells[j] = BeamCellResult{BeamCellSpec: c}
-			}
-		}
-	default:
-		if len(full.BeamCells) != len(beamGrid) {
-			return nil, fmt.Errorf("fleet: cached sweep has %d beam cells, request grid has %d", len(full.BeamCells), len(beamGrid))
-		}
-		out.BeamCells = make([]BeamCellResult, len(beamGrid))
-		for j, c := range beamGrid {
-			if full.BeamCells[j].BeamCellSpec != c {
-				return nil, fmt.Errorf("fleet: cached beam cell %d is %+v, request grid says %+v", j, full.BeamCells[j].BeamCellSpec, c)
-			}
-			out.BeamCells[j] = BeamCellResult{BeamCellSpec: c, Result: full.BeamCells[j].Result}
+	if out.Shard.Beam.Empty() {
+		out.BeamCells = nil
+		for _, c := range ns.BeamCells() {
+			out.BeamCells = append(out.BeamCells, BeamCellResult{BeamCellSpec: c})
 		}
 	}
+	if err := CheckPartial(ns, plan, out); err != nil {
+		return nil, fmt.Errorf("fleet: the cached sweep cannot serve the request: %w", err)
+	}
+	out.Spec = ns
 	return out, nil
 }

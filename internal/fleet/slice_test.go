@@ -36,7 +36,7 @@ func TestPlanWithPrefixPartition(t *testing.T) {
 			if p.Index != k || p.Count != fresh+1 {
 				t.Fatalf("plan %d mislabelled: %+v", k, p)
 			}
-			if err := s.CheckPlan(p); err != nil {
+			if err := s.checkPlan(p); err != nil {
 				t.Fatalf("plan %d invalid: %v", k, err)
 			}
 			if p.Injection.Offset != injNext || p.Beam.Offset != beamNext {
@@ -85,8 +85,8 @@ func TestCheckPlanAndRunPlanValidation(t *testing.T) {
 		{Index: 0, Count: 1, Injection: TrialRange{N: 6}, Beam: TrialRange{Offset: 0, N: 1}},
 	}
 	for _, p := range bad {
-		if err := s.CheckPlan(p); err == nil {
-			t.Errorf("CheckPlan accepted %+v", p)
+		if err := s.checkPlan(p); err == nil {
+			t.Errorf("checkPlan accepted %+v", p)
 		}
 		if _, err := s.RunPlan(context.Background(), p); err == nil {
 			t.Errorf("RunPlan accepted %+v", p)
