@@ -41,7 +41,7 @@ func TestCompareNaNSemantics(t *testing.T) {
 		t.Fatal("NaN→number not flagged")
 	}
 	ms = Compare(out2d([]float64{1, 1}, 2, 1), out2d([]float64{nan, 1}, 2, 1))
-	if len(ms) != 1 || !math.IsInf(ms[0].RelErr(), 1) {
+	if len(ms) != 1 || !math.IsInf(relErr(ms[0].Got, ms[0].Want), 1) {
 		t.Fatal("number→NaN must be an infinite relative error")
 	}
 }
@@ -121,58 +121,70 @@ func TestCompareAllocatesOnce(t *testing.T) {
 }
 
 func TestRelErr(t *testing.T) {
-	m := Mismatch{Got: 110, Want: 100}
-	if math.Abs(m.RelErr()-0.1) > 1e-12 {
-		t.Fatalf("rel err %v", m.RelErr())
+	if r := relErr(110, 100); math.Abs(r-0.1) > 1e-12 {
+		t.Fatalf("rel err %v", r)
 	}
-	z := Mismatch{Got: 1e-3, Want: 0}
-	if z.RelErr() < 1e6 {
-		t.Fatalf("zero-want rel err should be huge, got %v", z.RelErr())
+	if r := relErr(1e-3, 0); r < 1e6 {
+		t.Fatalf("zero-want rel err should be huge, got %v", r)
 	}
 }
 
 func TestMaxRelErr(t *testing.T) {
-	ms := []Mismatch{{Got: 101, Want: 100}, {Got: 150, Want: 100}}
-	if math.Abs(MaxRelErr(ms)-0.5) > 1e-12 {
-		t.Fatalf("max rel err %v", MaxRelErr(ms))
+	golden := out2d([]float64{100, 100, 7}, 3, 1)
+	if _, _, worst := Summarize(golden, out2d([]float64{101, 150, 7}, 3, 1)); math.Abs(worst-0.5) > 1e-12 {
+		t.Fatalf("max rel err %v", worst)
 	}
-	if MaxRelErr(nil) != 0 {
-		t.Fatal("empty max rel err")
+	if _, _, worst := Summarize(golden, golden); worst != 0 {
+		t.Fatal("clean max rel err")
+	}
+	if n, p, worst := Summarize(out2d([]float64{1, 2}, 2, 1), out2d([]float64{1}, 1, 1)); n != 1 || p != PatternSingle || worst != 0.5 {
+		t.Fatalf("length mismatch: %d %v %v, want Compare's sentinel: 1 Single 0.5", n, p, worst)
 	}
 }
 
-func mk(shape state.Dims, idxs ...int) []Mismatch {
-	ms := make([]Mismatch, len(idxs))
+// corrupt returns a zero golden output of shape sh and a copy with the
+// elements at idxs set to vals (1 where vals runs out).
+func corrupt(sh state.Dims, idxs []int, vals ...float64) (golden, got bench.Output) {
+	golden = bench.Output{Vals: make([]float64, sh.Len()), Shape: sh}
+	got = bench.Output{Vals: make([]float64, sh.Len()), Shape: sh}
 	for i, idx := range idxs {
-		x, y, z := shape.Coord(idx)
-		ms[i] = Mismatch{Index: idx, X: x, Y: y, Z: z, Got: 1, Want: 0}
+		got.Vals[idx] = 1
+		if i < len(vals) {
+			got.Vals[idx] = vals[i]
+		}
 	}
-	return ms
+	return golden, got
+}
+
+// classify is Summarize's pattern for the elements idxs of a zero output of
+// shape sh corrupted to 1.
+func classify(sh state.Dims, idxs ...int) Pattern {
+	_, p, _ := Summarize(corrupt(sh, idxs))
+	return p
 }
 
 func TestClassifyBasicPatterns(t *testing.T) {
 	sh := state.Dims2(8, 8)
-	if Classify(nil, sh) != PatternNone {
+	if classify(sh) != PatternNone {
 		t.Fatal("empty should be none")
 	}
-	if Classify(mk(sh, 12), sh) != PatternSingle {
+	if classify(sh, 12) != PatternSingle {
 		t.Fatal("one element should be single")
 	}
 	// Row segment: indices 8..12 are row 1.
-	if got := Classify(mk(sh, 8, 9, 10, 11, 12), sh); got != PatternLine {
+	if got := classify(sh, 8, 9, 10, 11, 12); got != PatternLine {
 		t.Fatalf("row segment = %v", got)
 	}
 	// Column: indices 3, 11, 19.
-	if got := Classify(mk(sh, 3, 11, 19), sh); got != PatternLine {
+	if got := classify(sh, 3, 11, 19); got != PatternLine {
 		t.Fatalf("column = %v", got)
 	}
 	// Dense 3x3 block rooted at (1,1).
-	block := mk(sh, 9, 10, 11, 17, 18, 19, 25, 26, 27)
-	if got := Classify(block, sh); got != PatternSquare {
+	if got := classify(sh, 9, 10, 11, 17, 18, 19, 25, 26, 27); got != PatternSquare {
 		t.Fatalf("block = %v", got)
 	}
 	// Two far-apart corners: spans 2 dims but density 2/64 → random.
-	if got := Classify(mk(sh, 0, 63), sh); got != PatternRandom {
+	if got := classify(sh, 0, 63); got != PatternRandom {
 		t.Fatalf("scatter = %v", got)
 	}
 }
@@ -187,17 +199,19 @@ func TestClassifyCubic(t *testing.T) {
 			}
 		}
 	}
-	if got := Classify(mk(sh, idxs...), sh); got != PatternCubic {
+	if got := classify(sh, idxs...); got != PatternCubic {
 		t.Fatalf("dense 2x2x2 = %v", got)
 	}
 	// Sparse 3-D scatter → random.
-	if got := Classify(mk(sh, sh.Index(0, 0, 0), sh.Index(3, 3, 3), sh.Index(0, 3, 1)), sh); got != PatternRandom {
+	if got := classify(sh, sh.Index(0, 0, 0), sh.Index(3, 3, 3), sh.Index(0, 3, 1)); got != PatternRandom {
 		t.Fatalf("3-D scatter = %v", got)
 	}
 }
 
-// Property: classification is invariant under permutation of the mismatch
-// list, and never returns None for a non-empty list.
+// Property: a set of corrupted elements has one classification whatever
+// values they hold — swapping two of the values keeps the count, the
+// pattern and the worst relative error, and the count is Compare's —
+// and a non-empty set is never None.
 func TestClassifyPermutationInvariantQuick(t *testing.T) {
 	sh := state.Dims2(16, 16)
 	f := func(raw []uint16, swapA, swapB uint8) bool {
@@ -206,21 +220,22 @@ func TestClassifyPermutationInvariantQuick(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		var idxs []int
+		var vals []float64
 		for _, r := range raw {
 			idx := int(r) % sh.Len()
 			if !seen[idx] {
 				seen[idx] = true
 				idxs = append(idxs, idx)
+				vals = append(vals, float64(r)+1)
 			}
 		}
-		ms := mk(sh, idxs...)
-		before := Classify(ms, sh)
-		if len(ms) > 1 {
-			a, b := int(swapA)%len(ms), int(swapB)%len(ms)
-			ms[a], ms[b] = ms[b], ms[a]
-		}
-		after := Classify(ms, sh)
-		return before == after && before != PatternNone
+		golden, got := corrupt(sh, idxs, vals...)
+		n, before, worst := Summarize(golden, got)
+		a, b := int(swapA)%len(idxs), int(swapB)%len(idxs)
+		vals[a], vals[b] = vals[b], vals[a]
+		n2, after, worst2 := Summarize(corrupt(sh, idxs, vals...))
+		return n == len(idxs) && n == len(Compare(golden, got)) && n2 == n &&
+			before == after && worst == worst2 && before != PatternNone
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -238,7 +253,7 @@ func TestClassifyStructuredQuick(t *testing.T) {
 		for x := 0; x < w; x++ {
 			idxs = append(idxs, sh.Index(x, row, 0))
 		}
-		if Classify(mk(sh, idxs...), sh) != PatternLine {
+		if classify(sh, idxs...) != PatternLine {
 			return false
 		}
 		h := int(hR)%11 + 2
@@ -254,7 +269,7 @@ func TestClassifyStructuredQuick(t *testing.T) {
 				idxs = append(idxs, sh.Index(x, y, 0))
 			}
 		}
-		return Classify(mk(sh, idxs...), sh) == PatternSquare
+		return classify(sh, idxs...) == PatternSquare
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -19,32 +19,34 @@ type Mismatch struct {
 	Want    float64
 }
 
-// RelErr returns |got-want| / |want| for this element, +Inf for NaN/Inf
+// relErr returns |got-want| / |want| for one element, +Inf for NaN/Inf
 // corruption, and |got| scaled by a tiny floor when the expected value is
 // zero (so spurious values on zero background register as large errors).
-func (m Mismatch) RelErr() float64 {
-	if math.IsNaN(m.Got) || math.IsInf(m.Got, 0) {
+func relErr(got, want float64) float64 {
+	if math.IsNaN(got) || math.IsInf(got, 0) {
 		return math.Inf(1)
 	}
-	denom := math.Abs(m.Want)
+	denom := math.Abs(want)
 	if denom < 1e-12 {
 		denom = 1e-12
 	}
-	return math.Abs(m.Got-m.Want) / denom
+	return math.Abs(got-want) / denom
 }
 
 // differs reports whether got is a mismatch against want: any difference
-// of value, except that NaN matches NaN.
+// of value, except that NaN matches NaN. It is the one per-element test of
+// Compare and Summarize.
 func differs(got, want float64) bool {
 	return got != want && !(got != got && want != want)
 }
 
 // Compare returns the mismatching elements of got against golden. Outputs
 // of different lengths (a truncated run) are reported as a single sentinel
-// mismatch at index -1 so callers still classify the run as an SDC.
-// Matching NaNs (both NaN) are not mismatches. A first pass counts, so a
-// clean output returns nil without allocating and a corrupted one allocates
-// its mismatches once, at their exact size.
+// mismatch at index -1. Matching NaNs (both NaN) are not mismatches. A
+// first pass counts, so a clean output returns nil without allocating and a
+// corrupted one allocates its mismatches once, at their exact size.
+// Classification takes Summarize's pass instead; the benchmark module's
+// analysis.<kernel>.compare_us row still times this list form.
 func Compare(golden, got bench.Output) []Mismatch {
 	if len(golden.Vals) != len(got.Vals) {
 		return []Mismatch{{Index: -1, Got: float64(len(got.Vals)), Want: float64(len(golden.Vals))}}
@@ -68,16 +70,36 @@ func Compare(golden, got bench.Output) []Mismatch {
 	return out
 }
 
-// MaxRelErr returns the worst relative error across mismatches (0 when
-// empty) — the paper's per-SDC severity measure.
-func MaxRelErr(ms []Mismatch) float64 {
-	worst := 0.0
-	for _, m := range ms {
-		if r := m.RelErr(); r > worst {
-			worst = r
+// Summarize is the one pass a run's classification takes over got
+// against golden: how many elements differ (as Compare finds them), their
+// spatial pattern from the bounding box they span, and the worst relative
+// error among them (0 when none differ) — the paper's per-SDC severity
+// measure. It builds no mismatch list and allocates nothing. Outputs of
+// different lengths are Compare's sentinel: one mismatch, a single, with
+// the relative error of the lengths.
+func Summarize(golden, got bench.Output) (n int, p Pattern, maxRelErr float64) {
+	if len(golden.Vals) != len(got.Vals) {
+		return 1, PatternSingle, relErr(float64(len(got.Vals)), float64(len(golden.Vals)))
+	}
+	var lo, hi [3]int
+	for i, want := range golden.Vals {
+		g := got.Vals[i]
+		if !differs(g, want) {
+			continue
+		}
+		x, y, z := golden.Shape.Coord(i)
+		if n == 0 {
+			lo, hi = [3]int{x, y, z}, [3]int{x, y, z}
+		} else {
+			lo = [3]int{min(lo[0], x), min(lo[1], y), min(lo[2], z)}
+			hi = [3]int{max(hi[0], x), max(hi[1], y), max(hi[2], z)}
+		}
+		n++
+		if r := relErr(g, want); r > maxRelErr {
+			maxRelErr = r
 		}
 	}
-	return worst
+	return n, pattern(n, hi[0]-lo[0]+1, hi[1]-lo[1]+1, hi[2]-lo[2]+1), maxRelErr
 }
 
 // FiniteRelErr clamps infinite relative errors (NaN/Inf corruption) to

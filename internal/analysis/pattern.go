@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"phirel/internal/state"
-)
+import "fmt"
 
 // Pattern is the paper's spatial classification of a corrupted output
 // (§4.3, Figure 2).
@@ -56,63 +52,34 @@ func (p Pattern) String() string {
 // rather than random scatter. See DESIGN.md §5.3.
 const blockDensity = 0.35
 
-// Classify assigns the paper's pattern to a mismatch set over an output of
-// the given shape.
-func Classify(ms []Mismatch, shape state.Dims) Pattern {
-	switch len(ms) {
+// pattern assigns the paper's pattern to n mismatches whose bounding box
+// spans sx × sy × sz elements.
+func pattern(n, sx, sy, sz int) Pattern {
+	switch n {
 	case 0:
 		return PatternNone
 	case 1:
 		return PatternSingle
 	}
-	minX, maxX := ms[0].X, ms[0].X
-	minY, maxY := ms[0].Y, ms[0].Y
-	minZ, maxZ := ms[0].Z, ms[0].Z
-	for _, m := range ms[1:] {
-		if m.X < minX {
-			minX = m.X
-		}
-		if m.X > maxX {
-			maxX = m.X
-		}
-		if m.Y < minY {
-			minY = m.Y
-		}
-		if m.Y > maxY {
-			maxY = m.Y
-		}
-		if m.Z < minZ {
-			minZ = m.Z
-		}
-		if m.Z > maxZ {
-			maxZ = m.Z
-		}
-	}
-	spanX, spanY, spanZ := maxX-minX+1, maxY-minY+1, maxZ-minZ+1
 	spanned := 0
-	for _, s := range [3]int{spanX, spanY, spanZ} {
+	for _, s := range [3]int{sx, sy, sz} {
 		if s > 1 {
 			spanned++
 		}
 	}
-	switch spanned {
-	case 0:
-		// Multiple mismatches at one coordinate cannot happen with distinct
-		// indices, but a sentinel (-1) mismatch lands here: call it single.
+	dense := float64(n) >= blockDensity*float64(sx*sy*sz)
+	switch {
+	case spanned == 0:
+		// Distinct indices cannot share a coordinate of a consistent
+		// shape; call such a set single.
 		return PatternSingle
-	case 1:
+	case spanned == 1:
 		return PatternLine
-	case 2:
-		box := spanX * spanY * spanZ
-		if float64(len(ms)) >= blockDensity*float64(box) {
-			return PatternSquare
-		}
+	case !dense:
 		return PatternRandom
+	case spanned == 2:
+		return PatternSquare
 	default:
-		box := spanX * spanY * spanZ
-		if float64(len(ms)) >= blockDensity*float64(box) {
-			return PatternCubic
-		}
-		return PatternRandom
+		return PatternCubic
 	}
 }

@@ -1,11 +1,16 @@
 package beam_test
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"phirel/internal/beam"
@@ -15,56 +20,187 @@ import (
 // Pre-optimization beam goldens: the accelerated campaign must stay
 // byte-identical across the engine/kernel hot-path changes, for any worker
 // count. Captured before those changes landed; see the matching test in
-// internal/core for the rationale. Regenerate deliberately with
+// internal/core for the rationale. testdata/optgolden.sum holds one digest
+// per campaign result and per record (sumLines), so a mismatch names the
+// record that moved. Regenerate deliberately, over the whole grid, with
 // go test ./internal/beam -run OptGolden -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the pre-optimization beam goldens")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the pre-optimization beam digests in testdata/optgolden.sum")
+
+var sumPath = filepath.Join("testdata", "optgolden.sum")
+
+// goldenBeams are the benchmarks of the beam goldens; each runs
+// goldenRuns strikes.
+var goldenBeams = []string{"DGEMM", "LUD", "HotSpot", "LavaMD"}
+
+const goldenRuns = 400
+
+// sumKey names line i of a campaign's sums: its result for i < 0, else
+// record i.
+func sumKey(name string, i int) string {
+	if i < 0 {
+		return name + " result"
+	}
+	return name + " " + strconv.Itoa(i)
+}
+
+// digest is the first 64 bits, in hex, of the SHA-256 of v's JSON
+// encoding: the compact form of the encoding a beam artifact holds.
+func digest(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
+
+// sumLines are a campaign's lines of the sum file, in order: "<campaign>
+// result <digest>" for the result without its records, then "<campaign>
+// <index> <digest>" for each record.
+func sumLines[R any](t *testing.T, name string, res any, recs []R) []string {
+	lines := []string{sumKey(name, -1) + " " + digest(t, res)}
+	for i, r := range recs {
+		lines = append(lines, sumKey(name, i)+" "+digest(t, r))
+	}
+	return lines
+}
+
+// readSum reads a sum file as its keys, in file order, and their digests.
+func readSum(path string) ([]string, map[string]string, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return parseSum(strings.Split(strings.TrimSuffix(string(b), "\n"), "\n"))
+}
+
+// parseSum splits sum lines into their keys, in order, and their digests.
+func parseSum(lines []string) ([]string, map[string]string, error) {
+	var keys []string
+	sums := map[string]string{}
+	for i, line := range lines {
+		k := strings.LastIndexByte(line, ' ')
+		if k < 0 {
+			return nil, nil, fmt.Errorf("%s:%d: %q is not \"<key> <digest>\"", sumPath, i+1, line)
+		}
+		keys = append(keys, line[:k])
+		sums[line[:k]] = line[k+1:]
+	}
+	return keys, sums, nil
+}
+
+// writeSum rewrites the sum file from every campaign's fresh lines, in
+// grid order, unless a run failed.
+func writeSum(t *testing.T, names []string, fresh map[string][]string) {
+	if t.Failed() {
+		return
+	}
+	var all []string
+	for _, name := range names {
+		lines, ok := fresh[name]
+		if !ok {
+			t.Errorf("-update-golden: campaign %s did not run; %s is written from the whole grid", name, sumPath)
+			return
+		}
+		all = append(all, lines...)
+	}
+	if err := os.WriteFile(sumPath, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+		t.Error(err)
+	}
+}
+
+// checkSum fails on the first record of a live campaign whose digest moved
+// from the golden sums (or on its result, when no record moved), naming
+// the campaign, the worker count and the record, and printing its live
+// JSON.
+func checkSum[R any](t *testing.T, name string, workers int, lines []string, sums map[string]string, res any, recs []R) {
+	t.Helper()
+	first, moved := -1, 0
+	for i, line := range lines {
+		k := strings.LastIndexByte(line, ' ')
+		if sums[line[:k]] == line[k+1:] {
+			continue
+		}
+		moved++
+		if first < 0 && i > 0 {
+			first = i - 1
+		}
+	}
+	if moved == 0 {
+		return
+	}
+	what, v := "its result", any(res)
+	if first >= 0 {
+		what, v = fmt.Sprintf("record %d", first), recs[first]
+	}
+	live, _ := json.MarshalIndent(v, "", " ")
+	t.Fatalf("%s workers=%d: %s moved from %s (golden %q, live %q; %d of %d lines moved); live JSON:\n%s",
+		name, workers, what, sumPath, sums[sumKey(name, first)], digest(t, v), moved, len(lines), live)
+}
 
 func TestOptGoldenBeam(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, name := range []string{"DGEMM", "LUD", "HotSpot", "LavaMD"} {
+	_, sums, err := readSum(sumPath)
+	if err != nil && !*updateGolden {
+		t.Fatalf("missing golden (run with -update-golden): %v", err)
+	}
+	var mu sync.Mutex
+	fresh := map[string][]string{}
+	if *updateGolden {
+		t.Cleanup(func() { writeSum(t, goldenBeams, fresh) })
+	}
+	for _, name := range goldenBeams {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			path := filepath.Join("testdata", "optgolden", name+".json")
-			want, err := os.ReadFile(path)
-			if err != nil && !*updateGolden {
-				t.Fatalf("missing golden (run with -update-golden): %v", err)
-			}
+			want := sums
 			for _, workers := range []int{1, 4} {
-				recs := make([]beam.Record, 400)
+				recs := make([]beam.Record, goldenRuns)
 				res, err := beam.Run(beam.Config{
-					Benchmark: name, Runs: 400, Seed: 20260808, BenchSeed: 1,
+					Benchmark: name, Runs: goldenRuns, Seed: 20260808, BenchSeed: 1,
 					Workers: workers, Observe: func(r beam.Record) { recs[r.Seq] = r },
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				enc := json.NewEncoder(&buf)
-				enc.SetIndent("", " ")
-				if err := enc.Encode(struct {
-					*beam.Result
-					Records []beam.Record `json:",omitempty"`
-				}{res, recs}); err != nil {
-					t.Fatal(err)
-				}
-				got := buf.Bytes()
+				lines := sumLines(t, name, res, recs)
 				if *updateGolden && workers == 1 {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					want = got
+					mu.Lock()
+					fresh[name] = lines
+					mu.Unlock()
+					_, want, _ = parseSum(lines)
 					continue
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: beam artifact differs from pre-optimization golden %s", workers, path)
-				}
+				checkSum(t, name, workers, lines, want, res, recs)
 			}
 		})
+	}
+}
+
+// TestOptGoldenSumCoversGrid requires the sum file to hold exactly the
+// lines the harness checks, in its order, so a renamed or resized campaign
+// cannot leave its old digests unchecked. It runs after the harness, so it
+// reads what an -update-golden run wrote.
+func TestOptGoldenSumCoversGrid(t *testing.T) {
+	keys, _, err := readSum(sumPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, name := range goldenBeams {
+		for i := -1; i < goldenRuns; i++ {
+			want = append(want, sumKey(name, i))
+		}
+	}
+	i := 0
+	for i < len(keys) && i < len(want) && keys[i] == want[i] {
+		i++
+	}
+	if i < len(keys) || i < len(want) {
+		t.Fatalf("%s holds %d lines and the harness checks %d; they part at line %d (-update-golden rewrites the file)",
+			sumPath, len(keys), len(want), i+1)
 	}
 }

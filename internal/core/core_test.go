@@ -33,6 +33,29 @@ func TestOutcomeCounts(t *testing.T) {
 	}
 }
 
+// TestClassifyRunAllocatesNothing: classifying an SDC takes one pass over
+// the output and builds no mismatch list, so a trial's classification
+// allocates nothing whatever the damage.
+func TestClassifyRunAllocatesNothing(t *testing.T) {
+	const n = 64
+	golden := bench.Output{Vals: make([]float64, n*n), Shape: state.Dims2(n, n)}
+	for i := range golden.Vals {
+		golden.Vals[i] = float64(i)
+	}
+	got := bench.Output{Vals: append([]float64(nil), golden.Vals...), Shape: golden.Shape}
+	for _, i := range []int{n + 1, n + 2, 2*n + 1, 2*n + 2} { // a dense 2x2 block
+		got.Vals[i] += 0.5
+	}
+	res := bench.RawResult{Status: bench.Completed, Output: got}
+	o, p, relErr, corrupted := ClassifyRun(golden, res)
+	if o != bench.SDC || p.String() != "Square" || corrupted != 4 || relErr != 0.5/float64(n+1) {
+		t.Fatalf("ClassifyRun = %v %v %v %d, want SDC Square %v 4", o, p, relErr, corrupted, 0.5/float64(n+1))
+	}
+	if a := testing.AllocsPerRun(20, func() { ClassifyRun(golden, res) }); a != 0 {
+		t.Errorf("%v allocations per ClassifyRun of an SDC, want 0", a)
+	}
+}
+
 func TestInjectorSingleExperiment(t *testing.T) {
 	inj, err := NewInjector("DGEMM", 1, state.ByBytes)
 	if err != nil {

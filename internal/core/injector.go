@@ -150,9 +150,9 @@ func ClassifyRun(golden bench.Output, res bench.RawResult) (o bench.Outcome, p a
 	case bench.Hung:
 		return bench.DUEHang, analysis.PatternNone, 0, 0
 	}
-	ms := analysis.Compare(golden, res.Output)
-	if len(ms) == 0 {
+	n, p, worst := analysis.Summarize(golden, res.Output)
+	if n == 0 {
 		return bench.Masked, analysis.PatternNone, 0, 0
 	}
-	return bench.SDC, analysis.Classify(ms, golden.Shape), analysis.FiniteRelErr(analysis.MaxRelErr(ms)), len(ms)
+	return bench.SDC, p, analysis.FiniteRelErr(worst), n
 }

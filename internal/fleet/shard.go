@@ -111,26 +111,43 @@ func (s Sweep) checkPlan(plan ShardPlan) error {
 // spec's grid, in order, with a result in exactly the cells whose range is
 // not empty.
 func CheckPartial(spec Sweep, plan ShardPlan, p *SweepResult) error {
+	return checkerOf(spec).check(plan, p)
+}
+
+// partialChecker is CheckPartial with spec's content address and grids
+// derived once, so a fold checks K parts with K+1 CanonicalHash calls.
+type partialChecker struct {
+	spec      Sweep
+	hash      string
+	cells     []CellSpec
+	beamCells []BeamCellSpec
+}
+
+func checkerOf(spec Sweep) partialChecker {
+	return partialChecker{spec, spec.CanonicalHash(), spec.Cells(), spec.BeamCells()}
+}
+
+func (c partialChecker) check(plan ShardPlan, p *SweepResult) error {
 	if p.Shard == nil {
 		return fmt.Errorf("fleet: not a shard partial (already merged or monolithic)")
 	}
 	if *p.Shard != plan {
 		return fmt.Errorf("fleet: partial is plan %s %+v, want %s %+v", p.Shard, *p.Shard, plan, plan)
 	}
-	if err := spec.checkPlan(plan); err != nil {
+	if err := c.spec.checkPlan(plan); err != nil {
 		return err
 	}
-	if got, want := p.Spec.CanonicalHash(), spec.CanonicalHash(); got != want {
+	if got := p.Spec.CanonicalHash(); got != c.hash {
 		what := "trial counts"
-		if p.Spec.CanonicalHashBase() != spec.CanonicalHashBase() {
+		if p.Spec.CanonicalHashBase() != c.spec.CanonicalHashBase() {
 			what = "base identity (grid, seeds or inputs)"
 		}
-		return fmt.Errorf("fleet: partial %s ran sweep %.12s…, want %.12s…: a different %s", plan, got, want, what)
+		return fmt.Errorf("fleet: partial %s ran sweep %.12s…, want %.12s…: a different %s", plan, got, c.hash, what)
 	}
-	if err := checkCells("injection", p.Cells, spec.Cells(), plan.Injection); err != nil {
+	if err := checkCells("injection", p.Cells, c.cells, plan.Injection); err != nil {
 		return fmt.Errorf("fleet: partial %s: %w", plan, err)
 	}
-	if err := checkCells("beam", p.BeamCells, spec.BeamCells(), plan.Beam); err != nil {
+	if err := checkCells("beam", p.BeamCells, c.beamCells, plan.Beam); err != nil {
 		return fmt.Errorf("fleet: partial %s: %w", plan, err)
 	}
 	return nil
@@ -283,8 +300,9 @@ func foldTiling(ps []*SweepResult, span ShardPlan, positional bool) (*SweepResul
 	dims := [2]string{"injection", "beam"}
 	want := [2]TrialRange{span.Injection, span.Beam}
 	next := [2]int{want[0].Offset, want[1].Offset}
+	chk := checkerOf(ps[0].Spec)
 	for _, p := range ps {
-		if err := CheckPartial(ps[0].Spec, *p.Shard, p); err != nil {
+		if err := chk.check(*p.Shard, p); err != nil {
 			return nil, err
 		}
 		for d, r := range [2]TrialRange{p.Shard.Injection, p.Shard.Beam} {
